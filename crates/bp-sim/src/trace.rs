@@ -290,7 +290,8 @@ pub struct TraceOptions {
 
 impl Default for TraceOptions {
     fn default() -> Self {
-        // Roughly 50 MB of events; far beyond any bundled app's run, so
+        // 2^20 events of `size_of::<TraceEvent>()` = 32 bytes each: a
+        // 32 MiB ring per shard, far beyond any bundled app's run, so
         // default traces never wrap. The cap is a memory safety valve for
         // long custom simulations.
         Self { capacity: 1 << 20 }
@@ -394,10 +395,11 @@ impl TraceRecorder {
         self.events.len()
     }
 
-    /// Drain the whole ring in recording order (the sequential engine's
-    /// buffer is already globally ordered).
+    /// The whole ring in recording order (the sequential engine's buffer
+    /// is already globally ordered). The ring's own allocation becomes the
+    /// trace — rotated in place if it wrapped — not a second copy of it.
     pub(crate) fn into_events(self) -> (Vec<TraceEvent>, u64) {
-        (self.events.into_iter().collect(), self.dropped)
+        (Vec::from(self.events), self.dropped)
     }
 }
 
@@ -753,6 +755,13 @@ mod tests {
             pe_clock_hz: 1e6,
             channels: vec![],
         }
+    }
+
+    /// The default ring's documented footprint (`TraceOptions::default`)
+    /// is this size times 2^20.
+    #[test]
+    fn trace_event_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 32);
     }
 
     #[test]

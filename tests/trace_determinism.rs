@@ -13,10 +13,11 @@
 
 use bp_apps::{apps, App, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
-use bp_core::Dim2;
+use bp_core::{CommModel, ControlToken, Dim2};
 use bp_sim::{
     chrome_trace_json, profile_node_weights, validate_json, ParallelTimedSimulator, SimConfig,
-    SimReport, TimedSimulator, Trace, TraceOptions,
+    SimReport, StallCause, TimedSimulator, Trace, TraceChannel, TraceEvent, TraceMeta,
+    TraceOptions,
 };
 
 const FRAMES: u32 = 2;
@@ -54,16 +55,20 @@ fn build_example(name: &str) -> App {
     }
 }
 
-fn run_sequential(name: &str, trace: bool) -> bp_core::Result<(SimReport, Option<Trace>)> {
+fn run_config(name: &str, config: SimConfig) -> bp_core::Result<(SimReport, Option<Trace>)> {
     let app = build_example(name);
     let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
+    TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
+        .expect("instantiate")
+        .run_with_trace()
+}
+
+fn run_sequential(name: &str, trace: bool) -> bp_core::Result<(SimReport, Option<Trace>)> {
     let mut config = SimConfig::new(FRAMES);
     if trace {
         config = config.with_trace(TraceOptions::default());
     }
-    TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
-        .expect("instantiate")
-        .run_with_trace()
+    run_config(name, config)
 }
 
 fn run_parallel(name: &str, threads: usize) -> bp_core::Result<(SimReport, Option<Trace>)> {
@@ -201,6 +206,97 @@ fn chrome_export_is_wellformed_json() {
     assert!(json.contains("\"ph\":\"C\""), "no counter tracks exported");
 }
 
+/// Names the exporter must escape — a quote, a backslash, a newline, a
+/// control byte, non-ASCII text — come out as valid JSON, escaped once
+/// wherever the exporter's name tables put them, for every event kind.
+#[test]
+fn hostile_names_export_as_valid_json() {
+    const RAW: &str = "\"\\\n\u{1}é✓";
+    const ESCAPED: &str = r#"\"\\\n\u0001é✓"#;
+    let name = |tag: &str| format!("{tag}{RAW}");
+    let trace = Trace {
+        meta: TraceMeta {
+            node_names: vec![name("N0"), name("N1")],
+            input_ports: vec![vec![], vec![name("P")]],
+            methods: vec![vec![name("M")], vec![]],
+            pe_of_node: vec![0, 1],
+            num_pes: 2,
+            pe_clock_hz: 1e9,
+            channels: vec![TraceChannel {
+                src_node: 0,
+                src_port: 0,
+                dst_node: 1,
+                dst_port: 0,
+                latency_s: 1e-6,
+            }],
+        },
+        events: vec![
+            TraceEvent::FiringBegin {
+                t: 1e-6,
+                node: 0,
+                method: 0,
+                pe: 0,
+                cycles: 1000,
+            },
+            TraceEvent::CommSend {
+                t: 2e-6,
+                chan: 0,
+                words: 4,
+                arrival: 3e-6,
+            },
+            TraceEvent::FiringEnd {
+                t: 2e-6,
+                node: 0,
+                pe: 0,
+            },
+            TraceEvent::Stall {
+                t: 2e-6,
+                pe: 0,
+                cause: StallCause::Idle,
+            },
+            TraceEvent::CommArrival { t: 3e-6, chan: 0 },
+            TraceEvent::QueueDepth {
+                t: 3e-6,
+                node: 1,
+                port: 0,
+                depth: 1,
+            },
+            TraceEvent::Token {
+                t: 3e-6,
+                node: 1,
+                port: 0,
+                token: ControlToken::Custom(7),
+            },
+        ],
+        dropped: 0,
+    };
+    let json = chrome_trace_json(&trace);
+    validate_json(&json).expect("hostile names must still export as well-formed JSON");
+
+    let count = |needle: String| json.matches(&needle).count();
+    let (n0, n1) = (format!("N0{ESCAPED}"), format!("N1{ESCAPED}"));
+    let channel = format!("{n1}.P{ESCAPED}");
+    // Firing begin and end are named for the node; the method is an arg.
+    assert_eq!(count(format!(r#"{{"name":"{n0}","cat":"firing""#)), 2);
+    assert_eq!(count(format!(r#""method":"M{ESCAPED}""#)), 1);
+    // The queue counter and the token's channel arg are `node.port`.
+    assert_eq!(count(format!(r#"{{"name":"{channel}","cat":"queue""#)), 1);
+    assert_eq!(count(format!(r#""args":{{"channel":"{channel}"}}"#)), 1);
+    // Send and arrival share the wire's `src -> dst.port` counter.
+    assert_eq!(
+        count(format!(r#"{{"name":"{n0} -> {channel}","cat":"network""#)),
+        2
+    );
+    // Each PE's lane lists its resident.
+    assert_eq!(count(format!(r#""args":{{"name":"PE 0 [{n0}]"}}"#)), 1);
+    assert_eq!(count(format!(r#""args":{{"name":"PE 1 [{n1}]"}}"#)), 1);
+    assert_eq!(count(r#"{"name":"CTL(7)","cat":"token""#.into()), 1);
+    assert_eq!(count(r#"{"name":"stall:idle","cat":"stall""#.into()), 1);
+    // Those are all fifteen places a name lands: none was escaped twice
+    // (which would no longer match) or left raw (which would not validate).
+    assert_eq!(count(ESCAPED.into()), 15);
+}
+
 /// Derived metrics are self-consistent: every traced event is attributed,
 /// utilization stays within [0, 1], and high-water marks agree with the
 /// report's per-node queue maxima.
@@ -303,5 +399,87 @@ fn report_fingerprints_match_golden() {
             "{name}: report fingerprint drifted (got {:#018x})",
             report.fingerprint()
         );
+    }
+}
+
+/// FNV-1a over a document's bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100000001b3)
+    })
+}
+
+/// `(length, FNV-1a)` of `chrome_trace_json` for every example app at the
+/// reference configuration under `CommModel::zero()` and `uniform:64`
+/// (64 PE cycles, no per-word term — what `bpc --comm-model uniform:64`
+/// builds). Recorded from the per-event-`String` exporter this one
+/// replaced; the exported document is a file format other tools load, so
+/// any change to a byte of it must update these deliberately.
+const CHROME_GOLDEN: &[(&str, [(usize, u64); 2])] = &[
+    (
+        "fig1b",
+        [(1441113, 0x4773b24b7be6ce5c), (1977449, 0x3445b1fa31f82f5e)],
+    ),
+    (
+        "bayer",
+        [(545660, 0x8490cd2058ec2825), (710315, 0x745ccbe83bdae099)],
+    ),
+    (
+        "histogram",
+        [(357799, 0x422be9316c85147f), (485203, 0xf79da2bafdb09f54)],
+    ),
+    (
+        "parallel_buffer",
+        [(3618833, 0x37f3219be921879f), (4959395, 0x5d3a14a6afeb0df7)],
+    ),
+    (
+        "multi_conv",
+        [(1143371, 0x616e9d65d1162d70), (1438864, 0x4116c2c86fc7f587)],
+    ),
+    (
+        "temporal_iir",
+        [(1098429, 0xef6f6252e3cd345a), (1219703, 0xd4a021fff3845110)],
+    ),
+    (
+        "fir_radio",
+        [(261540, 0xb320de5b7c4771a4), (333568, 0x3ee8bfc1b58b7cf6)],
+    ),
+    (
+        "edge_detect",
+        [(1048848, 0x02c8723b2a158856), (1285517, 0xc8481846b359c1c0)],
+    ),
+    (
+        "analytics",
+        [(1727421, 0x7b6740977a7dc02a), (2161721, 0x58d35168668ae94a)],
+    ),
+    (
+        "stereo_diff",
+        [(808081, 0x4c6329df9eb82d84), (1051868, 0xc364edbf5556db48)],
+    ),
+    (
+        "camera_bank",
+        [(4367016, 0x0bab371b80d8d1c9), (5987082, 0x672796f9c667673b)],
+    ),
+];
+
+#[test]
+fn chrome_export_matches_golden_bytes() {
+    let clock = CompileOptions::default().machine.pe_clock_hz;
+    let models = [CommModel::zero(), CommModel::uniform(64.0 / clock, 0.0)];
+    assert_eq!(CHROME_GOLDEN.len(), EXAMPLE_APPS.len());
+    for &(name, want) in CHROME_GOLDEN {
+        for (comm, want) in models.iter().zip(want) {
+            let config = SimConfig::new(FRAMES)
+                .with_comm(comm.clone())
+                .with_trace(TraceOptions::default());
+            let (_, trace) = run_config(name, config).expect("run");
+            let json = chrome_trace_json(&trace.expect("tracing enabled"));
+            let (len, hash) = (json.len(), fnv1a(json.as_bytes()));
+            assert_eq!(
+                (len, hash),
+                want,
+                "{name} under {comm:?}: exported bytes drifted (got ({len}, {hash:#018x}))"
+            );
+        }
     }
 }

@@ -1,6 +1,11 @@
 //! The benchmark applications of the paper's evaluation (Fig. 13), written
 //! exactly as a programmer would: no buffers, no splits — the compiler
 //! inserts all plumbing.
+//!
+//! The builders hand back their graph unvalidated: the structure is fixed
+//! here (`all_apps_validate` holds it), and what the caller chooses — frame
+//! size and rate — is checked where every graph is, by `compile` and by each
+//! simulator on entry, so a bad `--rate` is a typed error, not a panic.
 
 use bp_core::graph::{AppGraph, NodeId};
 use bp_core::{Dim2, GraphBuilder};
@@ -53,7 +58,7 @@ pub fn fig1b(dim: Dim2, rate_hz: f64) -> App {
     b.connect(merge, "out", snk, "in");
     b.dep_edge(src, merge);
     App {
-        graph: b.build().expect("fig1b is well-formed"),
+        graph: b.build_unchecked(),
         sinks: vec![("result".into(), handle)],
         input: src,
     }
@@ -76,7 +81,7 @@ pub fn bayer(dim: Dim2, rate_hz: f64) -> App {
     b.connect(dem, "g", go, "in");
     b.connect(dem, "b", bo, "in");
     App {
-        graph: b.build().expect("bayer is well-formed"),
+        graph: b.build_unchecked(),
         sinks: vec![("r".into(), rh), ("g".into(), gh), ("b".into(), bh)],
         input: src,
     }
@@ -100,7 +105,7 @@ pub fn histogram_app(dim: Dim2, rate_hz: f64, bins: u32) -> App {
     b.connect(merge, "out", snk, "in");
     b.dep_edge(src, merge);
     App {
-        graph: b.build().expect("histogram app is well-formed"),
+        graph: b.build_unchecked(),
         sinks: vec![("result".into(), handle)],
         input: src,
     }
@@ -123,7 +128,7 @@ pub fn parallel_buffer_test(dim: Dim2, rate_hz: f64) -> App {
     b.connect(coeff, "out", conv, "coeff");
     b.connect(conv, "out", snk, "in");
     App {
-        graph: b.build().expect("buffer test is well-formed"),
+        graph: b.build_unchecked(),
         sinks: vec![("result".into(), handle)],
         input: src,
     }
@@ -153,7 +158,7 @@ pub fn multi_conv(dim: Dim2, rate_hz: f64, stages: usize) -> App {
     let snk = b.add("result", sdef);
     b.connect(prev, "out", snk, "in");
     App {
-        graph: b.build().expect("multi-conv is well-formed"),
+        graph: b.build_unchecked(),
         sinks: vec![("result".into(), handle)],
         input: src,
     }
@@ -176,7 +181,7 @@ pub fn temporal_iir(dim: Dim2, rate_hz: f64) -> App {
     b.connect(half, "out", fb, "in");
     b.connect(half, "out", snk, "in");
     App {
-        graph: b.build().expect("iir is well-formed"),
+        graph: b.build_unchecked(),
         sinks: vec![("result".into(), handle)],
         input: src,
     }
@@ -203,7 +208,7 @@ pub fn fir_radio(samples: u32, rate_hz: f64) -> App {
     b.connect(f, "out", dec, "in");
     b.connect(dec, "out", snk, "in");
     App {
-        graph: b.build().expect("fir radio is well-formed"),
+        graph: b.build_unchecked(),
         sinks: vec![("result".into(), handle)],
         input: src,
     }
@@ -224,7 +229,7 @@ pub fn edge_detect(dim: Dim2, rate_hz: f64, level: f64) -> App {
     b.connect(sob, "out", thr, "in");
     b.connect(thr, "out", snk, "in");
     App {
-        graph: b.build().expect("edge detect is well-formed"),
+        graph: b.build_unchecked(),
         sinks: vec![("result".into(), handle)],
         input: src,
     }
@@ -263,7 +268,7 @@ pub fn stereo_diff(dim: Dim2, rate_hz: f64) -> App {
     b.connect(merge, "out", snk, "in");
     b.dep_edge(left, merge);
     App {
-        graph: b.build().expect("stereo diff is well-formed"),
+        graph: b.build_unchecked(),
         sinks: vec![("result".into(), handle)],
         input: left,
     }
@@ -328,7 +333,7 @@ pub fn analytics(dim: Dim2, rate_hz: f64) -> App {
     b.dep_edge(src, emerge);
     b.dep_edge(src, tmerge);
     App {
-        graph: b.build().expect("analytics is well-formed"),
+        graph: b.build_unchecked(),
         sinks: vec![("edges".into(), eh), ("detail".into(), th)],
         input: src,
     }
@@ -381,7 +386,7 @@ pub fn camera_bank(cameras: usize, dim: Dim2, rate_hz: f64) -> App {
         sinks.push((format!("cam{cam}"), handle));
     }
     App {
-        graph: b.build().expect("camera_bank is well-formed"),
+        graph: b.build_unchecked(),
         sinks,
         input: first_input.expect("at least one camera"),
     }

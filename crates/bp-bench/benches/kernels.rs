@@ -1,14 +1,11 @@
 //! Criterion benchmarks for individual kernel behaviors: buffer push
-//! throughput, convolution/median firings, histogram counting, the
-//! split/join FSMs, and scalar-vs-batched inner loops for the
-//! data-parallel kernels (`fire_fast` × N against one `fire_batch` over
-//! the same N firings — the per-kernel speedup the timed engine's
-//! `BatchPolicy` coalescing harvests).
+//! throughput, convolution/median firings, histogram counting, and the
+//! split/join FSMs.
 
 use bp_bench::microbench::{Criterion, Throughput};
 use bp_bench::{criterion_group, criterion_main};
-use bp_core::kernel::{BatchEmitter, Emitter, FireBatch, FireData, KernelDef};
-use bp_core::{Dim2, Item, Rng64, Step2, Window};
+use bp_core::kernel::{Emitter, FireData, KernelDef};
+use bp_core::{Dim2, Item, Step2, Window};
 
 /// Drive a single-input kernel behavior over a frame's pixel stream.
 fn drive_frame(def: &KernelDef, w: u32, h: u32) -> usize {
@@ -101,121 +98,6 @@ fn bench_compute_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Firings per batched call in the scalar-vs-batched comparison.
-const BATCH: usize = 16;
-
-/// Benchmark one data-parallel kernel's method-0 inner loop both ways:
-/// `BATCH` scalar `fire_fast` calls versus one `fire_batch` over the same
-/// inputs. `prime` optionally fires a state-loading method first (conv
-/// coefficients, FIR taps).
-fn bench_batch_pair(
-    group: &mut bp_bench::microbench::BenchmarkGroup,
-    name: &str,
-    def: &KernelDef,
-    prime: Option<(&str, &str, Window)>,
-) {
-    let spec = &def.spec;
-    let m0 = &spec.methods[0];
-    let ports: Vec<usize> = m0
-        .triggers
-        .iter()
-        .map(|t| spec.input_index(&t.input).expect("trigger input"))
-        .collect();
-    let mut beh = (def.factory)();
-    if let Some((method, input, w)) = &prime {
-        let port = spec.input_index(input).expect("prime input");
-        let consumed = vec![(port, Item::Window(w.clone()))];
-        let data = FireData::new(spec, &consumed);
-        let mut out = Emitter::new(spec);
-        beh.fire(method, &data, &mut out);
-    }
-    assert!(beh.batchable(0), "{name}: expected a batchable kernel");
-
-    let mut rng = Rng64::seed_from_u64(0xbe9c_0001);
-    let items: Vec<Item> = (0..BATCH)
-        .flat_map(|_| {
-            ports
-                .iter()
-                .map(|&p| {
-                    Item::Window(Window::from_fn(spec.inputs[p].size, |_, _| {
-                        rng.gen_range_f64(-4.0, 4.0)
-                    }))
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect();
-
-    // Both paths recycle their buffers across calls, exactly like the
-    // engine: the scalar loop reuses the node's consumed/emit buffers
-    // (`fire_threaded`), the batched call reuses the `BatchStore` vectors.
-    group.bench_function(format!("{name}-scalar-x{BATCH}"), |b| {
-        let mut consumed: Vec<(usize, Item)> = Vec::new();
-        let mut buf: Vec<(usize, Item)> = Vec::new();
-        b.iter(|| {
-            let mut emitted = 0;
-            for f in 0..BATCH {
-                consumed.clear();
-                consumed.extend(
-                    ports
-                        .iter()
-                        .enumerate()
-                        .map(|(t, &p)| (p, items[f * ports.len() + t].clone())),
-                );
-                let data = FireData::new(spec, &consumed);
-                let mut out = Emitter::with_buffer(spec, std::mem::take(&mut buf));
-                assert!(beh.fire_fast(0, &data, &mut out));
-                let (out_items, _) = out.into_parts();
-                emitted += out_items.len();
-                buf = out_items;
-                buf.clear();
-            }
-            emitted
-        });
-    });
-    group.bench_function(format!("{name}-batched-x{BATCH}"), |b| {
-        let refs: Vec<&Item> = items.iter().collect();
-        let (mut emitted, mut fences, mut cycles) =
-            (Vec::<(usize, Item)>::new(), Vec::new(), Vec::new());
-        b.iter(|| {
-            emitted.clear();
-            fences.clear();
-            cycles.clear();
-            let batch = FireBatch::new(spec, &ports, &refs, BATCH);
-            let mut out = BatchEmitter::new(spec, &mut emitted, &mut fences, &mut cycles);
-            assert!(beh.fire_batch(0, &batch, &mut out));
-            emitted.len()
-        });
-    });
-}
-
-fn bench_batched_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch");
-    group.throughput(Throughput::Elements(BATCH as u64));
-    let conv = bp_kernels::conv2d(5, 5);
-    bench_batch_pair(
-        &mut group,
-        "conv5x5",
-        &conv,
-        Some(("loadCoeff", "coeff", bp_kernels::box_coefficients(5, 5))),
-    );
-    let fir = bp_kernels::fir(8);
-    bench_batch_pair(
-        &mut group,
-        "fir8",
-        &fir,
-        Some((
-            "loadTaps",
-            "taps",
-            Window::from_fn(Dim2::new(8, 1), |x, _| 1.0 / (x + 1) as f64),
-        )),
-    );
-    bench_batch_pair(&mut group, "median3x3", &bp_kernels::median(3, 3), None);
-    bench_batch_pair(&mut group, "erode3x3", &bp_kernels::erode(3, 3), None);
-    bench_batch_pair(&mut group, "dilate3x3", &bp_kernels::dilate(3, 3), None);
-    bench_batch_pair(&mut group, "bayer", &bp_kernels::bayer_demosaic(), None);
-    group.finish();
-}
-
 fn bench_split_join(c: &mut Criterion) {
     let mut group = c.benchmark_group("splitjoin");
     let split = bp_kernels::split_rr(4, Dim2::ONE);
@@ -256,7 +138,6 @@ criterion_group!(
     benches,
     bench_buffer,
     bench_compute_kernels,
-    bench_batched_kernels,
     bench_split_join
 );
 criterion_main!(benches);

@@ -11,8 +11,8 @@
 use bp_bench::{compile_and_simulate, extract_number, extract_object};
 use bp_compiler::{compile, CompileOptions, MappingKind};
 use bp_sim::{
-    run_batch, Backend, BatchPolicy, CommModel, FunctionalExecutor, MetricsPolicy,
-    ParallelTimedSimulator, SimConfig, SimReport, TimedSimulator, TraceOptions,
+    run_batch, Backend, CommModel, FunctionalExecutor, MetricsPolicy, ParallelTimedSimulator,
+    SimConfig, SimReport, TimedSimulator, TraceOptions,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -210,304 +210,6 @@ fn bench_backends() -> Vec<BackendCompare> {
         5,
     ));
     out
-}
-
-/// Batch widths measured by the `kernel_batch` suite. Width 1 is the scalar
-/// reference; the rest exercise the compiled event loop's firing coalescing
-/// at increasing speculation depth.
-const BATCH_WIDTHS: [usize; 4] = [1, 4, 16, 64];
-
-/// Throughput of one workload at one batch width.
-struct BatchPoint {
-    width: usize,
-    wall_ms_median: f64,
-    windows_per_sec: f64,
-}
-
-/// Batch-coalescing sweep for one workload: compiled backend at each width
-/// in [`BATCH_WIDTHS`], fingerprints asserted identical across every width
-/// *and* against one interpreted (scalar oracle) run.
-struct BatchBench {
-    label: &'static str,
-    detail: String,
-    frames: u32,
-    samples: usize,
-    points: Vec<BatchPoint>,
-    fingerprint: u64,
-}
-
-impl BatchBench {
-    /// Speedup of the widest measured batch over the scalar (width-1) run.
-    fn speedup_at(&self, width: usize) -> f64 {
-        let w1 = self.points.iter().find(|p| p.width == 1).expect("width 1");
-        let wn = self
-            .points
-            .iter()
-            .find(|p| p.width == width)
-            .expect("requested width");
-        w1.wall_ms_median / wn.wall_ms_median.max(1e-9)
-    }
-}
-
-/// Measure one compiled graph on the compiled backend across batch widths,
-/// asserting every width's fingerprint matches the interpreted oracle's.
-fn bench_batch_widths(
-    label: &'static str,
-    detail: String,
-    compiled: &bp_compiler::Compiled,
-    machine: bp_core::MachineSpec,
-    frames: u32,
-    samples: usize,
-) -> BatchBench {
-    // One untimed interpreted run anchors the fingerprint to the oracle.
-    let oracle = TimedSimulator::new(
-        &compiled.graph,
-        &compiled.mapping,
-        SimConfig::new(frames)
-            .with_machine(machine)
-            .with_backend(Backend::Interpreted),
-    )
-    .expect("instantiate oracle")
-    .run()
-    .expect("run oracle")
-    .fingerprint();
-
-    let mut points = Vec::with_capacity(BATCH_WIDTHS.len());
-    let mut firings = 0u64;
-    for &width in &BATCH_WIDTHS {
-        let config = SimConfig::new(frames)
-            .with_machine(machine)
-            .with_backend(Backend::Compiled)
-            .with_batch(BatchPolicy::of_width(width));
-        let mut walls = Vec::with_capacity(samples);
-        for s in 0..samples + 2 {
-            let sim = TimedSimulator::new(&compiled.graph, &compiled.mapping, config.clone())
-                .expect("instantiate");
-            let t0 = Instant::now();
-            let report = sim.run().expect("run");
-            let wall = t0.elapsed().as_secs_f64();
-            assert_eq!(
-                report.fingerprint(),
-                oracle,
-                "{label} width {width}: batched fingerprint diverged from the \
-                 interpreted oracle"
-            );
-            let total: u64 = report.node_firings.iter().sum();
-            if firings == 0 {
-                firings = total;
-            }
-            assert_eq!(total, firings, "{label} width {width}: firing count");
-            if s >= 2 {
-                walls.push(wall * 1e3);
-            }
-        }
-        let wall_ms = median(walls);
-        points.push(BatchPoint {
-            width,
-            wall_ms_median: wall_ms,
-            windows_per_sec: firings as f64 / (wall_ms / 1e3),
-        });
-    }
-    BatchBench {
-        label,
-        detail,
-        frames,
-        samples,
-        points,
-        fingerprint: oracle,
-    }
-}
-
-/// The kernel-batch suite: the same two workloads as `bench_backends`, so
-/// the width-1 compiled numbers are directly comparable to that block.
-fn bench_kernel_batch() -> Vec<BatchBench> {
-    let mut out = Vec::new();
-    let app = bp_apps::fig1b(bp_apps::BIG, bp_apps::FAST);
-    let opts = CompileOptions::default();
-    let compiled = compile(&app.graph, &opts).expect("compile fig1b BIG/FAST");
-    out.push(bench_batch_widths(
-        "fig1b",
-        "40x24 @ 200 Hz".to_string(),
-        &compiled,
-        opts.machine,
-        FRAMES,
-        SAMPLES,
-    ));
-    let app = bp_apps::camera_bank(8, bp_apps::BIG, bp_apps::FAST);
-    let opts = CompileOptions {
-        mapping: MappingKind::OneToOne,
-        ..Default::default()
-    };
-    let compiled = compile(&app.graph, &opts).expect("compile camera_bank");
-    out.push(bench_batch_widths(
-        "camera_bank",
-        format!("x8 40x24 @ 200 Hz, {} PEs", compiled.mapping.num_pes),
-        &compiled,
-        opts.machine,
-        2,
-        5,
-    ));
-    out
-}
-
-/// One data-parallel kernel's scalar-vs-batched inner-loop measurement:
-/// `INNER_WIDTH` scalar `fire_fast` calls against one `fire_batch` over the
-/// same inputs, isolated from the event loop. This is the vectorization win
-/// the engine's coalescing harvests per covered firing — and the number the
-/// `--assert-batch-speedup` canary gates, since the end-to-end sweep above is
-/// dominated by per-event scheduling work that batching leaves untouched
-/// (DESIGN.md §14).
-struct KernelInner {
-    name: &'static str,
-    scalar_ns_per_firing: f64,
-    batched_ns_per_firing: f64,
-}
-
-impl KernelInner {
-    fn speedup(&self) -> f64 {
-        self.scalar_ns_per_firing / self.batched_ns_per_firing.max(1e-9)
-    }
-}
-
-/// Firings per batched call in the inner-loop comparison (matches the
-/// engine's default sweep point of interest).
-const INNER_WIDTH: usize = 16;
-
-/// Measure one kernel both ways. `prime` optionally fires a state-loading
-/// method first (conv coefficients, FIR taps). Mirrors the
-/// `benches/kernels.rs` "batch" group with enough repetitions for a stable
-/// in-process median.
-fn bench_inner_kernel(
-    name: &'static str,
-    def: &bp_core::kernel::KernelDef,
-    prime: Option<(&str, &str, bp_core::Window)>,
-) -> KernelInner {
-    use bp_core::kernel::{BatchEmitter, Emitter, FireBatch, FireData};
-    use bp_core::{Item, Rng64, Window};
-
-    let spec = &def.spec;
-    let ports: Vec<usize> = spec.methods[0]
-        .triggers
-        .iter()
-        .map(|t| spec.input_index(&t.input).expect("trigger input"))
-        .collect();
-    let mut beh = (def.factory)();
-    if let Some((method, input, w)) = &prime {
-        let port = spec.input_index(input).expect("prime input");
-        let consumed = vec![(port, Item::Window(w.clone()))];
-        let data = FireData::new(spec, &consumed);
-        let mut out = Emitter::new(spec);
-        beh.fire(method, &data, &mut out);
-    }
-    assert!(beh.batchable(0), "{name}: expected a batchable kernel");
-
-    let mut rng = Rng64::seed_from_u64(0xbe9c_0002);
-    let items: Vec<Item> = (0..INNER_WIDTH)
-        .flat_map(|_| {
-            ports
-                .iter()
-                .map(|&p| {
-                    Item::Window(Window::from_fn(spec.inputs[p].size, |_, _| {
-                        rng.gen_range_f64(-4.0, 4.0)
-                    }))
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let refs: Vec<&Item> = items.iter().collect();
-
-    // Both paths recycle their buffers across calls, exactly like the
-    // engine: the scalar loop reuses the node's consumed/emit buffers
-    // (`fire_threaded`), the batched call reuses the `BatchStore` vectors.
-    // Both paths also *hold* every emitted window until the batch window
-    // ends, exactly like the engine: emissions land in channel queues and
-    // stay live until the consumer pops them, in scalar and batched mode
-    // alike. (Freeing each scalar firing's outputs immediately instead
-    // would hand the scalar side an allocator fast path the engine never
-    // sees — with any thread spawned, glibc's per-bin tcache holds only a
-    // handful of entries, so the alloc-N-then-free-N pattern both sides
-    // really have pays a locked path the alloc-3-free-3 pattern dodges —
-    // and that artifact once read as a bayer "batch regression".)
-    const REPS: usize = 1500;
-    const INNER_SAMPLES: usize = 9;
-    let mut scalar = Vec::with_capacity(INNER_SAMPLES);
-    let mut batched = Vec::with_capacity(INNER_SAMPLES);
-    let mut consumed: Vec<(usize, Item)> = Vec::new();
-    let mut buf: Vec<(usize, Item)> = Vec::new();
-    let mut held: Vec<(usize, Item)> = Vec::new();
-    let (mut emitted, mut fences, mut cycles) =
-        (Vec::<(usize, Item)>::new(), Vec::new(), Vec::new());
-    for s in 0..INNER_SAMPLES + 1 {
-        let t0 = Instant::now();
-        let mut sink = 0usize;
-        for _ in 0..REPS {
-            held.clear();
-            for f in 0..INNER_WIDTH {
-                consumed.clear();
-                consumed.extend(
-                    ports
-                        .iter()
-                        .enumerate()
-                        .map(|(t, &p)| (p, items[f * ports.len() + t].clone())),
-                );
-                let data = FireData::new(spec, &consumed);
-                let mut out = Emitter::with_buffer(spec, std::mem::take(&mut buf));
-                assert!(beh.fire_fast(0, &data, &mut out));
-                let (out_items, _) = out.into_parts();
-                sink += out_items.len();
-                buf = out_items;
-                held.append(&mut buf);
-            }
-        }
-        let t_scalar = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        for _ in 0..REPS {
-            emitted.clear();
-            fences.clear();
-            cycles.clear();
-            let batch = FireBatch::new(spec, &ports, &refs, INNER_WIDTH);
-            let mut out = BatchEmitter::new(spec, &mut emitted, &mut fences, &mut cycles);
-            assert!(beh.fire_batch(0, &batch, &mut out));
-            sink += emitted.len();
-        }
-        let t_batched = t0.elapsed().as_secs_f64();
-        assert!(sink > 0);
-        if s >= 1 {
-            let per = 1e9 / (REPS * INNER_WIDTH) as f64;
-            scalar.push(t_scalar * per);
-            batched.push(t_batched * per);
-        }
-    }
-    KernelInner {
-        name,
-        scalar_ns_per_firing: median(scalar),
-        batched_ns_per_firing: median(batched),
-    }
-}
-
-/// The per-kernel inner-loop suite over the vectorized data-parallel set.
-fn bench_kernel_inner() -> Vec<KernelInner> {
-    use bp_core::{Dim2, Window};
-    vec![
-        bench_inner_kernel(
-            "conv5x5",
-            &bp_kernels::conv2d(5, 5),
-            Some(("loadCoeff", "coeff", bp_kernels::box_coefficients(5, 5))),
-        ),
-        bench_inner_kernel(
-            "fir8",
-            &bp_kernels::fir(8),
-            Some((
-                "loadTaps",
-                "taps",
-                Window::from_fn(Dim2::new(8, 1), |x, _| 1.0 / (x + 1) as f64),
-            )),
-        ),
-        bench_inner_kernel("median3x3", &bp_kernels::median(3, 3), None),
-        bench_inner_kernel("erode3x3", &bp_kernels::erode(3, 3), None),
-        bench_inner_kernel("dilate3x3", &bp_kernels::dilate(3, 3), None),
-        bench_inner_kernel("bayer", &bp_kernels::bayer_demosaic(), None),
-    ]
 }
 
 /// Metrics-collection overhead on one workload: wall-clock medians with the
@@ -977,7 +679,6 @@ fn main() {
     let mut trace = false;
     let mut assert_overhead: Option<f64> = None;
     let mut assert_backend_speedup: Option<f64> = None;
-    let mut assert_batch_speedup: Option<f64> = None;
     let mut assert_metrics_overhead: Option<f64> = None;
     let mut assert_serve_tenants: Option<usize> = None;
     let mut backend = Backend::Auto;
@@ -1011,13 +712,6 @@ fn main() {
                     args.next()
                         .and_then(|v| v.parse().ok())
                         .expect("--assert-backend-speedup needs a ratio"),
-                );
-            }
-            "--assert-batch-speedup" => {
-                assert_batch_speedup = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--assert-batch-speedup needs a ratio"),
                 );
             }
             "--assert-metrics-overhead" => {
@@ -1084,34 +778,6 @@ fn main() {
             c.fingerprint
         );
     }
-    println!("measuring batch-coalescing widths on the compiled backend (oracle-asserted)...");
-    let batches = bench_kernel_batch();
-    for b in &batches {
-        let per_width: Vec<String> = b
-            .points
-            .iter()
-            .map(|p| format!("w{} {:.3} ms", p.width, p.wall_ms_median))
-            .collect();
-        println!(
-            "  {} ({}): {} — w16 speedup {:.2}x, fingerprint {:#018x}",
-            b.label,
-            b.detail,
-            per_width.join(", "),
-            b.speedup_at(16),
-            b.fingerprint
-        );
-    }
-    println!("measuring per-kernel batched inner loops (width {INNER_WIDTH}, in-process)...");
-    let inners = bench_kernel_inner();
-    for k in &inners {
-        println!(
-            "  {}: scalar {:.1} ns/firing, batched {:.1} ns/firing ({:.2}x)",
-            k.name,
-            k.scalar_ns_per_firing,
-            k.batched_ns_per_firing,
-            k.speedup()
-        );
-    }
     println!("measuring metrics-collection overhead (fingerprint- and digest-asserted)...");
     let metrics = bench_metrics_overhead();
     for m in &metrics {
@@ -1175,7 +841,7 @@ fn main() {
 
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"bench_sim/v7\",\n");
+    out.push_str("  \"schema\": \"bench_sim/v8\",\n");
     let _ = writeln!(out, "  \"baseline\": {baseline},");
     let _ = writeln!(out, "  \"current\": {current},");
     out.push_str("  \"backend_compare\": [\n");
@@ -1194,50 +860,6 @@ fn main() {
             c.speedup(),
             c.fingerprint,
             if i + 1 < backends.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"kernel_batch\": [\n");
-    for (i, b) in batches.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{ \"app\": \"{}\", \"config\": \"{}\", \"frames\": {}, \"samples\": {}, \
-             \"backend\": \"compiled\", \"fingerprint\": \"{:#018x}\",",
-            b.label, b.detail, b.frames, b.samples, b.fingerprint
-        );
-        out.push_str("      \"widths\": [\n");
-        for (j, p) in b.points.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "        {{ \"width\": {}, \"wall_ms_median\": {:.3}, \
-                 \"windows_per_sec\": {:.1} }}{}",
-                p.width,
-                p.wall_ms_median,
-                p.windows_per_sec,
-                if j + 1 < b.points.len() { "," } else { "" }
-            );
-        }
-        out.push_str("      ],\n");
-        let _ = writeln!(
-            out,
-            "      \"speedup_w16_vs_w1\": {:.3} }}{}",
-            b.speedup_at(16),
-            if i + 1 < batches.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"kernel_inner\": [\n");
-    for (i, k) in inners.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{ \"kernel\": \"{}\", \"width\": {INNER_WIDTH}, \
-             \"scalar_ns_per_firing\": {:.1}, \"batched_ns_per_firing\": {:.1}, \
-             \"speedup\": {:.3} }}{}",
-            k.name,
-            k.scalar_ns_per_firing,
-            k.batched_ns_per_firing,
-            k.speedup(),
-            if i + 1 < inners.len() { "," } else { "" }
         );
     }
     out.push_str("  ],\n");
@@ -1315,70 +937,6 @@ fn main() {
             std::process::exit(1);
         }
         println!("backend speedup check passed: {got:.3} >= {floor:.3}");
-    }
-
-    // CI guard for the batched firing path, two-sided (fingerprints were
-    // already asserted identical to the oracle above):
-    //  (a) vectorization canary — the best per-kernel batched inner-loop
-    //      speedup must stay at or above the floor; a broken vectorized
-    //      region body flattens every kernel to ~1.0x and trips it;
-    //  (b) end-to-end non-regression — width-16 coalescing must stay
-    //      within 20% of the scalar compiled loop on every workload (a
-    //      floor against pathological speculation overhead, not a tight
-    //      bound — shared-runner noise on these walls is around ±10%).
-    if let Some(floor) = assert_batch_speedup {
-        let best = inners
-            .iter()
-            .max_by(|a, b| a.speedup().partial_cmp(&b.speedup()).unwrap())
-            .expect("kernel_inner nonempty");
-        if best.speedup() < floor {
-            eprintln!(
-                "FAIL: best per-kernel batched speedup {:.3} ({}) is below the \
-                 {floor:.3} floor (--assert-batch-speedup)",
-                best.speedup(),
-                best.name
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "batch kernel-speedup check passed: {} {:.3} >= {floor:.3}",
-            best.name,
-            best.speedup()
-        );
-        // Per-kernel non-regression: no kernel's batched inner loop may run
-        // meaningfully *slower* than its scalar loop (the bayer allocation
-        // regression showed up as a 0.75x ratio here; the fix is the
-        // transposed recycled-buffer path, and this floor keeps it fixed).
-        const INNER_FLOOR: f64 = 0.95;
-        for k in &inners {
-            if k.speedup() < INNER_FLOOR {
-                eprintln!(
-                    "FAIL: {} batched inner loop runs at {:.3}x of scalar, below \
-                     the {INNER_FLOOR:.3} non-regression floor (--assert-batch-speedup)",
-                    k.name,
-                    k.speedup()
-                );
-                std::process::exit(1);
-            }
-        }
-        println!("batch per-kernel non-regression passed: all >= {INNER_FLOOR:.3}");
-        const E2E_FLOOR: f64 = 0.80;
-        for b in &batches {
-            let got = b.speedup_at(16);
-            if got < E2E_FLOOR {
-                eprintln!(
-                    "FAIL: batch width-16 end-to-end ratio {got:.3} on {} is \
-                     below the {E2E_FLOOR:.3} non-regression floor \
-                     (--assert-batch-speedup)",
-                    b.label
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "batch end-to-end non-regression passed on {}: {got:.3} >= {E2E_FLOOR:.3}",
-                b.label
-            );
-        }
     }
 
     // CI guard: the serving measurement must have co-scheduled at least

@@ -43,8 +43,8 @@ pub use shape::shape_key;
 use std::collections::VecDeque;
 
 use bp_core::{
-    AppGraph, BatchEmitter, BpError, ControlToken, Emitter, FireBatch, FireData, Item,
-    KernelBehavior, KernelSpec, Result, TokenKind, TriggerOn,
+    AppGraph, BpError, ControlToken, Emitter, FireData, Item, KernelBehavior, KernelSpec, Result,
+    TokenKind, TriggerOn,
 };
 
 /// Result of one compiled firing: words consumed from input queues plus the
@@ -100,12 +100,6 @@ pub struct ThreadedMethod {
     /// Token kinds some method of this kernel handles on one of this
     /// method's trigger inputs — these suppress automatic forwarding.
     pub handled_tokens: Vec<TokenKind>,
-    /// Structural batch eligibility: every trigger is `TriggerOn::Data`, on
-    /// distinct ports, and the method has at least one trigger. The engine
-    /// additionally requires the method to be index 0 (so no earlier method
-    /// can preempt a planned run) and the behavior to opt in via
-    /// [`KernelBehavior::batchable`] before coalescing firings.
-    pub batchable_shape: bool,
     /// The specialized firing routine.
     pub fire: FireFn,
 }
@@ -294,90 +288,6 @@ fn fire_body(a: &mut FireArgs<'_>, mi: usize, name: &str, ports: &[usize]) -> Fi
     }
 }
 
-/// Precomputed results of a speculative [`KernelBehavior::fire_batch`]
-/// call, replayed one firing at a time by the engine. The storage vectors
-/// are recycled across batches of the same node.
-///
-/// Invariant maintained by the engine: while `next < fences.len()`, the
-/// items the batch was computed from are still at the heads of the node's
-/// trigger queues (replaying a firing pops exactly that firing's items, and
-/// no other method of the node can fire while the batched method stays
-/// plannable), so the precomputed emissions remain the emissions the scalar
-/// path would produce.
-#[derive(Clone, Default)]
-pub struct BatchStore {
-    /// All emissions of the batch, firing-fenced: firing `j` emitted
-    /// `items[fences[j-1]..fences[j]]` (with `fences[-1]` read as 0).
-    pub items: Vec<(usize, Item)>,
-    /// End offset into `items` per firing.
-    pub fences: Vec<usize>,
-    /// Per-firing reported actual cycles.
-    pub cycles: Vec<Option<u64>>,
-    /// Next firing to replay.
-    pub next: usize,
-}
-
-impl BatchStore {
-    /// True while precomputed firings remain to be replayed.
-    #[inline]
-    pub fn pending(&self) -> bool {
-        self.next < self.fences.len()
-    }
-
-    /// The emission range and reported cycles of the next firing, advancing
-    /// the replay cursor.
-    #[inline]
-    pub fn take_next(&mut self) -> (std::ops::Range<usize>, Option<u64>) {
-        let j = self.next;
-        self.next = j + 1;
-        let start = if j == 0 { 0 } else { self.fences[j - 1] };
-        (start..self.fences[j], self.cycles[j])
-    }
-}
-
-/// Speculatively compute `count` consecutive firings of method `mi` into
-/// `store` *without* popping the input queues: the first `count` items of
-/// every trigger queue are viewed in place (they must all be data windows —
-/// the engine's run-length scan guarantees this). Returns `false`, leaving
-/// `store` empty, when the behavior declines; the engine then fires
-/// scalar as usual.
-pub fn speculative_batch(
-    spec: &KernelSpec,
-    queues: &[VecDeque<Item>],
-    behavior: &mut dyn KernelBehavior,
-    mi: usize,
-    ports: &[usize],
-    count: usize,
-    store: &mut BatchStore,
-) -> bool {
-    let mut refs: Vec<&Item> = Vec::with_capacity(count * ports.len());
-    // Firing-major over several queues: `f` indexes every trigger queue in
-    // turn, so no single iterator replaces the range loop.
-    #[allow(clippy::needless_range_loop)]
-    for f in 0..count {
-        for &p in ports {
-            refs.push(&queues[p][f]);
-        }
-    }
-    let batch = FireBatch::new(spec, ports, &refs, count);
-    let mut out = BatchEmitter::new(spec, &mut store.items, &mut store.fences, &mut store.cycles);
-    if !behavior.fire_batch(mi, &batch, &mut out) {
-        store.items.clear();
-        store.fences.clear();
-        store.cycles.clear();
-        store.next = 0;
-        return false;
-    }
-    assert_eq!(
-        store.fences.len(),
-        count,
-        "fire_batch sealed {} firings for a batch of {count}",
-        store.fences.len()
-    );
-    store.next = 0;
-    true
-}
-
 /// Build the specialized routine for one method, monomorphized over arity.
 fn make_fire(mi: usize, name: String, ports: Vec<usize>) -> FireFn {
     fn fixed<const N: usize>(mi: usize, name: String, ports: [usize; N]) -> FireFn {
@@ -439,14 +349,6 @@ pub fn lower_spec(spec: &KernelSpec) -> Result<ThreadedNode> {
                     }
                 }
             }
-            let distinct_ports = trigger_ports
-                .iter()
-                .enumerate()
-                .all(|(i, p)| !trigger_ports[..i].contains(p));
-            let batchable_shape = !trigger_ports.is_empty()
-                && token_triggers.is_empty()
-                && data_mask == trigger_mask
-                && distinct_ports;
             ThreadedMethod {
                 fire: make_fire(mi, m.name.clone(), trigger_ports.clone()),
                 name: m.name.clone(),
@@ -457,7 +359,6 @@ pub fn lower_spec(spec: &KernelSpec) -> Result<ThreadedNode> {
                 cost_cycles: m.cost.cycles,
                 is_data: m.is_data_method(),
                 handled_tokens,
-                batchable_shape,
                 trigger_ports,
             }
         })
@@ -564,57 +465,6 @@ mod tests {
             }
             other => panic!("expected forward, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn speculative_batch_precomputes_without_popping() {
-        // erode opts into batching on its single data method; precompute 3
-        // firings and check the replay fences match the scalar path's
-        // per-firing emissions exactly.
-        let def = bp_kernels::erode(3, 3);
-        let spec = def.spec.clone();
-        let tn = lower_spec(&spec).unwrap();
-        assert!(tn.methods[0].batchable_shape);
-
-        let mut rng = bp_core::Rng64::seed_from_u64(0xbac7);
-        let wins: Vec<bp_core::Window> = (0..3)
-            .map(|_| bp_core::Window::from_fn(Dim2::new(3, 3), |_, _| rng.gen_range_f64(-1.0, 1.0)))
-            .collect();
-
-        let mut behavior = (def.factory)();
-        let mut queues = vec![VecDeque::new()];
-        for w in &wins {
-            queues[0].push_back(Item::Window(w.clone()));
-        }
-        assert!(behavior.batchable(0));
-
-        let mut store = BatchStore::default();
-        assert!(speculative_batch(
-            &spec,
-            &queues,
-            behavior.as_mut(),
-            0,
-            &tn.methods[0].trigger_ports,
-            3,
-            &mut store,
-        ));
-        assert_eq!(store.fences.len(), 3);
-        assert_eq!(queues[0].len(), 3, "speculation must not pop inputs");
-        assert!(store.pending());
-
-        // Scalar oracle: fire the same windows through a fresh behavior.
-        let mut oracle = (def.factory)();
-        for (j, w) in wins.iter().enumerate() {
-            let consumed = vec![(0usize, Item::Window(w.clone()))];
-            let data = FireData::new(&spec, &consumed);
-            let mut out = Emitter::new(&spec);
-            assert!(oracle.fire_fast(0, &data, &mut out));
-            let (items, cycles) = out.into_parts();
-            let (range, stored_cycles) = store.take_next();
-            assert_eq!(&store.items[range], &items[..], "firing {j}");
-            assert_eq!(stored_cycles, cycles);
-        }
-        assert!(!store.pending());
     }
 
     #[test]

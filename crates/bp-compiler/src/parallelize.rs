@@ -25,9 +25,6 @@ pub enum ReplicaReason {
     /// The kernel sits inside a primed feedback loop: round-robin
     /// split/join replication would break the loop-carried recurrence (each
     /// replica would see every k-th state update), so one instance stands.
-    /// Throughput for in-loop kernels comes from firing coalescing instead
-    /// — the timed engine's `BatchPolicy` batches any width of consecutive
-    /// firings of a single instance without touching the schedule.
     InLoop,
 }
 
@@ -137,9 +134,7 @@ pub fn parallelize(graph: &mut AppGraph, machine: &MachineSpec) -> Result<Parall
     // In-loop replication guard: a kernel on a primed feedback cycle cannot
     // be replicated — the split/join round-robin would interleave replicas
     // into the loop-carried stream and change the recurrence — so every
-    // member of a cyclic SCC keeps one instance. (Firing coalescing via the
-    // timed engine's `BatchPolicy` remains available to in-loop kernels:
-    // it batches one instance's consecutive firings without reordering.)
+    // member of a cyclic SCC keeps one instance.
     for comp in graph.cyclic_sccs() {
         for id in comp {
             if desired[id.0] > 1 {
@@ -550,8 +545,7 @@ mod tests {
     /// would wrap them in round-robin split/join — interleaving replicas
     /// into the loop-carried stream and silently corrupting the IIR
     /// recurrence. Every member of the feedback cycle must instead keep a
-    /// single instance, reported as [`ReplicaReason::InLoop`] (batch
-    /// coalescing, not replication, is the throughput axis in a loop).
+    /// single instance, reported as [`ReplicaReason::InLoop`].
     #[test]
     fn feedback_loop_kernels_are_never_replicated() {
         let mut app = bp_apps::apps::temporal_iir(Dim2::new(20, 12), 50_000.0);

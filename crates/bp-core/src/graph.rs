@@ -397,7 +397,8 @@ impl AppGraph {
     /// - channel endpoints reference existing ports,
     /// - no two methods of a kernel trigger on the same (input, arrival),
     /// - method port references resolve,
-    /// - source nodes have registered rate info and no inputs,
+    /// - source nodes have no inputs and a registered frame with both
+    ///   dimensions nonzero arriving at a finite, positive rate,
     /// - the graph is acyclic up to feedback kernels.
     pub fn validate(&self) -> Result<()> {
         for (_, ch) in self.channels() {
@@ -470,10 +471,24 @@ impl AppGraph {
                         node.name
                     )));
                 }
-                if self.source_info(id).is_none() {
+                let Some(info) = self.source_info(id) else {
                     return Err(BpError::Validation(format!(
                         "source node '{}' has no registered frame size/rate",
                         node.name
+                    )));
+                };
+                // The sample period is 1 / (rate × frame area): both must
+                // be positive and finite or the event schedule is not.
+                if !(info.rate_hz.is_finite() && info.rate_hz > 0.0) {
+                    return Err(BpError::Validation(format!(
+                        "source node '{}' has rate {} Hz (need a finite rate > 0)",
+                        node.name, info.rate_hz
+                    )));
+                }
+                if info.frame.w == 0 || info.frame.h == 0 {
+                    return Err(BpError::Validation(format!(
+                        "source node '{}' has an empty frame {}",
+                        node.name, info.frame
                     )));
                 }
             }
@@ -639,8 +654,10 @@ impl GraphBuilder {
         Ok(self.graph)
     }
 
-    /// Return the graph without validation (for tests constructing
-    /// deliberately broken graphs).
+    /// Return the graph without validation: for tests constructing
+    /// deliberately broken graphs, and for builders whose structure is
+    /// fixed by code and whose caller-supplied parameters are checked by
+    /// the consumer (`compile` and every simulator validate on entry).
     pub fn build_unchecked(self) -> AppGraph {
         self.graph
     }
@@ -734,6 +751,26 @@ mod tests {
         b.add("K", passthrough_def());
         let err = b.build().unwrap_err();
         assert!(err.to_string().contains("incoming channels"));
+    }
+
+    #[test]
+    fn bad_source_rate_or_frame_fails_validation() {
+        let with_source = |frame: Dim2, rate_hz: f64| {
+            let mut b = GraphBuilder::new();
+            let s = b.add_source("Input", source_def(), frame, rate_hz);
+            let t = b.add("Out", sink_def());
+            b.connect(s, "out", t, "in");
+            b.build()
+        };
+        with_source(Dim2::new(4, 4), 10.0).expect("the control case is valid");
+        for rate_hz in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            let err = with_source(Dim2::new(4, 4), rate_hz).unwrap_err();
+            assert!(matches!(err, BpError::Validation(_)), "{rate_hz}: {err}");
+            assert!(err.to_string().contains("finite rate"), "{rate_hz}: {err}");
+        }
+        let err = with_source(Dim2::new(0, 12), 10.0).unwrap_err();
+        assert!(matches!(err, BpError::Validation(_)), "{err}");
+        assert!(err.to_string().contains("empty frame"), "{err}");
     }
 
     #[test]

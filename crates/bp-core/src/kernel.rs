@@ -436,191 +436,6 @@ impl<'a> Emitter<'a> {
     }
 }
 
-/// Inputs to one batched firing ([`KernelBehavior::fire_batch`]): the
-/// consumed items of `count` consecutive firings of one method, viewed *in
-/// place*. The engine builds a batch speculatively — the items still sit at
-/// the heads of the input queues and are only popped as each firing is
-/// replayed — so a batch holds references, never owned items.
-///
-/// Layout is firing-major: entry `f * triggers() + t` is the item relative
-/// firing `f` consumes on input port `port(t)`. The trigger ports are listed
-/// in the method's pop order, identical to the order the scalar path pops
-/// them, so `item(f, t)` for `t` in `0..triggers()` reproduces exactly the
-/// consumed set a scalar firing would see.
-pub struct FireBatch<'a> {
-    spec: &'a KernelSpec,
-    items: &'a [&'a Item],
-    ports: &'a [usize],
-    count: usize,
-}
-
-impl<'a> FireBatch<'a> {
-    /// Build a batch over `count` firings consuming `ports.len()` items
-    /// each. `items` must be firing-major with `count * ports.len()`
-    /// entries.
-    pub fn new(
-        spec: &'a KernelSpec,
-        ports: &'a [usize],
-        items: &'a [&'a Item],
-        count: usize,
-    ) -> Self {
-        debug_assert_eq!(items.len(), count * ports.len());
-        Self {
-            spec,
-            items,
-            ports,
-            count,
-        }
-    }
-
-    /// The kernel spec.
-    #[inline]
-    pub fn spec(&self) -> &KernelSpec {
-        self.spec
-    }
-
-    /// Number of firings coalesced into this batch.
-    #[inline]
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Number of items each firing consumes (= trigger ports of the method).
-    #[inline]
-    pub fn triggers(&self) -> usize {
-        self.ports.len()
-    }
-
-    /// Input port index of trigger `t` (in pop order).
-    #[inline]
-    pub fn port(&self, t: usize) -> usize {
-        self.ports[t]
-    }
-
-    /// The item firing `f` consumes on trigger `t`.
-    #[inline]
-    pub fn item(&self, f: usize, t: usize) -> &Item {
-        self.items[f * self.ports.len() + t]
-    }
-
-    /// The data window firing `f` consumes on trigger `t`. Panics on a
-    /// control token — the engine only batches runs of data windows.
-    #[inline]
-    pub fn window(&self, f: usize, t: usize) -> &Window {
-        self.item(f, t)
-            .window()
-            .unwrap_or_else(|| panic!("batched firing {f} trigger {t} holds a control token"))
-    }
-
-    /// The data window firing `f` consumes on the input with spec index
-    /// `input_idx` — the batched counterpart of [`FireData::window_at`].
-    #[inline]
-    pub fn window_at(&self, f: usize, input_idx: usize) -> &Window {
-        let t = self
-            .ports
-            .iter()
-            .position(|&p| p == input_idx)
-            .unwrap_or_else(|| panic!("input index {input_idx} is not a trigger of this batch"));
-        self.window(f, t)
-    }
-}
-
-/// Collects the emissions of a batched firing ([`KernelBehavior::fire_batch`])
-/// with a fence after every firing, so the engine can replay the batch one
-/// firing at a time with per-firing emission order, write-word accounting and
-/// reported cycles identical to the scalar path.
-///
-/// Implementations emit firing 0's items, call
-/// [`end_firing`](Self::end_firing), emit firing 1's items, and so on; the
-/// engine rejects a batch whose fence count differs from the batch's firing
-/// count. [`report_cycles`](Self::report_cycles) applies to the firing
-/// currently being emitted.
-pub struct BatchEmitter<'a> {
-    spec: &'a KernelSpec,
-    emitted: &'a mut Vec<(usize, Item)>,
-    fences: &'a mut Vec<usize>,
-    cycles: &'a mut Vec<Option<u64>>,
-    cur_cycles: Option<u64>,
-}
-
-impl<'a> BatchEmitter<'a> {
-    /// New batch emitter over recycled storage (all three vectors are
-    /// cleared).
-    pub fn new(
-        spec: &'a KernelSpec,
-        emitted: &'a mut Vec<(usize, Item)>,
-        fences: &'a mut Vec<usize>,
-        cycles: &'a mut Vec<Option<u64>>,
-    ) -> Self {
-        emitted.clear();
-        fences.clear();
-        cycles.clear();
-        Self {
-            spec,
-            emitted,
-            fences,
-            cycles,
-            cur_cycles: None,
-        }
-    }
-
-    /// Report the actual data-dependent cycle count of the firing currently
-    /// being emitted (the batched counterpart of [`Emitter::report_cycles`]).
-    #[inline]
-    pub fn report_cycles(&mut self, cycles: u64) {
-        self.cur_cycles = Some(cycles);
-    }
-
-    /// Emit a data window by output index for the current firing.
-    #[inline]
-    pub fn window_at(&mut self, output_idx: usize, w: Window) {
-        debug_assert!(
-            output_idx < self.spec.outputs.len(),
-            "output index out of range"
-        );
-        self.emitted.push((output_idx, Item::Window(w)));
-    }
-
-    /// Emit a control token by output index for the current firing.
-    #[inline]
-    pub fn token_at(&mut self, output_idx: usize, t: ControlToken) {
-        debug_assert!(
-            output_idx < self.spec.outputs.len(),
-            "output index out of range"
-        );
-        self.emitted.push((output_idx, Item::Control(t)));
-    }
-
-    /// Seal the current firing: everything emitted since the previous fence
-    /// belongs to it, in emission order.
-    #[inline]
-    pub fn end_firing(&mut self) {
-        self.fences.push(self.emitted.len());
-        self.cycles.push(self.cur_cycles.take());
-    }
-
-    /// Absorb one scalar firing's `Emitter` output as the current firing and
-    /// seal it, returning the (drained) buffer for reuse. This is how the
-    /// default `fire_batch` funnels the scalar path through the batch
-    /// interface.
-    pub fn absorb_scalar(
-        &mut self,
-        mut items: Vec<(usize, Item)>,
-        cycles: Option<u64>,
-    ) -> Vec<(usize, Item)> {
-        self.emitted.append(&mut items);
-        self.cur_cycles = cycles;
-        self.end_firing();
-        items
-    }
-
-    /// Number of firings sealed so far.
-    #[inline]
-    pub fn firings_sealed(&self) -> usize {
-        self.fences.len()
-    }
-}
-
 /// Executable kernel state: the method bodies.
 ///
 /// The executor calls [`fire`](Self::fire) when a method's trigger set is
@@ -668,126 +483,6 @@ pub trait KernelBehavior: Send {
     fn ready_fast(&self, _method: usize) -> Option<bool> {
         None
     }
-
-    /// Whether consecutive firings of the method with the given spec index
-    /// may be coalesced into one [`fire_batch`](Self::fire_batch) call.
-    ///
-    /// Returning `true` asserts two invariants beyond what `fire` already
-    /// promises: (1) firing the method never changes any `ready()` answer of
-    /// this kernel — so once a run of firings is planned, every firing in
-    /// the run stays plannable; and (2) the method's firings within a run
-    /// are a pure function of their consumed windows and the kernel state at
-    /// the start of the run (or `fire_batch` carries intermediate state
-    /// itself). The answer must be a constant per method — the engine caches
-    /// it at simulator build time. Defaults to `false`, which keeps every
-    /// kernel on the one-firing-at-a-time path.
-    #[inline]
-    fn batchable(&self, _method: usize) -> bool {
-        false
-    }
-
-    /// Execute `count` consecutive firings of the method with the given
-    /// spec index in one call and return `true`, or return `false` to keep
-    /// the engine on the scalar path for this run.
-    ///
-    /// The contract is observational identity with `count` sequential
-    /// scalar firings: the emissions of firing `f` (sealed by
-    /// [`BatchEmitter::end_firing`]) must match what `fire`/`fire_fast`
-    /// would emit, item for item and bit for bit; reported cycles must
-    /// match per firing; and the kernel's state afterwards must equal the
-    /// state after the scalar sequence. The engine replays the batch one
-    /// firing at a time, so scheduling, accounting, traces and deadlock
-    /// diagnostics are decided exactly as on the scalar path — only the
-    /// method-body arithmetic is amortized.
-    ///
-    /// Capture the kernel's mutable private state for a speculative
-    /// checkpoint (optimistic parallel execution), or `None` when the
-    /// kernel is stateless across firings — scratch buffers whose contents
-    /// never influence a later firing's output do not count as state.
-    ///
-    /// A kernel whose firings depend on earlier firings (counters, loaded
-    /// coefficients, accumulators, FSM positions) MUST override this pair
-    /// — the easiest way is `bp_core::kernel_snapshot_via_clone!()` inside
-    /// the `impl KernelBehavior` block of a `Clone` behavior. The default
-    /// `None` declares the kernel stateless; the optimistic engine then
-    /// skips it on rollback.
-    fn snapshot_state(&self) -> Option<Box<dyn std::any::Any + Send>> {
-        None
-    }
-
-    /// Restore state captured by [`snapshot_state`](Self::snapshot_state).
-    /// Only called with a snapshot this same instance produced; the
-    /// default is unreachable for stateless kernels.
-    fn restore_state(&mut self, _snap: &(dyn std::any::Any + Send)) {
-        unreachable!("restore_state called on a kernel that took no snapshot");
-    }
-
-    /// Execute `count` consecutive firings of the method with the given
-    /// spec index in one call and return `true`, or return `false` to keep
-    /// the engine on the scalar path for this run.
-    ///
-    /// The contract is observational identity with `count` sequential
-    /// scalar firings: the emissions of firing `f` (sealed by
-    /// [`BatchEmitter::end_firing`]) must match what `fire`/`fire_fast`
-    /// would emit, item for item and bit for bit; reported cycles must
-    /// match per firing; and the kernel's state afterwards must equal the
-    /// state after the scalar sequence. The engine replays the batch one
-    /// firing at a time, so scheduling, accounting, traces and deadlock
-    /// diagnostics are decided exactly as on the scalar path — only the
-    /// method-body arithmetic is amortized.
-    ///
-    /// The default loops the scalar fast path over the batch, so any kernel
-    /// that opts in via [`batchable`](Self::batchable) works unchanged;
-    /// vectorized kernels override this with flat-slice region loops.
-    fn fire_batch(
-        &mut self,
-        method: usize,
-        batch: &FireBatch<'_>,
-        out: &mut BatchEmitter<'_>,
-    ) -> bool {
-        let triggers = batch.triggers();
-        let mut consumed: Vec<(usize, Item)> = Vec::with_capacity(triggers);
-        let mut buf: Vec<(usize, Item)> = Vec::new();
-        for f in 0..batch.count() {
-            consumed.clear();
-            for t in 0..triggers {
-                consumed.push((batch.port(t), batch.item(f, t).clone()));
-            }
-            let data = FireData::new(batch.spec(), &consumed);
-            let mut em = Emitter::with_buffer(batch.spec(), std::mem::take(&mut buf));
-            if !self.fire_fast(method, &data, &mut em) {
-                let name = &batch.spec().methods[method].name;
-                self.fire(name, &data, &mut em);
-            }
-            let (items, cycles) = em.into_parts();
-            buf = out.absorb_scalar(items, cycles);
-        }
-        true
-    }
-}
-
-/// Implement [`KernelBehavior::snapshot_state`] /
-/// [`KernelBehavior::restore_state`] for a `Clone` behavior by cloning the
-/// whole struct. Paste inside the `impl KernelBehavior for ...` block:
-///
-/// ```ignore
-/// impl KernelBehavior for MyStatefulKernel {
-///     bp_core::kernel_snapshot_via_clone!();
-///     fn fire(&mut self, ...) { ... }
-/// }
-/// ```
-#[macro_export]
-macro_rules! kernel_snapshot_via_clone {
-    () => {
-        fn snapshot_state(&self) -> Option<Box<dyn std::any::Any + Send>> {
-            Some(Box::new(self.clone()))
-        }
-        fn restore_state(&mut self, snap: &(dyn std::any::Any + Send)) {
-            snap.downcast_ref::<Self>()
-                .expect("snapshot type mismatch")
-                .clone_into(&mut *self);
-        }
-    };
 }
 
 /// Factory producing fresh behavior instances, so replication yields

@@ -45,10 +45,10 @@ pub use graph::{
 };
 pub use item::{Item, Window};
 pub use kernel::{
-    BatchEmitter, BehaviorFactory, Emitter, FireBatch, FireData, KernelBehavior, KernelDef,
-    KernelSpec, NodeRole, Parallelism, ShapeTransform,
+    BehaviorFactory, Emitter, FireData, KernelBehavior, KernelDef, KernelSpec, NodeRole,
+    Parallelism, ShapeTransform,
 };
-pub use machine::{CommModel, CommProfile, MachineSpec, Mapping, ShardPlan, SyncMode};
+pub use machine::{CommModel, CommProfile, MachineSpec, Mapping, ShardPlan};
 pub use method::{MethodCost, MethodSpec, Trigger, TriggerOn};
 pub use port::{InputSpec, OutputSpec};
 pub use qos::{MetricsPolicy, QosSpec};

@@ -78,28 +78,6 @@ impl Default for MachineSpec {
     }
 }
 
-/// How the sharded parallel simulator synchronizes its workers.
-///
-/// Both modes produce bitwise-identical results — the mode only chooses
-/// *when* a worker is allowed to process an event relative to the global
-/// frontier, never what the event does.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SyncMode {
-    /// Barrier-synchronized conservative windows: every worker only
-    /// processes events strictly below the global lookahead horizon, so no
-    /// event is ever processed out of order and no rollback machinery is
-    /// needed. This is the PR-4 engine and the default.
-    #[default]
-    Conservative,
-    /// Time Warp-style optimistic execution: workers speculate past the
-    /// horizon, checkpointing their state; a message arriving in a
-    /// worker's past rolls it back to the latest dominated checkpoint and
-    /// cancels its invalidated sends with anti-messages. A GVT sweep
-    /// fossil-collects committed checkpoints. Results stay bitwise
-    /// identical to [`SyncMode::Conservative`] and the sequential engine.
-    Optimistic,
-}
-
 /// Configurable inter-PE communication delay model.
 ///
 /// The paper's timed simulator assumes a zero-delay network (§IV-D); this
@@ -329,22 +307,6 @@ impl ShardPlan {
     /// [`Mapping::pe_of_node`]). Components are weighted by resident node
     /// count.
     pub fn build(mapping: &Mapping, node_edges: &[(usize, usize)], max_shards: usize) -> Self {
-        Self::build_weighted(mapping, node_edges, max_shards, &[])
-    }
-
-    /// Like [`build`](Self::build), but weight each node by a measured
-    /// per-node cost — e.g. traced event counts from a profiling pre-run —
-    /// so the LPT balance reflects observed simulation work instead of
-    /// resident-node count. `node_weights[i]` weights node `i`; missing or
-    /// zero entries count as 1 (every component keeps nonzero weight, so
-    /// an all-zero profile degrades to [`build`], not to one shard). An
-    /// empty slice is exactly [`build`].
-    pub fn build_weighted(
-        mapping: &Mapping,
-        node_edges: &[(usize, usize)],
-        max_shards: usize,
-        node_weights: &[u64],
-    ) -> Self {
         let n = mapping.num_pes;
         let mut parent: Vec<usize> = (0..n).collect();
         fn find(parent: &mut [usize], mut x: usize) -> usize {
@@ -363,8 +325,7 @@ impl ShardPlan {
                 parent[hi] = lo;
             }
         }
-        // Components in ascending root order; weight = sum of per-node
-        // weights (resident node count when no profile is supplied).
+        // Components in ascending root order; weight = resident node count.
         let mut comp_of_pe = vec![usize::MAX; n];
         let mut comp_pes: Vec<Vec<usize>> = Vec::new();
         let mut comp_weight: Vec<u64> = Vec::new();
@@ -378,9 +339,8 @@ impl ShardPlan {
             comp_of_pe[pe] = comp_of_pe[root];
             comp_pes[comp_of_pe[pe]].push(pe);
         }
-        for (node, &pe) in mapping.pe_of_node.iter().enumerate() {
-            let w = node_weights.get(node).copied().unwrap_or(1).max(1);
-            comp_weight[comp_of_pe[pe]] += w;
+        for &pe in &mapping.pe_of_node {
+            comp_weight[comp_of_pe[pe]] += 1;
         }
         let num_components = comp_pes.len();
         let num_shards = max_shards.clamp(1, num_components.max(1));

@@ -1,9 +1,7 @@
 //! Point-wise arithmetic kernels: subtract, add, absolute difference,
 //! scale, and threshold. All are fully data parallel with 1×1 streams.
 
-use bp_core::kernel::{
-    BatchEmitter, Emitter, FireBatch, FireData, KernelBehavior, KernelDef, KernelSpec,
-};
+use bp_core::kernel::{Emitter, FireData, KernelBehavior, KernelDef, KernelSpec};
 use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::Window;
@@ -41,31 +39,6 @@ impl KernelBehavior for Binary {
 
     fn ready_fast(&self, _method: usize) -> Option<bool> {
         Some(true)
-    }
-
-    fn batchable(&self, method: usize) -> bool {
-        method == 0
-    }
-
-    fn fire_batch(
-        &mut self,
-        method: usize,
-        batch: &FireBatch<'_>,
-        out: &mut BatchEmitter<'_>,
-    ) -> bool {
-        if method != 0 {
-            return false;
-        }
-        // Point-wise over 1×1 streams: the firing loop *is* the flat inner
-        // loop, applying `f` across the run.
-        let f = self.f;
-        for i in 0..batch.count() {
-            let a = batch.window(i, 0).as_scalar();
-            let b = batch.window(i, 1).as_scalar();
-            out.window_at(0, Window::scalar(f(a, b)));
-            out.end_firing();
-        }
-        true
     }
 }
 
@@ -118,27 +91,6 @@ impl KernelBehavior for Unary {
 
     fn ready_fast(&self, _method: usize) -> Option<bool> {
         Some(true)
-    }
-
-    fn batchable(&self, method: usize) -> bool {
-        method == 0
-    }
-
-    fn fire_batch(
-        &mut self,
-        method: usize,
-        batch: &FireBatch<'_>,
-        out: &mut BatchEmitter<'_>,
-    ) -> bool {
-        if method != 0 {
-            return false;
-        }
-        for i in 0..batch.count() {
-            let a = batch.window(i, 0).as_scalar();
-            out.window_at(0, Window::scalar((self.f)(a)));
-            out.end_firing();
-        }
-        true
     }
 }
 

@@ -10,9 +10,7 @@
 //! position-*tracking* formulation (3×3 window, unit step) would carry
 //! order-dependent state and would have to be declared serial.
 
-use bp_core::kernel::{
-    BatchEmitter, Emitter, FireBatch, FireData, KernelBehavior, KernelDef, KernelSpec,
-};
+use bp_core::kernel::{Emitter, FireData, KernelBehavior, KernelDef, KernelSpec};
 use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::{Dim2, Offset2, Step2, Window};
@@ -115,37 +113,6 @@ impl KernelBehavior for BayerBehavior {
     fn ready_fast(&self, _method: usize) -> Option<bool> {
         Some(true)
     }
-
-    fn batchable(&self, method: usize) -> bool {
-        method == 0
-    }
-
-    fn fire_batch(
-        &mut self,
-        method: usize,
-        batch: &FireBatch<'_>,
-        out: &mut BatchEmitter<'_>,
-    ) -> bool {
-        if method != 0 {
-            return false;
-        }
-        // Per-firing replay over the in-place batch: the work per firing is
-        // the `fire_fast` body verbatim (so planes are bit-identical by
-        // construction), and the win over the scalar loop is structural —
-        // no per-item Arc clone, no `FireData` rebuild, no per-firing
-        // emitter churn. A sample-major transpose was tried here and lost:
-        // at 16 inputs / 12 outputs per firing the gather/scatter overhead
-        // dwarfs the vectorizable arithmetic.
-        let dim = Dim2::new(2, 2);
-        for f in 0..batch.count() {
-            let (r, g, b) = demosaic_quads(batch.window(f, 0).samples());
-            out.window_at(0, Window::from_slice(dim, &r));
-            out.window_at(1, Window::from_slice(dim, &g));
-            out.window_at(2, Window::from_slice(dim, &b));
-            out.end_firing();
-        }
-        true
-    }
 }
 
 /// Bilinear RGGB demosaic: 4×4 window, step (2,2), producing 2×2 blocks on
@@ -220,49 +187,6 @@ mod tests {
             assert_eq!(q.get(1, 0), 12.0);
             assert_eq!(q.get(0, 1), 21.0);
             assert_eq!(q.get(1, 1), 22.0);
-        }
-    }
-
-    #[test]
-    fn batch_bit_matches_scalar() {
-        // The batch path must produce bit-identical planes to per-firing
-        // fire_fast across varied inputs, twice in a row (no state may
-        // leak between batches).
-        let def = bayer_demosaic();
-        let mut scalar = (def.factory)();
-        let mut batched = (def.factory)();
-        for round in 0..2 {
-            let windows: Vec<Item> = (0..5)
-                .map(|f| {
-                    Item::Window(Window::from_fn(Dim2::new(4, 4), |x, y| {
-                        ((round * 5 + f) * 100 + y * 17 + x * 3) as f64 * 0.37 - 8.5
-                    }))
-                })
-                .collect();
-            let refs: Vec<&Item> = windows.iter().collect();
-            let ports = [0usize];
-            let batch = FireBatch::new(&def.spec, &ports, &refs, refs.len());
-            let (mut emitted, mut fences, mut cycles) = (Vec::new(), Vec::new(), Vec::new());
-            let mut bout = BatchEmitter::new(&def.spec, &mut emitted, &mut fences, &mut cycles);
-            assert!(batched.fire_batch(0, &batch, &mut bout));
-            assert_eq!(fences.len(), refs.len());
-            for (f, item) in windows.iter().enumerate() {
-                let consumed = vec![(0usize, item.clone())];
-                let data = FireData::new(&def.spec, &consumed);
-                let mut out = Emitter::new(&def.spec);
-                assert!(scalar.fire_fast(0, &data, &mut out));
-                let scalar_items = out.into_items();
-                let start = if f == 0 { 0 } else { fences[f - 1] };
-                let batch_items = &emitted[start..fences[f]];
-                assert_eq!(scalar_items.len(), batch_items.len());
-                for ((sp, si), (bp, bi)) in scalar_items.iter().zip(batch_items) {
-                    assert_eq!(sp, bp);
-                    let (sw, bw) = (si.window().unwrap(), bi.window().unwrap());
-                    for (a, b) in sw.samples().iter().zip(bw.samples()) {
-                        assert_eq!(a.to_bits(), b.to_bits());
-                    }
-                }
-            }
         }
     }
 

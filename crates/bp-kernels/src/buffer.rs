@@ -23,7 +23,6 @@ pub fn buffer_storage_words(producer: Dim2, window: Dim2, data_width: u32) -> u6
     2 * data_width as u64 * window.h.max(producer.h) as u64
 }
 
-#[derive(Clone)]
 struct BufferBehavior {
     data_w: u32,
     pw: u32,
@@ -166,8 +165,6 @@ impl BufferBehavior {
 }
 
 impl KernelBehavior for BufferBehavior {
-    bp_core::kernel_snapshot_via_clone!();
-
     fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
             "push" => {

@@ -6,24 +6,15 @@
 //! switches the filter without recompiling — exactly the use case the paper
 //! highlights for multiple methods per kernel.
 
-use bp_core::kernel::{
-    BatchEmitter, Emitter, FireBatch, FireData, KernelBehavior, KernelDef, KernelSpec,
-};
+use bp_core::kernel::{Emitter, FireData, KernelBehavior, KernelDef, KernelSpec};
 use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::{Dim2, Step2, Window};
 
-#[derive(Clone)]
 struct ConvBehavior {
     w: u32,
     h: u32,
     coeff: Option<Window>,
-    // Region scratch for the batched path: the flipped coefficients in
-    // scalar accumulation order, the sample-major transpose of the batch's
-    // input windows, and one accumulator per firing.
-    cflip: Vec<f64>,
-    region: Vec<f64>,
-    acc: Vec<f64>,
 }
 
 impl ConvBehavior {
@@ -45,8 +36,6 @@ impl ConvBehavior {
 }
 
 impl KernelBehavior for ConvBehavior {
-    bp_core::kernel_snapshot_via_clone!();
-
     fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
             "runConvolve" => {
@@ -83,71 +72,6 @@ impl KernelBehavior for ConvBehavior {
     fn ready_fast(&self, method: usize) -> Option<bool> {
         Some(method != 0 || self.coeff.is_some())
     }
-
-    // runConvolve is pure in the loaded coefficients and never flips its
-    // own ready() gate, so consecutive firings coalesce.
-    fn batchable(&self, method: usize) -> bool {
-        method == 0
-    }
-
-    fn fire_batch(
-        &mut self,
-        method: usize,
-        batch: &FireBatch<'_>,
-        out: &mut BatchEmitter<'_>,
-    ) -> bool {
-        if method != 0 {
-            return false;
-        }
-        let Self {
-            w,
-            h,
-            coeff,
-            cflip,
-            region,
-            acc,
-        } = self;
-        let (w, h) = (*w, *h);
-        let coeff = coeff
-            .as_ref()
-            .expect("runConvolve fired before coefficients were loaded");
-        let wh = (w * h) as usize;
-        let k = batch.count();
-        // Flipped coefficients laid out flat in the scalar loop's
-        // accumulation order, so each accumulator below adds the identical
-        // sequence of products the scalar path adds.
-        cflip.clear();
-        for y in 0..h {
-            for x in 0..w {
-                cflip.push(coeff.get(w - 1 - x, h - 1 - y));
-            }
-        }
-        // Sample-major transpose: region[i * k + f] = window f's sample i.
-        // The inner loop over firings is then unit-stride and vectorizes,
-        // while each firing's products still accumulate in sample order.
-        region.clear();
-        region.resize(wh * k, 0.0);
-        for f in 0..k {
-            let s = batch.window(f, 0).samples();
-            for (i, &v) in s.iter().enumerate().take(wh) {
-                region[i * k + f] = v;
-            }
-        }
-        acc.clear();
-        acc.resize(k, 0.0);
-        for i in 0..wh {
-            let c = cflip[i];
-            let row = &region[i * k..(i + 1) * k];
-            for (a, &x) in acc.iter_mut().zip(row) {
-                *a += x * c;
-            }
-        }
-        for &v in acc.iter() {
-            out.window_at(0, Window::scalar(v));
-            out.end_firing();
-        }
-        true
-    }
 }
 
 /// A `w`×`h` convolution kernel. Costs follow the paper's Fig. 6:
@@ -172,14 +96,7 @@ pub fn conv2d(w: u32, h: u32) -> KernelDef {
             MethodCost::new(10 + 2 * wh, wh),
         ))
         .with_state_words(wh);
-    KernelDef::new(spec, move || ConvBehavior {
-        w,
-        h,
-        coeff: None,
-        cflip: Vec::new(),
-        region: Vec::new(),
-        acc: Vec::new(),
-    })
+    KernelDef::new(spec, move || ConvBehavior { w, h, coeff: None })
 }
 
 /// A normalized box (mean) coefficient window for a `w`×`h` convolution.

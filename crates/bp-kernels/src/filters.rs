@@ -1,9 +1,7 @@
 //! Additional windowed kernels: Sobel edge magnitude and block-average
 //! downsampling (which exercises strided access and fractional offsets).
 
-use bp_core::kernel::{
-    BatchEmitter, Emitter, FireBatch, FireData, KernelBehavior, KernelDef, KernelSpec,
-};
+use bp_core::kernel::{Emitter, FireData, KernelBehavior, KernelDef, KernelSpec};
 use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::{Dim2, Offset2, Step2, Window};
@@ -40,28 +38,6 @@ impl KernelBehavior for SobelBehavior {
     fn ready_fast(&self, _method: usize) -> Option<bool> {
         Some(true)
     }
-
-    fn batchable(&self, method: usize) -> bool {
-        method == 0
-    }
-
-    fn fire_batch(
-        &mut self,
-        method: usize,
-        batch: &FireBatch<'_>,
-        out: &mut BatchEmitter<'_>,
-    ) -> bool {
-        if method != 0 {
-            return false;
-        }
-        // The fixed 9-tap stencil over a flat slice needs no bounds checks
-        // or transpose; the firing loop is the region loop.
-        for f in 0..batch.count() {
-            out.window_at(0, Window::scalar(sobel_mag(batch.window(f, 0).samples())));
-            out.end_firing();
-        }
-        true
-    }
 }
 
 /// 3×3 Sobel gradient magnitude (L1 norm of the two directional responses).
@@ -78,12 +54,7 @@ pub fn sobel() -> KernelDef {
     KernelDef::new(spec, || SobelBehavior)
 }
 
-struct DownsampleBehavior {
-    // Region scratch for the batched path (sample-major transpose plus one
-    // running sum per firing).
-    region: Vec<f64>,
-    acc: Vec<f64>,
-}
+struct DownsampleBehavior;
 
 impl KernelBehavior for DownsampleBehavior {
     fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
@@ -104,49 +75,6 @@ impl KernelBehavior for DownsampleBehavior {
 
     fn ready_fast(&self, _method: usize) -> Option<bool> {
         Some(true)
-    }
-
-    fn batchable(&self, method: usize) -> bool {
-        method == 0
-    }
-
-    fn fire_batch(
-        &mut self,
-        method: usize,
-        batch: &FireBatch<'_>,
-        out: &mut BatchEmitter<'_>,
-    ) -> bool {
-        if method != 0 {
-            return false;
-        }
-        let Self { region, acc } = self;
-        let k = batch.count();
-        let wh = batch.window(0, 0).samples().len();
-        // Sample-major transpose (see conv.rs): each firing's sum
-        // accumulates in the scalar sample order while the inner loop runs
-        // unit-stride across firings.
-        region.clear();
-        region.resize(wh * k, 0.0);
-        for f in 0..k {
-            let s = batch.window(f, 0).samples();
-            for (i, &v) in s.iter().enumerate().take(wh) {
-                region[i * k + f] = v;
-            }
-        }
-        acc.clear();
-        acc.resize(k, 0.0);
-        for i in 0..wh {
-            let row = &region[i * k..(i + 1) * k];
-            for (a, &x) in acc.iter_mut().zip(row) {
-                *a += x;
-            }
-        }
-        let inv = wh as f64;
-        for &v in acc.iter() {
-            out.window_at(0, Window::scalar(v / inv));
-            out.end_firing();
-        }
-        true
     }
 }
 
@@ -169,10 +97,7 @@ pub fn downsample(fx: u32, fy: u32) -> KernelDef {
             vec!["out".into()],
             MethodCost::new(5 + (fx * fy) as u64, (fx * fy) as u64),
         ));
-    KernelDef::new(spec, || DownsampleBehavior {
-        region: Vec::new(),
-        acc: Vec::new(),
-    })
+    KernelDef::new(spec, || DownsampleBehavior)
 }
 
 #[cfg(test)]

@@ -3,21 +3,13 @@
 //! as height-1 images, "without inhibiting one-dimensional signal handling"
 //! (§II-A) — these kernels exercise that path for radio-style pipelines.
 
-use bp_core::kernel::{
-    BatchEmitter, Emitter, FireBatch, FireData, KernelBehavior, KernelDef, KernelSpec,
-};
+use bp_core::kernel::{Emitter, FireData, KernelBehavior, KernelDef, KernelSpec};
 use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::{Dim2, Step2, Window};
 
-#[derive(Clone)]
 struct FirBehavior {
     taps: Option<Vec<f64>>,
-    // Region scratch for the batched path (reversed taps, sample-major
-    // transpose of the batch's windows, one accumulator per firing).
-    trev: Vec<f64>,
-    region: Vec<f64>,
-    acc: Vec<f64>,
 }
 
 impl FirBehavior {
@@ -31,8 +23,6 @@ impl FirBehavior {
 }
 
 impl KernelBehavior for FirBehavior {
-    bp_core::kernel_snapshot_via_clone!();
-
     fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
             "runFir" => {
@@ -69,59 +59,6 @@ impl KernelBehavior for FirBehavior {
     fn ready_fast(&self, method: usize) -> Option<bool> {
         Some(method != 0 || self.taps.is_some())
     }
-
-    // runFir is pure in the loaded taps and never flips its ready() gate.
-    fn batchable(&self, method: usize) -> bool {
-        method == 0
-    }
-
-    fn fire_batch(
-        &mut self,
-        method: usize,
-        batch: &FireBatch<'_>,
-        out: &mut BatchEmitter<'_>,
-    ) -> bool {
-        if method != 0 {
-            return false;
-        }
-        let Self {
-            taps,
-            trev,
-            region,
-            acc,
-        } = self;
-        let taps = taps.as_ref().expect("taps loaded before data");
-        let n = taps.len();
-        let k = batch.count();
-        // Reversed taps in the scalar zip order: sample i multiplies
-        // taps[n - 1 - i].
-        trev.clear();
-        trev.extend(taps.iter().rev());
-        // Sample-major transpose (see conv.rs): unit-stride across firings,
-        // scalar accumulation order within each firing.
-        region.clear();
-        region.resize(n * k, 0.0);
-        for f in 0..k {
-            let s = batch.window(f, 0).samples();
-            for (i, &v) in s.iter().enumerate().take(n) {
-                region[i * k + f] = v;
-            }
-        }
-        acc.clear();
-        acc.resize(k, 0.0);
-        for i in 0..n {
-            let t = trev[i];
-            let row = &region[i * k..(i + 1) * k];
-            for (a, &x) in acc.iter_mut().zip(row) {
-                *a += x * t;
-            }
-        }
-        for &v in acc.iter() {
-            out.window_at(0, Window::scalar(v));
-            out.end_firing();
-        }
-        true
-    }
 }
 
 /// An `n`-tap FIR filter over a 1-D stream (window `n`×1, unit step). Taps
@@ -146,12 +83,7 @@ pub fn fir(n: u32) -> KernelDef {
             MethodCost::new(4 + n as u64, n as u64),
         ))
         .with_state_words(n as u64);
-    KernelDef::new(spec, || FirBehavior {
-        taps: None,
-        trev: Vec::new(),
-        region: Vec::new(),
-        acc: Vec::new(),
-    })
+    KernelDef::new(spec, || FirBehavior { taps: None })
 }
 
 /// Normalized moving-average taps for an `n`-tap FIR.
@@ -192,26 +124,6 @@ impl KernelBehavior for DecimateBehavior {
 
     fn ready_fast(&self, _method: usize) -> Option<bool> {
         Some(true)
-    }
-
-    fn batchable(&self, method: usize) -> bool {
-        method == 0
-    }
-
-    fn fire_batch(
-        &mut self,
-        method: usize,
-        batch: &FireBatch<'_>,
-        out: &mut BatchEmitter<'_>,
-    ) -> bool {
-        if method != 0 {
-            return false;
-        }
-        for f in 0..batch.count() {
-            out.window_at(0, Window::scalar(batch.window(f, 0).samples()[0]));
-            out.end_firing();
-        }
-        true
     }
 }
 

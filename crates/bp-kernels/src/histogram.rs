@@ -8,7 +8,6 @@ use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::token::{ControlToken, TokenKind};
 use bp_core::{Dim2, Window};
 
-#[derive(Clone)]
 struct HistogramBehavior {
     bin_uppers: Vec<f64>,
     counts: Vec<u64>,
@@ -38,8 +37,6 @@ impl HistogramBehavior {
 }
 
 impl KernelBehavior for HistogramBehavior {
-    bp_core::kernel_snapshot_via_clone!();
-
     fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
             "count" => {
@@ -157,14 +154,11 @@ pub fn uniform_bins(bins: u32, lo: f64, hi: f64) -> Window {
     Window::from_fn(Dim2::new(bins, 1), |x, _| lo + step * (x + 1) as f64)
 }
 
-#[derive(Clone)]
 struct MergeBehavior {
     acc: Vec<f64>,
 }
 
 impl KernelBehavior for MergeBehavior {
-    bp_core::kernel_snapshot_via_clone!();
-
     fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
             "accumulate" => {

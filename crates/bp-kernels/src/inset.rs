@@ -40,7 +40,6 @@ impl Margins {
     }
 }
 
-#[derive(Clone)]
 struct InsetBehavior {
     m: Margins,
     data: Dim2,
@@ -55,8 +54,6 @@ impl InsetBehavior {
 }
 
 impl KernelBehavior for InsetBehavior {
-    bp_core::kernel_snapshot_via_clone!();
-
     fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
             "filter" => {

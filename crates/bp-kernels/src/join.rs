@@ -61,15 +61,12 @@ fn join_spec(kind: &str, k: usize, grain: Dim2) -> KernelSpec {
     })
 }
 
-#[derive(Clone)]
 struct JoinRrBehavior {
     k: usize,
     state: usize,
 }
 
 impl KernelBehavior for JoinRrBehavior {
-    bp_core::kernel_snapshot_via_clone!();
-
     fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
             "syncEol" => out.token("out", ControlToken::EndOfLine),
@@ -133,7 +130,6 @@ pub fn join_rr(k: usize, grain: Dim2) -> KernelDef {
     })
 }
 
-#[derive(Clone)]
 struct JoinColumnsBehavior {
     counts: Vec<u32>,
     input: usize,
@@ -151,8 +147,6 @@ impl JoinColumnsBehavior {
 }
 
 impl KernelBehavior for JoinColumnsBehavior {
-    bp_core::kernel_snapshot_via_clone!();
-
     fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
             "syncEol" => {

@@ -1,9 +1,7 @@
 //! Windowed median filter — the non-linear half of the paper's running
 //! example (the "3x3 Median" kernel).
 
-use bp_core::kernel::{
-    BatchEmitter, Emitter, FireBatch, FireData, KernelBehavior, KernelDef, KernelSpec,
-};
+use bp_core::kernel::{Emitter, FireData, KernelBehavior, KernelDef, KernelSpec};
 use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::{Dim2, Step2, Window};
@@ -41,32 +39,6 @@ impl KernelBehavior for MedianBehavior {
 
     fn ready_fast(&self, _method: usize) -> Option<bool> {
         Some(true)
-    }
-
-    // Stateless per firing (the scratch is pure working memory), so runs
-    // coalesce; the batch body reuses the one scratch allocation across the
-    // whole region. The sort itself must stay the scalar comparator path —
-    // a selection network could pick a bitwise-different representative
-    // among equal samples (-0.0 vs 0.0) and break payload byte-identity.
-    fn batchable(&self, method: usize) -> bool {
-        method == 0
-    }
-
-    fn fire_batch(
-        &mut self,
-        method: usize,
-        batch: &FireBatch<'_>,
-        out: &mut BatchEmitter<'_>,
-    ) -> bool {
-        if method != 0 {
-            return false;
-        }
-        for f in 0..batch.count() {
-            let v = self.median_of(batch.window(f, 0));
-            out.window_at(0, Window::scalar(v));
-            out.end_firing();
-        }
-        true
     }
 }
 

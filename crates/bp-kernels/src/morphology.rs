@@ -2,9 +2,7 @@
 //! elements — common non-linear neighbors of the median filter in embedded
 //! vision pipelines.
 
-use bp_core::kernel::{
-    BatchEmitter, Emitter, FireBatch, FireData, KernelBehavior, KernelDef, KernelSpec,
-};
+use bp_core::kernel::{Emitter, FireData, KernelBehavior, KernelDef, KernelSpec};
 use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::{Dim2, Step2, Window};
@@ -17,10 +15,6 @@ enum Op {
 
 struct MorphBehavior {
     op: Op,
-    // Region scratch for the batched path (sample-major transpose plus one
-    // running extremum per firing).
-    region: Vec<f64>,
-    acc: Vec<f64>,
 }
 
 impl MorphBehavior {
@@ -50,64 +44,6 @@ impl KernelBehavior for MorphBehavior {
     fn ready_fast(&self, _method: usize) -> Option<bool> {
         Some(true)
     }
-
-    fn batchable(&self, method: usize) -> bool {
-        method == 0
-    }
-
-    fn fire_batch(
-        &mut self,
-        method: usize,
-        batch: &FireBatch<'_>,
-        out: &mut BatchEmitter<'_>,
-    ) -> bool {
-        if method != 0 {
-            return false;
-        }
-        let Self { op, region, acc } = self;
-        let op = *op;
-        let k = batch.count();
-        let wh = batch.window(0, 0).samples().len();
-        // Sample-major transpose (see conv.rs): the inner loop runs
-        // unit-stride across firings while each firing folds its samples in
-        // the scalar order, so min/max sequences are identical.
-        region.clear();
-        region.resize(wh * k, 0.0);
-        for f in 0..k {
-            let s = batch.window(f, 0).samples();
-            for (i, &v) in s.iter().enumerate().take(wh) {
-                region[i * k + f] = v;
-            }
-        }
-        acc.clear();
-        acc.resize(
-            k,
-            match op {
-                Op::Erode => f64::INFINITY,
-                Op::Dilate => f64::NEG_INFINITY,
-            },
-        );
-        for i in 0..wh {
-            let row = &region[i * k..(i + 1) * k];
-            match op {
-                Op::Erode => {
-                    for (a, &x) in acc.iter_mut().zip(row) {
-                        *a = a.min(x);
-                    }
-                }
-                Op::Dilate => {
-                    for (a, &x) in acc.iter_mut().zip(row) {
-                        *a = a.max(x);
-                    }
-                }
-            }
-        }
-        for &v in acc.iter() {
-            out.window_at(0, Window::scalar(v));
-            out.end_firing();
-        }
-        true
-    }
 }
 
 fn morph_spec(kind: &str, w: u32, h: u32) -> KernelSpec {
@@ -128,8 +64,6 @@ fn morph_spec(kind: &str, w: u32, h: u32) -> KernelSpec {
 pub fn erode(w: u32, h: u32) -> KernelDef {
     KernelDef::new(morph_spec("erode", w, h), || MorphBehavior {
         op: Op::Erode,
-        region: Vec::new(),
-        acc: Vec::new(),
     })
 }
 
@@ -137,8 +71,6 @@ pub fn erode(w: u32, h: u32) -> KernelDef {
 pub fn dilate(w: u32, h: u32) -> KernelDef {
     KernelDef::new(morph_spec("dilate", w, h), || MorphBehavior {
         op: Op::Dilate,
-        region: Vec::new(),
-        acc: Vec::new(),
     })
 }
 

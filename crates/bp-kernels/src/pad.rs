@@ -22,7 +22,6 @@ pub enum PadMode {
     Mirror,
 }
 
-#[derive(Clone)]
 struct PadBehavior {
     m: Margins,
     mode: PadMode,
@@ -85,8 +84,6 @@ impl PadBehavior {
 }
 
 impl KernelBehavior for PadBehavior {
-    bp_core::kernel_snapshot_via_clone!();
-
     fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match (method, self.mode) {
             ("push", PadMode::Zero) => {

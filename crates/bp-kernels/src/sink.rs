@@ -117,21 +117,6 @@ struct SinkBehavior {
 }
 
 impl KernelBehavior for SinkBehavior {
-    // The collected items are shared with the external `SinkHandle`, so a
-    // rollback snapshot cannot clone-and-swap the vector (the handle would
-    // keep seeing the speculative items). The sink only ever appends, so
-    // its state *is* the length: snapshot it, truncate on restore.
-    fn snapshot_state(&self) -> Option<Box<dyn std::any::Any + Send>> {
-        Some(Box::new(self.handle.items.lock().unwrap().len()))
-    }
-
-    fn restore_state(&mut self, snap: &(dyn std::any::Any + Send)) {
-        let len = *snap
-            .downcast_ref::<usize>()
-            .expect("snapshot type mismatch");
-        self.handle.items.lock().unwrap().truncate(len);
-    }
-
     fn fire(&mut self, _m: &str, d: &FireData<'_>, _out: &mut Emitter<'_>) {
         self.handle.items.lock().unwrap().push(d.item("in").clone());
     }

@@ -12,7 +12,6 @@ use std::sync::Arc;
 /// Pixel generator: `(frame index, x, y) -> sample`.
 pub type PixelGen = Arc<dyn Fn(u32, u32, u32) -> f64 + Send + Sync>;
 
-#[derive(Clone)]
 struct FrameSourceBehavior {
     frame: Dim2,
     gen: PixelGen,
@@ -22,8 +21,6 @@ struct FrameSourceBehavior {
 }
 
 impl KernelBehavior for FrameSourceBehavior {
-    bp_core::kernel_snapshot_via_clone!();
-
     fn fire(&mut self, _m: &str, _d: &FireData<'_>, out: &mut Emitter<'_>) {
         out.window("out", Window::scalar((self.gen)(self.f, self.x, self.y)));
         self.x += 1;

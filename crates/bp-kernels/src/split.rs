@@ -52,15 +52,12 @@ fn split_spec(kind: &str, k: usize, grain: Dim2) -> KernelSpec {
     ))
 }
 
-#[derive(Clone)]
 struct SplitRrBehavior {
     k: usize,
     state: usize,
 }
 
 impl KernelBehavior for SplitRrBehavior {
-    bp_core::kernel_snapshot_via_clone!();
-
     fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
             "dispatch" => {
@@ -143,15 +140,12 @@ impl ColumnRange {
     }
 }
 
-#[derive(Clone)]
 struct SplitColumnsBehavior {
     ranges: Vec<ColumnRange>,
     x: u32,
 }
 
 impl KernelBehavior for SplitColumnsBehavior {
-    bp_core::kernel_snapshot_via_clone!();
-
     fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
             "dispatch" => {

@@ -2,9 +2,7 @@
 //! — the one kernel in the library whose output grain is *larger* than its
 //! input, exercising the model's support for expanding parameterizations.
 
-use bp_core::kernel::{
-    BatchEmitter, Emitter, FireBatch, FireData, KernelBehavior, KernelDef, KernelSpec,
-};
+use bp_core::kernel::{Emitter, FireData, KernelBehavior, KernelDef, KernelSpec};
 use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::{Dim2, Window};
@@ -55,29 +53,6 @@ impl KernelBehavior for UpsampleBehavior {
 
     fn ready_fast(&self, _method: usize) -> Option<bool> {
         Some(true)
-    }
-
-    fn batchable(&self, method: usize) -> bool {
-        method == 0
-    }
-
-    fn fire_batch(
-        &mut self,
-        method: usize,
-        batch: &FireBatch<'_>,
-        out: &mut BatchEmitter<'_>,
-    ) -> bool {
-        if method != 0 {
-            return false;
-        }
-        // Each firing materializes its own output block (the fill is
-        // already a flat splat); the batch amortizes the dispatch around it.
-        for f in 0..batch.count() {
-            let v = batch.window(f, 0).as_scalar();
-            out.window_at(0, self.block(v));
-            out.end_firing();
-        }
-        true
     }
 }
 

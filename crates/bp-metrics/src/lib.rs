@@ -39,5 +39,4 @@ pub use histogram::{LogHistogram, NUM_BUCKETS};
 pub use recorder::{IntervalAcc, MetricsRecorder};
 pub use tape::{
     ChannelMetrics, MetricsFinal, MetricsSnapshot, MetricsTape, NodeMetrics, QosReport,
-    SyncCounters,
 };

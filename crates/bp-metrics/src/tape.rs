@@ -117,65 +117,6 @@ pub struct MetricsFinal {
     pub qos: QosReport,
 }
 
-/// Optimistic-synchronization runtime counters (Time Warp execution in the
-/// parallel engine): rollbacks, anti-messages, checkpoints, and injected
-/// straggler stalls. Every field is a plain sum, so per-shard counter sets
-/// merge commutatively — any fold order over the shards yields the same
-/// totals.
-///
-/// These counters describe the *schedule*, not the simulated application,
-/// so they are deliberately excluded from [`MetricsTape::digest`] and
-/// [`MetricsTape::to_jsonl`]: a conservative run, an optimistic run, and
-/// the sequential oracle must stay bitwise identical on every digested
-/// surface. [`MetricsTape::summary`] prints them only when nonzero.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SyncCounters {
-    /// Rollbacks performed (straggler or anti-message induced).
-    pub rollbacks: u64,
-    /// Speculatively processed events undone by rollbacks.
-    pub events_rolled_back: u64,
-    /// Anti-messages emitted to cancel invalidated cross-shard sends.
-    pub antis_sent: u64,
-    /// Anti-messages that annihilated a still-queued positive message.
-    pub antis_annihilated: u64,
-    /// Anti-messages whose positive was already processed (tombstoned in
-    /// the input log; each forced a rollback at the receiver).
-    pub antis_tombstoned: u64,
-    /// State checkpoints captured.
-    pub checkpoints: u64,
-    /// Checkpoints reclaimed by the GVT fossil-collection sweep.
-    pub fossils: u64,
-    /// Cross-shard positive messages sent (fresh sends only; suppressed
-    /// coast-forward re-sends are not re-counted).
-    pub cross_sends: u64,
-    /// Cross-shard positive messages appended to receiver input logs.
-    pub in_appends: u64,
-    /// Rounds a shard skipped under a [`StragglerPolicy`] fault injection.
-    pub stalls: u64,
-}
-
-impl SyncCounters {
-    /// Fold another shard's counters in (field-wise sum; commutative).
-    pub fn merge(&mut self, other: &SyncCounters) {
-        self.rollbacks += other.rollbacks;
-        self.events_rolled_back += other.events_rolled_back;
-        self.antis_sent += other.antis_sent;
-        self.antis_annihilated += other.antis_annihilated;
-        self.antis_tombstoned += other.antis_tombstoned;
-        self.checkpoints += other.checkpoints;
-        self.fossils += other.fossils;
-        self.cross_sends += other.cross_sends;
-        self.in_appends += other.in_appends;
-        self.stalls += other.stalls;
-    }
-
-    /// True when any counter is nonzero (i.e. the run actually exercised
-    /// the optimistic machinery).
-    pub fn any(&self) -> bool {
-        *self != SyncCounters::default()
-    }
-}
-
 /// The full metrics tape for one run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricsTape {
@@ -185,9 +126,6 @@ pub struct MetricsTape {
     pub snapshots: Vec<MetricsSnapshot>,
     /// End-of-run summary and QoS report.
     pub fin: MetricsFinal,
-    /// Optimistic-sync counters (all zero for sequential or conservative
-    /// runs); excluded from `digest()` and `to_jsonl()` by design.
-    pub sync: SyncCounters,
 }
 
 fn quantiles(h: &LogHistogram) -> (u64, u64, u64) {
@@ -366,7 +304,6 @@ impl MetricsTape {
                 frame_latency_max_ns: fmax,
                 qos,
             },
-            sync: SyncCounters::default(),
         }
     }
 
@@ -542,22 +479,6 @@ impl MetricsTape {
                 f.frame_latency_p50_ns as f64 / 1e6,
                 f.frame_latency_p99_ns as f64 / 1e6,
                 f.frame_latency_max_ns as f64 / 1e6
-            );
-        }
-        if self.sync.any() {
-            let s = &self.sync;
-            let _ = writeln!(
-                out,
-                "  optimistic sync: {} rollbacks ({} events undone), {} antis \
-                 ({} annihilated, {} tombstoned), {} checkpoints ({} fossil), {} stalls",
-                s.rollbacks,
-                s.events_rolled_back,
-                s.antis_sent,
-                s.antis_annihilated,
-                s.antis_tombstoned,
-                s.checkpoints,
-                s.fossils,
-                s.stalls
             );
         }
         if let Some(last) = self.snapshots.last() {

@@ -46,16 +46,6 @@ pub trait EventQueue<P> {
     fn push_ord(&mut self, t: f64, ord: u64, payload: P);
     /// Remove and return the earliest event (smallest `(t, seq)`).
     fn pop(&mut self) -> Option<Event<P>>;
-    /// Remove the pending event with exactly this `(t, ord)` key, if one
-    /// exists, and return its payload. This is the anti-message primitive
-    /// of the optimistic parallel engine: communication events are keyed
-    /// by their band-1 `(time, stream|sequence)` ord (see
-    /// [`push_ord`](Self::push_ord)), which names one send uniquely, so an
-    /// anti-message annihilates exactly the event its positive created.
-    /// Removal never perturbs the pop order of the remaining events.
-    /// Anti-messages only flow on rollback, so this path is O(pending) —
-    /// correctness over speed.
-    fn remove_ord(&mut self, t: f64, ord: u64) -> Option<P>;
     /// Number of pending events.
     fn len(&self) -> usize;
     /// True when no events are pending.
@@ -145,22 +135,6 @@ impl<P> EventQueue<P> for HeapQueue<P> {
         })
     }
 
-    fn remove_ord(&mut self, t: f64, ord: u64) -> Option<P> {
-        // Binary heaps have no targeted removal; drain, filter, rebuild.
-        let mut found = None;
-        let entries = std::mem::take(&mut self.heap).into_vec();
-        let mut kept = Vec::with_capacity(entries.len());
-        for e in entries {
-            if found.is_none() && e.t.to_bits() == t.to_bits() && e.seq == ord {
-                found = Some(e.payload);
-            } else {
-                kept.push(e);
-            }
-        }
-        self.heap = BinaryHeap::from(kept);
-        found
-    }
-
     fn len(&self) -> usize {
         self.heap.len()
     }
@@ -180,7 +154,6 @@ const RING: usize = 1024;
 /// events.
 const RETUNE_PERIOD: u32 = 4096;
 
-#[derive(Clone)]
 struct BucketEntry<P> {
     t: f64,
     seq: u64,
@@ -254,49 +227,6 @@ pub struct BucketQueue<P> {
     /// Consecutive day jumps that migrated almost nothing out of a large
     /// overflow — the "sparse band" signal (see [`pop`](Self::pop)).
     sparse_jumps: u32,
-}
-
-// Hand-written so `clone_from` reuses the target's bucket and overflow
-// allocations: the optimistic engine clones the pending-event set into a
-// recycled checkpoint at every checkpoint interval, and a derived clone
-// would reallocate all `RING` bucket vectors each time.
-impl<P: Clone> Clone for BucketQueue<P> {
-    fn clone(&self) -> Self {
-        Self {
-            buckets: self.buckets.clone(),
-            occupied: self.occupied,
-            inv_quantum: self.inv_quantum,
-            cur_key: self.cur_key,
-            overflow: self.overflow.clone(),
-            ring_len: self.ring_len,
-            len: self.len,
-            seq: self.seq,
-            last_pop_t: self.last_pop_t,
-            tune_pops: self.tune_pops,
-            tune_t0: self.tune_t0,
-            retunes: self.retunes,
-            sparse_jumps: self.sparse_jumps,
-        }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.buckets.resize_with(src.buckets.len(), Vec::new);
-        for (dst, s) in self.buckets.iter_mut().zip(src.buckets.iter()) {
-            dst.clone_from(s);
-        }
-        self.occupied = src.occupied;
-        self.inv_quantum = src.inv_quantum;
-        self.cur_key = src.cur_key;
-        self.overflow.clone_from(&src.overflow);
-        self.ring_len = src.ring_len;
-        self.len = src.len;
-        self.seq = src.seq;
-        self.last_pop_t = src.last_pop_t;
-        self.tune_pops = src.tune_pops;
-        self.tune_t0 = src.tune_t0;
-        self.retunes = src.retunes;
-        self.sparse_jumps = src.sparse_jumps;
-    }
 }
 
 impl<P> BucketQueue<P> {
@@ -526,15 +456,12 @@ impl<P> EventQueue<P> for BucketQueue<P> {
                 // *small but spread* overflow — each day jump pays an
                 // O(overflow) migration scan to move only a handful of
                 // entries, so draining a band of n entries spread over n
-                // days costs O(n²) while the heap pays O(n log n). (Anti-
-                // message removals make this band shape common: they
-                // shrink the overflow below WIDEN_MIN_OVERFLOW while
-                // leaving its time span intact.) Count consecutive jumps
-                // that migrate almost nothing out of a non-trivial
-                // overflow; a run of them means the band is sparse at the
-                // current width, so widen until the remaining span fits
-                // one day — same hysteresis, same order-preserving
-                // rebuild.
+                // days costs O(n²) while the heap pays O(n log n). Count
+                // consecutive jumps that migrate almost nothing out of a
+                // non-trivial overflow; a run of them means the band is
+                // sparse at the current width, so widen until the
+                // remaining span fits one day — same hysteresis, same
+                // order-preserving rebuild.
                 const SPARSE_MAX_MIGRATED: usize = 4;
                 const SPARSE_MIN_OVERFLOW: usize = 8;
                 const SPARSE_JUMP_LIMIT: u32 = 4;
@@ -588,41 +515,6 @@ impl<P> EventQueue<P> for BucketQueue<P> {
             seq: e.seq,
             payload: e.payload,
         })
-    }
-
-    fn remove_ord(&mut self, t: f64, ord: u64) -> Option<P> {
-        // Scan occupied ring buckets, then the overflow. O(pending), but
-        // only rollback anti-messages reach here.
-        for w in 0..RING / 64 {
-            let mut bits = self.occupied[w];
-            while bits != 0 {
-                let idx = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let bucket = &mut self.buckets[idx];
-                if let Some(i) = bucket
-                    .iter()
-                    .position(|e| e.t.to_bits() == t.to_bits() && e.seq == ord)
-                {
-                    let e = bucket.swap_remove(i);
-                    if bucket.is_empty() {
-                        self.occupied[idx / 64] &= !(1 << (idx % 64));
-                    }
-                    self.ring_len -= 1;
-                    self.len -= 1;
-                    return Some(e.payload);
-                }
-            }
-        }
-        if let Some(i) = self
-            .overflow
-            .iter()
-            .position(|e| e.t.to_bits() == t.to_bits() && e.seq == ord)
-        {
-            let e = self.overflow.swap_remove(i);
-            self.len -= 1;
-            return Some(e.payload);
-        }
-        None
     }
 
     fn len(&self) -> usize {

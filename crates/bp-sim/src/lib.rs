@@ -33,19 +33,8 @@
 //!   sequential and parallel engines.
 //! - [`chrome`]: Chrome trace-event JSON export (Perfetto-loadable) and a
 //!   dependency-free JSON well-formedness checker.
-//!
-//! The parallel engine additionally supports optimistic (Time Warp)
-//! synchronization — [`SimConfig::with_sync`] with
-//! [`bp_core::SyncMode::Optimistic`] — where shards speculate past the
-//! conservative window, checkpoint their state, and roll back when a
-//! cross-shard message lands in their past (DESIGN.md §17). Every
-//! artifact (report fingerprint, trace, metrics tape, deadlock report)
-//! stays bitwise identical to the sequential oracle.
 
 #![warn(missing_docs)]
-
-mod affinity;
-mod optimistic;
 
 pub mod chrome;
 pub mod deadlock;
@@ -59,19 +48,18 @@ pub mod timed;
 pub mod timed_parallel;
 pub mod trace;
 
-pub use bp_core::{CommModel, CommProfile, MetricsPolicy, QosSpec, SyncMode};
-pub use bp_metrics::{MetricsFinal, MetricsSnapshot, MetricsTape, QosReport, SyncCounters};
+pub use bp_core::{CommModel, CommProfile, MetricsPolicy, QosSpec};
+pub use bp_metrics::{MetricsFinal, MetricsSnapshot, MetricsTape, QosReport};
 pub use chrome::{chrome_trace_json, validate_json};
 pub use deadlock::{CapacityBump, DeadlockHop, DeadlockReport, SimOutcome};
 pub use events::{BucketQueue, Event, EventQueue, HeapQueue};
 pub use functional::FunctionalExecutor;
-pub use optimistic::StragglerPolicy;
 pub use parallel::{run_batch, run_batch_with_workers};
 pub use runtime::{Action, Program, RtNode, SourceRt};
 pub use stats::{PeStats, RealTimeVerdict, SimReport};
 pub use step::SteppableSim;
-pub use timed::{derive_channel_capacity, Backend, BatchPolicy, SimConfig, TimedSimulator};
-pub use timed_parallel::{profile_node_weights, ParallelRunStats, ParallelTimedSimulator};
+pub use timed::{derive_channel_capacity, Backend, SimConfig, TimedSimulator};
+pub use timed_parallel::{ParallelRunStats, ParallelTimedSimulator};
 pub use trace::{
     ChannelHighWater, StallCause, Trace, TraceChannel, TraceEvent, TraceMeta, TraceOptions,
 };

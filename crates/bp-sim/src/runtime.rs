@@ -331,67 +331,6 @@ impl RtNode {
         (emitted, res)
     }
 
-    /// Speculatively precompute `count` consecutive firings of method `mi`
-    /// into `store` without popping any input (compiled-backend batching).
-    /// Returns `false` when the behavior declines; the caller then fires
-    /// scalar as usual.
-    pub(crate) fn speculate_batch(
-        &mut self,
-        tm: &bp_codegen::ThreadedMethod,
-        mi: usize,
-        count: usize,
-        store: &mut bp_codegen::BatchStore,
-    ) -> bool {
-        bp_codegen::speculative_batch(
-            &self.spec,
-            &self.queues,
-            self.behavior.as_mut(),
-            mi,
-            &tm.trigger_ports,
-            count,
-            store,
-        )
-    }
-
-    /// Replay one precomputed firing from `store`: pop the trigger inputs
-    /// (charging the read words of the actual popped items, exactly like the
-    /// scalar firing routine), move the firing's stored emissions into the
-    /// recycled emit buffer, and surface the stored actual cycles. Counts as
-    /// a firing only now — speculation itself leaves `firings` untouched.
-    pub(crate) fn replay_batched(
-        &mut self,
-        tm: &bp_codegen::ThreadedMethod,
-        store: &mut bp_codegen::BatchStore,
-    ) -> (Vec<(usize, Item)>, bp_codegen::FireResult) {
-        self.firings += 1;
-        let mut read_words = 0;
-        for &p in &tm.trigger_ports {
-            let it = self.queues[p]
-                .pop_front()
-                .expect("batched input disappeared");
-            debug_assert!(matches!(it, Item::Window(_)));
-            read_words += it.words();
-        }
-        let (range, actual_cycles) = store.take_next();
-        let mut out = std::mem::take(&mut self.out_buf);
-        out.clear();
-        // Move each stored emission out (a cheap token takes its slot)
-        // rather than cloning: a clone would bump and later drop every
-        // window's refcount for no reason — each stored emission is
-        // delivered exactly once.
-        for slot in &mut store.items[range] {
-            let item = std::mem::replace(&mut slot.1, Item::Control(ControlToken::EndOfLine));
-            out.push((slot.0, item));
-        }
-        (
-            out,
-            bp_codegen::FireResult {
-                read_words,
-                actual_cycles,
-            },
-        )
-    }
-
     /// Direct-threaded token forward (compiled backend): pop the trigger
     /// group's tokens and emit the token on every output — the lowered
     /// equivalent of [`Action::Forward`] under

@@ -40,7 +40,6 @@
 
 use crate::deadlock::{CapacityBump, DeadlockHop, DeadlockReport, SimOutcome};
 use crate::events::{BucketQueue, EventQueue};
-use crate::optimistic::{key, Checkpoint, InKind, InRec, Key, OptState, OutRec, StragglerPolicy};
 use crate::parallel::DisjointSlots;
 use crate::runtime::{stuck_report, Action, Program, ProgramTables, RtNode};
 use crate::stats::{PeStats, RealTimeVerdict, SimReport};
@@ -49,7 +48,7 @@ use bp_core::capacity::{derive_channel_capacities, ChannelCapacities};
 use bp_core::graph::AppGraph;
 use bp_core::item::Item;
 use bp_core::kernel::NodeRole;
-use bp_core::machine::{CommModel, MachineSpec, Mapping, SyncMode};
+use bp_core::machine::{CommModel, MachineSpec, Mapping};
 use bp_core::token::ControlToken;
 use bp_core::{BpError, MetricsPolicy, Result};
 use bp_metrics::{MetricsRecorder, MetricsTape};
@@ -96,50 +95,6 @@ pub enum Backend {
     Compiled,
 }
 
-/// Firing-coalescing policy for the compiled backend (DESIGN.md §14).
-///
-/// With `width > 1`, when a batch-eligible node is scheduled and `k ≥ 2`
-/// consecutive data windows head every trigger queue of its first method,
-/// the engine *speculatively* precomputes `min(k, width)` firings with one
-/// [`bp_core::KernelBehavior::fire_batch`] call — without popping any queue
-/// — and then replays the precomputed results one scheduled firing at a
-/// time. Every replayed firing still pops its own inputs, charges its own
-/// read/write words, returns its own credits, and records its own trace
-/// events, so the event schedule, the [`crate::SimReport`] (fingerprint
-/// included), traces, and deadlock reports are bit-identical to a scalar
-/// run. The interpreted backend ignores the policy entirely: it is the
-/// one-firing-at-a-time oracle the batched engine is differenced against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Maximum firings coalesced into one `fire_batch` call; `1` disables
-    /// coalescing (the default — batching is opt-in).
-    pub width: usize,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        Self { width: 1 }
-    }
-}
-
-impl BatchPolicy {
-    /// One firing per kernel call (no coalescing).
-    pub fn scalar() -> Self {
-        Self { width: 1 }
-    }
-
-    /// Coalesce up to `width` firings per kernel call.
-    pub fn of_width(width: usize) -> Self {
-        assert!(width >= 1, "batch width must be at least 1");
-        Self { width }
-    }
-
-    /// True when the policy actually coalesces (`width > 1`).
-    pub fn is_batched(&self) -> bool {
-        self.width > 1
-    }
-}
-
 /// Timed simulation parameters.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -162,8 +117,6 @@ pub struct SimConfig {
     /// feedback-aware back-edge overrides
     /// ([`bp_core::capacity::derive_channel_capacities`]).
     pub capacities: Option<ChannelCapacities>,
-    /// Compiled-backend firing coalescing (default [`BatchPolicy::scalar`]).
-    pub batch: BatchPolicy,
     /// Frames to push through every application input.
     pub frames: u32,
     /// Event tracing (`None`, the default, records nothing and adds no
@@ -186,23 +139,6 @@ pub struct SimConfig {
     /// lowering across many tenant instances; ignored when the resolved
     /// backend is interpreted.
     pub lowered: Option<Arc<bp_codegen::ThreadedProgram>>,
-    /// Parallel-engine synchronization protocol (default
-    /// [`SyncMode::Conservative`]). [`SyncMode::Optimistic`] lets shard
-    /// workers speculate past the conservative window with checkpointing,
-    /// rollback and anti-messages (DESIGN.md §17); committed results are
-    /// bitwise identical either way. Ignored by the sequential engine.
-    pub sync: SyncMode,
-    /// Optimistic mode: events executed between speculative checkpoints
-    /// (default 64; `usize::MAX` checkpoints only at round boundaries).
-    /// A pure time/space knob — results are invariant under it.
-    pub checkpoint_interval: usize,
-    /// Optimistic mode: deterministic straggler fault injection for
-    /// testing (`None`, the default, injects nothing). Stalls perturb only
-    /// the speculation schedule, never committed results.
-    pub straggler: Option<StragglerPolicy>,
-    /// Pin parallel-engine workers to CPU cores round-robin (Linux only;
-    /// a no-op elsewhere). Default off.
-    pub pin_workers: bool,
 }
 
 impl SimConfig {
@@ -216,23 +152,11 @@ impl SimConfig {
             comm: CommModel::zero(),
             channel_capacity: None,
             capacities: None,
-            batch: BatchPolicy::scalar(),
             frames,
             trace: None,
             metrics: None,
             lowered: None,
-            sync: SyncMode::Conservative,
-            checkpoint_interval: 64,
-            straggler: None,
-            pin_workers: false,
         }
-    }
-
-    /// Set the compiled-backend firing-coalescing policy (default scalar).
-    /// Has no effect on the interpreted backend.
-    pub fn with_batch(mut self, batch: BatchPolicy) -> Self {
-        self.batch = batch;
-        self
     }
 
     /// Select the execution backend (default [`Backend::Auto`]).
@@ -291,35 +215,6 @@ impl SimConfig {
     /// same-shape contract) instead of lowering the graph at build time.
     pub fn with_lowered(mut self, program: Arc<bp_codegen::ThreadedProgram>) -> Self {
         self.lowered = Some(program);
-        self
-    }
-
-    /// Select the parallel-engine synchronization protocol (default
-    /// [`SyncMode::Conservative`]).
-    pub fn with_sync(mut self, sync: SyncMode) -> Self {
-        self.sync = sync;
-        self
-    }
-
-    /// Set the optimistic-mode speculative checkpoint interval in events
-    /// (default 64; `usize::MAX` checkpoints only at round boundaries).
-    pub fn with_checkpoint_interval(mut self, events: usize) -> Self {
-        assert!(events >= 1, "checkpoint interval must be at least 1");
-        self.checkpoint_interval = events;
-        self
-    }
-
-    /// Inject deterministic stragglers into the optimistic worker loop
-    /// (testing aid; forces rollbacks without changing committed results).
-    pub fn with_straggler(mut self, policy: StragglerPolicy) -> Self {
-        self.straggler = Some(policy);
-        self
-    }
-
-    /// Pin parallel-engine worker threads to CPU cores round-robin
-    /// (Linux only; a no-op elsewhere).
-    pub fn with_pinned_workers(mut self, pin: bool) -> Self {
-        self.pin_workers = pin;
         self
     }
 }
@@ -397,10 +292,6 @@ pub(crate) enum MsgKind {
     Arrival(Item),
     /// A buffer credit returning to the source shard.
     Credit,
-    /// Optimistic mode only: cancel the positive message with the same
-    /// `(t, ord, chan)` — the send was rolled back at the source. The flag
-    /// is true when the positive was an arrival (false: a credit).
-    Anti(bool),
 }
 
 /// A communication event crossing shards in the parallel engine, delivered
@@ -415,7 +306,7 @@ pub(crate) struct OutMsg {
 }
 
 #[derive(Clone)]
-pub(crate) struct Inflight {
+struct Inflight {
     node: usize,
     emitted: Vec<(usize, Item)>,
     run_s: f64,
@@ -487,11 +378,6 @@ pub(crate) struct CompiledTables {
     pub(crate) method_base: Vec<u32>,
     /// Total method slots across all nodes (the memo cache's length).
     pub(crate) num_method_slots: usize,
-    /// True when the node's method 0 is batch-eligible: its lowered shape
-    /// qualifies ([`bp_codegen::ThreadedMethod::batchable_shape`]) *and* the
-    /// behavior opted in via [`bp_core::KernelBehavior::batchable`] (constant
-    /// per method, so sampling it once at build time is sound).
-    pub(crate) node_batchable: Vec<bool>,
 }
 
 /// Per-method memo of the last read/write word-cost conversions (compiled
@@ -560,18 +446,6 @@ pub(crate) struct Shared {
     pub(crate) metrics: Option<ResolvedMetrics>,
     /// Direct-threaded execution tables; `None` runs the interpreter.
     pub(crate) compiled: Option<CompiledTables>,
-    /// Effective coalescing width: [`SimConfig::batch`] when the compiled
-    /// backend is active, otherwise forced to 1 (the interpreter is the
-    /// one-firing oracle and never batches).
-    pub(crate) batch_width: usize,
-    /// Parallel-engine synchronization protocol (see [`SimConfig::sync`]).
-    pub(crate) sync: SyncMode,
-    /// Optimistic-mode speculative checkpoint interval in events.
-    pub(crate) checkpoint_interval: usize,
-    /// Optimistic-mode deterministic straggler injection (testing aid).
-    pub(crate) straggler: Option<StragglerPolicy>,
-    /// Pin parallel-engine workers to cores (Linux only).
-    pub(crate) pin_workers: bool,
 }
 
 /// [`bp_core::MetricsPolicy`] with every default resolved against the
@@ -755,15 +629,6 @@ pub(crate) fn build_shared(
                 method_base.push(num_method_slots as u32);
                 num_method_slots += tn.methods.len();
             }
-            let node_batchable: Vec<bool> = program
-                .nodes
-                .iter()
-                .zip(&nodes)
-                .map(|(tn, rt)| {
-                    tn.methods.first().is_some_and(|m| m.batchable_shape)
-                        && rt.behavior.batchable(0)
-                })
-                .collect();
             CompiledTables {
                 program,
                 dests,
@@ -773,7 +638,6 @@ pub(crate) fn build_shared(
                 forward_run_s: 1.0 / clock,
                 method_base,
                 num_method_slots,
-                node_batchable,
             }
         })
     } else {
@@ -815,16 +679,7 @@ pub(crate) fn build_shared(
         num_sinks,
         trace: config.trace,
         metrics,
-        batch_width: if compiled.is_some() {
-            config.batch.width.max(1)
-        } else {
-            1
-        },
         compiled,
-        sync: config.sync,
-        checkpoint_interval: config.checkpoint_interval,
-        straggler: config.straggler,
-        pin_workers: config.pin_workers,
     };
     Ok((nodes, shared))
 }
@@ -887,9 +742,6 @@ pub(crate) struct ShardOutcome {
     /// Streaming metrics state, present only when [`SimConfig::metrics`]
     /// is set; merged across shards by the parallel engine.
     pub(crate) metrics: Option<MetricsRecorder>,
-    /// Optimistic-sync activity counters (all-zero for conservative and
-    /// sequential runs); summed commutatively into the tape.
-    pub(crate) sync: bp_metrics::SyncCounters,
 }
 
 /// The discrete-event engine for one shard: a set of PEs (and their resident
@@ -933,11 +785,8 @@ pub(crate) struct ShardSim<'a> {
     busy_until: Vec<f64>,
     /// In-flight items per delayed channel, in send order; arrivals pop
     /// from the front (arrival times are non-decreasing per channel, and
-    /// equal-time arrivals pop in ordinal = send order). Each item is
-    /// tagged with its per-channel send sequence so optimistic-mode
-    /// anti-messages can surgically remove a cancelled in-flight item;
-    /// the tag is otherwise inert.
-    wire: Vec<VecDeque<(u32, Item)>>,
+    /// equal-time arrivals pop in ordinal = send order).
+    wire: Vec<VecDeque<Item>>,
     /// Next arrival sequence number per channel (owned by the src shard).
     send_seq: Vec<u32>,
     /// Next credit-return sequence number per channel (owned by the dst shard).
@@ -991,12 +840,6 @@ pub(crate) struct ShardSim<'a> {
     /// Compiled backend only: per-method [`RwMemo`] slots (flat-indexed
     /// via `CompiledTables::method_base`).
     rw_memo: Vec<RwMemo>,
-    /// Compiled backend only: per-node speculative batch store. While
-    /// `pending()`, the node's precomputed firings replay one scheduled
-    /// firing at a time (see [`BatchPolicy`]); the inputs the batch was
-    /// computed from are still queued, so diagnostics that read queues see
-    /// exactly the scalar engine's state.
-    batches: Vec<bp_codegen::BatchStore>,
     /// Compiled backend only: true when the node's last plan succeeded but
     /// `space_ok` declined it, so it is waiting on downstream consumption.
     /// The untraced dispatcher wakes upstream PEs only for flagged nodes —
@@ -1007,10 +850,6 @@ pub(crate) struct ShardSim<'a> {
     /// only when the node starts; stale flags cost a no-op pop, never a
     /// missed wake.
     space_waiting: Vec<bool>,
-    /// Time Warp state (checkpoints, message logs, counters), present only
-    /// in optimistic parallel runs; boxed so the conservative and
-    /// sequential engines pay one null pointer (see [`crate::optimistic`]).
-    opt: Option<Box<OptState>>,
 }
 
 impl<'a> ShardSim<'a> {
@@ -1080,9 +919,7 @@ impl<'a> ShardSim<'a> {
                 RwMemo::default();
                 shared.compiled.as_ref().map_or(0, |ct| ct.num_method_slots)
             ],
-            batches: (0..n).map(|_| bp_codegen::BatchStore::default()).collect(),
             space_waiting: vec![false; n],
-            opt: None,
         }
     }
 
@@ -1303,7 +1140,6 @@ impl<'a> ShardSim<'a> {
                 return ev.t;
             }
             self.now = ev.t;
-            self.opt_note_pop(ev.t, ev.seq);
             if let Some(m) = self.metrics.as_mut() {
                 m.event_popped(ev.t);
             }
@@ -1337,7 +1173,6 @@ impl<'a> ShardSim<'a> {
                 return ev.t;
             }
             self.now = ev.t;
-            self.opt_note_pop(ev.t, ev.seq);
             if OBS {
                 if let Some(m) = self.metrics.as_mut() {
                     m.event_popped(ev.t);
@@ -1386,20 +1221,6 @@ impl<'a> ShardSim<'a> {
         }
     }
 
-    /// Bounded speculation: like [`run_budget`], but refuses to pop any
-    /// event at or past `horizon`. The optimistic workers use this to cap
-    /// how far a shard's virtual time can outrun the conservative window —
-    /// speculating without a time bound lets a fast shard race arbitrarily
-    /// ahead, and every late cross-shard message then triggers an
-    /// arbitrarily deep rollback (the Time Warp anti-storm).
-    pub(crate) fn run_speculate(&mut self, horizon: f64, max_events: usize) -> usize {
-        let mut done = 0;
-        while done < max_events && self.next_pending() < horizon {
-            done += self.run_budget(1);
-        }
-        done
-    }
-
     /// Interpreted bounded loop: the body is `run_window_interp`'s minus
     /// the window bound, with an event counter.
     fn run_budget_interp(&mut self, max_events: usize) -> usize {
@@ -1407,7 +1228,6 @@ impl<'a> ShardSim<'a> {
         while done < max_events {
             let Some(ev) = self.events.pop() else { break };
             self.now = ev.t;
-            self.opt_note_pop(ev.t, ev.seq);
             if let Some(m) = self.metrics.as_mut() {
                 m.event_popped(ev.t);
             }
@@ -1439,7 +1259,6 @@ impl<'a> ShardSim<'a> {
         while done < max_events {
             let Some(ev) = self.events.pop() else { break };
             self.now = ev.t;
-            self.opt_note_pop(ev.t, ev.seq);
             if OBS {
                 if let Some(m) = self.metrics.as_mut() {
                     m.event_popped(ev.t);
@@ -1494,7 +1313,7 @@ impl<'a> ShardSim<'a> {
         for m in msgs {
             match m.kind {
                 MsgKind::Arrival(item) => {
-                    self.wire[m.chan as usize].push_back(((m.ord & 0xffff_ffff) as u32, item));
+                    self.wire[m.chan as usize].push_back(item);
                     self.events
                         .push_ord(m.t, m.ord, EventKind::ChannelArrival { chan: m.chan });
                 }
@@ -1502,496 +1321,14 @@ impl<'a> ShardSim<'a> {
                     self.events
                         .push_ord(m.t, m.ord, EventKind::CreditReturn { chan: m.chan });
                 }
-                MsgKind::Anti(_) => unreachable!("anti-message under conservative sync"),
             }
         }
-    }
-
-    /// Optimistic-mode inbox drain: positives may land in this shard's
-    /// virtual past (stragglers — roll back first), and anti-messages
-    /// cancel positives wherever they already got to (still queued:
-    /// annihilate in place; already processed: roll back past them and
-    /// skip them on replay). Messages are handled strictly in inbox order,
-    /// so a positive always precedes its own anti (the source shard pushed
-    /// them in that order into the same inbox). `gvt` lower-bounds every
-    /// arrival (asserted) — that is what makes fossil collection at GVT
-    /// sound.
-    pub(crate) fn drain_inbox_optimistic(&mut self, gvt: f64) {
-        let Some(links) = self.links else { return };
-        let msgs = std::mem::take(&mut *links[self.shard].lock().unwrap());
-        for m in msgs {
-            debug_assert!(m.t >= gvt, "message at t={} arrived below GVT={gvt}", m.t);
-            let k = key(m.t, m.ord);
-            match m.kind {
-                MsgKind::Arrival(item) => {
-                    self.incoming_key_repair(k);
-                    let seq = (m.ord & 0xffff_ffff) as u32;
-                    let opt = self.opt.as_deref_mut().expect("optimistic drain");
-                    opt.counters.in_appends += 1;
-                    opt.in_log.push(InRec {
-                        t: m.t,
-                        ord: m.ord,
-                        chan: m.chan,
-                        kind: InKind::Arrival(item.clone()),
-                    });
-                    self.wire[m.chan as usize].push_back((seq, item));
-                    self.events
-                        .push_ord(m.t, m.ord, EventKind::ChannelArrival { chan: m.chan });
-                }
-                MsgKind::Credit => {
-                    self.incoming_key_repair(k);
-                    let opt = self.opt.as_deref_mut().expect("optimistic drain");
-                    opt.counters.in_appends += 1;
-                    opt.in_log.push(InRec {
-                        t: m.t,
-                        ord: m.ord,
-                        chan: m.chan,
-                        kind: InKind::Credit,
-                    });
-                    self.events
-                        .push_ord(m.t, m.ord, EventKind::CreditReturn { chan: m.chan });
-                }
-                MsgKind::Anti(was_arrival) => {
-                    self.cancel_positive(m.t, m.ord, m.chan, was_arrival);
-                }
-            }
-        }
-    }
-
-    /// Straggler repair for an incoming message key `k`, shared by
-    /// positives and tombstoning antis: a key at or before the last
-    /// processed event forces a full rollback; a key inside the current
-    /// coast-forward horizon shortens the coast (the messages the shard
-    /// sent from keys ≥ `k` must be cancelled — their re-execution now
-    /// happens under different inputs); a key in the future needs nothing.
-    fn incoming_key_repair(&mut self, k: Key) {
-        let links = self.links;
-        let opt = self.opt.as_deref_mut().expect("optimistic repair");
-        if k <= opt.last_key {
-            self.rollback_to(k);
-        } else if opt.coasting() && k < opt.coast_end.expect("coasting") {
-            // The coast suffix past `k` replays sends that are now
-            // invalid (their re-execution happens under different
-            // inputs). Cancel them and stop the suppression at `k`; the
-            // re-execution past `k` sends fresh positives — with the
-            // *same* `(t, ord)` keys, which is fine: the anti travels
-            // ahead of the fresh positive in the same inbox, so the
-            // destination cancels the old copy before the new arrives.
-            Self::cancel_sends_from(opt, links, &mut self.min_out, k);
-            opt.coast_end = Some(k);
-        }
-    }
-
-    /// Apply an anti-message: the positive `(t, ord)` on `chan` was rolled
-    /// back at its source. If its event is still queued it annihilates in
-    /// place; if it was already processed the shard first rolls back to
-    /// before it (which resurrects the positive, pending, from the
-    /// checkpoint or the replay) and then removes it. Either way the
-    /// removal is also appended to the input log as a [`InKind::Cancel`]
-    /// record, so a *future* rollback to a checkpoint captured before this
-    /// anti arrived re-applies it in drain order — without that record the
-    /// stale snapshot would resurrect the positive alongside any re-sent
-    /// copy of it.
-    fn cancel_positive(&mut self, t: f64, ord: u64, chan: u32, was_arrival: bool) {
-        let payload_match = |p: &EventKind| match p {
-            EventKind::ChannelArrival { chan: c } => was_arrival && *c == chan,
-            EventKind::CreditReturn { chan: c } => !was_arrival && *c == chan,
-            _ => false,
-        };
-        let seq = (ord & 0xffff_ffff) as u32;
-        let k = key(t, ord);
-        let opt = self.opt.as_deref_mut().expect("optimistic cancel");
-        if k <= opt.last_key {
-            // Already (speculatively) processed: the repair below is a
-            // full rollback to before it.
-            opt.counters.antis_tombstoned += 1;
-        } else {
-            // Still queued: annihilate in place. Queued implies not yet
-            // processed, so the repair below can only shorten a coast
-            // (cancelling our own downstream sends attributed to the
-            // now-never-happening event), never roll back.
-            opt.counters.antis_annihilated += 1;
-        }
-        self.incoming_key_repair(k);
-        // The queue removal and wire purge must come *after* any restore:
-        // a rollback replaces the event queue and wire with the
-        // checkpoint's (plus the input-log replay), which always hold the
-        // not-yet-reprocessed positive. Removing first and restoring
-        // after would resurrect the event without its item.
-        let removed = self.events.remove_ord(t, ord).map(|p| {
-            debug_assert!(payload_match(&p), "anti-message key collision");
-        });
-        debug_assert!(
-            removed.is_some(),
-            "anti-message names a positive missing from the event queue"
-        );
-        if was_arrival {
-            self.wire[chan as usize].retain(|(s, _)| *s != seq);
-        }
-        let opt = self.opt.as_deref_mut().expect("optimistic cancel");
-        opt.in_log.push(InRec {
-            t,
-            ord,
-            chan,
-            kind: InKind::Cancel { was_arrival },
-        });
     }
 
     /// Earliest timestamp this shard sent to another shard's inbox since
     /// the last call (`+inf` if none); resets the accumulator.
     pub(crate) fn take_min_out(&mut self) -> f64 {
         std::mem::replace(&mut self.min_out, f64::INFINITY)
-    }
-
-    // ---- Time Warp (optimistic sync) machinery; see `crate::optimistic`
-    // ---- and DESIGN.md §17. All methods are no-ops unless `opt_enable`
-    // ---- switched the shard into optimistic mode.
-
-    /// Switch this shard into optimistic mode. Called once, after
-    /// [`init`](Self::init) and before the first window, so the round-zero
-    /// checkpoint (at [`crate::optimistic::KEY_MIN`], which every message
-    /// key dominates) is always a valid rollback target until fossil
-    /// collection retires it.
-    pub(crate) fn opt_enable(&mut self) {
-        debug_assert!(self.opt.is_none(), "optimistic mode enabled twice");
-        self.opt = Some(Box::new(OptState::new()));
-        self.opt_checkpoint();
-    }
-
-    /// Per-pop bookkeeping hook for optimistic mode: track the key of the
-    /// event being processed (send attribution and checkpoint placement)
-    /// and end coast-forward once execution passes the straggler that
-    /// caused it. Free when optimistic mode is off.
-    #[inline]
-    fn opt_note_pop(&mut self, t: f64, ord: u64) {
-        if let Some(opt) = self.opt.as_deref_mut() {
-            let k = key(t, ord);
-            opt.cur_key = k;
-            if let Some(end) = opt.coast_end {
-                if k >= end {
-                    debug_assert_eq!(
-                        opt.out_cursor,
-                        opt.out_log.len(),
-                        "coast-forward ended without replaying every surviving send"
-                    );
-                    opt.coast_end = None;
-                }
-            }
-            opt.last_key = k;
-        }
-    }
-
-    /// Take a checkpoint of the full mutable state at the current position
-    /// (always between events). Skipped while coast-forwarding (that state
-    /// is a re-execution of committed work, and mixing the replay cursor
-    /// into checkpoints would complicate restore for no coverage — the
-    /// rollback target below the coast always survives) and deduplicated
-    /// when no event was processed since the last checkpoint.
-    pub(crate) fn opt_checkpoint(&mut self) {
-        let mut opt = self.opt.take().expect("checkpoint without optimistic mode");
-        if opt.coast_end.is_some()
-            || opt
-                .ckpts
-                .back()
-                .is_some_and(|ck| ck.last_key == opt.last_key)
-        {
-            self.opt = Some(opt);
-            return;
-        }
-        let mut ck = opt.pool.pop().unwrap_or_default();
-        ck.last_key = opt.last_key;
-        ck.in_len = opt.in_log.len();
-        ck.out_len = opt.out_log.len();
-        self.capture_into(&mut ck);
-        if cfg!(debug_assertions) {
-            ck.digest = self.opt_state_digest();
-        }
-        opt.counters.checkpoints += 1;
-        opt.ckpts.push_back(ck);
-        self.opt = Some(opt);
-    }
-
-    /// Fossil-collect checkpoints dominated by the new GVT (see
-    /// [`crate::optimistic::OptState::fossil_collect`]).
-    pub(crate) fn opt_fossil(&mut self, gvt: f64) {
-        if let Some(opt) = self.opt.as_deref_mut() {
-            opt.fossil_collect(gvt);
-        }
-    }
-
-    /// Count one injected straggler stall (fault-injection observability).
-    pub(crate) fn opt_note_stall(&mut self) {
-        if let Some(opt) = self.opt.as_deref_mut() {
-            opt.counters.stalls += 1;
-        }
-    }
-
-    /// Clone the full mutable surface into `ck`, recycling its buffers.
-    /// Deliberately excluded: `min_out` (a coordinator accumulator whose
-    /// undercount after rollback is only conservative), the routing/wave
-    /// scratch and `rw_memo` (empty respectively pure between events), the
-    /// journal-entry bases (no entry is open between events), and the Time
-    /// Warp state itself (logs and counters must survive rollbacks).
-    fn capture_into(&self, ck: &mut Checkpoint) {
-        ck.now = self.now;
-        ck.rr.clone_from(&self.rr);
-        ck.pe_inflight.clone_from(&self.pe_inflight);
-        ck.dirty.clone_from(&self.dirty);
-        ck.dirty_count.clone_from(&self.dirty_count);
-        match ck.events.as_mut() {
-            Some(q) => q.clone_from(&self.events),
-            None => ck.events = Some(self.events.clone()),
-        }
-        ck.stats.clone_from(&self.stats);
-        ck.node_busy.clone_from(&self.node_busy);
-        ck.violations = self.violations;
-        ck.sink_eof_times.clone_from(&self.sink_eof_times);
-        ck.frame_start_times.clone_from(&self.frame_start_times);
-        ck.custom_token_emissions
-            .clone_from(&self.custom_token_emissions);
-        ck.source_progress.clone_from(&self.source_progress);
-        ck.budget_overruns.clone_from(&self.budget_overruns);
-        ck.node_max_queue.clone_from(&self.node_max_queue);
-        ck.credits.clone_from(&self.credits);
-        ck.busy_until.clone_from(&self.busy_until);
-        if ck.wire.len() == self.wire.len() {
-            for (dst, src) in ck.wire.iter_mut().zip(self.wire.iter()) {
-                dst.clone_from(src);
-            }
-        } else {
-            ck.wire.clone_from(&self.wire);
-        }
-        ck.send_seq.clone_from(&self.send_seq);
-        ck.credit_seq.clone_from(&self.credit_seq);
-        ck.log_main_len = self.log.as_ref().map_or(0, |l| l.main.len());
-        ck.log_pushes_len = self.log.as_ref().map_or(0, |l| l.pushes.len());
-        ck.trace.clone_from(&self.trace);
-        ck.metrics.clone_from(&self.metrics);
-        ck.pe_stall.clone_from(&self.pe_stall);
-        ck.head_data.clone_from(&self.head_data);
-        ck.head_ctrl.clone_from(&self.head_ctrl);
-        ck.batches.clone_from(&self.batches);
-        ck.space_waiting.clone_from(&self.space_waiting);
-        let mut idx = 0;
-        for pe in 0..self.shared.residents.len() {
-            if self.shard_of_pe[pe] != self.shard {
-                continue;
-            }
-            for &node in &self.shared.residents[pe] {
-                if ck.nodes.len() == idx {
-                    ck.nodes.push(crate::optimistic::NodeSnap::empty());
-                }
-                ck.nodes[idx].capture(node, self.node(node));
-                idx += 1;
-            }
-        }
-        ck.nodes.truncate(idx);
-    }
-
-    /// Write a checkpoint back over the live state (the inverse of
-    /// [`capture_into`](Self::capture_into)). The journal and its aligned
-    /// trace/metrics recorders are truncated/overwritten to the capture
-    /// point, so the rolled-back events vanish from every artifact exactly
-    /// as if they had never run.
-    fn restore_from(&mut self, ck: &Checkpoint) {
-        self.now = ck.now;
-        self.rr.clone_from(&ck.rr);
-        self.pe_inflight.clone_from(&ck.pe_inflight);
-        self.dirty.clone_from(&ck.dirty);
-        self.dirty_count.clone_from(&ck.dirty_count);
-        self.events
-            .clone_from(ck.events.as_ref().expect("checkpoint without queue"));
-        self.stats.clone_from(&ck.stats);
-        self.node_busy.clone_from(&ck.node_busy);
-        self.violations = ck.violations;
-        self.sink_eof_times.clone_from(&ck.sink_eof_times);
-        self.frame_start_times.clone_from(&ck.frame_start_times);
-        self.custom_token_emissions
-            .clone_from(&ck.custom_token_emissions);
-        self.source_progress.clone_from(&ck.source_progress);
-        self.budget_overruns.clone_from(&ck.budget_overruns);
-        self.node_max_queue.clone_from(&ck.node_max_queue);
-        self.credits.clone_from(&ck.credits);
-        self.busy_until.clone_from(&ck.busy_until);
-        for (dst, src) in self.wire.iter_mut().zip(ck.wire.iter()) {
-            dst.clone_from(src);
-        }
-        self.send_seq.clone_from(&ck.send_seq);
-        self.credit_seq.clone_from(&ck.credit_seq);
-        if let Some(log) = self.log.as_mut() {
-            log.main.truncate(ck.log_main_len);
-            log.pushes.truncate(ck.log_pushes_len);
-        }
-        self.trace.clone_from(&ck.trace);
-        self.metrics.clone_from(&ck.metrics);
-        self.pe_stall.clone_from(&ck.pe_stall);
-        self.head_data.clone_from(&ck.head_data);
-        self.head_ctrl.clone_from(&ck.head_ctrl);
-        self.batches.clone_from(&ck.batches);
-        self.space_waiting.clone_from(&ck.space_waiting);
-        for snap in &ck.nodes {
-            snap.restore(self.node_mut(snap.node));
-        }
-        debug_assert_eq!(
-            self.opt_state_digest(),
-            ck.digest,
-            "rollback did not restore the checkpoint byte-identically"
-        );
-    }
-
-    /// FNV digest of the rollback-relevant state surface, used (in debug
-    /// builds) to prove that restore reproduces the captured state.
-    fn opt_state_digest(&self) -> u64 {
-        fn mix(h: &mut u64, v: u64) {
-            *h ^= v;
-            *h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        mix(&mut h, self.now.to_bits());
-        mix(&mut h, self.events.len() as u64);
-        mix(&mut h, self.violations);
-        for &c in &self.credits {
-            mix(&mut h, c as u64);
-        }
-        for (&s, &r) in self.send_seq.iter().zip(self.credit_seq.iter()) {
-            mix(&mut h, (s as u64) << 32 | r as u64);
-        }
-        for (w, &b) in self.wire.iter().zip(self.busy_until.iter()) {
-            mix(&mut h, w.len() as u64);
-            for (seq, _) in w {
-                mix(&mut h, *seq as u64);
-            }
-            mix(&mut h, b.to_bits());
-        }
-        for &p in &self.source_progress {
-            mix(&mut h, p);
-        }
-        for &t in self
-            .sink_eof_times
-            .iter()
-            .chain(self.frame_start_times.iter())
-        {
-            mix(&mut h, t.to_bits());
-        }
-        if let Some(log) = self.log.as_ref() {
-            mix(&mut h, log.main.len() as u64);
-            mix(&mut h, log.pushes.len() as u64);
-        }
-        for pe in 0..self.shared.residents.len() {
-            if self.shard_of_pe[pe] != self.shard {
-                continue;
-            }
-            mix(&mut h, self.rr[pe] as u64);
-            mix(&mut h, self.dirty_count[pe] as u64);
-            mix(&mut h, self.pe_inflight[pe].is_some() as u64);
-            for &node in &self.shared.residents[pe] {
-                let rt = self.node(node);
-                mix(&mut h, rt.firings);
-                for q in &rt.queues {
-                    mix(&mut h, q.len() as u64);
-                }
-            }
-        }
-        h
-    }
-
-    /// Full rollback: incoming key `k` is at or before the last processed
-    /// event. Restore the latest checkpoint strictly dominated by `k`,
-    /// cancel the invalidated sends with anti-messages, re-inject the
-    /// post-checkpoint received messages (and cancellations), and arrange
-    /// coast-forward send suppression for the committed prefix below `k`.
-    fn rollback_to(&mut self, k: Key) {
-        let mut opt = self.opt.take().expect("rollback without optimistic mode");
-        while opt.ckpts.back().is_some_and(|ck| ck.last_key >= k) {
-            let ck = opt.ckpts.pop_back().expect("len checked");
-            opt.pool.push(ck);
-        }
-        let undone = self.log.as_ref().map_or(0, |log| log.main.len());
-        let (in_len, out_len, last_key) = {
-            let ck = opt
-                .ckpts
-                .back()
-                .expect("rollback target was fossil-collected below GVT");
-            self.restore_from(ck);
-            (ck.in_len, ck.out_len, ck.last_key)
-        };
-        opt.counters.rollbacks += 1;
-        opt.counters.events_rolled_back +=
-            undone.saturating_sub(self.log.as_ref().map_or(0, |log| log.main.len())) as u64;
-        opt.out_cursor = out_len;
-        opt.cur_key = last_key;
-        opt.last_key = last_key;
-        opt.coast_end = Some(k);
-        Self::cancel_sends_from(&mut opt, self.links, &mut self.min_out, k);
-        // Re-inject everything received after the capture point, in drain
-        // order — including anti-message cancellations, which must strip
-        // positives the snapshot still holds before any re-sent copy is
-        // re-added. Not journaled, exactly like `drain_inbox` (the sender
-        // journals).
-        for rec in &opt.in_log[in_len..] {
-            match &rec.kind {
-                InKind::Arrival(item) => {
-                    self.wire[rec.chan as usize].push_back((rec.seq(), item.clone()));
-                    self.events.push_ord(
-                        rec.t,
-                        rec.ord,
-                        EventKind::ChannelArrival { chan: rec.chan },
-                    );
-                }
-                InKind::Credit => {
-                    self.events.push_ord(
-                        rec.t,
-                        rec.ord,
-                        EventKind::CreditReturn { chan: rec.chan },
-                    );
-                }
-                InKind::Cancel { was_arrival } => {
-                    let removed = self.events.remove_ord(rec.t, rec.ord);
-                    debug_assert!(
-                        removed.is_some(),
-                        "replayed anti-message found no positive to cancel"
-                    );
-                    if *was_arrival {
-                        let seq = rec.seq();
-                        self.wire[rec.chan as usize].retain(|(s, _)| *s != seq);
-                    }
-                }
-            }
-        }
-        self.opt = Some(opt);
-    }
-
-    /// Truncate the (src_key-monotone) suffix of sends caused by events
-    /// with key ≥ `k` and ship one anti-message per entry. Antis are not
-    /// journaled or metered: their positives' journal/metrics records were
-    /// rolled back with the checkpoint, so the committed record never
-    /// mentions either side. Anti timestamps equal their positives'
-    /// (≥ `k` ≥ GVT), so `min_out` holds the window back for them exactly
-    /// like for positives.
-    fn cancel_sends_from(
-        opt: &mut OptState,
-        links: Option<&'a [Mutex<Vec<OutMsg>>]>,
-        min_out: &mut f64,
-        k: Key,
-    ) {
-        let mut cut = opt.out_log.len();
-        while cut > 0 && opt.out_log[cut - 1].src_key >= k {
-            cut -= 1;
-        }
-        if cut == opt.out_log.len() {
-            return;
-        }
-        let links = links.expect("cross-shard send without links");
-        for rec in opt.out_log.drain(cut..) {
-            opt.counters.antis_sent += 1;
-            *min_out = min_out.min(rec.t);
-            links[rec.dst as usize].lock().unwrap().push(OutMsg {
-                t: rec.t,
-                ord: rec.ord,
-                chan: rec.chan,
-                kind: MsgKind::Anti(!rec.credit),
-            });
-        }
     }
 
     /// Extract the owned results, releasing the borrows on the node slots.
@@ -2010,7 +1347,6 @@ impl<'a> ShardSim<'a> {
             log: self.log,
             trace: self.trace,
             metrics: self.metrics,
-            sync: self.opt.as_deref().map(|o| o.counters).unwrap_or_default(),
         }
     }
 
@@ -2297,7 +1633,7 @@ impl<'a> ShardSim<'a> {
         }
         let dst_shard = self.shard_of_pe[self.shared.pe_of_node[c.dst]];
         if dst_shard == self.shard {
-            self.wire[ci].push_back((seq, item));
+            self.wire[ci].push_back(item);
             self.push_event_ord(arrival, ord, EventKind::ChannelArrival { chan });
         } else {
             self.send_cross(arrival, ord, chan, dst_shard, MsgKind::Arrival(item));
@@ -2305,46 +1641,10 @@ impl<'a> ShardSim<'a> {
     }
 
     /// Ship a communication event to `dst_shard`'s inbox, journaled and
-    /// metered exactly like a local push. Optimistic mode additionally
-    /// logs the send so a rollback can cancel it with an anti-message —
-    /// or, while coast-forwarding, *suppresses* the inbox push entirely:
-    /// the identical message was delivered before the rollback and
-    /// survived it, and the journal/metrics records (restored with the
-    /// checkpoint) are re-made by the hooks above, so suppression is the
-    /// one difference between first execution and replay.
+    /// metered exactly like a local push.
     fn send_cross(&mut self, t: f64, ord: u64, chan: u32, dst_shard: usize, kind: MsgKind) {
         self.journal_push(t, ord, dst_shard as u32);
         self.note_push();
-        if let Some(opt) = self.opt.as_deref_mut() {
-            if opt.coasting() {
-                let rec = opt
-                    .out_log
-                    .get(opt.out_cursor)
-                    .expect("coast-forward re-send past the surviving send log");
-                debug_assert!(
-                    rec.t.to_bits() == t.to_bits()
-                        && rec.ord == ord
-                        && rec.chan == chan
-                        && rec.dst as usize == dst_shard,
-                    "coast-forward re-send diverged from the surviving send log"
-                );
-                opt.out_cursor += 1;
-                return;
-            }
-            opt.counters.cross_sends += 1;
-            opt.out_log.push(OutRec {
-                src_key: opt.cur_key,
-                t,
-                ord,
-                chan,
-                dst: dst_shard as u32,
-                credit: matches!(kind, MsgKind::Credit),
-            });
-        }
-        // Folded only for messages that actually enter an inbox: a
-        // suppressed coast-forward re-send (early return above) has
-        // nothing in flight, and counting it would drag the GVT horizon
-        // below timestamps the fleet already committed.
         self.min_out = self.min_out.min(t);
         let links = self.links.expect("cross-shard send without links");
         links[dst_shard]
@@ -2357,7 +1657,7 @@ impl<'a> ShardSim<'a> {
     /// queue, then dispatch the destination PE.
     fn handle_channel_arrival(&mut self, chan: u32) {
         let c = self.shared.channels[chan as usize];
-        let (_seq, item) = self.wire[chan as usize]
+        let item = self.wire[chan as usize]
             .pop_front()
             .expect("arrival without in-flight item");
         let (dn, dp) = (c.dst, c.dst_port);
@@ -2934,84 +2234,6 @@ impl<'a> ShardSim<'a> {
         }
     }
 
-    /// Fire the planned method — either through its direct-threaded scalar
-    /// routine or, when [`BatchPolicy`] coalescing applies to this node,
-    /// through the speculative batch store: precompute a run of consecutive
-    /// ready firings with one `fire_batch` call, then replay them one
-    /// scheduled firing at a time (DESIGN.md §14). Each replay pops its own
-    /// inputs and reports the stored per-firing cycles, so everything the
-    /// caller does with the result is identical to the scalar path.
-    ///
-    /// Soundness of replaying stale results: while the store is pending,
-    /// method 0's triggers stay satisfied (its windows still head the
-    /// queues), so the in-order plan scan can select no other method and no
-    /// forward — the only state the batched firings depend on (consumed
-    /// windows + behavior state, per the [`bp_core::KernelBehavior::batchable`]
-    /// contract) cannot change until the store drains.
-    fn fire_or_replay(
-        &mut self,
-        node: usize,
-        mi: usize,
-        tm: &bp_codegen::ThreadedMethod,
-        ct: &CompiledTables,
-    ) -> (Vec<(usize, Item)>, bp_codegen::FireResult) {
-        let width = self.shared.batch_width;
-        if width > 1 && mi == 0 && ct.node_batchable[node] {
-            if self.batches[node].pending() {
-                let mut store = std::mem::take(&mut self.batches[node]);
-                let out = self.node_mut(node).replay_batched(tm, &mut store);
-                self.batches[node] = store;
-                return out;
-            }
-            // Length of the all-windows run heading every trigger queue
-            // (≥ 1: the plan just matched the data mask), capped at the
-            // policy width. The O(ports) length bound comes first so the
-            // common single-item case — queues drained as fast as they
-            // fill — bails without touching queue contents.
-            let mut k = width;
-            {
-                let n = self.node(node);
-                for &p in &tm.trigger_ports {
-                    k = k.min(n.queues[p].len());
-                    if k < 2 {
-                        break;
-                    }
-                }
-                if k >= 2 {
-                    for &p in &tm.trigger_ports {
-                        let q = &n.queues[p];
-                        let mut run = 1;
-                        while run < k && matches!(q.get(run), Some(Item::Window(_))) {
-                            run += 1;
-                        }
-                        k = k.min(run);
-                        if k < 2 {
-                            break;
-                        }
-                    }
-                }
-            }
-            if k >= 2 {
-                // A declining behavior leaves the store empty and we fall
-                // through to the scalar routine below.
-                let mut store = std::mem::take(&mut self.batches[node]);
-                self.node_mut(node).speculate_batch(tm, mi, k, &mut store);
-                if store.pending() {
-                    let out = self.node_mut(node).replay_batched(tm, &mut store);
-                    self.batches[node] = store;
-                    return out;
-                }
-                self.batches[node] = store;
-            }
-        } else {
-            debug_assert!(
-                !self.batches[node].pending(),
-                "pending batch bypassed by a non-batched firing of node {node}"
-            );
-        }
-        self.node_mut(node).fire_threaded(&tm.fire)
-    }
-
     /// Compiled [`try_start`](Self::try_start): planning is a mask test
     /// plus the `ready()` call, firing runs the method's direct-threaded
     /// routine (pops, read-word accounting, and the behavior call fused),
@@ -3048,40 +2270,18 @@ impl<'a> ShardSim<'a> {
                     "stale head masks for node {node}"
                 );
             }
-            let action = if self.batches[node].pending() {
-                // Replay fast path: while precomputed firings are pending,
-                // method 0's windows still head every trigger queue, so the
-                // in-order plan scan can only return `Fire{0}` — skip it.
-                #[cfg(debug_assertions)]
-                {
-                    let n = self.node(node);
-                    let planned = tn.plan(
-                        self.head_data[node],
-                        self.head_ctrl[node],
-                        &n.queues,
-                        n.behavior.as_ref(),
-                    );
-                    debug_assert!(
-                        matches!(planned, Some(bp_codegen::PlannedAction::Fire { method: 0 })),
-                        "pending batch on node {node} but plan chose {planned:?}"
-                    );
-                }
-                bp_codegen::PlannedAction::Fire { method: 0 }
-            } else {
-                let action = {
-                    let n = self.node(node);
-                    tn.plan(
-                        self.head_data[node],
-                        self.head_ctrl[node],
-                        &n.queues,
-                        n.behavior.as_ref(),
-                    )
-                };
-                let Some(action) = action else {
-                    self.clear_dirty(node);
-                    continue;
-                };
-                action
+            let action = {
+                let n = self.node(node);
+                tn.plan(
+                    self.head_data[node],
+                    self.head_ctrl[node],
+                    &n.queues,
+                    n.behavior.as_ref(),
+                )
+            };
+            let Some(action) = action else {
+                self.clear_dirty(node);
+                continue;
             };
             let mi = match action {
                 bp_codegen::PlannedAction::Fire { method }
@@ -3101,7 +2301,7 @@ impl<'a> ShardSim<'a> {
             let tm = &tn.methods[mi];
             let (emitted, read_words, cycles, declared, run_s) = match action {
                 bp_codegen::PlannedAction::Fire { .. } => {
-                    let (emitted, res) = self.fire_or_replay(node, mi, tm, ct);
+                    let (emitted, res) = self.node_mut(node).fire_threaded(&tm.fire);
                     let declared = tm.cost_cycles;
                     let cycles = res.actual_cycles.unwrap_or(declared);
                     // Equal cycle counts reuse the build-time quotient
@@ -3115,10 +2315,6 @@ impl<'a> ShardSim<'a> {
                     (emitted, res.read_words, cycles, declared, run_s)
                 }
                 bp_codegen::PlannedAction::Forward { token, .. } => {
-                    // A forward needs tokens at the trigger heads, which is
-                    // impossible while precomputed window firings are
-                    // pending (their inputs still head the queues).
-                    debug_assert!(!self.batches[node].pending());
                     let emitted = self.node_mut(node).forward_threaded(tm, token);
                     (emitted, 0, 1, 1, ct.forward_run_s)
                 }
@@ -3674,6 +2870,31 @@ mod tests {
         b.connect(src, "out", k, "in");
         b.connect(k, "out", snk, "in");
         b.build().unwrap()
+    }
+
+    /// Every field of [`SimConfig`] is a run configuration someone must
+    /// test and measure; DESIGN.md's "Mode audit (PR 16)" table has a row
+    /// for each axis these nine span. A tenth does not arrive without
+    /// editing this pattern — and that table.
+    #[test]
+    fn sim_config_has_exactly_the_audited_fields() {
+        let SimConfig {
+            machine,
+            backend,
+            comm,
+            channel_capacity,
+            capacities,
+            frames,
+            trace,
+            metrics,
+            lowered,
+        } = SimConfig::new(1);
+        assert_eq!(machine, MachineSpec::default_eval());
+        assert_eq!(backend, Backend::Auto);
+        assert!(comm.is_zero());
+        assert!(channel_capacity.is_none() && capacities.is_none());
+        assert_eq!(frames, 1);
+        assert!(trace.is_none() && metrics.is_none() && lowered.is_none());
     }
 
     #[test]

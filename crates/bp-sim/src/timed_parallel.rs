@@ -58,30 +58,13 @@ use crate::timed::{
     assemble_outcome, assemble_tape, build_shared, LogEntry, OutMsg, ShardLog, ShardOutcome,
     ShardSim, Shared, SimConfig, TimedSimulator,
 };
-use crate::trace::{Trace, TraceEvent, TraceMeta, TraceOptions, TraceRecorder};
+use crate::trace::{Trace, TraceEvent, TraceMeta, TraceRecorder};
 use bp_core::graph::AppGraph;
-use bp_core::machine::{Mapping, ShardPlan, SyncMode};
+use bp_core::machine::{Mapping, ShardPlan};
 use bp_core::Result;
 use bp_metrics::{MetricsRecorder, MetricsTape};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
-
-/// Cap on speculative execution batches per synchronization round under
-/// optimistic sync. Each batch runs up to one checkpoint interval of
-/// events and ends with a checkpoint, so the cap keeps checkpointing,
-/// fossil collection, and timestamp publication regular while still
-/// letting a shard run well past its conservative window.
-const SPEC_BATCHES_PER_ROUND: usize = 8;
-
-/// Bound on how far past its conservative window a shard may speculate,
-/// in lookahead widths. Unbounded optimism is the classic Time Warp
-/// failure mode: a fast shard races arbitrarily far ahead, every late
-/// cross-shard message then unwinds an arbitrarily deep speculation, and
-/// the anti-message cascade costs more than the work it cancels. Capping
-/// the horizon at a few windows bounds rollback depth while still letting
-/// a shard absorb a straggler's worth of skew. Irrelevant when the
-/// lookahead is infinite (fully independent shards cannot roll back).
-const SPEC_WINDOWS: f64 = 2.0;
 
 /// Counters describing how a parallel run was scheduled, for scaling
 /// analysis and tests (e.g. asserting that a single-component app really
@@ -99,9 +82,6 @@ pub struct ParallelRunStats {
     /// Events processed by each shard's event loop (empty in the
     /// sequential fallback).
     pub shard_events: Vec<u64>,
-    /// Optimistic-sync activity summed over shards (all zero under
-    /// conservative sync and in the sequential fallback).
-    pub sync_counters: bp_metrics::SyncCounters,
 }
 
 /// Timed simulator that executes independent PE interaction regions on
@@ -125,31 +105,6 @@ impl ParallelTimedSimulator {
         config: SimConfig,
         threads: usize,
     ) -> Result<Self> {
-        Self::build(graph, mapping, config, threads, &[])
-    }
-
-    /// Like [`new`](Self::new), but balance shards by per-node profiling
-    /// weights (e.g. traced event counts from
-    /// [`profile_node_weights`]) instead of resident-node counts. The
-    /// weighting changes only which worker runs which component — results
-    /// stay bitwise identical to the sequential engine.
-    pub fn new_weighted(
-        graph: &AppGraph,
-        mapping: &Mapping,
-        config: SimConfig,
-        threads: usize,
-        node_weights: &[u64],
-    ) -> Result<Self> {
-        Self::build(graph, mapping, config, threads, node_weights)
-    }
-
-    fn build(
-        graph: &AppGraph,
-        mapping: &Mapping,
-        config: SimConfig,
-        threads: usize,
-        node_weights: &[u64],
-    ) -> Result<Self> {
         let (nodes, shared) = build_shared(graph, mapping, config)?;
         // Shards must not be split across *direct* (zero-latency) channels
         // — those deliver synchronously. Delayed channels are exactly the
@@ -164,46 +119,7 @@ impl ParallelTimedSimulator {
             .map(|c| (c.src, c.dst))
             .collect();
         edges.extend(graph.dep_edges().iter().map(|d| (d.src.0, d.dst.0)));
-        let plan = ShardPlan::build_weighted(mapping, &edges, threads.max(1), node_weights);
-        Ok(Self {
-            nodes,
-            shared,
-            plan,
-        })
-    }
-
-    /// Like [`new`](Self::new), but with an explicit, caller-built
-    /// [`ShardPlan`] — the testing hook for deliberately skewed shard
-    /// layouts (e.g. forcing deep optimistic rollbacks by pairing a huge
-    /// shard with a tiny one). The sharding contract still holds: no
-    /// direct (zero-latency) channel may cross shards — validated here,
-    /// since a violation would silently break determinism rather than
-    /// fail loudly.
-    pub fn with_plan(
-        graph: &AppGraph,
-        mapping: &Mapping,
-        config: SimConfig,
-        plan: ShardPlan,
-    ) -> Result<Self> {
-        let (nodes, shared) = build_shared(graph, mapping, config)?;
-        if plan.shard_of_pe.len() != shared.residents.len() {
-            return Err(bp_core::BpError::Simulation(format!(
-                "shard plan covers {} PEs but the machine has {}",
-                plan.shard_of_pe.len(),
-                shared.residents.len()
-            )));
-        }
-        for c in &shared.channels {
-            if c.latency_s <= 0.0
-                && plan.shard_of_pe[shared.pe_of_node[c.src]]
-                    != plan.shard_of_pe[shared.pe_of_node[c.dst]]
-            {
-                return Err(bp_core::BpError::Simulation(format!(
-                    "shard plan cuts direct channel {} -> {}",
-                    c.src, c.dst
-                )));
-            }
-        }
+        let plan = ShardPlan::build(mapping, &edges, threads.max(1));
         Ok(Self {
             nodes,
             shared,
@@ -308,7 +224,6 @@ impl ParallelTimedSimulator {
                 lookahead_s: f64::INFINITY,
                 windows: 0,
                 shard_events: Vec::new(),
-                sync_counters: bp_metrics::SyncCounters::default(),
             };
             return (outcome, trace, tape, stats);
         }
@@ -344,14 +259,6 @@ impl ParallelTimedSimulator {
             .map(|_| AtomicU64::new(f64::INFINITY.to_bits()))
             .collect();
         let window = AtomicU64::new(f64::INFINITY.to_bits());
-        // GVT: the coordinator's conservative horizon, republished for the
-        // optimistic workers. It lower-bounds every unprocessed event and
-        // every message still to arrive (anti-messages included — an
-        // anti's timestamp equals its positive's, which was ≥ GVT when it
-        // was sent), so state committed below GVT can never be rolled
-        // back and its checkpoints are safe to fossil-collect.
-        let gvt = AtomicU64::new(0f64.to_bits());
-        let optimistic = shared.sync == SyncMode::Optimistic;
         let stop = AtomicBool::new(false);
         // Workers + coordinator rendezvous twice per round: once so every
         // worker has published its timestamps, once so the coordinator has
@@ -364,21 +271,14 @@ impl ParallelTimedSimulator {
                     let (shared, slots) = (&shared, &slots);
                     let (inboxes, barrier) = (&inboxes[..], &barrier);
                     let (next_t, min_out) = (&next_t[..], &min_out[..]);
-                    let (window, stop, gvt) = (&window, &stop, &gvt);
+                    let (window, stop) = (&window, &stop);
                     let shard_of_pe = &plan.shard_of_pe[..];
                     scope.spawn(move || {
-                        if shared.pin_workers {
-                            crate::affinity::pin_current_thread(shard);
-                        }
                         let mut sim =
                             ShardSim::new(shared, slots, shard, shard_of_pe, true, Some(inboxes));
                         sim.init();
-                        if optimistic {
-                            sim.opt_enable();
-                        }
                         next_t[shard].store(sim.next_pending().to_bits(), Ordering::SeqCst);
                         min_out[shard].store(sim.take_min_out().to_bits(), Ordering::SeqCst);
-                        let mut round = 0u64;
                         loop {
                             barrier.wait();
                             barrier.wait();
@@ -386,52 +286,9 @@ impl ParallelTimedSimulator {
                                 break;
                             }
                             let end = f64::from_bits(window.load(Ordering::SeqCst));
-                            if optimistic {
-                                let g = f64::from_bits(gvt.load(Ordering::SeqCst));
-                                sim.drain_inbox_optimistic(g);
-                                // Conservative window first — always, even
-                                // under an injected stall: processing
-                                // everything below the window is what
-                                // keeps every published frontier ≥ GVT,
-                                // which is what makes GVT monotone and
-                                // fossil collection at GVT sound.
-                                sim.run_window(end);
-                                sim.opt_checkpoint();
-                                sim.opt_fossil(g);
-                                // Injected straggler: skip speculation for
-                                // the round. The stalled shard's frontier
-                                // then trails the speculators, so its
-                                // later (perfectly conservative) sends
-                                // land in their speculated pasts and force
-                                // rollbacks — without ever perturbing any
-                                // committed result.
-                                let stalled = shared
-                                    .straggler
-                                    .as_ref()
-                                    .is_some_and(|p| p.stalled(shard, round));
-                                if stalled {
-                                    sim.opt_note_stall();
-                                } else {
-                                    // Speculate ahead in checkpointed
-                                    // batches, bounded to a few lookahead
-                                    // widths past the window (SPEC_WINDOWS).
-                                    let spec_end = end + SPEC_WINDOWS * lookahead_s;
-                                    for _ in 0..SPEC_BATCHES_PER_ROUND {
-                                        let ran =
-                                            sim.run_speculate(spec_end, shared.checkpoint_interval);
-                                        if ran == 0 {
-                                            break;
-                                        }
-                                        sim.opt_checkpoint();
-                                    }
-                                }
-                                next_t[shard].store(sim.next_pending().to_bits(), Ordering::SeqCst);
-                            } else {
-                                sim.drain_inbox();
-                                let nt = sim.run_window(end);
-                                next_t[shard].store(nt.to_bits(), Ordering::SeqCst);
-                            }
-                            round += 1;
+                            sim.drain_inbox();
+                            let nt = sim.run_window(end);
+                            next_t[shard].store(nt.to_bits(), Ordering::SeqCst);
                             min_out[shard].store(sim.take_min_out().to_bits(), Ordering::SeqCst);
                         }
                         sim.into_outcome()
@@ -442,7 +299,6 @@ impl ParallelTimedSimulator {
             // nothing in flight. Any message a worker sent this round is
             // visible in its `min_out` publication, so "all +inf" is a
             // sound global-quiescence test.
-            let mut prev_gvt = 0.0f64;
             loop {
                 barrier.wait();
                 let horizon = (0..plan.num_shards)
@@ -454,14 +310,6 @@ impl ParallelTimedSimulator {
                 if horizon.is_infinite() {
                     stop.store(true, Ordering::SeqCst);
                 } else {
-                    if optimistic {
-                        // The horizon is the GVT: every published frontier
-                        // and every in-flight message is ≥ it. Monotonicity
-                        // is what makes fossil collection at GVT sound.
-                        debug_assert!(horizon >= prev_gvt, "GVT regressed: {horizon} < {prev_gvt}");
-                        prev_gvt = horizon;
-                        gvt.store(horizon.to_bits(), Ordering::SeqCst);
-                    }
                     window.store((horizon + lookahead_s).to_bits(), Ordering::SeqCst);
                     windows += 1;
                 }
@@ -542,18 +390,6 @@ impl ParallelTimedSimulator {
             dropped: recorders.iter().flatten().map(|r| r.dropped).sum(),
         });
 
-        // Sync-activity counters merge commutatively (plain sums), and —
-        // unlike every simulated-time artifact — they are *expected* to
-        // vary run to run: they describe the real-time schedule, not the
-        // simulation. The tape keeps them out of its digest for the same
-        // reason.
-        let sync_counters =
-            outcomes
-                .iter()
-                .fold(bp_metrics::SyncCounters::default(), |mut acc, o| {
-                    acc.merge(&o.sync);
-                    acc
-                });
         let run_stats = ParallelRunStats {
             shards: plan.num_shards,
             lookahead_s,
@@ -562,18 +398,14 @@ impl ParallelTimedSimulator {
                 .iter()
                 .map(|o| o.log.as_ref().map_or(0, |l| l.main.len() as u64))
                 .collect(),
-            sync_counters,
         };
-        let mut tape = assemble_tape(
+        let tape = assemble_tape(
             &shared,
             merged_metrics,
             &sink_eof_times,
             &frame_start_times,
             now,
         );
-        if let Some(t) = tape.as_mut() {
-            t.sync = sync_counters;
-        }
         let outcome = assemble_outcome(
             &shared,
             &nodes,
@@ -590,22 +422,6 @@ impl ParallelTimedSimulator {
         );
         (outcome, trace, tape, run_stats)
     }
-}
-
-/// Run a sequential traced pre-run of `graph` under `mapping` and return
-/// each node's traced event count — the profiling weights for
-/// [`ParallelTimedSimulator::new_weighted`] (ROADMAP: event-rate-aware
-/// shard balancing). The pre-run uses the same configuration as the real
-/// run, so its event distribution is exactly what the parallel run will
-/// execute.
-pub fn profile_node_weights(
-    graph: &AppGraph,
-    mapping: &Mapping,
-    config: SimConfig,
-) -> Result<Vec<u64>> {
-    let config = config.with_trace(TraceOptions::default());
-    let (_, trace) = TimedSimulator::new(graph, mapping, config)?.run_with_trace()?;
-    Ok(trace.expect("tracing was enabled").node_event_counts())
 }
 
 /// Reconstruct the global event pop order from the per-shard journals and

@@ -269,73 +269,6 @@ fn self_tuning_narrows_back_after_dense_shift() {
     assert_identical_drain(bucket, heap, "post-shift drain");
 }
 
-/// Targeted removal (the optimistic engine's anti-messages cancel a
-/// pending positive by its exact `(t, ord)` key) must behave identically
-/// on both queues across every sparsity regime: hit or miss, in-ring or
-/// deep overflow, before and after self-tuning rebuilds — and the
-/// surviving pop stream must stay bit-identical.
-#[test]
-fn remove_ord_matches_heap_across_sparsity_regimes() {
-    const BAND1: u64 = 1 << 63;
-    const SCALES: [f64; 3] = [100.0, 5_000.0, 3_000_000.0];
-    for seed in 0..8u64 {
-        let mut rng = Rng64::seed_from_u64(0xa171_0000 ^ (seed * 0x9e37_79b9));
-        let mut bucket = BucketQueue::new(1e-9);
-        let mut heap = HeapQueue::new();
-        let mut live: Vec<(f64, u64)> = Vec::new();
-        let mut payload = 0u32;
-        let mut seq = 0u64;
-        let mut now = 0.0f64;
-        for step in 0..1_200 {
-            let r = rng.gen_f64();
-            if r < 0.5 {
-                // Push a band-1 keyed event at a random sparsity scale.
-                let scale = SCALES[rng.gen_index(SCALES.len())];
-                let t = now + rng.gen_range_f64(0.0, scale) * 1e-9;
-                let ord = BAND1 | seq;
-                seq += 1;
-                payload += 1;
-                bucket.push_ord(t, ord, payload);
-                heap.push_ord(t, ord, payload);
-                live.push((t, ord));
-            } else if r < 0.75 && !live.is_empty() {
-                // Cancel a random pending positive — the anti-message path.
-                let (t, ord) = live.swap_remove(rng.gen_index(live.len()));
-                let b = bucket.remove_ord(t, ord);
-                let h = heap.remove_ord(t, ord);
-                assert_eq!(b, h, "seed {seed}: removal diverged at step {step}");
-                assert!(
-                    b.is_some(),
-                    "seed {seed}: live event missing at step {step}"
-                );
-                // A second removal under the same key must miss on both.
-                assert_eq!(
-                    bucket.remove_ord(t, ord),
-                    heap.remove_ord(t, ord),
-                    "seed {seed}: double-removal diverged at step {step}"
-                );
-            } else {
-                match (bucket.pop(), heap.pop()) {
-                    (Some(b), Some(h)) => {
-                        assert_eq!(
-                            (b.t.to_bits(), b.seq, b.payload),
-                            (h.t.to_bits(), h.seq, h.payload),
-                            "seed {seed}: pop diverged at step {step}"
-                        );
-                        live.retain(|&(t, ord)| (t.to_bits(), ord) != (b.t.to_bits(), b.seq));
-                        now = b.t;
-                    }
-                    (None, None) => {}
-                    (b, h) => panic!("seed {seed}: pops diverged at step {step}: {b:?} vs {h:?}"),
-                }
-            }
-        }
-        // Drain; everything still tracked as live must surface exactly once.
-        assert_eq!(bucket.len(), live.len(), "seed {seed}: survivor count");
-        assert_identical_drain(bucket, heap, &format!("seed {seed} post-removal drain"));
-    }
-}
-
 /// Windowed re-insertion (the parallel engine pops an event past the
 /// window end and re-pushes it with `push_ord` under its original key)
 /// must be loss- and order-preserving even when the re-pushed event sits

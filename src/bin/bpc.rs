@@ -36,13 +36,10 @@ struct Args {
     snapshot_every: Option<u32>,
     comm: String,
     backend: Backend,
-    batch: usize,
     capacity: Option<usize>,
     explain_deadlock: bool,
     quiet: bool,
     threads: usize,
-    sync: SyncMode,
-    pin_workers: bool,
 }
 
 fn usage() -> ! {
@@ -51,10 +48,10 @@ fn usage() -> ! {
          \x20          [--width N] [--height N] [--rate HZ] [--frames N]\n\
          \x20          [--policy trim|pad-zero|pad-mirror] [--mapping greedy|packed|one-to-one]\n\
          \x20          [--dot FILE] [--trace FILE] [--comm-model SPEC]\n\
-         \x20          [--backend auto|interpreted|compiled] [--batch N]\n\
+         \x20          [--backend auto|interpreted|compiled]\n\
          \x20          [--metrics[=FILE]] [--snapshot-every N]\n\
          \x20          [--capacity N] [--explain-deadlock] [--quiet]\n\
-         \x20          [--threads N] [--sync conservative|optimistic] [--pin-workers]\n\
+         \x20          [--threads N]\n\
          \x20  --trace FILE  record a deterministic event trace and write it as\n\
          \x20                Chrome trace-event JSON (open in https://ui.perfetto.dev)\n\
          \x20  --metrics     collect always-on runtime metrics and print the\n\
@@ -68,21 +65,13 @@ fn usage() -> ! {
          \x20  --backend     execution backend: auto (default; compiled in\n\
          \x20                release builds) | interpreted | compiled\n\
          \x20                (direct-threaded; results are bitwise identical)\n\
-         \x20  --batch N     compiled backend: coalesce up to N consecutive ready\n\
-         \x20                firings per kernel call (default 1 = scalar; results\n\
-         \x20                stay bitwise identical at any width)\n\
          \x20  --capacity N  pin every channel to N items, disabling the\n\
          \x20                feedback-aware capacity derivation\n\
          \x20  --explain-deadlock  on a capacity deadlock, print the structured\n\
          \x20                diagnosis (wait-for cycle, occupancies, minimal\n\
          \x20                capacity bump) and exit 0; exit 1 if no deadlock\n\
          \x20  --threads N   shard the simulation over N worker threads; every\n\
-         \x20                result is bitwise identical to the sequential run\n\
-         \x20  --sync        cross-shard synchronization: conservative (default;\n\
-         \x20                lookahead windows) | optimistic (Time Warp: speculate\n\
-         \x20                past the window, checkpoint, roll back on stragglers)\n\
-         \x20  --pin-workers pin each worker thread to a core (Linux; no-op\n\
-         \x20                elsewhere)"
+         \x20                result is bitwise identical to the sequential run"
     );
     std::process::exit(2);
 }
@@ -102,13 +91,10 @@ fn parse_args() -> Args {
         snapshot_every: None,
         comm: "zero".to_string(),
         backend: Backend::Auto,
-        batch: 1,
         capacity: None,
         explain_deadlock: false,
         quiet: false,
         threads: 1,
-        sync: SyncMode::Conservative,
-        pin_workers: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -171,13 +157,6 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--batch" => {
-                args.batch = value("--batch").parse().unwrap_or_else(|_| usage());
-                if args.batch == 0 {
-                    eprintln!("--batch width must be at least 1");
-                    usage()
-                }
-            }
             "--capacity" => {
                 args.capacity = Some(value("--capacity").parse().unwrap_or_else(|_| usage()))
             }
@@ -188,17 +167,6 @@ fn parse_args() -> Args {
                     usage()
                 }
             }
-            "--sync" => {
-                args.sync = match value("--sync").as_str() {
-                    "conservative" => SyncMode::Conservative,
-                    "optimistic" => SyncMode::Optimistic,
-                    other => {
-                        eprintln!("unknown sync mode '{other}'");
-                        usage()
-                    }
-                }
-            }
-            "--pin-workers" => args.pin_workers = true,
             "--explain-deadlock" => args.explain_deadlock = true,
             "--quiet" => args.quiet = true,
             "--help" | "-h" => usage(),
@@ -311,8 +279,7 @@ fn main() -> ExitCode {
     let mut config = SimConfig::new(args.frames)
         .with_machine(opts.machine)
         .with_comm(comm)
-        .with_backend(args.backend)
-        .with_batch(BatchPolicy::of_width(args.batch));
+        .with_backend(args.backend);
     if let Some(cap) = args.capacity {
         config = config.with_channel_capacity(cap);
     }
@@ -322,16 +289,12 @@ fn main() -> ExitCode {
     if args.metrics.is_some() {
         let mut policy = MetricsPolicy::new();
         if let Some(n) = args.snapshot_every {
-            // One snapshot interval per N frame periods at the required rate.
-            if args.rate > 0.0 {
-                policy = policy.with_interval_s(n as f64 / args.rate);
-            }
+            // One snapshot interval per N frame periods at the required
+            // rate (finite and positive, or `compile` refused the graph).
+            policy = policy.with_interval_s(n as f64 / args.rate);
         }
         config = config.with_metrics(policy);
     }
-    config = config
-        .with_sync(args.sync)
-        .with_pinned_workers(args.pin_workers);
     let explain = |outcome: SimOutcome| -> ExitCode {
         match outcome {
             SimOutcome::Deadlocked(d) => {
@@ -347,9 +310,8 @@ fn main() -> ExitCode {
             }
         }
     };
-    // Both engines produce bitwise-identical reports, traces, and tapes;
-    // the parallel one additionally reports its synchronization activity.
-    let (report, trace, tape, sync) = if args.threads > 1 {
+    // Both engines produce bitwise-identical reports, traces, and tapes.
+    let (report, trace, tape) = if args.threads > 1 {
         let sim = match ParallelTimedSimulator::new(
             &compiled.graph,
             &compiled.mapping,
@@ -365,9 +327,9 @@ fn main() -> ExitCode {
         if args.explain_deadlock {
             return explain(sim.run_outcome());
         }
-        let (outcome, trace, tape, stats) = sim.run_with_artifacts();
+        let (outcome, trace, tape, _) = sim.run_with_artifacts();
         match outcome.into_report() {
-            Ok(report) => (report, trace, tape, Some(stats.sync_counters)),
+            Ok(report) => (report, trace, tape),
             Err(e) => {
                 eprintln!("simulation error: {e}");
                 return ExitCode::FAILURE;
@@ -385,7 +347,7 @@ fn main() -> ExitCode {
             return explain(sim.run_outcome());
         }
         match sim.run_with_artifacts() {
-            Ok((report, trace, tape)) => (report, trace, tape, None),
+            Ok(artifacts) => artifacts,
             Err(e) => {
                 eprintln!("simulation error: {e}");
                 return ExitCode::FAILURE;
@@ -444,20 +406,6 @@ fn main() -> ExitCode {
             if let (Some(path), Some(trace)) = (&args.trace, trace) {
                 if let Err(code) = write_trace(path, &trace, args.quiet) {
                     return code;
-                }
-            }
-            if !args.quiet {
-                if let Some(s) = sync.filter(SyncCounters::any) {
-                    println!(
-                        "optimistic sync: {} rollback(s) undid {} event(s), \
-                         {} anti-message(s), {} checkpoint(s) ({} fossil), {} stall(s)",
-                        s.rollbacks,
-                        s.events_rolled_back,
-                        s.antis_sent,
-                        s.checkpoints,
-                        s.fossils,
-                        s.stalls,
-                    );
                 }
             }
             if report.verdict.met {

@@ -57,9 +57,8 @@ pub mod prelude {
         Margins, PadMode, SinkHandle,
     };
     pub use bp_sim::{
-        chrome_trace_json, profile_node_weights, validate_json, Backend, BatchPolicy, CapacityBump,
-        DeadlockHop, DeadlockReport, FunctionalExecutor, MetricsPolicy, MetricsTape,
-        ParallelRunStats, ParallelTimedSimulator, QosSpec, SimConfig, SimOutcome, SimReport,
-        StallCause, StragglerPolicy, SyncCounters, SyncMode, TimedSimulator, Trace, TraceOptions,
+        chrome_trace_json, validate_json, Backend, CapacityBump, DeadlockHop, DeadlockReport,
+        FunctionalExecutor, MetricsPolicy, MetricsTape, ParallelRunStats, ParallelTimedSimulator,
+        QosSpec, SimConfig, SimOutcome, SimReport, StallCause, TimedSimulator, Trace, TraceOptions,
     };
 }

@@ -13,8 +13,7 @@ use bp_apps::{apps, App, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
 use bp_core::{CommModel, Dim2, Item};
 use bp_sim::{
-    Backend, BatchPolicy, ParallelTimedSimulator, SimConfig, SimOutcome, SimReport, TimedSimulator,
-    TraceOptions,
+    Backend, ParallelTimedSimulator, SimConfig, SimOutcome, SimReport, TimedSimulator, TraceOptions,
 };
 
 const FRAMES: u32 = 2;
@@ -77,20 +76,9 @@ fn run(
     backend: Backend,
     threads: Option<usize>,
 ) -> (bp_core::Result<SimReport>, Vec<Vec<Item>>) {
-    run_with_batch(name, comm, backend, threads, 1)
-}
-
-/// As [`run`], with a compiled-backend firing-coalescing width.
-fn run_with_batch(
-    name: &str,
-    comm: &CommModel,
-    backend: Backend,
-    threads: Option<usize>,
-    width: usize,
-) -> (bp_core::Result<SimReport>, Vec<Vec<Item>>) {
     let app = build_example(name);
     let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
-    let config = config_with(comm, backend).with_batch(BatchPolicy::of_width(width));
+    let config = config_with(comm, backend);
     let out = match threads {
         None => TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
             .expect("instantiate")
@@ -140,127 +128,6 @@ fn compiled_matches_interpreted_everywhere() {
                 check(&format!("{threads} threads"), &par, &par_items);
             }
         }
-    }
-}
-
-/// Batched firing coalescing (`BatchPolicy`, DESIGN.md §14) is invisible
-/// to every observable: for each app × comm model, the compiled backend at
-/// width 16 — sequential and at 1, 2, 4, and 8 worker threads — must
-/// reproduce the interpreted (always-scalar) oracle's fingerprint and sink
-/// streams bit for bit.
-#[test]
-fn batched_compiled_matches_interpreted_everywhere() {
-    for &name in EXAMPLE_APPS {
-        for (mname, comm) in models() {
-            let (oracle, oracle_items) = run(name, &comm, Backend::Interpreted, None);
-            let check = |label: &str, got: bp_core::Result<SimReport>, items: Vec<Vec<Item>>| {
-                match (&oracle, &got) {
-                    (Ok(o), Ok(c)) => assert_eq!(
-                        o.fingerprint(),
-                        c.fingerprint(),
-                        "{name} under {mname} ({label}): batched fingerprint diverged"
-                    ),
-                    (Err(oe), Err(ce)) => assert_eq!(
-                        oe.to_string(),
-                        ce.to_string(),
-                        "{name} under {mname} ({label}): error diverged"
-                    ),
-                    _ => panic!(
-                        "{name} under {mname} ({label}): outcomes diverged: \
-                         oracle={oracle:?} batched={got:?}"
-                    ),
-                }
-                assert_eq!(
-                    oracle_items, items,
-                    "{name} under {mname} ({label}): sink items diverged"
-                );
-            };
-            let (seq, seq_items) = run_with_batch(name, &comm, Backend::Compiled, None, 16);
-            check("sequential w16", seq, seq_items);
-            for threads in [1usize, 2, 4, 8] {
-                let (par, par_items) =
-                    run_with_batch(name, &comm, Backend::Compiled, Some(threads), 16);
-                check(&format!("{threads} threads w16"), par, par_items);
-            }
-        }
-    }
-}
-
-/// Width sensitivity: odd, power-of-two, and over-long coalescing widths
-/// all collapse to the same schedule on the batch-heaviest apps.
-#[test]
-fn batch_width_is_schedule_invisible() {
-    for &name in ["fig1b", "camera_bank", "temporal_iir"].iter() {
-        let comm = CommModel::zero();
-        let (oracle, oracle_items) = run(name, &comm, Backend::Compiled, None);
-        let ofp = oracle.expect("scalar compiled run completes").fingerprint();
-        for width in [2usize, 3, 7, 64, 1024] {
-            let (got, items) = run_with_batch(name, &comm, Backend::Compiled, None, width);
-            assert_eq!(
-                got.expect("batched run completes").fingerprint(),
-                ofp,
-                "{name} at width {width}: fingerprint diverged"
-            );
-            assert_eq!(oracle_items, items, "{name} at width {width}: sink items");
-        }
-    }
-}
-
-/// Batched traces are bitwise identical to the interpreted oracle's: the
-/// replay path must record the same `FiringBegin`/`QueueDepth` stream at
-/// the same timestamps, not just the same aggregate report.
-#[test]
-fn batched_traces_are_bitwise_identical() {
-    for &name in ["fig1b", "camera_bank"].iter() {
-        for (mname, comm) in models() {
-            let trace_of = |backend: Backend, width: usize| {
-                let app = build_example(name);
-                let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
-                let config = config_with(&comm, backend)
-                    .with_batch(BatchPolicy::of_width(width))
-                    .with_trace(TraceOptions::default());
-                let (report, trace) =
-                    TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
-                        .expect("instantiate")
-                        .run_with_trace()
-                        .expect("runs");
-                (report.fingerprint(), trace.expect("trace recorded"))
-            };
-            let (ofp, otrace) = trace_of(Backend::Interpreted, 1);
-            let (bfp, btrace) = trace_of(Backend::Compiled, 16);
-            assert_eq!(ofp, bfp, "{name} under {mname}: fingerprint diverged");
-            assert_eq!(
-                otrace.events, btrace.events,
-                "{name} under {mname}: batched trace streams diverged"
-            );
-        }
-    }
-}
-
-/// A wedged simulation diagnoses identically under batching: the pending
-/// speculative results never pop queues, so the deadlock walker sees the
-/// scalar engine's exact queue state.
-#[test]
-fn batched_deadlock_reports_are_identical() {
-    let comm = CommModel::uniform(64e-9, 1e-9);
-    let outcome_of = |backend: Backend, width: usize| -> SimOutcome {
-        let app = build_example("temporal_iir");
-        let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
-        let config = config_with(&comm, backend)
-            .with_batch(BatchPolicy::of_width(width))
-            .with_channel_capacity(64);
-        TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
-            .expect("instantiate")
-            .run_outcome()
-    };
-    let SimOutcome::Deadlocked(oracle) = outcome_of(Backend::Interpreted, 1) else {
-        panic!("temporal_iir must capacity-deadlock when pinned to 64");
-    };
-    for width in [4usize, 16] {
-        let SimOutcome::Deadlocked(got) = outcome_of(Backend::Compiled, width) else {
-            panic!("batched backend did not deadlock (width {width})");
-        };
-        assert_eq!(oracle, got, "DeadlockReport diverged at width {width}");
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The metrics tape is a first-class deterministic artifact: for a given
 //! app and communication model, its digest must be identical across the
-//! interpreted and compiled backends (batched included) and across every
+//! interpreted and compiled backends and across every
 //! worker count — the per-shard recorders merge into exactly the recorder
 //! a sequential run produces. And collection must be *inert*: a
 //! metrics-on run's [`bp_sim::SimReport`] fingerprint equals the
@@ -12,7 +12,7 @@
 use bp_apps::{apps, App, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
 use bp_core::{CommModel, Dim2, MachineSpec, MetricsPolicy};
-use bp_sim::{Backend, BatchPolicy, ParallelTimedSimulator, SimConfig, TimedSimulator};
+use bp_sim::{Backend, ParallelTimedSimulator, SimConfig, TimedSimulator};
 
 const FRAMES: u32 = 2;
 
@@ -60,13 +60,7 @@ fn comm_models(machine: &MachineSpec) -> Vec<(&'static str, CommModel)> {
 }
 
 /// One metrics-on run; returns the tape digest and its JSONL rendering.
-fn run_tape(
-    name: &str,
-    comm: &CommModel,
-    backend: Backend,
-    batch: usize,
-    threads: usize,
-) -> (u64, String) {
+fn run_tape(name: &str, comm: &CommModel, backend: Backend, threads: usize) -> (u64, String) {
     let machine = MachineSpec::default_eval();
     let opts = CompileOptions {
         machine,
@@ -78,7 +72,6 @@ fn run_tape(
         .with_machine(machine)
         .with_comm(comm.clone())
         .with_backend(backend)
-        .with_batch(BatchPolicy::of_width(batch))
         .with_metrics(MetricsPolicy::new());
     let (_, tape) =
         ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, threads)
@@ -90,22 +83,20 @@ fn run_tape(
 }
 
 /// Tape digests — and the rendered JSONL tapes themselves — are bitwise
-/// identical across {interpreted, compiled, compiled+batched} × {1, 2, 4,
-/// 8} worker threads for every example app under all three communication
-/// models.
+/// identical across {interpreted, compiled} × {1, 2, 4, 8} worker threads
+/// for every example app under all three communication models.
 #[test]
 fn tape_is_identical_across_backends_and_threads() {
     let machine = MachineSpec::default_eval();
     for &name in EXAMPLE_APPS {
         for (cname, comm) in comm_models(&machine) {
-            let (want_digest, want_jsonl) = run_tape(name, &comm, Backend::Interpreted, 1, 1);
-            for (bname, backend, batch) in [
-                ("interpreted", Backend::Interpreted, 1usize),
-                ("compiled", Backend::Compiled, 1),
-                ("compiled+batch4", Backend::Compiled, 4),
+            let (want_digest, want_jsonl) = run_tape(name, &comm, Backend::Interpreted, 1);
+            for (bname, backend) in [
+                ("interpreted", Backend::Interpreted),
+                ("compiled", Backend::Compiled),
             ] {
                 for threads in [1usize, 2, 4, 8] {
-                    let (digest, jsonl) = run_tape(name, &comm, backend, batch, threads);
+                    let (digest, jsonl) = run_tape(name, &comm, backend, threads);
                     assert_eq!(
                         digest, want_digest,
                         "{name} under {cname}: tape digest diverged on {bname} x{threads}"

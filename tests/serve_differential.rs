@@ -6,15 +6,15 @@
 //! computes: every tenant's `SimReport::fingerprint()` and metrics-tape
 //! digest under co-scheduling must be bitwise identical to an
 //! uninterrupted solo run of the same spec — across worker-thread
-//! counts, round budgets, admission orders, comm models, backends, and
-//! batch policies. This suite pins that contract, including the
-//! acceptance-scale case (64 co-scheduled tenants).
+//! counts, round budgets, admission orders, comm models, and backends.
+//! This suite pins that contract, including the acceptance-scale case
+//! (64 co-scheduled tenants).
 
 use bp_apps::apps;
 use bp_compiler::{compile, CompileOptions};
 use bp_core::{CommModel, Dim2, MetricsPolicy, QosSpec};
 use bp_serve::{generate, solo, FleetConfig, FleetHost, LoadPlan, TenantMix, TenantSpec};
-use bp_sim::{Backend, BatchPolicy, SimConfig};
+use bp_sim::{Backend, SimConfig};
 
 const FRAMES: u32 = 2;
 
@@ -27,17 +27,16 @@ fn models() -> Vec<(&'static str, CommModel)> {
     ]
 }
 
-/// A deliberately heterogeneous tenant set: mixed app shapes, explicit
-/// backends on both sides of the oracle divide, and a coalescing batch
-/// policy — all under the same comm model.
+/// A deliberately heterogeneous tenant set: mixed app shapes and explicit
+/// backends on both sides of the oracle divide, all under the same comm
+/// model.
 fn mixed_specs(comm: &CommModel) -> Vec<TenantSpec> {
     let build =
         |app: &bp_apps::App| compile(&app.graph, &CompileOptions::default()).expect("compile");
-    let cfg = |backend: Backend, width: usize| {
+    let cfg = |backend: Backend| {
         SimConfig::new(FRAMES)
             .with_comm(comm.clone())
             .with_backend(backend)
-            .with_batch(BatchPolicy::of_width(width))
             .with_metrics(MetricsPolicy::new())
     };
     let dim = Dim2::new(24, 12);
@@ -47,31 +46,26 @@ fn mixed_specs(comm: &CommModel) -> Vec<TenantSpec> {
         "fig1b-interp",
         c.graph,
         c.mapping,
-        cfg(Backend::Interpreted, 1),
+        cfg(Backend::Interpreted),
     ));
     let c = build(&apps::fig1b(dim, 30.0));
     specs.push(
-        TenantSpec::new(
-            "fig1b-compiled-batch",
-            c.graph,
-            c.mapping,
-            cfg(Backend::Compiled, 16),
-        )
-        .with_qos(QosSpec::for_frame_rate(30.0)),
+        TenantSpec::new("fig1b-compiled", c.graph, c.mapping, cfg(Backend::Compiled))
+            .with_qos(QosSpec::for_frame_rate(30.0)),
     );
     let c = build(&apps::camera_bank(2, dim, 25.0));
     specs.push(TenantSpec::new(
         "camera-auto",
         c.graph,
         c.mapping,
-        cfg(Backend::Auto, 1),
+        cfg(Backend::Auto),
     ));
     let c = build(&apps::temporal_iir(dim, 50.0));
     specs.push(TenantSpec::new(
         "iir-compiled",
         c.graph,
         c.mapping,
-        cfg(Backend::Compiled, 1),
+        cfg(Backend::Compiled),
     ));
     let c = build(&apps::multi_conv(dim, 25.0, 3));
     specs.push(
@@ -79,7 +73,7 @@ fn mixed_specs(comm: &CommModel) -> Vec<TenantSpec> {
             "conv-interp-limited",
             c.graph,
             c.mapping,
-            cfg(Backend::Interpreted, 1),
+            cfg(Backend::Interpreted),
         )
         .with_events_per_round(17), // a tighter rate limit than the fleet default
     );

@@ -7,9 +7,10 @@
 //! test.
 //!
 //! The lowering is the AOT analogue of `bp-sim`'s interpreted
-//! `compile_methods`/`RtNode::plan` pair and must stay behaviourally
-//! identical to it — the interpreted engine is the differential oracle
-//! (DESIGN.md §13). Concretely:
+//! `compile_methods`/`RtNode::plan`/`execute_with_cost` and must stay
+//! behaviourally identical to them — planning and firing are the two
+//! things the timed engine's backends differ in, and the interpreter is
+//! the differential oracle for both (DESIGN.md §13). Concretely:
 //!
 //! - **Planning** ([`ThreadedNode::plan`]): each method carries a
 //!   `trigger_mask`/`data_mask` over its input ports. A node-level pair of
@@ -30,9 +31,10 @@
 //!
 //! What is deliberately *not* folded: anything mapping- or
 //! machine-dependent (channel latencies, capacities, slot indices into the
-//! engine's `DisjointSlots` node array). The engine layers those tables on
-//! top at simulator-build time, keeping this crate dependent on `bp-core`
-//! alone.
+//! engine's `DisjointSlots` node array). The engine builds those tables
+//! from its own instantiated nodes at simulator-build time, for either
+//! backend, and checks a program against them before running it —
+//! keeping this crate dependent on `bp-core` alone.
 
 #![warn(missing_docs)]
 
@@ -104,8 +106,8 @@ pub struct ThreadedMethod {
     pub fire: FireFn,
 }
 
-/// A planning decision from [`ThreadedNode::plan`] — mirrors the
-/// interpreter's `Action` enum field for field.
+/// A planning decision: what [`ThreadedNode::plan`] and the interpreter's
+/// `RtNode::plan` (where it is `bp_sim::Action`) both answer with.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PlannedAction {
     /// Fire method `method` on its matched triggers.
@@ -301,9 +303,13 @@ fn make_fire(mi: usize, name: String, ports: Vec<usize>) -> FireFn {
     }
 }
 
-/// Lower one kernel spec. Mirrors the interpreter's `compile_methods` —
-/// any semantic change there must land here too (the differential suite
-/// will catch a divergence).
+/// Lower one kernel spec. Mirrors the interpreter's `compile_methods`.
+/// The engine reads only the plan and fire half of the result — masks,
+/// token triggers, `handled_tokens`, the fire routine — so a semantic
+/// change to planning or firing there must land here too (the
+/// differential suite will catch a divergence); `outputs`, `trigger_ports`
+/// and `cost_cycles` are what the engine checks a program against its own
+/// tables by.
 pub fn lower_spec(spec: &KernelSpec) -> Result<ThreadedNode> {
     if spec.inputs.len() > MAX_PORTS {
         return Err(BpError::Validation(format!(

@@ -46,6 +46,9 @@ pub trait EventQueue<P> {
     fn push_ord(&mut self, t: f64, ord: u64, payload: P);
     /// Remove and return the earliest event (smallest `(t, seq)`).
     fn pop(&mut self) -> Option<Event<P>>;
+    /// Timestamp of the event [`pop`](Self::pop) would return, without
+    /// removing it or changing the queue in any way.
+    fn peek_time(&self) -> Option<f64>;
     /// Number of pending events.
     fn len(&self) -> usize;
     /// True when no events are pending.
@@ -133,6 +136,10 @@ impl<P> EventQueue<P> for HeapQueue<P> {
             seq: e.seq,
             payload: e.payload,
         })
+    }
+
+    fn peek_time(&self) -> Option<f64> {
+        self.heap.peek().map(|e| e.t)
     }
 
     fn len(&self) -> usize {
@@ -517,6 +524,22 @@ impl<P> EventQueue<P> for BucketQueue<P> {
         })
     }
 
+    fn peek_time(&self) -> Option<f64> {
+        // The entries `pop` would scan: the cursor's next occupied bucket,
+        // or — with the ring empty — the overflow entries of the smallest
+        // key, which the day jump would migrate into that bucket (a widen
+        // re-buckets monotonically, so it selects the same minimum).
+        let min_t = |a: f64, e: &BucketEntry<P>| a.min(e.t);
+        if self.ring_len > 0 {
+            let day_start = self.cur_key - self.cur_key % RING as u64;
+            let idx = self.next_occupied((self.cur_key - day_start) as usize)?;
+            return Some(self.buckets[idx].iter().fold(f64::INFINITY, min_t));
+        }
+        let min_key = self.overflow.iter().map(|e| e.key).min()?;
+        let earliest = self.overflow.iter().filter(|e| e.key == min_key);
+        Some(earliest.fold(f64::INFINITY, min_t))
+    }
+
     fn len(&self) -> usize {
         self.len
     }
@@ -544,6 +567,11 @@ mod tests {
                 heap.push(now + dt, id);
                 id += 1;
             }
+            assert_eq!(
+                bucket.peek_time().map(f64::to_bits),
+                heap.peek_time().map(f64::to_bits),
+                "peek diverged"
+            );
             if !rng.next_u64().is_multiple_of(3) {
                 let a = bucket.pop();
                 let b = heap.pop();
@@ -559,11 +587,14 @@ mod tests {
             }
             assert_eq!(bucket.len(), heap.len());
         }
-        // Drain both to the end.
+        // Drain both to the end; a peek always names the next pop.
         loop {
+            let peeked = bucket.peek_time().map(f64::to_bits);
+            assert_eq!(peeked, heap.peek_time().map(f64::to_bits));
             match (bucket.pop(), heap.pop()) {
                 (None, None) => break,
                 (Some(x), Some(y)) => {
+                    assert_eq!(peeked, Some(x.t.to_bits()));
                     assert_eq!(x.t.to_bits(), y.t.to_bits());
                     assert_eq!(x.payload, y.payload);
                 }

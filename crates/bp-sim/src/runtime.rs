@@ -19,27 +19,14 @@ use bp_core::token::{ControlToken, TokenKind};
 use bp_core::{BpError, Result};
 use std::collections::VecDeque;
 
-/// What a node can do next, given its input queue heads. Actions are plain
-/// indices into the node's compiled method table, so planning allocates
-/// nothing and actions are freely copyable.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Action {
-    /// Fire a registered method, consuming one item from each trigger input
-    /// (the ports are in the method's [`CompiledMethod::triggers`]).
-    Fire {
-        /// Method index into the node's method/compiled tables.
-        method: usize,
-    },
-    /// Pass an unhandled control token through: consume it from every input
-    /// of a data method's trigger group and re-emit it once, in order, on
-    /// the method's outputs (§II-C).
-    Forward {
-        /// The token being forwarded.
-        token: ControlToken,
-        /// The data method whose trigger group forwards the token.
-        method: usize,
-    },
-}
+/// What a node can do next, given its input queue heads: fire a method on
+/// its matched triggers, or pass an unhandled control token through a data
+/// method's trigger group (§II-C). Actions are plain indices into the node's
+/// compiled method table, so planning allocates nothing and actions are
+/// freely copyable. The interpreter and the lowered planner
+/// ([`bp_codegen::ThreadedNode::plan`]) answer with the same type, which is
+/// what lets one scheduler drive either.
+pub type Action = bp_codegen::PlannedAction;
 
 /// A method's firing plan with every port name resolved to an index,
 /// computed once at instantiation.

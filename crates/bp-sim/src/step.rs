@@ -12,48 +12,31 @@
 //! Stepping is *chunk-invariant by construction*: every [`step`] call pops
 //! and handles exactly the events a full [`crate::TimedSimulator::run`]
 //! would have handled next, in the same `(t, ord)` order, with the same
-//! per-event code (`ShardSim::run_budget` reuses the event-loop bodies).
-//! The simulation owns its entire state — event queue, virtual clock, node
-//! state, recorders — so interleaving *other* simulations between two
-//! `step` calls cannot perturb it. Consequently the final [`SimReport`]
-//! fingerprint and [`MetricsTape`] digest are bitwise identical to a solo
-//! uninterrupted run, whatever the step sizes; the serving differential
-//! suite pins this contract (DESIGN.md §16).
-//!
-//! ## Self-reference
-//!
-//! The engine (`ShardSim`) borrows the shared tables and node slots it
-//! runs over. To make a resumable value the owner can hold and move, the
-//! borrowed data lives in heap boxes whose addresses are stable under
-//! moves of the wrapper, and the engine's borrows are lifetime-erased to
-//! `'static` at construction. Soundness rests on three invariants, all
-//! local to this module: the boxes are never dropped or reassigned while
-//! the engine lives (field order makes the engine drop first), no method
-//! hands out a `'static`-laundered reference, and [`finish`] consumes the
-//! engine before unpacking the boxes.
+//! per-event code (`ShardSim::run` is the one event loop, here bounded by
+//! an event budget instead of a time window). The simulation owns its
+//! entire state — event queue, virtual clock, node state, recorders — so
+//! interleaving *other* simulations between two `step` calls cannot
+//! perturb it. Consequently the final [`SimReport`] fingerprint and
+//! [`MetricsTape`] digest are bitwise identical to a solo uninterrupted
+//! run, whatever the step sizes; the serving differential suite pins this
+//! contract (DESIGN.md §16).
 //!
 //! [`step`]: SteppableSim::step
-//! [`finish`]: SteppableSim::finish
 
 use crate::deadlock::SimOutcome;
-use crate::parallel::DisjointSlots;
-use crate::runtime::RtNode;
 use crate::stats::SimReport;
-use crate::timed::{assemble_outcome, assemble_tape, build_shared, ShardSim, Shared, SimConfig};
+use crate::timed::{build_shared, ShardSim, SimConfig};
 use bp_core::graph::AppGraph;
 use bp_core::machine::Mapping;
 use bp_core::Result;
 use bp_metrics::MetricsTape;
 
 /// A sequential timed simulation that advances a bounded number of events
-/// per call. See the module docs for the chunk-invariance contract.
+/// per call. See the module docs for the chunk-invariance contract. It
+/// owns everything it runs over, so a fleet host may move it across worker
+/// threads between rounds.
 pub struct SteppableSim {
-    // Field order is load-bearing: `sim` holds lifetime-erased borrows of
-    // the boxed fields below and must drop before them.
-    sim: ShardSim<'static>,
-    slots: Box<DisjointSlots<RtNode>>,
-    shard_of_pe: Box<[usize]>,
-    shared: Box<Shared>,
+    sim: ShardSim,
     initialized: bool,
     processed: u64,
 }
@@ -64,27 +47,8 @@ impl SteppableSim {
     /// the first [`step`](Self::step).
     pub fn new(graph: &AppGraph, mapping: &Mapping, config: SimConfig) -> Result<Self> {
         let (nodes, shared) = build_shared(graph, mapping, config)?;
-        let shared = Box::new(shared);
-        // One shard owning every PE — the sequential special case.
-        let shard_of_pe: Box<[usize]> = vec![0usize; shared.residents.len()].into_boxed_slice();
-        let slots = Box::new(DisjointSlots::new(nodes));
-        // SAFETY: the three borrows point into heap allocations owned by
-        // this struct. Box contents never move when the struct moves, the
-        // boxes are not dropped or reassigned while `sim` exists (declared
-        // after `sim`, so they also outlive it in drop order), and no
-        // method leaks a reference at the erased lifetime.
-        let sim = unsafe {
-            let shared_ref: &'static Shared = &*(shared.as_ref() as *const Shared);
-            let slots_ref: &'static DisjointSlots<RtNode> =
-                &*(slots.as_ref() as *const DisjointSlots<RtNode>);
-            let sop_ref: &'static [usize] = &*(shard_of_pe.as_ref() as *const [usize]);
-            ShardSim::new(shared_ref, slots_ref, 0, sop_ref, false, None)
-        };
         Ok(Self {
-            sim,
-            slots,
-            shard_of_pe,
-            shared,
+            sim: ShardSim::solo(nodes, shared),
             initialized: false,
             processed: 0,
         })
@@ -100,15 +64,15 @@ impl SteppableSim {
             self.initialized = true;
             self.sim.init();
         }
-        let done = self.sim.run_budget(max_events);
+        let done = self.sim.run(f64::INFINITY, max_events);
         self.processed += done as u64;
         done
     }
 
     /// True when the simulation has settled: it was started and no pending
     /// event remains. Further [`step`](Self::step) calls process nothing.
-    pub fn is_done(&mut self) -> bool {
-        self.initialized && self.sim.next_pending().is_infinite()
+    pub fn is_done(&self) -> bool {
+        self.initialized && self.sim.is_idle()
     }
 
     /// Current virtual time (timestamp of the last processed event).
@@ -117,7 +81,7 @@ impl SteppableSim {
     }
 
     /// Timestamp of the earliest pending event (`+inf` when none).
-    pub fn next_event_time(&mut self) -> f64 {
+    pub fn next_event_time(&self) -> f64 {
         self.sim.next_pending()
     }
 
@@ -131,41 +95,8 @@ impl SteppableSim {
     /// simulation as it stands (typically a capacity-deadlock diagnosis or
     /// an incomplete frame count).
     pub fn finish(self) -> (SimOutcome, Option<MetricsTape>) {
-        let Self {
-            sim,
-            slots,
-            shard_of_pe,
-            shared,
-            ..
-        } = self;
-        // Consume the engine first: `into_outcome` ends every borrow of
-        // the boxed state, after which unpacking the boxes is ordinary
-        // owned data. This mirrors `TimedSimulator::run_outcome_with_artifacts`.
-        let outcome = sim.into_outcome();
-        let nodes = (*slots).into_inner();
-        drop(shard_of_pe);
-        let tape = assemble_tape(
-            &shared,
-            outcome.metrics,
-            &outcome.sink_eof_times,
-            &outcome.frame_start_times,
-            outcome.now,
-        );
-        let settled = assemble_outcome(
-            &shared,
-            &nodes,
-            outcome.stats,
-            outcome.node_busy,
-            outcome.now,
-            outcome.violations,
-            outcome.sink_eof_times,
-            outcome.frame_start_times,
-            &outcome.custom_token_emissions,
-            outcome.budget_overruns,
-            outcome.node_max_queue,
-            &outcome.credits,
-        );
-        (settled, tape)
+        let (outcome, _, tape) = self.sim.settle_solo();
+        (outcome, tape)
     }
 
     /// [`finish`](Self::finish), unwrapped to a completed [`SimReport`]
@@ -176,12 +107,6 @@ impl SteppableSim {
         Ok((outcome.into_report()?, tape))
     }
 }
-
-// The wrapper is a self-contained simulation: all laundered borrows point
-// into boxes it owns, and `ShardSim`'s state is otherwise owned values
-// (`Send` like the batch runner's per-simulation state). A fleet host may
-// therefore move tenants across worker threads between rounds.
-unsafe impl Send for SteppableSim {}
 
 #[cfg(test)]
 mod tests {
@@ -220,6 +145,33 @@ mod tests {
             let (report, _) = sim.finish_report().unwrap();
             assert_eq!(report.fingerprint(), want, "budget {budget} diverged");
         }
+    }
+
+    /// A tenant stepped on one thread, moved, and finished on another —
+    /// what the fleet host does between rounds. `Send` is derived from the
+    /// fields, not asserted by hand.
+    #[test]
+    fn stepping_survives_a_thread_hop() {
+        fn assert_send<T: Send>() {}
+        assert_send::<SteppableSim>();
+        let g = small_graph();
+        let mapping = Mapping::one_to_one(g.node_count());
+        let want = TimedSimulator::new(&g, &mapping, SimConfig::new(2))
+            .unwrap()
+            .run()
+            .unwrap()
+            .fingerprint();
+        let mut sim = SteppableSim::new(&g, &mapping, SimConfig::new(2)).unwrap();
+        sim.step(9);
+        let report = std::thread::spawn(move || {
+            while !sim.is_done() {
+                sim.step(13);
+            }
+            sim.finish_report().unwrap().0
+        })
+        .join()
+        .expect("stepping thread panicked");
+        assert_eq!(report.fingerprint(), want);
     }
 
     /// The wrapper stays valid when moved between steps.

@@ -36,12 +36,14 @@
 //! runs one shard per worker over disjoint PE interaction regions (see
 //! DESIGN.md §9). Both paths execute the same per-event code, so their
 //! results can only differ if shard isolation is violated — which debug
-//! assertions on every node access check.
+//! assertions on every node access check. That code is written once, over
+//! routing/space/credit/cost tables resolved at build time and generic over
+//! the one thing the [`Backend`]s differ in: planning and firing a kernel.
 
 use crate::deadlock::{CapacityBump, DeadlockHop, DeadlockReport, SimOutcome};
 use crate::events::{BucketQueue, EventQueue};
 use crate::parallel::DisjointSlots;
-use crate::runtime::{stuck_report, Action, Program, ProgramTables, RtNode};
+use crate::runtime::{stuck_report, Action, CompiledMethod, Program, ProgramTables, RtNode};
 use crate::stats::{PeStats, RealTimeVerdict, SimReport};
 use crate::trace::{StallCause, Trace, TraceEvent, TraceMeta, TraceOptions, TraceRecorder};
 use bp_core::capacity::{derive_channel_capacities, ChannelCapacities};
@@ -71,26 +73,24 @@ pub(crate) fn band1_ord(stream: u64, seq: u32) -> u64 {
     BAND1 | (stream << 32) | seq as u64
 }
 
-/// Execution backend for the timed engines.
-///
-/// Both backends run the *same* discrete-event schedule and must produce
-/// bitwise-identical [`SimReport`]s (fingerprints included) and traces; the
-/// interpreted engine is the oracle, the compiled one the fast path
-/// (DESIGN.md §13). The compiled backend replaces the interpreter's
-/// per-firing linear trigger scan and string-keyed dispatch with
-/// `bp-codegen`'s direct-threaded routines: mask-based readiness planning,
-/// arity-specialized fire closures, and routing/space/credit tables
-/// devirtualized into pre-resolved slot indices at simulator-build time.
+/// Execution backend for the timed engines: how a kernel's next action is
+/// planned and fired. Everything else — the event loop, routing, dispatch,
+/// space, credits, cost — is one scheduler over tables built from the
+/// instantiated nodes, so both backends run the same schedule and must
+/// produce bitwise-identical [`SimReport`]s and traces; the interpreter is
+/// the oracle for exactly what `bp-codegen` lowers (DESIGN.md §13).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
-    /// Pick automatically: compiled in release builds, interpreted when
-    /// debug assertions are on (so debug runs exercise the oracle).
+    /// Pick automatically: compiled in release builds (interpreted if the
+    /// graph cannot be lowered), interpreted when debug assertions are on
+    /// (so debug runs exercise the oracle).
     #[default]
     Auto,
-    /// The original interpreted engine (`RtNode::plan` + `execute_with_cost`).
+    /// `RtNode::plan`'s linear trigger scan and `execute_with_cost`'s
+    /// name-keyed dispatch.
     Interpreted,
-    /// Direct-threaded routines lowered by [`bp_codegen::lower_graph`].
-    /// Construction fails if the graph cannot be lowered (a kernel with
+    /// Mask-based readiness planning and arity-specialized fire routines
+    /// lowered by [`bp_codegen::lower_graph`]. Construction fails if the graph cannot be lowered (a kernel with
     /// more than 64 input ports).
     Compiled,
 }
@@ -135,9 +135,12 @@ pub struct SimConfig {
     /// fresh). The program must come from [`bp_codegen::lower_graph`] on a
     /// graph with the same [`bp_codegen::shape_key`] as the one being
     /// simulated — the lowering reads only shape facts, so any same-shape
-    /// program is interchangeable. This is how a fleet host shares one
-    /// lowering across many tenant instances; ignored when the resolved
-    /// backend is interpreted.
+    /// program is interchangeable. Only the plan and fire closures come
+    /// from it; every table comes from the instantiated nodes, and a
+    /// program that disagrees with them on what a method pops, emits or
+    /// costs is rejected at construction. This is how a fleet host shares
+    /// one lowering across many tenant instances; ignored when the
+    /// resolved backend is interpreted.
     pub lowered: Option<Arc<bp_codegen::ThreadedProgram>>,
 }
 
@@ -314,10 +317,10 @@ struct Inflight {
     write_s: f64,
 }
 
-/// One pre-resolved routing destination for the compiled backend: the
-/// interpreter's per-push `delayed_chan`/`node_roles` lookups folded into
-/// the table at simulator-build time.
-#[derive(Clone, Copy, Debug)]
+/// One pre-resolved routing destination: the per-push
+/// `chan_into`/`latency_s`/`node_roles` lookups folded into a record at
+/// simulator-build time.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct RouteDest {
     pub(crate) dn: u32,
     pub(crate) dp: u32,
@@ -328,10 +331,9 @@ pub(crate) struct RouteDest {
     pub(crate) sink: bool,
 }
 
-/// One pre-resolved downstream-space check for the compiled backend — the
-/// flattened form of the interpreter's `downstream_space` scan for one
-/// method, in identical order.
-#[derive(Clone, Copy, Debug)]
+/// One pre-resolved downstream-space check: a method's outputs × their
+/// routes, flattened in scan order.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum SpaceCheck {
     /// Delayed edge: the sender-side credit count must be ≥ 2.
     Credit {
@@ -349,43 +351,11 @@ pub(crate) enum SpaceCheck {
     },
 }
 
-/// Everything the compiled backend precomputes per graph + mapping +
-/// config: the lowered program (graph-only facts) plus the devirtualized
-/// routing/space/credit/cost tables (mapping- and machine-dependent).
-/// Read-only at run time and shared by all shards.
-pub(crate) struct CompiledTables {
-    /// The direct-threaded program: per-node masks and fire routines.
-    /// `Arc`-shared so a fleet host can instantiate many same-shape
-    /// simulators from one lowering (the program is read-only at run time).
-    pub(crate) program: Arc<bp_codegen::ThreadedProgram>,
-    /// `dests[node][out_port]` — fused destination records in route order.
-    pub(crate) dests: Vec<Vec<Vec<RouteDest>>>,
-    /// `space[node][method]` — flattened downstream-space checks.
-    pub(crate) space: Vec<Vec<Vec<SpaceCheck>>>,
-    /// `run_s[node][method]` — declared cost in seconds, precomputed by the
-    /// same `cycles as f64 / pe_clock_hz` the interpreter evaluates per
-    /// firing (identical operation ⇒ identical bits). Used only when the
-    /// behavior's actual cycles equal the declared cost; otherwise the
-    /// division runs live, exactly like the interpreter.
-    pub(crate) run_s: Vec<Vec<f64>>,
-    /// `credit_chans[node][method]` — delayed channels to credit after a
-    /// firing, in trigger order (duplicate trigger ports preserved).
-    pub(crate) credit_chans: Vec<Vec<Vec<u32>>>,
-    /// Declared seconds of a token forward (1 cycle), precomputed once.
-    pub(crate) forward_run_s: f64,
-    /// `method_base[node] + method` is the flat per-method slot used to
-    /// index the shard's read/write-cost memo cache.
-    pub(crate) method_base: Vec<u32>,
-    /// Total method slots across all nodes (the memo cache's length).
-    pub(crate) num_method_slots: usize,
-}
-
-/// Per-method memo of the last read/write word-cost conversions (compiled
-/// backend). Word counts are data-dependent but almost always repeat
-/// (window shapes are static per port), and IEEE-754 division is
-/// deterministic, so reusing the quotient computed for the *same* word
-/// count is bitwise identical to the interpreter's per-firing division —
-/// it just skips two `f64` divides on the hot path.
+/// Per-method memo of the last read/write word-cost conversions. Word
+/// counts are data-dependent but almost always repeat (window shapes are
+/// static per port), and IEEE-754 division is deterministic, so reusing
+/// the quotient computed for the *same* word count is bitwise identical to
+/// dividing per firing — it just skips two `f64` divides on the hot path.
 #[derive(Clone, Copy)]
 struct RwMemo {
     read_words: u64,
@@ -427,9 +397,6 @@ pub(crate) struct Shared {
     /// that port (the feeding channel's capacity; the plan default for
     /// unconnected ports), read on every space check.
     pub(crate) cap_into: Vec<Vec<usize>>,
-    /// Per node, the `(in_port, chan)` pairs fed by *delayed* channels —
-    /// the ports whose consumption must return credits.
-    pub(crate) delayed_in_ports: Vec<Vec<(usize, u32)>>,
     /// True when any channel is delayed; false short-circuits every
     /// comm-model branch so the zero model costs one load per routing fan-out.
     pub(crate) any_delayed: bool,
@@ -444,8 +411,32 @@ pub(crate) struct Shared {
     /// Resolved metrics policy (`None` = metrics off, hot loops run the
     /// unobserved `OBS = false` specialization).
     pub(crate) metrics: Option<ResolvedMetrics>,
-    /// Direct-threaded execution tables; `None` runs the interpreter.
-    pub(crate) compiled: Option<CompiledTables>,
+    /// `dests[node][out_port]` — fused destination records in route order.
+    pub(crate) dests: Vec<Vec<Vec<RouteDest>>>,
+    /// `space[node][method]` — flattened downstream-space checks.
+    pub(crate) space: Vec<Vec<Vec<SpaceCheck>>>,
+    /// `run_s[node][method]` — declared cost in seconds, the quotient
+    /// `cycles as f64 / pe_clock_hz` taken once. Used only when the
+    /// behavior's actual cycles equal the declared cost; otherwise the
+    /// same division runs live (identical operation ⇒ identical bits).
+    pub(crate) run_s: Vec<Vec<f64>>,
+    /// `trigger_ports[node][method]` — input ports a firing pops, in
+    /// trigger order (duplicates preserved).
+    pub(crate) trigger_ports: Vec<Vec<Vec<usize>>>,
+    /// `credit_chans[node][method]` — delayed channels to credit after a
+    /// firing, in trigger order (duplicate trigger ports preserved).
+    pub(crate) credit_chans: Vec<Vec<Vec<u32>>>,
+    /// Declared seconds of a token forward (1 cycle), precomputed once.
+    pub(crate) forward_run_s: f64,
+    /// `method_base[node] + method` is the flat per-method slot used to
+    /// index the shard's read/write-cost memo cache.
+    pub(crate) method_base: Vec<u32>,
+    /// Total method slots across all nodes (the memo cache's length).
+    pub(crate) num_method_slots: usize,
+    /// The direct-threaded program [`Threaded`] plans and fires through;
+    /// `None` runs [`Interp`]. `Arc`-shared so a fleet host can instantiate
+    /// many same-shape simulators from one lowering.
+    pub(crate) lowered: Option<Arc<bp_codegen::ThreadedProgram>>,
 }
 
 /// [`bp_core::MetricsPolicy`] with every default resolved against the
@@ -490,7 +481,6 @@ pub(crate) fn build_shared(
         .iter()
         .map(|rt| vec![plan.default; rt.queues.len()])
         .collect();
-    let mut delayed_in_ports = vec![Vec::new(); n];
     for (cid, c) in graph.channels() {
         let (src, dst) = (c.src.node.0, c.dst.node.0);
         let latency_s = config.comm.channel_latency_s(
@@ -513,9 +503,6 @@ pub(crate) fn build_shared(
         });
         chan_into[dst][dst_port] = Some(chan);
         cap_into[dst][dst_port] = cap;
-        if delayed {
-            delayed_in_ports[dst].push((dst_port, chan));
-        }
     }
     let any_delayed = channels.iter().any(|c| c.latency_s > 0.0);
     // Dispatch waves walk upstream over direct channels only; delayed
@@ -528,121 +515,82 @@ pub(crate) fn build_shared(
     }
     let node_roles: Vec<NodeRole> = nodes.iter().map(|rt| rt.spec.role).collect();
     // Lower to the direct-threaded backend when requested (or in release
-    // builds under `Auto`). All tables mirror an interpreted scan exactly;
-    // see DESIGN.md §13 for the invariants.
+    // builds under `Auto`). Only planning and firing come from the program
+    // (DESIGN.md §13); every table below is built from the instantiated
+    // nodes, whichever backend drives them.
     let want_compiled = match config.backend {
         Backend::Interpreted => false,
         Backend::Compiled => true,
         Backend::Auto => !cfg!(debug_assertions),
     };
-    let compiled = if want_compiled {
-        let program = match config.lowered {
-            // A pre-lowered program (fleet cache hit) skips the lowering;
-            // the caller guarantees it came from a same-shape graph. The
-            // node count is the cheap structural check.
-            Some(program) => {
-                if program.nodes.len() != n {
-                    return Err(BpError::Simulation(format!(
-                        "pre-lowered program has {} nodes but graph has {n}",
-                        program.nodes.len()
-                    )));
-                }
-                Some(program)
-            }
-            None => match bp_codegen::lower_graph(graph) {
-                Ok(p) => Some(Arc::new(p)),
-                // `Auto` falls back to the interpreter on an unlowerable
-                // graph; an explicit request surfaces the error.
-                Err(e) if config.backend == Backend::Compiled => return Err(e),
-                Err(_) => None,
+    let lowered = if !want_compiled {
+        None
+    } else if let Some(program) = config.lowered {
+        // A pre-lowered program (fleet cache hit) skips the lowering; the
+        // caller's same-shape promise is checked, not trusted.
+        check_lowered(&program, &nodes)?;
+        Some(program)
+    } else {
+        match bp_codegen::lower_graph(graph) {
+            Ok(p) => Some(Arc::new(p)),
+            // `Auto` falls back to the interpreter on an unlowerable
+            // graph; an explicit request surfaces the error.
+            Err(e) if config.backend == Backend::Compiled => return Err(e),
+            Err(_) => None,
+        }
+    };
+    let delayed_chan = |dn: usize, dp: usize| -> Option<u32> {
+        chan_into[dn][dp].filter(|&c| channels[c as usize].latency_s > 0.0)
+    };
+    let dest = |&(dn, dp): &(usize, usize)| RouteDest {
+        dn: dn as u32,
+        dp: dp as u32,
+        chan: delayed_chan(dn, dp).unwrap_or(u32::MAX),
+        sink: node_roles[dn] == NodeRole::Sink,
+    };
+    let dests = tables.routes.iter().map(|ports| {
+        let fan_out = |routes: &Vec<(usize, usize)>| routes.iter().map(dest).collect();
+        ports.iter().map(fan_out).collect()
+    });
+    let dests = dests.collect();
+    // One row per node, one entry per method, from what instantiation
+    // resolved into `RtNode::compiled`.
+    fn per_method<T>(nodes: &[RtNode], f: impl Fn(usize, &CompiledMethod) -> T) -> Vec<Vec<T>> {
+        let row = |(node, rt): (usize, &RtNode)| rt.compiled.iter().map(|cm| f(node, cm)).collect();
+        nodes.iter().enumerate().map(row).collect()
+    }
+    let space = per_method(&nodes, |node, cm| {
+        let routes = cm
+            .outputs
+            .iter()
+            .flat_map(|&port| &tables.routes[node][port]);
+        let check = |&(dn, dp): &(usize, usize)| match delayed_chan(dn, dp) {
+            Some(chan) => SpaceCheck::Credit { chan },
+            None => SpaceCheck::Queue {
+                dn: dn as u32,
+                dp: dp as u32,
+                cap: cap_into[dn][dp] as u32,
+                chan: chan_into[dn][dp].unwrap_or(u32::MAX),
             },
         };
-        program.map(|program| {
-            let delayed_chan = |dn: usize, dp: usize| -> Option<u32> {
-                if !any_delayed {
-                    return None;
-                }
-                chan_into[dn][dp].filter(|&c| channels[c as usize].latency_s > 0.0)
-            };
-            let dests: Vec<Vec<Vec<RouteDest>>> = (0..n)
-                .map(|node| {
-                    tables.routes[node]
-                        .iter()
-                        .map(|port_routes| {
-                            port_routes
-                                .iter()
-                                .map(|&(dn, dp)| RouteDest {
-                                    dn: dn as u32,
-                                    dp: dp as u32,
-                                    chan: delayed_chan(dn, dp).unwrap_or(u32::MAX),
-                                    sink: node_roles[dn] == NodeRole::Sink,
-                                })
-                                .collect()
-                        })
-                        .collect()
-                })
-                .collect();
-            let clock = config.machine.pe_clock_hz;
-            let mut space = Vec::with_capacity(n);
-            let mut run_s = Vec::with_capacity(n);
-            let mut credit_chans = Vec::with_capacity(n);
-            for (node, tn) in program.nodes.iter().enumerate() {
-                let mut node_space = Vec::with_capacity(tn.methods.len());
-                let mut node_run_s = Vec::with_capacity(tn.methods.len());
-                let mut node_credits = Vec::with_capacity(tn.methods.len());
-                for tm in &tn.methods {
-                    let mut checks = Vec::new();
-                    for &port in &tm.outputs {
-                        for &(dn, dp) in &tables.routes[node][port] {
-                            checks.push(match delayed_chan(dn, dp) {
-                                Some(chan) => SpaceCheck::Credit { chan },
-                                None => SpaceCheck::Queue {
-                                    dn: dn as u32,
-                                    dp: dp as u32,
-                                    cap: cap_into[dn][dp] as u32,
-                                    chan: chan_into[dn][dp].unwrap_or(u32::MAX),
-                                },
-                            });
-                        }
-                    }
-                    node_space.push(checks);
-                    node_run_s.push(tm.cost_cycles as f64 / clock);
-                    node_credits.push(
-                        tm.trigger_ports
-                            .iter()
-                            .filter_map(|&p| {
-                                delayed_in_ports[node]
-                                    .iter()
-                                    .find(|&&(dp, _)| dp == p)
-                                    .map(|&(_, chan)| chan)
-                            })
-                            .collect(),
-                    );
-                }
-                space.push(node_space);
-                run_s.push(node_run_s);
-                credit_chans.push(node_credits);
-            }
-            let mut method_base = Vec::with_capacity(n);
-            let mut num_method_slots = 0usize;
-            for tn in &program.nodes {
-                method_base.push(num_method_slots as u32);
-                num_method_slots += tn.methods.len();
-            }
-            CompiledTables {
-                program,
-                dests,
-                space,
-                run_s,
-                credit_chans,
-                forward_run_s: 1.0 / clock,
-                method_base,
-                num_method_slots,
-            }
-        })
-    } else {
-        None
+        routes.map(check).collect()
+    });
+    let clock = config.machine.pe_clock_hz;
+    let run_s = per_method(&nodes, |_, cm| cm.cost_cycles as f64 / clock);
+    let trigger_ports = per_method(&nodes, |_, cm| {
+        cm.triggers.iter().map(|&(p, _)| p).collect()
+    });
+    let credit_chans = per_method(&nodes, |node, cm| {
+        let ports = cm.triggers.iter();
+        ports.filter_map(|&(p, _)| delayed_chan(node, p)).collect()
+    });
+    let methods_before = |next: &mut usize, rt: &RtNode| {
+        let base = *next as u32;
+        *next += rt.compiled.len();
+        Some(base)
     };
+    let method_base: Vec<u32> = nodes.iter().scan(0, methods_before).collect();
+    let num_method_slots = nodes.iter().map(|rt| rt.compiled.len()).sum();
     let num_sinks = node_roles
         .iter()
         .filter(|r| **r == NodeRole::Sink)
@@ -668,7 +616,6 @@ pub(crate) fn build_shared(
         channels,
         chan_into,
         cap_into,
-        delayed_in_ports,
         any_delayed,
         pe_of_node: mapping.pe_of_node.clone(),
         residents: mapping.residents(),
@@ -679,9 +626,54 @@ pub(crate) fn build_shared(
         num_sinks,
         trace: config.trace,
         metrics,
-        compiled,
+        dests,
+        space,
+        run_s,
+        trigger_ports,
+        credit_chans,
+        forward_run_s: 1.0 / clock,
+        method_base,
+        num_method_slots,
+        lowered,
     };
     Ok((nodes, shared))
+}
+
+/// Reject a pre-lowered program that was not lowered from a graph shaped
+/// like the one `nodes` instantiates: the engine takes routing, space,
+/// credit and cost tables from the nodes and only planning and firing from
+/// the program, so the two must agree on everything a firing pops, emits
+/// and costs. O(methods), once per instantiation.
+fn check_lowered(program: &bp_codegen::ThreadedProgram, nodes: &[RtNode]) -> Result<()> {
+    let mismatch = |what: String| {
+        let msg = format!("pre-lowered program does not match {what}");
+        Err(BpError::Simulation(msg))
+    };
+    if program.nodes.len() != nodes.len() {
+        let (lowered, n) = (program.nodes.len(), nodes.len());
+        return mismatch(format!(
+            "the graph: {lowered} nodes lowered, {n} instantiated"
+        ));
+    }
+    for (tn, rt) in program.nodes.iter().zip(nodes) {
+        let name = &rt.name;
+        if tn.inputs != rt.queues.len() || tn.methods.len() != rt.compiled.len() {
+            return mismatch(format!("node '{name}': the port or method count differs"));
+        }
+        for (tm, cm) in tn.methods.iter().zip(&rt.compiled) {
+            let ports = cm.triggers.iter().map(|(p, _)| p);
+            let same = tm.trigger_ports.iter().eq(ports)
+                && tm.outputs == cm.outputs
+                && tm.cost_cycles == cm.cost_cycles;
+            if !same {
+                let method = &tm.name;
+                return mismatch(format!(
+                    "node '{name}': method '{method}' differs in triggers, outputs or cost"
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// What one processed event did, recorded so the parallel coordinator can
@@ -744,16 +736,109 @@ pub(crate) struct ShardOutcome {
     pub(crate) metrics: Option<MetricsRecorder>,
 }
 
+/// What a firing hands back: the emitted items (in the node's recycled
+/// emit buffer), the words read from the consumed inputs, and the
+/// behavior's reported cycle count if it reported one.
+type Fired = (Vec<(usize, Item)>, u64, Option<u64>);
+
+/// The only thing the backends differ in: how a node's next action is
+/// planned and how it is fired. The scheduler — loop, routing, dispatch,
+/// space, credits, cost — is generic over this and otherwise identical, so
+/// the interpreter is the oracle for exactly what `bp-codegen` lowers.
+trait Exec: Copy {
+    /// Whether the engine maintains [`ShardSim::head_data`] and
+    /// `head_ctrl`. The interpreter also runs the graphs the mask planner
+    /// cannot hold — a kernel with more than 64 inputs, where
+    /// `1u64 << port` is not defined — so it must not touch them.
+    const HEAD_MASKS: bool;
+
+    /// Decide `rt`'s next action from its queue heads, or `None` if it
+    /// cannot progress.
+    fn plan(self, node: usize, rt: &RtNode, head_data: u64, head_ctrl: u64) -> Option<Action>;
+
+    /// Execute a planned action.
+    fn fire(self, node: usize, rt: &mut RtNode, action: Action) -> Fired;
+
+    /// Fire a trigger-less (source) method.
+    fn fire_untriggered(self, rt: &mut RtNode, method: usize) -> Vec<(usize, Item)>;
+}
+
+/// `bp-codegen`'s direct-threaded routines: a mask test instead of the
+/// trigger scan, an arity-specialized closure and index dispatch instead
+/// of name dispatch.
+#[derive(Clone, Copy)]
+struct Threaded<'p>(&'p bp_codegen::ThreadedProgram);
+
+impl Exec for Threaded<'_> {
+    const HEAD_MASKS: bool = true;
+
+    #[inline]
+    fn plan(self, node: usize, rt: &RtNode, head_data: u64, head_ctrl: u64) -> Option<Action> {
+        self.0.nodes[node].plan(head_data, head_ctrl, &rt.queues, rt.behavior.as_ref())
+    }
+
+    #[inline]
+    fn fire(self, node: usize, rt: &mut RtNode, action: Action) -> Fired {
+        match action {
+            Action::Fire { method } => {
+                let (emitted, res) = rt.fire_threaded(&self.0.nodes[node].methods[method].fire);
+                (emitted, res.read_words, res.actual_cycles)
+            }
+            Action::Forward { token, method } => {
+                let emitted = rt.forward_threaded(&self.0.nodes[node].methods[method], token);
+                (emitted, 0, None)
+            }
+        }
+    }
+
+    #[inline]
+    fn fire_untriggered(self, rt: &mut RtNode, method: usize) -> Vec<(usize, Item)> {
+        rt.fire_untriggered_fast(method)
+    }
+}
+
+/// The interpreter: [`RtNode::plan`]'s linear trigger scan and
+/// [`RtNode::execute_with_cost`]'s name dispatch.
+#[derive(Clone, Copy)]
+struct Interp;
+
+impl Exec for Interp {
+    const HEAD_MASKS: bool = false;
+
+    fn plan(self, _node: usize, rt: &RtNode, _head_data: u64, _head_ctrl: u64) -> Option<Action> {
+        rt.plan()
+    }
+
+    fn fire(self, _node: usize, rt: &mut RtNode, action: Action) -> Fired {
+        // Read words come from the items about to be consumed.
+        let read_words: u64 = match action {
+            Action::Fire { method } => rt.compiled[method]
+                .triggers
+                .iter()
+                .map(|&(p, _)| rt.queues[p].front().map_or(0, |i| i.words()))
+                .sum(),
+            Action::Forward { .. } => 0,
+        };
+        let (emitted, actual) = rt.execute_with_cost(action);
+        (emitted, read_words, actual)
+    }
+
+    fn fire_untriggered(self, rt: &mut RtNode, method: usize) -> Vec<(usize, Item)> {
+        rt.fire_untriggered(method)
+    }
+}
+
 /// The discrete-event engine for one shard: a set of PEs (and their resident
 /// nodes) that never interact with any other shard's. The sequential
 /// simulator is the single-shard special case. All state vectors are
 /// globally indexed; entries for PEs/nodes the shard does not own stay at
-/// their initial values and are ignored during merging.
-pub(crate) struct ShardSim<'a> {
-    shared: &'a Shared,
-    nodes: &'a DisjointSlots<RtNode>,
+/// their initial values and are ignored during merging. The engine holds
+/// what it runs over by `Arc`, so it is a plain movable, `Send` value.
+pub(crate) struct ShardSim {
+    shared: Arc<Shared>,
+    nodes: Arc<DisjointSlots<RtNode>>,
     shard: usize,
-    shard_of_pe: &'a [usize],
+    shard_of_pe: Arc<[usize]>,
     rr: Vec<usize>,
     pe_inflight: Vec<Option<Inflight>>,
     /// Ready-set state: `dirty[node]` is true when the node's inputs or
@@ -793,7 +878,7 @@ pub(crate) struct ShardSim<'a> {
     credit_seq: Vec<u32>,
     /// Cross-shard communication inboxes (parallel engine only); indexed by
     /// destination shard.
-    links: Option<&'a [Mutex<Vec<OutMsg>>]>,
+    links: Option<Arc<[Mutex<Vec<OutMsg>>]>>,
     /// Earliest timestamp of any event this shard emitted into another
     /// shard's inbox since the last [`take_min_out`](Self::take_min_out);
     /// the coordinator folds it into the global window bound so in-flight
@@ -817,31 +902,29 @@ pub(crate) struct ShardSim<'a> {
     entry_push_base: usize,
     entry_eof_base: usize,
     entry_start_base: usize,
-    /// Compiled backend only: bit `p` set when the node's input queue `p`
-    /// currently has a window at its head. Maintained incrementally at
-    /// every queue mutation; [`bp_codegen::head_masks`] is the oracle
-    /// (checked before every compiled plan under debug assertions).
+    /// [`Exec::HEAD_MASKS`] backends only: bit `p` set when the node's
+    /// input queue `p` currently has a window at its head. Maintained
+    /// incrementally at every queue mutation; [`bp_codegen::head_masks`]
+    /// is the oracle (checked before every plan under debug assertions).
     head_data: Vec<u64>,
     /// As [`head_data`](Self::head_data), for control tokens.
     head_ctrl: Vec<u64>,
-    /// Compiled backend only: recycled routing scratch (the interpreter
-    /// allocates a fresh `touched` vector per routed firing).
+    /// Recycled routing scratch: the PEs a routed firing touched.
     touched_buf: Vec<usize>,
-    /// Compiled backend only: recycled dispatch worklist for the
-    /// single-PE waves of arrival/credit events.
+    /// Recycled dispatch worklist for the single-PE waves of
+    /// arrival/credit events.
     wave_buf: Vec<usize>,
-    /// Compiled backend only: one bit per PE, set while the PE sits in the
-    /// current dispatch worklist — O(1) membership for the dedup the
-    /// interpreter does with `Vec::contains`. Insertions set the bit, pops
-    /// clear it, so the mask is all-zero between waves (the unconditional
-    /// own-PE push in `handle_pe_done` bypasses the mask; pops tolerate
-    /// the resulting duplicate exactly as the interpreter does).
+    /// One bit per PE, set while the PE sits in the current dispatch
+    /// worklist — O(1) membership for the worklist dedup. Insertions set
+    /// the bit, pops clear it, so the mask is all-zero between waves (the
+    /// unconditional own-PE push in `handle_pe_done` bypasses the mask;
+    /// pops tolerate the resulting duplicate).
     wave_mask: Vec<u64>,
-    /// Compiled backend only: per-method [`RwMemo`] slots (flat-indexed
-    /// via `CompiledTables::method_base`).
+    /// Per-method [`RwMemo`] slots (flat-indexed via
+    /// [`Shared::method_base`]).
     rw_memo: Vec<RwMemo>,
-    /// Compiled backend only: true when the node's last plan succeeded but
-    /// `space_ok` declined it, so it is waiting on downstream consumption.
+    /// True when the node's last plan succeeded but `space_ok` declined
+    /// it, so it is waiting on downstream consumption.
     /// The untraced dispatcher wakes upstream PEs only for flagged nodes —
     /// a firing's consumption is the *only* new information an upstream
     /// wake carries (data arrivals wake destinations through the routing
@@ -852,19 +935,19 @@ pub(crate) struct ShardSim<'a> {
     space_waiting: Vec<bool>,
 }
 
-impl<'a> ShardSim<'a> {
+impl ShardSim {
     /// `shard_of_pe` assigns every PE to a shard; this instance runs the
     /// PEs of shard `shard`. Pass `record = true` to journal event-loop
     /// dynamics for the parallel merge, and `links = Some(inboxes)` to
     /// route cross-shard communication (sequential runs pass `None`; with
     /// one shard every channel is internal and the inboxes are never used).
     pub(crate) fn new(
-        shared: &'a Shared,
-        nodes: &'a DisjointSlots<RtNode>,
+        shared: Arc<Shared>,
+        nodes: Arc<DisjointSlots<RtNode>>,
         shard: usize,
-        shard_of_pe: &'a [usize],
+        shard_of_pe: Arc<[usize]>,
         record: bool,
-        links: Option<&'a [Mutex<Vec<OutMsg>>]>,
+        links: Option<Arc<[Mutex<Vec<OutMsg>>]>>,
     ) -> Self {
         let n = nodes.len();
         let num_pes = shared.residents.len();
@@ -873,8 +956,6 @@ impl<'a> ShardSim<'a> {
         // fractional word costs, so event times cluster at this scale.
         let quantum = 1.0 / shared.machine.pe_clock_hz;
         Self {
-            shared,
-            nodes,
             shard,
             shard_of_pe,
             rr: vec![0; num_pes],
@@ -915,17 +996,23 @@ impl<'a> ShardSim<'a> {
             touched_buf: Vec::new(),
             wave_buf: Vec::new(),
             wave_mask: vec![0; num_pes.div_ceil(64)],
-            rw_memo: vec![
-                RwMemo::default();
-                shared.compiled.as_ref().map_or(0, |ct| ct.num_method_slots)
-            ],
+            rw_memo: vec![RwMemo::default(); shared.num_method_slots],
             space_waiting: vec![false; n],
+            shared,
+            nodes,
         }
     }
 
-    /// Wave-membership test-and-set for the compiled dispatcher's O(1)
-    /// worklist dedup (the interpreter uses `Vec::contains`; same
-    /// predicate). Returns `true` when `pe` was not yet a member.
+    /// The sequential special case: one shard owning every PE of a freshly
+    /// instantiated program, no journal, no inboxes.
+    pub(crate) fn solo(nodes: Vec<RtNode>, shared: Shared) -> Self {
+        let shard_of_pe = vec![0usize; shared.residents.len()].into();
+        let slots = Arc::new(DisjointSlots::new(nodes));
+        Self::new(Arc::new(shared), slots, 0, shard_of_pe, false, None)
+    }
+
+    /// Wave-membership test-and-set for the dispatcher's O(1) worklist
+    /// dedup. Returns `true` when `pe` was not yet a member.
     #[inline]
     fn wave_test_set(&mut self, pe: usize) -> bool {
         let (w, b) = (pe / 64, 1u64 << (pe % 64));
@@ -1002,9 +1089,14 @@ impl<'a> ShardSim<'a> {
     }
 
     /// Push a band-0 event (source emission / PE completion) on this shard.
-    fn push_event(&mut self, t: f64, kind: EventKind) {
-        self.journal_push(t, 0, self.shard as u32);
-        self.note_push();
+    #[inline]
+    fn push_event<const OBS: bool, const JRN: bool>(&mut self, t: f64, kind: EventKind) {
+        if JRN {
+            self.journal_push(t, 0, self.shard as u32);
+        }
+        if OBS {
+            self.note_push();
+        }
         self.events.push(t, kind);
     }
 
@@ -1068,17 +1160,17 @@ impl<'a> ShardSim<'a> {
         }
     }
 
-    /// Run this shard's portion of the simulation to quiescence: fire the
-    /// owned startup constants (in global order), seed the owned sources,
-    /// and drain the event queue.
-    pub(crate) fn run(&mut self) {
-        self.init();
-        self.run_window(f64::INFINITY);
-    }
-
     /// Fire the owned startup constants (in global order) and seed the
     /// owned sources — everything that happens before the first event pop.
     pub(crate) fn init(&mut self) {
+        let shared = Arc::clone(&self.shared);
+        match shared.lowered.as_deref() {
+            Some(program) => self.init_on(Threaded(program), &shared),
+            None => self.init_on(Interp, &shared),
+        }
+    }
+
+    fn init_on<X: Exec>(&mut self, x: X, sh: &Shared) {
         // Constants fire at t = 0, before any source sample.
         for ci in 0..self.shared.tables.consts.len() {
             let (node, method) = self.shared.tables.consts[ci];
@@ -1091,86 +1183,72 @@ impl<'a> ShardSim<'a> {
             // The firing may change the node's private state (e.g. a
             // feedback primer becoming ready), so re-plan it.
             self.mark_dirty(node);
-            let touched = self.route_any(node, emitted);
+            let mut touched = std::mem::take(&mut self.touched_buf);
+            touched.clear();
+            self.route::<X, true, true>(sh, node, emitted, &mut touched);
             self.record_untriggered_end(node);
-            self.dispatch_any(touched);
+            self.dispatch_wave::<X, true, true>(x, sh, &mut touched);
+            self.touched_buf = touched;
             self.end_entry(0.0, true);
         }
         for s in 0..self.shared.tables.sources.len() {
             if self.owns_node(self.shared.tables.sources[s].node) {
-                self.push_event(0.0, EventKind::SourceEmit { source: s });
+                self.push_event::<true, true>(0.0, EventKind::SourceEmit { source: s });
             }
         }
     }
 
-    /// Process every pending event with `t < end`, in `(t, ord)` order.
-    /// Returns the timestamp of the first unprocessed event, or `+inf` when
-    /// the queue drained. The sequential engine calls this once with
-    /// `end = +inf`; the parallel engine calls it per synchronization
-    /// window with the coordinator's conservative bound.
-    pub(crate) fn run_window(&mut self, end: f64) -> f64 {
-        if self.shared.compiled.is_some() {
-            // Monomorphize the compiled loop on which observers are
-            // attached. `JRN` covers the trace recorder and the replay
-            // journal (entry bracketing, journaled pushes, trace records,
-            // exhaustive wakes); `OBS` additionally covers the metrics
-            // recorder. A metrics-only run takes `<true, false>`, so it
-            // pays the metrics hooks and nothing of the heavier trace
-            // machinery — that specialization is what keeps always-on
-            // metrics inside their ≤5% overhead budget (DESIGN.md §15).
-            if self.trace.is_some() || self.log.is_some() {
-                self.run_window_compiled::<true, true>(end)
-            } else if self.metrics.is_some() {
-                self.run_window_compiled::<true, false>(end)
-            } else {
-                self.run_window_compiled::<false, false>(end)
-            }
+    /// Process pending events in `(t, ord)` order until the next one is at
+    /// or past `end`, `budget` events have been handled, or the queue
+    /// drains; returns the number processed. The sequential engine calls
+    /// this once with both bounds open, the parallel engine once per
+    /// synchronization window with the coordinator's conservative `end`,
+    /// the fleet host's stepping (DESIGN.md §16) with an event budget.
+    /// Chunking the drain cannot change any result: every iteration pops
+    /// and handles exactly the event an unbounded call would have handled
+    /// next.
+    pub(crate) fn run(&mut self, end: f64, budget: usize) -> usize {
+        let shared = Arc::clone(&self.shared);
+        let Some(program) = shared.lowered.as_deref() else {
+            // The oracle has one instantiation: every `OBS` / `JRN` site
+            // also tests its recorder, so this one is right for any set.
+            return self.run_on::<_, true, true>(Interp, &shared, end, budget);
+        };
+        // Monomorphize the loop on which observers are attached. A
+        // metrics-only run takes `<true, false>`, so it pays the metrics
+        // hooks and nothing of the heavier trace machinery — which is what
+        // keeps always-on metrics inside their ≤5% budget (DESIGN.md §15).
+        let x = Threaded(program);
+        if self.trace.is_some() || self.log.is_some() {
+            self.run_on::<_, true, true>(x, &shared, end, budget)
+        } else if self.metrics.is_some() {
+            self.run_on::<_, true, false>(x, &shared, end, budget)
         } else {
-            self.run_window_interp(end)
+            self.run_on::<_, false, false>(x, &shared, end, budget)
         }
     }
 
-    /// Interpreted event loop (the oracle path; see `run_window`).
-    fn run_window_interp(&mut self, end: f64) -> f64 {
-        while let Some(ev) = self.events.pop() {
+    /// The event loop, generic over the backend and monomorphized over
+    /// observer presence. `OBS` gates the metrics hooks; `JRN` gates the
+    /// trace/journal machinery (entry bracketing, journaled pushes, trace
+    /// records, exhaustive wakes). `JRN` implies `OBS` at every call site.
+    /// All instantiations process events identically; the flags only gate
+    /// code that is dynamically dead in the configuration selecting them.
+    fn run_on<X: Exec, const OBS: bool, const JRN: bool>(
+        &mut self,
+        x: X,
+        sh: &Shared,
+        end: f64,
+        budget: usize,
+    ) -> usize {
+        let mut done = 0;
+        while done < budget {
+            let Some(ev) = self.events.pop() else { break };
             if ev.t >= end {
                 // Past the window: put it back (re-insertion keeps its
                 // original `(t, seq)` key, so nothing is reordered).
                 self.events.push_ord(ev.t, ev.seq, ev.payload);
-                return ev.t;
-            }
-            self.now = ev.t;
-            if let Some(m) = self.metrics.as_mut() {
-                m.event_popped(ev.t);
-            }
-            self.begin_entry();
-            match ev.payload {
-                EventKind::SourceEmit { source } => self.handle_source_emit(source),
-                EventKind::PeDone { pe } => self.handle_pe_done(pe),
-                EventKind::ChannelArrival { chan } => self.handle_channel_arrival(chan),
-                EventKind::CreditReturn { chan } => self.handle_credit_return(chan),
-            }
-            self.end_entry(ev.t, false);
-        }
-        f64::INFINITY
-    }
-
-    /// Compiled event loop, monomorphized over observer presence. `OBS`
-    /// gates the metrics hooks; `JRN` gates the trace/journal machinery
-    /// (entry bracketing, journaled pushes, trace records, exhaustive
-    /// wakes). `JRN` implies `OBS` at every call site. All instantiations
-    /// process events identically; the flags only gate code that is
-    /// dynamically dead in the configuration that selects them.
-    fn run_window_compiled<const OBS: bool, const JRN: bool>(&mut self, end: f64) -> f64 {
-        let ct = self
-            .shared
-            .compiled
-            .as_ref()
-            .expect("compiled loop without tables");
-        while let Some(ev) = self.events.pop() {
-            if ev.t >= end {
-                self.events.push_ord(ev.t, ev.seq, ev.payload);
-                return ev.t;
+                break;
             }
             self.now = ev.t;
             if OBS {
@@ -1183,99 +1261,13 @@ impl<'a> ShardSim<'a> {
             }
             match ev.payload {
                 EventKind::SourceEmit { source } => {
-                    self.handle_source_emit_compiled::<OBS, JRN>(source, ct);
+                    self.handle_source_emit::<X, OBS, JRN>(x, sh, source);
                 }
                 EventKind::PeDone { pe } => {
-                    self.handle_pe_done_compiled::<OBS, JRN>(pe, ct);
+                    self.handle_pe_done::<X, OBS, JRN>(x, sh, pe);
                 }
-                EventKind::ChannelArrival { chan } => self.handle_channel_arrival(chan),
-                EventKind::CreditReturn { chan } => self.handle_credit_return(chan),
-            }
-            if JRN {
-                self.end_entry(ev.t, false);
-            }
-        }
-        f64::INFINITY
-    }
-
-    /// Process up to `max_events` pending events in `(t, ord)` order,
-    /// regardless of timestamp. Returns the number processed — less than
-    /// `max_events` only when the queue drained. Chunking the drain this
-    /// way cannot change any result: every iteration pops and handles
-    /// exactly the event `run_window(+inf)` would have handled next, so
-    /// any sequence of `run_budget` calls processes the identical event
-    /// sequence with identical state transitions. This is the fleet
-    /// host's round-based stepping entry point (DESIGN.md §16).
-    pub(crate) fn run_budget(&mut self, max_events: usize) -> usize {
-        if self.shared.compiled.is_some() {
-            // Same observer monomorphization as `run_window`.
-            if self.trace.is_some() || self.log.is_some() {
-                self.run_budget_compiled::<true, true>(max_events)
-            } else if self.metrics.is_some() {
-                self.run_budget_compiled::<true, false>(max_events)
-            } else {
-                self.run_budget_compiled::<false, false>(max_events)
-            }
-        } else {
-            self.run_budget_interp(max_events)
-        }
-    }
-
-    /// Interpreted bounded loop: the body is `run_window_interp`'s minus
-    /// the window bound, with an event counter.
-    fn run_budget_interp(&mut self, max_events: usize) -> usize {
-        let mut done = 0;
-        while done < max_events {
-            let Some(ev) = self.events.pop() else { break };
-            self.now = ev.t;
-            if let Some(m) = self.metrics.as_mut() {
-                m.event_popped(ev.t);
-            }
-            self.begin_entry();
-            match ev.payload {
-                EventKind::SourceEmit { source } => self.handle_source_emit(source),
-                EventKind::PeDone { pe } => self.handle_pe_done(pe),
-                EventKind::ChannelArrival { chan } => self.handle_channel_arrival(chan),
-                EventKind::CreditReturn { chan } => self.handle_credit_return(chan),
-            }
-            self.end_entry(ev.t, false);
-            done += 1;
-        }
-        done
-    }
-
-    /// Compiled bounded loop: `run_window_compiled`'s body minus the
-    /// window bound, with an event counter.
-    fn run_budget_compiled<const OBS: bool, const JRN: bool>(
-        &mut self,
-        max_events: usize,
-    ) -> usize {
-        let ct = self
-            .shared
-            .compiled
-            .as_ref()
-            .expect("compiled loop without tables");
-        let mut done = 0;
-        while done < max_events {
-            let Some(ev) = self.events.pop() else { break };
-            self.now = ev.t;
-            if OBS {
-                if let Some(m) = self.metrics.as_mut() {
-                    m.event_popped(ev.t);
-                }
-            }
-            if JRN {
-                self.begin_entry();
-            }
-            match ev.payload {
-                EventKind::SourceEmit { source } => {
-                    self.handle_source_emit_compiled::<OBS, JRN>(source, ct);
-                }
-                EventKind::PeDone { pe } => {
-                    self.handle_pe_done_compiled::<OBS, JRN>(pe, ct);
-                }
-                EventKind::ChannelArrival { chan } => self.handle_channel_arrival(chan),
-                EventKind::CreditReturn { chan } => self.handle_credit_return(chan),
+                EventKind::ChannelArrival { chan } => self.handle_channel_arrival(x, sh, chan),
+                EventKind::CreditReturn { chan } => self.handle_credit_return(x, sh, chan),
             }
             if JRN {
                 self.end_entry(ev.t, false);
@@ -1293,22 +1285,22 @@ impl<'a> ShardSim<'a> {
 
     /// Timestamp of this shard's earliest pending event (`+inf` when idle),
     /// without processing it.
-    pub(crate) fn next_pending(&mut self) -> f64 {
-        match self.events.pop() {
-            Some(ev) => {
-                let t = ev.t;
-                self.events.push_ord(ev.t, ev.seq, ev.payload);
-                t
-            }
-            None => f64::INFINITY,
-        }
+    pub(crate) fn next_pending(&self) -> f64 {
+        self.events.peek_time().unwrap_or(f64::INFINITY)
+    }
+
+    /// True when no event is pending on this shard.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.events.is_empty()
     }
 
     /// Move everything other shards sent us into the local event queue.
     /// Not journaled: the *sender* journals cross-shard pushes (with this
     /// shard as target), preserving the global push stream.
     pub(crate) fn drain_inbox(&mut self) {
-        let Some(links) = self.links else { return };
+        let Some(links) = self.links.as_deref() else {
+            return;
+        };
         let msgs = std::mem::take(&mut *links[self.shard].lock().unwrap());
         for m in msgs {
             match m.kind {
@@ -1331,7 +1323,8 @@ impl<'a> ShardSim<'a> {
         std::mem::replace(&mut self.min_out, f64::INFINITY)
     }
 
-    /// Extract the owned results, releasing the borrows on the node slots.
+    /// Extract the owned results, releasing this shard's hold on the node
+    /// slots and shared tables.
     pub(crate) fn into_outcome(self) -> ShardOutcome {
         ShardOutcome {
             stats: self.stats,
@@ -1348,6 +1341,35 @@ impl<'a> ShardSim<'a> {
             trace: self.trace,
             metrics: self.metrics,
         }
+    }
+
+    /// Consume a [`solo`](Self::solo) engine: how the run settled (early,
+    /// as it stands), the trace (when tracing) and the metrics tape (when a
+    /// metrics policy was set).
+    pub(crate) fn settle_solo(self) -> (SimOutcome, Option<Trace>, Option<MetricsTape>) {
+        let (shared, slots) = (Arc::clone(&self.shared), Arc::clone(&self.nodes));
+        let mut outcome = self.into_outcome();
+        let nodes = Arc::into_inner(slots)
+            .expect("a solo engine is the only holder of its node slots")
+            .into_inner();
+        // The single shard records in global pop order, so its buffer is
+        // already the canonical trace.
+        let trace = outcome.trace.take().map(|rec| {
+            let (events, dropped) = rec.into_events();
+            Trace {
+                meta: TraceMeta::from_parts(
+                    &nodes,
+                    &shared.pe_of_node,
+                    shared.residents.len(),
+                    shared.machine.pe_clock_hz,
+                    &shared.channels,
+                ),
+                events,
+                dropped,
+            }
+        });
+        let (settled, tape) = settle(&shared, &nodes, outcome);
+        (settled, trace, tape)
     }
 
     /// Trace a zero-cost untriggered (source/const) firing: the engine
@@ -1377,40 +1399,6 @@ impl<'a> ShardSim<'a> {
         }
     }
 
-    fn handle_source_emit(&mut self, source: usize) {
-        let s = self.shared.tables.sources[source];
-        if source == 0 && self.source_progress[source].is_multiple_of(s.frame.area()) {
-            self.frame_start_times.push(self.now);
-        }
-        // Check capacity at the destinations before injecting; a full queue
-        // at the scheduled time is a missed deadline (counted once per
-        // injection, however many destinations are saturated). Delayed
-        // destinations are judged by the sender-side credit count — the
-        // receiver queue may be remote.
-        let full = self.shared.tables.routes[s.node][0]
-            .iter()
-            .any(|&(dn, dp)| match self.delayed_chan(dn, dp) {
-                Some(chan) => self.credits[chan as usize] <= 0,
-                None => self.node(dn).queues[dp].len() >= self.shared.cap_into[dn][dp],
-            });
-        if full {
-            self.record_input_overrun();
-        }
-        self.record_untriggered_begin(s.node, s.method);
-        let emitted = self.node_mut(s.node).fire_untriggered(s.method);
-        let touched = self.route_any(s.node, emitted);
-        self.record_untriggered_end(s.node);
-        self.dispatch_any(touched);
-
-        self.source_progress[source] += 1;
-        let total = s.frame.area() * self.shared.frames as u64;
-        if self.source_progress[source] < total {
-            let period = 1.0 / (s.rate_hz * s.frame.area() as f64);
-            let t_next = self.source_progress[source] as f64 * period;
-            self.push_event(t_next, EventKind::SourceEmit { source });
-        }
-    }
-
     /// The single violation-counting code path: every source input
     /// overrun increments the always-on counter behind
     /// [`RealTimeVerdict::violations`] *and* feeds the deadline monitor
@@ -1423,66 +1411,43 @@ impl<'a> ShardSim<'a> {
         }
     }
 
-    fn handle_pe_done(&mut self, pe: usize) {
-        let inflight = self.pe_inflight[pe]
-            .take()
-            .expect("PeDone without inflight");
-        self.stats[pe].run += inflight.run_s;
-        self.stats[pe].read += inflight.read_s;
-        self.stats[pe].write += inflight.write_s;
-        self.node_busy[inflight.node] += inflight.run_s + inflight.read_s + inflight.write_s;
-        if let Some(m) = self.metrics.as_mut() {
-            m.firing_complete(
-                self.now,
-                pe,
-                inflight.node,
-                inflight.run_s + inflight.read_s + inflight.write_s,
-            );
-        }
-        if let Some(trace) = self.trace.as_mut() {
-            trace.record(TraceEvent::FiringEnd {
-                t: self.now,
-                node: inflight.node as u32,
-                pe: pe as u32,
-            });
-        }
-        let mut touched = self.route_any(inflight.node, inflight.emitted);
-        touched.push(pe);
-        self.dispatch_any(touched);
-    }
-
-    /// Compiled [`handle_source_emit`](Self::handle_source_emit): routing
-    /// and dispatch go straight to the monomorphized paths instead of
-    /// re-testing the backend per call.
-    fn handle_source_emit_compiled<const OBS: bool, const JRN: bool>(
+    fn handle_source_emit<X: Exec, const OBS: bool, const JRN: bool>(
         &mut self,
+        x: X,
+        sh: &Shared,
         source: usize,
-        ct: &CompiledTables,
     ) {
         let s = self.shared.tables.sources[source];
         if source == 0 && self.source_progress[source].is_multiple_of(s.frame.area()) {
             self.frame_start_times.push(self.now);
         }
-        let full = self.shared.tables.routes[s.node][0]
-            .iter()
-            .any(|&(dn, dp)| match self.delayed_chan(dn, dp) {
-                Some(chan) => self.credits[chan as usize] <= 0,
-                None => self.node(dn).queues[dp].len() >= self.shared.cap_into[dn][dp],
-            });
+        // Check capacity at the destinations before injecting; a full queue
+        // at the scheduled time is a missed deadline (counted once per
+        // injection, however many destinations are saturated). Delayed
+        // destinations are judged by the sender-side credit count — the
+        // receiver queue may be remote.
+        let full = sh.dests[s.node][0].iter().any(|d| {
+            if d.chan != u32::MAX {
+                self.credits[d.chan as usize] <= 0
+            } else {
+                let (dn, dp) = (d.dn as usize, d.dp as usize);
+                self.node(dn).queues[dp].len() >= self.shared.cap_into[dn][dp]
+            }
+        });
         if full {
             self.record_input_overrun();
         }
         if JRN {
             self.record_untriggered_begin(s.node, s.method);
         }
-        let emitted = self.node_mut(s.node).fire_untriggered_fast(s.method);
+        let emitted = x.fire_untriggered(self.node_mut(s.node), s.method);
         let mut touched = std::mem::take(&mut self.touched_buf);
         touched.clear();
-        self.route_compiled::<OBS, JRN>(s.node, emitted, ct, &mut touched);
+        self.route::<X, OBS, JRN>(sh, s.node, emitted, &mut touched);
         if JRN {
             self.record_untriggered_end(s.node);
         }
-        self.dispatch_wave_compiled::<OBS, JRN>(&mut touched, ct);
+        self.dispatch_wave::<X, OBS, JRN>(x, sh, &mut touched);
         self.touched_buf = touched;
 
         self.source_progress[source] += 1;
@@ -1490,24 +1455,17 @@ impl<'a> ShardSim<'a> {
         if self.source_progress[source] < total {
             let period = 1.0 / (s.rate_hz * s.frame.area() as f64);
             let t_next = self.source_progress[source] as f64 * period;
-            if JRN {
-                self.push_event(t_next, EventKind::SourceEmit { source });
-            } else {
-                if OBS {
-                    self.note_push();
-                }
-                self.events.push(t_next, EventKind::SourceEmit { source });
-            }
+            self.push_event::<OBS, JRN>(t_next, EventKind::SourceEmit { source });
         }
     }
 
-    /// Compiled [`handle_pe_done`](Self::handle_pe_done); the own-PE push
-    /// stays unconditional (bypassing the wave mask) exactly like the
-    /// interpreter's `touched.push(pe)`.
-    fn handle_pe_done_compiled<const OBS: bool, const JRN: bool>(
+    /// The own-PE push is unconditional (bypassing the wave mask): the PE
+    /// just came free, whatever routing touched.
+    fn handle_pe_done<X: Exec, const OBS: bool, const JRN: bool>(
         &mut self,
+        x: X,
+        sh: &Shared,
         pe: usize,
-        ct: &CompiledTables,
     ) {
         let inflight = self.pe_inflight[pe]
             .take()
@@ -1537,55 +1495,26 @@ impl<'a> ShardSim<'a> {
         }
         let mut touched = std::mem::take(&mut self.touched_buf);
         touched.clear();
-        self.route_compiled::<OBS, JRN>(inflight.node, inflight.emitted, ct, &mut touched);
+        self.route::<X, OBS, JRN>(sh, inflight.node, inflight.emitted, &mut touched);
         touched.push(pe);
-        self.dispatch_wave_compiled::<OBS, JRN>(&mut touched, ct);
+        self.dispatch_wave::<X, OBS, JRN>(x, sh, &mut touched);
         self.touched_buf = touched;
     }
 
-    /// Route on whichever backend is active. The compiled path reuses the
-    /// recycled scratch vector; the interpreted path is untouched.
+    /// Dispatch a single-PE wave (arrival/credit events), allocation-free.
+    /// The comm handlers are not monomorphized over observers: every `OBS`
+    /// / `JRN` site also tests its recorder, so `<true, true>` fits any set.
     #[inline]
-    fn route_any(&mut self, from: usize, emitted: Vec<(usize, Item)>) -> Vec<usize> {
-        if let Some(ct) = self.shared.compiled.as_ref() {
-            let mut touched = std::mem::take(&mut self.touched_buf);
-            touched.clear();
-            self.route_compiled::<true, true>(from, emitted, ct, &mut touched);
-            touched
-        } else {
-            self.route_timed(from, emitted)
-        }
-    }
-
-    /// Dispatch a routed wave on whichever backend is active; the compiled
-    /// path hands the vector back to the routing scratch afterwards.
-    #[inline]
-    fn dispatch_any(&mut self, mut worklist: Vec<usize>) {
-        if let Some(ct) = self.shared.compiled.as_ref() {
-            self.dispatch_wave_compiled::<true, true>(&mut worklist, ct);
-            self.touched_buf = worklist;
-        } else {
-            self.dispatch_wave(worklist);
-        }
-    }
-
-    /// Dispatch a single-PE wave (arrival/credit events) on whichever
-    /// backend is active, allocation-free on the compiled path.
-    #[inline]
-    fn dispatch_pe(&mut self, pe: usize) {
-        if let Some(ct) = self.shared.compiled.as_ref() {
-            let mut wave = std::mem::take(&mut self.wave_buf);
-            wave.clear();
-            wave.push(pe);
-            self.dispatch_wave_compiled::<true, true>(&mut wave, ct);
-            self.wave_buf = wave;
-        } else {
-            self.dispatch_wave(vec![pe]);
-        }
+    fn dispatch_pe<X: Exec>(&mut self, x: X, sh: &Shared, pe: usize) {
+        let mut wave = std::mem::take(&mut self.wave_buf);
+        wave.clear();
+        wave.push(pe);
+        self.dispatch_wave::<X, true, true>(x, sh, &mut wave);
+        self.wave_buf = wave;
     }
 
     /// Recompute the head-mask bit of one input port after its queue head
-    /// changed (a firing popped it). Compiled backend only.
+    /// changed (a firing popped it). [`Exec::HEAD_MASKS`] backends only.
     #[inline]
     fn refresh_head(&mut self, node: usize, port: usize) {
         let bit = 1u64 << port;
@@ -1596,16 +1525,6 @@ impl<'a> ShardSim<'a> {
             Some(Item::Control(_)) => self.head_ctrl[node] |= bit,
             None => {}
         }
-    }
-
-    /// The delayed channel into `(dn, dp)`, if any. One load on the
-    /// zero-model fast path.
-    #[inline]
-    fn delayed_chan(&self, dn: usize, dp: usize) -> Option<u32> {
-        if !self.shared.any_delayed {
-            return None;
-        }
-        self.shared.chan_into[dn][dp].filter(|&c| self.shared.channels[c as usize].latency_s > 0.0)
     }
 
     /// Launch `item` onto delayed channel `chan`: spend a credit, serialize
@@ -1646,7 +1565,10 @@ impl<'a> ShardSim<'a> {
         self.journal_push(t, ord, dst_shard as u32);
         self.note_push();
         self.min_out = self.min_out.min(t);
-        let links = self.links.expect("cross-shard send without links");
+        let links = self
+            .links
+            .as_deref()
+            .expect("cross-shard send without links");
         links[dst_shard]
             .lock()
             .unwrap()
@@ -1655,26 +1577,30 @@ impl<'a> ShardSim<'a> {
 
     /// An in-flight item lands: pop it off the wire into the destination
     /// queue, then dispatch the destination PE.
-    fn handle_channel_arrival(&mut self, chan: u32) {
+    fn handle_channel_arrival<X: Exec>(&mut self, x: X, sh: &Shared, chan: u32) {
         let c = self.shared.channels[chan as usize];
         let item = self.wire[chan as usize]
             .pop_front()
             .expect("arrival without in-flight item");
+        let tok = match &item {
+            Item::Control(t) => Some(*t),
+            Item::Window(_) => None,
+        };
         let (dn, dp) = (c.dst, c.dst_port);
         if self.shared.node_roles[dn] == NodeRole::Sink {
-            if let Item::Control(ControlToken::EndOfFrame) = item {
+            if let Some(ControlToken::EndOfFrame) = tok {
                 self.sink_eof_times.push(self.now);
             }
         }
         let depth = {
             let queue = &mut self.node_mut(dn).queues[dp];
-            queue.push_back(item.clone());
+            queue.push_back(item);
             queue.len()
         };
-        if depth == 1 && self.shared.compiled.is_some() {
+        if X::HEAD_MASKS && depth == 1 {
             // The item became the queue head; update the planning mask.
             let bit = 1u64 << dp;
-            if matches!(item, Item::Window(_)) {
+            if tok.is_none() {
                 self.head_data[dn] |= bit;
             } else {
                 self.head_ctrl[dn] |= bit;
@@ -1694,150 +1620,30 @@ impl<'a> ShardSim<'a> {
                 port: dp as u32,
                 depth: depth as u32,
             });
-            if let Item::Control(token) = &item {
+            if let Some(token) = tok {
                 trace.record(TraceEvent::Token {
                     t: self.now,
                     node: dn as u32,
                     port: dp as u32,
-                    token: *token,
+                    token,
                 });
             }
         }
         self.mark_dirty(dn);
-        self.dispatch_pe(self.shared.pe_of_node[dn]);
+        self.dispatch_pe(x, sh, self.shared.pe_of_node[dn]);
     }
 
     /// A credit comes home: the channel's producer may have been blocked on
     /// it (it stayed dirty when declined for space), so dispatch its PE.
-    fn handle_credit_return(&mut self, chan: u32) {
+    fn handle_credit_return<X: Exec>(&mut self, x: X, sh: &Shared, chan: u32) {
         self.credits[chan as usize] += 1;
         let src = self.shared.channels[chan as usize].src;
-        self.dispatch_pe(self.shared.pe_of_node[src]);
-    }
-
-    /// After a firing consumed one item from each trigger port, schedule a
-    /// credit return (delayed by the channel latency) for every consumed
-    /// port fed by a delayed channel — to the owning shard of the sender.
-    fn return_credits(&mut self, node: usize, method: usize) {
-        if self.shared.delayed_in_ports[node].is_empty() {
-            return;
-        }
-        let triggers: Vec<usize> = self.node(node).compiled[method]
-            .triggers
-            .iter()
-            .map(|&(p, _)| p)
-            .collect();
-        for port in triggers {
-            let Some(&(_, chan)) = self.shared.delayed_in_ports[node]
-                .iter()
-                .find(|&&(p, _)| p == port)
-            else {
-                continue;
-            };
-            let ci = chan as usize;
-            let c = self.shared.channels[ci];
-            let seq = self.credit_seq[ci];
-            self.credit_seq[ci] += 1;
-            let ord = band1_ord(2 * chan as u64 + 1, seq);
-            let t = self.now + c.latency_s;
-            let src_shard = self.shard_of_pe[self.shared.pe_of_node[c.src]];
-            if src_shard == self.shard {
-                self.push_event_ord(t, ord, EventKind::CreditReturn { chan });
-            } else {
-                self.send_cross(t, ord, chan, src_shard, MsgKind::Credit);
-            }
-        }
-    }
-
-    /// Deliver items, recording sink EOF arrival times and marking the
-    /// receiving nodes dirty. Returns the PEs that may now have new work;
-    /// the drained buffer is recycled to the emitting node. Destinations
-    /// behind a delayed channel receive nothing now — the item goes onto
-    /// the channel wire and lands at its [`EventKind::ChannelArrival`].
-    fn route_timed(&mut self, from: usize, mut emitted: Vec<(usize, Item)>) -> Vec<usize> {
-        let mut touched = Vec::new();
-        for (port, item) in emitted.drain(..) {
-            if let Item::Control(ControlToken::Custom(_)) = item {
-                self.custom_token_emissions[from] += 1;
-            }
-            let n_dests = self.shared.tables.routes[from][port].len();
-            for di in 0..n_dests {
-                let (dn, dp) = self.shared.tables.routes[from][port][di];
-                if let Some(chan) = self.delayed_chan(dn, dp) {
-                    self.delayed_send(chan, item.clone());
-                    continue;
-                }
-                if self.shared.node_roles[dn] == NodeRole::Sink {
-                    if let Item::Control(ControlToken::EndOfFrame) = item {
-                        self.sink_eof_times.push(self.now);
-                    }
-                }
-                let depth = {
-                    let queue = &mut self.node_mut(dn).queues[dp];
-                    queue.push_back(item.clone());
-                    queue.len()
-                };
-                if depth > self.node_max_queue[dn] {
-                    self.node_max_queue[dn] = depth;
-                }
-                if self.metrics.is_some() {
-                    if let Some(chan) = self.shared.chan_into[dn][dp] {
-                        if let Some(m) = self.metrics.as_mut() {
-                            m.chan_depth(chan as usize, depth);
-                        }
-                    }
-                }
-                if let Some(trace) = self.trace.as_mut() {
-                    trace.record(TraceEvent::QueueDepth {
-                        t: self.now,
-                        node: dn as u32,
-                        port: dp as u32,
-                        depth: depth as u32,
-                    });
-                    if let Item::Control(token) = &item {
-                        trace.record(TraceEvent::Token {
-                            t: self.now,
-                            node: dn as u32,
-                            port: dp as u32,
-                            token: *token,
-                        });
-                    }
-                }
-                self.mark_dirty(dn);
-                let pe = self.shared.pe_of_node[dn];
-                if !touched.contains(&pe) {
-                    touched.push(pe);
-                }
-            }
-        }
-        self.node_mut(from).recycle_out_buf(emitted);
-        touched
-    }
-
-    /// Attempt to start work on each PE in the list; starting a firing frees
-    /// upstream queue space, so upstream PEs are re-attempted transitively.
-    fn dispatch_wave(&mut self, mut worklist: Vec<usize>) {
-        while let Some(pe) = worklist.pop() {
-            if self.pe_inflight[pe].is_some() {
-                continue;
-            }
-            if let Some(node) = self.try_start(pe) {
-                for i in 0..self.shared.upstream[node].len() {
-                    let up_pe = self.shared.pe_of_node[self.shared.upstream[node][i]];
-                    if !worklist.contains(&up_pe) {
-                        worklist.push(up_pe);
-                    }
-                }
-                // The PE itself is now busy; it will be revisited at PeDone.
-            } else if self.trace.is_some() {
-                self.record_stall(pe);
-            }
-        }
+        self.dispatch_pe(x, sh, self.shared.pe_of_node[src]);
     }
 
     /// Attribute why `pe` failed to start a firing just now, from pure
     /// reads of its residents' state. Any resident with a fireable plan
-    /// must have been blocked by `downstream_space` (that is the only way
+    /// must have been blocked by `space_ok` (that is the only way
     /// `try_start` declines a plan), so back-pressure wins the attribution;
     /// otherwise queued-but-untriggerable inputs mean the PE is starved,
     /// and an empty PE is idle.
@@ -1875,163 +1681,9 @@ impl<'a> ShardSim<'a> {
         }
     }
 
-    /// Try to begin one firing on `pe`; returns the node that fired.
-    ///
-    /// Residents are scanned in round-robin order, skipping clean nodes
-    /// (their inputs have not changed since they last failed to plan, so
-    /// they still cannot fire). A dirty node that plans `None` is cleaned;
-    /// one that is only blocked on downstream space stays dirty, because
-    /// space freeing re-triggers a dispatch of this PE. The round-robin
-    /// pointer advances exactly as in an exhaustive scan.
-    fn try_start(&mut self, pe: usize) -> Option<usize> {
-        if self.dirty_count[pe] == 0 {
-            return None;
-        }
-        let len = self.shared.residents[pe].len();
-        for k in 0..len {
-            let idx = (self.rr[pe] + k) % len;
-            let node = self.shared.residents[pe][idx];
-            if !self.dirty[node] {
-                continue;
-            }
-            let Some(action) = self.node(node).plan() else {
-                self.clear_dirty(node);
-                continue;
-            };
-            if let Err(chan) = self.downstream_space(node, action) {
-                self.note_stall(chan);
-                continue;
-            }
-            // Compute read words from the items about to be consumed.
-            let read_words: u64 = match action {
-                Action::Fire { method } => {
-                    let n = self.node(node);
-                    n.compiled[method]
-                        .triggers
-                        .iter()
-                        .map(|&(p, _)| n.queues[p].front().map_or(0, |i| i.words()))
-                        .sum()
-                }
-                Action::Forward { .. } => 0,
-            };
-            let declared: u64 = match action {
-                Action::Fire { method } => self.node(node).compiled[method].cost_cycles,
-                Action::Forward { .. } => 1,
-            };
-            let (emitted, actual) = self.node_mut(node).execute_with_cost(action);
-            // Firing consumed inputs and may have changed private state;
-            // the node must be re-planned before it can be skipped again.
-            self.mark_dirty(node);
-            // Consumption frees buffer space on the consumed channels;
-            // return the credits for any delayed ones.
-            if self.shared.any_delayed {
-                let mi = match action {
-                    Action::Fire { method } | Action::Forward { method, .. } => method,
-                };
-                self.return_credits(node, mi);
-            }
-            // Data-dependent-cost kernels report their actual work; running
-            // past the declared budget is a runtime resource exception
-            // (§VII) recorded per node.
-            let cycles = actual.unwrap_or(declared);
-            if cycles > declared {
-                self.budget_overruns[node] += 1;
-                if let Some(m) = self.metrics.as_mut() {
-                    m.budget_overrun(self.now);
-                }
-            }
-            let write_words: u64 = emitted.iter().map(|(_, i)| i.words()).sum();
-            let m = &self.shared.machine;
-            let run_s = cycles as f64 / m.pe_clock_hz;
-            let read_s = read_words as f64 * m.read_cost_per_word / m.pe_clock_hz;
-            let write_s = write_words as f64 * m.write_cost_per_word / m.pe_clock_hz;
-            let dt = run_s + read_s + write_s;
-            self.pe_inflight[pe] = Some(Inflight {
-                node,
-                emitted,
-                run_s,
-                read_s,
-                write_s,
-            });
-            self.rr[pe] = (idx + 1) % len;
-            self.pe_stall[pe] = None;
-            if self.trace.is_some() {
-                let t = self.now;
-                let mi = match action {
-                    Action::Fire { method } | Action::Forward { method, .. } => method,
-                };
-                // The firing consumed one item from each trigger port;
-                // capture the new depths of those channels before taking
-                // the recorder borrow.
-                let depths: Vec<(u32, u32)> = {
-                    let n = self.node(node);
-                    n.compiled[mi]
-                        .triggers
-                        .iter()
-                        .map(|&(port, _)| (port as u32, n.queues[port].len() as u32))
-                        .collect()
-                };
-                if let Some(trace) = self.trace.as_mut() {
-                    trace.record(TraceEvent::FiringBegin {
-                        t,
-                        node: node as u32,
-                        method: mi as u32,
-                        pe: pe as u32,
-                        cycles,
-                    });
-                    for (port, depth) in depths {
-                        trace.record(TraceEvent::QueueDepth {
-                            t,
-                            node: node as u32,
-                            port,
-                            depth,
-                        });
-                    }
-                }
-            }
-            let t_done = self.now + dt;
-            self.push_event(t_done, EventKind::PeDone { pe });
-            return Some(node);
-        }
-        None
-    }
-
-    /// `Ok` when every destination queue of the action's outputs has room
-    /// for this firing's worst-case emissions (2 items of slack); `Err`
-    /// identifies the first check that declined (the channel feeding the
-    /// full queue, or `u32::MAX` for a channel-less queue) so the caller
-    /// can attribute the stall. Delayed channels are judged by the local
-    /// credit count — never by receiver state, so the check stays
-    /// shard-local.
-    fn downstream_space(&self, node: usize, action: Action) -> std::result::Result<(), u32> {
-        let method = match action {
-            Action::Fire { method } | Action::Forward { method, .. } => method,
-        };
-        let outputs = &self.node(node).compiled[method].outputs;
-        for &port in outputs {
-            for &(dn, dp) in &self.shared.tables.routes[node][port] {
-                match self.delayed_chan(dn, dp) {
-                    Some(chan) => {
-                        if self.credits[chan as usize] < 2 {
-                            return Err(chan);
-                        }
-                    }
-                    None => {
-                        if self.node(dn).queues[dp].len() + 2 > self.shared.cap_into[dn][dp] {
-                            return Err(self.shared.chan_into[dn][dp].unwrap_or(u32::MAX));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Metrics hook: a plannable firing was declined for downstream space
     /// on `chan` (`u32::MAX` = a queue with no feeding channel; not
-    /// attributed). Both backends call this at the same program points —
-    /// the compiled dispatcher's scan mirrors the interpreter's exactly
-    /// under `OBS`, which is what keeps stall counts backend-identical.
+    /// attributed).
     #[inline]
     fn note_stall(&mut self, chan: u32) {
         if chan == u32::MAX {
@@ -2042,25 +1694,18 @@ impl<'a> ShardSim<'a> {
         }
     }
 
-    // ---- Direct-threaded (compiled) execution paths ----------------------
-    //
-    // Each method below mirrors its interpreted counterpart statement for
-    // statement, with the interpreter's per-event lookups replaced by the
-    // pre-resolved `CompiledTables`. The mirrored order of side effects
-    // (trace records, journal pushes, counter updates) is what keeps the
-    // fingerprints and traces bitwise identical; the differential suite
-    // pins it.
-
-    /// Compiled [`route_timed`](Self::route_timed): destinations come from
-    /// the fused [`RouteDest`] table, touched PEs accumulate into recycled
-    /// scratch, head masks are maintained at each push, and the final
-    /// destination of a fan-out receives the item by move instead of
-    /// clone+drop.
-    fn route_compiled<const OBS: bool, const JRN: bool>(
+    /// Deliver items, recording sink EOF arrival times and marking the
+    /// receiving nodes dirty; the PEs that may now have new work accumulate
+    /// into `touched`, and the drained buffer is recycled to the emitting
+    /// node. Head masks are maintained at each push, and the final
+    /// destination of a fan-out receives the item by move. A destination
+    /// behind a delayed channel receives nothing now — the item goes onto
+    /// the wire and lands at its [`EventKind::ChannelArrival`].
+    fn route<X: Exec, const OBS: bool, const JRN: bool>(
         &mut self,
+        sh: &Shared,
         from: usize,
         mut emitted: Vec<(usize, Item)>,
-        ct: &CompiledTables,
         touched: &mut Vec<usize>,
     ) {
         for (port, item) in emitted.drain(..) {
@@ -2071,7 +1716,7 @@ impl<'a> ShardSim<'a> {
             if let Some(ControlToken::Custom(_)) = tok {
                 self.custom_token_emissions[from] += 1;
             }
-            let dests = &ct.dests[from][port];
+            let dests = &sh.dests[from][port];
             let n_dests = dests.len();
             if n_dests == 0 {
                 continue;
@@ -2098,7 +1743,7 @@ impl<'a> ShardSim<'a> {
                     queue.push_back(it);
                     queue.len()
                 };
-                if depth == 1 {
+                if X::HEAD_MASKS && depth == 1 {
                     let bit = 1u64 << dp;
                     if tok.is_none() {
                         self.head_data[dn] |= bit;
@@ -2149,17 +1794,19 @@ impl<'a> ShardSim<'a> {
         self.node_mut(from).recycle_out_buf(emitted);
     }
 
-    /// Compiled [`dispatch_wave`](Self::dispatch_wave) over a borrowed
-    /// worklist (the caller recycles the vector).
-    fn dispatch_wave_compiled<const OBS: bool, const JRN: bool>(
+    /// Attempt to start work on each PE in the (borrowed, caller-recycled)
+    /// worklist; starting a firing frees upstream queue space, so upstream
+    /// PEs are re-attempted transitively.
+    fn dispatch_wave<X: Exec, const OBS: bool, const JRN: bool>(
         &mut self,
+        x: X,
+        sh: &Shared,
         worklist: &mut Vec<usize>,
-        ct: &CompiledTables,
     ) {
         // An upstream wake's only new information is the space a firing's
         // consumption freed, so the untraced dispatcher wakes only
         // `space_waiting` producers (see the field's invariant). A *trace*
-        // keeps the interpreter's exhaustive pushes: those extra scans are
+        // keeps the exhaustive pushes: those extra scans are
         // outcome-free but trace-observable, as each may record a stall
         // transition. Metrics do NOT need them — a metrics stall is only
         // counted on a failing space check of a fireable plan, and any
@@ -2172,12 +1819,12 @@ impl<'a> ShardSim<'a> {
             if self.pe_inflight[pe].is_some() {
                 continue;
             }
-            if let Some(node) = self.try_start_compiled::<OBS, JRN>(pe, ct) {
+            if let Some(node) = self.try_start::<X, OBS, JRN>(x, sh, pe) {
                 for i in 0..self.shared.upstream[node].len() {
                     let up = self.shared.upstream[node][i];
                     if exhaustive || self.space_waiting[up] {
                         let up_pe = self.shared.pe_of_node[up];
-                        // Same busy-at-push filter as `route_compiled`:
+                        // Same busy-at-push filter as `route`:
                         // the started PEs only accumulate within a wave,
                         // so a busy upstream PE would be skipped at its
                         // pop anyway.
@@ -2192,9 +1839,13 @@ impl<'a> ShardSim<'a> {
         }
     }
 
-    /// Flattened [`downstream_space`](Self::downstream_space) over the
-    /// method's precomputed check list (identical scan order, identical
-    /// `Err` channel attribution).
+    /// `Ok` when every destination queue of the method's outputs has room
+    /// for this firing's worst-case emissions (2 items of slack); `Err`
+    /// identifies the first check that declined (the channel feeding the
+    /// full queue, or `u32::MAX` for a channel-less queue) so the caller
+    /// can attribute the stall. Delayed channels are judged by the local
+    /// credit count — never by receiver state, so the check stays
+    /// shard-local.
     #[inline]
     fn space_ok(&self, checks: &[SpaceCheck]) -> std::result::Result<(), u32> {
         for c in checks {
@@ -2214,10 +1865,11 @@ impl<'a> ShardSim<'a> {
         Ok(())
     }
 
-    /// Compiled [`return_credits`](Self::return_credits): the fired
-    /// method's delayed trigger channels were resolved at build time, so
-    /// this neither allocates nor searches `delayed_in_ports`.
-    fn return_credits_compiled(&mut self, chans: &[u32]) {
+    /// After a firing consumed one item from each trigger port, schedule a
+    /// credit return (delayed by the channel latency) for every consumed
+    /// port fed by a delayed channel (`chans`, resolved at build time) —
+    /// to the owning shard of the sender.
+    fn return_credits(&mut self, chans: &[u32]) {
         for &chan in chans {
             let ci = chan as usize;
             let c = self.shared.channels[ci];
@@ -2234,21 +1886,28 @@ impl<'a> ShardSim<'a> {
         }
     }
 
-    /// Compiled [`try_start`](Self::try_start): planning is a mask test
-    /// plus the `ready()` call, firing runs the method's direct-threaded
-    /// routine (pops, read-word accounting, and the behavior call fused),
-    /// and the space/credit/cost lookups hit the precomputed tables.
-    fn try_start_compiled<const OBS: bool, const JRN: bool>(
+    /// Try to begin one firing on `pe`; returns the node that fired.
+    ///
+    /// Residents are scanned in round-robin order, skipping clean nodes
+    /// (their inputs have not changed since they last failed to plan, so
+    /// they still cannot fire). A dirty node that plans `None` is cleaned;
+    /// one that is only blocked on downstream space stays dirty, because
+    /// space freeing re-triggers a dispatch of this PE. The round-robin
+    /// pointer advances exactly as in an exhaustive scan. Planning and
+    /// firing are the backend's ([`Exec`]); the space/credit/cost lookups
+    /// hit the precomputed tables.
+    fn try_start<X: Exec, const OBS: bool, const JRN: bool>(
         &mut self,
+        x: X,
+        sh: &Shared,
         pe: usize,
-        ct: &CompiledTables,
     ) -> Option<usize> {
         if self.dirty_count[pe] == 0 {
             return None;
         }
         let len = self.shared.residents[pe].len();
         // Round-robin over the residents starting at `rr[pe]`, with the
-        // wraparound as a compare instead of the interpreter's modulo.
+        // wraparound as a compare instead of a modulo.
         let mut idx = self.rr[pe];
         for _ in 0..len {
             let cur = idx;
@@ -2260,9 +1919,8 @@ impl<'a> ShardSim<'a> {
             if !self.dirty[node] {
                 continue;
             }
-            let tn = &ct.program.nodes[node];
             #[cfg(debug_assertions)]
-            {
+            if X::HEAD_MASKS {
                 let n = self.node(node);
                 debug_assert_eq!(
                     bp_codegen::head_masks(&n.queues),
@@ -2270,64 +1928,60 @@ impl<'a> ShardSim<'a> {
                     "stale head masks for node {node}"
                 );
             }
-            let action = {
-                let n = self.node(node);
-                tn.plan(
-                    self.head_data[node],
-                    self.head_ctrl[node],
-                    &n.queues,
-                    n.behavior.as_ref(),
-                )
-            };
+            let action = x.plan(
+                node,
+                self.node(node),
+                self.head_data[node],
+                self.head_ctrl[node],
+            );
             let Some(action) = action else {
                 self.clear_dirty(node);
                 continue;
             };
             let mi = match action {
-                bp_codegen::PlannedAction::Fire { method }
-                | bp_codegen::PlannedAction::Forward { method, .. } => method,
+                Action::Fire { method } | Action::Forward { method, .. } => method,
             };
-            if let Err(chan) = self.space_ok(&ct.space[node][mi]) {
+            if let Err(chan) = self.space_ok(&sh.space[node][mi]) {
                 // Plannable but space-blocked: only downstream consumption
                 // can unblock it, so flag it for the consumers' upstream
-                // wakes (the node stays dirty, exactly like the
-                // interpreter's declined plan).
+                // wakes (the node stays dirty).
                 if OBS {
                     self.note_stall(chan);
                 }
                 self.space_waiting[node] = true;
                 continue;
             }
-            let tm = &tn.methods[mi];
-            let (emitted, read_words, cycles, declared, run_s) = match action {
-                bp_codegen::PlannedAction::Fire { .. } => {
-                    let (emitted, res) = self.node_mut(node).fire_threaded(&tm.fire);
-                    let declared = tm.cost_cycles;
-                    let cycles = res.actual_cycles.unwrap_or(declared);
-                    // Equal cycle counts reuse the build-time quotient
-                    // (identical operands ⇒ identical bits); a
-                    // data-dependent count divides live like the interpreter.
-                    let run_s = if cycles == declared {
-                        ct.run_s[node][mi]
-                    } else {
-                        cycles as f64 / self.shared.machine.pe_clock_hz
-                    };
-                    (emitted, res.read_words, cycles, declared, run_s)
+            let (emitted, read_words, actual) = x.fire(node, self.node_mut(node), action);
+            let (declared, declared_s) = match action {
+                Action::Fire { .. } => {
+                    (self.node(node).compiled[mi].cost_cycles, sh.run_s[node][mi])
                 }
-                bp_codegen::PlannedAction::Forward { token, .. } => {
-                    let emitted = self.node_mut(node).forward_threaded(tm, token);
-                    (emitted, 0, 1, 1, ct.forward_run_s)
-                }
+                Action::Forward { .. } => (1, sh.forward_run_s),
             };
-            for &p in &tm.trigger_ports {
-                self.refresh_head(node, p);
+            // Data-dependent-cost kernels report their actual work. Equal
+            // cycle counts reuse the build-time quotient (identical
+            // operands ⇒ identical bits); a different count divides live.
+            let cycles = actual.unwrap_or(declared);
+            let run_s = if cycles == declared {
+                declared_s
+            } else {
+                cycles as f64 / self.shared.machine.pe_clock_hz
+            };
+            let trigger_ports = &sh.trigger_ports[node][mi];
+            if X::HEAD_MASKS {
+                for &p in trigger_ports {
+                    self.refresh_head(node, p);
+                }
             }
             // Firing consumed inputs and may have changed private state;
             // the node must be re-planned before it can be skipped again.
             self.mark_dirty(node);
+            // Consumption freed buffer space on the consumed channels.
             if self.shared.any_delayed {
-                self.return_credits_compiled(&ct.credit_chans[node][mi]);
+                self.return_credits(&sh.credit_chans[node][mi]);
             }
+            // Running past the declared budget is a runtime resource
+            // exception (§VII) recorded per node.
             if cycles > declared {
                 self.budget_overruns[node] += 1;
                 if OBS {
@@ -2339,10 +1993,10 @@ impl<'a> ShardSim<'a> {
             let write_words: u64 = emitted.iter().map(|(_, i)| i.words()).sum();
             let m = &self.shared.machine;
             // Memoized word-cost conversions: a hit replays the quotient
-            // the interpreter's expression produced for the same operands
-            // (bitwise identical by IEEE-754 determinism), a miss runs the
+            // the expression produced for the same operands (bitwise
+            // identical by IEEE-754 determinism), a miss runs the
             // expression live and refills the slot.
-            let memo = &mut self.rw_memo[(ct.method_base[node] + mi as u32) as usize];
+            let memo = &mut self.rw_memo[(sh.method_base[node] + mi as u32) as usize];
             let read_s = if memo.read_words == read_words {
                 memo.read_s
             } else {
@@ -2373,9 +2027,12 @@ impl<'a> ShardSim<'a> {
                 self.pe_stall[pe] = None;
                 if self.trace.is_some() {
                     let t = self.now;
+                    // The firing consumed one item from each trigger port;
+                    // capture the new depths of those channels before
+                    // taking the recorder borrow.
                     let depths: Vec<(u32, u32)> = {
                         let n = self.node(node);
-                        tm.trigger_ports
+                        trigger_ports
                             .iter()
                             .map(|&port| (port as u32, n.queues[port].len() as u32))
                             .collect()
@@ -2400,14 +2057,7 @@ impl<'a> ShardSim<'a> {
                 }
             }
             let t_done = self.now + dt;
-            if JRN {
-                self.push_event(t_done, EventKind::PeDone { pe });
-            } else {
-                if OBS {
-                    self.note_push();
-                }
-                self.events.push(t_done, EventKind::PeDone { pe });
-            }
+            self.push_event::<OBS, JRN>(t_done, EventKind::PeDone { pe });
             return Some(node);
         }
         None
@@ -2418,7 +2068,7 @@ impl<'a> ShardSim<'a> {
 /// cycle of filled channels as structured hops.
 ///
 /// A blocked node (fireable plan, all PEs idle) is waiting on its first
-/// output channel that fails the `downstream_space` check; following those
+/// output channel that fails the downstream-space check; following those
 /// edges from each blocked node in index order either revisits a node —
 /// the wait-for cycle (in a feedback loop, the channel chain that filled)
 /// — or dead-ends. Pure reads only, and both engines call this on the same
@@ -2435,66 +2085,44 @@ fn deadlock_wait_cycle(
     let blocked: Vec<bool> = (0..n)
         .map(|i| shared.node_roles[i] != NodeRole::Source && nodes[i].plan().is_some())
         .collect();
-    // The delayed channel into `(dn, dp)`, if any (mirrors
-    // `ShardSim::delayed_chan` on merged state).
-    let delayed_chan = |dn: usize, dp: usize| -> Option<u32> {
-        if !shared.any_delayed {
-            return None;
-        }
-        shared.chan_into[dn][dp].filter(|&c| shared.channels[c as usize].latency_s > 0.0)
-    };
-    // The first full output channel of a blocked node: `(out_port, dst,
-    // dst_port)`. Deterministic because ports and routes scan in order.
-    let wait_edge = |i: usize| -> Option<(usize, usize, usize)> {
+    // The first full output channel of a blocked node: the first of its
+    // planned method's space checks to decline, on the merged state.
+    let wait_edge = |i: usize| -> Option<usize> {
         let method = match nodes[i].plan()? {
             Action::Fire { method } | Action::Forward { method, .. } => method,
         };
-        for &port in &nodes[i].compiled[method].outputs {
-            for &(dn, dp) in &shared.tables.routes[i][port] {
-                let full = match delayed_chan(dn, dp) {
-                    Some(chan) => credits[chan as usize] < 2,
-                    None => nodes[dn].queues[dp].len() + 2 > shared.cap_into[dn][dp],
-                };
-                if full {
-                    return Some((port, dn, dp));
-                }
+        let full = |check: &SpaceCheck| match *check {
+            SpaceCheck::Credit { chan } => (credits[chan as usize] < 2).then_some(chan),
+            SpaceCheck::Queue { dn, dp, cap, chan } => {
+                let depth = nodes[dn as usize].queues[dp as usize].len();
+                (depth + 2 > cap as usize).then_some(chan)
             }
-        }
-        None
+        };
+        shared.space[i][method]
+            .iter()
+            .find_map(full)
+            .map(|c| c as usize)
     };
     for start in (0..n).filter(|&i| blocked[i]) {
-        // `(src, out_port, dst, in_port)` hops from `start`.
-        let mut path: Vec<(usize, usize, usize, usize)> = Vec::new();
+        // Channels waited on, hop by hop from `start`.
+        let mut path: Vec<usize> = Vec::new();
         let mut pos = vec![usize::MAX; n];
         let mut cur = start;
         while blocked[cur] && pos[cur] == usize::MAX {
-            let Some((op, dst, ip)) = wait_edge(cur) else {
+            let Some(ci) = wait_edge(cur) else {
                 break;
             };
             pos[cur] = path.len();
-            path.push((cur, op, dst, ip));
-            cur = dst;
+            path.push(ci);
+            cur = shared.channels[ci].dst;
         }
         if blocked[cur] && pos[cur] != usize::MAX {
-            let mut hops = Vec::with_capacity(path.len() - pos[cur]);
-            for &(src, op, dst, ip) in &path[pos[cur]..] {
-                let capacity = shared.cap_into[dst][ip];
-                // For a delayed channel, occupancy is capacity minus the
-                // sender's remaining credits (queued + in flight).
-                let occupancy = match delayed_chan(dst, ip) {
-                    Some(chan) => (capacity as i64 - credits[chan as usize]).max(0) as usize,
-                    None => nodes[dst].queues[ip].len(),
-                };
-                hops.push(DeadlockHop {
-                    src: nodes[src].name.clone(),
-                    src_port: nodes[src].spec.outputs[op].name.clone(),
-                    dst: nodes[dst].name.clone(),
-                    dst_port: nodes[dst].spec.inputs[ip].name.clone(),
-                    occupancy,
-                    capacity,
-                });
-            }
-            return Some(hops);
+            let cycle = path[pos[cur]..].iter();
+            return Some(
+                cycle
+                    .map(|&ci| channel_hop(shared, nodes, credits, ci))
+                    .collect(),
+            );
         }
     }
     None
@@ -2577,25 +2205,47 @@ fn starved_loop_cycle(
     None
 }
 
-/// Check the settled program for a capacity deadlock and build the final
-/// outcome — a completed [`SimReport`] or a structured [`DeadlockReport`].
-/// Used identically by the sequential and parallel simulators, with the
-/// latter feeding merged per-shard state.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble_outcome(
+/// Settle a finished run — one shard's outcome, or the parallel engine's
+/// merge of several — into the metrics tape and the final outcome: check
+/// the program for a capacity deadlock and build a completed [`SimReport`]
+/// or a structured [`DeadlockReport`]. Every engine ends here, so the
+/// results can only differ if the state fed in does.
+pub(crate) fn settle(
     shared: &Shared,
     nodes: &[RtNode],
-    stats: Vec<PeStats>,
-    node_busy: Vec<f64>,
-    now: f64,
-    violations: u64,
-    sink_eof_times: Vec<f64>,
-    frame_start_times: Vec<f64>,
-    custom_token_emissions: &[u64],
-    budget_overruns: Vec<u64>,
-    node_max_queue: Vec<usize>,
-    credits: &[i64],
-) -> SimOutcome {
+    outcome: ShardOutcome,
+) -> (SimOutcome, Option<MetricsTape>) {
+    let ShardOutcome {
+        stats,
+        node_busy,
+        violations,
+        sink_eof_times,
+        frame_start_times,
+        custom_token_emissions,
+        budget_overruns,
+        node_max_queue,
+        credits,
+        now,
+        metrics,
+        ..
+    } = outcome;
+    // One frame completes when all sinks have seen its end-of-frame:
+    // group the EOF arrivals per frame. The tape takes its completion
+    // times and end-to-end latencies (completed frames only) from the same
+    // grouping the report does, so the two agree on every engine.
+    let sinks = shared.num_sinks;
+    let completions: Vec<f64> = sink_eof_times
+        .chunks_exact(sinks)
+        .map(|c| c.iter().cloned().fold(0.0f64, f64::max))
+        .collect();
+    // (A recorder exists only when a metrics policy was resolved.)
+    let tape = metrics
+        .zip(shared.metrics.as_ref())
+        .map(|(mut rec, policy)| {
+            let starts = frame_start_times.iter();
+            let latencies: Vec<f64> = completions.iter().zip(starts).map(|(c, s)| c - s).collect();
+            MetricsTape::assemble(&mut rec, &policy.contracts, &completions, &latencies, now)
+        });
     // Everything settled. If any node still has a fireable plan, the
     // only thing that can have stopped it is downstream capacity — with
     // all PEs idle that is a genuine capacity deadlock. Residual items
@@ -2605,10 +2255,10 @@ pub(crate) fn assemble_outcome(
         .any(|i| shared.node_roles[i] != NodeRole::Source && nodes[i].plan().is_some());
     if deadlocked {
         let queued: usize = nodes.iter().map(|n| n.queued_items()).sum();
-        let (cycle, blocked_cycle) = match deadlock_wait_cycle(shared, nodes, credits) {
+        let (cycle, blocked_cycle) = match deadlock_wait_cycle(shared, nodes, &credits) {
             Some(hops) => (hops, true),
             None => (
-                starved_loop_cycle(shared, nodes, credits).unwrap_or_default(),
+                starved_loop_cycle(shared, nodes, &credits).unwrap_or_default(),
                 false,
             ),
         };
@@ -2625,24 +2275,19 @@ pub(crate) fn assemble_outcome(
                 current: h.capacity,
                 required: h.occupancy + 2,
             });
-        return SimOutcome::Deadlocked(DeadlockReport {
+        let report = DeadlockReport {
             queued_items: queued,
             cycle,
             blocked_cycle,
             min_capacity_bump,
             stuck: stuck_report(nodes),
-        });
+        };
+        return (SimOutcome::Deadlocked(report), tape);
     }
     let residual: u64 = nodes.iter().map(|n| n.queued_items() as u64).sum();
 
-    let sinks = shared.num_sinks;
     let frames_completed = (sink_eof_times.len() / sinks) as u32;
-    // One frame completes when all sinks have seen its end-of-frame;
-    // group the EOF arrivals per frame and rate the completions.
-    let completions: Vec<f64> = sink_eof_times
-        .chunks_exact(sinks)
-        .map(|c| c.iter().cloned().fold(0.0f64, f64::max))
-        .collect();
+    // Rate the completions.
     let achieved = if completions.len() >= 2 && *completions.last().unwrap() > completions[0] {
         (completions.len() - 1) as f64 / (completions.last().unwrap() - completions[0])
     } else if now > 0.0 {
@@ -2675,7 +2320,7 @@ pub(crate) fn assemble_outcome(
             }
         }
     }
-    SimOutcome::Completed(SimReport {
+    let report = SimReport {
         pe_stats: stats,
         node_firings: nodes.iter().map(|n| n.firings).collect(),
         node_busy,
@@ -2692,50 +2337,15 @@ pub(crate) fn assemble_outcome(
             required_rate_hz: shared.required_rate_hz,
             achieved_rate_hz: achieved,
         },
-    })
-}
-
-/// Assemble the deterministic metrics tape from a (merged) recorder and
-/// the run's frame bookkeeping. Frame completion times and end-to-end
-/// latencies are derived exactly as in [`assemble_outcome`] (last sink
-/// EOF per frame), restricted to completed frames, so the tape agrees
-/// with the report and is identical across engines and thread counts.
-pub(crate) fn assemble_tape(
-    shared: &Shared,
-    rec: Option<MetricsRecorder>,
-    sink_eof_times: &[f64],
-    frame_start_times: &[f64],
-    now: f64,
-) -> Option<MetricsTape> {
-    let mut rec = rec?;
-    let m = shared
-        .metrics
-        .as_ref()
-        .expect("a recorder exists only when a metrics policy was resolved");
-    let sinks = shared.num_sinks;
-    let completions: Vec<f64> = sink_eof_times
-        .chunks_exact(sinks)
-        .map(|c| c.iter().cloned().fold(0.0f64, f64::max))
-        .collect();
-    let latencies: Vec<f64> = completions
-        .iter()
-        .zip(frame_start_times.iter())
-        .map(|(c, s)| c - s)
-        .collect();
-    Some(MetricsTape::assemble(
-        &mut rec,
-        &m.contracts,
-        &completions,
-        &latencies,
-        now,
-    ))
+    };
+    (SimOutcome::Completed(report), tape)
 }
 
 /// The timing-accurate simulator. Construct with a graph, a kernel-to-PE
 /// mapping, and a configuration, then [`run`](Self::run).
 pub struct TimedSimulator {
-    nodes: Vec<RtNode>,
-    shared: Shared,
+    pub(crate) nodes: Vec<RtNode>,
+    pub(crate) shared: Shared,
 }
 
 impl TimedSimulator {
@@ -2743,12 +2353,6 @@ impl TimedSimulator {
     pub fn new(graph: &AppGraph, mapping: &Mapping, config: SimConfig) -> Result<Self> {
         let (nodes, shared) = build_shared(graph, mapping, config)?;
         Ok(Self { nodes, shared })
-    }
-
-    /// Wrap an already-instantiated program (the parallel simulator's
-    /// single-shard fallback).
-    pub(crate) fn from_parts(nodes: Vec<RtNode>, shared: Shared) -> Self {
-        Self { nodes, shared }
     }
 
     /// Run the simulation to completion and report. A capacity deadlock
@@ -2803,55 +2407,12 @@ impl TimedSimulator {
     pub(crate) fn run_outcome_with_artifacts(
         self,
     ) -> (SimOutcome, Option<Trace>, Option<MetricsTape>) {
-        let Self { nodes, shared } = self;
         // One shard owning every PE: the engine runs exactly the schedule
         // documented at the top of this module.
-        let shard_of_pe = vec![0usize; shared.residents.len()];
-        let slots = DisjointSlots::new(nodes);
-        let outcome = {
-            let mut sim = ShardSim::new(&shared, &slots, 0, &shard_of_pe, false, None);
-            sim.run();
-            sim.into_outcome()
-        };
-        let nodes = slots.into_inner();
-        // The single shard records in global pop order, so its buffer is
-        // already the canonical trace.
-        let trace = outcome.trace.map(|rec| {
-            let (events, dropped) = rec.into_events();
-            Trace {
-                meta: TraceMeta::from_parts(
-                    &nodes,
-                    &shared.pe_of_node,
-                    shared.residents.len(),
-                    shared.machine.pe_clock_hz,
-                    &shared.channels,
-                ),
-                events,
-                dropped,
-            }
-        });
-        let tape = assemble_tape(
-            &shared,
-            outcome.metrics,
-            &outcome.sink_eof_times,
-            &outcome.frame_start_times,
-            outcome.now,
-        );
-        let settled = assemble_outcome(
-            &shared,
-            &nodes,
-            outcome.stats,
-            outcome.node_busy,
-            outcome.now,
-            outcome.violations,
-            outcome.sink_eof_times,
-            outcome.frame_start_times,
-            &outcome.custom_token_emissions,
-            outcome.budget_overruns,
-            outcome.node_max_queue,
-            &outcome.credits,
-        );
-        (settled, trace, tape)
+        let mut sim = ShardSim::solo(self.nodes, self.shared);
+        sim.init();
+        sim.run(f64::INFINITY, usize::MAX);
+        sim.settle_solo()
     }
 }
 
@@ -2895,6 +2456,86 @@ mod tests {
         assert!(channel_capacity.is_none() && capacities.is_none());
         assert_eq!(frames, 1);
         assert!(trace.is_none() && metrics.is_none() && lowered.is_none());
+    }
+
+    /// The tables every event reads equal the per-event lookups they
+    /// replaced — written here as the deleted handlers had them — for every
+    /// example app as compiled, under direct, uniform and grid comm models.
+    #[test]
+    fn tables_equal_the_lookups_they_replace() {
+        use bp_apps::{apps, SLOW, SMALL};
+        let built = [
+            apps::fig1b(SMALL, SLOW),
+            apps::bayer(SMALL, SLOW),
+            apps::histogram_app(SMALL, SLOW, 32),
+            apps::parallel_buffer_test(Dim2::new(64, 12), 10.0),
+            apps::multi_conv(SMALL, SLOW, 3),
+            apps::temporal_iir(SMALL, SLOW),
+            apps::fir_radio(72, 100.0),
+            apps::edge_detect(SMALL, SLOW, 0.5),
+            apps::analytics(SMALL, SLOW),
+            apps::stereo_diff(SMALL, SLOW),
+            apps::camera_bank(3, SMALL, SLOW),
+        ];
+        let models = [
+            CommModel::zero(),
+            CommModel::uniform(64e-9, 1e-9),
+            CommModel::grid(32e-9, 8e-9, 1e-9),
+        ];
+        for (app, comm) in built
+            .iter()
+            .flat_map(|a| models.iter().map(move |m| (a, m)))
+        {
+            let c = bp_compiler::compile(&app.graph, &Default::default()).expect("compile");
+            let config = SimConfig::new(1).with_comm(comm.clone());
+            let (nodes, sh) = build_shared(&c.graph, &c.mapping, config).unwrap();
+            let delayed_chan = |dn: usize, dp: usize| {
+                sh.chan_into[dn][dp].filter(|&c| sh.channels[c as usize].latency_s > 0.0)
+            };
+            for (node, rt) in nodes.iter().enumerate() {
+                // `route_timed`: one lookup per destination per push.
+                for (port, routes) in sh.tables.routes[node].iter().enumerate() {
+                    let want = routes.iter().map(|&(dn, dp)| RouteDest {
+                        dn: dn as u32,
+                        dp: dp as u32,
+                        chan: delayed_chan(dn, dp).unwrap_or(u32::MAX),
+                        sink: sh.node_roles[dn] == NodeRole::Sink,
+                    });
+                    assert_eq!(sh.dests[node][port], want.collect::<Vec<_>>());
+                }
+                // `return_credits`: the node's delayed in-ports, searched
+                // once per trigger.
+                let into = |(ci, c): (usize, &ChannelRt)| {
+                    (c.dst == node && c.latency_s > 0.0).then_some((c.dst_port, ci as u32))
+                };
+                let delayed_in: Vec<_> = sh.channels.iter().enumerate().filter_map(into).collect();
+                for (m, cm) in rt.compiled.iter().enumerate() {
+                    // `downstream_space`: outputs × routes, in scan order.
+                    let mut want = Vec::new();
+                    for &port in &cm.outputs {
+                        for &(dn, dp) in &sh.tables.routes[node][port] {
+                            want.push(match delayed_chan(dn, dp) {
+                                Some(chan) => SpaceCheck::Credit { chan },
+                                None => SpaceCheck::Queue {
+                                    dn: dn as u32,
+                                    dp: dp as u32,
+                                    cap: sh.cap_into[dn][dp] as u32,
+                                    chan: sh.chan_into[dn][dp].unwrap_or(u32::MAX),
+                                },
+                            });
+                        }
+                    }
+                    assert_eq!(sh.space[node][m], want);
+                    let credited = cm.triggers.iter().filter_map(|&(port, _)| {
+                        let fed = delayed_in.iter().find(|&&(p, _)| p == port);
+                        fed.map(|&(_, chan)| chan)
+                    });
+                    assert_eq!(sh.credit_chans[node][m], credited.collect::<Vec<_>>());
+                    let run_s = cm.cost_cycles as f64 / sh.machine.pe_clock_hz;
+                    assert_eq!(sh.run_s[node][m].to_bits(), run_s.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -55,8 +55,8 @@ use crate::parallel::DisjointSlots;
 use crate::runtime::RtNode;
 use crate::stats::{PeStats, SimReport};
 use crate::timed::{
-    assemble_outcome, assemble_tape, build_shared, LogEntry, OutMsg, ShardLog, ShardOutcome,
-    ShardSim, Shared, SimConfig, TimedSimulator,
+    build_shared, settle, LogEntry, OutMsg, ShardLog, ShardOutcome, ShardSim, Shared, SimConfig,
+    TimedSimulator,
 };
 use crate::trace::{Trace, TraceEvent, TraceMeta, TraceRecorder};
 use bp_core::graph::AppGraph;
@@ -64,7 +64,7 @@ use bp_core::machine::{Mapping, ShardPlan};
 use bp_core::Result;
 use bp_metrics::{MetricsRecorder, MetricsTape};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 /// Counters describing how a parallel run was scheduled, for scaling
 /// analysis and tests (e.g. asserting that a single-component app really
@@ -218,7 +218,7 @@ impl ParallelTimedSimulator {
         } = self;
         if plan.num_shards <= 1 {
             let (outcome, trace, tape) =
-                TimedSimulator::from_parts(nodes, shared).run_outcome_with_artifacts();
+                TimedSimulator { nodes, shared }.run_outcome_with_artifacts();
             let stats = ParallelRunStats {
                 shards: 1,
                 lookahead_s: f64::INFINITY,
@@ -243,9 +243,13 @@ impl ParallelTimedSimulator {
             })
             .map(|c| c.latency_s)
             .fold(f64::INFINITY, f64::min);
-        let slots = DisjointSlots::new(nodes);
+        // Every shard engine shares (by `Arc`) the tables, the node slots
+        // it owns a disjoint part of, the PE partition and the inboxes.
+        let shared = Arc::new(shared);
+        let slots = Arc::new(DisjointSlots::new(nodes));
+        let shard_of_pe: Arc<[usize]> = plan.shard_of_pe.as_slice().into();
         // Cross-shard communication inboxes, one per destination shard.
-        let inboxes: Vec<Mutex<Vec<OutMsg>>> = (0..plan.num_shards)
+        let inboxes: Arc<[Mutex<Vec<OutMsg>>]> = (0..plan.num_shards)
             .map(|_| Mutex::new(Vec::new()))
             .collect();
         // Per-shard published timestamps (f64 bits): the earliest pending
@@ -268,14 +272,18 @@ impl ParallelTimedSimulator {
         let mut outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..plan.num_shards)
                 .map(|shard| {
-                    let (shared, slots) = (&shared, &slots);
-                    let (inboxes, barrier) = (&inboxes[..], &barrier);
+                    let mut sim = ShardSim::new(
+                        Arc::clone(&shared),
+                        Arc::clone(&slots),
+                        shard,
+                        Arc::clone(&shard_of_pe),
+                        true,
+                        Some(Arc::clone(&inboxes)),
+                    );
+                    let barrier = &barrier;
                     let (next_t, min_out) = (&next_t[..], &min_out[..]);
                     let (window, stop) = (&window, &stop);
-                    let shard_of_pe = &plan.shard_of_pe[..];
                     scope.spawn(move || {
-                        let mut sim =
-                            ShardSim::new(shared, slots, shard, shard_of_pe, true, Some(inboxes));
                         sim.init();
                         next_t[shard].store(sim.next_pending().to_bits(), Ordering::SeqCst);
                         min_out[shard].store(sim.take_min_out().to_bits(), Ordering::SeqCst);
@@ -287,8 +295,8 @@ impl ParallelTimedSimulator {
                             }
                             let end = f64::from_bits(window.load(Ordering::SeqCst));
                             sim.drain_inbox();
-                            let nt = sim.run_window(end);
-                            next_t[shard].store(nt.to_bits(), Ordering::SeqCst);
+                            sim.run(end, usize::MAX);
+                            next_t[shard].store(sim.next_pending().to_bits(), Ordering::SeqCst);
                             min_out[shard].store(sim.take_min_out().to_bits(), Ordering::SeqCst);
                         }
                         sim.into_outcome()
@@ -323,7 +331,9 @@ impl ParallelTimedSimulator {
                 .map(|h| h.join().expect("shard worker panicked"))
                 .collect()
         });
-        let nodes = slots.into_inner();
+        let nodes = Arc::into_inner(slots)
+            .expect("every shard engine was consumed into its outcome")
+            .into_inner();
 
         // Disjoint merge: every PE (and node) is written by exactly one
         // shard; take its entries from the owner.
@@ -399,27 +409,22 @@ impl ParallelTimedSimulator {
                 .map(|o| o.log.as_ref().map_or(0, |l| l.main.len() as u64))
                 .collect(),
         };
-        let tape = assemble_tape(
-            &shared,
-            merged_metrics,
-            &sink_eof_times,
-            &frame_start_times,
-            now,
-        );
-        let outcome = assemble_outcome(
-            &shared,
-            &nodes,
+        let merged = ShardOutcome {
             stats,
             node_busy,
-            now,
             violations,
             sink_eof_times,
             frame_start_times,
-            &custom_token_emissions,
+            custom_token_emissions,
             budget_overruns,
             node_max_queue,
-            &credits,
-        );
+            credits,
+            now,
+            log: None,
+            trace: None,
+            metrics: merged_metrics,
+        };
+        let (outcome, tape) = settle(&shared, &nodes, merged);
         (outcome, trace, tape, run_stats)
     }
 }

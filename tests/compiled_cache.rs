@@ -116,3 +116,50 @@ fn cached_program_is_interchangeable_with_a_fresh_lowering() {
         "a same-shape shared program must be results-neutral"
     );
 }
+
+/// A cached program from a *different* shape must be refused when the
+/// simulator is built, not discovered by an out-of-bounds index in the
+/// event loop: the engine takes its routing tables from the graph and only
+/// the plan / fire routines from the program, so the two have to describe
+/// the same methods. Both graphs have four nodes, which is all the check
+/// used to compare.
+#[test]
+fn mismatched_program_is_a_typed_error_not_a_panic() {
+    use bp_core::{BpError, GraphBuilder, Mapping};
+    let dim = Dim2::new(8, 4);
+    let chain = {
+        let mut b = GraphBuilder::new();
+        let src = b.add_source("In", bp_kernels::pattern_source(dim), dim, 20.0);
+        let s1 = b.add("S1", bp_kernels::scale(2.0, 0.0));
+        let s2 = b.add("S2", bp_kernels::scale(0.5, 1.0));
+        let out = b.add("Out", bp_kernels::sink().0);
+        b.connect(src, "out", s1, "in");
+        b.connect(s1, "out", s2, "in");
+        b.connect(s2, "out", out, "in");
+        b.build().expect("chain validates")
+    };
+    let fork = {
+        let mut b = GraphBuilder::new();
+        let src = b.add_source("In", bp_kernels::pattern_source(dim), dim, 20.0);
+        let rep = b.add("Rep", bp_kernels::replicate(2, Dim2::new(1, 1)));
+        let o1 = b.add("O1", bp_kernels::sink().0);
+        let o2 = b.add("O2", bp_kernels::sink().0);
+        b.connect(src, "out", rep, "in");
+        b.connect(rep, "out0", o1, "in");
+        b.connect(rep, "out1", o2, "in");
+        b.build().expect("fork validates")
+    };
+    assert_eq!(chain.node_count(), fork.node_count());
+    let foreign = std::sync::Arc::new(bp_codegen::lower_graph(&fork).expect("lower"));
+    let config = SimConfig::new(1)
+        .with_backend(Backend::Compiled)
+        .with_lowered(foreign);
+    let mapping = Mapping::one_to_one(chain.node_count());
+    match TimedSimulator::new(&chain, &mapping, config).err() {
+        Some(BpError::Simulation(msg)) => assert!(
+            msg.contains("pre-lowered program does not match node 'S1'"),
+            "unexpected message: {msg}"
+        ),
+        other => panic!("expected a simulation error, got {other:?}"),
+    }
+}

@@ -42,12 +42,12 @@ fn build() -> (Program, ThreadedProgram, usize, usize) {
     let scale_idx = program
         .nodes
         .iter()
-        .position(|n| n.name == "Scale")
+        .position(|n| &*n.name == "Scale")
         .expect("scale node");
     let add_idx = program
         .nodes
         .iter()
-        .position(|n| n.name == "Add")
+        .position(|n| &*n.name == "Add")
         .expect("add node");
     (program, threaded, scale_idx, add_idx)
 }

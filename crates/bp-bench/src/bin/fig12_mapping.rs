@@ -39,7 +39,7 @@ fn main() {
     let mut t = Table::new(&["PE", "resident kernels"]);
     let mut residents: Vec<Vec<String>> = vec![Vec::new(); compiled.mapping.num_pes];
     for (id, node) in compiled.graph.nodes() {
-        residents[compiled.mapping.pe_of_node[id.0]].push(node.name.clone());
+        residents[compiled.mapping.pe_of_node[id.0]].push(node.name.to_string());
     }
     for (pe, names) in residents.iter().enumerate() {
         t.row(&[format!("{pe}"), names.join(", ")]);

@@ -7,10 +7,14 @@
 //! test.
 //!
 //! The lowering is the AOT analogue of `bp-sim`'s interpreted
-//! `compile_methods`/`RtNode::plan`/`execute_with_cost` and must stay
-//! behaviourally identical to them — planning and firing are the two
-//! things the timed engine's backends differ in, and the interpreter is
-//! the differential oracle for both (DESIGN.md §13). Concretely:
+//! `RtNode::plan`/`execute_with_cost` and must stay behaviourally identical
+//! to them — planning and firing are the two things the timed engine's
+//! backends differ in, and the interpreter is the differential oracle for
+//! both (DESIGN.md §13). Both read the same index-resolved
+//! [`MethodTable`], which the kernel spec owns
+//! ([`KernelSpec::method_table`]); the lowering adds only what the table
+//! does not hold — bitmasks and fire routines — and does so once per
+//! distinct spec, however many nodes share it. Concretely:
 //!
 //! - **Planning** ([`ThreadedNode::plan`]): each method carries a
 //!   `trigger_mask`/`data_mask` over its input ports. A node-level pair of
@@ -24,10 +28,10 @@
 //!   histogram, FIR, conv) override it with dynamic state.
 //! - **Firing** ([`ThreadedMethod::fire`]): a boxed routine monomorphized
 //!   over method arity that fuses input pops, read-word accounting, and the
-//!   `KernelBehavior::fire` call into a single pass. Port indices, method
-//!   names, and output slots are resolved at lowering time; window word
-//!   counts stay dynamic because items self-describe their geometry and the
-//!   cost model charges *actual* words moved.
+//!   `KernelBehavior::fire` call into a single pass. Port indices come
+//!   from the spec's table at lowering time; window word counts stay
+//!   dynamic because items self-describe their geometry and the cost model
+//!   charges *actual* words moved.
 //!
 //! What is deliberately *not* folded: anything mapping- or
 //! machine-dependent (channel latencies, capacities, slot indices into the
@@ -42,11 +46,12 @@ mod shape;
 
 pub use shape::shape_key;
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use bp_core::{
-    AppGraph, BpError, ControlToken, Emitter, FireData, Item, KernelBehavior, KernelSpec, Result,
-    TokenKind, TriggerOn,
+    AppGraph, BpError, ControlToken, Emitter, FireData, Item, KernelBehavior, KernelSpec,
+    MethodTable, Result, TokenKind, TriggerOn,
 };
 
 /// Result of one compiled firing: words consumed from input queues plus the
@@ -79,29 +84,17 @@ pub struct FireArgs<'a> {
 /// the behavior, and reports words read plus actual cycles.
 pub type FireFn = Box<dyn Fn(&mut FireArgs<'_>) -> FireResult + Send + Sync>;
 
-/// One lowered method: the interpreter's `CompiledMethod` with trigger
-/// conditions folded into bitmasks and the firing path pre-specialized.
+/// What lowering adds to one method of the spec's [`MethodTable`]: its
+/// trigger conditions folded into bitmasks and its firing path
+/// pre-specialized. Ports, outputs, cost and handled tokens stay in the
+/// table ([`ThreadedNode::table`]).
 pub struct ThreadedMethod {
-    /// Method name (owned copy of `spec.methods[i].name`, for `ready()`).
-    pub name: String,
-    /// Trigger input ports in declaration order (duplicates preserved —
-    /// pops follow this order exactly, like the interpreter).
-    pub trigger_ports: Vec<usize>,
-    /// Bit `p` set when port `p` appears in `trigger_ports`.
+    /// Bit `p` set when port `p` is one of the method's trigger inputs.
     pub trigger_mask: u64,
     /// Bit `p` set when port `p` has a `TriggerOn::Data` trigger.
     pub data_mask: u64,
     /// `(port, kind)` for each `TriggerOn::Token` trigger, in order.
     pub token_triggers: Vec<(usize, TokenKind)>,
-    /// Output port indices in declaration order.
-    pub outputs: Vec<usize>,
-    /// Declared cycle cost.
-    pub cost_cycles: u64,
-    /// True for data methods (every trigger fires on data).
-    pub is_data: bool,
-    /// Token kinds some method of this kernel handles on one of this
-    /// method's trigger inputs — these suppress automatic forwarding.
-    pub handled_tokens: Vec<TokenKind>,
     /// The specialized firing routine.
     pub fire: FireFn,
 }
@@ -125,12 +118,16 @@ pub enum PlannedAction {
 }
 
 /// One lowered node: per-method routines plus the masks the engine's
-/// incremental head-state planner tests against.
+/// incremental head-state planner tests against. A handle — nodes lowered
+/// from one spec share the routines, the spec and its table.
+#[derive(Clone)]
 pub struct ThreadedNode {
     /// Lowered methods in registration order.
-    pub methods: Vec<ThreadedMethod>,
+    pub methods: Arc<[ThreadedMethod]>,
     /// Number of input ports (head masks use the low `inputs` bits).
     pub inputs: usize,
+    spec: Arc<KernelSpec>,
+    table: Arc<MethodTable>,
 }
 
 /// A fully lowered graph: one [`ThreadedNode`] per graph node, in node
@@ -175,6 +172,12 @@ pub fn head_masks(queues: &[VecDeque<Item>]) -> (u64, u64) {
 }
 
 impl ThreadedNode {
+    /// The index-resolved method table of the spec this node was lowered
+    /// from: trigger ports, outputs, cost and handled tokens per method.
+    pub fn table(&self) -> &Arc<MethodTable> {
+        &self.table
+    }
+
     /// Decide the next action, or `None` if the node cannot progress.
     ///
     /// `head_data`/`head_ctrl` are the node's incrementally maintained head
@@ -208,7 +211,7 @@ impl ThreadedNode {
             }
             let ready = match behavior.ready_fast(mi) {
                 Some(r) => r,
-                None => behavior.ready(&m.name),
+                None => behavior.ready(&self.spec.methods[mi].name),
             };
             if ready {
                 return Some(PlannedAction::Fire { method: mi });
@@ -218,16 +221,17 @@ impl ThreadedNode {
         // token (full equality, not just kind) must head every trigger
         // input, and no method may handle that kind on any of them.
         for (mi, m) in self.methods.iter().enumerate() {
-            if !m.is_data {
-                continue;
-            }
             // Mask pre-check: every trigger head must be a control token.
             if head_ctrl & m.trigger_mask != m.trigger_mask {
                 continue;
             }
+            let group = self.table.method(mi);
+            if !group.is_data {
+                continue;
+            }
             let mut token: Option<ControlToken> = None;
             let mut all_tokens = true;
-            for &p in &m.trigger_ports {
+            for &(p, _) in group.triggers {
                 match queues[p].front() {
                     Some(Item::Control(t)) => match token {
                         None => token = Some(*t),
@@ -247,7 +251,7 @@ impl ThreadedNode {
             if !all_tokens {
                 continue;
             }
-            if m.handled_tokens.contains(&tok.kind()) {
+            if group.handled_tokens.contains(&tok.kind()) {
                 continue;
             }
             return Some(PlannedAction::Forward {
@@ -268,7 +272,7 @@ impl ThreadedNode {
 /// (the two are required to be observationally identical — the
 /// differential suite pins it).
 #[inline(always)]
-fn fire_body(a: &mut FireArgs<'_>, mi: usize, name: &str, ports: &[usize]) -> FireResult {
+fn fire_body(a: &mut FireArgs<'_>, mi: usize, ports: &[usize]) -> FireResult {
     a.consumed.clear();
     let mut read_words = 0u64;
     for &p in ports {
@@ -279,7 +283,7 @@ fn fire_body(a: &mut FireArgs<'_>, mi: usize, name: &str, ports: &[usize]) -> Fi
     let data = FireData::new(a.spec, a.consumed);
     let mut out = Emitter::with_buffer(a.spec, std::mem::take(a.emitted));
     if !a.behavior.fire_fast(mi, &data, &mut out) {
-        a.behavior.fire(name, &data, &mut out);
+        a.behavior.fire(&a.spec.methods[mi].name, &data, &mut out);
     }
     let (items, actual_cycles) = out.into_parts();
     *a.emitted = items;
@@ -291,26 +295,32 @@ fn fire_body(a: &mut FireArgs<'_>, mi: usize, name: &str, ports: &[usize]) -> Fi
 }
 
 /// Build the specialized routine for one method, monomorphized over arity.
-fn make_fire(mi: usize, name: String, ports: Vec<usize>) -> FireFn {
-    fn fixed<const N: usize>(mi: usize, name: String, ports: [usize; N]) -> FireFn {
-        Box::new(move |a| fire_body(a, mi, &name, &ports))
+fn make_fire(mi: usize, triggers: &[(usize, TriggerOn)]) -> FireFn {
+    fn fixed<const N: usize>(mi: usize, triggers: &[(usize, TriggerOn)]) -> FireFn {
+        let ports: [usize; N] = std::array::from_fn(|i| triggers[i].0);
+        Box::new(move |a| fire_body(a, mi, &ports))
     }
-    match ports.len() {
-        1 => fixed::<1>(mi, name, [ports[0]]),
-        2 => fixed::<2>(mi, name, [ports[0], ports[1]]),
-        3 => fixed::<3>(mi, name, [ports[0], ports[1], ports[2]]),
-        _ => Box::new(move |a| fire_body(a, mi, &name, &ports)),
+    match triggers.len() {
+        1 => fixed::<1>(mi, triggers),
+        2 => fixed::<2>(mi, triggers),
+        3 => fixed::<3>(mi, triggers),
+        _ => {
+            let ports: Vec<usize> = triggers.iter().map(|&(p, _)| p).collect();
+            Box::new(move |a| fire_body(a, mi, &ports))
+        }
     }
 }
 
-/// Lower one kernel spec. Mirrors the interpreter's `compile_methods`.
-/// The engine reads only the plan and fire half of the result — masks,
-/// token triggers, `handled_tokens`, the fire routine — so a semantic
-/// change to planning or firing there must land here too (the
-/// differential suite will catch a divergence); `outputs`, `trigger_ports`
-/// and `cost_cycles` are what the engine checks a program against its own
-/// tables by.
-pub fn lower_spec(spec: &KernelSpec) -> Result<ThreadedNode> {
+/// Lower one kernel spec: fold each method of its [`MethodTable`] into
+/// masks and a fire routine. The engine reads only the plan and fire half
+/// of the result; what a firing pops, emits and costs it takes from the
+/// same table the lowered node points at, which is also how it checks a
+/// program against the nodes it is about to run.
+pub fn lower_spec(spec: &Arc<KernelSpec>) -> Result<ThreadedNode> {
+    lower(spec, spec.method_table()?)
+}
+
+fn lower(spec: &Arc<KernelSpec>, table: &Arc<MethodTable>) -> Result<ThreadedNode> {
     if spec.inputs.len() > MAX_PORTS {
         return Err(BpError::Validation(format!(
             "kernel '{}' has {} input ports; the mask planner supports at most {}",
@@ -319,69 +329,51 @@ pub fn lower_spec(spec: &KernelSpec) -> Result<ThreadedNode> {
             MAX_PORTS
         )));
     }
-    let methods = spec
-        .methods
-        .iter()
-        .enumerate()
-        .map(|(mi, m)| {
-            let mut trigger_ports = Vec::with_capacity(m.triggers.len());
-            let mut trigger_mask = 0u64;
-            let mut data_mask = 0u64;
-            let mut token_triggers = Vec::new();
-            for t in &m.triggers {
-                let p = spec.input_index(&t.input).expect("validated trigger input");
-                trigger_ports.push(p);
-                trigger_mask |= 1 << p;
-                match t.on {
-                    TriggerOn::Data => data_mask |= 1 << p,
-                    TriggerOn::Token(kind) => token_triggers.push((p, kind)),
-                }
+    let lower_method = |(mi, m): (usize, bp_core::ResolvedMethod<'_>)| {
+        let mut trigger_mask = 0u64;
+        let mut data_mask = 0u64;
+        let mut token_triggers = Vec::new();
+        for &(p, on) in m.triggers {
+            trigger_mask |= 1 << p;
+            match on {
+                TriggerOn::Data => data_mask |= 1 << p,
+                TriggerOn::Token(kind) => token_triggers.push((p, kind)),
             }
-            let outputs: Vec<usize> = m
-                .outputs
-                .iter()
-                .filter_map(|o| spec.output_index(o))
-                .collect();
-            let mut handled_tokens = Vec::new();
-            for h in &spec.methods {
-                for t in &h.triggers {
-                    if let TriggerOn::Token(kind) = t.on {
-                        if trigger_ports
-                            .contains(&spec.input_index(&t.input).expect("validated input"))
-                            && !handled_tokens.contains(&kind)
-                        {
-                            handled_tokens.push(kind);
-                        }
-                    }
-                }
-            }
-            ThreadedMethod {
-                fire: make_fire(mi, m.name.clone(), trigger_ports.clone()),
-                name: m.name.clone(),
-                trigger_mask,
-                data_mask,
-                token_triggers,
-                outputs,
-                cost_cycles: m.cost.cycles,
-                is_data: m.is_data_method(),
-                handled_tokens,
-                trigger_ports,
-            }
-        })
-        .collect();
+        }
+        ThreadedMethod {
+            trigger_mask,
+            data_mask,
+            token_triggers,
+            fire: make_fire(mi, m.triggers),
+        }
+    };
     Ok(ThreadedNode {
-        methods,
+        methods: table.iter().enumerate().map(lower_method).collect(),
         inputs: spec.inputs.len(),
+        spec: Arc::clone(spec),
+        table: Arc::clone(table),
     })
 }
 
-/// Lower every node of a graph into a [`ThreadedProgram`]. Fails only when
-/// a kernel exceeds [`MAX_PORTS`] input ports (the engine then falls back
-/// to — or the caller explicitly requests — the interpreted backend).
+/// Lower every node of a graph into a [`ThreadedProgram`], once per
+/// distinct spec: replicas, and every other node sharing a spec `Arc`,
+/// share one lowering. Fails when a kernel exceeds [`MAX_PORTS`] input
+/// ports (the engine then falls back to — or the caller explicitly
+/// requests — the interpreted backend), or when a method names a port its
+/// kernel does not have (a graph that was never validated).
 pub fn lower_graph(graph: &AppGraph) -> Result<ThreadedProgram> {
+    let mut lowered: HashMap<*const KernelSpec, ThreadedNode> = HashMap::new();
     let nodes = graph
         .nodes()
-        .map(|(_, n)| lower_spec(n.spec()))
+        .map(|(_, n)| {
+            let spec = &n.def.spec;
+            if let Some(shared) = lowered.get(&Arc::as_ptr(spec)) {
+                return Ok(shared.clone());
+            }
+            let tn = lower(spec, n.method_table()?)?;
+            lowered.insert(Arc::as_ptr(spec), tn.clone());
+            Ok(tn)
+        })
         .collect::<Result<Vec<_>>>()?;
     Ok(ThreadedProgram { nodes })
 }
@@ -419,11 +411,11 @@ mod tests {
         let tn = lower_spec(&spec).unwrap();
         assert_eq!(tn.methods.len(), 1);
         let m = &tn.methods[0];
-        assert_eq!(m.trigger_ports, vec![0]);
+        assert_eq!(tn.table().method(0).triggers, [(0, TriggerOn::Data)]);
         assert_eq!(m.trigger_mask, 1);
         assert_eq!(m.data_mask, 1);
         assert!(m.token_triggers.is_empty());
-        assert!(m.is_data);
+        assert!(tn.table().method(0).is_data);
 
         let mut behavior = (def.factory)();
         let mut queues = vec![VecDeque::new()];

@@ -155,7 +155,7 @@ fn insert_trim(
     let (cid, _ch) = graph
         .channel_into(node, port)
         .ok_or_else(|| BpError::Transform("misaligned input has no channel".into()))?;
-    let consumer = graph.node(node).name.clone();
+    let consumer = graph.node(node).name.to_string();
     let input_name = graph.node(node).spec().inputs[port].name.clone();
     let name = format!("Inset({consumer}.{input_name})");
     let def = bp_kernels::inset(margins, data);
@@ -184,7 +184,7 @@ fn insert_pad_upstream(
         .channel_into(node, port)
         .ok_or_else(|| BpError::Transform("misaligned input has no channel".into()))?;
     let producer = ch.src.node;
-    let pspec = graph.node(producer).spec().clone();
+    let pspec = std::sync::Arc::clone(&graph.node(producer).def.spec);
     if pspec.role != NodeRole::User {
         return Err(BpError::Transform(format!(
             "cannot pad upstream of '{}': producer '{}' is not a windowed kernel; \
@@ -231,7 +231,7 @@ fn insert_pad_upstream(
     let def = bp_kernels::pad(margins, mode, data);
     let kind = def.spec.kind.clone();
     graph.splice(wcid, name.clone(), def, 0, 0);
-    let consumer = graph.node(node).name.clone();
+    let consumer = graph.node(node).name.to_string();
     let input_name = graph.node(node).spec().inputs[port].name.clone();
     report.inserted.push(InsertedAdjust {
         name,
@@ -303,7 +303,7 @@ mod tests {
         // buffer (walked back through the plumbing).
         let pad = g.find_node("Pad(Conv.in)").expect("pad inserted");
         let (_, ch) = g.channel_into(pad, 0).unwrap();
-        assert_eq!(g.node(ch.src.node).name, "Input");
+        assert_eq!(&*g.node(ch.src.node).name, "Input");
     }
 
     #[test]

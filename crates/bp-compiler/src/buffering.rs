@@ -97,7 +97,7 @@ pub fn derive_capacities(graph: &AppGraph) -> CapacityReport {
             nodes: lp
                 .nodes
                 .iter()
-                .map(|&id| graph.node(id).name.clone())
+                .map(|&id| graph.node(id).name.to_string())
                 .collect(),
             back_edges: lp.back_edges.iter().map(|&cid| chan_name(cid)).collect(),
             initial_tokens: lp.initial_tokens,
@@ -189,7 +189,7 @@ mod tests {
         // Topology: Input -> Buffer -> Median.
         let med = g.find_node("Median").unwrap();
         let (_, ch) = g.channel_into(med, 0).unwrap();
-        assert_eq!(g.node(ch.src.node).name, "Buffer(Median.in)");
+        assert_eq!(&*g.node(ch.src.node).name, "Buffer(Median.in)");
         g.validate().unwrap();
     }
 

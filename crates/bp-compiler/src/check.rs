@@ -157,10 +157,7 @@ pub fn check_compiled(
             .map(|&id| graph.node(id).spec().initial_tokens)
             .sum();
         if primed == 0 {
-            let names: Vec<&str> = comp
-                .iter()
-                .map(|&id| graph.node(id).name.as_str())
-                .collect();
+            let names: Vec<&str> = comp.iter().map(|&id| &*graph.node(id).name).collect();
             report.push(
                 "loop-liveness",
                 format!(
@@ -235,8 +232,7 @@ mod tests {
         let dim = Dim2::new(8, 8);
         // A feedback loop whose feedback kernel declares zero initial
         // tokens: structurally valid, but nothing can ever circulate.
-        let mut fb = bp_kernels::feedback_frame(dim, 0.0);
-        fb.spec.initial_tokens = 0;
+        let fb = bp_kernels::feedback_frame(dim, 0.0).map_spec(|s| s.initial_tokens = 0);
         let mut b = GraphBuilder::new();
         let src = b.add_source("Input", bp_kernels::pattern_source(dim), dim, 10.0);
         let mix = b.add("Mix", bp_kernels::add());

@@ -9,12 +9,11 @@
 //! its input shape does.
 
 use bp_core::geometry::{iterations, Dim2};
-use bp_core::graph::{AppGraph, ChannelId, NodeId};
-use bp_core::kernel::{method_read_words, NodeRole, ShapeTransform};
-use bp_core::method::{MethodSpec, TriggerOn};
+use bp_core::graph::{AppGraph, ChannelMap, NodeId};
+use bp_core::kernel::{NodeRole, ShapeTransform};
+use bp_core::method::{MethodSpec, MethodTable, TriggerOn};
 use bp_core::token::TokenKind;
 use bp_core::{BpError, Result};
-use std::collections::HashMap;
 
 /// Everything the analysis knows about the data on one channel.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -101,8 +100,8 @@ pub struct Misalignment {
 /// Result of the data-flow analysis.
 #[derive(Clone, Debug, Default)]
 pub struct Dataflow {
-    /// Per-channel info, keyed by channel id.
-    pub channels: HashMap<ChannelId, ChannelInfo>,
+    /// Per-channel info, keyed by channel id (dense by channel slot).
+    pub channels: ChannelMap<ChannelInfo>,
     /// Per-node analysis, indexed by node id.
     pub nodes: Vec<NodeAnalysis>,
     /// Misalignments found (lenient mode only).
@@ -136,10 +135,11 @@ pub fn analyze(graph: &AppGraph) -> Result<Dataflow> {
 pub fn analyze_with(graph: &AppGraph, mode: Strictness) -> Result<Dataflow> {
     let n = graph.node_count();
     let mut df = Dataflow {
-        channels: HashMap::new(),
+        channels: ChannelMap::for_graph(graph),
         nodes: vec![NodeAnalysis::default(); n],
         misalignments: Vec::new(),
     };
+    let mut scratch = Scratch::default();
 
     // Seed sources.
     let mut ready: Vec<bool> = vec![false; n];
@@ -160,7 +160,7 @@ pub fn analyze_with(graph: &AppGraph, mode: Strictness) -> Result<Dataflow> {
             if ready[id.0] {
                 continue;
             }
-            match try_analyze_node(graph, &mut df, id, mode)? {
+            match try_analyze_node(graph, &mut df, &mut scratch, id, mode)? {
                 true => {
                     ready[id.0] = true;
                     progressed = true;
@@ -174,10 +174,7 @@ pub fn analyze_with(graph: &AppGraph, mode: Strictness) -> Result<Dataflow> {
             // stuck.
             let forced = force_feedback(graph, &mut df, &mut ready, &next)?;
             if !forced {
-                let names: Vec<&str> = next
-                    .iter()
-                    .map(|id| graph.node(*id).name.as_str())
-                    .collect();
+                let names: Vec<&str> = next.iter().map(|id| &*graph.node(*id).name).collect();
                 return Err(BpError::Analysis(format!(
                     "data-flow analysis stuck at nodes: {}",
                     names.join(", ")
@@ -241,23 +238,56 @@ fn force_feedback(
     Ok(false)
 }
 
+/// Per-node working storage of the analysis, reused from node to node.
+#[derive(Default)]
+struct Scratch {
+    /// What is known about the channel into each input port.
+    inputs: Vec<Option<ChannelInfo>>,
+    /// Input ports whose channel has been found.
+    fed: Vec<bool>,
+    /// What the node puts on the channels out of each output port.
+    out_info: Vec<Option<ChannelInfo>>,
+    windowed: WindowedScratch,
+}
+
+/// [`analyze_windowed`]'s share of the [`Scratch`].
+#[derive(Default)]
+struct WindowedScratch {
+    /// Outputs whose shape a data method defines.
+    data_owned: Vec<bool>,
+    /// `(port, iterations, info)` per iteration-defining trigger input.
+    contributions: Vec<(usize, Dim2, ChannelInfo)>,
+}
+
 /// Try to compute a node's analysis; returns false when its inputs are not
 /// all known yet.
 fn try_analyze_node(
     graph: &AppGraph,
     df: &mut Dataflow,
+    scratch: &mut Scratch,
     id: NodeId,
     mode: Strictness,
 ) -> Result<bool> {
     let node = graph.node(id);
     let spec = node.spec();
+    let table = node.method_table()?;
+    let Scratch {
+        inputs,
+        fed,
+        out_info,
+        windowed,
+    } = scratch;
 
     // Collect input infos (by port).
-    let mut inputs: Vec<Option<ChannelInfo>> = Vec::with_capacity(spec.inputs.len());
-    for port in 0..spec.inputs.len() {
-        match graph.channel_into(id, port) {
-            Some((cid, _)) => inputs.push(df.channels.get(&cid).copied()),
-            None => inputs.push(None),
+    inputs.clear();
+    inputs.resize(spec.inputs.len(), None);
+    fed.clear();
+    fed.resize(spec.inputs.len(), false);
+    for (cid, c) in graph.channels_into(id) {
+        // The first channel into a port is the one `channel_into` names.
+        if let Some(fed @ false) = fed.get_mut(c.dst.port) {
+            *fed = true;
+            inputs[c.dst.port] = df.channels.get(&cid).copied();
         }
     }
     // Constant inputs (fed by Const nodes) get rate-zero info immediately,
@@ -275,7 +305,8 @@ fn try_analyze_node(
     };
 
     // Per-port output info to install on out channels.
-    let mut out_info: Vec<Option<ChannelInfo>> = vec![None; spec.outputs.len()];
+    out_info.clear();
+    out_info.resize(spec.outputs.len(), None);
 
     match spec.role {
         NodeRole::Source => {
@@ -343,7 +374,7 @@ fn try_analyze_node(
                 rows_per_sec: iters.h as f64 * in_info.datasets_per_sec(),
                 eof_per_sec: in_info.eof_per_sec,
             });
-            rate_methods(spec, &inputs, &mut na);
+            rate_methods(spec, table, inputs, &mut na);
         }
         NodeRole::Split => {
             let in_info = inputs[0].unwrap();
@@ -371,7 +402,7 @@ fn try_analyze_node(
                     }
                 }
             }
-            rate_methods(spec, &inputs, &mut na);
+            rate_methods(spec, table, inputs, &mut na);
         }
         NodeRole::Join => {
             let total: f64 = inputs.iter().map(|i| i.unwrap().items_per_sec).sum();
@@ -387,32 +418,34 @@ fn try_analyze_node(
                 items_per_sec: total,
                 ..first
             });
-            rate_methods(spec, &inputs, &mut na);
+            rate_methods(spec, table, inputs, &mut na);
         }
         NodeRole::Replicate => {
             let in_info = inputs[0].unwrap();
             for oi in out_info.iter_mut() {
                 *oi = Some(in_info);
             }
-            rate_methods(spec, &inputs, &mut na);
+            rate_methods(spec, table, inputs, &mut na);
         }
         NodeRole::Feedback => {
             // Pass-through; shape mirrors the input.
             let in_info = inputs[0].unwrap();
             out_info[0] = Some(in_info);
-            rate_methods(spec, &inputs, &mut na);
+            rate_methods(spec, table, inputs, &mut na);
         }
         NodeRole::Sink => {
-            rate_methods(spec, &inputs, &mut na);
+            rate_methods(spec, table, inputs, &mut na);
         }
         NodeRole::Inset | NodeRole::Pad | NodeRole::User => {
             analyze_windowed(
                 id,
-                node.name.as_str(),
+                &node.name,
                 spec,
-                &inputs,
+                table,
+                inputs,
                 &mut na,
-                &mut out_info,
+                out_info,
+                windowed,
                 mode,
                 &mut df.misalignments,
             )?;
@@ -422,8 +455,10 @@ fn try_analyze_node(
     // Charge read/write words from the rates (generic path; sources set
     // their own above).
     if spec.role != NodeRole::Source {
-        for (mi, m) in spec.methods.iter().enumerate() {
-            na.read_words_per_sec += na.method_rate_hz[mi] * method_read_words(spec, m) as f64;
+        for (mi, m) in table.iter().enumerate() {
+            let ports = m.triggers.iter();
+            let words: u64 = ports.map(|&(p, _)| spec.inputs[p].size.area()).sum();
+            na.read_words_per_sec += na.method_rate_hz[mi] * words as f64;
         }
         na.compute_cycles_per_sec = spec
             .methods
@@ -436,11 +471,9 @@ fn try_analyze_node(
     }
 
     // Install out-channel infos.
-    for (port, oi) in out_info.iter().enumerate() {
-        if let Some(ci) = oi {
-            for (cid, _) in graph.channels_from(id, port) {
-                df.channels.insert(cid, *ci);
-            }
+    for (cid, c) in graph.channels_out_of(id) {
+        if let Some(Some(ci)) = out_info.get(c.src.port) {
+            df.channels.insert(cid, *ci);
         }
     }
     df.nodes[id.0] = na;
@@ -449,19 +482,20 @@ fn try_analyze_node(
 
 /// Method rates for plumbing kernels: data methods fire per incoming item,
 /// token methods per incoming token.
-fn rate_methods(spec: &bp_core::KernelSpec, inputs: &[Option<ChannelInfo>], na: &mut NodeAnalysis) {
-    for (mi, m) in spec.methods.iter().enumerate() {
-        if m.triggers.is_empty() {
-            continue;
-        }
-        let t = &m.triggers[0];
-        let Some(pi) = spec.input_index(&t.input) else {
+fn rate_methods(
+    spec: &bp_core::KernelSpec,
+    table: &MethodTable,
+    inputs: &[Option<ChannelInfo>],
+    na: &mut NodeAnalysis,
+) {
+    for (mi, m) in table.iter().enumerate() {
+        let Some(&(pi, on)) = m.triggers.first() else {
             continue;
         };
         let Some(info) = inputs[pi] else { continue };
-        na.method_rate_hz[mi] = match t.on {
+        na.method_rate_hz[mi] = match on {
             TriggerOn::Data => info.items_per_sec,
-            TriggerOn::Token(kind) => token_rate(&info, kind, m),
+            TriggerOn::Token(kind) => token_rate(&info, kind, &spec.methods[mi]),
         };
     }
 }
@@ -474,9 +508,11 @@ fn analyze_windowed(
     id: NodeId,
     name: &str,
     spec: &bp_core::KernelSpec,
+    table: &MethodTable,
     inputs: &[Option<ChannelInfo>],
     na: &mut NodeAnalysis,
     out_info: &mut [Option<ChannelInfo>],
+    scratch: &mut WindowedScratch,
     mode: Strictness,
     misalignments: &mut Vec<Misalignment>,
 ) -> Result<()> {
@@ -484,16 +520,20 @@ fn analyze_windowed(
     // the same output (e.g. a trim kernel's pass-through of EOL/EOF), the
     // data method defines the output's shape; the tokens merely punctuate
     // the same stream.
-    let mut data_owned: Vec<bool> = vec![false; spec.outputs.len()];
-    for (mi, m) in spec.methods.iter().enumerate() {
-        if m.triggers.is_empty() || !m.is_data_method() {
+    let WindowedScratch {
+        data_owned,
+        contributions,
+    } = scratch;
+    data_owned.clear();
+    data_owned.resize(spec.outputs.len(), false);
+    for (mi, m) in table.iter().enumerate() {
+        if !m.is_data {
             continue;
         }
         // Data method: every non-replicated trigger input contributes an
         // iteration count; all must agree.
-        let mut contributions: Vec<(usize, Dim2, Dim2, ChannelInfo)> = Vec::new();
-        for t in &m.triggers {
-            let pi = spec.input_index(&t.input).unwrap();
+        contributions.clear();
+        for &(pi, _) in m.triggers {
             let inp = &spec.inputs[pi];
             let info = inputs[pi].unwrap();
             if inp.replicated {
@@ -507,7 +547,7 @@ fn analyze_windowed(
                     inp.name, inp.size, inp.step, info.shape
                 ))
             })?;
-            contributions.push((pi, it, info.shape, info));
+            contributions.push((pi, it, info));
         }
         if contributions.is_empty() {
             // Pure replicated-input method (e.g. loadCoeff): rate set above.
@@ -519,8 +559,9 @@ fn analyze_windowed(
                 Strictness::Strict => {
                     let detail: Vec<String> = contributions
                         .iter()
-                        .map(|(pi, it, sh, _)| {
-                            format!("'{}': data {} -> {} iters", spec.inputs[*pi].name, sh, it)
+                        .map(|(pi, it, ci)| {
+                            let input = &spec.inputs[*pi].name;
+                            format!("'{input}': data {} -> {it} iters", ci.shape)
                         })
                         .collect();
                     return Err(BpError::Analysis(format!(
@@ -535,7 +576,7 @@ fn analyze_windowed(
                         method: mi,
                         inputs: contributions
                             .iter()
-                            .map(|(pi, _, sh, _)| (*pi, *sh))
+                            .map(|(pi, _, ci)| (*pi, ci.shape))
                             .collect(),
                     });
                 }
@@ -545,10 +586,10 @@ fn analyze_windowed(
         // aligned; the lenient approximation otherwise).
         let it = contributions
             .iter()
-            .map(|(_, it, _, _)| *it)
+            .map(|(_, it, _)| *it)
             .reduce(|a, b| Dim2::new(a.w.min(b.w), a.h.min(b.h)))
             .unwrap();
-        let info = contributions[0].3;
+        let info = contributions[0].2;
         // The firing rate is the *item* rate of the trigger channels when
         // that is lower than the logical iteration rate: a round-robin
         // split hands each replica only its share of the windows, while a
@@ -557,7 +598,7 @@ fn analyze_windowed(
         let logical_rate = it.area() as f64 * info.datasets_per_sec();
         let channel_rate = contributions
             .iter()
-            .map(|(_, _, _, ci)| ci.items_per_sec)
+            .map(|(_, _, ci)| ci.items_per_sec)
             .fold(f64::MAX, f64::min);
         let rate = logical_rate.min(channel_rate);
         let division = if logical_rate > 0.0 {
@@ -570,8 +611,7 @@ fn analyze_windowed(
             na.iterations = Some(it);
         }
         // Output shapes.
-        for oname in &m.outputs {
-            let oi = spec.output_index(oname).unwrap();
+        for &oi in m.outputs {
             let o = &spec.outputs[oi];
             let shape = match spec.shape {
                 ShapeTransform::Crop {
@@ -604,20 +644,20 @@ fn analyze_windowed(
     }
     // Token-triggered methods second; they only define outputs no data
     // method owns (e.g. the histogram's per-frame counts block).
-    for (mi, m) in spec.methods.iter().enumerate() {
-        if m.triggers.is_empty() || m.is_data_method() {
+    for (mi, m) in table.iter().enumerate() {
+        let Some(&(pi, on)) = m.triggers.first() else {
+            continue;
+        };
+        if m.is_data {
             continue;
         }
-        let t = &m.triggers[0];
-        let pi = spec.input_index(&t.input).unwrap();
         let info = inputs[pi].unwrap();
-        let TriggerOn::Token(kind) = t.on else {
+        let TriggerOn::Token(kind) = on else {
             unreachable!()
         };
-        let rate = token_rate(&info, kind, m);
+        let rate = token_rate(&info, kind, &spec.methods[mi]);
         na.method_rate_hz[mi] = rate;
-        for oname in &m.outputs {
-            let oi = spec.output_index(oname).unwrap();
+        for &oi in m.outputs {
             if data_owned[oi] {
                 continue;
             }

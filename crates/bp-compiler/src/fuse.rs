@@ -29,8 +29,8 @@ pub fn fuse_pipelines(graph: &mut AppGraph) -> Result<FuseReport> {
     let mut report = FuseReport::default();
     while let Some((join, split)) = find_candidate(graph) {
         let k = graph.node(join).spec().inputs.len();
-        let jname = graph.node(join).name.clone();
-        let sname = graph.node(split).name.clone();
+        let jname = graph.node(join).name.to_string();
+        let sname = graph.node(split).name.to_string();
 
         // Per lane i: retarget the channel feeding join.in_i to the
         // destination of split.out_i, then drop the split-side channel.

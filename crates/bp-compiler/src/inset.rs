@@ -4,10 +4,9 @@
 //! compute the trim or pad margins that reconcile them.
 
 use crate::dataflow::Dataflow;
-use bp_core::graph::{AppGraph, ChannelId, NodeId};
+use bp_core::graph::{AppGraph, ChannelMap, NodeId};
 use bp_core::kernel::{NodeRole, ShapeTransform};
 use bp_core::{BpError, Result};
-use std::collections::HashMap;
 
 /// Offset of a channel's data origin relative to its application input's
 /// origin, in source pixels (fractional for downsampled paths).
@@ -35,8 +34,8 @@ impl InsetInfo {
 /// Result of the inset analysis: per-channel insets.
 #[derive(Clone, Debug, Default)]
 pub struct InsetAnalysis {
-    /// Inset of the data on each channel.
-    pub channels: HashMap<ChannelId, InsetInfo>,
+    /// Inset of the data on each channel (dense by channel slot).
+    pub channels: ChannelMap<InsetInfo>,
 }
 
 impl InsetAnalysis {
@@ -52,7 +51,9 @@ impl InsetAnalysis {
 /// needed to accumulate offsets).
 pub fn analyze_insets(graph: &AppGraph) -> Result<InsetAnalysis> {
     let order = graph.topo_order()?;
-    let mut out = InsetAnalysis::default();
+    let mut out = InsetAnalysis {
+        channels: ChannelMap::for_graph(graph),
+    };
 
     for id in order {
         let node = graph.node(id);
@@ -71,12 +72,14 @@ pub fn analyze_insets(graph: &AppGraph) -> Result<InsetAnalysis> {
             | NodeRole::Replicate
             | NodeRole::Feedback
             | NodeRole::Sink => in_insets.first().copied().flatten(),
-            NodeRole::Inset | NodeRole::Pad | NodeRole::User => windowed_inset(spec, &in_insets),
+            NodeRole::Inset | NodeRole::Pad | NodeRole::User => {
+                windowed_inset(spec, node.method_table()?, &in_insets)
+            }
         };
 
         if let Some(inset) = produced {
-            for port in 0..spec.outputs.len() {
-                for (cid, _) in graph.channels_from(id, port) {
+            for (cid, c) in graph.channels_out_of(id) {
+                if c.src.port < spec.outputs.len() {
                     out.channels.insert(cid, inset);
                 }
             }
@@ -91,15 +94,15 @@ pub fn analyze_insets(graph: &AppGraph) -> Result<InsetAnalysis> {
 /// responsible for making them equal.
 fn windowed_inset(
     spec: &bp_core::KernelSpec,
+    table: &bp_core::MethodTable,
     in_insets: &[Option<InsetInfo>],
 ) -> Option<InsetInfo> {
     let mut acc: Option<InsetInfo> = None;
-    for m in &spec.methods {
-        if !m.is_data_method() {
+    for m in table.iter() {
+        if !m.is_data {
             continue;
         }
-        for t in &m.triggers {
-            let pi = spec.input_index(&t.input)?;
+        for &(pi, _) in m.triggers {
             let inp = &spec.inputs[pi];
             if inp.replicated {
                 continue;

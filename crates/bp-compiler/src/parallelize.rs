@@ -10,6 +10,7 @@ use bp_core::kernel::{NodeRole, Parallelism};
 use bp_core::machine::MachineSpec;
 use bp_core::{BpError, Dim2, Result};
 use bp_kernels::split::plan_column_ranges;
+use std::sync::Arc;
 
 /// Why a node received its replica count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,7 +126,7 @@ pub fn parallelize(graph: &mut AppGraph, machine: &MachineSpec) -> Result<Parall
             _ => {
                 // Serial kernels, sources, sinks, consts, plumbing.
                 if cpu > 1.0 && spec.parallelism == Parallelism::Serial {
-                    report.infeasible_serial.push(node.name.clone());
+                    report.infeasible_serial.push(node.name.to_string());
                 }
             }
         }
@@ -167,7 +168,7 @@ pub fn parallelize(graph: &mut AppGraph, machine: &MachineSpec) -> Result<Parall
         let id = NodeId(idx);
         let k = desired[idx];
         report.plans.push(NodePlan {
-            name: graph.node(id).name.clone(),
+            name: graph.node(id).name.to_string(),
             desired: desired[idx],
             granted: k,
             reason: reasons[idx],
@@ -201,11 +202,12 @@ fn replicate_data_parallel(
     report: &mut ParallelizeReport,
 ) -> Result<()> {
     let base_name = graph.node(id).name.clone();
+    // Replicas share the original's spec (and everything resolved from it).
     let def = graph.node(id).def.clone();
-    let spec = def.spec.clone();
+    let spec = Arc::clone(&def.spec);
 
     // Create replicas 1..k; the original node becomes replica 0.
-    graph.node_mut(id).name = format!("{base_name}_0");
+    graph.node_mut(id).name = format!("{base_name}_0").into();
     let mut replicas = vec![id];
     for r in 1..k {
         let nid = graph.add_node(format!("{base_name}_{r}"), def.clone());
@@ -311,7 +313,7 @@ fn split_buffer_columns(
     report: &mut ParallelizeReport,
 ) -> Result<()> {
     let base_name = graph.node(id).name.clone();
-    let spec = graph.node(id).spec().clone();
+    let spec = Arc::clone(&graph.node(id).def.spec);
     let out = spec.outputs[0].clone();
     let producer = spec.inputs[0].size;
     if producer != Dim2::ONE {
@@ -363,7 +365,7 @@ fn split_buffer_columns(
         let part_data = Dim2::new(r.width(), data.h);
         let def = bp_kernels::buffer(producer, out.size, out.step, part_data);
         if i == 0 {
-            graph.node_mut(id).name = format!("{base_name}_0");
+            graph.node_mut(id).name = format!("{base_name}_0").into();
             graph.node_mut(id).def = def;
             parts.push(id);
         } else {

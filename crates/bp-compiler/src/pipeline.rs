@@ -14,7 +14,6 @@ use bp_core::graph::AppGraph;
 use bp_core::kernel::NodeRole;
 use bp_core::machine::{MachineSpec, Mapping};
 use bp_core::Result;
-use std::collections::HashMap;
 
 /// Compilation options.
 #[derive(Clone, Copy, Debug)]
@@ -47,8 +46,8 @@ impl Default for CompileOptions {
 /// harnesses.
 #[derive(Clone, Debug, Default)]
 pub struct GraphCensus {
-    /// Node count per role name.
-    pub roles: HashMap<String, usize>,
+    /// Node count per role, indexed by `NodeRole as usize`.
+    by_role: [usize; NodeRole::ALL.len()],
     /// Total nodes.
     pub nodes: usize,
     /// Total channels.
@@ -58,20 +57,34 @@ pub struct GraphCensus {
 impl GraphCensus {
     /// Build from a graph.
     pub fn of(graph: &AppGraph) -> Self {
-        let mut roles = HashMap::new();
+        let mut by_role = [0; NodeRole::ALL.len()];
         for (_, n) in graph.nodes() {
-            *roles.entry(format!("{:?}", n.spec().role)).or_insert(0) += 1;
+            by_role[n.spec().role as usize] += 1;
         }
         Self {
-            roles,
+            by_role,
             nodes: graph.node_count(),
             channels: graph.channel_count(),
         }
     }
 
-    /// Count for a role name (e.g. `"Buffer"`).
+    /// Count for a role name (e.g. `"Buffer"`), as `{:?}` prints the role.
     pub fn role(&self, name: &str) -> usize {
-        self.roles.get(name).copied().unwrap_or(0)
+        self.roles()
+            .into_iter()
+            .find_map(|(role, count)| (role == name).then_some(count))
+            .unwrap_or(0)
+    }
+
+    /// `(role name, count)` for every role present, by name.
+    pub fn roles(&self) -> Vec<(String, usize)> {
+        let present = NodeRole::ALL.into_iter().zip(self.by_role);
+        let mut roles: Vec<_> = present
+            .filter(|&(_, count)| count > 0)
+            .map(|(role, count)| (format!("{role:?}"), count))
+            .collect();
+        roles.sort_unstable();
+        roles
     }
 }
 
@@ -149,7 +162,6 @@ pub fn compile(graph: &AppGraph, opts: &CompileOptions) -> Result<Compiled> {
 
     let census = GraphCensus::of(&g);
     Ok(Compiled {
-        mapping: mapping.clone(),
         dataflow,
         report: CompileReport {
             align: align_report,
@@ -161,6 +173,7 @@ pub fn compile(graph: &AppGraph, opts: &CompileOptions) -> Result<Compiled> {
             pes_used: mapping.num_pes,
             estimated_utilization,
         },
+        mapping,
         graph: g,
     })
 }
@@ -173,9 +186,7 @@ pub fn summarize(c: &Compiled) -> String {
         "graph: {} nodes, {} channels\n",
         c.report.census.nodes, c.report.census.channels
     ));
-    let mut roles: Vec<(&String, &usize)> = c.report.census.roles.iter().collect();
-    roles.sort();
-    for (role, count) in roles {
+    for (role, count) in c.report.census.roles() {
         s.push_str(&format!("  {role:<10} {count}\n"));
     }
     for b in &c.report.buffering.inserted {

@@ -20,6 +20,7 @@ use bp_core::kernel::{NodeRole, Parallelism};
 use bp_core::machine::MachineSpec;
 use bp_core::{BpError, Dim2, Result, Step2};
 use bp_kernels::split::plan_column_ranges;
+use std::sync::Arc;
 
 /// Which Fig. 9 buffering strategy to apply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,11 +95,11 @@ pub fn parallelize_with_reuse(
             candidates.push((id, consumer, k));
         }
         for (buf, consumer, k) in candidates {
-            let spec = graph.node(consumer).spec().clone();
+            let spec = Arc::clone(&graph.node(consumer).def.spec);
             let input = spec.inputs.iter().find(|i| !i.replicated).unwrap();
             reuse_fraction = steady_state_reuse(input.size, input.step);
-            let bname = graph.node(buf).name.clone();
-            let cname = graph.node(consumer).name.clone();
+            let bname = graph.node(buf).name.to_string();
+            let cname = graph.node(consumer).name.to_string();
             transform_group(graph, &df, buf, consumer, k, variant)?;
             groups.push((bname, cname, k));
         }
@@ -120,8 +121,8 @@ fn transform_group(
     k: u32,
     variant: ReuseVariant,
 ) -> Result<()> {
-    let bspec = graph.node(buf).spec().clone();
-    let cspec = graph.node(consumer).spec().clone();
+    let bspec = Arc::clone(&graph.node(buf).def.spec);
+    let cspec = Arc::clone(&graph.node(consumer).def.spec);
     let out = bspec.outputs[0].clone();
     let producer = bspec.inputs[0].size;
     if producer != Dim2::ONE {
@@ -171,7 +172,7 @@ fn transform_group(
         let part_data = Dim2::new(r.width(), data.h);
         let def = bp_kernels::buffer(producer, out.size, out.step, part_data);
         if i == 0 {
-            graph.node_mut(buf).name = format!("{bname}_0");
+            graph.node_mut(buf).name = format!("{bname}_0").into();
             graph.node_mut(buf).def = def;
             bufs.push(buf);
         } else {
@@ -193,7 +194,7 @@ fn transform_group(
     let cdef = graph.node(consumer).def.clone();
     let data_port = cspec.inputs.iter().position(|i| !i.replicated).unwrap();
     let mut reps = Vec::with_capacity(kk);
-    graph.node_mut(consumer).name = format!("{cname}_0");
+    graph.node_mut(consumer).name = format!("{cname}_0").into();
     reps.push(consumer);
     for i in 1..kk {
         reps.push(graph.add_node(format!("{cname}_{i}"), cdef.clone()));

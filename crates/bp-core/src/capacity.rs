@@ -128,18 +128,23 @@ pub fn feedback_loops(graph: &AppGraph) -> Vec<LoopInfo> {
             // compiler's loop-liveness check flags it instead.
             continue;
         }
+        // The component's internal channels, off its members' out-lists,
+        // in channel order.
         let member = |id: NodeId| comp.binary_search(&id).is_ok();
-        let mut channels = Vec::new();
-        let mut back_edges = Vec::new();
-        for (cid, c) in graph.channels() {
-            if !(member(c.src.node) && member(c.dst.node)) {
-                continue;
-            }
-            channels.push(cid);
-            if graph.node(c.src.node).spec().role == NodeRole::Feedback {
-                back_edges.push(cid);
-            }
-        }
+        let outgoing = comp.iter().flat_map(|&id| graph.channels_out_of(id));
+        let mut channels: Vec<ChannelId> = outgoing
+            .filter(|(_, c)| member(c.dst.node))
+            .map(|(cid, _)| cid)
+            .collect();
+        channels.sort_unstable_by_key(|cid| cid.0);
+        let from_feedback = |cid: ChannelId| {
+            graph.node(graph.channel(cid).src.node).spec().role == NodeRole::Feedback
+        };
+        let back_edges = channels
+            .iter()
+            .copied()
+            .filter(|&cid| from_feedback(cid))
+            .collect();
         // The whole circulating population parks on the back edge whenever
         // external input pauses; a producer may fire while the destination
         // holds at most `cap - 2` items, so absorbing all `P` items needs
@@ -306,10 +311,7 @@ mod tests {
         let (g, _) = loop_graph(253);
         let cyclic = g.cyclic_sccs();
         assert_eq!(cyclic.len(), 1);
-        let names: Vec<&str> = cyclic[0]
-            .iter()
-            .map(|&id| g.node(id).name.as_str())
-            .collect();
+        let names: Vec<&str> = cyclic[0].iter().map(|&id| &*g.node(id).name).collect();
         assert_eq!(names, ["Mix", "Half", "Delay"]);
     }
 

@@ -1,11 +1,20 @@
 //! The application graph: kernels connected by data channels, plus
 //! data-dependency edges and real-time input specifications (§II).
+//!
+//! The graph keeps an *adjacency index* next to its channel slots: for every
+//! node, the live channels entering it and the live channels leaving it, in
+//! ascending channel-id order. Every mutator that touches a channel —
+//! [`AppGraph::add_channel`], [`AppGraph::set_channel`],
+//! [`AppGraph::remove_channel`], [`AppGraph::compact`] — keeps it exact, so
+//! the per-node lookups cost O(degree) and answer with the ids, in the
+//! order, a scan of [`AppGraph::channels`] would.
 
 use crate::error::{BpError, Result};
 use crate::geometry::Dim2;
 use crate::kernel::{KernelDef, KernelSpec, NodeRole};
-use crate::method::TriggerOn;
+use crate::method::MethodTable;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Identifier of a node in the application graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -60,8 +69,9 @@ pub struct SourceInfo {
 /// A node: a named kernel instance.
 #[derive(Clone)]
 pub struct Node {
-    /// Instance name, unique in the graph (e.g. `"5x5 Conv_2"`).
-    pub name: String,
+    /// Instance name, unique in the graph (e.g. `"5x5 Conv_2"`). Shared, so
+    /// graph copies and simulator instances hold it without copying it.
+    pub name: Arc<str>,
     /// The kernel definition (spec + behavior factory).
     pub def: KernelDef,
 }
@@ -71,6 +81,15 @@ impl Node {
     pub fn spec(&self) -> &KernelSpec {
         &self.def.spec
     }
+
+    /// The spec's index-resolved methods
+    /// ([`KernelSpec::method_table`]); an unknown port name is reported
+    /// against this node.
+    pub fn method_table(&self) -> Result<&Arc<MethodTable>> {
+        self.def
+            .spec
+            .method_table_of(format_args!("node '{}'", self.name))
+    }
 }
 
 impl std::fmt::Debug for Node {
@@ -79,6 +98,128 @@ impl std::fmt::Debug for Node {
             .field("name", &self.name)
             .field("kind", &self.def.spec.kind)
             .finish_non_exhaustive()
+    }
+}
+
+/// A dense map keyed by channel slot — what per-channel analysis results
+/// live in. Lookups are an index, and filling one allocates once.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ChannelMap<T> {
+    slots: Vec<Option<T>>,
+}
+
+impl<T> Default for ChannelMap<T> {
+    fn default() -> Self {
+        Self { slots: Vec::new() }
+    }
+}
+
+impl<T> ChannelMap<T> {
+    /// An empty map with room for every channel slot of `graph`.
+    pub fn for_graph(graph: &AppGraph) -> Self {
+        let mut slots = Vec::new();
+        slots.resize_with(graph.channels.len(), || None);
+        Self { slots }
+    }
+
+    /// The value stored for `id`, if any.
+    pub fn get(&self, id: &ChannelId) -> Option<&T> {
+        self.slots.get(id.0)?.as_ref()
+    }
+
+    /// Store `value` for `id`, returning what it replaces.
+    pub fn insert(&mut self, id: ChannelId, value: T) -> Option<T> {
+        if id.0 >= self.slots.len() {
+            self.slots.resize_with(id.0 + 1, || None);
+        }
+        self.slots[id.0].replace(value)
+    }
+}
+
+impl<T> std::ops::Index<&ChannelId> for ChannelMap<T> {
+    type Output = T;
+
+    fn index(&self, id: &ChannelId) -> &T {
+        self.get(id).expect("no value for this channel")
+    }
+}
+
+/// End-of-list marker of [`ChannelLists`].
+const NIL: u32 = u32::MAX;
+
+/// One direction of the adjacency index: per node, a singly linked list of
+/// channel ids in ascending order, threaded through one `next` entry per
+/// channel slot. A channel is on exactly one list per direction (its
+/// destination's in-list, its source's out-list), so the lists need no
+/// storage of their own beyond these two arrays.
+#[derive(Clone, Default)]
+struct ChannelLists {
+    /// `(first, last)` channel of each node's list; `(NIL, NIL)` when empty.
+    ends: Vec<(u32, u32)>,
+    /// The channel after each channel slot on its list.
+    next: Vec<u32>,
+}
+
+impl ChannelLists {
+    /// Put channel `cid` on `node`'s list, keeping it ascending. A fresh
+    /// channel has the largest id and is appended in O(1).
+    fn insert(&mut self, node: usize, cid: usize) {
+        if node >= self.ends.len() {
+            // A channel may name a node that does not exist (yet);
+            // validation reports it, the index just has to hold it.
+            self.ends.resize(node + 1, (NIL, NIL));
+        }
+        if cid >= self.next.len() {
+            self.next.resize(cid + 1, NIL);
+        }
+        let id = cid as u32;
+        let (first, last) = self.ends[node];
+        if last == NIL {
+            self.next[cid] = NIL;
+            self.ends[node] = (id, id);
+        } else if last < id {
+            self.next[cid] = NIL;
+            self.next[last as usize] = id;
+            self.ends[node].1 = id;
+        } else {
+            let (mut prev, mut cur) = (NIL, first);
+            while cur < id {
+                (prev, cur) = (cur, self.next[cur as usize]);
+            }
+            debug_assert_ne!(cur, id, "channel {cid} is already on the list");
+            self.next[cid] = cur;
+            match prev {
+                NIL => self.ends[node].0 = id,
+                p => self.next[p as usize] = id,
+            }
+        }
+    }
+
+    /// Take channel `cid` off `node`'s list.
+    fn remove(&mut self, node: usize, cid: usize) {
+        let id = cid as u32;
+        let (mut prev, mut cur) = (NIL, self.ends[node].0);
+        while cur != id {
+            assert_ne!(cur, NIL, "channel {cid} is not on node {node}'s list");
+            (prev, cur) = (cur, self.next[cur as usize]);
+        }
+        let after = std::mem::replace(&mut self.next[cid], NIL);
+        match prev {
+            NIL => self.ends[node].0 = after,
+            p => self.next[p as usize] = after,
+        }
+        if after == NIL {
+            self.ends[node].1 = prev;
+        }
+    }
+
+    /// The channels on `node`'s list, ascending.
+    fn of(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
+        let first = self.ends.get(node).map_or(NIL, |e| e.0);
+        std::iter::successors((first != NIL).then_some(first as usize), |&c| {
+            let next = self.next[c];
+            (next != NIL).then_some(next as usize)
+        })
     }
 }
 
@@ -94,6 +235,13 @@ pub struct AppGraph {
     channels: Vec<Option<Channel>>,
     dep_edges: Vec<DepEdge>,
     sources: Vec<SourceInfo>,
+    /// Adjacency index (see the module docs): channels by destination node.
+    /// Invariant: channel `c` is on `ins`'s list of node `n` exactly when
+    /// `channels[c]` is live with `dst.node == n`; likewise `outs` and
+    /// `src.node`. Only the four channel mutators write it.
+    ins: ChannelLists,
+    /// Adjacency index: channels by source node.
+    outs: ChannelLists,
 }
 
 impl std::fmt::Debug for AppGraph {
@@ -114,7 +262,7 @@ impl AppGraph {
     }
 
     /// Add a node; returns its id.
-    pub fn add_node(&mut self, name: impl Into<String>, def: KernelDef) -> NodeId {
+    pub fn add_node(&mut self, name: impl Into<Arc<str>>, def: KernelDef) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node {
             name: name.into(),
@@ -129,21 +277,57 @@ impl AppGraph {
         self.sources.push(info);
     }
 
+    /// Enter a live channel into both directions of the adjacency index.
+    fn link(&mut self, id: ChannelId, ch: Channel) {
+        self.ins.insert(ch.dst.node.0, id.0);
+        self.outs.insert(ch.src.node.0, id.0);
+    }
+
+    /// Take a live channel out of both directions of the adjacency index.
+    fn unlink(&mut self, id: ChannelId, ch: Channel) {
+        self.ins.remove(ch.dst.node.0, id.0);
+        self.outs.remove(ch.src.node.0, id.0);
+    }
+
+    /// Whether the adjacency index lists, under each of `nodes`, exactly the
+    /// live channels a scan finds there, ascending. Debug builds check the
+    /// endpoints a mutator touched after every mutation.
+    fn indexes(&self, nodes: impl IntoIterator<Item = NodeId>) -> bool {
+        nodes.into_iter().all(|n| {
+            let scan_in = self.channels().filter(|(_, c)| c.dst.node == n);
+            let scan_out = self.channels().filter(|(_, c)| c.src.node == n);
+            self.ins.of(n.0).eq(scan_in.map(|(id, _)| id.0))
+                && self.outs.of(n.0).eq(scan_out.map(|(id, _)| id.0))
+        })
+    }
+
     /// Add a channel; returns its id.
     pub fn add_channel(&mut self, src: PortRef, dst: PortRef) -> ChannelId {
         let id = ChannelId(self.channels.len());
-        self.channels.push(Some(Channel { src, dst }));
+        let ch = Channel { src, dst };
+        self.channels.push(Some(ch));
+        self.link(id, ch);
+        debug_assert!(self.indexes([src.node, dst.node]));
         id
     }
 
     /// Remove a channel (tombstoned).
     pub fn remove_channel(&mut self, id: ChannelId) {
-        self.channels[id.0] = None;
+        if let Some(old) = self.channels[id.0].take() {
+            self.unlink(id, old);
+            debug_assert!(self.indexes([old.src.node, old.dst.node]));
+        }
     }
 
     /// Retarget an existing channel.
     pub fn set_channel(&mut self, id: ChannelId, ch: Channel) {
-        self.channels[id.0] = Some(ch);
+        let old = self.channels[id.0].replace(ch);
+        if let Some(old) = old {
+            self.unlink(id, old);
+        }
+        self.link(id, ch);
+        let was = old.iter().flat_map(|c| [c.src.node, c.dst.node]);
+        debug_assert!(self.indexes(was.chain([ch.src.node, ch.dst.node])));
     }
 
     /// Add a data-dependency edge.
@@ -173,7 +357,7 @@ impl AppGraph {
 
     /// Find a node by instance name.
     pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.nodes.iter().position(|n| n.name == name).map(NodeId)
+        self.nodes.iter().position(|n| &*n.name == name).map(NodeId)
     }
 
     /// Live channels.
@@ -209,36 +393,53 @@ impl AppGraph {
         self.sources.iter().copied().find(|s| s.node == node)
     }
 
+    /// The live channels on one of the index's lists, ascending by id.
+    fn listed<'a>(
+        &'a self,
+        lists: &'a ChannelLists,
+        node: NodeId,
+    ) -> impl Iterator<Item = (ChannelId, Channel)> + 'a {
+        lists.of(node.0).map(|c| {
+            let ch = self.channels[c].expect("indexed channel is live");
+            (ChannelId(c), ch)
+        })
+    }
+
+    /// Channels entering `node`, ascending by channel id — what
+    /// [`in_channels`](Self::in_channels) sorts by port, without the `Vec`.
+    pub fn channels_into(&self, node: NodeId) -> impl Iterator<Item = (ChannelId, Channel)> + '_ {
+        self.listed(&self.ins, node)
+    }
+
+    /// Channels leaving `node`, ascending by channel id — what
+    /// [`out_channels`](Self::out_channels) sorts by port, without the `Vec`.
+    pub fn channels_out_of(&self, node: NodeId) -> impl Iterator<Item = (ChannelId, Channel)> + '_ {
+        self.listed(&self.outs, node)
+    }
+
     /// Channels entering `node`, ordered by input port index.
     pub fn in_channels(&self, node: NodeId) -> Vec<(ChannelId, Channel)> {
-        let mut v: Vec<_> = self
-            .channels()
-            .filter(|(_, c)| c.dst.node == node)
-            .collect();
+        let mut v: Vec<_> = self.channels_into(node).collect();
         v.sort_by_key(|(_, c)| c.dst.port);
         v
     }
 
     /// Channels leaving `node`, ordered by output port index.
     pub fn out_channels(&self, node: NodeId) -> Vec<(ChannelId, Channel)> {
-        let mut v: Vec<_> = self
-            .channels()
-            .filter(|(_, c)| c.src.node == node)
-            .collect();
+        let mut v: Vec<_> = self.channels_out_of(node).collect();
         v.sort_by_key(|(_, c)| c.src.port);
         v
     }
 
     /// The single channel feeding the given input port, if any.
     pub fn channel_into(&self, node: NodeId, port: usize) -> Option<(ChannelId, Channel)> {
-        self.channels()
-            .find(|(_, c)| c.dst.node == node && c.dst.port == port)
+        self.channels_into(node).find(|(_, c)| c.dst.port == port)
     }
 
     /// All channels leaving the given output port (fan-out).
     pub fn channels_from(&self, node: NodeId, port: usize) -> Vec<(ChannelId, Channel)> {
-        self.channels()
-            .filter(|(_, c)| c.src.node == node && c.src.port == port)
+        self.channels_out_of(node)
+            .filter(|(_, c)| c.src.port == port)
             .collect()
     }
 
@@ -247,7 +448,7 @@ impl AppGraph {
     pub fn splice(
         &mut self,
         ch: ChannelId,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         def: KernelDef,
         in_port: usize,
         out_port: usize,
@@ -279,27 +480,29 @@ impl AppGraph {
     /// do not prevent ordering. Errors if a non-feedback cycle remains.
     pub fn topo_order(&self) -> Result<Vec<NodeId>> {
         let n = self.nodes.len();
+        let cut = |u: usize| self.nodes[u].spec().role == NodeRole::Feedback;
         let mut indeg = vec![0usize; n];
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (_, c) in self.channels() {
-            if self.nodes[c.src.node.0].spec().role == NodeRole::Feedback {
+            if !cut(c.src.node.0) {
+                indeg[c.dst.node.0] += 1;
+            }
+        }
+        // Kahn's algorithm; `order` doubles as the queue. Successors are
+        // visited in channel order, which is the order of the out-lists.
+        let mut order: Vec<NodeId> = (0..n).filter(|&i| indeg[i] == 0).map(NodeId).collect();
+        order.reserve_exact(n - order.len());
+        let mut head = 0;
+        while head < order.len() {
+            let u = order[head];
+            head += 1;
+            if cut(u.0) {
                 continue;
             }
-            succ[c.src.node.0].push(c.dst.node.0);
-            indeg[c.dst.node.0] += 1;
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        queue.sort_unstable();
-        let mut order = Vec::with_capacity(n);
-        let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
-            head += 1;
-            order.push(NodeId(u));
-            for &v in &succ[u] {
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    queue.push(v);
+            for (_, c) in self.channels_out_of(u) {
+                let v = c.dst.node;
+                indeg[v.0] -= 1;
+                if indeg[v.0] == 0 {
+                    order.push(v);
                 }
             }
         }
@@ -309,6 +512,82 @@ impl AppGraph {
             ));
         }
         Ok(order)
+    }
+
+    /// Iterative Tarjan walk over the data-channel graph (feedback edges
+    /// included), successors in channel order. Components complete in
+    /// reverse topological order of the condensation; each is handed out
+    /// with its members sorted by id. A component of one node without a
+    /// self-loop channel is only materialised when `singletons` is set.
+    fn tarjan(&self, singletons: bool) -> Vec<Vec<NodeId>> {
+        let n = self.nodes.len();
+        // The next out-channel to follow per open frame; `NIL` when done.
+        let first_out = |v: usize| self.outs.ends.get(v).map_or(NIL, |e| e.0);
+        const UNSEEN: usize = usize::MAX;
+        let mut index = vec![UNSEEN; n];
+        let mut lowlink = vec![0usize; n];
+        let mut on_stack = vec![false; n];
+        let mut stack: Vec<usize> = Vec::new();
+        let mut call: Vec<(usize, u32)> = Vec::new();
+        let mut next_index = 0usize;
+        let mut comps: Vec<Vec<NodeId>> = Vec::new();
+        for root in 0..n {
+            if index[root] != UNSEEN {
+                continue;
+            }
+            call.push((root, first_out(root)));
+            index[root] = next_index;
+            lowlink[root] = next_index;
+            next_index += 1;
+            stack.push(root);
+            on_stack[root] = true;
+            while let Some(&(v, edge)) = call.last() {
+                if edge != NIL {
+                    call.last_mut().expect("frame present").1 = self.outs.next[edge as usize];
+                    let ch = self.channels[edge as usize].expect("indexed channel is live");
+                    let w = ch.dst.node.0;
+                    if index[w] == UNSEEN {
+                        index[w] = next_index;
+                        lowlink[w] = next_index;
+                        next_index += 1;
+                        stack.push(w);
+                        on_stack[w] = true;
+                        call.push((w, first_out(w)));
+                    } else if on_stack[w] {
+                        lowlink[v] = lowlink[v].min(index[w]);
+                    }
+                    continue;
+                }
+                call.pop();
+                if let Some(&(parent, _)) = call.last() {
+                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
+                }
+                if lowlink[v] != index[v] {
+                    continue;
+                }
+                if stack.last() == Some(&v) {
+                    // A component of one: the common case in a pipeline.
+                    stack.pop();
+                    on_stack[v] = false;
+                    let self_loop = || {
+                        self.channels_out_of(NodeId(v))
+                            .any(|(_, c)| c.dst.node.0 == v)
+                    };
+                    if singletons || self_loop() {
+                        comps.push(vec![NodeId(v)]);
+                    }
+                    continue;
+                }
+                let at = stack.iter().rposition(|&w| w == v).expect("root on stack");
+                let mut comp: Vec<NodeId> = stack.drain(at..).map(NodeId).collect();
+                for w in &comp {
+                    on_stack[w.0] = false;
+                }
+                comp.sort_unstable();
+                comps.push(comp);
+            }
+        }
+        comps
     }
 
     /// Strongly connected components of the *data-channel* graph (feedback
@@ -321,75 +600,14 @@ impl AppGraph {
     /// (`bp_core::capacity`) to find the channel loops that a feedback
     /// kernel's primed population circulates through.
     pub fn sccs(&self) -> Vec<Vec<NodeId>> {
-        let n = self.nodes.len();
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (_, c) in self.channels() {
-            succ[c.src.node.0].push(c.dst.node.0);
-        }
-        // Tarjan, iterative: `frame = (node, next successor index)`.
-        const UNSEEN: usize = usize::MAX;
-        let mut index = vec![UNSEEN; n];
-        let mut lowlink = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut next_index = 0usize;
-        let mut comps: Vec<Vec<NodeId>> = Vec::new();
-        for root in 0..n {
-            if index[root] != UNSEEN {
-                continue;
-            }
-            let mut call: Vec<(usize, usize)> = vec![(root, 0)];
-            while let Some(&(v, si)) = call.last() {
-                if si == 0 {
-                    index[v] = next_index;
-                    lowlink[v] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v] = true;
-                }
-                if let Some(&w) = succ[v].get(si) {
-                    call.last_mut().expect("frame present").1 += 1;
-                    if index[w] == UNSEEN {
-                        call.push((w, 0));
-                    } else if on_stack[w] {
-                        lowlink[v] = lowlink[v].min(index[w]);
-                    }
-                } else {
-                    call.pop();
-                    if let Some(&(parent, _)) = call.last() {
-                        lowlink[parent] = lowlink[parent].min(lowlink[v]);
-                    }
-                    if lowlink[v] == index[v] {
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w] = false;
-                            comp.push(NodeId(w));
-                            if w == v {
-                                break;
-                            }
-                        }
-                        comp.sort_unstable();
-                        comps.push(comp);
-                    }
-                }
-            }
-        }
-        comps
+        self.tarjan(true)
     }
 
     /// The cyclic strongly connected components: those with more than one
-    /// node, or a single node with a self-loop channel.
+    /// node, or a single node with a self-loop channel. The order is that of
+    /// [`sccs`](Self::sccs); the acyclic singletons are never built.
     pub fn cyclic_sccs(&self) -> Vec<Vec<NodeId>> {
-        self.sccs()
-            .into_iter()
-            .filter(|comp| {
-                comp.len() > 1
-                    || self
-                        .channels()
-                        .any(|(_, c)| c.src.node == comp[0] && c.dst.node == comp[0])
-            })
-            .collect()
+        self.tarjan(false)
     }
 
     /// Structural validation (§II):
@@ -422,46 +640,29 @@ impl AppGraph {
             }
         }
 
+        // Incoming channels per input port of the node at hand.
+        let mut feeds: Vec<u32> = Vec::new();
         for (id, node) in self.nodes() {
             let spec = node.spec();
-            // Input connectivity.
-            for (pi, input) in spec.inputs.iter().enumerate() {
-                let feeds = self
-                    .channels()
-                    .filter(|(_, c)| c.dst.node == id && c.dst.port == pi)
-                    .count();
-                if feeds != 1 {
-                    return Err(BpError::Validation(format!(
-                        "input '{}' of node '{}' has {} incoming channels (need exactly 1)",
-                        input.name, node.name, feeds
-                    )));
-                }
+            // Input connectivity: one walk of the node's in-list.
+            feeds.clear();
+            feeds.resize(spec.inputs.len(), 0);
+            for (_, c) in self.channels_into(id) {
+                feeds[c.dst.port] += 1;
             }
-            // Method/port references and trigger disjointness.
-            let mut seen: HashMap<(usize, TriggerOn), &str> = HashMap::new();
-            for m in &spec.methods {
-                for t in &m.triggers {
-                    let idx = spec.input_index(&t.input).ok_or_else(|| {
-                        BpError::Validation(format!(
-                            "method '{}' of node '{}' triggers on unknown input '{}'",
-                            m.name, node.name, t.input
-                        ))
-                    })?;
-                    if let Some(prev) = seen.insert((idx, t.on), &m.name) {
-                        return Err(BpError::Validation(format!(
-                            "node '{}': methods '{}' and '{}' both trigger on input '{}' with the same arrival",
-                            node.name, prev, m.name, t.input
-                        )));
-                    }
-                }
-                for o in &m.outputs {
-                    if spec.output_index(o).is_none() {
-                        return Err(BpError::Validation(format!(
-                            "method '{}' of node '{}' writes unknown output '{}'",
-                            m.name, node.name, o
-                        )));
-                    }
-                }
+            if let Some(pi) = feeds.iter().position(|&f| f != 1) {
+                return Err(BpError::Validation(format!(
+                    "input '{}' of node '{}' has {} incoming channels (need exactly 1)",
+                    spec.inputs[pi].name, node.name, feeds[pi]
+                )));
+            }
+            // Method/port references and trigger disjointness: facts of
+            // the spec, established once with its method table.
+            if let Some((a, b, port)) = node.method_table()?.trigger_conflict() {
+                return Err(BpError::Validation(format!(
+                    "node '{}': methods '{}' and '{}' both trigger on input '{}' with the same arrival",
+                    node.name, spec.methods[a].name, spec.methods[b].name, spec.inputs[port].name
+                )));
             }
             // Sources.
             if spec.role == NodeRole::Source {
@@ -513,13 +714,12 @@ impl AppGraph {
     /// so mistakes stay visible to validation.
     pub fn compact(&mut self) -> Vec<Option<NodeId>> {
         let n = self.nodes.len();
-        let mut attached = vec![false; n];
-        for (_, c) in self.channels() {
-            attached[c.src.node.0] = true;
-            attached[c.dst.node.0] = true;
-        }
+        let attached = |i: usize| {
+            let linked = |lists: &ChannelLists| lists.ends.get(i).is_some_and(|e| e.0 != NIL);
+            linked(&self.ins) || linked(&self.outs)
+        };
         let keep: Vec<bool> = (0..n)
-            .map(|i| attached[i] || !self.nodes[i].spec().role.is_plumbing())
+            .map(|i| attached(i) || !self.nodes[i].spec().role.is_plumbing())
             .collect();
         if keep.iter().all(|k| *k) {
             return (0..n).map(|i| Some(NodeId(i))).collect();
@@ -534,17 +734,23 @@ impl AppGraph {
                 remap.push(None);
             }
         }
-        let old_nodes = std::mem::take(&mut self.nodes);
-        self.nodes = old_nodes
-            .into_iter()
-            .zip(&keep)
-            .filter_map(|(node, k)| k.then_some(node))
-            .collect();
+        let mut kept = keep.iter();
+        self.nodes
+            .retain(|_| *kept.next().expect("one flag per node"));
         for c in self.channels.iter_mut().flatten() {
             let src = remap[c.src.node.0].expect("channel endpoint kept");
             let dst = remap[c.dst.node.0].expect("channel endpoint kept");
             c.src.node = src;
             c.dst.node = dst;
+        }
+        // The index follows the renumbering: a dropped node's lists are
+        // empty, a kept node's lists move with it, the threading stays.
+        for lists in [&mut self.ins, &mut self.outs] {
+            lists.ends.resize(n, (NIL, NIL));
+            let mut kept = keep.iter();
+            lists
+                .ends
+                .retain(|_| *kept.next().expect("one flag per node"));
         }
         for d in self.dep_edges.iter_mut() {
             d.src = remap[d.src.0].expect("dep edge endpoint kept");
@@ -553,6 +759,7 @@ impl AppGraph {
         for s in self.sources.iter_mut() {
             s.node = remap[s.node.0].expect("source kept");
         }
+        debug_assert!(self.indexes((0..self.nodes.len()).map(NodeId)));
         remap
     }
 
@@ -579,14 +786,14 @@ impl GraphBuilder {
     }
 
     /// Add a kernel instance.
-    pub fn add(&mut self, name: impl Into<String>, def: KernelDef) -> NodeId {
+    pub fn add(&mut self, name: impl Into<Arc<str>>, def: KernelDef) -> NodeId {
         self.graph.add_node(name, def)
     }
 
     /// Add an application input: a source node with its frame size and rate.
     pub fn add_source(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         def: KernelDef,
         frame: Dim2,
         rate_hz: f64,
@@ -800,6 +1007,30 @@ mod tests {
     }
 
     #[test]
+    fn unknown_method_ports_fail_validation_naming_the_node() {
+        let with_method = |m: MethodSpec| {
+            let spec = KernelSpec::new("pass")
+                .input(InputSpec::stream("in"))
+                .output(OutputSpec::stream("out"))
+                .method(m);
+            let mut b = GraphBuilder::new();
+            let s = b.add_source("Input", source_def(), Dim2::new(4, 4), 10.0);
+            let k = b.add("Bad", KernelDef::new(spec, || Nop));
+            b.connect(s, "out", k, "in");
+            b.build().unwrap_err().to_string()
+        };
+        let cost = MethodCost::new(1, 0);
+        assert_eq!(
+            with_method(MethodSpec::on_data("run", "nope", vec!["out".into()], cost)),
+            "validation error: method 'run' of node 'Bad' triggers on unknown input 'nope'"
+        );
+        assert_eq!(
+            with_method(MethodSpec::on_data("run", "in", vec!["gone".into()], cost)),
+            "validation error: method 'run' of node 'Bad' writes unknown output 'gone'"
+        );
+    }
+
+    #[test]
     fn cycle_without_feedback_fails() {
         let mut b = GraphBuilder::new();
         let a = b.add("A", passthrough_def());
@@ -865,11 +1096,11 @@ mod tests {
         g.validate().unwrap();
         let (_, ch1) = (c1, g.channel(c1));
         let (_, ch2) = (c2, g.channel(c2));
-        assert_eq!(g.node(ch1.src.node).name, "Input");
-        assert_eq!(g.node(ch2.dst.node).name, "Out");
+        assert_eq!(&*g.node(ch1.src.node).name, "Input");
+        assert_eq!(&*g.node(ch2.dst.node).name, "Out");
         // Source info was remapped.
         assert_eq!(g.sources().len(), 1);
-        assert_eq!(g.node(g.sources()[0].node).name, "Input");
+        assert_eq!(&*g.node(g.sources()[0].node).name, "Input");
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! are produced by a factory so that the compiler can replicate a kernel and
 //! every replica gets fresh private state.
 
+use crate::error::{BpError, Result};
 use crate::geometry::Dim2;
 use crate::item::{Item, Window};
-use crate::method::MethodSpec;
+use crate::method::{MethodSpec, MethodTable, UnknownPort};
 use crate::port::{InputSpec, OutputSpec};
 use crate::token::{ControlToken, CustomTokenDecl};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The structural role a node plays in the application graph. User kernels
 /// are written by the programmer; the remaining roles are inserted by the
@@ -45,6 +46,21 @@ pub enum NodeRole {
 }
 
 impl NodeRole {
+    /// Every role, in declaration order (`role as usize` indexes it).
+    pub const ALL: [NodeRole; 11] = [
+        NodeRole::User,
+        NodeRole::Source,
+        NodeRole::Sink,
+        NodeRole::Const,
+        NodeRole::Buffer,
+        NodeRole::Split,
+        NodeRole::Join,
+        NodeRole::Replicate,
+        NodeRole::Inset,
+        NodeRole::Pad,
+        NodeRole::Feedback,
+    ];
+
     /// True for compiler-inserted plumbing (everything except user kernels,
     /// sources, sinks and constants).
     pub fn is_plumbing(&self) -> bool {
@@ -147,6 +163,30 @@ pub struct KernelSpec {
     /// initial values). This is the loop population the capacity derivation
     /// (`bp_core::capacity`) must make room for; 0 for ordinary kernels.
     pub initial_tokens: u64,
+    /// [`method_table`](Self::method_table)'s result, kept with the spec.
+    resolved: ResolvedCache,
+}
+
+/// The spec's resolve-once slot. A *clone* of a spec starts unresolved:
+/// cloning is how a shared spec gets edited (see [`KernelDef::map_spec`]),
+/// and the edit must not inherit a table resolved from the old fields.
+#[derive(Default)]
+struct ResolvedCache(OnceLock<std::result::Result<Arc<MethodTable>, UnknownPort>>);
+
+impl Clone for ResolvedCache {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl std::fmt::Debug for ResolvedCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(if self.0.get().is_some() {
+            "resolved"
+        } else {
+            "unresolved"
+        })
+    }
 }
 
 impl KernelSpec {
@@ -163,6 +203,7 @@ impl KernelSpec {
             custom_tokens: Vec::new(),
             shape: ShapeTransform::Windowed,
             initial_tokens: 0,
+            resolved: ResolvedCache::default(),
         }
     }
 
@@ -221,6 +262,16 @@ impl KernelSpec {
         self
     }
 
+    /// The spec with the growth slack of its port and method lists given
+    /// back: what a definition keeps, since a shared spec never grows again
+    /// and outlives the builder that pushed it together.
+    fn trimmed(mut self) -> Self {
+        self.inputs.shrink_to_fit();
+        self.outputs.shrink_to_fit();
+        self.methods.shrink_to_fit();
+        self
+    }
+
     /// Index of the input port with the given name.
     pub fn input_index(&self, name: &str) -> Option<usize> {
         self.inputs.iter().position(|i| i.name == name)
@@ -234,6 +285,53 @@ impl KernelSpec {
     /// Index of the method with the given name.
     pub fn method_index(&self, name: &str) -> Option<usize> {
         self.methods.iter().position(|m| m.name == name)
+    }
+
+    /// The methods with every port name resolved to an index: the one place
+    /// names become indices for execution and analysis. Resolved in a single
+    /// pass on first use and kept with the spec, so every node, replica and
+    /// simulator sharing this spec shares one table. A method that triggers
+    /// on an unknown input or writes an unknown output is a
+    /// [`BpError::Validation`] naming kernel, method and port.
+    ///
+    /// A spec is immutable once shared (it lives behind the `Arc` of a
+    /// [`KernelDef`]); to change one, edit a clone — which starts
+    /// unresolved — as [`KernelDef::map_spec`] does.
+    pub fn method_table(&self) -> Result<&Arc<MethodTable>> {
+        self.method_table_of(format_args!("kernel '{}'", self.kind))
+    }
+
+    /// [`method_table`](Self::method_table), naming `owner` (a node, where
+    /// the caller has one) in the error.
+    pub(crate) fn method_table_of(
+        &self,
+        owner: std::fmt::Arguments<'_>,
+    ) -> Result<&Arc<MethodTable>> {
+        let resolved = self.resolved.0.get_or_init(|| {
+            MethodTable::resolve(
+                &self.methods,
+                self.inputs.len(),
+                |name| self.input_index(name),
+                |name| self.output_index(name),
+            )
+            .map(Arc::new)
+        });
+        resolved.as_ref().map_err(|e| {
+            let m = &self.methods[e.method as usize];
+            BpError::Validation(if e.output {
+                let port = &m.outputs[e.index as usize];
+                format!(
+                    "method '{}' of {owner} writes unknown output '{port}'",
+                    m.name
+                )
+            } else {
+                let port = &m.triggers[e.index as usize].input;
+                format!(
+                    "method '{}' of {owner} triggers on unknown input '{port}'",
+                    m.name
+                )
+            })
+        })
     }
 
     /// Total memory footprint of one instance: persistent state plus the
@@ -493,8 +591,10 @@ pub type BehaviorFactory = Arc<dyn Fn() -> Box<dyn KernelBehavior> + Send + Sync
 /// kernel libraries hand to [`GraphBuilder::add`](crate::graph::GraphBuilder).
 #[derive(Clone)]
 pub struct KernelDef {
-    /// Static description.
-    pub spec: KernelSpec,
+    /// Static description, shared: cloning a definition — for a replica, a
+    /// graph copy, a simulator instance — bumps a reference count, and
+    /// everything resolved from the spec is resolved once for all holders.
+    pub spec: Arc<KernelSpec>,
     /// Behavior factory.
     pub factory: BehaviorFactory,
 }
@@ -507,8 +607,20 @@ impl KernelDef {
         F: Fn() -> B + Send + Sync + 'static,
     {
         Self {
-            spec,
+            spec: Arc::new(spec.trimmed()),
             factory: Arc::new(move || Box::new(make())),
+        }
+    }
+
+    /// The same behavior over an edited copy of the spec: `edit` runs on a
+    /// fresh, unresolved clone, which becomes the new definition's own
+    /// spec. Other holders of the original are unaffected.
+    pub fn map_spec(&self, edit: impl FnOnce(&mut KernelSpec)) -> Self {
+        let mut spec = KernelSpec::clone(&self.spec);
+        edit(&mut spec);
+        Self {
+            spec: Arc::new(spec.trimmed()),
+            factory: Arc::clone(&self.factory),
         }
     }
 }
@@ -586,6 +698,105 @@ mod tests {
         assert_eq!(s.method_index("loadCoeff"), Some(1));
     }
 
+    struct Nop;
+    impl KernelBehavior for Nop {
+        fn fire(&mut self, _m: &str, _d: &FireData<'_>, _o: &mut Emitter<'_>) {}
+    }
+
+    #[test]
+    fn method_table_resolves_names_to_indices_in_spec_order() {
+        use crate::method::TriggerOn;
+        use crate::token::TokenKind;
+        // `finish` handles end-of-frame on `in`, so the data method on
+        // `in` must not forward that token; `loadCoeff` sits on `coeff`,
+        // where nothing handles tokens.
+        let spec = conv_like_spec().method(MethodSpec::on_token(
+            "finish",
+            "in",
+            TokenKind::EndOfFrame,
+            vec!["out".into()],
+            MethodCost::new(7, 0),
+        ));
+        let table = spec.method_table().expect("every name resolves");
+        assert_eq!(table.len(), 3);
+        let run = table.method(0);
+        assert_eq!(run.triggers, [(0, TriggerOn::Data)]);
+        assert_eq!(run.outputs, [0]);
+        assert_eq!(run.handled_tokens, [TokenKind::EndOfFrame]);
+        assert_eq!((run.cost_cycles, run.is_data), (85, true));
+        let load = table.method(1);
+        assert_eq!(load.triggers, [(1, TriggerOn::Data)]);
+        assert!(load.outputs.is_empty() && load.handled_tokens.is_empty());
+        let finish = table.method(2);
+        assert_eq!(
+            finish.triggers,
+            [(0, TriggerOn::Token(TokenKind::EndOfFrame))]
+        );
+        assert_eq!((finish.cost_cycles, finish.is_data), (7, false));
+        assert_eq!(table.cost_cycles(2), 7);
+        assert_eq!(table.iter().count(), 3);
+        assert_eq!(table.trigger_conflict(), None);
+        // Resolved once: a second call hands out the same table.
+        assert!(Arc::ptr_eq(table, spec.method_table().unwrap()));
+    }
+
+    #[test]
+    fn unknown_ports_are_validation_errors_naming_kernel_method_and_port() {
+        let bad_input = KernelSpec::new("pass")
+            .input(InputSpec::stream("in"))
+            .output(OutputSpec::stream("out"))
+            .method(MethodSpec::on_data(
+                "run",
+                "nope",
+                vec!["out".into()],
+                MethodCost::default(),
+            ));
+        let err = bad_input.method_table().unwrap_err();
+        assert_eq!(
+            err,
+            BpError::Validation(
+                "method 'run' of kernel 'pass' triggers on unknown input 'nope'".into()
+            )
+        );
+        // The failure is kept with the spec like a table would be.
+        assert_eq!(bad_input.method_table().unwrap_err(), err);
+        let bad_output = KernelSpec::new("pass")
+            .input(InputSpec::stream("in"))
+            .method(MethodSpec::on_data(
+                "run",
+                "in",
+                vec!["gone".into()],
+                MethodCost::default(),
+            ));
+        assert_eq!(
+            bad_output.method_table().unwrap_err(),
+            BpError::Validation(
+                "method 'run' of kernel 'pass' writes unknown output 'gone'".into()
+            )
+        );
+    }
+
+    #[test]
+    fn editing_a_shared_spec_goes_through_a_fresh_unresolved_copy() {
+        let def = KernelDef::new(conv_like_spec(), || Nop);
+        let table = Arc::clone(def.spec.method_table().unwrap());
+        assert_eq!(table.cost_cycles(0), 85);
+        let replica = def.clone();
+        assert!(
+            Arc::ptr_eq(&replica.spec, &def.spec),
+            "a clone shares the spec"
+        );
+        let edited = def.map_spec(|s| s.methods[0].cost.cycles = 99);
+        assert!(!Arc::ptr_eq(&edited.spec, &def.spec));
+        assert_eq!(edited.spec.method_table().unwrap().cost_cycles(0), 99);
+        // The original, and everyone sharing it, is untouched.
+        assert_eq!(def.spec.methods[0].cost.cycles, 85);
+        assert!(Arc::ptr_eq(def.spec.method_table().unwrap(), &table));
+        // What a definition keeps carries no builder slack.
+        assert_eq!(def.spec.methods.capacity(), def.spec.methods.len());
+        assert_eq!(def.spec.inputs.capacity(), def.spec.inputs.len());
+    }
+
     #[test]
     fn memory_accounting_includes_state_working_and_io() {
         let s = conv_like_spec();
@@ -634,6 +845,13 @@ mod tests {
         let items: Vec<(usize, Item)> = vec![];
         let d = FireData::new(&s, &items);
         let _ = d.window("in");
+    }
+
+    #[test]
+    fn all_roles_are_listed_in_discriminant_order() {
+        for (i, role) in NodeRole::ALL.into_iter().enumerate() {
+            assert_eq!(role as usize, i);
+        }
     }
 
     #[test]

@@ -41,7 +41,8 @@ pub use capacity::{
 pub use error::{BpError, Result};
 pub use geometry::{Dim2, Offset2, Step2};
 pub use graph::{
-    AppGraph, Channel, ChannelId, DepEdge, GraphBuilder, Node, NodeId, PortRef, SourceInfo,
+    AppGraph, Channel, ChannelId, ChannelMap, DepEdge, GraphBuilder, Node, NodeId, PortRef,
+    SourceInfo,
 };
 pub use item::{Item, Window};
 pub use kernel::{
@@ -49,7 +50,7 @@ pub use kernel::{
     Parallelism, ShapeTransform,
 };
 pub use machine::{CommModel, CommProfile, MachineSpec, Mapping, ShardPlan};
-pub use method::{MethodCost, MethodSpec, Trigger, TriggerOn};
+pub use method::{MethodCost, MethodSpec, MethodTable, ResolvedMethod, Trigger, TriggerOn};
 pub use port::{InputSpec, OutputSpec};
 pub use qos::{MetricsPolicy, QosSpec};
 pub use rng::Rng64;

@@ -163,6 +163,196 @@ impl MethodSpec {
     }
 }
 
+/// One method of a [`MethodTable`]: its firing plan with every port name
+/// resolved to an index. A view into the table's arrays, so it is `Copy`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ResolvedMethod<'a> {
+    /// `(input port index, trigger condition)` per trigger, in declaration
+    /// order (duplicates preserved — a firing pops in exactly this order).
+    pub triggers: &'a [(usize, TriggerOn)],
+    /// Output port indices, in declaration order.
+    pub outputs: &'a [usize],
+    /// Token kinds some method of the kernel handles on one of this
+    /// method's trigger inputs — these suppress automatic forwarding.
+    pub handled_tokens: &'a [TokenKind],
+    /// Declared cycle cost.
+    pub cost_cycles: u64,
+    /// True for data methods (every trigger fires on data).
+    pub is_data: bool,
+}
+
+/// Where a method names a port its kernel does not have.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct UnknownPort {
+    /// Index of the method.
+    pub(crate) method: u32,
+    /// Position among the method's triggers, or among its outputs.
+    pub(crate) index: u32,
+    /// Whether it is an output the method writes (else a trigger input).
+    pub(crate) output: bool,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct MethodRow {
+    /// End offsets into the table's `triggers` / `outputs` / `handled`
+    /// arrays; a row starts where the previous one ends.
+    triggers_end: u32,
+    outputs_end: u32,
+    handled_end: u32,
+    is_data: bool,
+    cost_cycles: u64,
+}
+
+/// The index-resolved methods of one kernel spec, in registration order:
+/// what the executors plan and fire from, and what the analyses read
+/// instead of looking port names up again. Built once per spec by
+/// [`KernelSpec::method_table`](crate::kernel::KernelSpec::method_table) and
+/// shared by every node, replica and simulator instance holding that spec.
+/// Stored as one row per method over three flat arrays.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct MethodTable {
+    rows: Box<[MethodRow]>,
+    triggers: Box<[(usize, TriggerOn)]>,
+    outputs: Box<[usize]>,
+    handled: Box<[TokenKind]>,
+    /// See [`trigger_conflict`](Self::trigger_conflict).
+    conflict: Option<(u32, u32, u32)>,
+}
+
+impl MethodTable {
+    /// Number of methods.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True for a kernel without methods.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The method with spec index `mi`. Panics when out of range.
+    #[inline]
+    pub fn method(&self, mi: usize) -> ResolvedMethod<'_> {
+        let row = self.rows[mi];
+        let (t0, o0, h0) = match mi.checked_sub(1) {
+            Some(prev) => {
+                let p = self.rows[prev];
+                (p.triggers_end, p.outputs_end, p.handled_end)
+            }
+            None => (0, 0, 0),
+        };
+        ResolvedMethod {
+            triggers: &self.triggers[t0 as usize..row.triggers_end as usize],
+            outputs: &self.outputs[o0 as usize..row.outputs_end as usize],
+            handled_tokens: &self.handled[h0 as usize..row.handled_end as usize],
+            cost_cycles: row.cost_cycles,
+            is_data: row.is_data,
+        }
+    }
+
+    /// Declared cycle cost of the method with spec index `mi`.
+    #[inline]
+    pub fn cost_cycles(&self, mi: usize) -> u64 {
+        self.rows[mi].cost_cycles
+    }
+
+    /// The first two methods that trigger on the same arrival at the same
+    /// input, which §II-B forbids, as `(earlier method, later method, input
+    /// port)` — `None` for a well-formed kernel.
+    pub fn trigger_conflict(&self) -> Option<(usize, usize, usize)> {
+        self.conflict
+            .map(|(a, b, port)| (a as usize, b as usize, port as usize))
+    }
+
+    /// All methods, in registration order.
+    pub fn iter(&self) -> impl Iterator<Item = ResolvedMethod<'_>> {
+        (0..self.rows.len()).map(|mi| self.method(mi))
+    }
+
+    /// Resolve `methods` against port-name lookups in a single pass; `Err`
+    /// is the first name a lookup does not know.
+    pub(crate) fn resolve(
+        methods: &[MethodSpec],
+        num_inputs: usize,
+        input_index: impl Fn(&str) -> Option<usize>,
+        output_index: impl Fn(&str) -> Option<usize>,
+    ) -> std::result::Result<Self, UnknownPort> {
+        let unknown = |method: usize, index: usize, output: bool| UnknownPort {
+            method: method as u32,
+            index: index as u32,
+            output,
+        };
+        let mut rows = Vec::with_capacity(methods.len());
+        let mut triggers = Vec::with_capacity(methods.iter().map(|m| m.triggers.len()).sum());
+        let mut outputs = Vec::with_capacity(methods.iter().map(|m| m.outputs.len()).sum());
+        for (mi, m) in methods.iter().enumerate() {
+            for (ti, t) in m.triggers.iter().enumerate() {
+                let port = input_index(&t.input).ok_or(unknown(mi, ti, false))?;
+                triggers.push((port, t.on));
+            }
+            for (oi, o) in m.outputs.iter().enumerate() {
+                outputs.push(output_index(o).ok_or(unknown(mi, oi, true))?);
+            }
+            rows.push(MethodRow {
+                triggers_end: triggers.len() as u32,
+                outputs_end: outputs.len() as u32,
+                handled_end: 0,
+                is_data: m.is_data_method(),
+                cost_cycles: m.cost.cycles,
+            });
+        }
+        // Handled tokens: for each method, the kinds of the kernel's token
+        // triggers that sit on one of its trigger inputs, in spec order —
+        // integer compares against a per-port membership flag.
+        let token_trigger = |&(port, on): &(usize, TriggerOn)| match on {
+            TriggerOn::Token(kind) => Some((port, kind)),
+            TriggerOn::Data => None,
+        };
+        let token_triggers: Vec<(usize, TokenKind)> =
+            triggers.iter().filter_map(token_trigger).collect();
+        let mut handled = Vec::new();
+        if !token_triggers.is_empty() {
+            let mut in_group = vec![false; num_inputs];
+            let mut start = 0;
+            for row in &mut rows {
+                let ports = &triggers[start..row.triggers_end as usize];
+                start = row.triggers_end as usize;
+                for &(p, _) in ports {
+                    in_group[p] = true;
+                }
+                let first = handled.len();
+                for &(p, kind) in &token_triggers {
+                    if in_group[p] && !handled[first..].contains(&kind) {
+                        handled.push(kind);
+                    }
+                }
+                for &(p, _) in ports {
+                    in_group[p] = false;
+                }
+                row.handled_end = handled.len() as u32;
+            }
+        }
+        // Trigger disjointness: the first trigger equal to an earlier one.
+        // Quadratic in the trigger count, but in integer compares, once
+        // per spec, and allocation-free.
+        let method_of = |ti: usize| rows.iter().position(|r| ti < r.triggers_end as usize);
+        let repeated = (1..triggers.len()).find_map(|later| {
+            let earlier = triggers[..later]
+                .iter()
+                .position(|t| *t == triggers[later])?;
+            Some((method_of(earlier)?, method_of(later)?, triggers[later].0))
+        });
+        let conflict = repeated.map(|(a, b, port)| (a as u32, b as u32, port as u32));
+        Ok(MethodTable {
+            conflict,
+            rows: rows.into(),
+            triggers: triggers.into(),
+            outputs: outputs.into(),
+            handled: handled.into(),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,98 +5,117 @@
 //! drive the same [`Program`] structure, so functional results are identical
 //! between the two by construction.
 //!
-//! All name resolution happens once, at [`Program::instantiate`]: every
-//! method's trigger inputs, outputs, and cost are compiled into index
-//! tables ([`CompiledMethod`]), so the per-firing hot path — planning,
-//! consuming, firing, routing — touches no strings and, in steady state,
-//! performs no allocation (consume/emit buffers are recycled per node).
+//! No name is resolved here: every method's trigger inputs, outputs and cost
+//! come index-resolved from the spec's own [`MethodTable`]
+//! ([`KernelSpec::method_table`](bp_core::KernelSpec::method_table), built
+//! once per spec and shared by every node holding it), so the per-firing hot
+//! path — planning, consuming, firing, routing — touches no strings and, in
+//! steady state, performs no allocation (consume/emit buffers are recycled
+//! per node).
 
 use bp_core::graph::AppGraph;
 use bp_core::item::Item;
 use bp_core::kernel::{Emitter, FireData, KernelBehavior, KernelSpec, NodeRole};
-use bp_core::method::TriggerOn;
-use bp_core::token::{ControlToken, TokenKind};
+use bp_core::method::{MethodTable, TriggerOn};
+use bp_core::token::ControlToken;
 use bp_core::{BpError, Result};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// What a node can do next, given its input queue heads: fire a method on
 /// its matched triggers, or pass an unhandled control token through a data
 /// method's trigger group (§II-C). Actions are plain indices into the node's
-/// compiled method table, so planning allocates nothing and actions are
-/// freely copyable. The interpreter and the lowered planner
+/// method table, so planning allocates nothing and actions are freely
+/// copyable. The interpreter and the lowered planner
 /// ([`bp_codegen::ThreadedNode::plan`]) answer with the same type, which is
 /// what lets one scheduler drive either.
 pub type Action = bp_codegen::PlannedAction;
 
-/// A method's firing plan with every port name resolved to an index,
-/// computed once at instantiation.
-#[derive(Debug, Clone)]
-pub struct CompiledMethod {
-    /// `(input port index, trigger condition)` per trigger.
-    pub triggers: Vec<(usize, TriggerOn)>,
-    /// Output port indices, in declaration order.
-    pub outputs: Vec<usize>,
-    /// Declared cycle cost.
-    pub cost_cycles: u64,
-    /// True for data methods (every trigger fires on data).
-    pub is_data: bool,
-    /// Token kinds some method of this kernel handles on one of this
-    /// method's trigger inputs — these suppress automatic forwarding.
-    pub handled_tokens: Vec<TokenKind>,
+/// Rows of varying length in one allocation: row `r` is
+/// `data[starts[r]..starts[r + 1]]`. The shape of every per-node,
+/// per-port and per-method table the simulators read.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct Rows<T> {
+    starts: Vec<u32>,
+    data: Vec<T>,
 }
 
-fn compile_methods(spec: &KernelSpec) -> Vec<CompiledMethod> {
-    spec.methods
-        .iter()
-        .map(|m| {
-            let triggers: Vec<(usize, TriggerOn)> = m
-                .triggers
-                .iter()
-                .map(|t| {
-                    (
-                        spec.input_index(&t.input).expect("validated trigger input"),
-                        t.on,
-                    )
-                })
-                .collect();
-            let outputs: Vec<usize> = m
-                .outputs
-                .iter()
-                .filter_map(|o| spec.output_index(o))
-                .collect();
-            let ins: Vec<usize> = triggers.iter().map(|&(p, _)| p).collect();
-            let mut handled_tokens = Vec::new();
-            for h in &spec.methods {
-                for t in &h.triggers {
-                    if let TriggerOn::Token(kind) = t.on {
-                        if ins.contains(&spec.input_index(&t.input).expect("validated input"))
-                            && !handled_tokens.contains(&kind)
-                        {
-                            handled_tokens.push(kind);
-                        }
-                    }
-                }
-            }
-            CompiledMethod {
-                triggers,
-                outputs,
-                cost_cycles: m.cost.cycles,
-                is_data: m.is_data_method(),
-                handled_tokens,
-            }
-        })
-        .collect()
+impl<T> Rows<T> {
+    /// No rows yet, with room for `rows` of them.
+    pub fn with_capacity(rows: usize) -> Self {
+        let mut starts = Vec::with_capacity(rows + 1);
+        starts.push(0);
+        Self {
+            starts,
+            data: Vec::new(),
+        }
+    }
+
+    /// Append one row.
+    pub fn push_row(&mut self, items: impl IntoIterator<Item = T>) {
+        self.data.extend(items);
+        self.starts.push(self.data.len() as u32);
+    }
+
+    /// `rows` rows holding the `(row, value)` pairs `items` yields, each
+    /// value in the row it names, in the order yielded. `items` is walked
+    /// twice: once to size the rows, once to fill them.
+    pub fn bucketed<I>(rows: usize, items: impl Fn() -> I) -> Self
+    where
+        T: Copy + Default,
+        I: Iterator<Item = (usize, T)>,
+    {
+        let mut starts = vec![0u32; rows + 1];
+        for (r, _) in items() {
+            starts[r + 1] += 1;
+        }
+        for r in 0..rows {
+            starts[r + 1] += starts[r];
+        }
+        let mut data = vec![T::default(); starts[rows] as usize];
+        let mut next = starts.clone();
+        for (r, item) in items() {
+            data[next[r] as usize] = item;
+            next[r] += 1;
+        }
+        Self { starts, data }
+    }
+
+    /// Row `r`.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[T] {
+        &self.data[self.starts[r] as usize..self.starts[r + 1] as usize]
+    }
+
+    /// The same rows with every item mapped through `f`.
+    pub fn map<U>(&self, f: impl FnMut(&T) -> U) -> Rows<U> {
+        Rows {
+            starts: self.starts.clone(),
+            data: self.data.iter().map(f).collect(),
+        }
+    }
+}
+
+/// The first flat slot of each node in a table with one row (or entry) per
+/// port or method: `base[node] + index` is the slot. One extra entry holds
+/// the total.
+pub(crate) fn slot_bases(counts: impl Iterator<Item = usize>) -> Vec<u32> {
+    let mut bases = vec![0u32];
+    for count in counts {
+        bases.push(bases[bases.len() - 1] + count as u32);
+    }
+    bases
 }
 
 /// A kernel instance at run time: spec, private behavior state, and one FIFO
 /// queue per input port.
 pub struct RtNode {
-    /// Instance name (for diagnostics).
-    pub name: String,
-    /// Static spec (cloned from the graph node).
-    pub spec: KernelSpec,
-    /// Index-resolved firing plans, one per method.
-    pub compiled: Vec<CompiledMethod>,
+    /// Instance name (for diagnostics), shared with the graph node.
+    pub name: Arc<str>,
+    /// Static spec, shared with the graph node and its replicas.
+    pub spec: Arc<KernelSpec>,
+    /// The spec's index-resolved firing plans, one per method.
+    pub methods: Arc<MethodTable>,
     /// Executable state.
     pub behavior: Box<dyn KernelBehavior>,
     /// One queue per input port.
@@ -110,19 +129,19 @@ pub struct RtNode {
 }
 
 impl RtNode {
-    fn new(name: String, spec: KernelSpec, behavior: Box<dyn KernelBehavior>) -> Self {
-        let compiled = compile_methods(&spec);
-        let queues = vec![VecDeque::new(); spec.inputs.len()];
-        Self {
-            name,
+    fn new(node: &bp_core::Node) -> Result<Self> {
+        let methods = Arc::clone(node.method_table()?);
+        let spec = Arc::clone(&node.def.spec);
+        Ok(Self {
+            name: Arc::clone(&node.name),
+            queues: vec![VecDeque::new(); spec.inputs.len()],
             spec,
-            compiled,
-            behavior,
-            queues,
+            methods,
+            behavior: (node.def.factory)(),
             firings: 0,
             consumed_buf: Vec::new(),
             out_buf: Vec::new(),
-        }
+        })
     }
 
     #[inline]
@@ -144,7 +163,7 @@ impl RtNode {
     /// pass-through and the "same control token must arrive on both inputs"
     /// rule for multi-input kernels.
     pub fn plan(&self) -> Option<Action> {
-        for (mi, cm) in self.compiled.iter().enumerate() {
+        for (mi, cm) in self.methods.iter().enumerate() {
             if cm.triggers.is_empty() {
                 continue; // source method; fired externally
             }
@@ -154,13 +173,13 @@ impl RtNode {
             }
         }
         // Token forwarding over data-method trigger groups.
-        for (mi, cm) in self.compiled.iter().enumerate() {
+        for (mi, cm) in self.methods.iter().enumerate() {
             if !cm.is_data {
                 continue;
             }
             let mut token: Option<ControlToken> = None;
             let mut all_tokens = true;
-            for &(i, _) in &cm.triggers {
+            for &(i, _) in cm.triggers {
                 match self.queues[i].front() {
                     Some(Item::Control(t)) => match token {
                         None => token = Some(*t),
@@ -213,9 +232,9 @@ impl RtNode {
                 consumed.clear();
                 {
                     let RtNode {
-                        compiled, queues, ..
+                        methods, queues, ..
                     } = self;
-                    for &(p, _) in &compiled[method].triggers {
+                    for &(p, _) in methods.method(method).triggers {
                         consumed
                             .push((p, queues[p].pop_front().expect("planned input disappeared")));
                     }
@@ -237,21 +256,17 @@ impl RtNode {
             Action::Forward { token, method } => {
                 {
                     let RtNode {
-                        compiled, queues, ..
+                        methods, queues, ..
                     } = self;
-                    for &(p, _) in &compiled[method].triggers {
+                    for &(p, _) in methods.method(method).triggers {
                         let it = queues[p].pop_front().expect("planned token disappeared");
                         debug_assert!(matches!(it, Item::Control(t) if t == token));
                     }
                 }
                 let mut out = std::mem::take(&mut self.out_buf);
                 out.clear();
-                out.extend(
-                    self.compiled[method]
-                        .outputs
-                        .iter()
-                        .map(|&o| (o, Item::Control(token))),
-                );
+                let outputs = self.methods.method(method).outputs;
+                out.extend(outputs.iter().map(|&o| (o, Item::Control(token))));
                 (out, None)
             }
         }
@@ -324,11 +339,12 @@ impl RtNode {
     /// [`execute_with_cost`](Self::execute_with_cost).
     pub(crate) fn forward_threaded(
         &mut self,
-        tm: &bp_codegen::ThreadedMethod,
+        method: usize,
         token: ControlToken,
     ) -> Vec<(usize, Item)> {
         self.firings += 1;
-        for &p in &tm.trigger_ports {
+        let m = self.methods.method(method);
+        for &(p, _) in m.triggers {
             let popped = self.queues[p]
                 .pop_front()
                 .expect("planned token disappeared");
@@ -337,7 +353,7 @@ impl RtNode {
         }
         let mut out = std::mem::take(&mut self.out_buf);
         out.clear();
-        out.extend(tm.outputs.iter().map(|&o| (o, Item::Control(token))));
+        out.extend(m.outputs.iter().map(|&o| (o, Item::Control(token))));
         out
     }
 
@@ -369,14 +385,56 @@ pub struct SourceRt {
     pub rate_hz: f64,
 }
 
+/// Where every output port's items go: `(node, out_port)` → destinations
+/// `(node, in_port)` in channel order, as one row per output port.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Routes {
+    /// First row of each node ([`slot_bases`] over the output counts).
+    out_base: Vec<u32>,
+    rows: Rows<(usize, usize)>,
+}
+
+impl Routes {
+    fn of(graph: &AppGraph) -> Self {
+        let out_base = slot_bases(graph.nodes().map(|(_, n)| n.spec().outputs.len()));
+        let slot = |node: usize, port: usize| out_base[node] as usize + port;
+        let edge = |(_, c): (_, bp_core::Channel)| {
+            (slot(c.src.node.0, c.src.port), (c.dst.node.0, c.dst.port))
+        };
+        let rows = Rows::bucketed(out_base[graph.node_count()] as usize, || {
+            graph.channels().map(edge)
+        });
+        Self { out_base, rows }
+    }
+
+    /// The row index of `(node, out_port)`, shared by every table with one
+    /// row per output port.
+    #[inline]
+    pub(crate) fn slot(&self, node: usize, port: usize) -> usize {
+        debug_assert!(port < (self.out_base[node + 1] - self.out_base[node]) as usize);
+        self.out_base[node] as usize + port
+    }
+
+    /// Destinations of `(node, out_port)`.
+    #[inline]
+    pub fn from(&self, node: usize, port: usize) -> &[(usize, usize)] {
+        self.rows.row(self.slot(node, port))
+    }
+
+    /// One row per output port, in [`slot`](Self::slot) order.
+    pub(crate) fn rows(&self) -> &Rows<(usize, usize)> {
+        &self.rows
+    }
+}
+
 /// The read-only half of an instantiated program: routing tables and
 /// source/const pacing info. Splitting this from the mutable node instances
 /// (see [`Program::split`]) lets the sharded timed simulator share one
 /// `ProgramTables` across worker threads while each worker mutably owns a
 /// disjoint subset of the [`RtNode`]s.
 pub struct ProgramTables {
-    /// `routes[node][out_port]` → destinations `(node, in_port)`.
-    pub routes: Vec<Vec<Vec<(usize, usize)>>>,
+    /// `(node, out_port)` → destinations `(node, in_port)`.
+    pub routes: Routes,
     /// Application inputs (role `Source`), paced per their rate.
     pub sources: Vec<SourceRt>,
     /// Constant providers (role `Const`) and feedback primers, fired once
@@ -388,8 +446,8 @@ pub struct ProgramTables {
 pub struct Program {
     /// Node instances, indexed like the graph's nodes.
     pub nodes: Vec<RtNode>,
-    /// `routes[node][out_port]` → destinations `(node, in_port)`.
-    pub routes: Vec<Vec<Vec<(usize, usize)>>>,
+    /// `(node, out_port)` → destinations `(node, in_port)`.
+    pub routes: Routes,
     /// Application inputs (role `Source`), paced per their rate.
     pub sources: Vec<SourceRt>,
     /// Constant providers (role `Const`), fired once at startup.
@@ -397,20 +455,16 @@ pub struct Program {
 }
 
 impl Program {
-    /// Instantiate a validated graph: create behaviors, compile method
-    /// tables, and build routing tables.
+    /// Instantiate a validated graph: create behaviors, take each node's
+    /// method table from its spec, and build routing tables. Specs, names
+    /// and method tables are shared with the graph, not copied.
     pub fn instantiate(graph: &AppGraph) -> Result<Self> {
         graph.validate()?;
-        let mut nodes = Vec::with_capacity(graph.node_count());
-        let mut routes = Vec::with_capacity(graph.node_count());
-        for (_, n) in graph.nodes() {
-            let spec = n.spec().clone();
-            routes.push(vec![Vec::new(); spec.outputs.len()]);
-            nodes.push(RtNode::new(n.name.clone(), spec, (n.def.factory)()));
-        }
-        for (_, c) in graph.channels() {
-            routes[c.src.node.0][c.src.port].push((c.dst.node.0, c.dst.port));
-        }
+        let nodes = graph
+            .nodes()
+            .map(|(_, n)| RtNode::new(n))
+            .collect::<Result<Vec<_>>>()?;
+        let routes = Routes::of(graph);
         let mut sources = Vec::new();
         let mut consts = Vec::new();
         for (id, n) in graph.nodes() {
@@ -474,16 +528,11 @@ impl Program {
     /// window storage). The drained buffer is recycled to the firing node.
     pub fn route(&mut self, from: usize, mut emitted: Vec<(usize, Item)>) {
         for (port, item) in emitted.drain(..) {
-            let n_dests = self.routes[from][port].len();
-            match n_dests {
-                0 => {} // unconnected output: items are dropped
-                1 => {
-                    let (dn, dp) = self.routes[from][port][0];
-                    self.nodes[dn].queues[dp].push_back(item);
-                }
-                _ => {
-                    for di in 0..n_dests {
-                        let (dn, dp) = self.routes[from][port][di];
+            match *self.routes.from(from, port) {
+                [] => {} // unconnected output: items are dropped
+                [(dn, dp)] => self.nodes[dn].queues[dp].push_back(item),
+                ref dests => {
+                    for &(dn, dp) in dests {
                         self.nodes[dn].queues[dp].push_back(item.clone());
                     }
                 }
@@ -516,7 +565,7 @@ impl Program {
 
     /// Node id for a given instance name (diagnostics helper).
     pub fn find(&self, name: &str) -> Option<usize> {
-        self.nodes.iter().position(|n| n.name == name)
+        self.nodes.iter().position(|n| &*n.name == name)
     }
 
     /// Describe stuck state for deadlock diagnostics: nodes with queued
@@ -549,4 +598,126 @@ pub fn stuck_report(nodes: &[RtNode]) -> String {
         }
     }
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bp_core::token::TokenKind;
+    use bp_core::Dim2;
+
+    /// What `compile_methods` built per node before the spec owned the
+    /// table: every port looked up by name, per method, per node.
+    struct ByName {
+        triggers: Vec<(usize, TriggerOn)>,
+        outputs: Vec<usize>,
+        cost_cycles: u64,
+        is_data: bool,
+        handled_tokens: Vec<TokenKind>,
+    }
+
+    fn resolve_by_name(spec: &KernelSpec) -> Vec<ByName> {
+        let resolve = |m: &bp_core::MethodSpec| {
+            let port = |t: &bp_core::Trigger| spec.input_index(&t.input).expect("known input");
+            let triggers: Vec<_> = m.triggers.iter().map(|t| (port(t), t.on)).collect();
+            let outputs = m.outputs.iter().filter_map(|o| spec.output_index(o));
+            let ins: Vec<usize> = triggers.iter().map(|&(p, _)| p).collect();
+            let mut handled_tokens = Vec::new();
+            for t in spec.methods.iter().flat_map(|h| &h.triggers) {
+                if let TriggerOn::Token(kind) = t.on {
+                    if ins.contains(&port(t)) && !handled_tokens.contains(&kind) {
+                        handled_tokens.push(kind);
+                    }
+                }
+            }
+            ByName {
+                outputs: outputs.collect(),
+                triggers,
+                cost_cycles: m.cost.cycles,
+                is_data: m.is_data_method(),
+                handled_tokens,
+            }
+        };
+        spec.methods.iter().map(resolve).collect()
+    }
+
+    fn assert_tables_equal_name_resolution(graph: &AppGraph) {
+        let program = Program::instantiate(graph).expect("instantiate");
+        for (rt, (_, node)) in program.nodes.iter().zip(graph.nodes()) {
+            // Shared with the graph node, not rebuilt.
+            assert!(Arc::ptr_eq(&rt.methods, node.method_table().unwrap()));
+            assert!(Arc::ptr_eq(&rt.spec, &node.def.spec) && Arc::ptr_eq(&rt.name, &node.name));
+            let by_name = resolve_by_name(&rt.spec);
+            assert_eq!(rt.methods.len(), by_name.len(), "{}", rt.name);
+            for (mi, (m, want)) in rt.methods.iter().zip(&by_name).enumerate() {
+                let at = format!("method {mi} of '{}'", rt.name);
+                assert_eq!(m.triggers, want.triggers, "{at}");
+                assert_eq!(m.outputs, want.outputs, "{at}");
+                assert_eq!(m.handled_tokens, want.handled_tokens, "{at}");
+                assert_eq!(m.cost_cycles, want.cost_cycles, "{at}");
+                assert_eq!(rt.methods.cost_cycles(mi), want.cost_cycles, "{at}");
+                assert_eq!(m.is_data, want.is_data, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn spec_owned_tables_equal_name_based_resolution() {
+        use bp_apps::{apps, SLOW, SMALL};
+        // The eleven apps, at a rate that replicates (so split / join /
+        // replicate plumbing of several widths is in the graphs).
+        for app in [
+            apps::fig1b(SMALL, 200.0),
+            apps::bayer(SMALL, 200.0),
+            apps::histogram_app(SMALL, 200.0, 32),
+            apps::parallel_buffer_test(Dim2::new(64, 12), 10.0),
+            apps::multi_conv(SMALL, 200.0, 3),
+            apps::temporal_iir(SMALL, SLOW),
+            apps::fir_radio(72, 100.0),
+            apps::edge_detect(SMALL, 200.0, 0.5),
+            apps::analytics(SMALL, SLOW),
+            apps::stereo_diff(SMALL, 200.0),
+            apps::camera_bank(3, SMALL, SLOW),
+        ] {
+            let c = bp_compiler::compile(&app.graph, &Default::default()).expect("compile");
+            assert_tables_equal_name_resolution(&c.graph);
+        }
+        // A join wider than the mask planner: 65 take methods and two
+        // 65-trigger token synchronizers.
+        const K: usize = 65;
+        let dim = Dim2::new(K as u32, 2);
+        let mut b = bp_core::GraphBuilder::new();
+        let src = b.add_source("In", bp_kernels::pattern_source(dim), dim, 10.0);
+        let split = b.add("Split", bp_kernels::split_rr(K, Dim2::ONE));
+        let join = b.add("Join", bp_kernels::join_rr(K, Dim2::ONE));
+        let (sdef, _sink) = bp_kernels::sink();
+        let snk = b.add("Out", sdef);
+        b.connect(src, "out", split, "in");
+        for i in 0..K {
+            let lane = b.add(format!("Lane{i}"), bp_kernels::scale(2.0, 0.0));
+            b.connect(split, &format!("out{i}"), lane, "in");
+            b.connect(lane, "out", join, &format!("in{i}"));
+        }
+        b.connect(join, "out", snk, "in");
+        assert_tables_equal_name_resolution(&b.build().expect("wide join graph"));
+    }
+
+    #[test]
+    fn rows_hold_what_was_pushed_and_bucketed() {
+        let mut rows = Rows::with_capacity(3);
+        rows.push_row([1, 2]);
+        rows.push_row([]);
+        rows.push_row([3]);
+        assert_eq!(
+            (rows.row(0), rows.row(1), rows.row(2)),
+            (&[1, 2][..], &[][..], &[3][..])
+        );
+        let pairs = [(2, 'a'), (0, 'b'), (2, 'c'), (0, 'd')];
+        let bucketed = Rows::bucketed(3, || pairs.iter().copied());
+        assert_eq!(bucketed.row(0), ['b', 'd']);
+        assert!(bucketed.row(1).is_empty());
+        assert_eq!(bucketed.row(2), ['a', 'c']);
+        assert_eq!(bucketed.map(|c| c.to_ascii_uppercase()).row(2), ['A', 'C']);
+        assert_eq!(slot_bases([2, 0, 3].into_iter()), [0, 2, 2, 5]);
+    }
 }

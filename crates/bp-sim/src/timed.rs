@@ -43,11 +43,11 @@
 use crate::deadlock::{CapacityBump, DeadlockHop, DeadlockReport, SimOutcome};
 use crate::events::{BucketQueue, EventQueue};
 use crate::parallel::DisjointSlots;
-use crate::runtime::{stuck_report, Action, CompiledMethod, Program, ProgramTables, RtNode};
+use crate::runtime::{slot_bases, stuck_report, Action, Program, ProgramTables, Rows, RtNode};
 use crate::stats::{PeStats, RealTimeVerdict, SimReport};
 use crate::trace::{StallCause, Trace, TraceEvent, TraceMeta, TraceOptions, TraceRecorder};
 use bp_core::capacity::{derive_channel_capacities, ChannelCapacities};
-use bp_core::graph::AppGraph;
+use bp_core::graph::{AppGraph, NodeId};
 use bp_core::item::Item;
 use bp_core::kernel::NodeRole;
 use bp_core::machine::{CommModel, MachineSpec, Mapping};
@@ -378,7 +378,10 @@ impl Default for RwMemo {
 }
 
 /// Everything the event loop reads but never writes, shared by all shards:
-/// routing/pacing tables, the mapping, and resolved configuration.
+/// routing/pacing tables, the mapping, and resolved configuration. The
+/// per-port and per-method tables are flat — one row (or entry) per *slot*,
+/// a node's first slot plus the port or method index — and read through
+/// the accessors below.
 pub(crate) struct Shared {
     pub(crate) tables: ProgramTables,
     /// Distinct upstream producer nodes per node (for dispatch waves).
@@ -386,17 +389,19 @@ pub(crate) struct Shared {
     /// re-dispatched by its [`EventKind::CreditReturn`] instead, so freeing
     /// space synchronously never reaches across a delayed (possibly
     /// cross-shard) edge.
-    pub(crate) upstream: Vec<Vec<usize>>,
+    upstream: Rows<usize>,
     /// Every graph channel with its resolved communication parameters, in
     /// graph channel-slot order.
     pub(crate) channels: Vec<ChannelRt>,
-    /// `chan_into[node][in_port]` is the channel feeding that port (graph
+    /// First input-port slot of each node.
+    in_base: Vec<u32>,
+    /// Per input-port slot: the channel feeding that port (graph
     /// validation guarantees at most one).
-    pub(crate) chan_into: Vec<Vec<Option<u32>>>,
-    /// `cap_into[node][in_port]` is the resolved capacity of the queue on
-    /// that port (the feeding channel's capacity; the plan default for
+    chan_into: Vec<Option<u32>>,
+    /// Per input-port slot: the resolved capacity of the queue on that
+    /// port (the feeding channel's capacity; the plan default for
     /// unconnected ports), read on every space check.
-    pub(crate) cap_into: Vec<Vec<usize>>,
+    cap_into: Vec<usize>,
     /// True when any channel is delayed; false short-circuits every
     /// comm-model branch so the zero model costs one load per routing fan-out.
     pub(crate) any_delayed: bool,
@@ -411,32 +416,98 @@ pub(crate) struct Shared {
     /// Resolved metrics policy (`None` = metrics off, hot loops run the
     /// unobserved `OBS = false` specialization).
     pub(crate) metrics: Option<ResolvedMetrics>,
-    /// `dests[node][out_port]` — fused destination records in route order.
-    pub(crate) dests: Vec<Vec<Vec<RouteDest>>>,
-    /// `space[node][method]` — flattened downstream-space checks.
-    pub(crate) space: Vec<Vec<Vec<SpaceCheck>>>,
-    /// `run_s[node][method]` — declared cost in seconds, the quotient
+    /// Per output-port slot ([`Routes::slot`](crate::runtime::Routes::slot))
+    /// — fused destination records in route order.
+    dests: Rows<RouteDest>,
+    /// Per method slot — flattened downstream-space checks.
+    space: Rows<SpaceCheck>,
+    /// Per method slot — declared cost in seconds, the quotient
     /// `cycles as f64 / pe_clock_hz` taken once. Used only when the
     /// behavior's actual cycles equal the declared cost; otherwise the
     /// same division runs live (identical operation ⇒ identical bits).
-    pub(crate) run_s: Vec<Vec<f64>>,
-    /// `trigger_ports[node][method]` — input ports a firing pops, in
-    /// trigger order (duplicates preserved).
-    pub(crate) trigger_ports: Vec<Vec<Vec<usize>>>,
-    /// `credit_chans[node][method]` — delayed channels to credit after a
-    /// firing, in trigger order (duplicate trigger ports preserved).
-    pub(crate) credit_chans: Vec<Vec<Vec<u32>>>,
+    run_s: Vec<f64>,
+    /// Per method slot — input ports a firing pops, in trigger order
+    /// (duplicates preserved).
+    trigger_ports: Rows<usize>,
+    /// Per method slot — delayed channels to credit after a firing, in
+    /// trigger order (duplicate trigger ports preserved).
+    credit_chans: Rows<u32>,
     /// Declared seconds of a token forward (1 cycle), precomputed once.
     pub(crate) forward_run_s: f64,
-    /// `method_base[node] + method` is the flat per-method slot used to
-    /// index the shard's read/write-cost memo cache.
-    pub(crate) method_base: Vec<u32>,
-    /// Total method slots across all nodes (the memo cache's length).
-    pub(crate) num_method_slots: usize,
+    /// First method slot of each node, then the total. A node's base plus
+    /// a method index ([`method_slot`](Self::method_slot)) indexes the
+    /// per-method tables here and the shard's read/write-cost memo cache.
+    method_base: Vec<u32>,
     /// The direct-threaded program [`Threaded`] plans and fires through;
     /// `None` runs [`Interp`]. `Arc`-shared so a fleet host can instantiate
     /// many same-shape simulators from one lowering.
     pub(crate) lowered: Option<Arc<bp_codegen::ThreadedProgram>>,
+}
+
+impl Shared {
+    /// The flat slot of `(node, method)`.
+    #[inline]
+    pub(crate) fn method_slot(&self, node: usize, method: usize) -> usize {
+        self.method_base[node] as usize + method
+    }
+
+    /// Total method slots across all nodes (the memo cache's length).
+    pub(crate) fn num_method_slots(&self) -> usize {
+        self.method_base[self.method_base.len() - 1] as usize
+    }
+
+    #[inline]
+    fn in_slot(&self, node: usize, port: usize) -> usize {
+        self.in_base[node] as usize + port
+    }
+
+    /// Fused destination records of `(node, out_port)`, in route order.
+    #[inline]
+    pub(crate) fn dests(&self, node: usize, port: usize) -> &[RouteDest] {
+        self.dests.row(self.tables.routes.slot(node, port))
+    }
+
+    /// The downstream-space checks of `(node, method)`, in scan order.
+    #[inline]
+    pub(crate) fn space(&self, node: usize, method: usize) -> &[SpaceCheck] {
+        self.space.row(self.method_slot(node, method))
+    }
+
+    /// Declared cost of `(node, method)` in seconds.
+    #[inline]
+    pub(crate) fn run_s(&self, node: usize, method: usize) -> f64 {
+        self.run_s[self.method_slot(node, method)]
+    }
+
+    /// Input ports a firing of `(node, method)` pops, in trigger order.
+    #[inline]
+    pub(crate) fn trigger_ports(&self, node: usize, method: usize) -> &[usize] {
+        self.trigger_ports.row(self.method_slot(node, method))
+    }
+
+    /// Delayed channels a firing of `(node, method)` credits.
+    #[inline]
+    pub(crate) fn credit_chans(&self, node: usize, method: usize) -> &[u32] {
+        self.credit_chans.row(self.method_slot(node, method))
+    }
+
+    /// The channel feeding `(node, in_port)`, if any.
+    #[inline]
+    pub(crate) fn chan_into(&self, node: usize, port: usize) -> Option<u32> {
+        self.chan_into[self.in_slot(node, port)]
+    }
+
+    /// The resolved capacity of the queue on `(node, in_port)`.
+    #[inline]
+    pub(crate) fn cap_into(&self, node: usize, port: usize) -> usize {
+        self.cap_into[self.in_slot(node, port)]
+    }
+
+    /// Distinct producers feeding `node` over direct channels.
+    #[inline]
+    pub(crate) fn upstream(&self, node: usize) -> &[usize] {
+        self.upstream.row(node)
+    }
 }
 
 /// [`bp_core::MetricsPolicy`] with every default resolved against the
@@ -474,13 +545,11 @@ pub(crate) fn build_shared(
     let n = nodes.len();
     // Resolve every channel's communication parameters once. Same-PE
     // channels are local memory (latency 0) regardless of the model.
-    let mut channels = Vec::new();
-    let mut chan_into: Vec<Vec<Option<u32>>> =
-        nodes.iter().map(|rt| vec![None; rt.queues.len()]).collect();
-    let mut cap_into: Vec<Vec<usize>> = nodes
-        .iter()
-        .map(|rt| vec![plan.default; rt.queues.len()])
-        .collect();
+    let in_base = slot_bases(nodes.iter().map(|rt| rt.queues.len()));
+    let in_slot = |node: usize, port: usize| in_base[node] as usize + port;
+    let mut channels = Vec::with_capacity(graph.channel_count());
+    let mut chan_into: Vec<Option<u32>> = vec![None; in_base[n] as usize];
+    let mut cap_into: Vec<usize> = vec![plan.default; in_base[n] as usize];
     for (cid, c) in graph.channels() {
         let (src, dst) = (c.src.node.0, c.dst.node.0);
         let latency_s = config.comm.channel_latency_s(
@@ -501,17 +570,27 @@ pub(crate) fn build_shared(
             ser_per_word_s: if delayed { config.comm.per_word_s } else { 0.0 },
             cap,
         });
-        chan_into[dst][dst_port] = Some(chan);
-        cap_into[dst][dst_port] = cap;
+        chan_into[in_slot(dst, dst_port)] = Some(chan);
+        cap_into[in_slot(dst, dst_port)] = cap;
     }
     let any_delayed = channels.iter().any(|c| c.latency_s > 0.0);
+    let delayed_chan = |dn: usize, dp: usize| -> Option<u32> {
+        chan_into[in_slot(dn, dp)].filter(|&c| channels[c as usize].latency_s > 0.0)
+    };
     // Dispatch waves walk upstream over direct channels only; delayed
-    // producers are woken by credit returns instead.
-    let mut upstream = vec![Vec::new(); n];
-    for c in &channels {
-        if c.latency_s <= 0.0 && !upstream[c.dst].contains(&c.src) {
-            upstream[c.dst].push(c.src);
+    // producers are woken by credit returns instead. Each node's distinct
+    // producers, in the order its in-channels name them.
+    let mut upstream = Rows::with_capacity(n);
+    let mut producers: Vec<usize> = Vec::new();
+    for node in 0..n {
+        producers.clear();
+        for (_, c) in graph.channels_into(NodeId(node)) {
+            let direct = delayed_chan(node, c.dst.port).is_none();
+            if direct && !producers.contains(&c.src.node.0) {
+                producers.push(c.src.node.0);
+            }
         }
+        upstream.push_row(producers.iter().copied());
     }
     let node_roles: Vec<NodeRole> = nodes.iter().map(|rt| rt.spec.role).collect();
     // Lower to the direct-threaded backend when requested (or in release
@@ -539,58 +618,40 @@ pub(crate) fn build_shared(
             Err(_) => None,
         }
     };
-    let delayed_chan = |dn: usize, dp: usize| -> Option<u32> {
-        chan_into[dn][dp].filter(|&c| channels[c as usize].latency_s > 0.0)
-    };
-    let dest = |&(dn, dp): &(usize, usize)| RouteDest {
+    let dests = tables.routes.rows().map(|&(dn, dp)| RouteDest {
         dn: dn as u32,
         dp: dp as u32,
         chan: delayed_chan(dn, dp).unwrap_or(u32::MAX),
         sink: node_roles[dn] == NodeRole::Sink,
-    };
-    let dests = tables.routes.iter().map(|ports| {
-        let fan_out = |routes: &Vec<(usize, usize)>| routes.iter().map(dest).collect();
-        ports.iter().map(fan_out).collect()
     });
-    let dests = dests.collect();
-    // One row per node, one entry per method, from what instantiation
-    // resolved into `RtNode::compiled`.
-    fn per_method<T>(nodes: &[RtNode], f: impl Fn(usize, &CompiledMethod) -> T) -> Vec<Vec<T>> {
-        let row = |(node, rt): (usize, &RtNode)| rt.compiled.iter().map(|cm| f(node, cm)).collect();
-        nodes.iter().enumerate().map(row).collect()
-    }
-    let space = per_method(&nodes, |node, cm| {
-        let routes = cm
-            .outputs
-            .iter()
-            .flat_map(|&port| &tables.routes[node][port]);
-        let check = |&(dn, dp): &(usize, usize)| match delayed_chan(dn, dp) {
-            Some(chan) => SpaceCheck::Credit { chan },
-            None => SpaceCheck::Queue {
-                dn: dn as u32,
-                dp: dp as u32,
-                cap: cap_into[dn][dp] as u32,
-                chan: chan_into[dn][dp].unwrap_or(u32::MAX),
-            },
-        };
-        routes.map(check).collect()
-    });
+    // One row (or entry) per method of every node, in node then method
+    // order, from the method table each node shares with its spec.
+    let method_base = slot_bases(nodes.iter().map(|rt| rt.methods.len()));
+    let num_method_slots = method_base[n] as usize;
     let clock = config.machine.pe_clock_hz;
-    let run_s = per_method(&nodes, |_, cm| cm.cost_cycles as f64 / clock);
-    let trigger_ports = per_method(&nodes, |_, cm| {
-        cm.triggers.iter().map(|&(p, _)| p).collect()
-    });
-    let credit_chans = per_method(&nodes, |node, cm| {
-        let ports = cm.triggers.iter();
-        ports.filter_map(|&(p, _)| delayed_chan(node, p)).collect()
-    });
-    let methods_before = |next: &mut usize, rt: &RtNode| {
-        let base = *next as u32;
-        *next += rt.compiled.len();
-        Some(base)
-    };
-    let method_base: Vec<u32> = nodes.iter().scan(0, methods_before).collect();
-    let num_method_slots = nodes.iter().map(|rt| rt.compiled.len()).sum();
+    let mut space = Rows::with_capacity(num_method_slots);
+    let mut run_s = Vec::with_capacity(num_method_slots);
+    let mut trigger_ports = Rows::with_capacity(num_method_slots);
+    let mut credit_chans = Rows::with_capacity(num_method_slots);
+    for (node, rt) in nodes.iter().enumerate() {
+        for m in rt.methods.iter() {
+            let routes = m.outputs.iter();
+            let routes = routes.flat_map(|&port| tables.routes.from(node, port));
+            space.push_row(routes.map(|&(dn, dp)| match delayed_chan(dn, dp) {
+                Some(chan) => SpaceCheck::Credit { chan },
+                None => SpaceCheck::Queue {
+                    dn: dn as u32,
+                    dp: dp as u32,
+                    cap: cap_into[in_slot(dn, dp)] as u32,
+                    chan: chan_into[in_slot(dn, dp)].unwrap_or(u32::MAX),
+                },
+            }));
+            run_s.push(m.cost_cycles as f64 / clock);
+            let ports = m.triggers.iter().map(|&(p, _)| p);
+            trigger_ports.push_row(ports.clone());
+            credit_chans.push_row(ports.filter_map(|p| delayed_chan(node, p)));
+        }
+    }
     let num_sinks = node_roles
         .iter()
         .filter(|r| **r == NodeRole::Sink)
@@ -614,6 +675,7 @@ pub(crate) fn build_shared(
         tables,
         upstream,
         channels,
+        in_base,
         chan_into,
         cap_into,
         any_delayed,
@@ -633,7 +695,6 @@ pub(crate) fn build_shared(
         credit_chans,
         forward_run_s: 1.0 / clock,
         method_base,
-        num_method_slots,
         lowered,
     };
     Ok((nodes, shared))
@@ -656,17 +717,22 @@ fn check_lowered(program: &bp_codegen::ThreadedProgram, nodes: &[RtNode]) -> Res
         ));
     }
     for (tn, rt) in program.nodes.iter().zip(nodes) {
+        // Lowered from this very spec (the usual case outside a fleet
+        // cache): there is one table, nothing to compare.
+        if Arc::ptr_eq(tn.table(), &rt.methods) {
+            continue;
+        }
         let name = &rt.name;
-        if tn.inputs != rt.queues.len() || tn.methods.len() != rt.compiled.len() {
+        if tn.inputs != rt.queues.len() || tn.methods.len() != rt.methods.len() {
             return mismatch(format!("node '{name}': the port or method count differs"));
         }
-        for (tm, cm) in tn.methods.iter().zip(&rt.compiled) {
-            let ports = cm.triggers.iter().map(|(p, _)| p);
-            let same = tm.trigger_ports.iter().eq(ports)
+        for (mi, (tm, cm)) in tn.table().iter().zip(rt.methods.iter()).enumerate() {
+            let (popped, pops) = (tm.triggers.iter(), cm.triggers.iter());
+            let same = popped.map(|t| t.0).eq(pops.map(|t| t.0))
                 && tm.outputs == cm.outputs
                 && tm.cost_cycles == cm.cost_cycles;
             if !same {
-                let method = &tm.name;
+                let method = &rt.spec.methods[mi].name;
                 return mismatch(format!(
                     "node '{name}': method '{method}' differs in triggers, outputs or cost"
                 ));
@@ -785,7 +851,7 @@ impl Exec for Threaded<'_> {
                 (emitted, res.read_words, res.actual_cycles)
             }
             Action::Forward { token, method } => {
-                let emitted = rt.forward_threaded(&self.0.nodes[node].methods[method], token);
+                let emitted = rt.forward_threaded(method, token);
                 (emitted, 0, None)
             }
         }
@@ -812,7 +878,9 @@ impl Exec for Interp {
     fn fire(self, _node: usize, rt: &mut RtNode, action: Action) -> Fired {
         // Read words come from the items about to be consumed.
         let read_words: u64 = match action {
-            Action::Fire { method } => rt.compiled[method]
+            Action::Fire { method } => rt
+                .methods
+                .method(method)
                 .triggers
                 .iter()
                 .map(|&(p, _)| rt.queues[p].front().map_or(0, |i| i.words()))
@@ -996,7 +1064,7 @@ impl ShardSim {
             touched_buf: Vec::new(),
             wave_buf: Vec::new(),
             wave_mask: vec![0; num_pes.div_ceil(64)],
-            rw_memo: vec![RwMemo::default(); shared.num_method_slots],
+            rw_memo: vec![RwMemo::default(); shared.num_method_slots()],
             space_waiting: vec![false; n],
             shared,
             nodes,
@@ -1426,12 +1494,12 @@ impl ShardSim {
         // injection, however many destinations are saturated). Delayed
         // destinations are judged by the sender-side credit count — the
         // receiver queue may be remote.
-        let full = sh.dests[s.node][0].iter().any(|d| {
+        let full = sh.dests(s.node, 0).iter().any(|d| {
             if d.chan != u32::MAX {
                 self.credits[d.chan as usize] <= 0
             } else {
                 let (dn, dp) = (d.dn as usize, d.dp as usize);
-                self.node(dn).queues[dp].len() >= self.shared.cap_into[dn][dp]
+                self.node(dn).queues[dp].len() >= sh.cap_into(dn, dp)
             }
         });
         if full {
@@ -1716,7 +1784,7 @@ impl ShardSim {
             if let Some(ControlToken::Custom(_)) = tok {
                 self.custom_token_emissions[from] += 1;
             }
-            let dests = &sh.dests[from][port];
+            let dests = sh.dests(from, port);
             let n_dests = dests.len();
             if n_dests == 0 {
                 continue;
@@ -1755,7 +1823,7 @@ impl ShardSim {
                     self.node_max_queue[dn] = depth;
                 }
                 if OBS {
-                    if let Some(chan) = self.shared.chan_into[dn][dp] {
+                    if let Some(chan) = sh.chan_into(dn, dp) {
                         if let Some(m) = self.metrics.as_mut() {
                             m.chan_depth(chan as usize, depth);
                         }
@@ -1820,8 +1888,7 @@ impl ShardSim {
                 continue;
             }
             if let Some(node) = self.try_start::<X, OBS, JRN>(x, sh, pe) {
-                for i in 0..self.shared.upstream[node].len() {
-                    let up = self.shared.upstream[node][i];
+                for &up in sh.upstream(node) {
                     if exhaustive || self.space_waiting[up] {
                         let up_pe = self.shared.pe_of_node[up];
                         // Same busy-at-push filter as `route`:
@@ -1941,7 +2008,7 @@ impl ShardSim {
             let mi = match action {
                 Action::Fire { method } | Action::Forward { method, .. } => method,
             };
-            if let Err(chan) = self.space_ok(&sh.space[node][mi]) {
+            if let Err(chan) = self.space_ok(sh.space(node, mi)) {
                 // Plannable but space-blocked: only downstream consumption
                 // can unblock it, so flag it for the consumers' upstream
                 // wakes (the node stays dirty).
@@ -1954,7 +2021,7 @@ impl ShardSim {
             let (emitted, read_words, actual) = x.fire(node, self.node_mut(node), action);
             let (declared, declared_s) = match action {
                 Action::Fire { .. } => {
-                    (self.node(node).compiled[mi].cost_cycles, sh.run_s[node][mi])
+                    (self.node(node).methods.cost_cycles(mi), sh.run_s(node, mi))
                 }
                 Action::Forward { .. } => (1, sh.forward_run_s),
             };
@@ -1967,7 +2034,7 @@ impl ShardSim {
             } else {
                 cycles as f64 / self.shared.machine.pe_clock_hz
             };
-            let trigger_ports = &sh.trigger_ports[node][mi];
+            let trigger_ports = sh.trigger_ports(node, mi);
             if X::HEAD_MASKS {
                 for &p in trigger_ports {
                     self.refresh_head(node, p);
@@ -1978,7 +2045,7 @@ impl ShardSim {
             self.mark_dirty(node);
             // Consumption freed buffer space on the consumed channels.
             if self.shared.any_delayed {
-                self.return_credits(&sh.credit_chans[node][mi]);
+                self.return_credits(sh.credit_chans(node, mi));
             }
             // Running past the declared budget is a runtime resource
             // exception (§VII) recorded per node.
@@ -1996,7 +2063,7 @@ impl ShardSim {
             // the expression produced for the same operands (bitwise
             // identical by IEEE-754 determinism), a miss runs the
             // expression live and refills the slot.
-            let memo = &mut self.rw_memo[(sh.method_base[node] + mi as u32) as usize];
+            let memo = &mut self.rw_memo[sh.method_slot(node, mi)];
             let read_s = if memo.read_words == read_words {
                 memo.read_s
             } else {
@@ -2098,7 +2165,8 @@ fn deadlock_wait_cycle(
                 (depth + 2 > cap as usize).then_some(chan)
             }
         };
-        shared.space[i][method]
+        shared
+            .space(i, method)
             .iter()
             .find_map(full)
             .map(|c| c as usize)
@@ -2141,9 +2209,9 @@ fn channel_hop(shared: &Shared, nodes: &[RtNode], credits: &[i64], ci: usize) ->
         nodes[c.dst].queues[c.dst_port].len()
     };
     DeadlockHop {
-        src: nodes[c.src].name.clone(),
+        src: nodes[c.src].name.to_string(),
         src_port: nodes[c.src].spec.outputs[c.src_port].name.clone(),
-        dst: nodes[c.dst].name.clone(),
+        dst: nodes[c.dst].name.to_string(),
         dst_port: nodes[c.dst].spec.inputs[c.dst_port].name.clone(),
         occupancy,
         capacity,
@@ -2316,7 +2384,7 @@ pub(crate) fn settle(
             let observed = emitted as f64 / now;
             // Allow one token of slack for startup transients.
             if observed > declared + 1.0 / now {
-                token_rate_violations.push((rt.name.clone(), observed, declared));
+                token_rate_violations.push((rt.name.to_string(), observed, declared));
             }
         }
     }
@@ -2459,8 +2527,12 @@ mod tests {
     }
 
     /// The tables every event reads equal the per-event lookups they
-    /// replaced — written here as the deleted handlers had them — for every
-    /// example app as compiled, under direct, uniform and grid comm models.
+    /// replaced — written here as the deleted handlers had them, over the
+    /// graph and the instantiated nodes, never over the flat tables' own
+    /// offsets — for every example app as compiled, under direct, uniform
+    /// and grid comm models. The flat layout is pinned too: every accessor
+    /// is compared slot by slot against nested tables built the way
+    /// `build_shared` used to build them.
     #[test]
     fn tables_equal_the_lookups_they_replace() {
         use bp_apps::{apps, SLOW, SMALL};
@@ -2489,19 +2561,50 @@ mod tests {
             let c = bp_compiler::compile(&app.graph, &Default::default()).expect("compile");
             let config = SimConfig::new(1).with_comm(comm.clone());
             let (nodes, sh) = build_shared(&c.graph, &c.mapping, config).unwrap();
+            // The nested tables, from the graph's channels alone.
+            let default_cap = derive_channel_capacities(&c.graph).default;
+            let mut routes: Vec<Vec<Vec<(usize, usize)>>> = nodes
+                .iter()
+                .map(|rt| vec![Vec::new(); rt.spec.outputs.len()])
+                .collect();
+            let mut chan_into: Vec<Vec<Option<u32>>> =
+                nodes.iter().map(|rt| vec![None; rt.queues.len()]).collect();
+            let mut cap_into: Vec<Vec<usize>> = nodes
+                .iter()
+                .map(|rt| vec![default_cap; rt.queues.len()])
+                .collect();
+            let mut upstream: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+            for (ci, (_, ch)) in c.graph.channels().enumerate() {
+                let rt = &sh.channels[ci];
+                assert_eq!((rt.src, rt.src_port), (ch.src.node.0, ch.src.port));
+                assert_eq!((rt.dst, rt.dst_port), (ch.dst.node.0, ch.dst.port));
+                routes[rt.src][rt.src_port].push((rt.dst, rt.dst_port));
+                chan_into[rt.dst][rt.dst_port] = Some(ci as u32);
+                cap_into[rt.dst][rt.dst_port] = rt.cap;
+                if rt.latency_s <= 0.0 && !upstream[rt.dst].contains(&rt.src) {
+                    upstream[rt.dst].push(rt.src);
+                }
+            }
             let delayed_chan = |dn: usize, dp: usize| {
-                sh.chan_into[dn][dp].filter(|&c| sh.channels[c as usize].latency_s > 0.0)
+                chan_into[dn][dp].filter(|&c| sh.channels[c as usize].latency_s > 0.0)
             };
+            let mut slot = 0;
             for (node, rt) in nodes.iter().enumerate() {
+                assert_eq!(sh.upstream(node), upstream[node]);
+                for port in 0..rt.queues.len() {
+                    assert_eq!(sh.chan_into(node, port), chan_into[node][port]);
+                    assert_eq!(sh.cap_into(node, port), cap_into[node][port]);
+                }
                 // `route_timed`: one lookup per destination per push.
-                for (port, routes) in sh.tables.routes[node].iter().enumerate() {
+                for (port, routes) in routes[node].iter().enumerate() {
+                    assert_eq!(sh.tables.routes.from(node, port), routes);
                     let want = routes.iter().map(|&(dn, dp)| RouteDest {
                         dn: dn as u32,
                         dp: dp as u32,
                         chan: delayed_chan(dn, dp).unwrap_or(u32::MAX),
                         sink: sh.node_roles[dn] == NodeRole::Sink,
                     });
-                    assert_eq!(sh.dests[node][port], want.collect::<Vec<_>>());
+                    assert_eq!(sh.dests(node, port), want.collect::<Vec<_>>());
                 }
                 // `return_credits`: the node's delayed in-ports, searched
                 // once per trigger.
@@ -2509,32 +2612,37 @@ mod tests {
                     (c.dst == node && c.latency_s > 0.0).then_some((c.dst_port, ci as u32))
                 };
                 let delayed_in: Vec<_> = sh.channels.iter().enumerate().filter_map(into).collect();
-                for (m, cm) in rt.compiled.iter().enumerate() {
+                for (m, cm) in rt.methods.iter().enumerate() {
+                    assert_eq!(sh.method_slot(node, m), slot);
+                    slot += 1;
                     // `downstream_space`: outputs × routes, in scan order.
                     let mut want = Vec::new();
-                    for &port in &cm.outputs {
-                        for &(dn, dp) in &sh.tables.routes[node][port] {
+                    for &port in cm.outputs {
+                        for &(dn, dp) in &routes[node][port] {
                             want.push(match delayed_chan(dn, dp) {
                                 Some(chan) => SpaceCheck::Credit { chan },
                                 None => SpaceCheck::Queue {
                                     dn: dn as u32,
                                     dp: dp as u32,
-                                    cap: sh.cap_into[dn][dp] as u32,
-                                    chan: sh.chan_into[dn][dp].unwrap_or(u32::MAX),
+                                    cap: cap_into[dn][dp] as u32,
+                                    chan: chan_into[dn][dp].unwrap_or(u32::MAX),
                                 },
                             });
                         }
                     }
-                    assert_eq!(sh.space[node][m], want);
+                    assert_eq!(sh.space(node, m), want);
+                    let popped: Vec<usize> = cm.triggers.iter().map(|&(port, _)| port).collect();
+                    assert_eq!(sh.trigger_ports(node, m), popped);
                     let credited = cm.triggers.iter().filter_map(|&(port, _)| {
                         let fed = delayed_in.iter().find(|&&(p, _)| p == port);
                         fed.map(|&(_, chan)| chan)
                     });
-                    assert_eq!(sh.credit_chans[node][m], credited.collect::<Vec<_>>());
+                    assert_eq!(sh.credit_chans(node, m), credited.collect::<Vec<_>>());
                     let run_s = cm.cost_cycles as f64 / sh.machine.pe_clock_hz;
-                    assert_eq!(sh.run_s[node][m].to_bits(), run_s.to_bits());
+                    assert_eq!(sh.run_s(node, m).to_bits(), run_s.to_bits());
                 }
             }
+            assert_eq!(sh.num_method_slots(), slot);
         }
     }
 
@@ -2581,7 +2689,7 @@ mod tests {
         assert!(shared.channels.iter().all(|c| c.cap == 64));
         // cap_into mirrors the per-channel resolution at the consumer side.
         for c in &shared.channels {
-            assert_eq!(shared.cap_into[c.dst][c.dst_port], c.cap);
+            assert_eq!(shared.cap_into(c.dst, c.dst_port), c.cap);
         }
     }
 

@@ -451,7 +451,7 @@ impl TraceMeta {
         channels: &[crate::timed::ChannelRt],
     ) -> Self {
         Self {
-            node_names: nodes.iter().map(|n| n.name.clone()).collect(),
+            node_names: nodes.iter().map(|n| n.name.to_string()).collect(),
             input_ports: nodes
                 .iter()
                 .map(|n| n.spec.inputs.iter().map(|i| i.name.clone()).collect())

@@ -386,7 +386,7 @@ fn main() -> ExitCode {
                 let node_names: Vec<String> = compiled
                     .graph
                     .nodes()
-                    .map(|(_, n)| n.name.clone())
+                    .map(|(_, n)| n.name.to_string())
                     .collect();
                 print!("{}", tape.summary(&node_names));
                 if let Some(Some(path)) = &args.metrics {

@@ -163,3 +163,58 @@ fn mismatched_program_is_a_typed_error_not_a_panic() {
         other => panic!("expected a simulation error, got {other:?}"),
     }
 }
+
+/// `lower_graph` is public and takes any graph, validated or not: a method
+/// that names a port its kernel does not have is a typed validation error
+/// naming node, method and port — for an unknown trigger input (which used
+/// to panic on `expect("validated trigger input")`) and for an unknown
+/// output (which used to be dropped silently) — and everything that
+/// instantiates a graph reports the same thing.
+#[test]
+fn lowering_an_unvalidated_graph_is_a_typed_error_not_a_panic() {
+    use bp_core::{BpError, GraphBuilder, Mapping, MethodCost, MethodSpec};
+    let dim = Dim2::new(8, 4);
+    let unvalidated = |method: MethodSpec| {
+        // `scale` (input `in`, output `out`) with its one method replaced.
+        let bad = bp_kernels::scale(1.0, 0.0).map_spec(|s| s.methods[0] = method);
+        let mut b = GraphBuilder::new();
+        let src = b.add_source("In", bp_kernels::pattern_source(dim), dim, 20.0);
+        let k = b.add("Bad", bad);
+        let out = b.add("Out", bp_kernels::sink().0);
+        b.connect(src, "out", k, "in");
+        b.connect(k, "out", out, "in");
+        b.build_unchecked()
+    };
+    let cost = MethodCost::new(1, 0);
+    let cases = [
+        (
+            MethodSpec::on_data("run", "nope", vec!["out".into()], cost),
+            "method 'run' of node 'Bad' triggers on unknown input 'nope'",
+            "method 'run' of kernel 'scale' triggers on unknown input 'nope'",
+        ),
+        (
+            MethodSpec::on_data("run", "in", vec!["gone".into()], cost),
+            "method 'run' of node 'Bad' writes unknown output 'gone'",
+            "method 'run' of kernel 'scale' writes unknown output 'gone'",
+        ),
+    ];
+    for (method, of_node, of_kernel) in cases {
+        let graph = unvalidated(method);
+        let of_node = BpError::Validation(of_node.into());
+        assert_eq!(graph.validate().unwrap_err(), of_node);
+        assert_eq!(bp_codegen::lower_graph(&graph).unwrap_err(), of_node);
+        let bad = &graph.node(graph.find_node("Bad").unwrap()).def.spec;
+        let of_kernel = BpError::Validation(of_kernel.into());
+        assert_eq!(bp_codegen::lower_spec(bad).err(), Some(of_kernel));
+        assert_eq!(
+            bp_sim::Program::instantiate(&graph).err(),
+            Some(of_node.clone())
+        );
+        let mapping = Mapping::one_to_one(graph.node_count());
+        for backend in [Backend::Interpreted, Backend::Compiled] {
+            let config = SimConfig::new(1).with_backend(backend);
+            let built = TimedSimulator::new(&graph, &mapping, config);
+            assert_eq!(built.err(), Some(of_node.clone()), "{backend:?}");
+        }
+    }
+}

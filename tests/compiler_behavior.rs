@@ -174,15 +174,7 @@ fn infeasible_serial_kernel_is_reported() {
     let dim = Dim2::new(16, 8);
     let mut b = GraphBuilder::new();
     let src = b.add_source("Input", k::pattern_source(dim), dim, 400.0);
-    let hv = {
-        let def = heavy(500);
-        let mut spec = def.spec.clone();
-        spec.parallelism = bp_core::Parallelism::Serial;
-        KernelDef {
-            spec,
-            factory: def.factory,
-        }
-    };
+    let hv = heavy(500).map_spec(|s| s.parallelism = bp_core::Parallelism::Serial);
     let hn = b.add("SerialHeavy", hv);
     let (sdef, _h) = k::sink();
     let snk = b.add("Out", sdef);

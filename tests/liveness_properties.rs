@@ -205,7 +205,7 @@ fn one_below_the_bound_starves_the_loop() {
         let loop_nodes: Vec<&str> = lp
             .nodes
             .iter()
-            .map(|&id| compiled.graph.node(id).name.as_str())
+            .map(|&id| &*compiled.graph.node(id).name)
             .collect();
         assert_eq!(
             seq.cycle.len(),

@@ -342,9 +342,8 @@ pub fn analytics(dim: Dim2, rate_hz: f64) -> App {
 /// A bank of `cameras` independent Fig. 1(b) pipelines, one per input
 /// camera: no channel or dependency edge crosses between pipelines. This is
 /// the many-camera surveillance shape the paper's scaling argument targets,
-/// and — because the pipelines are mutually independent — it is also the
-/// stress workload for the sharded parallel timed simulator, which can place
-/// each pipeline's PEs in a different shard.
+/// and the working-set stress workload for the timed engine (one PE per
+/// kernel gives it eight times fig1b's event population).
 pub fn camera_bank(cameras: usize, dim: Dim2, rate_hz: f64) -> App {
     assert!(cameras >= 1);
     let mut b = GraphBuilder::new();

@@ -4,7 +4,9 @@
 //! plus Criterion micro-benchmarks for the compiler passes, the simulators
 //! and the kernel library. This library crate holds the shared plumbing:
 //! compiling an application, running the timed simulation, and rendering
-//! the small ASCII tables/bars the binaries print.
+//! the small ASCII tables/bars the binaries print. Performance claims are
+//! judged by the `benchmark/` package (`BENCHMARK.json`), not by these
+//! harnesses.
 
 #![warn(missing_docs)]
 
@@ -13,19 +15,9 @@ pub mod microbench;
 use bp_apps::App;
 use bp_compiler::{compile, CompileOptions, Compiled};
 use bp_core::Result;
-use bp_sim::{ParallelTimedSimulator, SimConfig, SimReport, TimedSimulator};
-
-/// Mapped-PE count at and above which [`compile_and_simulate`] switches to
-/// the sharded parallel timed simulator. Below it the sharding bookkeeping
-/// isn't worth spinning up workers; above it the engines are
-/// interchangeable because their reports are bitwise identical
-/// (DESIGN.md §9).
-pub const PARALLEL_PE_THRESHOLD: usize = 16;
+use bp_sim::{SimConfig, SimReport, TimedSimulator};
 
 /// Compile an application and run the timed simulator for `frames` frames.
-/// Machines with at least [`PARALLEL_PE_THRESHOLD`] mapped PEs run on the
-/// sharded parallel engine with one worker per available core; the report
-/// is bitwise identical either way.
 pub fn compile_and_simulate(
     app: &App,
     opts: &CompileOptions,
@@ -33,46 +25,8 @@ pub fn compile_and_simulate(
 ) -> Result<(Compiled, SimReport)> {
     let compiled = compile(&app.graph, opts)?;
     let config = SimConfig::new(frames).with_machine(opts.machine);
-    let report = if compiled.mapping.num_pes >= PARALLEL_PE_THRESHOLD {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, workers)?.run()?
-    } else {
-        TimedSimulator::new(&compiled.graph, &compiled.mapping, config)?.run()?
-    };
+    let report = TimedSimulator::new(&compiled.graph, &compiled.mapping, config)?.run()?;
     Ok((compiled, report))
-}
-
-/// Extract the balanced-brace object value of `"key":` from raw JSON text.
-/// The `BENCH_sim.json` schema contains no braces inside strings, so brace
-/// counting is exact. Shared by `bench_json` (baseline carry-over) and
-/// `sim_scaling` (block splicing).
-pub fn extract_object(src: &str, key: &str) -> Option<String> {
-    let kpos = src.find(&format!("\"{key}\":"))?;
-    let start = kpos + src[kpos..].find('{')?;
-    let mut depth = 0usize;
-    for (i, c) in src[start..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(src[start..=start + i].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Extract the first numeric value of `"key":` inside `obj`.
-pub fn extract_number(obj: &str, key: &str) -> Option<f64> {
-    let kpos = obj.find(&format!("\"{key}\":"))?;
-    let rest = &obj[kpos + key.len() + 3..];
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 /// Render a percentage as a fixed-width ASCII bar, one `#` per 2%.
@@ -176,17 +130,5 @@ mod tests {
         assert!(c.report.pes_used > 0);
         let row = breakdown_row("SS", &r);
         assert!(row.contains("run"));
-    }
-
-    #[test]
-    fn json_helpers_roundtrip() {
-        let src = r#"{ "a": { "x": 1.5, "nested": { "y": 2 } }, "b": { "z": 3 } }"#;
-        let a = extract_object(src, "a").unwrap();
-        assert!(a.contains("nested"));
-        assert_eq!(extract_number(&a, "x"), Some(1.5));
-        assert_eq!(extract_number(&a, "y"), Some(2.0));
-        assert_eq!(extract_object(src, "b").unwrap(), r#"{ "z": 3 }"#);
-        assert_eq!(extract_object(src, "missing"), None);
-        assert_eq!(extract_number(src, "missing"), None);
     }
 }

@@ -35,7 +35,7 @@
 //!
 //! What is deliberately *not* folded: anything mapping- or
 //! machine-dependent (channel latencies, capacities, slot indices into the
-//! engine's `DisjointSlots` node array). The engine builds those tables
+//! engine's node array). The engine builds those tables
 //! from its own instantiated nodes at simulator-build time, for either
 //! backend, and checks a program against them before running it —
 //! keeping this crate dependent on `bp-core` alone.
@@ -131,7 +131,7 @@ pub struct ThreadedNode {
 }
 
 /// A fully lowered graph: one [`ThreadedNode`] per graph node, in node
-/// order (indices line up with the engine's `DisjointSlots` node array).
+/// order (indices line up with the engine's node array).
 pub struct ThreadedProgram {
     /// Lowered nodes, indexed by node id.
     pub nodes: Vec<ThreadedNode>,

@@ -49,7 +49,7 @@ pub use kernel::{
     BehaviorFactory, Emitter, FireData, KernelBehavior, KernelDef, KernelSpec, NodeRole,
     Parallelism, ShapeTransform,
 };
-pub use machine::{CommModel, CommProfile, MachineSpec, Mapping, ShardPlan};
+pub use machine::{CommModel, CommProfile, MachineSpec, Mapping};
 pub use method::{MethodCost, MethodSpec, MethodTable, ResolvedMethod, Trigger, TriggerOn};
 pub use port::{InputSpec, OutputSpec};
 pub use qos::{MetricsPolicy, QosSpec};

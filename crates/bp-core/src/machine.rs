@@ -95,10 +95,6 @@ impl Default for MachineSpec {
 /// which the per-firing word costs already charge, so their channel
 /// latency is zero. [`CommModel::zero`] (the `Default`) disables the model
 /// entirely and reproduces the paper's original semantics bit for bit.
-///
-/// A positive minimum latency is also what gives the parallel simulator
-/// *lookahead*: events cannot affect another PE sooner than the channel
-/// latency, so shards may safely advance that far without synchronizing.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct CommModel {
     /// Seconds of latency charged to every inter-PE message.
@@ -185,8 +181,7 @@ impl CommModel {
     /// statistics ([`CommProfile`]): the base latency is the *minimum*
     /// observed push-to-consume dwell — the fastest hand-off the traced
     /// run achieved, so the calibrated model never claims a link faster
-    /// than anything actually measured, and stays conservative as a
-    /// parallel-simulation lookahead. An empty profile yields
+    /// than anything actually measured. An empty profile yields
     /// [`CommModel::zero`].
     pub fn from_profile(profile: &CommProfile) -> Self {
         if profile.samples == 0 {
@@ -280,91 +275,6 @@ impl Mapping {
     }
 }
 
-/// Assignment of processing elements to simulation shards.
-///
-/// Two PEs must share a shard whenever the mapped application can make them
-/// interact: an item routed between nodes on them, or back-pressure (a
-/// firing on one frees queue space that re-dispatches the other). Both
-/// follow channel edges, so the interaction regions are exactly the weakly
-/// connected components of the mapped channel graph projected onto PEs.
-/// Components are balanced across at most `max_shards` shards
-/// longest-processing-time first, deterministically.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardPlan {
-    /// `shard_of_pe[pe] = shard index`, dense in `0..num_shards`.
-    pub shard_of_pe: Vec<usize>,
-    /// Number of shards actually used (≤ `max_shards`).
-    pub num_shards: usize,
-    /// Number of independent PE interaction regions found. Parallelism is
-    /// capped by this: a fully connected application has one component and
-    /// degrades to sequential execution.
-    pub num_components: usize,
-}
-
-impl ShardPlan {
-    /// Build a plan for `mapping` given the application's channel edges as
-    /// `(src_node, dst_node)` pairs (node indices, as in
-    /// [`Mapping::pe_of_node`]). Components are weighted by resident node
-    /// count.
-    pub fn build(mapping: &Mapping, node_edges: &[(usize, usize)], max_shards: usize) -> Self {
-        let n = mapping.num_pes;
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]]; // path halving
-                x = parent[x];
-            }
-            x
-        }
-        for &(a, b) in node_edges {
-            let (pa, pb) = (mapping.pe_of_node[a], mapping.pe_of_node[b]);
-            let (ra, rb) = (find(&mut parent, pa), find(&mut parent, pb));
-            if ra != rb {
-                // Union by smaller root index keeps labeling deterministic.
-                let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-                parent[hi] = lo;
-            }
-        }
-        // Components in ascending root order; weight = resident node count.
-        let mut comp_of_pe = vec![usize::MAX; n];
-        let mut comp_pes: Vec<Vec<usize>> = Vec::new();
-        let mut comp_weight: Vec<u64> = Vec::new();
-        for pe in 0..n {
-            let root = find(&mut parent, pe);
-            if comp_of_pe[root] == usize::MAX {
-                comp_of_pe[root] = comp_pes.len();
-                comp_pes.push(Vec::new());
-                comp_weight.push(0);
-            }
-            comp_of_pe[pe] = comp_of_pe[root];
-            comp_pes[comp_of_pe[pe]].push(pe);
-        }
-        for &pe in &mapping.pe_of_node {
-            comp_weight[comp_of_pe[pe]] += 1;
-        }
-        let num_components = comp_pes.len();
-        let num_shards = max_shards.clamp(1, num_components.max(1));
-        // LPT assignment: heaviest component to the lightest shard, ties by
-        // lower indices, so the plan is a pure function of its inputs.
-        let mut order: Vec<usize> = (0..num_components).collect();
-        order.sort_by(|&a, &b| comp_weight[b].cmp(&comp_weight[a]).then(a.cmp(&b)));
-        let mut shard_load = vec![0u64; num_shards];
-        let mut shard_of_pe = vec![0usize; n];
-        for c in order {
-            let shard = (0..num_shards).min_by_key(|&s| (shard_load[s], s)).unwrap();
-            shard_load[shard] += comp_weight[c];
-            for &pe in &comp_pes[c] {
-                shard_of_pe[pe] = shard;
-            }
-        }
-        Self {
-            shard_of_pe,
-            num_shards,
-            num_components,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,44 +295,6 @@ mod tests {
         assert_eq!(r[0], vec![0, 1]);
         assert_eq!(r[1], vec![2]);
         assert_eq!(r[2], vec![3]);
-    }
-
-    #[test]
-    fn shard_plan_splits_disconnected_chains() {
-        // Two chains of 3 nodes each, 1:1 mapped: nodes 0-1-2 and 3-4-5.
-        let m = Mapping::one_to_one(6);
-        let edges = [(0, 1), (1, 2), (3, 4), (4, 5)];
-        let plan = ShardPlan::build(&m, &edges, 4);
-        assert_eq!(plan.num_components, 2);
-        assert_eq!(plan.num_shards, 2);
-        // Each chain lands wholly in one shard, and the two differ.
-        assert_eq!(plan.shard_of_pe[0], plan.shard_of_pe[1]);
-        assert_eq!(plan.shard_of_pe[1], plan.shard_of_pe[2]);
-        assert_eq!(plan.shard_of_pe[3], plan.shard_of_pe[4]);
-        assert_ne!(plan.shard_of_pe[0], plan.shard_of_pe[3]);
-    }
-
-    #[test]
-    fn shard_plan_connected_graph_is_one_shard() {
-        let m = Mapping::one_to_one(4);
-        let edges = [(0, 1), (1, 2), (2, 3)];
-        let plan = ShardPlan::build(&m, &edges, 8);
-        assert_eq!(plan.num_components, 1);
-        assert_eq!(plan.num_shards, 1);
-        assert!(plan.shard_of_pe.iter().all(|&s| s == 0));
-    }
-
-    #[test]
-    fn shard_plan_balances_lpt_and_is_deterministic() {
-        // Four singleton components with different weights (multiplexed
-        // mapping: PE 0 hosts 3 nodes, PE 1 hosts 2, PEs 2 and 3 one each).
-        let m = Mapping::from_assignment(vec![0, 0, 0, 1, 1, 2, 3]);
-        let plan = ShardPlan::build(&m, &[], 2);
-        assert_eq!(plan.num_components, 4);
-        assert_eq!(plan.num_shards, 2);
-        // LPT: 3 -> shard0, 2 -> shard1, 1 -> shard1, 1 -> shard0.
-        assert_eq!(plan.shard_of_pe, vec![0, 1, 1, 0]);
-        assert_eq!(plan, ShardPlan::build(&m, &[], 2));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! quantiles come from deterministic integer bucket lower bounds — so two
 //! histograms built from the same multiset of values are bitwise
 //! identical regardless of recording order or how the values were split
-//! across shards.
+//! across histograms before merging.
 
 /// Sub-bucket resolution: 2^3 = 8 linear sub-buckets per octave, giving a
 /// worst-case quantile error of 12.5%.

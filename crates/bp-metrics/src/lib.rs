@@ -7,8 +7,8 @@
 //!
 //! - [`LogHistogram`]: fixed-size, log-bucketed (HDR-style), mergeable
 //!   latency histograms over integer nanoseconds;
-//! - [`MetricsRecorder`]: the streaming per-shard recorder the engine
-//!   drives from both event loops — per-PE busy intervals, per-node
+//! - [`MetricsRecorder`]: the streaming recorder the engine drives from
+//!   its event loop — per-PE busy intervals, per-node
 //!   firing latency, per-channel high-water marks and stall counters,
 //!   event-queue depth, violation first-occurrence timestamps;
 //! - [`MetricsTape`]: the deterministic snapshot tape assembled after
@@ -22,10 +22,9 @@
 //!   deterministic aggregate, and tenant-scoped JSONL export.
 //!
 //! Determinism is the design constraint throughout: every recorded
-//! quantity is attributed to simulated time by a pure function, and
-//! per-shard recorders merge into exactly the recorder a sequential run
-//! would produce — so tapes are bitwise identical across backends and
-//! thread counts.
+//! quantity is attributed to simulated time by a pure function of the
+//! schedule — so tapes are bitwise identical across backends, and a
+//! stepped or co-scheduled run's tape equals its solo run's.
 
 #![warn(missing_docs)]
 

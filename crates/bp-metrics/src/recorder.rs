@@ -1,20 +1,13 @@
-//! The streaming per-shard metrics recorder.
+//! The streaming metrics recorder.
 //!
-//! One `MetricsRecorder` lives inside each shard simulator; the engine
-//! calls the hook methods from both the interpreted and compiled event
-//! loops (under the `OBS` monomorphization, so all of this compiles out
-//! when metrics are off). Counters are bucketed into fixed simulated-time
-//! intervals so that per-shard recorders can be merged *after* the run
-//! into the exact recorder a sequential run would have produced:
-//!
-//! - every count is attributed to the interval of the simulated time at
-//!   which the triggering shard-local event was processed (or, for event
-//!   pushes, created) — a pure function of `t`, independent of wall-clock
-//!   interleaving;
-//! - all counters are either integers (merged by addition), disjoint
-//!   per-PE/per-node/per-channel values (each written by exactly one
-//!   shard; merged by addition against zeros or by max), or
-//!   first-occurrence timestamps (merged by min).
+//! One `MetricsRecorder` lives inside a timed simulation; the engine calls
+//! the hook methods from its event loop (under the `OBS` monomorphization,
+//! so all of this compiles out when metrics are off). Counters are
+//! bucketed into fixed simulated-time intervals: every count is attributed
+//! to the interval of the simulated time at which the triggering event was
+//! processed (or, for event pushes, created) — a pure function of `t`,
+//! independent of wall-clock timing, so the recorder is as deterministic as
+//! the schedule it observes.
 //!
 //! Steady-state recording is allocation-free: the only allocations happen
 //! when simulated time first crosses into a new interval (amortized one
@@ -58,18 +51,6 @@ impl IntervalAcc {
             pe_busy: vec![0.0; num_pes],
         }
     }
-
-    fn merge(&mut self, other: &Self) {
-        self.pushes += other.pushes;
-        self.pops += other.pops;
-        self.firings += other.firings;
-        self.input_overruns += other.input_overruns;
-        self.budget_overruns += other.budget_overruns;
-        self.stalls += other.stalls;
-        for (a, b) in self.pe_busy.iter_mut().zip(other.pe_busy.iter()) {
-            *a += *b;
-        }
-    }
 }
 
 /// One pending run of equal firing-latency values for one node, not yet
@@ -88,7 +69,7 @@ struct HotCell {
     count: u64,
 }
 
-/// Streaming metrics state for one shard (or, after merging, a whole run).
+/// Streaming metrics state for one run.
 #[derive(Clone, Debug)]
 pub struct MetricsRecorder {
     interval_s: f64,
@@ -218,8 +199,8 @@ impl MetricsRecorder {
         };
     }
 
-    /// Accumulator for simulated time `t`. Shard-local event times are
-    /// non-decreasing, so this is a branch-and-index in steady state.
+    /// Accumulator for simulated time `t`. Event times are non-decreasing,
+    /// so this is a branch-and-index in steady state.
     #[inline]
     fn acc(&mut self, t: f64) -> &mut IntervalAcc {
         if t >= self.cur_end_t {
@@ -228,10 +209,8 @@ impl MetricsRecorder {
         &mut self.intervals[self.cur]
     }
 
-    /// An event was created at simulated time `t` (the *sender's* clock
-    /// for cross-shard sends — the same discipline the replay journal
-    /// uses, which is what makes parallel merge reproduce the sequential
-    /// recorder).
+    /// An event was created at simulated time `t` (the clock of the event
+    /// that created it, not the time it is scheduled for).
     #[inline]
     pub fn event_pushed(&mut self, t: f64) {
         self.acc(t).pushes += 1;
@@ -266,8 +245,7 @@ impl MetricsRecorder {
     /// Flush every pending [`HotCell`] run into its node's histogram and
     /// rebuild the derived aggregates (`agg_hist`, `node_firings`) from
     /// the sealed per-node histograms. Must be called before any of those
-    /// are read (tape assembly, `merge_from`'s source); idempotent, and
-    /// must be re-run after `merge_from` mutates the per-node histograms.
+    /// are read (tape assembly does); idempotent.
     ///
     /// Deriving the aggregates here instead of in `firing_complete` keeps
     /// two more scattered arrays out of the per-firing path, and is
@@ -327,43 +305,6 @@ impl MetricsRecorder {
             self.first_budget_overrun_t = t;
         }
     }
-
-    /// Merge another shard's recorder into this one. Merging every
-    /// shard's recorder (in any order) reproduces the sequential run's
-    /// recorder exactly: integer counters add, disjoint f64 cells add
-    /// against zeros, high-water marks take the max, first-occurrence
-    /// timestamps take the min.
-    pub fn merge_from(&mut self, other: &Self) {
-        assert_eq!(self.interval_s.to_bits(), other.interval_s.to_bits());
-        assert_eq!(self.num_pes, other.num_pes);
-        debug_assert!(
-            other.node_hot.iter().all(|h| h.count == 0),
-            "merge_from requires a sealed source recorder"
-        );
-        while self.intervals.len() < other.intervals.len() {
-            self.intervals.push(IntervalAcc::new(self.num_pes));
-        }
-        for (a, b) in self.intervals.iter_mut().zip(other.intervals.iter()) {
-            a.merge(b);
-        }
-        // `agg_hist` and `node_firings` are NOT merged: they are derived
-        // from the per-node histograms at the next `seal()` (which tape
-        // assembly always performs after the last merge).
-        for (a, b) in self.node_hist.iter_mut().zip(other.node_hist.iter()) {
-            a.merge(b);
-        }
-        for (a, b) in self.chan_hwm.iter_mut().zip(other.chan_hwm.iter()) {
-            *a = (*a).max(*b);
-        }
-        for (a, b) in self.chan_stalls.iter_mut().zip(other.chan_stalls.iter()) {
-            *a += *b;
-        }
-        self.first_input_overrun_t = self.first_input_overrun_t.min(other.first_input_overrun_t);
-        self.first_budget_overrun_t = self
-            .first_budget_overrun_t
-            .min(other.first_budget_overrun_t);
-        self.first_stall_t = self.first_stall_t.min(other.first_stall_t);
-    }
 }
 
 #[cfg(test)]
@@ -391,44 +332,6 @@ mod tests {
         r.seal();
         assert_eq!(r.node_firings()[0], 1);
         assert_eq!(r.agg_hist().count(), 1);
-    }
-
-    #[test]
-    fn merge_reproduces_single_recorder() {
-        // Split one event stream across two "shards" by PE and merge.
-        let mut seq = rec();
-        let mut s0 = rec();
-        let mut s1 = rec();
-        let evs: &[(f64, usize, usize, f64)] =
-            &[(0.25, 0, 0, 0.1), (0.5, 1, 2, 0.2), (1.5, 0, 1, 0.3)];
-        for &(t, pe, node, busy) in evs {
-            seq.event_popped(t);
-            seq.firing_complete(t, pe, node, busy);
-            let s = if pe == 0 { &mut s0 } else { &mut s1 };
-            s.event_popped(t);
-            s.firing_complete(t, pe, node, busy);
-        }
-        s0.chan_stall(0.75, 1);
-        seq.chan_stall(0.75, 1);
-        s1.chan_depth(0, 4);
-        seq.chan_depth(0, 4);
-        s1.seal();
-        s0.merge_from(&s1);
-        s0.seal();
-        seq.seal();
-        assert_eq!(s0.intervals().len(), seq.intervals().len());
-        for (a, b) in s0.intervals().iter().zip(seq.intervals().iter()) {
-            assert_eq!(a.pops, b.pops);
-            assert_eq!(a.firings, b.firings);
-            assert_eq!(a.stalls, b.stalls);
-            for (x, y) in a.pe_busy.iter().zip(b.pe_busy.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        assert_eq!(s0.node_firings(), seq.node_firings());
-        assert_eq!(s0.chan_hwm(), seq.chan_hwm());
-        assert_eq!(s0.chan_stalls(), seq.chan_stalls());
-        assert_eq!(s0.first_stall_t().to_bits(), seq.first_stall_t().to_bits());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The deterministic snapshot tape: periodic metrics snapshots plus a
-//! final summary and QoS report, assembled from a (merged) recorder and
-//! the run's frame completion times. Export as JSON lines or a human
-//! summary table; `digest()` pins the whole tape bitwise for the
-//! cross-backend / cross-thread-count determinism tests.
+//! final summary and QoS report, assembled from the run's recorder and
+//! its frame completion times. Export as JSON lines or a human summary
+//! table; `digest()` pins the whole tape bitwise for the cross-backend
+//! determinism tests.
 
 use crate::histogram::LogHistogram;
 use crate::recorder::MetricsRecorder;
@@ -199,11 +199,11 @@ fn evaluate_qos(
 }
 
 impl MetricsTape {
-    /// Assemble the tape from a (merged) recorder plus the run's frame
+    /// Assemble the tape from the run's recorder plus its frame
     /// completion times and end-to-end latencies (both in frame order,
     /// completed frames only) and the total simulated time. Every input
-    /// is already deterministic across backends and thread counts, so the
-    /// tape — and its digest — is too.
+    /// is already deterministic across backends, so the tape — and its
+    /// digest — is too.
     pub fn assemble(
         rec: &mut MetricsRecorder,
         contracts: &QosSpec,

@@ -2,13 +2,13 @@
 //!
 //! When a timed simulation settles with a node still holding a fireable
 //! plan, the only thing that can have stopped it is downstream capacity —
-//! a genuine capacity deadlock. Both engines assemble the same
-//! [`DeadlockReport`] from the settled (merged, for the parallel engine)
-//! program state: the wait-for cycle of filled channels with per-channel
-//! occupancy, the minimal single-channel capacity bump that would unblock a
-//! producer, and the classic stuck-node dump. The report is `PartialEq` and
-//! fingerprintable, so cross-engine bitwise identity is assertable exactly
-//! like [`SimReport`](crate::stats::SimReport) equality on successful runs.
+//! a genuine capacity deadlock. The engine assembles a [`DeadlockReport`]
+//! from the settled program state: the wait-for cycle of filled channels
+//! with per-channel occupancy, the minimal single-channel capacity bump
+//! that would unblock a producer, and the classic stuck-node dump. The
+//! report is `PartialEq` and fingerprintable, so cross-backend bitwise
+//! identity is assertable exactly like
+//! [`SimReport`](crate::stats::SimReport) equality on successful runs.
 
 use crate::stats::SimReport;
 use bp_core::{BpError, Result};
@@ -70,8 +70,8 @@ pub struct CapacityBump {
     pub required: usize,
 }
 
-/// A structured capacity-deadlock diagnosis, produced identically by the
-/// sequential and parallel timed engines.
+/// A structured capacity-deadlock diagnosis, produced identically by both
+/// backends of the timed engine.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DeadlockReport {
     /// Total items queued across every node at settlement.
@@ -175,8 +175,8 @@ impl DeadlockReport {
 
 /// How a timed simulation settled: a completed [`SimReport`], or a capacity
 /// deadlock with its structured diagnosis. Returned by
-/// `TimedSimulator::run_outcome` and `ParallelTimedSimulator::run_outcome`;
-/// the plain `run` APIs convert a deadlock into a simulation error carrying
+/// `TimedSimulator::run_outcome` and `SteppableSim::finish`; the plain
+/// `run` APIs convert a deadlock into a simulation error carrying
 /// [`DeadlockReport::render`].
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)]

@@ -37,12 +37,10 @@ pub trait EventQueue<P> {
     /// Insert an event with an explicit, caller-assigned ordering key
     /// instead of the internal insertion counter. The queue's counter is
     /// not advanced, so `push` ordering among counter-keyed events is
-    /// unaffected. Used for two purposes: re-inserting a popped event
-    /// unchanged (windowed execution), and *cross-engine deterministic*
-    /// keys for communication events — the delay model keys channel
-    /// arrivals and credit returns by `(1 << 63) | stream | sequence`,
-    /// which sorts after every counter-keyed event at the same time and
-    /// identically in the sequential and parallel engines.
+    /// unaffected. The delay model keys channel arrivals and credit
+    /// returns this way, by `(1 << 63) | stream | sequence`, which sorts
+    /// after every counter-keyed event at the same time and depends only
+    /// on the channel's own history.
     fn push_ord(&mut self, t: f64, ord: u64, payload: P);
     /// Remove and return the earliest event (smallest `(t, seq)`).
     fn pop(&mut self) -> Option<Event<P>>;

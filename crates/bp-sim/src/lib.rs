@@ -12,25 +12,23 @@
 //!   configurable inter-PE communication delay model
 //!   ([`bp_core::CommModel`]; the zero default matches the paper's
 //!   no-delay simplification bit for bit).
-//! - [`timed_parallel`]: the same timed semantics executed across worker
-//!   threads — independent PE interaction regions simulate concurrently,
-//!   delayed channels give conservative lookahead *within* a region, and
-//!   the event journals are merged by replay, so the report is bitwise
-//!   identical to [`timed`]'s (DESIGN.md §9, §11).
+//! - [`step`]: the same engine advanced a bounded number of events per
+//!   call, bitwise identical to a one-shot run — what the fleet host
+//!   co-schedules tenants on.
 //! - [`deadlock`]: structured capacity-deadlock diagnostics — the
-//!   [`DeadlockReport`] both timed engines assemble identically when a
-//!   simulation wedges, and the [`SimOutcome`] returned by their
-//!   `run_outcome` entry points.
+//!   [`DeadlockReport`] the timed engine assembles when a simulation
+//!   wedges, and the [`SimOutcome`] returned by its `run_outcome` entry
+//!   points.
 //! - [`events`]: the pending-event queues (calendar queue + binary-heap
-//!   reference) shared by the timed engines.
+//!   reference) the timed engine schedules on.
 //! - [`stats`]: per-PE utilization (run/read/write breakdown), throughput
 //!   measurement, and real-time verdicts.
 //! - [`parallel`]: a host-side batch runner for simulation sweeps (each
-//!   simulation stays deterministic; only the batch is threaded).
-//! - [`trace`]: deterministic event tracing for both timed engines —
-//!   firings, queue depths, token arrivals, and stall attribution — inert
-//!   with respect to simulation results and bitwise identical between the
-//!   sequential and parallel engines.
+//!   simulation stays deterministic and single-threaded; only the batch is
+//!   threaded).
+//! - [`trace`]: deterministic event tracing — firings, queue depths, token
+//!   arrivals, and stall attribution — inert with respect to simulation
+//!   results.
 //! - [`chrome`]: Chrome trace-event JSON export (Perfetto-loadable) and a
 //!   dependency-free JSON well-formedness checker.
 
@@ -45,7 +43,7 @@ pub mod runtime;
 pub mod stats;
 pub mod step;
 pub mod timed;
-pub mod timed_parallel;
+mod timed_parallel;
 pub mod trace;
 
 pub use bp_core::{CommModel, CommProfile, MetricsPolicy, QosSpec};

@@ -4,82 +4,12 @@
 //! single-threaded; only the batch is parallel, so results are identical to
 //! a sequential run.
 //!
-//! The dispatcher is lock-free on the steady-state path: workers claim jobs
-//! by bumping one shared atomic index over an immutable job slice, and each
-//! result is written to its own pre-sized slot. There is no job-queue mutex
-//! to convoy on and no results-vector lock, so batch throughput scales
-//! linearly with cores until the jobs themselves saturate memory bandwidth.
+//! Workers pull `(index, job)` pairs from one shared iterator behind a
+//! mutex — held only for the pull, never while a job runs — and hand back
+//! `(index, result)` pairs, which the caller places in job order. Jobs are
+//! whole simulations, so one lock per job costs nothing measurable.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// A slice of per-job slots that workers write disjointly. Safety: the
-/// atomic job counter hands every index to exactly one worker, so no two
-/// threads ever touch the same slot.
-struct Slots<T>(Vec<UnsafeCell<Option<T>>>);
-
-unsafe impl<T: Send> Sync for Slots<T> {}
-
-impl<T> Slots<T> {
-    /// Take the value out of slot `i`.
-    ///
-    /// # Safety
-    /// The caller must be the unique owner of slot `i` (each index is handed
-    /// to exactly one worker by the atomic job counter).
-    unsafe fn take(&self, i: usize) -> Option<T> {
-        unsafe { (*self.0[i].get()).take() }
-    }
-
-    /// Write `v` into slot `i`. Same safety contract as [`take`](Self::take).
-    unsafe fn put(&self, i: usize, v: T) {
-        unsafe { *self.0[i].get() = Some(v) };
-    }
-}
-
-/// A shared vector whose elements are mutated concurrently under an
-/// *external* disjoint-ownership discipline — the same idea as [`Slots`],
-/// but with ownership decided up front (e.g. a [`bp_core::ShardPlan`]
-/// assigning every node to exactly one shard worker) instead of by an
-/// atomic claim counter. Used by the epoch-sharded timed simulator to let
-/// each worker borrow its own nodes mutably while the vector itself is
-/// shared.
-pub(crate) struct DisjointSlots<T>(Vec<UnsafeCell<T>>);
-
-unsafe impl<T: Send> Sync for DisjointSlots<T> {}
-
-impl<T> DisjointSlots<T> {
-    pub(crate) fn new(items: Vec<T>) -> Self {
-        Self(items.into_iter().map(UnsafeCell::new).collect())
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Mutably borrow slot `i`.
-    ///
-    /// # Safety
-    /// The caller must be the unique owner of slot `i` (per the external
-    /// partition) and must not hold any other borrow of the same slot.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn get_mut(&self, i: usize) -> &mut T {
-        unsafe { &mut *self.0[i].get() }
-    }
-
-    /// Immutably borrow slot `i`. Same ownership contract as
-    /// [`get_mut`](Self::get_mut): only the slot's owner may look, because
-    /// a non-owner could race the owner's mutation.
-    ///
-    /// # Safety
-    /// See [`get_mut`](Self::get_mut).
-    pub(crate) unsafe fn get(&self, i: usize) -> &T {
-        unsafe { &*self.0[i].get() }
-    }
-
-    pub(crate) fn into_inner(self) -> Vec<T> {
-        self.0.into_iter().map(|c| c.into_inner()).collect()
-    }
-}
+use std::sync::Mutex;
 
 /// Run every job, using up to `std::thread::available_parallelism` worker
 /// threads, and return the results in job order.
@@ -105,35 +35,33 @@ where
     if n <= 1 || workers <= 1 {
         return jobs.into_iter().map(|j| j()).collect();
     }
-    let workers = workers.min(n);
-
-    // Jobs are also kept in per-slot cells: a worker that claims index `i`
-    // takes the closure out of slot `i` and writes the result into result
-    // slot `i`. The atomic counter is the only shared mutable word.
-    let job_slots = Slots(jobs.into_iter().map(|j| UnsafeCell::new(Some(j))).collect());
-    let results: Slots<T> = Slots((0..n).map(|_| UnsafeCell::new(None)).collect());
-    let next = AtomicUsize::new(0);
-
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // SAFETY: `i` came from a fetch_add, so this thread is the
-                // unique owner of job slot `i` and result slot `i`.
-                let job = unsafe { job_slots.take(i) }.expect("job claimed twice");
-                let r = job();
-                unsafe { results.put(i, r) };
-            });
+        let handles: Vec<_> = (0..workers.min(n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // The guard is dropped at the end of this statement,
+                        // so the job runs unlocked.
+                        let next = queue.lock().expect("job queue poisoned").next();
+                        let Some((i, job)) = next else { break };
+                        done.push((i, job()));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, r) in handle.join().expect("batch worker panicked") {
+                results[i] = Some(r);
+            }
         }
     });
-
     results
-        .0
         .into_iter()
-        .map(|c| c.into_inner().expect("every job ran"))
+        .map(|r| r.expect("every job ran"))
         .collect()
 }
 

@@ -429,9 +429,8 @@ impl Routes {
 
 /// The read-only half of an instantiated program: routing tables and
 /// source/const pacing info. Splitting this from the mutable node instances
-/// (see [`Program::split`]) lets the sharded timed simulator share one
-/// `ProgramTables` across worker threads while each worker mutably owns a
-/// disjoint subset of the [`RtNode`]s.
+/// (see [`Program::split`]) lets the timed engine read the tables while it
+/// mutates the [`RtNode`]s.
 pub struct ProgramTables {
     /// `(node, out_port)` → destinations `(node, in_port)`.
     pub routes: Routes,

@@ -111,9 +111,9 @@ impl SimReport {
 
     /// FNV-1a hash over every field of the report, with floats folded in by
     /// their exact bit patterns. Two reports fingerprint equal iff they are
-    /// bitwise identical — the equivalence the parallel timed simulator
-    /// guarantees against the sequential one, checked in tests and by the
-    /// `sim_scaling` benchmark.
+    /// bitwise identical — the equivalence the backends, stepping and the
+    /// fleet host all guarantee against a plain run, checked in tests and
+    /// by the benchmark.
     pub fn fingerprint(&self) -> u64 {
         struct Fnv(u64);
         impl Fnv {

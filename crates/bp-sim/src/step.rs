@@ -12,8 +12,8 @@
 //! Stepping is *chunk-invariant by construction*: every [`step`] call pops
 //! and handles exactly the events a full [`crate::TimedSimulator::run`]
 //! would have handled next, in the same `(t, ord)` order, with the same
-//! per-event code (`ShardSim::run` is the one event loop, here bounded by
-//! an event budget instead of a time window). The simulation owns its
+//! per-event code (`Engine::run` is the one event loop, here bounded by a
+//! smaller event budget). The simulation owns its
 //! entire state — event queue, virtual clock, node state, recorders — so
 //! interleaving *other* simulations between two `step` calls cannot
 //! perturb it. Consequently the final [`SimReport`] fingerprint and
@@ -25,7 +25,7 @@
 
 use crate::deadlock::SimOutcome;
 use crate::stats::SimReport;
-use crate::timed::{build_shared, ShardSim, SimConfig};
+use crate::timed::{build_shared, Engine, SimConfig};
 use bp_core::graph::AppGraph;
 use bp_core::machine::Mapping;
 use bp_core::Result;
@@ -36,7 +36,7 @@ use bp_metrics::MetricsTape;
 /// owns everything it runs over, so a fleet host may move it across worker
 /// threads between rounds.
 pub struct SteppableSim {
-    sim: ShardSim,
+    sim: Engine,
     initialized: bool,
     processed: u64,
 }
@@ -48,7 +48,7 @@ impl SteppableSim {
     pub fn new(graph: &AppGraph, mapping: &Mapping, config: SimConfig) -> Result<Self> {
         let (nodes, shared) = build_shared(graph, mapping, config)?;
         Ok(Self {
-            sim: ShardSim::solo(nodes, shared),
+            sim: Engine::new(nodes, shared),
             initialized: false,
             processed: 0,
         })
@@ -64,7 +64,7 @@ impl SteppableSim {
             self.initialized = true;
             self.sim.init();
         }
-        let done = self.sim.run(f64::INFINITY, max_events);
+        let done = self.sim.run(max_events);
         self.processed += done as u64;
         done
     }
@@ -95,7 +95,7 @@ impl SteppableSim {
     /// simulation as it stands (typically a capacity-deadlock diagnosis or
     /// an incomplete frame count).
     pub fn finish(self) -> (SimOutcome, Option<MetricsTape>) {
-        let (outcome, _, tape) = self.sim.settle_solo();
+        let (outcome, _, tape) = self.sim.finish();
         (outcome, tape)
     }
 

@@ -13,8 +13,7 @@
 //! sender-side credit flow control: capacity is checked against a local
 //! credit counter instead of the receiver's queue, and consuming a delayed
 //! item schedules a credit-return event after the same latency — so no
-//! send-time decision ever reads receiver state, which is what gives the
-//! parallel engine its conservative lookahead (DESIGN.md §11).
+//! send-time decision ever reads receiver state (DESIGN.md §11).
 //!
 //! Application inputs inject samples on a strict schedule derived from their
 //! declared rate; an injection that finds a full queue is recorded as a
@@ -30,19 +29,15 @@
 //! schedule — and therefore every simulation result — is bit-identical to
 //! the exhaustive version.
 //!
-//! The engine itself is [`ShardSim`]: a discrete-event loop over a *set of
-//! owned PEs*. The sequential [`TimedSimulator`] runs one shard owning every
-//! PE; the multi-threaded [`crate::timed_parallel::ParallelTimedSimulator`]
-//! runs one shard per worker over disjoint PE interaction regions (see
-//! DESIGN.md §9). Both paths execute the same per-event code, so their
-//! results can only differ if shard isolation is violated — which debug
-//! assertions on every node access check. That code is written once, over
-//! routing/space/credit/cost tables resolved at build time and generic over
-//! the one thing the [`Backend`]s differ in: planning and firing a kernel.
+//! The engine itself is [`Engine`]: one discrete-event loop that owns its
+//! nodes, queues and recorders outright. [`TimedSimulator`] drains it in one
+//! call; [`crate::step::SteppableSim`] drains it a bounded number of events
+//! at a time. The loop is written once, over routing/space/credit/cost
+//! tables resolved at build time and generic over the one thing the
+//! [`Backend`]s differ in: planning and firing a kernel.
 
 use crate::deadlock::{CapacityBump, DeadlockHop, DeadlockReport, SimOutcome};
 use crate::events::{BucketQueue, EventQueue};
-use crate::parallel::DisjointSlots;
 use crate::runtime::{slot_bases, stuck_report, Action, Program, ProgramTables, Rows, RtNode};
 use crate::stats::{PeStats, RealTimeVerdict, SimReport};
 use crate::trace::{StallCause, Trace, TraceEvent, TraceMeta, TraceOptions, TraceRecorder};
@@ -55,25 +50,25 @@ use bp_core::token::ControlToken;
 use bp_core::{BpError, MetricsPolicy, Result};
 use bp_metrics::{MetricsRecorder, MetricsTape};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Band-1 marker bit for explicit event ordinals (see [`EventQueue::push_ord`]):
 /// communication events (arrivals, credit returns) sort after band-0 events
 /// (source emissions, PE completions) at equal timestamps, and among
 /// themselves by `(stream, sequence)` — both assigned at *creation* time, so
-/// the order is identical however the events reach the queue (locally pushed
-/// or delivered through a parallel shard inbox).
-pub(crate) const BAND1: u64 = 1 << 63;
+/// equal-time comm events order by channel and per-channel count, not by
+/// the order in which they were pushed.
+const BAND1: u64 = 1 << 63;
 
 /// Build the band-1 ordinal for communication stream `stream` (2·chan for
-/// arrivals, 2·chan+1 for credit returns — each owned by exactly one shard)
-/// at per-stream sequence number `seq`.
+/// arrivals, 2·chan+1 for credit returns) at per-stream sequence number
+/// `seq`.
 #[inline]
-pub(crate) fn band1_ord(stream: u64, seq: u32) -> u64 {
+fn band1_ord(stream: u64, seq: u32) -> u64 {
     BAND1 | (stream << 32) | seq as u64
 }
 
-/// Execution backend for the timed engines: how a kernel's next action is
+/// Execution backend for the timed engine: how a kernel's next action is
 /// planned and fired. Everything else — the event loop, routing, dispatch,
 /// space, credits, cost — is one scheduler over tables built from the
 /// instantiated nodes, so both backends run the same schedule and must
@@ -200,7 +195,7 @@ impl SimConfig {
     }
 
     /// Enable deterministic event tracing; retrieve the [`Trace`] via
-    /// [`TimedSimulator::run_with_trace`] (or the parallel equivalent).
+    /// [`TimedSimulator::run_with_trace`].
     pub fn with_trace(mut self, options: TraceOptions) -> Self {
         self.trace = Some(options);
         self
@@ -208,7 +203,7 @@ impl SimConfig {
 
     /// Enable always-on runtime metrics under `policy`; retrieve the
     /// [`bp_metrics::MetricsTape`] via
-    /// [`TimedSimulator::run_with_metrics`] (or the parallel equivalent).
+    /// [`TimedSimulator::run_with_metrics`].
     pub fn with_metrics(mut self, policy: MetricsPolicy) -> Self {
         self.metrics = Some(policy);
         self
@@ -242,7 +237,7 @@ pub fn derive_channel_capacity(graph: &AppGraph) -> usize {
 
 /// What a pending simulator event does when it fires.
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum EventKind {
+enum EventKind {
     /// Inject the next sample of a source (index into
     /// [`ProgramTables::sources`]).
     SourceEmit {
@@ -289,25 +284,6 @@ pub(crate) struct ChannelRt {
     pub(crate) cap: usize,
 }
 
-/// Payload of a cross-shard communication message.
-pub(crate) enum MsgKind {
-    /// An item entering the destination shard's wire.
-    Arrival(Item),
-    /// A buffer credit returning to the source shard.
-    Credit,
-}
-
-/// A communication event crossing shards in the parallel engine, delivered
-/// through per-shard inboxes between synchronization windows. `(t, ord)`
-/// fully determine its queue position, so inbox delivery order is
-/// irrelevant to the schedule.
-pub(crate) struct OutMsg {
-    pub(crate) t: f64,
-    pub(crate) ord: u64,
-    pub(crate) chan: u32,
-    pub(crate) kind: MsgKind,
-}
-
 #[derive(Clone)]
 struct Inflight {
     node: usize,
@@ -321,20 +297,20 @@ struct Inflight {
 /// `chan_into`/`latency_s`/`node_roles` lookups folded into a record at
 /// simulator-build time.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) struct RouteDest {
-    pub(crate) dn: u32,
-    pub(crate) dp: u32,
+struct RouteDest {
+    dn: u32,
+    dp: u32,
     /// Delayed channel carrying this edge, or `u32::MAX` for direct
     /// same-cycle delivery into the destination queue.
-    pub(crate) chan: u32,
+    chan: u32,
     /// Destination is a sink (EOF arrival timestamps are recorded).
-    pub(crate) sink: bool,
+    sink: bool,
 }
 
 /// One pre-resolved downstream-space check: a method's outputs × their
 /// routes, flattened in scan order.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) enum SpaceCheck {
+enum SpaceCheck {
     /// Delayed edge: the sender-side credit count must be ≥ 2.
     Credit {
         /// Channel index into [`Shared::channels`].
@@ -377,22 +353,21 @@ impl Default for RwMemo {
     }
 }
 
-/// Everything the event loop reads but never writes, shared by all shards:
-/// routing/pacing tables, the mapping, and resolved configuration. The
+/// Everything the event loop reads but never writes: routing/pacing
+/// tables, the mapping, and resolved configuration. The
 /// per-port and per-method tables are flat — one row (or entry) per *slot*,
 /// a node's first slot plus the port or method index — and read through
 /// the accessors below.
 pub(crate) struct Shared {
-    pub(crate) tables: ProgramTables,
+    tables: ProgramTables,
     /// Distinct upstream producer nodes per node (for dispatch waves).
     /// Covers *direct* channels only: a delayed channel's producer is
     /// re-dispatched by its [`EventKind::CreditReturn`] instead, so freeing
-    /// space synchronously never reaches across a delayed (possibly
-    /// cross-shard) edge.
+    /// space synchronously never reaches across a delayed edge.
     upstream: Rows<usize>,
     /// Every graph channel with its resolved communication parameters, in
     /// graph channel-slot order.
-    pub(crate) channels: Vec<ChannelRt>,
+    channels: Vec<ChannelRt>,
     /// First input-port slot of each node.
     in_base: Vec<u32>,
     /// Per input-port slot: the channel feeding that port (graph
@@ -404,18 +379,18 @@ pub(crate) struct Shared {
     cap_into: Vec<usize>,
     /// True when any channel is delayed; false short-circuits every
     /// comm-model branch so the zero model costs one load per routing fan-out.
-    pub(crate) any_delayed: bool,
-    pub(crate) pe_of_node: Vec<usize>,
-    pub(crate) residents: Vec<Vec<usize>>,
-    pub(crate) node_roles: Vec<NodeRole>,
-    pub(crate) machine: MachineSpec,
-    pub(crate) frames: u32,
-    pub(crate) required_rate_hz: f64,
-    pub(crate) num_sinks: usize,
-    pub(crate) trace: Option<TraceOptions>,
+    any_delayed: bool,
+    pe_of_node: Vec<usize>,
+    residents: Vec<Vec<usize>>,
+    node_roles: Vec<NodeRole>,
+    machine: MachineSpec,
+    frames: u32,
+    required_rate_hz: f64,
+    num_sinks: usize,
+    trace: Option<TraceOptions>,
     /// Resolved metrics policy (`None` = metrics off, hot loops run the
     /// unobserved `OBS = false` specialization).
-    pub(crate) metrics: Option<ResolvedMetrics>,
+    metrics: Option<ResolvedMetrics>,
     /// Per output-port slot ([`Routes::slot`](crate::runtime::Routes::slot))
     /// — fused destination records in route order.
     dests: Rows<RouteDest>,
@@ -433,26 +408,26 @@ pub(crate) struct Shared {
     /// trigger order (duplicate trigger ports preserved).
     credit_chans: Rows<u32>,
     /// Declared seconds of a token forward (1 cycle), precomputed once.
-    pub(crate) forward_run_s: f64,
+    forward_run_s: f64,
     /// First method slot of each node, then the total. A node's base plus
     /// a method index ([`method_slot`](Self::method_slot)) indexes the
-    /// per-method tables here and the shard's read/write-cost memo cache.
+    /// per-method tables here and the engine's read/write-cost memo cache.
     method_base: Vec<u32>,
     /// The direct-threaded program [`Threaded`] plans and fires through;
     /// `None` runs [`Interp`]. `Arc`-shared so a fleet host can instantiate
     /// many same-shape simulators from one lowering.
-    pub(crate) lowered: Option<Arc<bp_codegen::ThreadedProgram>>,
+    lowered: Option<Arc<bp_codegen::ThreadedProgram>>,
 }
 
 impl Shared {
     /// The flat slot of `(node, method)`.
     #[inline]
-    pub(crate) fn method_slot(&self, node: usize, method: usize) -> usize {
+    fn method_slot(&self, node: usize, method: usize) -> usize {
         self.method_base[node] as usize + method
     }
 
     /// Total method slots across all nodes (the memo cache's length).
-    pub(crate) fn num_method_slots(&self) -> usize {
+    fn num_method_slots(&self) -> usize {
         self.method_base[self.method_base.len() - 1] as usize
     }
 
@@ -463,49 +438,49 @@ impl Shared {
 
     /// Fused destination records of `(node, out_port)`, in route order.
     #[inline]
-    pub(crate) fn dests(&self, node: usize, port: usize) -> &[RouteDest] {
+    fn dests(&self, node: usize, port: usize) -> &[RouteDest] {
         self.dests.row(self.tables.routes.slot(node, port))
     }
 
     /// The downstream-space checks of `(node, method)`, in scan order.
     #[inline]
-    pub(crate) fn space(&self, node: usize, method: usize) -> &[SpaceCheck] {
+    fn space(&self, node: usize, method: usize) -> &[SpaceCheck] {
         self.space.row(self.method_slot(node, method))
     }
 
     /// Declared cost of `(node, method)` in seconds.
     #[inline]
-    pub(crate) fn run_s(&self, node: usize, method: usize) -> f64 {
+    fn run_s(&self, node: usize, method: usize) -> f64 {
         self.run_s[self.method_slot(node, method)]
     }
 
     /// Input ports a firing of `(node, method)` pops, in trigger order.
     #[inline]
-    pub(crate) fn trigger_ports(&self, node: usize, method: usize) -> &[usize] {
+    fn trigger_ports(&self, node: usize, method: usize) -> &[usize] {
         self.trigger_ports.row(self.method_slot(node, method))
     }
 
     /// Delayed channels a firing of `(node, method)` credits.
     #[inline]
-    pub(crate) fn credit_chans(&self, node: usize, method: usize) -> &[u32] {
+    fn credit_chans(&self, node: usize, method: usize) -> &[u32] {
         self.credit_chans.row(self.method_slot(node, method))
     }
 
     /// The channel feeding `(node, in_port)`, if any.
     #[inline]
-    pub(crate) fn chan_into(&self, node: usize, port: usize) -> Option<u32> {
+    fn chan_into(&self, node: usize, port: usize) -> Option<u32> {
         self.chan_into[self.in_slot(node, port)]
     }
 
     /// The resolved capacity of the queue on `(node, in_port)`.
     #[inline]
-    pub(crate) fn cap_into(&self, node: usize, port: usize) -> usize {
+    fn cap_into(&self, node: usize, port: usize) -> usize {
         self.cap_into[self.in_slot(node, port)]
     }
 
     /// Distinct producers feeding `node` over direct channels.
     #[inline]
-    pub(crate) fn upstream(&self, node: usize) -> &[usize] {
+    fn upstream(&self, node: usize) -> &[usize] {
         self.upstream.row(node)
     }
 }
@@ -513,14 +488,14 @@ impl Shared {
 /// [`bp_core::MetricsPolicy`] with every default resolved against the
 /// application: the snapshot interval defaults to one frame period.
 #[derive(Clone, Debug)]
-pub(crate) struct ResolvedMetrics {
-    pub(crate) interval_s: f64,
-    pub(crate) window: usize,
-    pub(crate) contracts: bp_core::QosSpec,
+struct ResolvedMetrics {
+    interval_s: f64,
+    window: usize,
+    contracts: bp_core::QosSpec,
 }
 
 /// Instantiate `graph` under `mapping` and resolve `config` into the node
-/// instances plus the read-only [`Shared`] tables both simulators consume.
+/// instances plus the read-only [`Shared`] tables the engine runs over.
 pub(crate) fn build_shared(
     graph: &AppGraph,
     mapping: &Mapping,
@@ -742,66 +717,6 @@ fn check_lowered(program: &bp_codegen::ThreadedProgram, nodes: &[RtNode]) -> Res
     Ok(())
 }
 
-/// What one processed event did, recorded so the parallel coordinator can
-/// replay the *global* heap dynamics (event pop order and sequence-number
-/// assignment) without re-simulating: how many events it pushed (records in
-/// [`ShardLog::pushes`]), and how many sink end-of-frames and frame
-/// starts it recorded (their timestamps all equal `t`).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct LogEntry {
-    pub(crate) t: f64,
-    pub(crate) pushes: u32,
-    pub(crate) eofs: u32,
-    pub(crate) starts: u32,
-}
-
-/// One journaled event push, consumed sequentially by the parallel replay.
-/// `ord == 0` is a band-0 push (the replay heap assigns its insertion
-/// counter, reproducing the sequential engine's counter stream); a nonzero
-/// `ord` is a band-1 communication event carrying its creation-time ordinal.
-/// `target` is the shard whose journal the replayed event consumes — the
-/// *destination* shard for cross-shard communication.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PushRec {
-    pub(crate) t: f64,
-    pub(crate) ord: u64,
-    pub(crate) target: u32,
-}
-
-/// Per-shard event journal for deterministic merging (DESIGN.md §9, §11).
-#[derive(Default)]
-pub(crate) struct ShardLog {
-    /// One entry per owned startup const firing, in global `consts` order.
-    pub(crate) init: Vec<LogEntry>,
-    /// One entry per popped event, in shard pop order.
-    pub(crate) main: Vec<LogEntry>,
-    /// Every push, in push order, consumed sequentially by the replay.
-    pub(crate) pushes: Vec<PushRec>,
-}
-
-/// Owned results of one shard's run, extracted once the event loop is done
-/// so the node slots can be reclaimed.
-pub(crate) struct ShardOutcome {
-    pub(crate) stats: Vec<PeStats>,
-    pub(crate) node_busy: Vec<f64>,
-    pub(crate) violations: u64,
-    pub(crate) sink_eof_times: Vec<f64>,
-    pub(crate) frame_start_times: Vec<f64>,
-    pub(crate) custom_token_emissions: Vec<u64>,
-    pub(crate) budget_overruns: Vec<u64>,
-    pub(crate) node_max_queue: Vec<usize>,
-    /// Final sender-side credit count per channel (capacity minus
-    /// outstanding items); only entries for channels whose *source* the
-    /// shard owns are meaningful.
-    pub(crate) credits: Vec<i64>,
-    pub(crate) now: f64,
-    pub(crate) log: Option<ShardLog>,
-    pub(crate) trace: Option<TraceRecorder>,
-    /// Streaming metrics state, present only when [`SimConfig::metrics`]
-    /// is set; merged across shards by the parallel engine.
-    pub(crate) metrics: Option<MetricsRecorder>,
-}
-
 /// What a firing hands back: the emitted items (in the node's recycled
 /// emit buffer), the words read from the consumed inputs, and the
 /// behavior's reported cycle count if it reported one.
@@ -812,7 +727,7 @@ type Fired = (Vec<(usize, Item)>, u64, Option<u64>);
 /// space, credits, cost — is generic over this and otherwise identical, so
 /// the interpreter is the oracle for exactly what `bp-codegen` lowers.
 trait Exec: Copy {
-    /// Whether the engine maintains [`ShardSim::head_data`] and
+    /// Whether the engine maintains [`Engine::head_data`] and
     /// `head_ctrl`. The interpreter also runs the graphs the mask planner
     /// cannot hold — a kernel with more than 64 inputs, where
     /// `1u64 << port` is not defined — so it must not touch them.
@@ -896,17 +811,13 @@ impl Exec for Interp {
     }
 }
 
-/// The discrete-event engine for one shard: a set of PEs (and their resident
-/// nodes) that never interact with any other shard's. The sequential
-/// simulator is the single-shard special case. All state vectors are
-/// globally indexed; entries for PEs/nodes the shard does not own stay at
-/// their initial values and are ignored during merging. The engine holds
-/// what it runs over by `Arc`, so it is a plain movable, `Send` value.
-pub(crate) struct ShardSim {
+/// The discrete-event engine: every PE, node, queue and recorder of one
+/// simulation, owned outright. It holds its read-only tables by `Arc` so a
+/// handler can read them while mutating the engine, and so it is a plain
+/// movable, `Send` value the fleet host may step on any worker.
+pub(crate) struct Engine {
     shared: Arc<Shared>,
-    nodes: Arc<DisjointSlots<RtNode>>,
-    shard: usize,
-    shard_of_pe: Arc<[usize]>,
+    nodes: Vec<RtNode>,
     rr: Vec<usize>,
     pe_inflight: Vec<Option<Inflight>>,
     /// Ready-set state: `dirty[node]` is true when the node's inputs or
@@ -940,19 +851,10 @@ pub(crate) struct ShardSim {
     /// from the front (arrival times are non-decreasing per channel, and
     /// equal-time arrivals pop in ordinal = send order).
     wire: Vec<VecDeque<Item>>,
-    /// Next arrival sequence number per channel (owned by the src shard).
+    /// Next arrival sequence number per channel.
     send_seq: Vec<u32>,
-    /// Next credit-return sequence number per channel (owned by the dst shard).
+    /// Next credit-return sequence number per channel.
     credit_seq: Vec<u32>,
-    /// Cross-shard communication inboxes (parallel engine only); indexed by
-    /// destination shard.
-    links: Option<Arc<[Mutex<Vec<OutMsg>>]>>,
-    /// Earliest timestamp of any event this shard emitted into another
-    /// shard's inbox since the last [`take_min_out`](Self::take_min_out);
-    /// the coordinator folds it into the global window bound so in-flight
-    /// messages hold the window back exactly like queued events.
-    min_out: f64,
-    log: Option<ShardLog>,
     /// Event recorder, present only when [`SimConfig::trace`] is set.
     /// Recording is read-only with respect to simulation state, so its
     /// presence cannot perturb the schedule.
@@ -964,12 +866,6 @@ pub(crate) struct ShardSim {
     /// Last recorded stall cause per PE (`None` = running); transitions
     /// are traced only on change. Unused when tracing is off.
     pe_stall: Vec<Option<StallCause>>,
-    /// True while handling one loggable unit (a const firing or a popped
-    /// event); gates push recording so source seeds are not journaled.
-    in_entry: bool,
-    entry_push_base: usize,
-    entry_eof_base: usize,
-    entry_start_base: usize,
     /// [`Exec::HEAD_MASKS`] backends only: bit `p` set when the node's
     /// input queue `p` currently has a window at its head. Maintained
     /// incrementally at every queue mutation; [`bp_codegen::head_masks`]
@@ -1003,20 +899,10 @@ pub(crate) struct ShardSim {
     space_waiting: Vec<bool>,
 }
 
-impl ShardSim {
-    /// `shard_of_pe` assigns every PE to a shard; this instance runs the
-    /// PEs of shard `shard`. Pass `record = true` to journal event-loop
-    /// dynamics for the parallel merge, and `links = Some(inboxes)` to
-    /// route cross-shard communication (sequential runs pass `None`; with
-    /// one shard every channel is internal and the inboxes are never used).
-    pub(crate) fn new(
-        shared: Arc<Shared>,
-        nodes: Arc<DisjointSlots<RtNode>>,
-        shard: usize,
-        shard_of_pe: Arc<[usize]>,
-        record: bool,
-        links: Option<Arc<[Mutex<Vec<OutMsg>>]>>,
-    ) -> Self {
+impl Engine {
+    /// An engine over freshly instantiated nodes and their tables, before
+    /// any constant has fired or any source has been seeded.
+    pub(crate) fn new(nodes: Vec<RtNode>, shared: Shared) -> Self {
         let n = nodes.len();
         let num_pes = shared.residents.len();
         let num_chans = shared.channels.len();
@@ -1024,8 +910,6 @@ impl ShardSim {
         // fractional word costs, so event times cluster at this scale.
         let quantum = 1.0 / shared.machine.pe_clock_hz;
         Self {
-            shard,
-            shard_of_pe,
             rr: vec![0; num_pes],
             pe_inflight: (0..num_pes).map(|_| None).collect(),
             dirty: vec![false; n],
@@ -1046,19 +930,12 @@ impl ShardSim {
             wire: (0..num_chans).map(|_| VecDeque::new()).collect(),
             send_seq: vec![0; num_chans],
             credit_seq: vec![0; num_chans],
-            links,
-            min_out: f64::INFINITY,
-            log: record.then(ShardLog::default),
             trace: shared.trace.map(TraceRecorder::new),
             metrics: shared
                 .metrics
                 .as_ref()
                 .map(|m| MetricsRecorder::new(m.interval_s, m.window, num_pes, n, num_chans)),
             pe_stall: vec![None; num_pes],
-            in_entry: false,
-            entry_push_base: 0,
-            entry_eof_base: 0,
-            entry_start_base: 0,
             head_data: vec![0; n],
             head_ctrl: vec![0; n],
             touched_buf: Vec::new(),
@@ -1066,17 +943,9 @@ impl ShardSim {
             wave_mask: vec![0; num_pes.div_ceil(64)],
             rw_memo: vec![RwMemo::default(); shared.num_method_slots()],
             space_waiting: vec![false; n],
-            shared,
+            shared: Arc::new(shared),
             nodes,
         }
-    }
-
-    /// The sequential special case: one shard owning every PE of a freshly
-    /// instantiated program, no journal, no inboxes.
-    pub(crate) fn solo(nodes: Vec<RtNode>, shared: Shared) -> Self {
-        let shard_of_pe = vec![0usize; shared.residents.len()].into();
-        let slots = Arc::new(DisjointSlots::new(nodes));
-        Self::new(Arc::new(shared), slots, 0, shard_of_pe, false, None)
     }
 
     /// Wave-membership test-and-set for the dispatcher's O(1) worklist
@@ -1094,61 +963,8 @@ impl ShardSim {
         self.wave_mask[pe / 64] &= !(1u64 << (pe % 64));
     }
 
-    #[inline]
-    fn owns_node(&self, node: usize) -> bool {
-        self.shard_of_pe[self.shared.pe_of_node[node]] == self.shard
-    }
-
-    /// Borrow an owned node. The disjointness contract makes this sound:
-    /// every node belongs to exactly one shard and only its shard's worker
-    /// ever reaches it (checked here in debug builds).
-    #[inline]
-    fn node(&self, i: usize) -> &RtNode {
-        debug_assert!(
-            self.owns_node(i),
-            "shard {} touched node {} owned by shard {}",
-            self.shard,
-            i,
-            self.shard_of_pe[self.shared.pe_of_node[i]]
-        );
-        // SAFETY: per the shard plan this worker is the unique owner of
-        // node `i` (debug-asserted above), and the borrow is statement-scoped.
-        unsafe { self.nodes.get(i) }
-    }
-
-    /// Mutably borrow an owned node. Same contract as [`node`](Self::node);
-    /// callers keep the borrow statement-scoped so two live borrows of one
-    /// slot cannot exist.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    fn node_mut(&self, i: usize) -> &mut RtNode {
-        debug_assert!(
-            self.owns_node(i),
-            "shard {} touched node {} owned by shard {}",
-            self.shard,
-            i,
-            self.shard_of_pe[self.shared.pe_of_node[i]]
-        );
-        // SAFETY: as in `node`, ownership is exclusive and borrows are
-        // statement-scoped.
-        unsafe { self.nodes.get_mut(i) }
-    }
-
-    /// Journal one push for the parallel replay (no-op when not recording
-    /// or outside a loggable entry, i.e. for source seeds).
-    #[inline]
-    fn journal_push(&mut self, t: f64, ord: u64, target: u32) {
-        if self.in_entry {
-            if let Some(log) = self.log.as_mut() {
-                log.pushes.push(PushRec { t, ord, target });
-            }
-        }
-    }
-
-    /// Metrics hook: an event was created now (any shard, any target).
-    /// Attribution uses the *sender's* clock — the same discipline the
-    /// replay journal uses — so summing per-shard interval counts
-    /// reproduces the sequential recorder exactly.
+    /// Metrics hook: an event was created now, attributed to the clock of
+    /// the event that created it.
     #[inline]
     fn note_push(&mut self) {
         if let Some(m) = self.metrics.as_mut() {
@@ -1156,58 +972,19 @@ impl ShardSim {
         }
     }
 
-    /// Push a band-0 event (source emission / PE completion) on this shard.
+    /// Push a band-0 event (source emission / PE completion).
     #[inline]
-    fn push_event<const OBS: bool, const JRN: bool>(&mut self, t: f64, kind: EventKind) {
-        if JRN {
-            self.journal_push(t, 0, self.shard as u32);
-        }
+    fn push_event<const OBS: bool>(&mut self, t: f64, kind: EventKind) {
         if OBS {
             self.note_push();
         }
         self.events.push(t, kind);
     }
 
-    /// Push a band-1 communication event local to this shard.
+    /// Push a band-1 communication event.
     fn push_event_ord(&mut self, t: f64, ord: u64, kind: EventKind) {
-        self.journal_push(t, ord, self.shard as u32);
         self.note_push();
         self.events.push_ord(t, ord, kind);
-    }
-
-    fn begin_entry(&mut self) {
-        if let Some(log) = self.log.as_ref() {
-            self.in_entry = true;
-            self.entry_push_base = log.pushes.len();
-            self.entry_eof_base = self.sink_eof_times.len();
-            self.entry_start_base = self.frame_start_times.len();
-        }
-    }
-
-    fn end_entry(&mut self, t: f64, init: bool) {
-        // The recorder's per-entry counts mirror the journal's entries so
-        // the parallel merge can interleave shard streams in replay order.
-        if let Some(trace) = self.trace.as_mut() {
-            trace.end_entry(init);
-        }
-        let (eofs, starts) = (
-            (self.sink_eof_times.len() - self.entry_eof_base) as u32,
-            (self.frame_start_times.len() - self.entry_start_base) as u32,
-        );
-        if let Some(log) = self.log.as_mut() {
-            self.in_entry = false;
-            let entry = LogEntry {
-                t,
-                pushes: (log.pushes.len() - self.entry_push_base) as u32,
-                eofs,
-                starts,
-            };
-            if init {
-                log.init.push(entry);
-            } else {
-                log.main.push(entry);
-            }
-        }
     }
 
     /// Mark a node as possibly able to fire. Sources are paced externally
@@ -1228,8 +1005,8 @@ impl ShardSim {
         }
     }
 
-    /// Fire the owned startup constants (in global order) and seed the
-    /// owned sources — everything that happens before the first event pop.
+    /// Fire the startup constants (in program order) and seed the sources
+    /// — everything that happens before the first event pop.
     pub(crate) fn init(&mut self) {
         let shared = Arc::clone(&self.shared);
         match shared.lowered.as_deref() {
@@ -1240,14 +1017,9 @@ impl ShardSim {
 
     fn init_on<X: Exec>(&mut self, x: X, sh: &Shared) {
         // Constants fire at t = 0, before any source sample.
-        for ci in 0..self.shared.tables.consts.len() {
-            let (node, method) = self.shared.tables.consts[ci];
-            if !self.owns_node(node) {
-                continue;
-            }
-            self.begin_entry();
+        for &(node, method) in &sh.tables.consts {
             self.record_untriggered_begin(node, method);
-            let emitted = self.node_mut(node).fire_untriggered(method);
+            let emitted = self.nodes[node].fire_untriggered(method);
             // The firing may change the node's private state (e.g. a
             // feedback primer becoming ready), so re-plan it.
             self.mark_dirty(node);
@@ -1257,75 +1029,59 @@ impl ShardSim {
             self.record_untriggered_end(node);
             self.dispatch_wave::<X, true, true>(x, sh, &mut touched);
             self.touched_buf = touched;
-            self.end_entry(0.0, true);
         }
-        for s in 0..self.shared.tables.sources.len() {
-            if self.owns_node(self.shared.tables.sources[s].node) {
-                self.push_event::<true, true>(0.0, EventKind::SourceEmit { source: s });
-            }
+        for source in 0..sh.tables.sources.len() {
+            self.push_event::<true>(0.0, EventKind::SourceEmit { source });
         }
     }
 
-    /// Process pending events in `(t, ord)` order until the next one is at
-    /// or past `end`, `budget` events have been handled, or the queue
-    /// drains; returns the number processed. The sequential engine calls
-    /// this once with both bounds open, the parallel engine once per
-    /// synchronization window with the coordinator's conservative `end`,
-    /// the fleet host's stepping (DESIGN.md §16) with an event budget.
-    /// Chunking the drain cannot change any result: every iteration pops
-    /// and handles exactly the event an unbounded call would have handled
-    /// next.
-    pub(crate) fn run(&mut self, end: f64, budget: usize) -> usize {
+    /// Process pending events in `(t, ord)` order until `budget` events
+    /// have been handled or the queue drains; returns the number processed.
+    /// [`TimedSimulator`] calls this once with an open budget, the fleet
+    /// host's stepping (DESIGN.md §16) once per step. Chunking the drain
+    /// cannot change any result: every iteration pops and handles exactly
+    /// the event an unbounded call would have handled next.
+    pub(crate) fn run(&mut self, budget: usize) -> usize {
         let shared = Arc::clone(&self.shared);
         let Some(program) = shared.lowered.as_deref() else {
             // The oracle has one instantiation: every `OBS` / `JRN` site
             // also tests its recorder, so this one is right for any set.
-            return self.run_on::<_, true, true>(Interp, &shared, end, budget);
+            return self.run_on::<_, true, true>(Interp, &shared, budget);
         };
         // Monomorphize the loop on which observers are attached. A
         // metrics-only run takes `<true, false>`, so it pays the metrics
         // hooks and nothing of the heavier trace machinery — which is what
         // keeps always-on metrics inside their ≤5% budget (DESIGN.md §15).
         let x = Threaded(program);
-        if self.trace.is_some() || self.log.is_some() {
-            self.run_on::<_, true, true>(x, &shared, end, budget)
+        if self.trace.is_some() {
+            self.run_on::<_, true, true>(x, &shared, budget)
         } else if self.metrics.is_some() {
-            self.run_on::<_, true, false>(x, &shared, end, budget)
+            self.run_on::<_, true, false>(x, &shared, budget)
         } else {
-            self.run_on::<_, false, false>(x, &shared, end, budget)
+            self.run_on::<_, false, false>(x, &shared, budget)
         }
     }
 
     /// The event loop, generic over the backend and monomorphized over
     /// observer presence. `OBS` gates the metrics hooks; `JRN` gates the
-    /// trace/journal machinery (entry bracketing, journaled pushes, trace
-    /// records, exhaustive wakes). `JRN` implies `OBS` at every call site.
-    /// All instantiations process events identically; the flags only gate
-    /// code that is dynamically dead in the configuration selecting them.
+    /// trace machinery (trace records and exhaustive wakes) — it means
+    /// "tracing attached". `JRN` implies `OBS` at every call site. All
+    /// instantiations process events identically; the flags only gate code
+    /// that is dynamically dead in the configuration selecting them.
     fn run_on<X: Exec, const OBS: bool, const JRN: bool>(
         &mut self,
         x: X,
         sh: &Shared,
-        end: f64,
         budget: usize,
     ) -> usize {
         let mut done = 0;
         while done < budget {
             let Some(ev) = self.events.pop() else { break };
-            if ev.t >= end {
-                // Past the window: put it back (re-insertion keeps its
-                // original `(t, seq)` key, so nothing is reordered).
-                self.events.push_ord(ev.t, ev.seq, ev.payload);
-                break;
-            }
             self.now = ev.t;
             if OBS {
                 if let Some(m) = self.metrics.as_mut() {
                     m.event_popped(ev.t);
                 }
-            }
-            if JRN {
-                self.begin_entry();
             }
             match ev.payload {
                 EventKind::SourceEmit { source } => {
@@ -1337,107 +1093,26 @@ impl ShardSim {
                 EventKind::ChannelArrival { chan } => self.handle_channel_arrival(x, sh, chan),
                 EventKind::CreditReturn { chan } => self.handle_credit_return(x, sh, chan),
             }
-            if JRN {
-                self.end_entry(ev.t, false);
-            }
             done += 1;
         }
         done
     }
 
-    /// The shard's current virtual time (timestamp of the last processed
-    /// event; `0.0` before any event).
+    /// The current virtual time (timestamp of the last processed event;
+    /// `0.0` before any event).
     pub(crate) fn now(&self) -> f64 {
         self.now
     }
 
-    /// Timestamp of this shard's earliest pending event (`+inf` when idle),
-    /// without processing it.
+    /// Timestamp of the earliest pending event (`+inf` when idle), without
+    /// processing it.
     pub(crate) fn next_pending(&self) -> f64 {
         self.events.peek_time().unwrap_or(f64::INFINITY)
     }
 
-    /// True when no event is pending on this shard.
+    /// True when no event is pending.
     pub(crate) fn is_idle(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Move everything other shards sent us into the local event queue.
-    /// Not journaled: the *sender* journals cross-shard pushes (with this
-    /// shard as target), preserving the global push stream.
-    pub(crate) fn drain_inbox(&mut self) {
-        let Some(links) = self.links.as_deref() else {
-            return;
-        };
-        let msgs = std::mem::take(&mut *links[self.shard].lock().unwrap());
-        for m in msgs {
-            match m.kind {
-                MsgKind::Arrival(item) => {
-                    self.wire[m.chan as usize].push_back(item);
-                    self.events
-                        .push_ord(m.t, m.ord, EventKind::ChannelArrival { chan: m.chan });
-                }
-                MsgKind::Credit => {
-                    self.events
-                        .push_ord(m.t, m.ord, EventKind::CreditReturn { chan: m.chan });
-                }
-            }
-        }
-    }
-
-    /// Earliest timestamp this shard sent to another shard's inbox since
-    /// the last call (`+inf` if none); resets the accumulator.
-    pub(crate) fn take_min_out(&mut self) -> f64 {
-        std::mem::replace(&mut self.min_out, f64::INFINITY)
-    }
-
-    /// Extract the owned results, releasing this shard's hold on the node
-    /// slots and shared tables.
-    pub(crate) fn into_outcome(self) -> ShardOutcome {
-        ShardOutcome {
-            stats: self.stats,
-            node_busy: self.node_busy,
-            violations: self.violations,
-            sink_eof_times: self.sink_eof_times,
-            frame_start_times: self.frame_start_times,
-            custom_token_emissions: self.custom_token_emissions,
-            budget_overruns: self.budget_overruns,
-            node_max_queue: self.node_max_queue,
-            credits: self.credits,
-            now: self.now,
-            log: self.log,
-            trace: self.trace,
-            metrics: self.metrics,
-        }
-    }
-
-    /// Consume a [`solo`](Self::solo) engine: how the run settled (early,
-    /// as it stands), the trace (when tracing) and the metrics tape (when a
-    /// metrics policy was set).
-    pub(crate) fn settle_solo(self) -> (SimOutcome, Option<Trace>, Option<MetricsTape>) {
-        let (shared, slots) = (Arc::clone(&self.shared), Arc::clone(&self.nodes));
-        let mut outcome = self.into_outcome();
-        let nodes = Arc::into_inner(slots)
-            .expect("a solo engine is the only holder of its node slots")
-            .into_inner();
-        // The single shard records in global pop order, so its buffer is
-        // already the canonical trace.
-        let trace = outcome.trace.take().map(|rec| {
-            let (events, dropped) = rec.into_events();
-            Trace {
-                meta: TraceMeta::from_parts(
-                    &nodes,
-                    &shared.pe_of_node,
-                    shared.residents.len(),
-                    shared.machine.pe_clock_hz,
-                    &shared.channels,
-                ),
-                events,
-                dropped,
-            }
-        });
-        let (settled, tape) = settle(&shared, &nodes, outcome);
-        (settled, trace, tape)
     }
 
     /// Trace a zero-cost untriggered (source/const) firing: the engine
@@ -1499,7 +1174,7 @@ impl ShardSim {
                 self.credits[d.chan as usize] <= 0
             } else {
                 let (dn, dp) = (d.dn as usize, d.dp as usize);
-                self.node(dn).queues[dp].len() >= sh.cap_into(dn, dp)
+                self.nodes[dn].queues[dp].len() >= sh.cap_into(dn, dp)
             }
         });
         if full {
@@ -1508,7 +1183,7 @@ impl ShardSim {
         if JRN {
             self.record_untriggered_begin(s.node, s.method);
         }
-        let emitted = x.fire_untriggered(self.node_mut(s.node), s.method);
+        let emitted = x.fire_untriggered(&mut self.nodes[s.node], s.method);
         let mut touched = std::mem::take(&mut self.touched_buf);
         touched.clear();
         self.route::<X, OBS, JRN>(sh, s.node, emitted, &mut touched);
@@ -1523,7 +1198,7 @@ impl ShardSim {
         if self.source_progress[source] < total {
             let period = 1.0 / (s.rate_hz * s.frame.area() as f64);
             let t_next = self.source_progress[source] as f64 * period;
-            self.push_event::<OBS, JRN>(t_next, EventKind::SourceEmit { source });
+            self.push_event::<OBS>(t_next, EventKind::SourceEmit { source });
         }
     }
 
@@ -1588,7 +1263,7 @@ impl ShardSim {
         let bit = 1u64 << port;
         self.head_data[node] &= !bit;
         self.head_ctrl[node] &= !bit;
-        match self.node(node).queues[port].front() {
+        match self.nodes[node].queues[port].front() {
             Some(Item::Window(_)) => self.head_data[node] |= bit,
             Some(Item::Control(_)) => self.head_ctrl[node] |= bit,
             None => {}
@@ -1597,7 +1272,7 @@ impl ShardSim {
 
     /// Launch `item` onto delayed channel `chan`: spend a credit, serialize
     /// behind earlier items on the wire (store-and-forward), and schedule
-    /// the arrival — locally, or into the destination shard's inbox.
+    /// the arrival.
     fn delayed_send(&mut self, chan: u32, item: Item) {
         let c = self.shared.channels[chan as usize];
         let ci = chan as usize;
@@ -1618,29 +1293,8 @@ impl ShardSim {
                 arrival,
             });
         }
-        let dst_shard = self.shard_of_pe[self.shared.pe_of_node[c.dst]];
-        if dst_shard == self.shard {
-            self.wire[ci].push_back(item);
-            self.push_event_ord(arrival, ord, EventKind::ChannelArrival { chan });
-        } else {
-            self.send_cross(arrival, ord, chan, dst_shard, MsgKind::Arrival(item));
-        }
-    }
-
-    /// Ship a communication event to `dst_shard`'s inbox, journaled and
-    /// metered exactly like a local push.
-    fn send_cross(&mut self, t: f64, ord: u64, chan: u32, dst_shard: usize, kind: MsgKind) {
-        self.journal_push(t, ord, dst_shard as u32);
-        self.note_push();
-        self.min_out = self.min_out.min(t);
-        let links = self
-            .links
-            .as_deref()
-            .expect("cross-shard send without links");
-        links[dst_shard]
-            .lock()
-            .unwrap()
-            .push(OutMsg { t, ord, chan, kind });
+        self.wire[ci].push_back(item);
+        self.push_event_ord(arrival, ord, EventKind::ChannelArrival { chan });
     }
 
     /// An in-flight item lands: pop it off the wire into the destination
@@ -1661,7 +1315,7 @@ impl ShardSim {
             }
         }
         let depth = {
-            let queue = &mut self.node_mut(dn).queues[dp];
+            let queue = &mut self.nodes[dn].queues[dp];
             queue.push_back(item);
             queue.len()
         };
@@ -1721,7 +1375,7 @@ impl ShardSim {
             if self.shared.node_roles[node] == NodeRole::Source {
                 continue;
             }
-            let n = self.node(node);
+            let n = &self.nodes[node];
             if n.plan().is_some() {
                 return StallCause::OutputBlocked;
             }
@@ -1807,7 +1461,7 @@ impl ShardSim {
                     }
                 }
                 let depth = {
-                    let queue = &mut self.node_mut(dn).queues[dp];
+                    let queue = &mut self.nodes[dn].queues[dp];
                     queue.push_back(it);
                     queue.len()
                 };
@@ -1859,7 +1513,7 @@ impl ShardSim {
                 }
             }
         }
-        self.node_mut(from).recycle_out_buf(emitted);
+        self.nodes[from].recycle_out_buf(emitted);
     }
 
     /// Attempt to start work on each PE in the (borrowed, caller-recycled)
@@ -1910,9 +1564,8 @@ impl ShardSim {
     /// for this firing's worst-case emissions (2 items of slack); `Err`
     /// identifies the first check that declined (the channel feeding the
     /// full queue, or `u32::MAX` for a channel-less queue) so the caller
-    /// can attribute the stall. Delayed channels are judged by the local
-    /// credit count — never by receiver state, so the check stays
-    /// shard-local.
+    /// can attribute the stall. Delayed channels are judged by the
+    /// sender-side credit count — never by receiver state.
     #[inline]
     fn space_ok(&self, checks: &[SpaceCheck]) -> std::result::Result<(), u32> {
         for c in checks {
@@ -1923,7 +1576,7 @@ impl ShardSim {
                     }
                 }
                 SpaceCheck::Queue { dn, dp, cap, chan } => {
-                    if self.node(dn as usize).queues[dp as usize].len() + 2 > cap as usize {
+                    if self.nodes[dn as usize].queues[dp as usize].len() + 2 > cap as usize {
                         return Err(chan);
                     }
                 }
@@ -1934,8 +1587,7 @@ impl ShardSim {
 
     /// After a firing consumed one item from each trigger port, schedule a
     /// credit return (delayed by the channel latency) for every consumed
-    /// port fed by a delayed channel (`chans`, resolved at build time) —
-    /// to the owning shard of the sender.
+    /// port fed by a delayed channel (`chans`, resolved at build time).
     fn return_credits(&mut self, chans: &[u32]) {
         for &chan in chans {
             let ci = chan as usize;
@@ -1944,12 +1596,7 @@ impl ShardSim {
             self.credit_seq[ci] += 1;
             let ord = band1_ord(2 * chan as u64 + 1, seq);
             let t = self.now + c.latency_s;
-            let src_shard = self.shard_of_pe[self.shared.pe_of_node[c.src]];
-            if src_shard == self.shard {
-                self.push_event_ord(t, ord, EventKind::CreditReturn { chan });
-            } else {
-                self.send_cross(t, ord, chan, src_shard, MsgKind::Credit);
-            }
+            self.push_event_ord(t, ord, EventKind::CreditReturn { chan });
         }
     }
 
@@ -1988,7 +1635,7 @@ impl ShardSim {
             }
             #[cfg(debug_assertions)]
             if X::HEAD_MASKS {
-                let n = self.node(node);
+                let n = &self.nodes[node];
                 debug_assert_eq!(
                     bp_codegen::head_masks(&n.queues),
                     (self.head_data[node], self.head_ctrl[node]),
@@ -1997,7 +1644,7 @@ impl ShardSim {
             }
             let action = x.plan(
                 node,
-                self.node(node),
+                &self.nodes[node],
                 self.head_data[node],
                 self.head_ctrl[node],
             );
@@ -2018,10 +1665,10 @@ impl ShardSim {
                 self.space_waiting[node] = true;
                 continue;
             }
-            let (emitted, read_words, actual) = x.fire(node, self.node_mut(node), action);
+            let (emitted, read_words, actual) = x.fire(node, &mut self.nodes[node], action);
             let (declared, declared_s) = match action {
                 Action::Fire { .. } => {
-                    (self.node(node).methods.cost_cycles(mi), sh.run_s(node, mi))
+                    (self.nodes[node].methods.cost_cycles(mi), sh.run_s(node, mi))
                 }
                 Action::Forward { .. } => (1, sh.forward_run_s),
             };
@@ -2098,7 +1745,7 @@ impl ShardSim {
                     // capture the new depths of those channels before
                     // taking the recorder borrow.
                     let depths: Vec<(u32, u32)> = {
-                        let n = self.node(node);
+                        let n = &self.nodes[node];
                         trigger_ports
                             .iter()
                             .map(|&port| (port as u32, n.queues[port].len() as u32))
@@ -2124,7 +1771,7 @@ impl ShardSim {
                 }
             }
             let t_done = self.now + dt;
-            self.push_event::<OBS, JRN>(t_done, EventKind::PeDone { pe });
+            self.push_event::<OBS>(t_done, EventKind::PeDone { pe });
             return Some(node);
         }
         None
@@ -2138,11 +1785,9 @@ impl ShardSim {
 /// output channel that fails the downstream-space check; following those
 /// edges from each blocked node in index order either revisits a node —
 /// the wait-for cycle (in a feedback loop, the channel chain that filled)
-/// — or dead-ends. Pure reads only, and both engines call this on the same
-/// merged node state (including the merged sender-side credits for delayed
-/// channels), so the resulting hops — channel names, occupancies, and
-/// capacities included — are identical between the sequential and parallel
-/// simulators.
+/// — or dead-ends. Pure reads of the settled node state and sender-side
+/// credits, so the resulting hops — channel names, occupancies, and
+/// capacities included — are a pure function of the schedule.
 fn deadlock_wait_cycle(
     shared: &Shared,
     nodes: &[RtNode],
@@ -2153,7 +1798,7 @@ fn deadlock_wait_cycle(
         .map(|i| shared.node_roles[i] != NodeRole::Source && nodes[i].plan().is_some())
         .collect();
     // The first full output channel of a blocked node: the first of its
-    // planned method's space checks to decline, on the merged state.
+    // planned method's space checks to decline, on the settled state.
     let wait_edge = |i: usize| -> Option<usize> {
         let method = match nodes[i].plan()? {
             Action::Fire { method } | Action::Forward { method, .. } => method,
@@ -2224,8 +1869,7 @@ fn channel_hop(shared: &Shared, nodes: &[RtNode], credits: &[i64], ci: usize) ->
 /// feedback back edge), find the *structural* channel cycle through a
 /// blocked node: the loop whose circulating population no longer fits.
 /// Deterministic — blocked nodes are scanned in index order and the DFS
-/// explores channels in slot order — so both engines derive identical
-/// hops from the same merged state.
+/// explores channels in slot order.
 fn starved_loop_cycle(
     shared: &Shared,
     nodes: &[RtNode],
@@ -2273,147 +1917,172 @@ fn starved_loop_cycle(
     None
 }
 
-/// Settle a finished run — one shard's outcome, or the parallel engine's
-/// merge of several — into the metrics tape and the final outcome: check
-/// the program for a capacity deadlock and build a completed [`SimReport`]
-/// or a structured [`DeadlockReport`]. Every engine ends here, so the
-/// results can only differ if the state fed in does.
-pub(crate) fn settle(
-    shared: &Shared,
-    nodes: &[RtNode],
-    outcome: ShardOutcome,
-) -> (SimOutcome, Option<MetricsTape>) {
-    let ShardOutcome {
-        stats,
-        node_busy,
-        violations,
-        sink_eof_times,
-        frame_start_times,
-        custom_token_emissions,
-        budget_overruns,
-        node_max_queue,
-        credits,
-        now,
-        metrics,
-        ..
-    } = outcome;
-    // One frame completes when all sinks have seen its end-of-frame:
-    // group the EOF arrivals per frame. The tape takes its completion
-    // times and end-to-end latencies (completed frames only) from the same
-    // grouping the report does, so the two agree on every engine.
-    let sinks = shared.num_sinks;
-    let completions: Vec<f64> = sink_eof_times
-        .chunks_exact(sinks)
-        .map(|c| c.iter().cloned().fold(0.0f64, f64::max))
-        .collect();
-    // (A recorder exists only when a metrics policy was resolved.)
-    let tape = metrics
-        .zip(shared.metrics.as_ref())
-        .map(|(mut rec, policy)| {
-            let starts = frame_start_times.iter();
-            let latencies: Vec<f64> = completions.iter().zip(starts).map(|(c, s)| c - s).collect();
-            MetricsTape::assemble(&mut rec, &policy.contracts, &completions, &latencies, now)
-        });
-    // Everything settled. If any node still has a fireable plan, the
-    // only thing that can have stopped it is downstream capacity — with
-    // all PEs idle that is a genuine capacity deadlock. Residual items
-    // with no fireable plan are legitimate (e.g. the final frame
-    // circulating in a feedback loop) and are reported, not fatal.
-    let deadlocked = (0..nodes.len())
-        .any(|i| shared.node_roles[i] != NodeRole::Source && nodes[i].plan().is_some());
-    if deadlocked {
-        let queued: usize = nodes.iter().map(|n| n.queued_items()).sum();
-        let (cycle, blocked_cycle) = match deadlock_wait_cycle(shared, nodes, &credits) {
-            Some(hops) => (hops, true),
-            None => (
-                starved_loop_cycle(shared, nodes, &credits).unwrap_or_default(),
-                false,
-            ),
-        };
-        // The full hop whose producer the smallest single-channel capacity
-        // increase would unblock: minimize `occupancy + 2 - capacity` over
-        // hops that are actually blocking (ties break to the earliest hop
-        // in walk order, deterministic on both engines).
-        let min_capacity_bump = cycle
-            .iter()
-            .filter(|h| h.occupancy + 2 > h.capacity)
-            .min_by_key(|h| h.occupancy + 2 - h.capacity)
-            .map(|h| CapacityBump {
-                channel: format!("{}.{} -> {}.{}", h.src, h.src_port, h.dst, h.dst_port),
-                current: h.capacity,
-                required: h.occupancy + 2,
-            });
-        let report = DeadlockReport {
-            queued_items: queued,
-            cycle,
-            blocked_cycle,
-            min_capacity_bump,
-            stuck: stuck_report(nodes),
-        };
-        return (SimOutcome::Deadlocked(report), tape);
-    }
-    let residual: u64 = nodes.iter().map(|n| n.queued_items() as u64).sum();
-
-    let frames_completed = (sink_eof_times.len() / sinks) as u32;
-    // Rate the completions.
-    let achieved = if completions.len() >= 2 && *completions.last().unwrap() > completions[0] {
-        (completions.len() - 1) as f64 / (completions.last().unwrap() - completions[0])
-    } else if now > 0.0 {
-        frames_completed as f64 / now
-    } else {
-        0.0
-    };
-    let met = violations == 0 && frames_completed >= shared.frames;
-    // Per-frame latency: first sample injection -> sink end-of-frame.
-    // With several sinks, take the last EOF of each frame.
-    let frame_latencies: Vec<f64> = sink_eof_times
-        .chunks(sinks)
-        .zip(frame_start_times.iter())
-        .map(|(eofs, start)| eofs.iter().cloned().fold(0.0f64, f64::max) - start)
-        .collect();
-    // §II-C: verify every kernel stayed within its declared custom-token
-    // rate bounds over the simulated interval.
-    let mut token_rate_violations = Vec::new();
-    if now > 0.0 {
-        for (i, rt) in nodes.iter().enumerate() {
-            let emitted = custom_token_emissions[i];
-            if emitted == 0 {
-                continue;
+impl Engine {
+    /// Settle the run as it stands — finished, or stopped early — into its
+    /// outcome, the trace (when tracing) and the metrics tape (when a
+    /// metrics policy was set).
+    pub(crate) fn finish(mut self) -> (SimOutcome, Option<Trace>, Option<MetricsTape>) {
+        // The engine records in event-pop order, so its ring is already
+        // the trace.
+        let trace = self.trace.take().map(|rec| {
+            let (events, dropped) = rec.into_events();
+            let sh = &self.shared;
+            Trace {
+                meta: TraceMeta::from_parts(
+                    &self.nodes,
+                    &sh.pe_of_node,
+                    sh.residents.len(),
+                    sh.machine.pe_clock_hz,
+                    &sh.channels,
+                ),
+                events,
+                dropped,
             }
-            let declared: f64 = rt.spec.custom_tokens.iter().map(|t| t.max_rate_hz).sum();
-            let observed = emitted as f64 / now;
-            // Allow one token of slack for startup transients.
-            if observed > declared + 1.0 / now {
-                token_rate_violations.push((rt.name.to_string(), observed, declared));
+        });
+        let (outcome, tape) = self.settle();
+        (outcome, trace, tape)
+    }
+
+    /// Check the program for a capacity deadlock and build a completed
+    /// [`SimReport`] or a structured [`DeadlockReport`], plus the metrics
+    /// tape.
+    fn settle(self) -> (SimOutcome, Option<MetricsTape>) {
+        let Engine {
+            shared,
+            nodes,
+            stats,
+            node_busy,
+            violations,
+            sink_eof_times,
+            frame_start_times,
+            custom_token_emissions,
+            budget_overruns,
+            node_max_queue,
+            credits,
+            now,
+            metrics,
+            ..
+        } = self;
+        let (shared, nodes) = (&*shared, &nodes[..]);
+        // One frame completes when all sinks have seen its end-of-frame:
+        // group the EOF arrivals per frame. The tape takes its completion
+        // times and end-to-end latencies (completed frames only) from the same
+        // grouping the report does, so the two agree on every engine.
+        let sinks = shared.num_sinks;
+        let completions: Vec<f64> = sink_eof_times
+            .chunks_exact(sinks)
+            .map(|c| c.iter().cloned().fold(0.0f64, f64::max))
+            .collect();
+        // (A recorder exists only when a metrics policy was resolved.)
+        let tape = metrics
+            .zip(shared.metrics.as_ref())
+            .map(|(mut rec, policy)| {
+                let starts = frame_start_times.iter();
+                let latencies: Vec<f64> =
+                    completions.iter().zip(starts).map(|(c, s)| c - s).collect();
+                MetricsTape::assemble(&mut rec, &policy.contracts, &completions, &latencies, now)
+            });
+        // Everything settled. If any node still has a fireable plan, the
+        // only thing that can have stopped it is downstream capacity — with
+        // all PEs idle that is a genuine capacity deadlock. Residual items
+        // with no fireable plan are legitimate (e.g. the final frame
+        // circulating in a feedback loop) and are reported, not fatal.
+        let deadlocked = (0..nodes.len())
+            .any(|i| shared.node_roles[i] != NodeRole::Source && nodes[i].plan().is_some());
+        if deadlocked {
+            let queued: usize = nodes.iter().map(|n| n.queued_items()).sum();
+            let (cycle, blocked_cycle) = match deadlock_wait_cycle(shared, nodes, &credits) {
+                Some(hops) => (hops, true),
+                None => (
+                    starved_loop_cycle(shared, nodes, &credits).unwrap_or_default(),
+                    false,
+                ),
+            };
+            // The full hop whose producer the smallest single-channel capacity
+            // increase would unblock: minimize `occupancy + 2 - capacity` over
+            // hops that are actually blocking (ties break to the earliest hop
+            // in walk order, deterministic on both backends).
+            let min_capacity_bump = cycle
+                .iter()
+                .filter(|h| h.occupancy + 2 > h.capacity)
+                .min_by_key(|h| h.occupancy + 2 - h.capacity)
+                .map(|h| CapacityBump {
+                    channel: format!("{}.{} -> {}.{}", h.src, h.src_port, h.dst, h.dst_port),
+                    current: h.capacity,
+                    required: h.occupancy + 2,
+                });
+            let report = DeadlockReport {
+                queued_items: queued,
+                cycle,
+                blocked_cycle,
+                min_capacity_bump,
+                stuck: stuck_report(nodes),
+            };
+            return (SimOutcome::Deadlocked(report), tape);
+        }
+        let residual: u64 = nodes.iter().map(|n| n.queued_items() as u64).sum();
+
+        let frames_completed = (sink_eof_times.len() / sinks) as u32;
+        // Rate the completions.
+        let achieved = if completions.len() >= 2 && *completions.last().unwrap() > completions[0] {
+            (completions.len() - 1) as f64 / (completions.last().unwrap() - completions[0])
+        } else if now > 0.0 {
+            frames_completed as f64 / now
+        } else {
+            0.0
+        };
+        let met = violations == 0 && frames_completed >= shared.frames;
+        // Per-frame latency: first sample injection -> sink end-of-frame.
+        // With several sinks, take the last EOF of each frame.
+        let frame_latencies: Vec<f64> = sink_eof_times
+            .chunks(sinks)
+            .zip(frame_start_times.iter())
+            .map(|(eofs, start)| eofs.iter().cloned().fold(0.0f64, f64::max) - start)
+            .collect();
+        // §II-C: verify every kernel stayed within its declared custom-token
+        // rate bounds over the simulated interval.
+        let mut token_rate_violations = Vec::new();
+        if now > 0.0 {
+            for (i, rt) in nodes.iter().enumerate() {
+                let emitted = custom_token_emissions[i];
+                if emitted == 0 {
+                    continue;
+                }
+                let declared: f64 = rt.spec.custom_tokens.iter().map(|t| t.max_rate_hz).sum();
+                let observed = emitted as f64 / now;
+                // Allow one token of slack for startup transients.
+                if observed > declared + 1.0 / now {
+                    token_rate_violations.push((rt.name.to_string(), observed, declared));
+                }
             }
         }
+        let report = SimReport {
+            pe_stats: stats,
+            node_firings: nodes.iter().map(|n| n.firings).collect(),
+            node_busy,
+            sim_time: now,
+            frames_completed,
+            residual_items: residual,
+            budget_overruns,
+            node_max_queue,
+            frame_latencies,
+            token_rate_violations,
+            verdict: RealTimeVerdict {
+                met,
+                violations,
+                required_rate_hz: shared.required_rate_hz,
+                achieved_rate_hz: achieved,
+            },
+        };
+        (SimOutcome::Completed(report), tape)
     }
-    let report = SimReport {
-        pe_stats: stats,
-        node_firings: nodes.iter().map(|n| n.firings).collect(),
-        node_busy,
-        sim_time: now,
-        frames_completed,
-        residual_items: residual,
-        budget_overruns,
-        node_max_queue,
-        frame_latencies,
-        token_rate_violations,
-        verdict: RealTimeVerdict {
-            met,
-            violations,
-            required_rate_hz: shared.required_rate_hz,
-            achieved_rate_hz: achieved,
-        },
-    };
-    (SimOutcome::Completed(report), tape)
 }
 
 /// The timing-accurate simulator. Construct with a graph, a kernel-to-PE
 /// mapping, and a configuration, then [`run`](Self::run).
 pub struct TimedSimulator {
-    pub(crate) nodes: Vec<RtNode>,
-    pub(crate) shared: Shared,
+    nodes: Vec<RtNode>,
+    shared: Shared,
 }
 
 impl TimedSimulator {
@@ -2470,17 +2139,13 @@ impl TimedSimulator {
         (outcome, trace)
     }
 
-    /// The full artifact set from one sequential run: outcome, trace (when
-    /// tracing), and metrics tape (when a metrics policy was set).
-    pub(crate) fn run_outcome_with_artifacts(
-        self,
-    ) -> (SimOutcome, Option<Trace>, Option<MetricsTape>) {
-        // One shard owning every PE: the engine runs exactly the schedule
-        // documented at the top of this module.
-        let mut sim = ShardSim::solo(self.nodes, self.shared);
+    /// The full artifact set from one run: outcome, trace (when tracing),
+    /// and metrics tape (when a metrics policy was set).
+    fn run_outcome_with_artifacts(self) -> (SimOutcome, Option<Trace>, Option<MetricsTape>) {
+        let mut sim = Engine::new(self.nodes, self.shared);
         sim.init();
-        sim.run(f64::INFINITY, usize::MAX);
-        sim.settle_solo()
+        sim.run(usize::MAX);
+        sim.finish()
     }
 }
 

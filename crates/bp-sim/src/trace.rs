@@ -1,31 +1,21 @@
-//! Deterministic event tracing for the timed simulators.
+//! Deterministic event tracing for the timed simulator.
 //!
-//! A [`TraceRecorder`] rides inside each [`crate::timed::ShardSim`] and
+//! A [`TraceRecorder`] rides inside the engine (`timed::Engine`) and
 //! captures the per-event dynamics the aggregate [`crate::SimReport`]
 //! throws away: firing begin/end per PE, queue-depth changes per channel,
 //! control-token arrivals, and PE stall transitions with cause attribution
 //! ([`StallCause`]). Recording is strictly read-only with respect to the
 //! simulation — every recorded value is computed from state the engine
 //! already produced — so enabling tracing cannot change a single bit of
-//! the `SimReport` (pinned by `tests/trace_determinism.rs`).
+//! the `SimReport` (pinned by `tests/trace_determinism.rs`). The engine
+//! records in event-pop order, so its ring *is* the trace; a ring that
+//! fills drops its oldest events and counts them in [`Trace::dropped`].
 //!
-//! **Determinism across engines.** The sequential engine emits trace
-//! events in global event-pop order, so its buffer *is* the canonical
-//! trace. Each parallel worker records its shard's events in shard-local
-//! pop order plus a per-journal-entry event count; the journal replay
-//! (`timed_parallel::replay_merge`) then interleaves the shard streams in
-//! the reconstructed global `(t, seq)` order, yielding a merged trace
-//! **bitwise identical** to the sequential one at any thread count — as
-//! long as no bounded ring dropped an event ([`Trace::dropped`] is the
-//! check; per-shard drop sets differ by sharding, so a wrapped ring
-//! forfeits cross-engine equality but nothing else).
-//!
-//! On top of the raw stream, [`Trace`] derives the metrics the ROADMAP
-//! items need: per-node event counts (the profiling weights for
-//! [`bp_core::machine::ShardPlan::build_weighted`]), per-channel occupancy
-//! high-water marks, and sliding-window PE utilization. The
-//! [`crate::chrome`] module exports the stream as Chrome trace-event JSON
-//! loadable in Perfetto.
+//! On top of the raw stream, [`Trace`] derives per-node event counts,
+//! per-channel occupancy high-water marks, sliding-window PE utilization
+//! and the channel-dwell profile a [`bp_core::CommModel`] is calibrated
+//! from. The [`crate::chrome`] module exports the stream as Chrome
+//! trace-event JSON loadable in Perfetto.
 
 use crate::runtime::RtNode;
 use bp_core::token::ControlToken;
@@ -280,48 +270,36 @@ impl Fnv {
 /// Tracing configuration carried inside [`crate::SimConfig`].
 #[derive(Clone, Copy, Debug)]
 pub struct TraceOptions {
-    /// Ring capacity in events **per shard**. When a shard's recorder
-    /// fills, the oldest events are dropped (counted in
-    /// [`Trace::dropped`]); a trace with `dropped == 0` is complete and —
-    /// for the parallel engine — bitwise identical to the sequential
-    /// engine's at any thread count.
+    /// Ring capacity in events. When the recorder fills, the oldest events
+    /// are dropped (counted in [`Trace::dropped`]); a trace with
+    /// `dropped == 0` is complete.
     pub capacity: usize,
 }
 
 impl Default for TraceOptions {
     fn default() -> Self {
         // 2^20 events of `size_of::<TraceEvent>()` = 32 bytes each: a
-        // 32 MiB ring per shard, far beyond any bundled app's run, so
-        // default traces never wrap. The cap is a memory safety valve for
-        // long custom simulations.
+        // 32 MiB ring, far beyond any bundled app's run, so default traces
+        // never wrap. The cap is a memory safety valve for long custom
+        // simulations.
         Self { capacity: 1 << 20 }
     }
 }
 
 impl TraceOptions {
-    /// A ring bounded at `capacity` events per shard.
+    /// A ring bounded at `capacity` events.
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "trace capacity must be positive");
         Self { capacity }
     }
 }
 
-/// Bounded per-shard event ring, aligned with the journal-entry structure
-/// so the parallel merge can interleave shard streams in replay order.
+/// Bounded event ring: the newest `capacity` events, in recording order.
 pub(crate) struct TraceRecorder {
     capacity: usize,
     events: VecDeque<TraceEvent>,
-    /// Events recorded per startup (const-firing) entry, in shard order.
-    pub(crate) init_counts: Vec<u32>,
-    /// Events recorded per popped-event entry, in shard pop order.
-    pub(crate) main_counts: Vec<u32>,
-    /// Events in the currently open entry.
-    cur: u32,
     /// Oldest events discarded after the ring filled.
-    pub(crate) dropped: u64,
-    /// Trim cursors: first entry whose events may still be in the ring.
-    trim_init: usize,
-    trim_main: usize,
+    dropped: u64,
 }
 
 impl TraceRecorder {
@@ -334,72 +312,22 @@ impl TraceRecorder {
             // 8 MiB predecessors on the heap or not depending on allocator
             // history, which moved a traced run's peak RSS by 15 %.
             events: VecDeque::with_capacity(opts.capacity.min(1 << 20)),
-            init_counts: Vec::new(),
-            main_counts: Vec::new(),
-            cur: 0,
             dropped: 0,
-            trim_init: 0,
-            trim_main: 0,
         }
     }
 
-    /// Append one event, dropping the oldest if the ring is full. Dropping
-    /// also decrements the owning (oldest non-empty) entry count so the
-    /// per-entry alignment used by the parallel merge stays exact.
+    /// Append one event, dropping the oldest if the ring is full.
     pub(crate) fn record(&mut self, ev: TraceEvent) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
-            loop {
-                if self.trim_init < self.init_counts.len() {
-                    if self.init_counts[self.trim_init] == 0 {
-                        self.trim_init += 1;
-                        continue;
-                    }
-                    self.init_counts[self.trim_init] -= 1;
-                } else if self.trim_main < self.main_counts.len() {
-                    if self.main_counts[self.trim_main] == 0 {
-                        self.trim_main += 1;
-                        continue;
-                    }
-                    self.main_counts[self.trim_main] -= 1;
-                } else {
-                    debug_assert!(self.cur > 0, "dropped event belongs to no entry");
-                    self.cur -= 1;
-                }
-                break;
-            }
         }
         self.events.push_back(ev);
-        self.cur += 1;
     }
 
-    /// Close the current entry (mirrors `ShardSim::end_entry`).
-    pub(crate) fn end_entry(&mut self, init: bool) {
-        if init {
-            self.init_counts.push(self.cur);
-        } else {
-            self.main_counts.push(self.cur);
-        }
-        self.cur = 0;
-    }
-
-    /// Pop the `n` oldest events (the parallel merge consumes entries in
-    /// replay order).
-    pub(crate) fn take(&mut self, n: u32, out: &mut Vec<TraceEvent>) {
-        for _ in 0..n {
-            out.push(self.events.pop_front().expect("trace/journal desync"));
-        }
-    }
-
-    /// Events still in the ring (0 after a complete merge).
-    pub(crate) fn remaining(&self) -> usize {
-        self.events.len()
-    }
-
-    /// The whole ring in recording order (the sequential engine's buffer
-    /// is already globally ordered). The ring's own allocation becomes the
-    /// trace — rotated in place if it wrapped — not a second copy of it.
+    /// The whole ring in recording order, and the drop count. The ring's
+    /// own allocation becomes the trace — rotated in place if it wrapped —
+    /// not a second copy of it.
     pub(crate) fn into_events(self) -> (Vec<TraceEvent>, u64) {
         (Vec::from(self.events), self.dropped)
     }
@@ -495,13 +423,10 @@ pub struct ChannelHighWater {
 pub struct Trace {
     /// Index-to-name resolution tables.
     pub meta: TraceMeta,
-    /// Events in global event-pop order (identical between the sequential
-    /// and parallel engines when `dropped == 0`).
+    /// Events in event-pop order: the newest ones, if the ring filled.
     pub events: Vec<TraceEvent>,
-    /// Events discarded because a per-shard ring filled. Nonzero drops
-    /// void the cross-engine bitwise-equality guarantee (per-shard rings
-    /// trim different oldest events), but the retained stream is still
-    /// per-shard deterministic.
+    /// Oldest events discarded because the ring filled. The retained
+    /// stream is still deterministic.
     pub dropped: u64,
 }
 
@@ -518,11 +443,7 @@ impl Trace {
     }
 
     /// Total traced events attributed to each node (firings, queue
-    /// movement, token arrivals). This is the profiling weight the
-    /// event-rate-aware shard planner consumes
-    /// ([`bp_core::machine::ShardPlan::build_weighted`]): a pre-run's
-    /// counts balance shards by observed simulation work instead of
-    /// resident-node count.
+    /// movement, token arrivals): where a run's simulation work went.
     pub fn node_event_counts(&self) -> Vec<u64> {
         let mut counts = vec![0u64; self.meta.node_names.len()];
         for e in &self.events {
@@ -770,14 +691,9 @@ mod tests {
     fn ring_drops_oldest_and_counts() {
         let mut r = TraceRecorder::new(TraceOptions::with_capacity(2));
         r.record(fb(0.0, 0, 0, 1));
-        r.end_entry(true);
         r.record(fb(1.0, 1, 0, 1));
         r.record(fb(2.0, 2, 0, 1));
-        r.end_entry(false);
         assert_eq!(r.dropped, 1);
-        // The init entry's event was trimmed away.
-        assert_eq!(r.init_counts, vec![0]);
-        assert_eq!(r.main_counts, vec![2]);
         let (events, dropped) = r.into_events();
         assert_eq!(dropped, 1);
         assert_eq!(events, vec![fb(1.0, 1, 0, 1), fb(2.0, 2, 0, 1)]);

@@ -39,7 +39,6 @@ struct Args {
     capacity: Option<usize>,
     explain_deadlock: bool,
     quiet: bool,
-    threads: usize,
 }
 
 fn usage() -> ! {
@@ -51,7 +50,6 @@ fn usage() -> ! {
          \x20          [--backend auto|interpreted|compiled]\n\
          \x20          [--metrics[=FILE]] [--snapshot-every N]\n\
          \x20          [--capacity N] [--explain-deadlock] [--quiet]\n\
-         \x20          [--threads N]\n\
          \x20  --trace FILE  record a deterministic event trace and write it as\n\
          \x20                Chrome trace-event JSON (open in https://ui.perfetto.dev)\n\
          \x20  --metrics     collect always-on runtime metrics and print the\n\
@@ -69,9 +67,7 @@ fn usage() -> ! {
          \x20                feedback-aware capacity derivation\n\
          \x20  --explain-deadlock  on a capacity deadlock, print the structured\n\
          \x20                diagnosis (wait-for cycle, occupancies, minimal\n\
-         \x20                capacity bump) and exit 0; exit 1 if no deadlock\n\
-         \x20  --threads N   shard the simulation over N worker threads; every\n\
-         \x20                result is bitwise identical to the sequential run"
+         \x20                capacity bump) and exit 0; exit 1 if no deadlock"
     );
     std::process::exit(2);
 }
@@ -94,7 +90,6 @@ fn parse_args() -> Args {
         capacity: None,
         explain_deadlock: false,
         quiet: false,
-        threads: 1,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -159,13 +154,6 @@ fn parse_args() -> Args {
             }
             "--capacity" => {
                 args.capacity = Some(value("--capacity").parse().unwrap_or_else(|_| usage()))
-            }
-            "--threads" => {
-                args.threads = value("--threads").parse().unwrap_or_else(|_| usage());
-                if args.threads == 0 {
-                    eprintln!("--threads must be at least 1");
-                    usage()
-                }
             }
             "--explain-deadlock" => args.explain_deadlock = true,
             "--quiet" => args.quiet = true,
@@ -310,110 +298,80 @@ fn main() -> ExitCode {
             }
         }
     };
-    // Both engines produce bitwise-identical reports, traces, and tapes.
-    let (report, trace, tape) = if args.threads > 1 {
-        let sim = match ParallelTimedSimulator::new(
-            &compiled.graph,
-            &compiled.mapping,
-            config,
-            args.threads,
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("simulation error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if args.explain_deadlock {
-            return explain(sim.run_outcome());
-        }
-        let (outcome, trace, tape, _) = sim.run_with_artifacts();
-        match outcome.into_report() {
-            Ok(report) => (report, trace, tape),
-            Err(e) => {
-                eprintln!("simulation error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        let sim = match TimedSimulator::new(&compiled.graph, &compiled.mapping, config) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("simulation error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if args.explain_deadlock {
-            return explain(sim.run_outcome());
-        }
-        match sim.run_with_artifacts() {
-            Ok(artifacts) => artifacts,
-            Err(e) => {
-                eprintln!("simulation error: {e}");
-                return ExitCode::FAILURE;
-            }
+    // A `BpError` names its own category ("simulation error: …").
+    let sim = match TimedSimulator::new(&compiled.graph, &compiled.mapping, config) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
     };
-    {
-        {
-            let (run, read, write) = report.utilization_breakdown();
-            println!(
-                "real-time {}: required {:.1} Hz, achieved {:.1} Hz, {} violations, \
-                 {} budget overruns",
-                if report.verdict.met { "MET" } else { "MISSED" },
-                report.verdict.required_rate_hz,
-                report.verdict.achieved_rate_hz,
-                report.verdict.violations,
-                report.total_budget_overruns(),
-            );
-            println!(
-                "utilization {:.1}% (run {:.1}% / read {:.1}% / write {:.1}% / idle {:.1}%) \
-                 on {} PEs",
-                100.0 * (run + read + write),
-                100.0 * run,
-                100.0 * read,
-                100.0 * write,
-                100.0 * (1.0 - run - read - write),
-                report.num_pes()
-            );
-            for (name, observed, declared) in &report.token_rate_violations {
+    if args.explain_deadlock {
+        return explain(sim.run_outcome());
+    }
+    let (report, trace, tape) = match sim.run_with_artifacts() {
+        Ok(artifacts) => artifacts,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let (run, read, write) = report.utilization_breakdown();
+    println!(
+        "real-time {}: required {:.1} Hz, achieved {:.1} Hz, {} violations, \
+         {} budget overruns",
+        if report.verdict.met { "MET" } else { "MISSED" },
+        report.verdict.required_rate_hz,
+        report.verdict.achieved_rate_hz,
+        report.verdict.violations,
+        report.total_budget_overruns(),
+    );
+    println!(
+        "utilization {:.1}% (run {:.1}% / read {:.1}% / write {:.1}% / idle {:.1}%) \
+         on {} PEs",
+        100.0 * (run + read + write),
+        100.0 * run,
+        100.0 * read,
+        100.0 * write,
+        100.0 * (1.0 - run - read - write),
+        report.num_pes()
+    );
+    for (name, observed, declared) in &report.token_rate_violations {
+        println!(
+            "token-rate violation: {name} emitted {observed:.1} Hz \
+             against a declared {declared:.1} Hz"
+        );
+    }
+    if let Some(tape) = &tape {
+        let node_names: Vec<String> = compiled
+            .graph
+            .nodes()
+            .map(|(_, n)| n.name.to_string())
+            .collect();
+        print!("{}", tape.summary(&node_names));
+        if let Some(Some(path)) = &args.metrics {
+            if let Err(e) = std::fs::write(path, tape.to_jsonl()) {
+                eprintln!("failed to write {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+            if !args.quiet {
                 println!(
-                    "token-rate violation: {name} emitted {observed:.1} Hz \
-                     against a declared {declared:.1} Hz"
+                    "wrote {path}: {} snapshot(s), digest {:016x}",
+                    tape.snapshots.len(),
+                    tape.digest()
                 );
             }
-            if let Some(tape) = &tape {
-                let node_names: Vec<String> = compiled
-                    .graph
-                    .nodes()
-                    .map(|(_, n)| n.name.to_string())
-                    .collect();
-                print!("{}", tape.summary(&node_names));
-                if let Some(Some(path)) = &args.metrics {
-                    if let Err(e) = std::fs::write(path, tape.to_jsonl()) {
-                        eprintln!("failed to write {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    if !args.quiet {
-                        println!(
-                            "wrote {path}: {} snapshot(s), digest {:016x}",
-                            tape.snapshots.len(),
-                            tape.digest()
-                        );
-                    }
-                }
-            }
-            if let (Some(path), Some(trace)) = (&args.trace, trace) {
-                if let Err(code) = write_trace(path, &trace, args.quiet) {
-                    return code;
-                }
-            }
-            if report.verdict.met {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
         }
+    }
+    if let (Some(path), Some(trace)) = (&args.trace, trace) {
+        if let Err(code) = write_trace(path, &trace, args.quiet) {
+            return code;
+        }
+    }
+    if report.verdict.met {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -483,8 +441,20 @@ fn serve_main() -> ExitCode {
             }
             "--seed" => seed = value("--seed").parse().unwrap_or_else(|_| serve_usage()),
             "--frames" => frames = value("--frames").parse().unwrap_or_else(|_| serve_usage()),
-            "--workers" => workers = value("--workers").parse().unwrap_or_else(|_| serve_usage()),
-            "--budget" => budget = value("--budget").parse().unwrap_or_else(|_| serve_usage()),
+            "--workers" => {
+                workers = value("--workers").parse().unwrap_or_else(|_| serve_usage());
+                if workers == 0 {
+                    eprintln!("--workers must be at least 1");
+                    serve_usage()
+                }
+            }
+            "--budget" => {
+                budget = value("--budget").parse().unwrap_or_else(|_| serve_usage());
+                if budget == 0 {
+                    eprintln!("--budget must be at least 1");
+                    serve_usage()
+                }
+            }
             "--max-active" => {
                 max_active = Some(
                     value("--max-active")

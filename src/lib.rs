@@ -58,7 +58,7 @@ pub mod prelude {
     };
     pub use bp_sim::{
         chrome_trace_json, validate_json, Backend, CapacityBump, DeadlockHop, DeadlockReport,
-        FunctionalExecutor, MetricsPolicy, MetricsTape, ParallelRunStats, ParallelTimedSimulator,
-        QosSpec, SimConfig, SimOutcome, SimReport, StallCause, TimedSimulator, Trace, TraceOptions,
+        FunctionalExecutor, MetricsPolicy, MetricsTape, QosSpec, SimConfig, SimOutcome, SimReport,
+        StallCause, TimedSimulator, Trace, TraceOptions,
     };
 }

@@ -1,10 +1,9 @@
 //! Fingerprint-differential suite pinning the compiled (direct-threaded)
 //! backend to the interpreted oracle (DESIGN.md §13).
 //!
-//! For every example application × comm model, the sequential interpreted
-//! engine is the reference; the compiled backend — sequential and parallel
-//! at 1, 2, 4, and 8 threads — must reproduce its `SimReport::fingerprint()`
-//! and sink item streams bit for bit. Traces and structured
+//! For every example application × comm model, the interpreted backend is
+//! the reference; the compiled backend must reproduce its
+//! `SimReport::fingerprint()` and sink item streams bit for bit. Traces and structured
 //! `Deadlocked(DeadlockReport)` outcomes are held to the same standard:
 //! the backend switch may change *how fast* the simulator runs, never what
 //! it computes, when, or how it diagnoses a wedge.
@@ -12,9 +11,7 @@
 use bp_apps::{apps, App, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
 use bp_core::{CommModel, Dim2, Item};
-use bp_sim::{
-    Backend, ParallelTimedSimulator, SimConfig, SimOutcome, SimReport, TimedSimulator, TraceOptions,
-};
+use bp_sim::{Backend, SimConfig, SimOutcome, SimReport, TimedSimulator, TraceOptions};
 
 const FRAMES: u32 = 2;
 
@@ -67,66 +64,51 @@ fn config_with(comm: &CommModel, backend: Backend) -> SimConfig {
         .with_backend(backend)
 }
 
-/// Run `name` under `comm` on the given backend — sequentially
-/// (`threads = None`) or on the parallel engine — returning the report
+/// Run `name` under `comm` on the given backend, returning the report
 /// result plus the sink item streams.
 fn run(
     name: &str,
     comm: &CommModel,
     backend: Backend,
-    threads: Option<usize>,
 ) -> (bp_core::Result<SimReport>, Vec<Vec<Item>>) {
     let app = build_example(name);
     let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
     let config = config_with(comm, backend);
-    let out = match threads {
-        None => TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
-            .expect("instantiate")
-            .run(),
-        Some(t) => ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, t)
-            .expect("instantiate")
-            .run(),
-    };
+    let out = TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
+        .expect("instantiate")
+        .run();
     let items = app.sinks.iter().map(|(_, h)| h.items()).collect();
     (out, items)
 }
 
 /// The tentpole guarantee: for every app × comm model, the compiled
 /// backend's report fingerprint and sink items equal the interpreted
-/// oracle's — sequentially and at 1, 2, 4, and 8 worker threads.
+/// oracle's.
 #[test]
 fn compiled_matches_interpreted_everywhere() {
     for &name in EXAMPLE_APPS {
         for (mname, comm) in models() {
-            let (oracle, oracle_items) = run(name, &comm, Backend::Interpreted, None);
-            let check = |label: &str, got: &bp_core::Result<SimReport>, items: &Vec<Vec<Item>>| {
-                match (&oracle, got) {
-                    (Ok(o), Ok(c)) => assert_eq!(
-                        o.fingerprint(),
-                        c.fingerprint(),
-                        "{name} under {mname} ({label}): compiled fingerprint diverged"
-                    ),
-                    (Err(oe), Err(ce)) => assert_eq!(
-                        oe.to_string(),
-                        ce.to_string(),
-                        "{name} under {mname} ({label}): error diverged"
-                    ),
-                    _ => panic!(
-                        "{name} under {mname} ({label}): outcomes diverged: \
-                         oracle={oracle:?} compiled={got:?}"
-                    ),
-                }
-                assert_eq!(
-                    &oracle_items, items,
-                    "{name} under {mname} ({label}): sink items diverged"
-                );
-            };
-            let (seq, seq_items) = run(name, &comm, Backend::Compiled, None);
-            check("sequential", &seq, &seq_items);
-            for threads in [1usize, 2, 4, 8] {
-                let (par, par_items) = run(name, &comm, Backend::Compiled, Some(threads));
-                check(&format!("{threads} threads"), &par, &par_items);
+            let (oracle, oracle_items) = run(name, &comm, Backend::Interpreted);
+            let (got, got_items) = run(name, &comm, Backend::Compiled);
+            match (&oracle, &got) {
+                (Ok(o), Ok(c)) => assert_eq!(
+                    o.fingerprint(),
+                    c.fingerprint(),
+                    "{name} under {mname}: compiled fingerprint diverged"
+                ),
+                (Err(oe), Err(ce)) => assert_eq!(
+                    oe.to_string(),
+                    ce.to_string(),
+                    "{name} under {mname}: error diverged"
+                ),
+                _ => panic!(
+                    "{name} under {mname}: outcomes diverged: oracle={oracle:?} compiled={got:?}"
+                ),
             }
+            assert_eq!(
+                oracle_items, got_items,
+                "{name} under {mname}: sink items diverged"
+            );
         }
     }
 }
@@ -172,31 +154,24 @@ fn compiled_traces_are_bitwise_identical() {
 #[test]
 fn compiled_deadlock_reports_are_identical() {
     let comm = CommModel::uniform(64e-9, 1e-9);
-    let outcome_of = |backend: Backend, threads: Option<usize>| -> SimOutcome {
+    let outcome_of = |backend: Backend| -> SimOutcome {
         let app = build_example("temporal_iir");
         let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
         let config = config_with(&comm, backend).with_channel_capacity(64);
-        match threads {
-            None => TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
-                .expect("instantiate")
-                .run_outcome(),
-            Some(t) => ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, t)
-                .expect("instantiate")
-                .run_outcome(),
-        }
+        TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
+            .expect("instantiate")
+            .run_outcome()
     };
-    let SimOutcome::Deadlocked(oracle) = outcome_of(Backend::Interpreted, None) else {
+    let SimOutcome::Deadlocked(oracle) = outcome_of(Backend::Interpreted) else {
         panic!("temporal_iir must capacity-deadlock when pinned to 64");
     };
-    for threads in [None, Some(2), Some(8)] {
-        let SimOutcome::Deadlocked(got) = outcome_of(Backend::Compiled, threads) else {
-            panic!("compiled backend did not deadlock ({threads:?})");
-        };
-        assert_eq!(
-            oracle, got,
-            "DeadlockReport diverged on the compiled backend ({threads:?})"
-        );
-    }
+    let SimOutcome::Deadlocked(got) = outcome_of(Backend::Compiled) else {
+        panic!("compiled backend did not deadlock");
+    };
+    assert_eq!(
+        oracle, got,
+        "DeadlockReport diverged on the compiled backend"
+    );
 }
 
 /// Feedback capacities: with the derived (feedback-aware) plan,
@@ -206,8 +181,8 @@ fn compiled_deadlock_reports_are_identical() {
 #[test]
 fn compiled_feedback_capacities_complete_identically() {
     for (mname, comm) in models() {
-        let (oracle, oracle_items) = run("temporal_iir", &comm, Backend::Interpreted, None);
-        let (got, got_items) = run("temporal_iir", &comm, Backend::Compiled, None);
+        let (oracle, oracle_items) = run("temporal_iir", &comm, Backend::Interpreted);
+        let (got, got_items) = run("temporal_iir", &comm, Backend::Compiled);
         let o = oracle.expect("temporal_iir completes under derived capacities");
         let c = got.expect("compiled temporal_iir completes");
         assert_eq!(

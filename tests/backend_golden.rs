@@ -1,21 +1,25 @@
 //! The interpreted engine's results, frozen as data.
 //!
-//! `backend_differential` and `metrics_determinism` compare backends and
-//! engines *with each other*; the values below were recorded once, from
-//! `Backend::Interpreted` on the sequential engine, at the commit before
-//! the interpreter's hand-written scheduler was merged into the
-//! table-driven one (DESIGN.md §13). Every backend and engine must keep
-//! reproducing them, so the merged scheduler is held to what the separate
-//! one computed rather than to itself. A change to simulation semantics,
+//! `backend_differential` and `metrics_determinism` compare backends *with
+//! each other*; the values below were recorded once, from
+//! `Backend::Interpreted`, at the commit before the interpreter's
+//! hand-written scheduler was merged into the table-driven one (DESIGN.md
+//! §13). Every backend must keep reproducing them — run in one call, and
+//! stepped a few events at a time as the fleet host runs it — so the
+//! merged scheduler is held to what the separate one computed rather than
+//! to itself. A change to simulation semantics,
 //! to `SimReport::fingerprint` or to `MetricsTape::digest` must update
 //! the tables deliberately.
 
 use bp_apps::{apps, App, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
 use bp_core::{AppGraph, CommModel, Dim2, GraphBuilder, Mapping, MetricsPolicy};
-use bp_sim::{Backend, ParallelTimedSimulator, SimConfig, SimReport, TimedSimulator};
+use bp_sim::{Backend, SimConfig, SimReport, SteppableSim, TimedSimulator};
 
 const FRAMES: u32 = 2;
+/// Events per step of the stepped runs: small and prime, so step
+/// boundaries land everywhere in the schedule.
+const STEP: usize = 97;
 
 fn build_example(name: &str) -> App {
     match name {
@@ -49,14 +53,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// `(report fingerprint, metrics tape digest)` of one configuration, from
-/// a metrics-off and a metrics-on run that must agree on the report. A
-/// run that ends in an error reads `(FNV-1a of the message, 0)`.
+/// a metrics-off and a metrics-on run that must agree on the report, each
+/// run in one call or (`stepped`) [`STEP`] events at a time. A run that
+/// ends in an error reads `(FNV-1a of the message, 0)`.
 fn observe(
     graph: &AppGraph,
     mapping: &Mapping,
     comm: &CommModel,
     backend: Backend,
-    threads: Option<usize>,
+    stepped: bool,
 ) -> (u64, u64) {
     let run = |metrics: bool| -> bp_core::Result<(SimReport, Option<bp_sim::MetricsTape>)> {
         let mut config = SimConfig::new(FRAMES)
@@ -65,10 +70,14 @@ fn observe(
         if metrics {
             config = config.with_metrics(MetricsPolicy::new());
         }
-        match threads {
-            None => TimedSimulator::new(graph, mapping, config)?.run_with_metrics(),
-            Some(t) => ParallelTimedSimulator::new(graph, mapping, config, t)?.run_with_metrics(),
+        if !stepped {
+            return TimedSimulator::new(graph, mapping, config)?.run_with_metrics();
         }
+        let mut sim = SteppableSim::new(graph, mapping, config)?;
+        while !sim.is_done() {
+            sim.step(STEP);
+        }
+        sim.finish_report()
     };
     match (run(false), run(true)) {
         (Ok((plain, None)), Ok((metered, Some(tape)))) => {
@@ -174,11 +183,11 @@ fn every_backend_and_engine_reproduces_the_interpreters_record() {
         let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
         for (comm, want) in models().iter().zip(want) {
             for backend in [Backend::Interpreted, Backend::Compiled] {
-                for threads in [None, Some(2)] {
-                    let got = observe(&compiled.graph, &compiled.mapping, comm, backend, threads);
+                for stepped in [false, true] {
+                    let got = observe(&compiled.graph, &compiled.mapping, comm, backend, stepped);
                     assert_eq!(
                         got, want,
-                        "{name} under {comm:?} on {backend:?}, threads {threads:?}: drifted from \
+                        "{name} under {comm:?} on {backend:?}, stepped {stepped}: drifted from \
                          the record (got ({:#018x}, {:#018x}))",
                         got.0, got.1
                     );
@@ -234,11 +243,11 @@ fn wide_join_runs_on_the_interpreter_only() {
     assert!(err.contains("at most 64"), "unexpected error: {err}");
     for (comm, want) in models().iter().zip(WIDE_GOLDEN) {
         for backend in [Backend::Interpreted, Backend::Auto] {
-            for threads in [None, Some(2)] {
-                let got = observe(&g, &mapping, comm, backend, threads);
+            for stepped in [false, true] {
+                let got = observe(&g, &mapping, comm, backend, stepped);
                 assert_eq!(
                     got, want,
-                    "wide join under {comm:?} on {backend:?}, threads {threads:?}: drifted \
+                    "wide join under {comm:?} on {backend:?}, stepped {stepped}: drifted \
                      from the record (got ({:#018x}, {:#018x}))",
                     got.0, got.1
                 );

@@ -1,6 +1,6 @@
 //! The `bpc` binary at its command line: bad input is a message and a
 //! non-zero exit, never a panic; the flags of the retired modes are gone;
-//! and the parallel engine prints the sequential engine's verdict.
+//! and an error is reported once, under its own category.
 
 use std::process::{Command, Output};
 
@@ -36,6 +36,7 @@ fn retired_mode_flags_are_unknown() {
         &["--sync", "optimistic"][..],
         &["--pin-workers"],
         &["--batch", "16"],
+        &["--threads", "2"],
     ] {
         let mut args = vec!["--app", "fig1b"];
         args.extend_from_slice(flags);
@@ -46,29 +47,40 @@ fn retired_mode_flags_are_unknown() {
     }
 }
 
+/// A fleet needs a worker and a positive round budget; zero is a usage
+/// error naming the flag, not an assertion failure inside the host.
 #[test]
-fn two_threads_print_the_sequential_verdict() {
-    let verdict = |threads: &str| {
-        let out = bpc(&[
-            "--app",
-            "fig1b",
-            "--frames",
-            "1",
-            "--threads",
-            threads,
-            "--comm-model",
-            "uniform:64",
-        ]);
+fn zero_workers_or_budget_are_usage_errors() {
+    for flags in [
+        &["serve", "--workers", "0"][..],
+        &["serve", "--budget", "0", "--tenants", "2"],
+    ] {
+        let out = bpc(flags);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {err}");
         assert!(
-            out.status.success(),
-            "{threads} thread(s): {}",
-            stderr(&out)
+            err.contains(flags[1]),
+            "{flags:?} does not name the flag: {err}"
         );
-        String::from_utf8_lossy(&out.stdout)
-            .lines()
-            .find(|l| l.starts_with("real-time "))
-            .expect("a verdict line")
-            .to_string()
-    };
-    assert_eq!(verdict("2"), verdict("1"));
+        assert!(!err.contains("panicked at"), "{flags:?}: {err}");
+    }
+}
+
+/// A capacity deadlock reaches the user as one `simulation error:` line:
+/// the prefix is the error's own, not repeated by `bpc`.
+#[test]
+fn simulation_errors_carry_one_prefix() {
+    let out = bpc(&[
+        "--app",
+        "fig1b",
+        "--capacity",
+        "0",
+        "--frames",
+        "1",
+        "--quiet",
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("capacity deadlock"), "{err}");
+    assert_eq!(err.matches("simulation error").count(), 1, "{err}");
 }

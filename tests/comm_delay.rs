@@ -6,19 +6,17 @@
 //! 1. **The zero model is a no-op**: `CommModel::zero()` (the default)
 //!    reproduces the pre-model golden sink digests and report
 //!    fingerprints bit for bit.
-//! 2. **Engine equivalence under delay**: with *any* comm model, the
-//!    parallel engine's `SimReport` fingerprint and sink item streams are
-//!    bitwise identical to the sequential engine's at 1, 2, 4, and 8
-//!    threads — including identical deadlock diagnostics where an app
-//!    legitimately capacity-deadlocks.
-//! 3. **Lookahead actually parallelizes**: a connected app (`fig1b`) with
-//!    a positive minimum cross-shard latency executes on at least two
-//!    busy shards, observed via `ParallelRunStats::shard_events`.
+//! 2. **Delay is deterministic**: with *any* comm model, a second run
+//!    reproduces the first's `SimReport` fingerprint and sink item streams
+//!    bit for bit.
+//! 3. **Delay is real**: a nonzero model shifts the schedule (and a grid
+//!    model's distance term matters) without changing what is computed,
+//!    and the deadlock diagnostic still names the feedback cycle.
 
 use bp_apps::{apps, App, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
 use bp_core::{CommModel, Dim2, Item};
-use bp_sim::{ParallelTimedSimulator, SimConfig, SimReport, TimedSimulator};
+use bp_sim::{SimConfig, SimReport, TimedSimulator};
 
 const FRAMES: u32 = 2;
 
@@ -80,25 +78,6 @@ fn run_seq(name: &str, comm: &CommModel) -> (bp_core::Result<SimReport>, Vec<Vec
     (out, items)
 }
 
-fn run_par(
-    name: &str,
-    comm: &CommModel,
-    threads: usize,
-) -> (bp_core::Result<SimReport>, Vec<Vec<Item>>) {
-    let app = build_example(name);
-    let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
-    let out = ParallelTimedSimulator::new(
-        &compiled.graph,
-        &compiled.mapping,
-        config_with(comm),
-        threads,
-    )
-    .expect("instantiate")
-    .run();
-    let items = app.sinks.iter().map(|(_, h)| h.items()).collect();
-    (out, items)
-}
-
 /// FNV-1a over the raw bit patterns of the samples (same digest as
 /// `tests/determinism.rs`).
 fn digest(samples: &[f64]) -> u64 {
@@ -152,39 +131,36 @@ fn zero_model_reproduces_pinned_goldens() {
     }
 }
 
-/// For every app × model × thread count, the parallel engine is bitwise
-/// identical to the sequential one: same fingerprint and same sink items
-/// on success, or the identical error string where an app deadlocks
-/// (none do by default now that feedback loops size their own back-edge
-/// capacities — the Err arm is kept for symmetry).
+/// For every app × model, a second run is bitwise identical to the first:
+/// same fingerprint and same sink items on success, or the identical error
+/// string where an app deadlocks (none do by default now that feedback
+/// loops size their own back-edge capacities — the Err arm is kept for
+/// symmetry).
 #[test]
-fn parallel_matches_sequential_under_every_model() {
+fn every_model_reproduces_bitwise_on_every_app() {
     for &name in EXAMPLE_APPS {
         for (mname, comm) in models() {
-            let (seq, seq_items) = run_seq(name, &comm);
-            for threads in [1usize, 2, 4, 8] {
-                let (par, par_items) = run_par(name, &comm, threads);
-                match (&seq, &par) {
-                    (Ok(s), Ok(p)) => assert_eq!(
-                        s.fingerprint(),
-                        p.fingerprint(),
-                        "{name} under {mname} at {threads} threads: SimReport diverged"
-                    ),
-                    (Err(se), Err(pe)) => assert_eq!(
-                        se.to_string(),
-                        pe.to_string(),
-                        "{name} under {mname} at {threads} threads: error diverged"
-                    ),
-                    _ => panic!(
-                        "{name} under {mname} at {threads} threads: outcomes diverged: \
-                         seq={seq:?} par={par:?}"
-                    ),
-                }
-                assert_eq!(
-                    seq_items, par_items,
-                    "{name} under {mname} at {threads} threads: sink items diverged"
-                );
+            let (first, first_items) = run_seq(name, &comm);
+            let (second, second_items) = run_seq(name, &comm);
+            match (&first, &second) {
+                (Ok(a), Ok(b)) => assert_eq!(
+                    a.fingerprint(),
+                    b.fingerprint(),
+                    "{name} under {mname}: SimReport diverged"
+                ),
+                (Err(ae), Err(be)) => assert_eq!(
+                    ae.to_string(),
+                    be.to_string(),
+                    "{name} under {mname}: error diverged"
+                ),
+                _ => panic!(
+                    "{name} under {mname}: outcomes diverged: first={first:?} second={second:?}"
+                ),
             }
+            assert_eq!(
+                first_items, second_items,
+                "{name} under {mname}: sink items diverged"
+            );
         }
     }
 }
@@ -251,63 +227,20 @@ fn grid_model_distance_term_is_honored() {
     );
 }
 
-/// The tentpole scalability claim: with a positive minimum cross-shard
-/// latency, a *connected* app no longer degrades to one shard — fig1b
-/// executes on at least two shards, each of which processes events.
-#[test]
-fn connected_app_fans_out_under_positive_lookahead() {
-    let app = build_example("fig1b");
-    let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
-    let comm = CommModel::uniform(64e-9, 0.0);
-    let sim =
-        ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config_with(&comm), 4)
-            .expect("instantiate");
-    let (report, _, stats) = sim.run_with_stats().expect("runs");
-    assert!(
-        stats.shards >= 2,
-        "fig1b sharded into {} shard(s) despite positive lookahead",
-        stats.shards
-    );
-    assert!(
-        stats.lookahead_s > 0.0 && stats.lookahead_s.is_finite(),
-        "expected finite positive lookahead, got {}",
-        stats.lookahead_s
-    );
-    assert!(stats.windows > 0, "no conservative windows were executed");
-    let busy = stats.shard_events.iter().filter(|&&n| n > 0).count();
-    assert!(
-        busy >= 2,
-        "only {busy} shard(s) processed events: {:?}",
-        stats.shard_events
-    );
-    // And the fanned-out run still matches the sequential engine.
-    let (seq, _) = run_seq("fig1b", &comm);
-    assert_eq!(seq.expect("runs").fingerprint(), report.fingerprint());
-}
-
 /// With feedback-aware capacity derivation, `temporal_iir` only
 /// deadlocks when an explicit uniform capacity pin disables the loop
 /// sizing. Under that pin and a nonzero model, the wait-for-cycle
-/// diagnostic must still name the feedback channels, identically on both
-/// engines (sender-side credit accounting replaces direct queue
-/// inspection for delayed channels).
+/// diagnostic must still name the feedback channels (sender-side credit
+/// accounting replaces direct queue inspection for delayed channels).
 #[test]
 fn deadlock_diagnostic_is_stable_under_delay() {
     let comm = CommModel::uniform(64e-9, 1e-9);
-    let run = |threads: Option<usize>| -> bp_core::Result<SimReport> {
-        let app = build_example("temporal_iir");
-        let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
-        let config = config_with(&comm).with_channel_capacity(64);
-        match threads {
-            None => TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
-                .expect("instantiate")
-                .run(),
-            Some(t) => ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, t)
-                .expect("instantiate")
-                .run(),
-        }
-    };
-    let seq_err = run(None)
+    let app = build_example("temporal_iir");
+    let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
+    let config = config_with(&comm).with_channel_capacity(64);
+    let seq_err = TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
+        .expect("instantiate")
+        .run()
         .expect_err("temporal_iir deadlocks at SMALL/SLOW when pinned to 64")
         .to_string();
     assert!(
@@ -322,15 +255,6 @@ fn deadlock_diagnostic_is_stable_under_delay() {
         assert!(
             seq_err.contains(channel),
             "cycle diagnostic missing channel '{channel}': {seq_err}"
-        );
-    }
-    for threads in [2usize, 8] {
-        let par_err = run(Some(threads))
-            .expect_err("parallel engine must also deadlock")
-            .to_string();
-        assert_eq!(
-            seq_err, par_err,
-            "deadlock diagnostics diverged at {threads} threads under delay"
         );
     }
 }

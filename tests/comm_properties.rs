@@ -2,7 +2,7 @@
 //! the in-tree `bp_core::Rng64` (no external property-testing crate).
 //!
 //! Each case builds a random layered DAG of unary/binary arithmetic
-//! kernels, draws a random delay model, runs both timed engines with
+//! kernels, draws a random delay model, runs the timed engine with
 //! tracing, and checks invariants that must hold for *every* graph and
 //! *every* model:
 //!
@@ -14,16 +14,15 @@
 //!   left in flight.
 //! - **Causality**: no message arrives before it was sent, and never
 //!   sooner than the model's per-channel minimum latency.
-//! - **Engine equivalence**: the parallel engine reproduces the
-//!   sequential fingerprint (or the identical error) for the same graph
-//!   and model.
+//! - **Engine equivalence**: the engine stepped a few events at a time
+//!   (`SteppableSim`, what the fleet host runs) reproduces the one-shot
+//!   run's fingerprint (or the identical error) for the same graph and
+//!   model.
 
 use bp_compiler::{compile, CompileOptions, MappingKind};
 use bp_core::{CommModel, Dim2, GraphBuilder, NodeId, Rng64};
 use bp_kernels as k;
-use bp_sim::{
-    ParallelTimedSimulator, SimConfig, SimReport, TimedSimulator, Trace, TraceEvent, TraceOptions,
-};
+use bp_sim::{SimConfig, SimReport, SteppableSim, TimedSimulator, Trace, TraceEvent, TraceOptions};
 
 const FRAMES: u32 = 2;
 const CASES: u64 = 12;
@@ -239,34 +238,24 @@ fn random_dags_preserve_fifo_conservation_and_engine_equivalence() {
             }
         }
 
-        for threads in [2usize, 4] {
-            let par = ParallelTimedSimulator::new(
-                &compiled.graph,
-                &compiled.mapping,
-                config.clone(),
-                threads,
-            )
-            .expect("instantiate")
-            .run_with_trace();
-            match (&seq, &par) {
-                (Ok((s, st)), Ok((p, pt))) => {
-                    assert_eq!(
-                        s.fingerprint(),
-                        p.fingerprint(),
-                        "case {case} at {threads} threads: fingerprint diverged (model {model:?})"
-                    );
-                    assert_eq!(
-                        st.as_ref().unwrap().events,
-                        pt.as_ref().unwrap().events,
-                        "case {case} at {threads} threads: traces diverged"
-                    );
-                }
+        for budget in [1usize, 7] {
+            let mut sim = SteppableSim::new(&compiled.graph, &compiled.mapping, config.clone())
+                .expect("instantiate");
+            while !sim.is_done() {
+                sim.step(budget);
+            }
+            match (&seq, sim.finish_report()) {
+                (Ok((s, _)), Ok((p, _))) => assert_eq!(
+                    s.fingerprint(),
+                    p.fingerprint(),
+                    "case {case} stepped by {budget}: fingerprint diverged (model {model:?})"
+                ),
                 (Err(se), Err(pe)) => assert_eq!(
                     se.to_string(),
                     pe.to_string(),
-                    "case {case} at {threads} threads: errors diverged"
+                    "case {case} stepped by {budget}: errors diverged"
                 ),
-                _ => panic!("case {case} at {threads} threads: outcomes diverged"),
+                _ => panic!("case {case} stepped by {budget}: outcomes diverged"),
             }
         }
     }
@@ -279,7 +268,7 @@ fn random_dags_preserve_fifo_conservation_and_engine_equivalence() {
 
 /// Dwell statistics fold back into a calibrated model: for any traced run
 /// with delayed traffic, `CommModel::from_profile` yields a base latency
-/// no larger than any observed dwell (conservative as lookahead) and the
+/// no larger than any observed dwell (never faster than measured) and the
 /// profile's mean lies between its min and the max dwell.
 #[test]
 fn profiled_model_is_conservative_for_random_dags() {

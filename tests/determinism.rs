@@ -10,7 +10,7 @@
 use bp_apps::{apps, App, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
 use bp_core::{Dim2, Item, MachineSpec};
-use bp_sim::{FunctionalExecutor, ParallelTimedSimulator, SimConfig, TimedSimulator};
+use bp_sim::{FunctionalExecutor, SimConfig, TimedSimulator};
 
 const FRAMES: u32 = 2;
 
@@ -146,14 +146,12 @@ fn build_example(name: &str) -> App {
     }
 }
 
-/// The sharded parallel timed simulator must be *bitwise* identical to the
-/// sequential one — every report field (times, rates, latencies, firing
-/// counts, queue depths) and every sink item — for every example app, at
-/// every worker count, on more than one machine spec. Connected apps
-/// degrade to one shard (exercising the fallback); `camera_bank` actually
-/// fans out across workers.
+/// A second instantiation of the same compiled app reproduces the first
+/// timed run bit for bit — every report field (times, rates, latencies,
+/// firing counts, queue depths) and every sink item — for every example
+/// app, on more than one machine spec.
 #[test]
-fn parallel_timed_is_bitwise_identical_to_sequential() {
+fn timed_runs_reproduce_bitwise_on_every_app() {
     let machines = [
         ("default_eval", MachineSpec::default_eval()),
         ("tight_memory", MachineSpec::tight_memory()),
@@ -165,48 +163,25 @@ fn parallel_timed_is_bitwise_identical_to_sequential() {
                 ..Default::default()
             };
             let config = SimConfig::new(FRAMES).with_machine(machine);
-            let app = build_example(name);
-            let compiled = compile(&app.graph, &opts).expect("compile");
-            let seq = TimedSimulator::new(&compiled.graph, &compiled.mapping, config.clone())
-                .expect("instantiate")
-                .run();
-            let seq_items: Vec<Vec<Item>> = app.sinks.iter().map(|(_, h)| h.items()).collect();
-            for threads in [1usize, 2, 4, 8] {
-                let app2 = build_example(name);
-                let compiled2 = compile(&app2.graph, &opts).expect("compile");
-                let par = ParallelTimedSimulator::new(
-                    &compiled2.graph,
-                    &compiled2.mapping,
-                    config.clone(),
-                    threads,
-                )
-                .expect("instantiate")
-                .run();
-                match (&seq, &par) {
-                    (Ok(s), Ok(p)) => assert_eq!(
-                        s.fingerprint(),
-                        p.fingerprint(),
-                        "{name} on {mname} with {threads} threads: SimReport diverged"
-                    ),
-                    // No example deadlocks at default capacities any more
-                    // (feedback-aware derivation), but if one ever does,
-                    // both engines must diagnose it identically.
-                    (Err(se), Err(pe)) => assert_eq!(
-                        se.to_string(),
-                        pe.to_string(),
-                        "{name} on {mname} with {threads} threads: error diverged"
-                    ),
-                    _ => panic!(
-                        "{name} on {mname} with {threads} threads: outcomes diverged: \
-                         seq={seq:?} par={par:?}"
-                    ),
-                }
-                let par_items: Vec<Vec<Item>> = app2.sinks.iter().map(|(_, h)| h.items()).collect();
-                assert_eq!(
-                    seq_items, par_items,
-                    "{name} on {mname} with {threads} threads: sink items diverged"
-                );
-            }
+            let run = || {
+                let app = build_example(name);
+                let compiled = compile(&app.graph, &opts).expect("compile");
+                let report =
+                    TimedSimulator::new(&compiled.graph, &compiled.mapping, config.clone())
+                        .expect("instantiate")
+                        .run()
+                        .expect("run");
+                let items: Vec<Vec<Item>> = app.sinks.iter().map(|(_, h)| h.items()).collect();
+                (report, items)
+            };
+            let (a, a_items) = run();
+            let (b, b_items) = run();
+            assert_eq!(
+                a.fingerprint(),
+                b.fingerprint(),
+                "{name} on {mname}: SimReport diverged"
+            );
+            assert_eq!(a_items, b_items, "{name} on {mname}: sink items diverged");
         }
     }
 }

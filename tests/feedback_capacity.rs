@@ -4,14 +4,11 @@
 //!
 //! 1. **The temporal_iir deadlock is fixed**: under the derived capacity
 //!    plan (no explicit capacity configuration at all), `temporal_iir`
-//!    completes at every preset point, on both engines, at 1/2/4/8
-//!    threads, under all three comm-model shapes — with bitwise-identical
-//!    `SimReport` fingerprints.
+//!    completes at every preset point under all three comm-model shapes.
 //! 2. **The old deadlock is still reproducible, and structured**: pinning
 //!    a uniform 64-item capacity (which disables the derivation)
 //!    reproduces the classic wait-for cycle, now surfaced as a
-//!    [`DeadlockReport`] naming the loop channels — identical (by
-//!    `PartialEq` *and* by fingerprint) across engines.
+//!    `DeadlockReport` naming the loop channels.
 //! 3. **Acyclic apps are untouched**: the derived plan for every acyclic
 //!    example application has zero overrides and the historical
 //!    widest-row default, so the golden digests in `tests/determinism.rs`
@@ -20,7 +17,7 @@
 use bp_apps::{apps, App, BIG, FAST, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
 use bp_core::{CommModel, Dim2};
-use bp_sim::{DeadlockReport, ParallelTimedSimulator, SimConfig, SimOutcome, TimedSimulator};
+use bp_sim::{SimConfig, SimOutcome, TimedSimulator};
 
 const FRAMES: u32 = 2;
 
@@ -32,23 +29,17 @@ fn models() -> Vec<(&'static str, CommModel)> {
     ]
 }
 
-fn run_iir(dim: Dim2, rate: f64, comm: &CommModel, threads: Option<usize>) -> SimOutcome {
+fn run_iir(dim: Dim2, rate: f64, comm: &CommModel) -> SimOutcome {
     let app = apps::temporal_iir(dim, rate);
     let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
     let config = SimConfig::new(FRAMES).with_comm(comm.clone());
-    match threads {
-        None => TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
-            .expect("instantiate")
-            .run_outcome(),
-        Some(t) => ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, t)
-            .expect("instantiate")
-            .run_outcome(),
-    }
+    TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
+        .expect("instantiate")
+        .run_outcome()
 }
 
 /// Guarantee 1: the derived plan keeps `temporal_iir` live everywhere the
-/// paper's preset grid samples it, and the parallel engine reproduces the
-/// sequential fingerprint bit for bit.
+/// paper's preset grid samples it.
 #[test]
 fn temporal_iir_completes_at_every_preset_point() {
     // BIG/FAST is excluded: at that load the parallelizer wants to split
@@ -57,66 +48,33 @@ fn temporal_iir_completes_at_every_preset_point() {
     // capacity question.
     for (dim, rate) in [(SMALL, SLOW), (SMALL, FAST), (BIG, SLOW)] {
         for (mname, comm) in models() {
-            let seq = match run_iir(dim, rate, &comm, None) {
-                SimOutcome::Completed(report) => report,
-                SimOutcome::Deadlocked(d) => panic!(
+            if let SimOutcome::Deadlocked(d) = run_iir(dim, rate, &comm) {
+                panic!(
                     "temporal_iir {}x{} @ {rate} Hz under {mname} deadlocked \
                      despite derived capacities:\n{}",
                     dim.w,
                     dim.h,
                     d.render()
-                ),
-            };
-            for threads in [1usize, 2, 4, 8] {
-                match run_iir(dim, rate, &comm, Some(threads)) {
-                    SimOutcome::Completed(par) => assert_eq!(
-                        seq.fingerprint(),
-                        par.fingerprint(),
-                        "temporal_iir {}x{} @ {rate} Hz under {mname} at {threads} \
-                         threads: SimReport diverged",
-                        dim.w,
-                        dim.h
-                    ),
-                    SimOutcome::Deadlocked(d) => panic!(
-                        "parallel engine deadlocked where sequential completed \
-                         ({mname}, {threads} threads):\n{}",
-                        d.render()
-                    ),
-                }
+                );
             }
         }
     }
 }
 
-fn deadlocked(outcome: SimOutcome, who: &str) -> DeadlockReport {
-    match outcome {
-        SimOutcome::Deadlocked(d) => d,
-        SimOutcome::Completed(_) => {
-            panic!("{who}: expected a capacity deadlock under the 64-item pin")
-        }
-    }
-}
-
 /// Guarantee 2: the historical deadlock still exists behind the explicit
-/// uniform pin, and both engines produce the *same structured report* —
-/// wait-for cycle naming all three loop channels, full occupancies, and
-/// the minimal capacity bump.
+/// uniform pin, as a structured report — wait-for cycle naming all three
+/// loop channels, full occupancies, and the minimal capacity bump.
 #[test]
 fn pinned_capacity_reproduces_the_classic_deadlock_identically() {
-    let run = |threads: Option<usize>| -> SimOutcome {
-        let app = apps::temporal_iir(SMALL, SLOW);
-        let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
-        let config = SimConfig::new(FRAMES).with_channel_capacity(64);
-        match threads {
-            None => TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
-                .expect("instantiate")
-                .run_outcome(),
-            Some(t) => ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, t)
-                .expect("instantiate")
-                .run_outcome(),
-        }
+    let app = apps::temporal_iir(SMALL, SLOW);
+    let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
+    let config = SimConfig::new(FRAMES).with_channel_capacity(64);
+    let outcome = TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
+        .expect("instantiate")
+        .run_outcome();
+    let SimOutcome::Deadlocked(seq) = outcome else {
+        panic!("expected a capacity deadlock under the 64-item pin");
     };
-    let seq = deadlocked(run(None), "sequential");
     assert!(
         seq.blocked_cycle,
         "the 64-item pin must produce a wait-for cycle, got: {}",
@@ -147,18 +105,6 @@ fn pinned_capacity_reproduces_the_classic_deadlock_identically() {
         .as_ref()
         .expect("a full cycle admits a minimal capacity bump");
     assert!(bump.required > bump.current, "nonsensical bump: {bump:?}");
-    for threads in [2usize, 4, 8] {
-        let par = deadlocked(run(Some(threads)), "parallel");
-        assert_eq!(
-            seq, par,
-            "structured deadlock reports diverged at {threads} threads"
-        );
-        assert_eq!(
-            seq.fingerprint(),
-            par.fingerprint(),
-            "deadlock fingerprints diverged at {threads} threads"
-        );
-    }
 }
 
 /// Guarantee 3: the derivation is invisible to acyclic graphs. Every

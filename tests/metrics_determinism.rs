@@ -2,9 +2,8 @@
 //!
 //! The metrics tape is a first-class deterministic artifact: for a given
 //! app and communication model, its digest must be identical across the
-//! interpreted and compiled backends and across every
-//! worker count — the per-shard recorders merge into exactly the recorder
-//! a sequential run produces. And collection must be *inert*: a
+//! interpreted and compiled backends and from run to run. And collection
+//! must be *inert*: a
 //! metrics-on run's [`bp_sim::SimReport`] fingerprint equals the
 //! metrics-off run's, so the golden digests pinned by `determinism.rs`
 //! keep holding with the observer attached.
@@ -12,7 +11,7 @@
 use bp_apps::{apps, App, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
 use bp_core::{CommModel, Dim2, MachineSpec, MetricsPolicy};
-use bp_sim::{Backend, ParallelTimedSimulator, SimConfig, TimedSimulator};
+use bp_sim::{Backend, SimConfig, TimedSimulator};
 
 const FRAMES: u32 = 2;
 
@@ -60,7 +59,7 @@ fn comm_models(machine: &MachineSpec) -> Vec<(&'static str, CommModel)> {
 }
 
 /// One metrics-on run; returns the tape digest and its JSONL rendering.
-fn run_tape(name: &str, comm: &CommModel, backend: Backend, threads: usize) -> (u64, String) {
+fn run_tape(name: &str, comm: &CommModel, backend: Backend) -> (u64, String) {
     let machine = MachineSpec::default_eval();
     let opts = CompileOptions {
         machine,
@@ -73,39 +72,36 @@ fn run_tape(name: &str, comm: &CommModel, backend: Backend, threads: usize) -> (
         .with_comm(comm.clone())
         .with_backend(backend)
         .with_metrics(MetricsPolicy::new());
-    let (_, tape) =
-        ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, threads)
-            .expect("instantiate")
-            .run_with_metrics()
-            .expect("run");
+    let (_, tape) = TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
+        .expect("instantiate")
+        .run_with_metrics()
+        .expect("run");
     let tape = tape.expect("metrics policy set but no tape");
     (tape.digest(), tape.to_jsonl())
 }
 
 /// Tape digests — and the rendered JSONL tapes themselves — are bitwise
-/// identical across {interpreted, compiled} × {1, 2, 4, 8} worker threads
-/// for every example app under all three communication models.
+/// identical across a second interpreted run and a compiled run, for every
+/// example app under all three communication models.
 #[test]
-fn tape_is_identical_across_backends_and_threads() {
+fn tape_is_identical_across_backends() {
     let machine = MachineSpec::default_eval();
     for &name in EXAMPLE_APPS {
         for (cname, comm) in comm_models(&machine) {
-            let (want_digest, want_jsonl) = run_tape(name, &comm, Backend::Interpreted, 1);
+            let (want_digest, want_jsonl) = run_tape(name, &comm, Backend::Interpreted);
             for (bname, backend) in [
                 ("interpreted", Backend::Interpreted),
                 ("compiled", Backend::Compiled),
             ] {
-                for threads in [1usize, 2, 4, 8] {
-                    let (digest, jsonl) = run_tape(name, &comm, backend, threads);
-                    assert_eq!(
-                        digest, want_digest,
-                        "{name} under {cname}: tape digest diverged on {bname} x{threads}"
-                    );
-                    assert_eq!(
-                        jsonl, want_jsonl,
-                        "{name} under {cname}: tape JSONL diverged on {bname} x{threads}"
-                    );
-                }
+                let (digest, jsonl) = run_tape(name, &comm, backend);
+                assert_eq!(
+                    digest, want_digest,
+                    "{name} under {cname}: tape digest diverged on {bname}"
+                );
+                assert_eq!(
+                    jsonl, want_jsonl,
+                    "{name} under {cname}: tape JSONL diverged on {bname}"
+                );
             }
         }
     }

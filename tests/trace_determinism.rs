@@ -5,18 +5,17 @@
 //! 1. **Tracing is inert**: enabling it changes nothing about the
 //!    simulation — the `SimReport` fingerprint with tracing on equals the
 //!    fingerprint with tracing off (and a deadlocking app produces the
-//!    identical error either way).
-//! 2. **The trace is engine-independent**: the parallel engine's merged
-//!    trace is *bitwise identical* to the sequential engine's at 1, 2, 4,
-//!    and 8 threads (journal-replay interleaving, DESIGN.md §10), with no
-//!    ring drops at the default capacity.
+//!    identical error either way), with no ring drops at the default
+//!    capacity.
+//! 2. **The trace is pinned**: the Chrome export of every app's trace
+//!    reproduces recorded byte digests under two comm models.
 
 use bp_apps::{apps, App, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
 use bp_core::{CommModel, ControlToken, Dim2};
 use bp_sim::{
-    chrome_trace_json, validate_json, ParallelTimedSimulator, SimConfig, SimReport, StallCause,
-    TimedSimulator, Trace, TraceChannel, TraceEvent, TraceMeta, TraceOptions,
+    chrome_trace_json, validate_json, SimConfig, SimReport, StallCause, TimedSimulator, Trace,
+    TraceChannel, TraceEvent, TraceMeta, TraceOptions,
 };
 
 const FRAMES: u32 = 2;
@@ -70,15 +69,6 @@ fn run_sequential(name: &str, trace: bool) -> bp_core::Result<(SimReport, Option
     run_config(name, config)
 }
 
-fn run_parallel(name: &str, threads: usize) -> bp_core::Result<(SimReport, Option<Trace>)> {
-    let app = build_example(name);
-    let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
-    let config = SimConfig::new(FRAMES).with_trace(TraceOptions::default());
-    ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, threads)
-        .expect("instantiate")
-        .run_with_trace()
-}
-
 /// Tracing must not perturb the simulation: for every app, the report
 /// fingerprint with tracing enabled equals the report fingerprint with
 /// tracing disabled (and errors, if any, are identical).
@@ -109,63 +99,18 @@ fn tracing_is_inert_on_every_app() {
     }
 }
 
-/// The parallel engine's merged trace is bitwise identical to the
-/// sequential engine's, at every thread count. (Apps that deadlock return
-/// an error from both engines; error equality is pinned in
-/// `tests/determinism.rs`.)
-#[test]
-fn parallel_trace_is_bitwise_identical_to_sequential() {
-    for &name in EXAMPLE_APPS {
-        let Ok((seq_report, seq_trace)) = run_sequential(name, true) else {
-            continue;
-        };
-        let seq_trace = seq_trace.expect("tracing enabled");
-        assert_eq!(seq_trace.dropped, 0, "{name}: sequential ring wrapped");
-        for threads in [1usize, 2, 4, 8] {
-            let (par_report, par_trace) =
-                run_parallel(name, threads).expect("parallel run should match sequential");
-            let par_trace = par_trace.expect("tracing enabled");
-            assert_eq!(
-                seq_report.fingerprint(),
-                par_report.fingerprint(),
-                "{name} at {threads} threads: SimReport diverged"
-            );
-            assert_eq!(par_trace.dropped, 0, "{name}: parallel ring wrapped");
-            assert_eq!(
-                seq_trace.events, par_trace.events,
-                "{name} at {threads} threads: merged trace is not bitwise \
-                 identical to the sequential trace"
-            );
-            assert_eq!(
-                seq_trace.digest(),
-                par_trace.digest(),
-                "{name} at {threads} threads: trace digests diverged"
-            );
-        }
-    }
-}
-
 /// The upgraded capacity-deadlock diagnostic names the feedback channel
-/// cycle that filled, identically on both engines. The deadlock is now
-/// only reachable by pinning every channel to the historical uniform 64
-/// (the default feedback-aware derivation sizes the back edge so the
-/// loop drains).
+/// cycle that filled. The deadlock is now only reachable by pinning every
+/// channel to the historical uniform 64 (the default feedback-aware
+/// derivation sizes the back edge so the loop drains).
 #[test]
 fn deadlock_error_names_the_feedback_cycle() {
-    let run = |threads: Option<usize>| -> bp_core::Result<SimReport> {
-        let app = build_example("temporal_iir");
-        let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
-        let config = SimConfig::new(FRAMES).with_channel_capacity(64);
-        match threads {
-            None => TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
-                .expect("instantiate")
-                .run(),
-            Some(t) => ParallelTimedSimulator::new(&compiled.graph, &compiled.mapping, config, t)
-                .expect("instantiate")
-                .run(),
-        }
-    };
-    let seq_err = run(None)
+    let app = build_example("temporal_iir");
+    let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
+    let config = SimConfig::new(FRAMES).with_channel_capacity(64);
+    let seq_err = TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
+        .expect("instantiate")
+        .run()
         .expect_err("temporal_iir capacity-deadlocks at SMALL/SLOW when pinned to 64")
         .to_string();
     assert!(
@@ -181,12 +126,6 @@ fn deadlock_error_names_the_feedback_cycle() {
             seq_err.contains(channel),
             "cycle diagnostic missing channel '{channel}': {seq_err}"
         );
-    }
-    for threads in [2usize, 8] {
-        let par_err = run(Some(threads))
-            .expect_err("parallel engine must also deadlock")
-            .to_string();
-        assert_eq!(seq_err, par_err, "engines' deadlock diagnostics diverged");
     }
 }
 

@@ -1363,23 +1363,37 @@ impl Engine {
         self.dispatch_pe(x, sh, self.shared.pe_of_node[src]);
     }
 
+    /// `node`'s next action as the run's backend plans it.
+    #[inline]
+    fn plan<X: Exec>(&self, x: X, node: usize) -> Option<Action> {
+        #[cfg(debug_assertions)]
+        if X::HEAD_MASKS {
+            debug_assert_eq!(
+                bp_codegen::head_masks(&self.nodes[node].queues),
+                (self.head_data[node], self.head_ctrl[node]),
+                "stale head masks for node {node}"
+            );
+        }
+        let (data, ctrl) = (self.head_data[node], self.head_ctrl[node]);
+        x.plan(node, &self.nodes[node], data, ctrl)
+    }
+
     /// Attribute why `pe` failed to start a firing just now, from pure
-    /// reads of its residents' state. Any resident with a fireable plan
-    /// must have been blocked by `space_ok` (that is the only way
-    /// `try_start` declines a plan), so back-pressure wins the attribution;
-    /// otherwise queued-but-untriggerable inputs mean the PE is starved,
-    /// and an empty PE is idle.
-    fn stall_cause(&self, pe: usize) -> StallCause {
+    /// reads of its residents' state, planned by the run's backend. Any
+    /// resident with a fireable plan must have been blocked by `space_ok`
+    /// (that is the only way `try_start` declines a plan), so back-pressure
+    /// wins the attribution; otherwise queued-but-untriggerable inputs mean
+    /// the PE is starved, and an empty PE is idle.
+    fn stall_cause<X: Exec>(&self, x: X, pe: usize) -> StallCause {
         let mut has_items = false;
         for &node in &self.shared.residents[pe] {
             if self.shared.node_roles[node] == NodeRole::Source {
                 continue;
             }
-            let n = &self.nodes[node];
-            if n.plan().is_some() {
+            if self.plan(x, node).is_some() {
                 return StallCause::OutputBlocked;
             }
-            has_items = has_items || n.queued_items() > 0;
+            has_items = has_items || self.nodes[node].queued_items() > 0;
         }
         if has_items {
             StallCause::InputStarved
@@ -1390,8 +1404,8 @@ impl Engine {
 
     /// Record a stall transition for `pe` if its attributed cause changed
     /// since the last record. Only called when tracing is enabled.
-    fn record_stall(&mut self, pe: usize) {
-        let cause = self.stall_cause(pe);
+    fn record_stall<X: Exec>(&mut self, x: X, pe: usize) {
+        let cause = self.stall_cause(x, pe);
         if self.pe_stall[pe] != Some(cause) {
             self.pe_stall[pe] = Some(cause);
             let t = self.now;
@@ -1555,7 +1569,7 @@ impl Engine {
                     }
                 }
             } else if JRN && self.trace.is_some() {
-                self.record_stall(pe);
+                self.record_stall(x, pe);
             }
         }
     }
@@ -1633,22 +1647,7 @@ impl Engine {
             if !self.dirty[node] {
                 continue;
             }
-            #[cfg(debug_assertions)]
-            if X::HEAD_MASKS {
-                let n = &self.nodes[node];
-                debug_assert_eq!(
-                    bp_codegen::head_masks(&n.queues),
-                    (self.head_data[node], self.head_ctrl[node]),
-                    "stale head masks for node {node}"
-                );
-            }
-            let action = x.plan(
-                node,
-                &self.nodes[node],
-                self.head_data[node],
-                self.head_ctrl[node],
-            );
-            let Some(action) = action else {
+            let Some(action) = self.plan(x, node) else {
                 self.clear_dirty(node);
                 continue;
             };
@@ -1739,34 +1738,24 @@ impl Engine {
             self.space_waiting[node] = false;
             if JRN {
                 self.pe_stall[pe] = None;
-                if self.trace.is_some() {
+                if let Some(trace) = self.trace.as_mut() {
                     let t = self.now;
-                    // The firing consumed one item from each trigger port;
-                    // capture the new depths of those channels before
-                    // taking the recorder borrow.
-                    let depths: Vec<(u32, u32)> = {
-                        let n = &self.nodes[node];
-                        trigger_ports
-                            .iter()
-                            .map(|&port| (port as u32, n.queues[port].len() as u32))
-                            .collect()
-                    };
-                    if let Some(trace) = self.trace.as_mut() {
-                        trace.record(TraceEvent::FiringBegin {
+                    trace.record(TraceEvent::FiringBegin {
+                        t,
+                        node: node as u32,
+                        method: mi as u32,
+                        pe: pe as u32,
+                        cycles,
+                    });
+                    // The firing consumed one item from each trigger port.
+                    let queues = &self.nodes[node].queues;
+                    for &port in trigger_ports {
+                        trace.record(TraceEvent::QueueDepth {
                             t,
                             node: node as u32,
-                            method: mi as u32,
-                            pe: pe as u32,
-                            cycles,
+                            port: port as u32,
+                            depth: queues[port].len() as u32,
                         });
-                        for (port, depth) in depths {
-                            trace.record(TraceEvent::QueueDepth {
-                                t,
-                                node: node as u32,
-                                port,
-                                depth,
-                            });
-                        }
                     }
                 }
             }

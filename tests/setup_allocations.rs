@@ -22,11 +22,19 @@
 //! (the same in debug and release builds). The path must stay at or below
 //! half of each and at or below 70 per output node, and the count must
 //! repeat exactly.
+//!
+//! A second gate holds the traced event loop to a fixed number of extra
+//! allocations, whatever the run length: `fig1b` 40×24 at 200 Hz, run for
+//! 2 and for 4 frames, plain and traced. When the traced loop collected
+//! each firing's queue depths into a `Vec`, tracing cost 28 590 extra
+//! allocations at 2 frames and 56 794 at 4 — one per firing; with the
+//! depths written straight into the ring it is the recorder's fixed set-up
+//! (366) at both.
 
 use bp_apps::apps;
-use bp_compiler::{check_compiled, compile, CompileOptions, MappingKind};
+use bp_compiler::{check_compiled, compile, CompileOptions, Compiled, MappingKind};
 use bp_core::{AppGraph, Dim2, GraphBuilder};
-use bp_sim::{SimConfig, TimedSimulator};
+use bp_sim::{SimConfig, TimedSimulator, TraceOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -141,4 +149,31 @@ fn the_set_up_path_allocates_at_most_half_of_what_it_did() {
             "{name}: {allocations} allocations for {nodes} output nodes (more than 70 each)"
         );
     }
+}
+
+/// Allocations made by instantiating `compiled` and running it for
+/// `frames` frames, traced or not.
+fn run_allocations(compiled: &Compiled, frames: u32, traced: bool) -> u64 {
+    let mut config = SimConfig::new(frames);
+    if traced {
+        config = config.with_trace(TraceOptions::default());
+    }
+    let before = ALLOCATIONS.with(Cell::get);
+    let sim = TimedSimulator::new(&compiled.graph, &compiled.mapping, config).expect("instantiate");
+    let outcome = sim.run_with_trace().expect("run");
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    drop(outcome);
+    allocations
+}
+
+#[test]
+fn tracing_allocates_nothing_per_firing() {
+    let app = apps::fig1b(Dim2::new(40, 24), 200.0);
+    let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
+    let extra = |frames| {
+        run_allocations(&compiled, frames, true) - run_allocations(&compiled, frames, false)
+    };
+    let (two, four) = (extra(2), extra(4));
+    println!("tracing's extra allocations: {two} at 2 frames, {four} at 4");
+    assert_eq!(two, four, "tracing allocates per firing or per event");
 }

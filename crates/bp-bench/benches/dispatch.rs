@@ -1,24 +1,28 @@
-//! Dispatch-overhead microbenchmark: the per-firing `plan()` +
-//! `execute_with_cost()` cost of the interpreted runtime against the
-//! direct-threaded path (mask-test plan + specialized `FireFn`), isolated
-//! from the event queue, routing, and time accounting (DESIGN.md §13).
+//! Dispatch-overhead microbenchmark: the per-firing cost of planning and
+//! firing a kernel, isolated from the event queue, routing, and time
+//! accounting (DESIGN.md §13).
 //!
-//! Three shapes per backend:
-//! - `fire-1`: a unary scalar kernel firing once per iteration (arity-1
-//!   pop loop, behavior call, one emission);
-//! - `fire-2`: a binary scalar kernel (arity-2, the join shape);
-//! - `miss`: a planning *failure* on a half-filled binary kernel — the
-//!   engine's most frequent planning outcome, where the compiled backend's
-//!   readiness mask test replaces the interpreter's trigger scan.
+//! Planning is what the two backends differ in, so it is timed per
+//! backend — the interpreter's trigger scan (`RtNode::plan`) against the
+//! compiled readiness mask test (`ThreadedNode::plan`):
+//! - `plan-hit-1` / `plan-hit-2`: a unary scalar kernel and a binary one
+//!   (the join shape) whose trigger queues hold a window, so the plan
+//!   succeeds;
+//! - `plan-miss`: a half-filled binary kernel, so the plan fails — the
+//!   engine's most frequent planning outcome.
+//!
+//! Firing is one routine for both (`RtNode::fire`), timed once per arity:
+//! `fire-1` / `fire-2` pop the trigger inputs, call the behavior and
+//! recycle the emit buffer exactly as the timed engine does.
 
 use bp_bench::criterion_group;
 use bp_bench::microbench::{black_box, Criterion, Throughput};
-use bp_codegen::{lower_graph, FireArgs, PlannedAction, ThreadedProgram};
+use bp_codegen::{lower_graph, ThreadedProgram};
 use bp_core::{Dim2, GraphBuilder, Item, Window};
 use bp_kernels as k;
 use bp_sim::{Action, Program};
 
-/// Firings (or plan misses) timed per sample.
+/// Firings (or plans) timed per sample.
 const FIRINGS: u64 = 50_000;
 
 /// A minimal graph holding the benchmarked kernels: a unary `scale` and a
@@ -39,16 +43,11 @@ fn build() -> (Program, ThreadedProgram, usize, usize) {
     let graph = b.build().expect("dispatch bench graph is well-formed");
     let program = Program::instantiate(&graph).expect("instantiate");
     let threaded = lower_graph(&graph).expect("lower");
-    let scale_idx = program
-        .nodes
-        .iter()
-        .position(|n| &*n.name == "Scale")
-        .expect("scale node");
-    let add_idx = program
-        .nodes
-        .iter()
-        .position(|n| &*n.name == "Add")
-        .expect("add node");
+    let node = |name: &str| {
+        let found = program.nodes.iter().position(|n| &*n.name == name);
+        found.expect("benchmarked node")
+    };
+    let (scale_idx, add_idx) = (node("Scale"), node("Add"));
     (program, threaded, scale_idx, add_idx)
 }
 
@@ -56,53 +55,17 @@ fn scalar_item() -> Item {
     Item::Window(Window::scalar(4.0))
 }
 
-/// One interpreted firing: fill the trigger queues, `plan()`, execute, and
+/// One firing: fill the trigger queues, fire the planned method, and
 /// recycle the emit buffer exactly as the timed engine does.
-fn interpreted_fire(program: &mut Program, node: usize, item: &Item, arity: usize) {
+fn fire(program: &mut Program, node: usize, item: &Item, arity: usize) {
     let n = &mut program.nodes[node];
     for p in 0..arity {
         n.queues[p].push_back(item.clone());
     }
-    let action = n.plan().expect("fireable");
-    let (mut emitted, actual) = n.execute_with_cost(action);
-    black_box(actual);
+    let (mut emitted, read_words, actual) = n.fire(Action::Fire { method: 0 });
+    black_box((read_words, actual));
     emitted.clear();
     n.recycle_out_buf(emitted);
-}
-
-/// One compiled firing: mask-test plan plus the specialized routine,
-/// driven with the engine's incrementally known head state (every queue
-/// just became nonempty with a window, so `head_data` is the arity mask).
-fn compiled_fire(
-    program: &mut Program,
-    threaded: &ThreadedProgram,
-    node: usize,
-    item: &Item,
-    arity: usize,
-    consumed: &mut Vec<(usize, Item)>,
-    emitted: &mut Vec<(usize, Item)>,
-) {
-    let n = &mut program.nodes[node];
-    for p in 0..arity {
-        n.queues[p].push_back(item.clone());
-    }
-    let tn = &threaded.nodes[node];
-    let head_data = (1u64 << arity) - 1;
-    let action = tn
-        .plan(head_data, 0, &n.queues, n.behavior.as_ref())
-        .expect("fireable");
-    let PlannedAction::Fire { method } = action else {
-        panic!("expected fire");
-    };
-    let res = (tn.methods[method].fire)(&mut FireArgs {
-        spec: &n.spec,
-        queues: &mut n.queues,
-        behavior: n.behavior.as_mut(),
-        consumed,
-        emitted,
-    });
-    black_box(res.actual_cycles);
-    emitted.clear();
 }
 
 fn bench_dispatch(c: &mut Criterion) {
@@ -112,31 +75,36 @@ fn bench_dispatch(c: &mut Criterion) {
         .throughput(Throughput::Elements(FIRINGS));
 
     let item = scalar_item();
-    for (label, arity) in [("fire-1", 1usize), ("fire-2", 2usize)] {
-        let (mut program, _, scale_idx, add_idx) = build();
+    for arity in [1usize, 2] {
+        let (mut program, threaded, scale_idx, add_idx) = build();
         let node = if arity == 1 { scale_idx } else { add_idx };
-        group.bench_function(format!("interpreted-{label}"), |b| {
+        for p in 0..arity {
+            program.nodes[node].queues[p].push_back(item.clone());
+        }
+        let n = &program.nodes[node];
+        group.bench_function(format!("interpreted-plan-hit-{arity}"), |b| {
             b.iter(|| {
                 for _ in 0..FIRINGS {
-                    interpreted_fire(&mut program, node, &item, arity);
+                    black_box(n.plan().is_some());
                 }
             });
         });
-        let (mut program, threaded, scale_idx, add_idx) = build();
-        let node = if arity == 1 { scale_idx } else { add_idx };
-        let (mut consumed, mut emitted) = (Vec::new(), Vec::new());
-        group.bench_function(format!("compiled-{label}"), |b| {
+        // Every trigger queue just became nonempty with a window, so the
+        // engine's incrementally known `head_data` is the arity mask.
+        let (tn, head_data) = (&threaded.nodes[node], (1u64 << arity) - 1);
+        group.bench_function(format!("compiled-plan-hit-{arity}"), |b| {
             b.iter(|| {
                 for _ in 0..FIRINGS {
-                    compiled_fire(
-                        &mut program,
-                        &threaded,
-                        node,
-                        &item,
-                        arity,
-                        &mut consumed,
-                        &mut emitted,
-                    );
+                    let plan = tn.plan(head_data, 0, &n.queues, n.behavior.as_ref());
+                    black_box(plan.is_some());
+                }
+            });
+        });
+        let (mut program, _, _, _) = build();
+        group.bench_function(format!("fire-{arity}"), |b| {
+            b.iter(|| {
+                for _ in 0..FIRINGS {
+                    fire(&mut program, node, &item, arity);
                 }
             });
         });
@@ -147,17 +115,16 @@ fn bench_dispatch(c: &mut Criterion) {
     // `None` every time.
     let (mut program, threaded, _, add_idx) = build();
     program.nodes[add_idx].queues[0].push_back(item.clone());
-    group.bench_function("interpreted-miss", |b| {
+    let (n, tn) = (&program.nodes[add_idx], &threaded.nodes[add_idx]);
+    group.bench_function("interpreted-plan-miss", |b| {
         b.iter(|| {
             for _ in 0..FIRINGS {
-                black_box(program.nodes[add_idx].plan().is_none());
+                black_box(n.plan().is_none());
             }
         });
     });
-    group.bench_function("compiled-miss", |b| {
+    group.bench_function("compiled-plan-miss", |b| {
         b.iter(|| {
-            let n = &program.nodes[add_idx];
-            let tn = &threaded.nodes[add_idx];
             for _ in 0..FIRINGS {
                 black_box(tn.plan(0b01, 0, &n.queues, n.behavior.as_ref()).is_none());
             }
@@ -166,25 +133,27 @@ fn bench_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-fn assert_backends_agree() {
-    let (mut program, threaded, scale_idx, _) = build();
+/// The two planners must agree on every shape timed above before either
+/// is timed.
+fn assert_planners_agree() {
+    let (mut program, threaded, scale_idx, add_idx) = build();
     let item = scalar_item();
-    let n = &mut program.nodes[scale_idx];
-    n.queues[0].push_back(item.clone());
-    let interp = n.plan();
-    let masked = threaded.nodes[scale_idx].plan(0b1, 0, &n.queues, n.behavior.as_ref());
-    match (interp, masked) {
-        (Some(Action::Fire { method: a }), Some(PlannedAction::Fire { method: b })) => {
-            assert_eq!(a, b, "planners disagree on the fired method");
+    for (node, queued) in [(scale_idx, 1usize), (add_idx, 2), (add_idx, 1)] {
+        let n = &mut program.nodes[node];
+        n.queues.iter_mut().for_each(|q| q.clear());
+        for p in 0..queued {
+            n.queues[p].push_back(item.clone());
         }
-        other => panic!("planners disagree: {other:?}"),
+        let (data, ctrl) = bp_codegen::head_masks(&n.queues);
+        let masked = threaded.nodes[node].plan(data, ctrl, &n.queues, n.behavior.as_ref());
+        assert_eq!(n.plan(), masked, "planners disagree on node {node}");
     }
 }
 
 criterion_group!(benches, bench_dispatch);
 
 fn main() {
-    assert_backends_agree();
+    assert_planners_agree();
     let mut c = Criterion::default();
     benches(&mut c);
 }

@@ -1,37 +1,29 @@
-//! # bp-codegen — direct-threaded lowering of block-parallel graphs
+//! # bp-codegen — mask-planned lowering of block-parallel graphs
 //!
 //! Lowers an application graph into a [`ThreadedProgram`]: one
-//! [`ThreadedNode`] per graph node holding per-method *specialized firing
-//! routines* generated at app-compile time plus the precomputed bitmasks
-//! that turn the interpreter's linear trigger scan into a readiness mask
-//! test.
+//! [`ThreadedNode`] per graph node holding the precomputed bitmasks that
+//! turn the interpreter's linear trigger scan into a readiness mask test.
 //!
-//! The lowering is the AOT analogue of `bp-sim`'s interpreted
-//! `RtNode::plan`/`execute_with_cost` and must stay behaviourally identical
-//! to them — planning and firing are the two things the timed engine's
-//! backends differ in, and the interpreter is the differential oracle for
-//! both (DESIGN.md §13). Both read the same index-resolved
-//! [`MethodTable`], which the kernel spec owns
-//! ([`KernelSpec::method_table`]); the lowering adds only what the table
-//! does not hold — bitmasks and fire routines — and does so once per
-//! distinct spec, however many nodes share it. Concretely:
+//! Planning is the one thing the timed engine's two backends differ in:
+//! both fire a planned action through the same `bp-sim` routine
+//! (`RtNode::fire`), into the same index-dispatched
+//! [`KernelBehavior::fire`], so the interpreter's `RtNode::plan` is the
+//! differential oracle for exactly what this crate lowers (DESIGN.md §13).
+//! Both planners read the same index-resolved [`MethodTable`], which the
+//! kernel spec owns ([`KernelSpec::method_table`]); the lowering adds only
+//! what the table does not hold — bitmasks — and does so once per distinct
+//! spec, however many nodes share it.
 //!
-//! - **Planning** ([`ThreadedNode::plan`]): each method carries a
-//!   `trigger_mask`/`data_mask` over its input ports. A node-level pair of
-//!   *head masks* (bit `p` set when input queue `p` currently has a window /
-//!   control token at its head) is maintained incrementally by the engine,
-//!   so the all-data common case plans with two AND/compare instructions.
-//!   Token triggers and the forwarding scan still read the actual queue
-//!   fronts — token *identity* (not just presence) decides both — but only
-//!   after the mask pre-check has already matched. `KernelBehavior::ready`
-//!   is always consulted, exactly like the interpreter: kernels (join,
-//!   histogram, FIR, conv) override it with dynamic state.
-//! - **Firing** ([`ThreadedMethod::fire`]): a boxed routine monomorphized
-//!   over method arity that fuses input pops, read-word accounting, and the
-//!   `KernelBehavior::fire` call into a single pass. Port indices come
-//!   from the spec's table at lowering time; window word counts stay
-//!   dynamic because items self-describe their geometry and the cost model
-//!   charges *actual* words moved.
+//! Each method carries a `trigger_mask`/`data_mask` over its input ports.
+//! A node-level pair of *head masks* (bit `p` set when input queue `p`
+//! currently has a window / control token at its head) is maintained
+//! incrementally by the engine, so the all-data common case plans with two
+//! AND/compare instructions ([`ThreadedNode::plan`]). Token triggers and
+//! the forwarding scan still read the actual queue fronts — token
+//! *identity* (not just presence) decides both — but only after the mask
+//! pre-check has already matched. [`KernelBehavior::ready`] is always
+//! consulted, exactly like the interpreter: kernels (join, histogram, FIR,
+//! conv) override it with dynamic state.
 //!
 //! What is deliberately *not* folded: anything mapping- or
 //! machine-dependent (channel latencies, capacities, slot indices into the
@@ -50,44 +42,14 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use bp_core::{
-    AppGraph, BpError, ControlToken, Emitter, FireData, Item, KernelBehavior, KernelSpec,
-    MethodTable, Result, TokenKind, TriggerOn,
+    AppGraph, BpError, ControlToken, Item, KernelBehavior, KernelSpec, MethodTable, Result,
+    TokenKind, TriggerOn,
 };
 
-/// Result of one compiled firing: words consumed from input queues plus the
-/// behavior's reported actual cycle count (`None` → declared cost applies).
-#[derive(Debug, Clone, Copy)]
-pub struct FireResult {
-    /// Sum of `Item::words()` over every consumed input item.
-    pub read_words: u64,
-    /// `Emitter::report_cycles` value, if the kernel reported one.
-    pub actual_cycles: Option<u64>,
-}
-
-/// Borrowed execution context a [`FireFn`] runs against. All fields come
-/// from the engine's node state; the routine leaves `consumed` cleared and
-/// `emitted` holding the fired method's `(output port, item)` emissions.
-pub struct FireArgs<'a> {
-    /// The node's static spec (for `FireData`/`Emitter` port resolution).
-    pub spec: &'a KernelSpec,
-    /// One FIFO per input port.
-    pub queues: &'a mut [VecDeque<Item>],
-    /// The node's private behavior state.
-    pub behavior: &'a mut dyn KernelBehavior,
-    /// Recycled consume scratch; cleared on entry and exit.
-    pub consumed: &'a mut Vec<(usize, Item)>,
-    /// Recycled emit buffer; overwritten with this firing's emissions.
-    pub emitted: &'a mut Vec<(usize, Item)>,
-}
-
-/// A specialized firing routine: pops the method's trigger inputs, invokes
-/// the behavior, and reports words read plus actual cycles.
-pub type FireFn = Box<dyn Fn(&mut FireArgs<'_>) -> FireResult + Send + Sync>;
-
 /// What lowering adds to one method of the spec's [`MethodTable`]: its
-/// trigger conditions folded into bitmasks and its firing path
-/// pre-specialized. Ports, outputs, cost and handled tokens stay in the
-/// table ([`ThreadedNode::table`]).
+/// trigger conditions folded into bitmasks. Ports, outputs, cost and
+/// handled tokens stay in the table ([`ThreadedNode::table`]).
+#[derive(Debug)]
 pub struct ThreadedMethod {
     /// Bit `p` set when port `p` is one of the method's trigger inputs.
     pub trigger_mask: u64,
@@ -95,8 +57,6 @@ pub struct ThreadedMethod {
     pub data_mask: u64,
     /// `(port, kind)` for each `TriggerOn::Token` trigger, in order.
     pub token_triggers: Vec<(usize, TokenKind)>,
-    /// The specialized firing routine.
-    pub fire: FireFn,
 }
 
 /// A planning decision: what [`ThreadedNode::plan`] and the interpreter's
@@ -117,37 +77,24 @@ pub enum PlannedAction {
     },
 }
 
-/// One lowered node: per-method routines plus the masks the engine's
-/// incremental head-state planner tests against. A handle — nodes lowered
-/// from one spec share the routines, the spec and its table.
-#[derive(Clone)]
+/// One lowered node: the per-method masks the engine's incremental
+/// head-state planner tests against. A handle — nodes lowered from one
+/// spec share the masks and the spec's table.
+#[derive(Clone, Debug)]
 pub struct ThreadedNode {
     /// Lowered methods in registration order.
     pub methods: Arc<[ThreadedMethod]>,
     /// Number of input ports (head masks use the low `inputs` bits).
     pub inputs: usize,
-    spec: Arc<KernelSpec>,
     table: Arc<MethodTable>,
 }
 
 /// A fully lowered graph: one [`ThreadedNode`] per graph node, in node
 /// order (indices line up with the engine's node array).
+#[derive(Debug)]
 pub struct ThreadedProgram {
     /// Lowered nodes, indexed by node id.
     pub nodes: Vec<ThreadedNode>,
-}
-
-impl std::fmt::Debug for ThreadedProgram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Fire routines are opaque closures; summarize the program shape.
-        f.debug_struct("ThreadedProgram")
-            .field("nodes", &self.nodes.len())
-            .field(
-                "methods",
-                &self.nodes.iter().map(|n| n.methods.len()).sum::<usize>(),
-            )
-            .finish()
-    }
 }
 
 /// Maximum input-port arity the mask planner supports (one bit per port).
@@ -209,11 +156,7 @@ impl ThreadedNode {
                     continue;
                 }
             }
-            let ready = match behavior.ready_fast(mi) {
-                Some(r) => r,
-                None => behavior.ready(&self.spec.methods[mi].name),
-            };
-            if ready {
+            if behavior.ready(mi) {
                 return Some(PlannedAction::Fire { method: mi });
             }
         }
@@ -263,64 +206,16 @@ impl ThreadedNode {
     }
 }
 
-/// The shared body of every specialized fire routine. `ports` is the
-/// method's trigger-port array; the const-generic wrappers below hand it
-/// over as a fixed-size array so the pop loop unrolls for the common
-/// arities. `mi` is the method's spec index: the behavior's
-/// [`KernelBehavior::fire_fast`] index-dispatched path is tried first and
-/// the name-dispatched `fire` only runs when the kernel has no fast path
-/// (the two are required to be observationally identical — the
-/// differential suite pins it).
-#[inline(always)]
-fn fire_body(a: &mut FireArgs<'_>, mi: usize, ports: &[usize]) -> FireResult {
-    a.consumed.clear();
-    let mut read_words = 0u64;
-    for &p in ports {
-        let it = a.queues[p].pop_front().expect("planned input disappeared");
-        read_words += it.words();
-        a.consumed.push((p, it));
-    }
-    let data = FireData::new(a.spec, a.consumed);
-    let mut out = Emitter::with_buffer(a.spec, std::mem::take(a.emitted));
-    if !a.behavior.fire_fast(mi, &data, &mut out) {
-        a.behavior.fire(&a.spec.methods[mi].name, &data, &mut out);
-    }
-    let (items, actual_cycles) = out.into_parts();
-    *a.emitted = items;
-    a.consumed.clear();
-    FireResult {
-        read_words,
-        actual_cycles,
-    }
-}
-
-/// Build the specialized routine for one method, monomorphized over arity.
-fn make_fire(mi: usize, triggers: &[(usize, TriggerOn)]) -> FireFn {
-    fn fixed<const N: usize>(mi: usize, triggers: &[(usize, TriggerOn)]) -> FireFn {
-        let ports: [usize; N] = std::array::from_fn(|i| triggers[i].0);
-        Box::new(move |a| fire_body(a, mi, &ports))
-    }
-    match triggers.len() {
-        1 => fixed::<1>(mi, triggers),
-        2 => fixed::<2>(mi, triggers),
-        3 => fixed::<3>(mi, triggers),
-        _ => {
-            let ports: Vec<usize> = triggers.iter().map(|&(p, _)| p).collect();
-            Box::new(move |a| fire_body(a, mi, &ports))
-        }
-    }
-}
-
 /// Lower one kernel spec: fold each method of its [`MethodTable`] into
-/// masks and a fire routine. The engine reads only the plan and fire half
-/// of the result; what a firing pops, emits and costs it takes from the
-/// same table the lowered node points at, which is also how it checks a
-/// program against the nodes it is about to run.
+/// masks. The engine reads only the plan half of the result; what a firing
+/// pops, emits and costs it takes from the same table the lowered node
+/// points at, which is also how it checks a program against the nodes it is
+/// about to run. Fails when the kernel has more than [`MAX_PORTS`] inputs.
 pub fn lower_spec(spec: &Arc<KernelSpec>) -> Result<ThreadedNode> {
     lower(spec, spec.method_table()?)
 }
 
-fn lower(spec: &Arc<KernelSpec>, table: &Arc<MethodTable>) -> Result<ThreadedNode> {
+fn lower(spec: &KernelSpec, table: &Arc<MethodTable>) -> Result<ThreadedNode> {
     if spec.inputs.len() > MAX_PORTS {
         return Err(BpError::Validation(format!(
             "kernel '{}' has {} input ports; the mask planner supports at most {}",
@@ -329,7 +224,7 @@ fn lower(spec: &Arc<KernelSpec>, table: &Arc<MethodTable>) -> Result<ThreadedNod
             MAX_PORTS
         )));
     }
-    let lower_method = |(mi, m): (usize, bp_core::ResolvedMethod<'_>)| {
+    let lower_method = |m: bp_core::ResolvedMethod<'_>| {
         let mut trigger_mask = 0u64;
         let mut data_mask = 0u64;
         let mut token_triggers = Vec::new();
@@ -344,13 +239,11 @@ fn lower(spec: &Arc<KernelSpec>, table: &Arc<MethodTable>) -> Result<ThreadedNod
             trigger_mask,
             data_mask,
             token_triggers,
-            fire: make_fire(mi, m.triggers),
         }
     };
     Ok(ThreadedNode {
-        methods: table.iter().enumerate().map(lower_method).collect(),
+        methods: table.iter().map(lower_method).collect(),
         inputs: spec.inputs.len(),
-        spec: Arc::clone(spec),
         table: Arc::clone(table),
     })
 }
@@ -405,10 +298,9 @@ mod tests {
     }
 
     #[test]
-    fn lowers_scale_kernel_and_fires() {
+    fn lowers_scale_kernel_and_plans() {
         let def = bp_kernels::scale(2.0, 1.0);
-        let spec = def.spec.clone();
-        let tn = lower_spec(&spec).unwrap();
+        let tn = lower_spec(&def.spec).unwrap();
         assert_eq!(tn.methods.len(), 1);
         let m = &tn.methods[0];
         assert_eq!(tn.table().method(0).triggers, [(0, TriggerOn::Data)]);
@@ -417,33 +309,13 @@ mod tests {
         assert!(m.token_triggers.is_empty());
         assert!(tn.table().method(0).is_data);
 
-        let mut behavior = (def.factory)();
+        let behavior = (def.factory)();
         let mut queues = vec![VecDeque::new()];
-        let mut w = bp_core::Window::zeros(Dim2::new(1, 1));
-        w.samples_mut().copy_from_slice(&[4.0]);
-        queues[0].push_back(Item::Window(w));
-
+        queues[0].push_back(win(Dim2::new(1, 1)));
         let (d, c) = head_masks(&queues);
         let plan = tn.plan(d, c, &queues, behavior.as_ref());
         assert_eq!(plan, Some(PlannedAction::Fire { method: 0 }));
-
-        let mut consumed = Vec::new();
-        let mut emitted = Vec::new();
-        let res = (m.fire)(&mut FireArgs {
-            spec: &spec,
-            queues: &mut queues,
-            behavior: behavior.as_mut(),
-            consumed: &mut consumed,
-            emitted: &mut emitted,
-        });
-        assert_eq!(res.read_words, 1);
-        assert_eq!(emitted.len(), 1);
-        let Item::Window(out) = &emitted[0].1 else {
-            panic!("expected window");
-        };
-        assert_eq!(out.samples(), &[9.0]);
-        assert!(queues[0].is_empty());
-        assert!(consumed.is_empty());
+        assert_eq!(tn.plan(0, 0, &[VecDeque::new()], behavior.as_ref()), None);
     }
 
     #[test]
@@ -465,10 +337,38 @@ mod tests {
         }
     }
 
+    /// A source feeding `k` lanes through a `k`-way split into a `k`-way
+    /// join and a sink.
+    fn wide_join_graph(k: usize) -> AppGraph {
+        let dim = Dim2::new(k as u32, 2);
+        let mut b = bp_core::GraphBuilder::new();
+        let src = b.add_source("In", bp_kernels::pattern_source(dim), dim, 10.0);
+        let split = b.add("Split", bp_kernels::split_rr(k, Dim2::ONE));
+        let join = b.add("Join", bp_kernels::join_rr(k, Dim2::ONE));
+        let (sdef, _sink) = bp_kernels::sink();
+        let snk = b.add("Out", sdef);
+        b.connect(src, "out", split, "in");
+        for i in 0..k {
+            let lane = b.add(format!("Lane{i}"), bp_kernels::scale(2.0, 0.0));
+            b.connect(split, &format!("out{i}"), lane, "in");
+            b.connect(lane, "out", join, &format!("in{i}"));
+        }
+        b.connect(join, "out", snk, "in");
+        b.build().expect("wide join graph")
+    }
+
     #[test]
     fn rejects_over_wide_kernels() {
-        // Synthesize a spec with 65 inputs via the builder API if cheap;
-        // otherwise assert the constant is what the engine checks against.
-        assert_eq!(MAX_PORTS, 64);
+        let want = BpError::Validation(
+            "kernel 'join_rr' has 65 input ports; the mask planner supports at most 64".into(),
+        );
+        let join = bp_kernels::join_rr(MAX_PORTS + 1, Dim2::ONE);
+        assert_eq!(lower_spec(&join.spec).unwrap_err(), want);
+        assert_eq!(lower_graph(&wide_join_graph(65)).unwrap_err(), want);
+        // One port fewer is what the planner holds.
+        let join = bp_kernels::join_rr(MAX_PORTS, Dim2::ONE);
+        assert_eq!(lower_spec(&join.spec).unwrap().inputs, 64);
+        let program = lower_graph(&wide_join_graph(64)).expect("64 inputs lower");
+        assert!(program.nodes.iter().any(|n| n.inputs == 64));
     }
 }

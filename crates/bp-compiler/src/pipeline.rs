@@ -101,9 +101,9 @@ pub struct Compiled {
 }
 
 impl Compiled {
-    /// Lower the compiled graph into a direct-threaded program: one
-    /// specialized firing routine per node method, with trigger masks and
-    /// port indices constant-folded (DESIGN.md §13). This is the same
+    /// Lower the compiled graph into a mask-planner program: per node
+    /// method, its trigger conditions folded into bitmasks over the input
+    /// ports (DESIGN.md §13). This is the same
     /// lowering the timed simulators perform when the compiled backend
     /// (`bp_sim::Backend::Compiled`) is selected; it is exposed here so
     /// clients can lower once and inspect or reuse the threaded form.

@@ -375,18 +375,16 @@ impl<'a> FireData<'a> {
         Self { items, spec }
     }
 
-    /// The consumed item on the named input. Panics if the input was not
-    /// part of this firing's trigger set — that is an executor bug.
+    /// The consumed item on the named input: [`item_at`](Self::item_at)
+    /// after resolving the port name, for kernels written against names.
+    /// Panics if the kernel has no such input or the input was not part of
+    /// this firing's trigger set — that is an executor bug.
     pub fn item(&self, input: &str) -> &Item {
         let idx = self
             .spec
             .input_index(input)
             .unwrap_or_else(|| panic!("kernel {} has no input {input}", self.spec.kind));
-        self.items
-            .iter()
-            .find(|(i, _)| *i == idx)
-            .map(|(_, it)| it)
-            .unwrap_or_else(|| panic!("input {input} was not consumed by this firing"))
+        self.item_at(idx)
     }
 
     /// The consumed data window on the named input. Panics if the firing
@@ -409,10 +407,9 @@ impl<'a> FireData<'a> {
         self.items
     }
 
-    /// The consumed item on the input with the given index — the
-    /// name-free counterpart of [`item`](Self::item), used by
-    /// [`KernelBehavior::fire_fast`] implementations. Panics if the input
-    /// was not part of this firing's trigger set.
+    /// The consumed item on the input with the given index (its position
+    /// in [`KernelSpec::inputs`]). Panics if the input was not part of this
+    /// firing's trigger set.
     #[inline]
     pub fn item_at(&self, input_idx: usize) -> &Item {
         self.items
@@ -439,7 +436,10 @@ impl<'a> FireData<'a> {
     }
 }
 
-/// Collects items emitted by one method firing, keyed by output port index.
+/// Collects items emitted by one method firing, keyed by output port index
+/// (its position in [`KernelSpec::outputs`]). Every emission is checked
+/// against the kernel's output count: an out-of-range index panics naming
+/// the kernel and the port instead of reaching another node's route.
 pub struct Emitter<'a> {
     spec: &'a KernelSpec,
     emitted: Vec<(usize, Item)>,
@@ -474,53 +474,46 @@ impl<'a> Emitter<'a> {
         self.actual_cycles = Some(cycles);
     }
 
-    /// Emit a data window on the named output.
+    /// Emit a data window on the named output: [`window_at`](Self::window_at)
+    /// after resolving the port name, for kernels written against names.
     pub fn window(&mut self, output: &str, w: Window) {
-        let idx = self
-            .spec
-            .output_index(output)
-            .unwrap_or_else(|| panic!("kernel {} has no output {output}", self.spec.kind));
+        let idx = self.output_named(output);
         self.emitted.push((idx, Item::Window(w)));
     }
 
     /// Emit a control token on the named output.
     pub fn token(&mut self, output: &str, t: ControlToken) {
-        let idx = self
-            .spec
-            .output_index(output)
-            .unwrap_or_else(|| panic!("kernel {} has no output {output}", self.spec.kind));
+        let idx = self.output_named(output);
         self.emitted.push((idx, Item::Control(t)));
     }
 
-    /// Emit an item by output index (used by generic forwarding code).
+    fn output_named(&self, output: &str) -> usize {
+        self.spec
+            .output_index(output)
+            .unwrap_or_else(|| panic!("kernel {} has no output {output}", self.spec.kind))
+    }
+
+    /// Emit an item on the output with the given index.
+    #[inline]
     pub fn item_at(&mut self, output_idx: usize, item: Item) {
         assert!(
             output_idx < self.spec.outputs.len(),
-            "output index out of range"
+            "kernel {} has no output {output_idx}",
+            self.spec.kind
         );
         self.emitted.push((output_idx, item));
     }
 
-    /// Emit a data window by output index — the name-free counterpart of
-    /// [`window`](Self::window), used by [`KernelBehavior::fire_fast`]
-    /// implementations.
+    /// Emit a data window on the output with the given index.
     #[inline]
     pub fn window_at(&mut self, output_idx: usize, w: Window) {
-        debug_assert!(
-            output_idx < self.spec.outputs.len(),
-            "output index out of range"
-        );
-        self.emitted.push((output_idx, Item::Window(w)));
+        self.item_at(output_idx, Item::Window(w));
     }
 
-    /// Emit a control token by output index.
+    /// Emit a control token on the output with the given index.
     #[inline]
     pub fn token_at(&mut self, output_idx: usize, t: ControlToken) {
-        debug_assert!(
-            output_idx < self.spec.outputs.len(),
-            "output index out of range"
-        );
-        self.emitted.push((output_idx, Item::Control(t)));
+        self.item_at(output_idx, Item::Control(t));
     }
 
     /// The emitted `(output index, item)` pairs, in emission order.
@@ -536,50 +529,27 @@ impl<'a> Emitter<'a> {
 
 /// Executable kernel state: the method bodies.
 ///
-/// The executor calls [`fire`](Self::fire) when a method's trigger set is
-/// satisfied *and* [`ready`](Self::ready) returns true; the consumed items
-/// arrive in `data`, and outputs are written through `out`. Methods of the
-/// same kernel share `self` — the paper's "methods share data private to the
+/// Methods are named in the spec and addressed here by *index*: `method`
+/// is the method's position in [`KernelSpec::methods`] (registration
+/// order, [`KernelSpec::method_index`] maps a name to it), and ports are
+/// addressed the same way through [`FireData::item_at`] /
+/// [`Emitter::window_at`] and their siblings. The executor calls
+/// [`fire`](Self::fire) when a method's trigger set is satisfied *and*
+/// [`ready`](Self::ready) returns true; the consumed items arrive in
+/// `data`, and outputs are written through `out`. Methods of the same
+/// kernel share `self` — the paper's "methods share data private to the
 /// kernel".
 pub trait KernelBehavior: Send {
-    /// Execute the named method.
-    fn fire(&mut self, method: &str, data: &FireData<'_>, out: &mut Emitter<'_>);
+    /// Execute the method with the given spec index.
+    fn fire(&mut self, method: usize, data: &FireData<'_>, out: &mut Emitter<'_>);
 
-    /// Index-dispatched fast path for the compiled backend: execute the
-    /// method with the given *spec index* (position in
-    /// [`KernelSpec::methods`]) and return `true`, or return `false` to
-    /// fall back to the name-dispatched [`fire`](Self::fire).
-    ///
-    /// An implementation MUST be observationally identical to `fire` on
-    /// the same method — same emissions in the same order, same state
-    /// mutation, same reported cycles — because the interpreted backend
-    /// only ever calls `fire` and the two backends are required to produce
-    /// bit-identical simulation fingerprints. Implementations switch on
-    /// the method index and use the `*_at` index accessors on
-    /// [`FireData`] / [`Emitter`] to skip the per-firing name lookups.
-    /// The default keeps every existing kernel on the name path.
-    #[inline]
-    fn fire_fast(&mut self, _method: usize, _data: &FireData<'_>, _out: &mut Emitter<'_>) -> bool {
-        false
-    }
-
-    /// Additional firing gate beyond trigger satisfaction. Used by FSM
-    /// kernels (round-robin joins take inputs in order) and by kernels with
-    /// initialization ordering (a convolution is not ready until its
-    /// coefficients are loaded). Defaults to always ready.
-    fn ready(&self, _method: &str) -> bool {
+    /// Additional firing gate beyond trigger satisfaction for the method
+    /// with the given spec index. Used by FSM kernels (round-robin joins
+    /// take inputs in order) and by kernels with initialization ordering
+    /// (a convolution is not ready until its coefficients are loaded).
+    /// Defaults to always ready.
+    fn ready(&self, _method: usize) -> bool {
         true
-    }
-
-    /// Index-dispatched counterpart of [`ready`](Self::ready) for the
-    /// compiled backend's planner: `Some(r)` answers the gate for the
-    /// method with the given spec index, `None` (the default) falls back
-    /// to the name-dispatched `ready`. Implementations MUST agree with
-    /// `ready` on every method — the planners of the two backends are
-    /// required to make identical decisions.
-    #[inline]
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        None
     }
 }
 
@@ -700,7 +670,7 @@ mod tests {
 
     struct Nop;
     impl KernelBehavior for Nop {
-        fn fire(&mut self, _m: &str, _d: &FireData<'_>, _o: &mut Emitter<'_>) {}
+        fn fire(&mut self, _m: usize, _d: &FireData<'_>, _o: &mut Emitter<'_>) {}
     }
 
     #[test]

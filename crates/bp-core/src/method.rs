@@ -250,6 +250,18 @@ impl MethodTable {
         }
     }
 
+    /// The trigger ports of the method with spec index `mi` —
+    /// [`method`](Self::method)`(mi).triggers` without the other slices,
+    /// for the per-firing pop loop.
+    #[inline]
+    pub fn triggers(&self, mi: usize) -> &[(usize, TriggerOn)] {
+        let t0 = match mi.checked_sub(1) {
+            Some(prev) => self.rows[prev].triggers_end,
+            None => 0,
+        };
+        &self.triggers[t0 as usize..self.rows[mi].triggers_end as usize]
+    }
+
     /// Declared cycle cost of the method with spec index `mi`.
     #[inline]
     pub fn cost_cycles(&self, mi: usize) -> u64 {

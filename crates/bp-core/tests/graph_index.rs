@@ -17,7 +17,7 @@ use bp_core::{
 
 struct Nop;
 impl KernelBehavior for Nop {
-    fn fire(&mut self, _m: &str, _d: &FireData<'_>, _o: &mut Emitter<'_>) {}
+    fn fire(&mut self, _m: usize, _d: &FireData<'_>, _o: &mut Emitter<'_>) {}
 }
 
 /// A kernel of the given role with `ins` inputs and `outs` outputs, one data

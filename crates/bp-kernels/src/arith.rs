@@ -24,21 +24,10 @@ struct Binary {
 }
 
 impl KernelBehavior for Binary {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        let a = d.window("in0").as_scalar();
-        let b = d.window("in1").as_scalar();
-        out.window("out", Window::scalar((self.f)(a, b)));
-    }
-
-    fn fire_fast(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         let a = d.window_at(0).as_scalar();
         let b = d.window_at(1).as_scalar();
         out.window_at(0, Window::scalar((self.f)(a, b)));
-        true
-    }
-
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        Some(true)
     }
 }
 
@@ -78,19 +67,9 @@ struct Unary {
 }
 
 impl KernelBehavior for Unary {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        let a = d.window("in").as_scalar();
-        out.window("out", Window::scalar((self.f)(a)));
-    }
-
-    fn fire_fast(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         let a = d.window_at(0).as_scalar();
         out.window_at(0, Window::scalar((self.f)(a)));
-        true
-    }
-
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        Some(true)
     }
 }
 
@@ -114,25 +93,18 @@ mod tests {
     use super::*;
     use bp_core::Item;
 
+    fn run(def: &KernelDef, consumed: Vec<(usize, Item)>) -> f64 {
+        let out = crate::testing::fire(def, &mut *(def.factory)(), "run", consumed);
+        out[0].1.window().unwrap().as_scalar()
+    }
+
     fn run_binary(def: &KernelDef, a: f64, b: f64) -> f64 {
-        let mut beh = (def.factory)();
-        let consumed = vec![
-            (0usize, Item::Window(Window::scalar(a))),
-            (1usize, Item::Window(Window::scalar(b))),
-        ];
-        let data = FireData::new(&def.spec, &consumed);
-        let mut out = Emitter::new(&def.spec);
-        beh.fire("run", &data, &mut out);
-        out.into_items()[0].1.window().unwrap().as_scalar()
+        let w = |v| Item::Window(Window::scalar(v));
+        run(def, vec![(0, w(a)), (1, w(b))])
     }
 
     fn run_unary(def: &KernelDef, a: f64) -> f64 {
-        let mut beh = (def.factory)();
-        let consumed = vec![(0usize, Item::Window(Window::scalar(a)))];
-        let data = FireData::new(&def.spec, &consumed);
-        let mut out = Emitter::new(&def.spec);
-        beh.fire("run", &data, &mut out);
-        out.into_items()[0].1.window().unwrap().as_scalar()
+        run(def, vec![(0, Item::Window(Window::scalar(a)))])
     }
 
     #[test]

@@ -18,11 +18,12 @@ use bp_core::{Dim2, Offset2, Step2, Window};
 #[derive(Default)]
 struct BayerBehavior;
 
-/// `site` over the flat row-major 4×4 slice (index `wy*4 + wx`), with the
-/// exact operand order of the window-accessor version so both paths produce
-/// bit-identical interpolants.
+/// Interpolate one site of the flat row-major 4×4 window slice (index
+/// `wy*4 + wx`). `wx, wy` are the sample's coordinates inside the window
+/// (1 or 2); global parity equals window parity because the window origin
+/// is always even.
 #[inline]
-fn site_flat(s: &[f64], wx: usize, wy: usize) -> (f64, f64, f64) {
+fn site(s: &[f64], wx: usize, wy: usize) -> (f64, f64, f64) {
     let i = wy * 4 + wx;
     let c = s[i];
     let edges = (s[i - 1] + s[i + 1] + s[i - 4] + s[i + 4]) / 4.0;
@@ -37,81 +38,15 @@ fn site_flat(s: &[f64], wx: usize, wy: usize) -> (f64, f64, f64) {
     }
 }
 
-/// One demosaic firing over a flat 4×4 slice: the three 2×2 quads in
-/// row-major order, exactly as the scalar body's `set(qx, qy, ..)` loop
-/// lays them out.
-#[inline]
-fn demosaic_quads(s: &[f64]) -> ([f64; 4], [f64; 4], [f64; 4]) {
-    let mut r = [0.0; 4];
-    let mut g = [0.0; 4];
-    let mut b = [0.0; 4];
-    for qy in 0..2 {
-        for qx in 0..2 {
-            let (rv, gv, bv) = site_flat(s, qx + 1, qy + 1);
-            r[qy * 2 + qx] = rv;
-            g[qy * 2 + qx] = gv;
-            b[qy * 2 + qx] = bv;
-        }
-    }
-    (r, g, b)
-}
-
-/// Interpolate one site. `wx, wy` are the sample's coordinates inside the
-/// 4×4 window (1 or 2); global parity equals window parity because the
-/// window origin is always even.
-fn site(w: &Window, wx: u32, wy: u32) -> (f64, f64, f64) {
-    let c = w.get(wx, wy);
-    let edges =
-        (w.get(wx - 1, wy) + w.get(wx + 1, wy) + w.get(wx, wy - 1) + w.get(wx, wy + 1)) / 4.0;
-    let corners = (w.get(wx - 1, wy - 1)
-        + w.get(wx + 1, wy - 1)
-        + w.get(wx - 1, wy + 1)
-        + w.get(wx + 1, wy + 1))
-        / 4.0;
-    let horiz = (w.get(wx - 1, wy) + w.get(wx + 1, wy)) / 2.0;
-    let vert = (w.get(wx, wy - 1) + w.get(wx, wy + 1)) / 2.0;
-    match (wx % 2, wy % 2) {
-        (0, 0) => (c, edges, corners), // red site (RGGB)
-        (1, 0) => (horiz, c, vert),    // green on red row
-        (0, 1) => (vert, c, horiz),    // green on blue row
-        _ => (corners, edges, c),      // blue site
-    }
-}
-
 impl KernelBehavior for BayerBehavior {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        let w = d.window("in");
-        let dim = Dim2::new(2, 2);
-        let mut r = Window::zeros(dim);
-        let mut g = Window::zeros(dim);
-        let mut b = Window::zeros(dim);
-        for qy in 0..2 {
-            for qx in 0..2 {
-                let (rv, gv, bv) = site(w, qx + 1, qy + 1);
-                r.set(qx, qy, rv);
-                g.set(qx, qy, gv);
-                b.set(qx, qy, bv);
-            }
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
+        // The central 2×2 quad, row-major, interpolated per plane.
+        let s = d.window_at(0).samples();
+        let quad: [(f64, f64, f64); 4] = std::array::from_fn(|q| site(s, q % 2 + 1, q / 2 + 1));
+        let planes = [quad.map(|v| v.0), quad.map(|v| v.1), quad.map(|v| v.2)];
+        for (port, plane) in planes.iter().enumerate() {
+            out.window_at(port, Window::from_slice(Dim2::new(2, 2), plane));
         }
-        out.window("r", r);
-        out.window("g", g);
-        out.window("b", b);
-    }
-
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
-        if method != 0 {
-            return false;
-        }
-        let (r, g, b) = demosaic_quads(d.window_at(0).samples());
-        let dim = Dim2::new(2, 2);
-        out.window_at(0, Window::from_slice(dim, &r));
-        out.window_at(1, Window::from_slice(dim, &g));
-        out.window_at(2, Window::from_slice(dim, &b));
-        true
-    }
-
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        Some(true)
     }
 }
 
@@ -142,12 +77,8 @@ mod tests {
     use bp_core::Item;
 
     fn fire_window(def: &KernelDef, w: Window) -> Vec<(usize, Item)> {
-        let mut b = (def.factory)();
         let consumed = vec![(0usize, Item::Window(w))];
-        let data = FireData::new(&def.spec, &consumed);
-        let mut out = Emitter::new(&def.spec);
-        b.fire("demosaic", &data, &mut out);
-        out.into_items()
+        crate::testing::fire(def, &mut *(def.factory)(), "demosaic", consumed)
     }
 
     #[test]

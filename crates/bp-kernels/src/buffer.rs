@@ -164,33 +164,9 @@ impl BufferBehavior {
     }
 }
 
+// Spec order: 0 = push, 1 = eol, 2 = eof.
 impl KernelBehavior for BufferBehavior {
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        match method {
-            "push" => {
-                let w = d.window("in");
-                if self.pw == 1 && self.ph == 1 {
-                    self.push_pixel(w.as_scalar(), out);
-                } else {
-                    self.push_block(w, out);
-                }
-            }
-            "eol" => {
-                if self.emitted_since_eol {
-                    out.token("out", ControlToken::EndOfLine);
-                    self.emitted_since_eol = false;
-                }
-            }
-            "eof" => {
-                out.token("out", ControlToken::EndOfFrame);
-                self.reset();
-            }
-            other => panic!("buffer has no method '{other}'"),
-        }
-    }
-
-    // Spec order: 0 = push, 1 = eol, 2 = eof.
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
             0 => {
                 let w = d.window_at(0);
@@ -206,19 +182,11 @@ impl KernelBehavior for BufferBehavior {
                     self.emitted_since_eol = false;
                 }
             }
-            2 => {
+            _ => {
                 out.token_at(0, ControlToken::EndOfFrame);
                 self.reset();
             }
-            _ => return false,
         }
-        true
-    }
-
-    // The buffer has no readiness gate beyond its triggers; answering the
-    // planner by index keeps the compiled backend off the name path.
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        Some(true)
     }
 }
 
@@ -267,28 +235,8 @@ pub fn buffer(producer: Dim2, window: Dim2, step: Step2, data: Dim2) -> KernelDe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::drive_items as drive;
     use bp_core::Item;
-
-    /// Drive a single-input kernel with a scan-line item stream, collecting
-    /// everything it emits (a miniature single-node executor).
-    pub(crate) fn drive(def: &KernelDef, items: Vec<Item>) -> Vec<Item> {
-        let mut b = (def.factory)();
-        let mut got = Vec::new();
-        for item in items {
-            let method = match &item {
-                Item::Window(_) => "push",
-                Item::Control(ControlToken::EndOfLine) => "eol",
-                Item::Control(ControlToken::EndOfFrame) => "eof",
-                Item::Control(ControlToken::Custom(_)) => continue,
-            };
-            let consumed = vec![(0usize, item)];
-            let data = FireData::new(&def.spec, &consumed);
-            let mut out = Emitter::new(&def.spec);
-            b.fire(method, &data, &mut out);
-            got.extend(out.into_items().into_iter().map(|(_, i)| i));
-        }
-        got
-    }
 
     /// Scan-line pixel stream for a WxH frame valued `y*W + x`.
     fn pixel_stream(w: u32, h: u32) -> Vec<Item> {
@@ -391,38 +339,6 @@ mod tests {
         assert_eq!(windows.len(), 4);
         assert_eq!(windows[0].get(0, 0), 0.0);
         assert_eq!(windows[3].get(2, 2), 15.0);
-    }
-
-    /// Parity audit: driving the same scan-line stream through the
-    /// index-dispatched fast path (push = 0, eol = 1, eof = 2) must emit
-    /// exactly what the name path emits, and `ready_fast` must agree with
-    /// `ready` on every method.
-    #[test]
-    fn fast_path_parity_with_name_dispatch() {
-        let def = buffer(Dim2::ONE, Dim2::new(3, 3), Step2::ONE, Dim2::new(4, 4));
-        let mut items = pixel_stream(4, 4);
-        items.extend(pixel_stream(4, 4));
-        let via_name = drive(&def, items.clone());
-
-        let mut b = (def.factory)();
-        for (mi, m) in def.spec.methods.iter().enumerate() {
-            assert_eq!(b.ready_fast(mi), Some(b.ready(&m.name)));
-        }
-        let mut via_index = Vec::new();
-        for item in items {
-            let method = match &item {
-                Item::Window(_) => 0usize,
-                Item::Control(ControlToken::EndOfLine) => 1,
-                Item::Control(ControlToken::EndOfFrame) => 2,
-                Item::Control(ControlToken::Custom(_)) => continue,
-            };
-            let consumed = vec![(0usize, item)];
-            let data = FireData::new(&def.spec, &consumed);
-            let mut out = Emitter::new(&def.spec);
-            assert!(b.fire_fast(method, &data, &mut out));
-            via_index.extend(out.into_items().into_iter().map(|(_, i)| i));
-        }
-        assert_eq!(via_name, via_index);
     }
 
     #[test]

@@ -17,60 +17,34 @@ struct ConvBehavior {
     coeff: Option<Window>,
 }
 
-impl ConvBehavior {
-    fn convolve(&self, input: &Window) -> f64 {
+// Spec order: 0 = runConvolve, 1 = loadCoeff.
+impl KernelBehavior for ConvBehavior {
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
+        if method == 1 {
+            self.coeff = Some(d.window_at(1).clone());
+            return;
+        }
+        let input = d.window_at(0);
         let coeff = self
             .coeff
             .as_ref()
             .expect("runConvolve fired before coefficients were loaded");
         let mut acc = 0.0;
-        // True convolution: the kernel is flipped in both axes,
-        // matching the paper's Fig. 6 inner loop.
+        // True convolution: the kernel is flipped in both axes, matching
+        // the paper's Fig. 6 inner loop.
         for y in 0..self.h {
             for x in 0..self.w {
                 acc += input.get(x, y) * coeff.get(self.w - 1 - x, self.h - 1 - y);
             }
         }
-        acc
-    }
-}
-
-impl KernelBehavior for ConvBehavior {
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        match method {
-            "runConvolve" => {
-                let acc = self.convolve(d.window("in"));
-                out.window("out", Window::scalar(acc));
-            }
-            "loadCoeff" => {
-                self.coeff = Some(d.window("coeff").clone());
-            }
-            other => panic!("conv2d has no method '{other}'"),
-        }
+        out.window_at(0, Window::scalar(acc));
     }
 
-    // Spec order: 0 = runConvolve, 1 = loadCoeff.
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
-        match method {
-            0 => {
-                let acc = self.convolve(d.window_at(0));
-                out.window_at(0, Window::scalar(acc));
-            }
-            1 => self.coeff = Some(d.window_at(1).clone()),
-            _ => return false,
-        }
-        true
-    }
-
-    fn ready(&self, method: &str) -> bool {
+    fn ready(&self, method: usize) -> bool {
         // Don't consume data windows until coefficients are present; the
         // compiler schedules the constant provider at startup so this only
         // delays the first firings.
-        method != "runConvolve" || self.coeff.is_some()
-    }
-
-    fn ready_fast(&self, method: usize) -> Option<bool> {
-        Some(method != 0 || self.coeff.is_some())
+        method != 0 || self.coeff.is_some()
     }
 }
 
@@ -131,24 +105,18 @@ pub fn binomial_coefficients(n: u32) -> Window {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{fire, method};
     use bp_core::Item;
 
     fn load_and_run(def: &KernelDef, coeff: Window, input: Window) -> f64 {
         let mut b = (def.factory)();
-        assert!(!b.ready("runConvolve"), "must wait for coefficients");
-        {
-            let consumed = vec![(1usize, Item::Window(coeff))];
-            let data = FireData::new(&def.spec, &consumed);
-            let mut out = Emitter::new(&def.spec);
-            b.fire("loadCoeff", &data, &mut out);
-            assert!(out.into_items().is_empty());
-        }
-        assert!(b.ready("runConvolve"));
-        let consumed = vec![(0usize, Item::Window(input))];
-        let data = FireData::new(&def.spec, &consumed);
-        let mut out = Emitter::new(&def.spec);
-        b.fire("runConvolve", &data, &mut out);
-        out.into_items()[0].1.window().unwrap().as_scalar()
+        let run = method(def, "runConvolve");
+        assert!(!b.ready(run), "must wait for coefficients");
+        let loaded = fire(def, &mut *b, "loadCoeff", vec![(1, Item::Window(coeff))]);
+        assert!(loaded.is_empty());
+        assert!(b.ready(run));
+        let out = fire(def, &mut *b, "runConvolve", vec![(0, Item::Window(input))]);
+        out[0].1.window().unwrap().as_scalar()
     }
 
     #[test]

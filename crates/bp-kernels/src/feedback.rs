@@ -15,24 +15,21 @@ struct FeedbackBehavior {
     initial: f64,
 }
 
+// Spec order: 0 = init, 1 = pass.
 impl KernelBehavior for FeedbackBehavior {
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        match method {
-            "init" => {
-                // Prime the loop with one full initial frame, in scan-line
-                // order with the usual tokens.
-                for _y in 0..self.frame.h {
-                    for _x in 0..self.frame.w {
-                        out.window("out", Window::scalar(self.initial));
-                    }
-                    out.token("out", ControlToken::EndOfLine);
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
+        if method == 0 {
+            // Prime the loop with one full initial frame, in scan-line
+            // order with the usual tokens.
+            for _y in 0..self.frame.h {
+                for _x in 0..self.frame.w {
+                    out.window_at(0, Window::scalar(self.initial));
                 }
-                out.token("out", ControlToken::EndOfFrame);
+                out.token_at(0, ControlToken::EndOfLine);
             }
-            "pass" => {
-                out.window("out", Window::scalar(d.window("in").as_scalar()));
-            }
-            other => panic!("feedback has no method '{other}'"),
+            out.token_at(0, ControlToken::EndOfFrame);
+        } else {
+            out.window_at(0, Window::scalar(d.window_at(0).as_scalar()));
         }
     }
 }
@@ -69,17 +66,14 @@ pub fn feedback_frame(frame: Dim2, initial: f64) -> KernelDef {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::fire;
     use bp_core::Item;
 
     #[test]
     fn init_emits_one_full_frame() {
         let def = feedback_frame(Dim2::new(3, 2), 0.5);
         let mut b = (def.factory)();
-        let consumed: Vec<(usize, Item)> = Vec::new();
-        let data = FireData::new(&def.spec, &consumed);
-        let mut out = Emitter::new(&def.spec);
-        b.fire("init", &data, &mut out);
-        let items = out.into_items();
+        let items = fire(&def, &mut *b, "init", vec![]);
         let pixels = items.iter().filter(|(_, i)| i.is_window()).count();
         let eols = items
             .iter()
@@ -98,10 +92,7 @@ mod tests {
         let def = feedback_frame(Dim2::new(2, 2), 0.0);
         let mut b = (def.factory)();
         let consumed = vec![(0usize, Item::Window(Window::scalar(3.25)))];
-        let data = FireData::new(&def.spec, &consumed);
-        let mut out = Emitter::new(&def.spec);
-        b.fire("pass", &data, &mut out);
-        let items = out.into_items();
+        let items = fire(&def, &mut *b, "pass", consumed);
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].1.window().unwrap().as_scalar(), 3.25);
     }

@@ -8,35 +8,13 @@ use bp_core::{Dim2, Offset2, Step2, Window};
 
 struct SobelBehavior;
 
-/// Sobel response over a flat row-major 3×3 slice: index `y*3 + x` is
-/// `get(x, y)`, with the exact operand order of the scalar body.
-#[inline]
-fn sobel_mag(s: &[f64]) -> f64 {
-    let gx = (s[2] + 2.0 * s[5] + s[8]) - (s[0] + 2.0 * s[3] + s[6]);
-    let gy = (s[6] + 2.0 * s[7] + s[8]) - (s[0] + 2.0 * s[1] + s[2]);
-    gx.abs() + gy.abs()
-}
-
 impl KernelBehavior for SobelBehavior {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        let w = d.window("in");
-        let gx = (w.get(2, 0) + 2.0 * w.get(2, 1) + w.get(2, 2))
-            - (w.get(0, 0) + 2.0 * w.get(0, 1) + w.get(0, 2));
-        let gy = (w.get(0, 2) + 2.0 * w.get(1, 2) + w.get(2, 2))
-            - (w.get(0, 0) + 2.0 * w.get(1, 0) + w.get(2, 0));
-        out.window("out", Window::scalar(gx.abs() + gy.abs()));
-    }
-
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
-        if method != 0 {
-            return false;
-        }
-        out.window_at(0, Window::scalar(sobel_mag(d.window_at(0).samples())));
-        true
-    }
-
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        Some(true)
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
+        // The flat row-major 3×3 window: index `y*3 + x` is `get(x, y)`.
+        let s = d.window_at(0).samples();
+        let gx = (s[2] + 2.0 * s[5] + s[8]) - (s[0] + 2.0 * s[3] + s[6]);
+        let gy = (s[6] + 2.0 * s[7] + s[8]) - (s[0] + 2.0 * s[1] + s[2]);
+        out.window_at(0, Window::scalar(gx.abs() + gy.abs()));
     }
 }
 
@@ -57,24 +35,10 @@ pub fn sobel() -> KernelDef {
 struct DownsampleBehavior;
 
 impl KernelBehavior for DownsampleBehavior {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        let w = d.window("in");
-        let sum: f64 = w.samples().iter().sum();
-        out.window("out", Window::scalar(sum / w.samples().len() as f64));
-    }
-
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
-        if method != 0 {
-            return false;
-        }
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         let s = d.window_at(0).samples();
         let sum: f64 = s.iter().sum();
         out.window_at(0, Window::scalar(sum / s.len() as f64));
-        true
-    }
-
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        Some(true)
     }
 }
 
@@ -105,13 +69,10 @@ mod tests {
     use super::*;
     use bp_core::Item;
 
-    fn run(def: &KernelDef, method: &str, input: Window) -> f64 {
-        let mut b = (def.factory)();
+    fn run(def: &KernelDef, name: &str, input: Window) -> f64 {
         let consumed = vec![(0usize, Item::Window(input))];
-        let data = FireData::new(&def.spec, &consumed);
-        let mut out = Emitter::new(&def.spec);
-        b.fire(method, &data, &mut out);
-        out.into_items()[0].1.window().unwrap().as_scalar()
+        let out = crate::testing::fire(def, &mut *(def.factory)(), name, consumed);
+        out[0].1.window().unwrap().as_scalar()
     }
 
     #[test]

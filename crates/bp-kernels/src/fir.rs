@@ -12,52 +12,25 @@ struct FirBehavior {
     taps: Option<Vec<f64>>,
 }
 
-impl FirBehavior {
-    fn dot(taps: &[f64], samples: &[f64]) -> f64 {
-        samples
+// Spec order: 0 = runFir, 1 = loadTaps.
+impl KernelBehavior for FirBehavior {
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
+        if method == 1 {
+            self.taps = Some(d.window_at(1).samples().to_vec());
+            return;
+        }
+        let taps = self.taps.as_ref().expect("taps loaded before data");
+        let samples = d.window_at(0).samples();
+        let acc: f64 = samples
             .iter()
             .zip(taps.iter().rev())
             .map(|(x, t)| x * t)
-            .sum()
-    }
-}
-
-impl KernelBehavior for FirBehavior {
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        match method {
-            "runFir" => {
-                let w = d.window("in");
-                let taps = self.taps.as_ref().expect("taps loaded before data");
-                let acc = Self::dot(taps, w.samples());
-                out.window("out", Window::scalar(acc));
-            }
-            "loadTaps" => {
-                self.taps = Some(d.window("taps").samples().to_vec());
-            }
-            other => panic!("fir has no method '{other}'"),
-        }
+            .sum();
+        out.window_at(0, Window::scalar(acc));
     }
 
-    // Spec order: 0 = runFir, 1 = loadTaps.
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
-        match method {
-            0 => {
-                let taps = self.taps.as_ref().expect("taps loaded before data");
-                let acc = Self::dot(taps, d.window_at(0).samples());
-                out.window_at(0, Window::scalar(acc));
-            }
-            1 => self.taps = Some(d.window_at(1).samples().to_vec()),
-            _ => return false,
-        }
-        true
-    }
-
-    fn ready(&self, method: &str) -> bool {
-        method != "runFir" || self.taps.is_some()
-    }
-
-    fn ready_fast(&self, method: usize) -> Option<bool> {
-        Some(method != 0 || self.taps.is_some())
+    fn ready(&self, method: usize) -> bool {
+        method != 0 || self.taps.is_some()
     }
 }
 
@@ -109,21 +82,9 @@ pub fn lowpass_taps(n: u32) -> Window {
 struct DecimateBehavior;
 
 impl KernelBehavior for DecimateBehavior {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         // Keep the first sample of each block.
-        out.window("out", Window::scalar(d.window("in").get(0, 0)));
-    }
-
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
-        if method != 0 {
-            return false;
-        }
         out.window_at(0, Window::scalar(d.window_at(0).samples()[0]));
-        true
-    }
-
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        Some(true)
     }
 }
 
@@ -146,31 +107,34 @@ pub fn decimate(m: u32) -> KernelDef {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{fire, method};
     use bp_core::Item;
+
+    fn row(v: Vec<f64>) -> Item {
+        Item::Window(Window::from_vec(Dim2::new(v.len() as u32, 1), v))
+    }
 
     #[test]
     fn fir_computes_dot_product_with_reversed_taps() {
         let def = fir(3);
         let mut b = (def.factory)();
-        assert!(!b.ready("runFir"));
-        let consumed = vec![(
-            1usize,
-            Item::Window(Window::from_vec(Dim2::new(3, 1), vec![1.0, 2.0, 3.0])),
-        )];
-        let data = FireData::new(&def.spec, &consumed);
-        let mut out = Emitter::new(&def.spec);
-        b.fire("loadTaps", &data, &mut out);
-        assert!(b.ready("runFir"));
-
-        let consumed = vec![(
-            0usize,
-            Item::Window(Window::from_vec(Dim2::new(3, 1), vec![10.0, 20.0, 30.0])),
-        )];
-        let data = FireData::new(&def.spec, &consumed);
-        let mut out = Emitter::new(&def.spec);
-        b.fire("runFir", &data, &mut out);
+        let run = method(&def, "runFir");
+        assert!(!b.ready(run));
+        fire(
+            &def,
+            &mut *b,
+            "loadTaps",
+            vec![(1, row(vec![1.0, 2.0, 3.0]))],
+        );
+        assert!(b.ready(run));
+        let out = fire(
+            &def,
+            &mut *b,
+            "runFir",
+            vec![(0, row(vec![10.0, 20.0, 30.0]))],
+        );
         // Convolution form: newest sample (30) multiplies tap[0] = 1.
-        let got = out.into_items()[0].1.window().unwrap().as_scalar();
+        let got = out[0].1.window().unwrap().as_scalar();
         assert_eq!(got, 10.0 * 3.0 + 20.0 * 2.0 + 30.0 * 1.0);
     }
 
@@ -178,18 +142,19 @@ mod tests {
     fn boxcar_averages() {
         let def = fir(4);
         let mut b = (def.factory)();
-        let consumed = vec![(1usize, Item::Window(boxcar_taps(4)))];
-        let data = FireData::new(&def.spec, &consumed);
-        let mut out = Emitter::new(&def.spec);
-        b.fire("loadTaps", &data, &mut out);
-        let consumed = vec![(
-            0usize,
-            Item::Window(Window::from_vec(Dim2::new(4, 1), vec![1.0, 2.0, 3.0, 4.0])),
-        )];
-        let data = FireData::new(&def.spec, &consumed);
-        let mut out = Emitter::new(&def.spec);
-        b.fire("runFir", &data, &mut out);
-        assert_eq!(out.into_items()[0].1.window().unwrap().as_scalar(), 2.5);
+        fire(
+            &def,
+            &mut *b,
+            "loadTaps",
+            vec![(1, Item::Window(boxcar_taps(4)))],
+        );
+        let out = fire(
+            &def,
+            &mut *b,
+            "runFir",
+            vec![(0, row(vec![1.0, 2.0, 3.0, 4.0]))],
+        );
+        assert_eq!(out[0].1.window().unwrap().as_scalar(), 2.5);
     }
 
     #[test]
@@ -206,14 +171,12 @@ mod tests {
     #[test]
     fn decimate_keeps_block_heads() {
         let def = decimate(3);
-        let mut b = (def.factory)();
-        let consumed = vec![(
-            0usize,
-            Item::Window(Window::from_vec(Dim2::new(3, 1), vec![7.0, 8.0, 9.0])),
-        )];
-        let data = FireData::new(&def.spec, &consumed);
-        let mut out = Emitter::new(&def.spec);
-        b.fire("run", &data, &mut out);
-        assert_eq!(out.into_items()[0].1.window().unwrap().as_scalar(), 7.0);
+        let out = fire(
+            &def,
+            &mut *(def.factory)(),
+            "run",
+            vec![(0, row(vec![7.0, 8.0, 9.0]))],
+        );
+        assert_eq!(out[0].1.window().unwrap().as_scalar(), 7.0);
     }
 }

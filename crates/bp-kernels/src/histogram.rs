@@ -24,80 +24,38 @@ impl HistogramBehavior {
         }
         self.bin_uppers.len() - 1
     }
-
-    /// Flush the frame's counts into a block window and reset them.
-    fn flush(&mut self) -> Window {
-        let n = self.counts.len() as u32;
-        let w = Window::from_fn(Dim2::new(n, 1), |x, _| self.counts[x as usize] as f64);
-        for c in self.counts.iter_mut() {
-            *c = 0;
-        }
-        w
-    }
 }
 
+// Spec order: 0 = count, 1 = finishCount, 2 = ignoreEol, 3 = configureBins.
 impl KernelBehavior for HistogramBehavior {
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
-            "count" => {
-                let v = d.window("in").as_scalar();
-                let bin = self.find_bin(v);
+            0 => {
+                let bin = self.find_bin(d.window_at(0).as_scalar());
                 self.counts[bin] += 1;
             }
-            "finishCount" => {
+            1 => {
                 // Flush the frame's counts and reset; emit the counts block
                 // followed by an explicit end-of-frame so downstream
                 // per-frame kernels (the merge) stay frame-aligned however
                 // many parallel instances exist.
-                let w = self.flush();
-                out.window("out", w);
-                out.token("out", ControlToken::EndOfFrame);
-            }
-            "configureBins" => {
-                let w = d.window("bins");
-                self.bin_uppers = w.samples().to_vec();
-                for c in self.counts.iter_mut() {
-                    *c = 0;
-                }
-            }
-            "ignoreEol" => {}
-            other => panic!("histogram has no method '{other}'"),
-        }
-    }
-
-    // Spec order: 0 = count, 1 = finishCount, 2 = ignoreEol,
-    // 3 = configureBins.
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
-        match method {
-            0 => {
-                let v = d.window_at(0).as_scalar();
-                let bin = self.find_bin(v);
-                self.counts[bin] += 1;
-            }
-            1 => {
-                let w = self.flush();
+                let n = self.counts.len() as u32;
+                let w = Window::from_fn(Dim2::new(n, 1), |x, _| self.counts[x as usize] as f64);
+                self.counts.fill(0);
                 out.window_at(0, w);
                 out.token_at(0, ControlToken::EndOfFrame);
             }
             2 => {}
-            3 => {
+            _ => {
                 self.bin_uppers = d.window_at(1).samples().to_vec();
-                for c in self.counts.iter_mut() {
-                    *c = 0;
-                }
+                self.counts.fill(0);
             }
-            _ => return false,
         }
-        true
     }
 
-    fn ready(&self, method: &str) -> bool {
+    fn ready(&self, method: usize) -> bool {
         // Counting requires configured bin bounds.
-        !matches!(method, "count" | "finishCount") || !self.bin_uppers.is_empty()
-    }
-
-    fn ready_fast(&self, method: usize) -> Option<bool> {
-        Some(!matches!(method, 0 | 1) || !self.bin_uppers.is_empty())
+        method > 1 || !self.bin_uppers.is_empty()
     }
 }
 
@@ -158,59 +116,26 @@ struct MergeBehavior {
     acc: Vec<f64>,
 }
 
+// Spec order: 0 = accumulate, 1 = emit.
 impl KernelBehavior for MergeBehavior {
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        match method {
-            "accumulate" => {
-                let w = d.window("in");
-                if self.acc.len() != w.samples().len() {
-                    self.acc = vec![0.0; w.samples().len()];
-                }
-                for (a, s) in self.acc.iter_mut().zip(w.samples()) {
-                    *a += *s;
-                }
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
+        if method == 0 {
+            let w = d.window_at(0);
+            if self.acc.len() != w.samples().len() {
+                self.acc = vec![0.0; w.samples().len()];
             }
-            "emit" => {
-                let n = self.acc.len() as u32;
-                let w = Window::from_fn(Dim2::new(n.max(1), 1), |x, _| {
-                    self.acc.get(x as usize).copied().unwrap_or(0.0)
-                });
-                for a in self.acc.iter_mut() {
-                    *a = 0.0;
-                }
-                out.window("out", w);
-                out.token("out", ControlToken::EndOfFrame);
+            for (a, s) in self.acc.iter_mut().zip(w.samples()) {
+                *a += *s;
             }
-            other => panic!("merge has no method '{other}'"),
+        } else {
+            let n = self.acc.len() as u32;
+            let w = Window::from_fn(Dim2::new(n.max(1), 1), |x, _| {
+                self.acc.get(x as usize).copied().unwrap_or(0.0)
+            });
+            self.acc.fill(0.0);
+            out.window_at(0, w);
+            out.token_at(0, ControlToken::EndOfFrame);
         }
-    }
-
-    // Spec order: 0 = accumulate, 1 = emit.
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
-        match method {
-            0 => {
-                let w = d.window_at(0);
-                if self.acc.len() != w.samples().len() {
-                    self.acc = vec![0.0; w.samples().len()];
-                }
-                for (a, s) in self.acc.iter_mut().zip(w.samples()) {
-                    *a += *s;
-                }
-            }
-            1 => {
-                let n = self.acc.len() as u32;
-                let w = Window::from_fn(Dim2::new(n.max(1), 1), |x, _| {
-                    self.acc.get(x as usize).copied().unwrap_or(0.0)
-                });
-                for a in self.acc.iter_mut() {
-                    *a = 0.0;
-                }
-                out.window_at(0, w);
-                out.token_at(0, ControlToken::EndOfFrame);
-            }
-            _ => return false,
-        }
-        true
     }
 }
 
@@ -248,27 +173,27 @@ pub fn histogram_merge(bins: u32) -> KernelDef {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::method;
     use bp_core::Item;
 
     fn fire(
         def: &KernelDef,
         b: &mut Box<dyn KernelBehavior>,
-        method: &str,
+        name: &str,
         port: usize,
         item: Item,
     ) -> Vec<(usize, Item)> {
-        let consumed = vec![(port, item)];
-        let data = FireData::new(&def.spec, &consumed);
-        let mut out = Emitter::new(&def.spec);
-        b.fire(method, &data, &mut out);
-        out.into_items()
+        crate::testing::fire(def, &mut **b, name, vec![(port, item)])
     }
 
     #[test]
     fn counts_then_flushes_on_eof() {
         let def = histogram(4);
         let mut b = (def.factory)();
-        assert!(!b.ready("count"), "bins must be configured first");
+        assert!(
+            !b.ready(method(&def, "count")),
+            "bins must be configured first"
+        );
         fire(
             &def,
             &mut b,
@@ -276,7 +201,7 @@ mod tests {
             1,
             Item::Window(uniform_bins(4, 0.0, 4.0)),
         );
-        assert!(b.ready("count"));
+        assert!(b.ready(method(&def, "count")));
         for v in [0.5, 1.5, 1.7, 3.2, 9.9] {
             fire(&def, &mut b, "count", 0, Item::Window(Window::scalar(v)));
         }

@@ -53,34 +53,9 @@ impl InsetBehavior {
     }
 }
 
+// Spec order: 0 = filter, 1 = eol, 2 = eof.
 impl KernelBehavior for InsetBehavior {
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        match method {
-            "filter" => {
-                let keep_col = self.x >= self.m.left && self.x < self.data.w - self.m.right;
-                if self.row_kept() && keep_col {
-                    out.window("out", Window::scalar(d.window("in").as_scalar()));
-                }
-                self.x += 1;
-            }
-            "eol" => {
-                if self.row_kept() {
-                    out.token("out", ControlToken::EndOfLine);
-                }
-                self.x = 0;
-                self.y += 1;
-            }
-            "eof" => {
-                out.token("out", ControlToken::EndOfFrame);
-                self.x = 0;
-                self.y = 0;
-            }
-            other => panic!("inset has no method '{other}'"),
-        }
-    }
-
-    // Spec order: 0 = filter, 1 = eol, 2 = eof.
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
             0 => {
                 let keep_col = self.x >= self.m.left && self.x < self.data.w - self.m.right;
@@ -96,14 +71,12 @@ impl KernelBehavior for InsetBehavior {
                 self.x = 0;
                 self.y += 1;
             }
-            2 => {
+            _ => {
                 out.token_at(0, ControlToken::EndOfFrame);
                 self.x = 0;
                 self.y = 0;
             }
-            _ => return false,
         }
-        true
     }
 }
 
@@ -156,26 +129,8 @@ pub fn inset(margins: Margins, data: Dim2) -> KernelDef {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::drive_items as drive;
     use bp_core::Item;
-
-    fn drive(def: &KernelDef, items: Vec<Item>) -> Vec<Item> {
-        let mut b = (def.factory)();
-        let mut got = Vec::new();
-        for item in items {
-            let method = match &item {
-                Item::Window(_) => "filter",
-                Item::Control(ControlToken::EndOfLine) => "eol",
-                Item::Control(ControlToken::EndOfFrame) => "eof",
-                Item::Control(ControlToken::Custom(_)) => continue,
-            };
-            let consumed = vec![(0usize, item)];
-            let data = FireData::new(&def.spec, &consumed);
-            let mut out = Emitter::new(&def.spec);
-            b.fire(method, &data, &mut out);
-            got.extend(out.into_items().into_iter().map(|(_, i)| i));
-        }
-        got
-    }
 
     fn stream(w: u32, h: u32) -> Vec<Item> {
         let mut v = Vec::new();

@@ -66,56 +66,24 @@ struct JoinRrBehavior {
     state: usize,
 }
 
+// Spec order: 0..k-1 = take{i} (input `in{i}` is input index `i`),
+// k = syncEol, k+1 = syncEof.
 impl KernelBehavior for JoinRrBehavior {
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        match method {
-            "syncEol" => out.token("out", ControlToken::EndOfLine),
-            "syncEof" => {
-                out.token("out", ControlToken::EndOfFrame);
-                self.state = 0;
-            }
-            m if m.starts_with("take") => {
-                let idx: usize = m[4..].parse().expect("take method index");
-                debug_assert_eq!(idx, self.state);
-                let w = d.window(&format!("in{idx}")).clone();
-                out.window("out", w);
-                self.state = (self.state + 1) % self.k;
-            }
-            other => panic!("join has no method '{other}'"),
-        }
-    }
-
-    // Spec order: 0..k-1 = take{i}, k = syncEol, k+1 = syncEof; input
-    // `in{i}` is input index `i`.
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         if method < self.k {
             debug_assert_eq!(method, self.state);
-            let w = d.window_at(method).clone();
-            out.window_at(0, w);
+            out.window_at(0, d.window_at(method).clone());
             self.state = (self.state + 1) % self.k;
         } else if method == self.k {
             out.token_at(0, ControlToken::EndOfLine);
-        } else if method == self.k + 1 {
+        } else {
             out.token_at(0, ControlToken::EndOfFrame);
             self.state = 0;
-        } else {
-            return false;
-        }
-        true
-    }
-
-    fn ready(&self, method: &str) -> bool {
-        match method {
-            m if m.starts_with("take") => {
-                let idx: usize = m[4..].parse().expect("take method index");
-                idx == self.state
-            }
-            _ => true,
         }
     }
 
-    fn ready_fast(&self, method: usize) -> Option<bool> {
-        Some(method >= self.k || method == self.state)
+    fn ready(&self, method: usize) -> bool {
+        method >= self.k || method == self.state
     }
 }
 
@@ -146,65 +114,28 @@ impl JoinColumnsBehavior {
     }
 }
 
+// Spec order as for the round-robin join.
 impl KernelBehavior for JoinColumnsBehavior {
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        match method {
-            "syncEol" => {
-                out.token("out", ControlToken::EndOfLine);
-                self.input = 0;
-                self.taken = 0;
-            }
-            "syncEof" => {
-                out.token("out", ControlToken::EndOfFrame);
-                self.input = 0;
-                self.taken = 0;
-            }
-            m if m.starts_with("take") => {
-                let idx: usize = m[4..].parse().expect("take method index");
-                debug_assert_eq!(idx, self.input);
-                let w = d.window(&format!("in{idx}")).clone();
-                out.window("out", w);
-                self.advance();
-            }
-            other => panic!("join has no method '{other}'"),
-        }
-    }
-
-    // Spec order: 0..k-1 = take{i}, k = syncEol, k+1 = syncEof; input
-    // `in{i}` is input index `i`.
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         let k = self.counts.len();
         if method < k {
             debug_assert_eq!(method, self.input);
-            let w = d.window_at(method).clone();
-            out.window_at(0, w);
+            out.window_at(0, d.window_at(method).clone());
             self.advance();
-        } else if method == k {
-            out.token_at(0, ControlToken::EndOfLine);
-            self.input = 0;
-            self.taken = 0;
-        } else if method == k + 1 {
-            out.token_at(0, ControlToken::EndOfFrame);
-            self.input = 0;
-            self.taken = 0;
         } else {
-            return false;
-        }
-        true
-    }
-
-    fn ready(&self, method: &str) -> bool {
-        match method {
-            m if m.starts_with("take") => {
-                let idx: usize = m[4..].parse().expect("take method index");
-                idx == self.input
-            }
-            _ => true,
+            let token = if method == k {
+                ControlToken::EndOfLine
+            } else {
+                ControlToken::EndOfFrame
+            };
+            out.token_at(0, token);
+            self.input = 0;
+            self.taken = 0;
         }
     }
 
-    fn ready_fast(&self, method: usize) -> Option<bool> {
-        Some(method >= self.counts.len() || method == self.input)
+    fn ready(&self, method: usize) -> bool {
+        method >= self.counts.len() || method == self.input
     }
 }
 
@@ -237,47 +168,32 @@ mod tests {
 
     /// Minimal multi-input executor for a single join node.
     fn drive(def: &KernelDef, feeds: Vec<Vec<Item>>) -> Vec<Item> {
+        let table = def.spec.method_table().unwrap();
         let mut b = (def.factory)();
         let mut queues: Vec<VecDeque<Item>> = feeds.into_iter().map(VecDeque::from).collect();
         let mut got = Vec::new();
         loop {
-            let mut fired = false;
-            'methods: for m in &def.spec.methods {
-                if m.triggers.is_empty() {
-                    continue;
-                }
-                for t in &m.triggers {
-                    let idx = def.spec.input_index(&t.input).unwrap();
-                    let ok = match queues[idx].front() {
-                        Some(Item::Window(_)) => t.on == TriggerOn::Data,
-                        Some(Item::Control(tok)) => t.on == TriggerOn::Token(tok.kind()),
+            let heads_match = |mi: usize| {
+                let triggers = table.method(mi).triggers;
+                !triggers.is_empty()
+                    && triggers.iter().all(|&(p, on)| match queues[p].front() {
+                        Some(Item::Window(_)) => on == TriggerOn::Data,
+                        Some(Item::Control(tok)) => on == TriggerOn::Token(tok.kind()),
                         None => false,
-                    };
-                    if !ok {
-                        continue 'methods;
-                    }
-                }
-                if !b.ready(&m.name) {
-                    continue;
-                }
-                let consumed: Vec<(usize, Item)> = m
-                    .triggers
-                    .iter()
-                    .map(|t| {
-                        let idx = def.spec.input_index(&t.input).unwrap();
-                        (idx, queues[idx].pop_front().unwrap())
                     })
-                    .collect();
-                let data = FireData::new(&def.spec, &consumed);
-                let mut out = Emitter::new(&def.spec);
-                b.fire(&m.name, &data, &mut out);
-                got.extend(out.into_items().into_iter().map(|(_, i)| i));
-                fired = true;
-                break;
-            }
-            if !fired {
+            };
+            let Some(mi) = (0..table.len()).find(|&mi| heads_match(mi) && b.ready(mi)) else {
                 return got;
-            }
+            };
+            let triggers = table.method(mi).triggers;
+            let consumed: Vec<(usize, Item)> = triggers
+                .iter()
+                .map(|&(p, _)| (p, queues[p].pop_front().unwrap()))
+                .collect();
+            let data = FireData::new(&def.spec, &consumed);
+            let mut out = Emitter::new(&def.spec);
+            b.fire(mi, &data, &mut out);
+            got.extend(out.into_items().into_iter().map(|(_, i)| i));
         }
     }
 

@@ -10,35 +10,19 @@ struct MedianBehavior {
     scratch: Vec<f64>,
 }
 
-impl MedianBehavior {
-    fn median_of(&mut self, input: &Window) -> f64 {
-        self.scratch.clear();
-        self.scratch.extend_from_slice(input.samples());
-        self.scratch
-            .sort_by(|a, b| a.partial_cmp(b).expect("median input must not be NaN"));
-        let mid = self.scratch.len() / 2;
-        if self.scratch.len() % 2 == 1 {
-            self.scratch[mid]
-        } else {
-            0.5 * (self.scratch[mid - 1] + self.scratch[mid])
-        }
-    }
-}
-
 impl KernelBehavior for MedianBehavior {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        let v = self.median_of(d.window("in"));
-        out.window("out", Window::scalar(v));
-    }
-
-    fn fire_fast(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
-        let v = self.median_of(d.window_at(0));
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
+        let s = &mut self.scratch;
+        s.clear();
+        s.extend_from_slice(d.window_at(0).samples());
+        s.sort_by(|a, b| a.partial_cmp(b).expect("median input must not be NaN"));
+        let mid = s.len() / 2;
+        let v = if s.len() % 2 == 1 {
+            s[mid]
+        } else {
+            0.5 * (s[mid - 1] + s[mid])
+        };
         out.window_at(0, Window::scalar(v));
-        true
-    }
-
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        Some(true)
     }
 }
 
@@ -68,12 +52,9 @@ mod tests {
     use bp_core::Item;
 
     fn run(def: &KernelDef, input: Window) -> f64 {
-        let mut b = (def.factory)();
         let consumed = vec![(0usize, Item::Window(input))];
-        let data = FireData::new(&def.spec, &consumed);
-        let mut out = Emitter::new(&def.spec);
-        b.fire("runMedian", &data, &mut out);
-        out.into_items()[0].1.window().unwrap().as_scalar()
+        let out = crate::testing::fire(def, &mut *(def.factory)(), "runMedian", consumed);
+        out[0].1.window().unwrap().as_scalar()
     }
 
     #[test]

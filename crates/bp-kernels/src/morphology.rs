@@ -17,32 +17,14 @@ struct MorphBehavior {
     op: Op,
 }
 
-impl MorphBehavior {
-    fn reduce(op: Op, samples: &[f64]) -> f64 {
-        match op {
-            Op::Erode => samples.iter().copied().fold(f64::INFINITY, f64::min),
-            Op::Dilate => samples.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        }
-    }
-}
-
 impl KernelBehavior for MorphBehavior {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        let v = Self::reduce(self.op, d.window("in").samples());
-        out.window("out", Window::scalar(v));
-    }
-
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
-        if method != 0 {
-            return false;
-        }
-        let v = Self::reduce(self.op, d.window_at(0).samples());
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
+        let samples = d.window_at(0).samples().iter().copied();
+        let v = match self.op {
+            Op::Erode => samples.fold(f64::INFINITY, f64::min),
+            Op::Dilate => samples.fold(f64::NEG_INFINITY, f64::max),
+        };
         out.window_at(0, Window::scalar(v));
-        true
-    }
-
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        Some(true)
     }
 }
 
@@ -80,12 +62,9 @@ mod tests {
     use bp_core::Item;
 
     fn run(def: &KernelDef, input: Window) -> f64 {
-        let mut b = (def.factory)();
         let consumed = vec![(0usize, Item::Window(input))];
-        let data = FireData::new(&def.spec, &consumed);
-        let mut out = Emitter::new(&def.spec);
-        b.fire("run", &data, &mut out);
-        out.into_items()[0].1.window().unwrap().as_scalar()
+        let out = crate::testing::fire(def, &mut *(def.factory)(), "run", consumed);
+        out[0].1.window().unwrap().as_scalar()
     }
 
     #[test]

@@ -43,9 +43,9 @@ impl PadBehavior {
 
     fn emit_zero_row(&self, out: &mut Emitter<'_>) {
         for _ in 0..self.out_width() {
-            out.window("out", Window::scalar(0.0));
+            out.window_at(0, Window::scalar(0.0));
         }
-        out.token("out", ControlToken::EndOfLine);
+        out.token_at(0, ControlToken::EndOfLine);
     }
 
     /// Mirror-pad one full data row and emit it with an EOL.
@@ -53,15 +53,15 @@ impl PadBehavior {
         let w = self.data.w as usize;
         for j in 0..self.m.left as usize {
             // Position -(left - j) reflects to row[left - 1 - j].
-            out.window("out", Window::scalar(row[self.m.left as usize - 1 - j]));
+            out.window_at(0, Window::scalar(row[self.m.left as usize - 1 - j]));
         }
         for &v in row {
-            out.window("out", Window::scalar(v));
+            out.window_at(0, Window::scalar(v));
         }
         for j in 0..self.m.right as usize {
-            out.window("out", Window::scalar(row[w - 1 - j]));
+            out.window_at(0, Window::scalar(row[w - 1 - j]));
         }
-        out.token("out", ControlToken::EndOfLine);
+        out.token_at(0, ControlToken::EndOfLine);
     }
 
     fn remember_tail(&mut self, row: Vec<f64>) {
@@ -83,10 +83,11 @@ impl PadBehavior {
     }
 }
 
+// Spec order: 0 = push, 1 = eol, 2 = eof.
 impl KernelBehavior for PadBehavior {
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match (method, self.mode) {
-            ("push", PadMode::Zero) => {
+            (0, PadMode::Zero) => {
                 if self.x == 0 && self.y == 0 {
                     for _ in 0..self.m.top {
                         self.emit_zero_row(out);
@@ -94,31 +95,31 @@ impl KernelBehavior for PadBehavior {
                 }
                 if self.x == 0 {
                     for _ in 0..self.m.left {
-                        out.window("out", Window::scalar(0.0));
+                        out.window_at(0, Window::scalar(0.0));
                     }
                 }
-                out.window("out", Window::scalar(d.window("in").as_scalar()));
+                out.window_at(0, Window::scalar(d.window_at(0).as_scalar()));
                 self.x += 1;
             }
-            ("eol", PadMode::Zero) => {
+            (1, PadMode::Zero) => {
                 for _ in 0..self.m.right {
-                    out.window("out", Window::scalar(0.0));
+                    out.window_at(0, Window::scalar(0.0));
                 }
-                out.token("out", ControlToken::EndOfLine);
+                out.token_at(0, ControlToken::EndOfLine);
                 self.x = 0;
                 self.y += 1;
             }
-            ("eof", PadMode::Zero) => {
+            (_, PadMode::Zero) => {
                 for _ in 0..self.m.bottom {
                     self.emit_zero_row(out);
                 }
-                out.token("out", ControlToken::EndOfFrame);
+                out.token_at(0, ControlToken::EndOfFrame);
                 self.reset();
             }
-            ("push", PadMode::Mirror) => {
-                self.cur.push(d.window("in").as_scalar());
+            (0, PadMode::Mirror) => {
+                self.cur.push(d.window_at(0).as_scalar());
             }
-            ("eol", PadMode::Mirror) => {
+            (1, PadMode::Mirror) => {
                 let row = std::mem::take(&mut self.cur);
                 let t = self.m.top as usize;
                 if (self.y as usize) < t {
@@ -141,7 +142,7 @@ impl KernelBehavior for PadBehavior {
                 }
                 self.y += 1;
             }
-            ("eof", PadMode::Mirror) => {
+            (_, PadMode::Mirror) => {
                 // Degenerate frames shorter than the top margin flush as-is.
                 if !self.held.is_empty() {
                     let held = std::mem::take(&mut self.held);
@@ -157,40 +158,10 @@ impl KernelBehavior for PadBehavior {
                         self.emit_padded_row(row, out);
                     }
                 }
-                out.token("out", ControlToken::EndOfFrame);
+                out.token_at(0, ControlToken::EndOfFrame);
                 self.reset();
             }
-            (other, _) => panic!("pad has no method '{other}'"),
         }
-    }
-
-    // Spec order: 0 = push, 1 = eol, 2 = eof. Only the per-pixel zero-mode
-    // and mirror-mode `push` paths are specialized; row/frame-rate methods
-    // fall back to the name dispatch.
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
-        if method != 0 {
-            return false;
-        }
-        match self.mode {
-            PadMode::Zero => {
-                if self.x == 0 && self.y == 0 {
-                    for _ in 0..self.m.top {
-                        self.emit_zero_row(out);
-                    }
-                }
-                if self.x == 0 {
-                    for _ in 0..self.m.left {
-                        out.window_at(0, Window::scalar(0.0));
-                    }
-                }
-                out.window_at(0, Window::scalar(d.window_at(0).as_scalar()));
-                self.x += 1;
-            }
-            PadMode::Mirror => {
-                self.cur.push(d.window_at(0).as_scalar());
-            }
-        }
-        true
     }
 }
 
@@ -259,26 +230,8 @@ pub fn pad(margins: Margins, mode: PadMode, data: Dim2) -> KernelDef {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::drive_items as drive;
     use bp_core::Item;
-
-    fn drive(def: &KernelDef, items: Vec<Item>) -> Vec<Item> {
-        let mut b = (def.factory)();
-        let mut got = Vec::new();
-        for item in items {
-            let method = match &item {
-                Item::Window(_) => "push",
-                Item::Control(ControlToken::EndOfLine) => "eol",
-                Item::Control(ControlToken::EndOfFrame) => "eof",
-                Item::Control(ControlToken::Custom(_)) => continue,
-            };
-            let consumed = vec![(0usize, item)];
-            let data = FireData::new(&def.spec, &consumed);
-            let mut out = Emitter::new(&def.spec);
-            b.fire(method, &data, &mut out);
-            got.extend(out.into_items().into_iter().map(|(_, i)| i));
-        }
-        got
-    }
 
     fn stream(w: u32, h: u32) -> Vec<Item> {
         let mut v = Vec::new();

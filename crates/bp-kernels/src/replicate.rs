@@ -13,21 +13,13 @@ struct ReplicateBehavior {
     k: usize,
 }
 
+// Single method `copy`; output `out{i}` is output index `i`.
 impl KernelBehavior for ReplicateBehavior {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        let w = d.window("in");
-        for i in 0..self.k {
-            out.window(&format!("out{i}"), w.clone());
-        }
-    }
-
-    // Single method `copy`; output `out{i}` is output index `i`.
-    fn fire_fast(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         let w = d.window_at(0);
         for i in 0..self.k {
             out.window_at(i, w.clone());
         }
-        true
     }
 }
 
@@ -62,13 +54,9 @@ mod tests {
     #[test]
     fn copies_to_every_output() {
         let def = replicate(3, Dim2::new(2, 1));
-        let mut b = (def.factory)();
         let w = Window::from_vec(Dim2::new(2, 1), vec![4.0, 5.0]);
         let consumed = vec![(0usize, Item::Window(w.clone()))];
-        let data = FireData::new(&def.spec, &consumed);
-        let mut out = Emitter::new(&def.spec);
-        b.fire("copy", &data, &mut out);
-        let items = out.into_items();
+        let items = crate::testing::fire(&def, &mut *(def.factory)(), "copy", consumed);
         assert_eq!(items.len(), 3);
         for (i, (port, item)) in items.iter().enumerate() {
             assert_eq!(*port, i);

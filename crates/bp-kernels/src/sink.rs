@@ -117,13 +117,8 @@ struct SinkBehavior {
 }
 
 impl KernelBehavior for SinkBehavior {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, _out: &mut Emitter<'_>) {
-        self.handle.items.lock().unwrap().push(d.item("in").clone());
-    }
-
-    fn fire_fast(&mut self, _m: usize, d: &FireData<'_>, _out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, _out: &mut Emitter<'_>) {
         self.handle.items.lock().unwrap().push(d.item_at(0).clone());
-        true
     }
 }
 
@@ -167,19 +162,7 @@ mod tests {
     use bp_core::{Dim2, Window};
 
     fn feed(def: &KernelDef, items: Vec<Item>) {
-        let mut b = (def.factory)();
-        for item in items {
-            let method = match &item {
-                Item::Window(_) => "take",
-                Item::Control(ControlToken::EndOfLine) => "takeEol",
-                Item::Control(ControlToken::EndOfFrame) => "takeEof",
-                Item::Control(ControlToken::Custom(_)) => continue,
-            };
-            let consumed = vec![(0usize, item)];
-            let data = FireData::new(&def.spec, &consumed);
-            let mut out = Emitter::new(&def.spec);
-            b.fire(method, &data, &mut out);
-        }
+        crate::testing::drive(def, items);
     }
 
     #[test]

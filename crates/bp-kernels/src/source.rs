@@ -21,22 +21,7 @@ struct FrameSourceBehavior {
 }
 
 impl KernelBehavior for FrameSourceBehavior {
-    fn fire(&mut self, _m: &str, _d: &FireData<'_>, out: &mut Emitter<'_>) {
-        out.window("out", Window::scalar((self.gen)(self.f, self.x, self.y)));
-        self.x += 1;
-        if self.x == self.frame.w {
-            self.x = 0;
-            out.token("out", ControlToken::EndOfLine);
-            self.y += 1;
-            if self.y == self.frame.h {
-                self.y = 0;
-                self.f += 1;
-                out.token("out", ControlToken::EndOfFrame);
-            }
-        }
-    }
-
-    fn fire_fast(&mut self, _m: usize, _d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, _m: usize, _d: &FireData<'_>, out: &mut Emitter<'_>) {
         out.window_at(0, Window::scalar((self.gen)(self.f, self.x, self.y)));
         self.x += 1;
         if self.x == self.frame.w {
@@ -49,7 +34,6 @@ impl KernelBehavior for FrameSourceBehavior {
                 out.token_at(0, ControlToken::EndOfFrame);
             }
         }
-        true
     }
 }
 
@@ -90,13 +74,8 @@ struct ConstSourceBehavior {
 }
 
 impl KernelBehavior for ConstSourceBehavior {
-    fn fire(&mut self, _m: &str, _d: &FireData<'_>, out: &mut Emitter<'_>) {
-        out.window("out", self.window.clone());
-    }
-
-    fn fire_fast(&mut self, _m: usize, _d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
+    fn fire(&mut self, _m: usize, _d: &FireData<'_>, out: &mut Emitter<'_>) {
         out.window_at(0, self.window.clone());
-        true
     }
 }
 
@@ -122,19 +101,13 @@ pub fn const_source(kind: &str, window: Window) -> KernelDef {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bp_core::kernel::FireData;
+    use crate::testing::fire;
 
     fn fire_once(def: &KernelDef, n: usize) -> Vec<Vec<(usize, Item)>> {
         let mut b = (def.factory)();
-        let mut all = Vec::new();
-        for _ in 0..n {
-            let consumed: Vec<(usize, Item)> = Vec::new();
-            let data = FireData::new(&def.spec, &consumed);
-            let mut out = Emitter::new(&def.spec);
-            b.fire("generate", &data, &mut out);
-            all.push(out.into_items());
-        }
-        all
+        (0..n)
+            .map(|_| fire(def, &mut *b, "generate", vec![]))
+            .collect()
     }
 
     #[test]
@@ -156,11 +129,7 @@ mod tests {
         let mut b = (def.factory)();
         let mut vals = Vec::new();
         for _ in 0..3 {
-            let consumed: Vec<(usize, Item)> = Vec::new();
-            let data = FireData::new(&def.spec, &consumed);
-            let mut out = Emitter::new(&def.spec);
-            b.fire("generate", &data, &mut out);
-            let items = out.into_items();
+            let items = fire(&def, &mut *b, "generate", vec![]);
             vals.push(items[0].1.window().unwrap().as_scalar());
         }
         assert_eq!(vals.len(), 3);
@@ -172,12 +141,7 @@ mod tests {
     fn const_source_provides_its_window() {
         let w = Window::from_fn(Dim2::new(2, 2), |x, y| (x + y) as f64);
         let def = const_source("coeff", w.clone());
-        let mut b = (def.factory)();
-        let consumed: Vec<(usize, Item)> = Vec::new();
-        let data = FireData::new(&def.spec, &consumed);
-        let mut out = Emitter::new(&def.spec);
-        b.fire("provide", &data, &mut out);
-        let items = out.into_items();
+        let items = fire(&def, &mut *(def.factory)(), "provide", vec![]);
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].1.window().unwrap(), &w);
         assert_eq!(def.spec.role, NodeRole::Const);

@@ -57,52 +57,30 @@ struct SplitRrBehavior {
     state: usize,
 }
 
-impl KernelBehavior for SplitRrBehavior {
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        match method {
-            "dispatch" => {
-                let w = d.window("in").clone();
-                out.window(&format!("out{}", self.state), w);
-                self.state = (self.state + 1) % self.k;
-            }
-            "eol" => {
-                for i in 0..self.k {
-                    out.token(&format!("out{i}"), ControlToken::EndOfLine);
-                }
-            }
-            "eof" => {
-                for i in 0..self.k {
-                    out.token(&format!("out{i}"), ControlToken::EndOfFrame);
-                }
-                self.state = 0;
-            }
-            other => panic!("split has no method '{other}'"),
-        }
+/// The token broadcast by a split's method `method` (1 = eol, 2 = eof).
+fn split_token(method: usize) -> ControlToken {
+    if method == 1 {
+        ControlToken::EndOfLine
+    } else {
+        ControlToken::EndOfFrame
     }
+}
 
-    // Spec order: 0 = dispatch, 1 = eol, 2 = eof; output `out{i}` is
-    // output index `i`.
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
-        match method {
-            0 => {
-                let w = d.window_at(0).clone();
-                out.window_at(self.state, w);
-                self.state = (self.state + 1) % self.k;
-            }
-            1 => {
-                for i in 0..self.k {
-                    out.token_at(i, ControlToken::EndOfLine);
-                }
-            }
-            2 => {
-                for i in 0..self.k {
-                    out.token_at(i, ControlToken::EndOfFrame);
-                }
-                self.state = 0;
-            }
-            _ => return false,
+// Spec order: 0 = dispatch, 1 = eol, 2 = eof; output `out{i}` is output
+// index `i`.
+impl KernelBehavior for SplitRrBehavior {
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
+        if method == 0 {
+            out.window_at(self.state, d.window_at(0).clone());
+            self.state = (self.state + 1) % self.k;
+            return;
         }
-        true
+        for i in 0..self.k {
+            out.token_at(i, split_token(method));
+        }
+        if method == 2 {
+            self.state = 0;
+        }
     }
 }
 
@@ -145,62 +123,23 @@ struct SplitColumnsBehavior {
     x: u32,
 }
 
+// Spec order as for the round-robin split.
 impl KernelBehavior for SplitColumnsBehavior {
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        match method {
-            "dispatch" => {
-                let w = d.window("in");
-                for (i, r) in self.ranges.iter().enumerate() {
-                    if r.contains(self.x) {
-                        out.window(&format!("out{i}"), w.clone());
-                    }
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
+        if method == 0 {
+            let w = d.window_at(0);
+            for (i, r) in self.ranges.iter().enumerate() {
+                if r.contains(self.x) {
+                    out.window_at(i, w.clone());
                 }
-                self.x += 1;
             }
-            "eol" => {
-                for i in 0..self.ranges.len() {
-                    out.token(&format!("out{i}"), ControlToken::EndOfLine);
-                }
-                self.x = 0;
-            }
-            "eof" => {
-                for i in 0..self.ranges.len() {
-                    out.token(&format!("out{i}"), ControlToken::EndOfFrame);
-                }
-                self.x = 0;
-            }
-            other => panic!("split has no method '{other}'"),
+            self.x += 1;
+            return;
         }
-    }
-
-    // Spec order: 0 = dispatch, 1 = eol, 2 = eof; output `out{i}` is
-    // output index `i`.
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
-        match method {
-            0 => {
-                let w = d.window_at(0);
-                for (i, r) in self.ranges.iter().enumerate() {
-                    if r.contains(self.x) {
-                        out.window_at(i, w.clone());
-                    }
-                }
-                self.x += 1;
-            }
-            1 => {
-                for i in 0..self.ranges.len() {
-                    out.token_at(i, ControlToken::EndOfLine);
-                }
-                self.x = 0;
-            }
-            2 => {
-                for i in 0..self.ranges.len() {
-                    out.token_at(i, ControlToken::EndOfFrame);
-                }
-                self.x = 0;
-            }
-            _ => return false,
+        for i in 0..self.ranges.len() {
+            out.token_at(i, split_token(method));
         }
-        true
+        self.x = 0;
     }
 }
 
@@ -249,26 +188,8 @@ pub fn plan_column_ranges(data_width: u32, win_w: u32, step_x: u32, k: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::drive;
     use bp_core::{Item, Window};
-
-    fn drive(def: &KernelDef, items: Vec<Item>) -> Vec<(usize, Item)> {
-        let mut b = (def.factory)();
-        let mut got = Vec::new();
-        for item in items {
-            let method = match &item {
-                Item::Window(_) => "dispatch",
-                Item::Control(ControlToken::EndOfLine) => "eol",
-                Item::Control(ControlToken::EndOfFrame) => "eof",
-                Item::Control(ControlToken::Custom(_)) => continue,
-            };
-            let consumed = vec![(0usize, item)];
-            let data = FireData::new(&def.spec, &consumed);
-            let mut out = Emitter::new(&def.spec);
-            b.fire(method, &data, &mut out);
-            got.extend(out.into_items());
-        }
-        got
-    }
 
     #[test]
     fn round_robin_distributes_and_broadcasts_tokens() {

@@ -23,36 +23,19 @@ struct UpsampleBehavior {
     mode: UpsampleMode,
 }
 
-impl UpsampleBehavior {
-    fn block(&self, v: f64) -> Window {
-        match self.mode {
-            UpsampleMode::Replicate => Window::filled(Dim2::new(self.fx, self.fy), v),
+impl KernelBehavior for UpsampleBehavior {
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
+        let v = d.window_at(0).as_scalar();
+        let dim = Dim2::new(self.fx, self.fy);
+        let block = match self.mode {
+            UpsampleMode::Replicate => Window::filled(dim, v),
             UpsampleMode::ZeroStuff => {
-                let mut w = Window::zeros(Dim2::new(self.fx, self.fy));
+                let mut w = Window::zeros(dim);
                 w.set(0, 0, v);
                 w
             }
-        }
-    }
-}
-
-impl KernelBehavior for UpsampleBehavior {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        let v = d.window("in").as_scalar();
-        out.window("out", self.block(v));
-    }
-
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
-        if method != 0 {
-            return false;
-        }
-        let v = d.window_at(0).as_scalar();
-        out.window_at(0, self.block(v));
-        true
-    }
-
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        Some(true)
+        };
+        out.window_at(0, block);
     }
 }
 
@@ -77,12 +60,9 @@ mod tests {
     use bp_core::Item;
 
     fn run(def: &KernelDef, v: f64) -> Window {
-        let mut b = (def.factory)();
         let consumed = vec![(0usize, Item::Window(Window::scalar(v)))];
-        let data = FireData::new(&def.spec, &consumed);
-        let mut out = Emitter::new(&def.spec);
-        b.fire("run", &data, &mut out);
-        out.into_items()[0].1.window().unwrap().clone()
+        let out = crate::testing::fire(def, &mut *(def.factory)(), "run", consumed);
+        out[0].1.window().unwrap().clone()
     }
 
     #[test]

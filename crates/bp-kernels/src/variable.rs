@@ -33,11 +33,9 @@ fn sad(w: &Window, ax: u32, ay: u32, bx: u32, by: u32) -> f64 {
     acc
 }
 
-impl MotionSearchBehavior {
-    /// The shared search body: best SAD plus candidates tried. Both
-    /// dispatch paths call this so their emissions and reported cycles are
-    /// identical by construction (pinned by the parity test below).
-    fn search(&self, w: &Window) -> (f64, u64) {
+impl KernelBehavior for MotionSearchBehavior {
+    fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
+        let w = d.window_at(0);
         // Reference block at the window center (2,2)..(3,3); candidates at
         // center + offsets in {-1,0,1}^2 are fully contained in the 6x6
         // window.
@@ -55,29 +53,8 @@ impl MotionSearchBehavior {
                 }
             }
         }
-        (best, tried)
-    }
-}
-
-impl KernelBehavior for MotionSearchBehavior {
-    fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
-        let (best, tried) = self.search(d.window("in"));
-        out.report_cycles(SEARCH_BASE_CYCLES + tried * SEARCH_POSITION_CYCLES);
-        out.window("out", Window::scalar(best));
-    }
-
-    fn fire_fast(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) -> bool {
-        if method != 0 {
-            return false;
-        }
-        let (best, tried) = self.search(d.window_at(0));
         out.report_cycles(SEARCH_BASE_CYCLES + tried * SEARCH_POSITION_CYCLES);
         out.window_at(0, Window::scalar(best));
-        true
-    }
-
-    fn ready_fast(&self, _method: usize) -> Option<bool> {
-        Some(true)
     }
 }
 
@@ -112,12 +89,9 @@ mod tests {
     use bp_core::Item;
 
     fn fire(def: &KernelDef, w: Window) -> (f64, Option<u64>) {
-        let mut b = (def.factory)();
         let consumed = vec![(0usize, Item::Window(w))];
-        let data = FireData::new(&def.spec, &consumed);
-        let mut out = Emitter::new(&def.spec);
-        b.fire("search", &data, &mut out);
-        let (items, cycles) = out.into_parts();
+        let b = &mut *(def.factory)();
+        let (items, cycles) = crate::testing::fire_parts(def, b, "search", consumed);
         (items[0].1.window().unwrap().as_scalar(), cycles)
     }
 
@@ -154,34 +128,6 @@ mod tests {
             cycles,
             Some(SEARCH_BASE_CYCLES + 5 * SEARCH_POSITION_CYCLES)
         );
-    }
-
-    /// Parity audit: the index-dispatched fast path must reproduce the
-    /// name path exactly — emissions *and* the data-dependent reported
-    /// cycles — across random windows straddling the early-exit threshold.
-    #[test]
-    fn fast_path_parity_with_name_dispatch() {
-        let def = motion_search(0.75, 9);
-        let mut rng = bp_core::Rng64::seed_from_u64(0x5eed_7001);
-        for _ in 0..64 {
-            let w = Window::from_fn(Dim2::new(6, 6), |_, _| rng.gen_range_f64(0.0, 2.0));
-            let consumed = vec![(0usize, Item::Window(w))];
-            let data = FireData::new(&def.spec, &consumed);
-
-            let mut slow = (def.factory)();
-            let mut out_slow = Emitter::new(&def.spec);
-            slow.fire("search", &data, &mut out_slow);
-            let (items_slow, cycles_slow) = out_slow.into_parts();
-
-            let mut fast = (def.factory)();
-            assert_eq!(fast.ready_fast(0), Some(fast.ready("search")));
-            let mut out_fast = Emitter::new(&def.spec);
-            assert!(fast.fire_fast(0, &data, &mut out_fast));
-            let (items_fast, cycles_fast) = out_fast.into_parts();
-
-            assert_eq!(items_slow, items_fast);
-            assert_eq!(cycles_slow, cycles_fast);
-        }
     }
 
     #[test]

@@ -5,43 +5,45 @@
 //! Seeded randomized sweeps (hermetic replacement for the original
 //! `proptest` strategies; same parameter ranges, fixed seeds).
 
-use bp_core::kernel::{Emitter, FireData, KernelDef};
-use bp_core::{ControlToken, Dim2, Item, Rng64, Step2, Window};
+use bp_core::kernel::{Emitter, FireData, KernelBehavior, KernelDef};
+use bp_core::{ControlToken, Dim2, Item, Rng64, Step2, TriggerOn, Window};
 use bp_kernels as k;
 use std::collections::VecDeque;
 
-/// Drive a single-input kernel over an item stream, dispatching data to its
-/// data method and tokens to its token handlers (mirrors the executor for
-/// one node).
+/// Fire `def`'s method called `name` once on `consumed`, returning what it
+/// emitted.
+fn fire(
+    def: &KernelDef,
+    b: &mut dyn KernelBehavior,
+    name: &str,
+    consumed: Vec<(usize, Item)>,
+) -> Vec<(usize, Item)> {
+    let method = def.spec.method_index(name).expect("known method");
+    let data = FireData::new(&def.spec, &consumed);
+    let mut out = Emitter::new(&def.spec);
+    b.fire(method, &data, &mut out);
+    out.into_items()
+}
+
+/// Drive a single-input kernel over an item stream, dispatching each item
+/// to the method its kind triggers on input 0 (mirrors the executor for
+/// one node; an item no method takes would be auto-forwarded).
 fn drive(def: &KernelDef, items: Vec<Item>) -> Vec<(usize, Item)> {
-    let data_method = def
-        .spec
-        .methods
-        .iter()
-        .find(|m| m.is_data_method())
-        .map(|m| m.name.clone())
-        .expect("data method");
+    let table = def.spec.method_table().expect("kernel spec resolves");
     let mut b = (def.factory)();
     let mut got = Vec::new();
     for item in items {
-        let method = match &item {
-            Item::Window(_) => data_method.clone(),
-            Item::Control(t) => {
-                let kind = t.kind();
-                match def.spec.methods.iter().find(|m| {
-                    m.triggers
-                        .iter()
-                        .any(|tr| tr.on == bp_core::TriggerOn::Token(kind))
-                }) {
-                    Some(m) => m.name.clone(),
-                    None => continue, // would be auto-forwarded by the executor
-                }
-            }
+        let on = match &item {
+            Item::Window(_) => TriggerOn::Data,
+            Item::Control(t) => TriggerOn::Token(t.kind()),
         };
-        let consumed = vec![(0usize, item)];
+        let Some(method) = table.iter().position(|m| m.triggers == [(0, on)]) else {
+            continue;
+        };
+        let consumed = [(0usize, item)];
         let data = FireData::new(&def.spec, &consumed);
         let mut out = Emitter::new(&def.spec);
-        b.fire(&method, &data, &mut out);
+        b.fire(method, &data, &mut out);
         got.extend(out.into_items());
     }
     got
@@ -132,61 +134,37 @@ fn split_join_roundtrip_is_identity() {
         items.push(Item::Control(ControlToken::EndOfFrame));
 
         // Run the split.
-        let mut sb = (split.factory)();
         let mut branch: Vec<VecDeque<Item>> = vec![VecDeque::new(); kk];
-        for item in items {
-            let method = match &item {
-                Item::Window(_) => "dispatch",
-                Item::Control(ControlToken::EndOfFrame) => "eof",
-                _ => unreachable!(),
-            };
-            let consumed = vec![(0usize, item)];
-            let data = FireData::new(&split.spec, &consumed);
-            let mut out = Emitter::new(&split.spec);
-            sb.fire(method, &data, &mut out);
-            for (port, it) in out.into_items() {
-                branch[port].push_back(it);
-            }
+        for (port, it) in drive(&split, items) {
+            branch[port].push_back(it);
         }
 
         // Run the join with trigger matching and the FSM gate.
+        let table = join.spec.method_table().unwrap();
         let mut jb = (join.factory)();
         let mut collected = Vec::new();
         loop {
-            let mut fired = false;
-            'methods: for m in &join.spec.methods {
-                for t in &m.triggers {
-                    let idx = join.spec.input_index(&t.input).unwrap();
-                    let ok = match branch[idx].front() {
-                        Some(Item::Window(_)) => t.on == bp_core::TriggerOn::Data,
-                        Some(Item::Control(tok)) => t.on == bp_core::TriggerOn::Token(tok.kind()),
-                        None => false,
-                    };
-                    if !ok {
-                        continue 'methods;
-                    }
-                }
-                if !jb.ready(&m.name) {
-                    continue;
-                }
-                let consumed: Vec<(usize, Item)> = m
-                    .triggers
-                    .iter()
-                    .map(|t| {
-                        let idx = join.spec.input_index(&t.input).unwrap();
-                        (idx, branch[idx].pop_front().unwrap())
-                    })
-                    .collect();
-                let data = FireData::new(&join.spec, &consumed);
-                let mut out = Emitter::new(&join.spec);
-                jb.fire(&m.name, &data, &mut out);
-                collected.extend(out.into_items().into_iter().map(|(_, i)| i));
-                fired = true;
+            let heads_match = |mi: usize| {
+                let triggers = table.method(mi).triggers;
+                triggers.iter().all(|&(p, on)| match branch[p].front() {
+                    Some(Item::Window(_)) => on == TriggerOn::Data,
+                    Some(Item::Control(tok)) => on == TriggerOn::Token(tok.kind()),
+                    None => false,
+                })
+            };
+            let Some(mi) = (0..table.len()).find(|&mi| heads_match(mi) && jb.ready(mi)) else {
                 break;
-            }
-            if !fired {
-                break;
-            }
+            };
+            let consumed: Vec<(usize, Item)> = table
+                .method(mi)
+                .triggers
+                .iter()
+                .map(|&(p, _)| (p, branch[p].pop_front().unwrap()))
+                .collect();
+            let data = FireData::new(&join.spec, &consumed);
+            let mut out = Emitter::new(&join.spec);
+            jb.fire(mi, &data, &mut out);
+            collected.extend(out.into_items().into_iter().map(|(_, i)| i));
         }
         let got: Vec<f64> = collected
             .iter()
@@ -273,15 +251,9 @@ fn median_is_order_statistic() {
     for _ in 0..64 {
         let vals: Vec<f64> = (0..9).map(|_| rng.gen_range_f64(-1000.0, 1000.0)).collect();
         let def = k::median(3, 3);
-        let mut b = (def.factory)();
-        let consumed = vec![(
-            0usize,
-            Item::Window(Window::from_vec(Dim2::new(3, 3), vals.clone())),
-        )];
-        let data = FireData::new(&def.spec, &consumed);
-        let mut out = Emitter::new(&def.spec);
-        b.fire("runMedian", &data, &mut out);
-        let got = out.into_items()[0].1.window().unwrap().as_scalar();
+        let input = Item::Window(Window::from_vec(Dim2::new(3, 3), vals.clone()));
+        let out = fire(&def, &mut *(def.factory)(), "runMedian", vec![(0, input)]);
+        let got = out[0].1.window().unwrap().as_scalar();
         let mut sorted = vals.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(got, sorted[4]);
@@ -297,19 +269,12 @@ fn convolution_is_linear() {
         let scale = rng.gen_range_f64(-4.0, 4.0);
         let def = k::conv2d(5, 5);
         let fire_with = |input: Vec<f64>| -> f64 {
-            let mut b = (def.factory)();
-            let consumed = vec![(1usize, Item::Window(k::box_coefficients(5, 5)))];
-            let data = FireData::new(&def.spec, &consumed);
-            let mut out = Emitter::new(&def.spec);
-            b.fire("loadCoeff", &data, &mut out);
-            let consumed = vec![(
-                0usize,
-                Item::Window(Window::from_vec(Dim2::new(5, 5), input)),
-            )];
-            let data = FireData::new(&def.spec, &consumed);
-            let mut out = Emitter::new(&def.spec);
-            b.fire("runConvolve", &data, &mut out);
-            out.into_items()[0].1.window().unwrap().as_scalar()
+            let b = &mut *(def.factory)();
+            let coeff = Item::Window(k::box_coefficients(5, 5));
+            fire(&def, b, "loadCoeff", vec![(1, coeff)]);
+            let input = Item::Window(Window::from_vec(Dim2::new(5, 5), input));
+            let out = fire(&def, b, "runConvolve", vec![(0, input)]);
+            out[0].1.window().unwrap().as_scalar()
         };
         let base = fire_with(vals.clone());
         let scaled = fire_with(vals.iter().map(|v| v * scale).collect());

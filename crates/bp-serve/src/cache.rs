@@ -1,6 +1,6 @@
 //! Shared compiled-graph cache keyed by canonical app shape.
 //!
-//! Lowering a graph to `bp-codegen`'s direct-threaded form is the one
+//! Lowering a graph to `bp-codegen`'s mask planner is the one
 //! per-instance build cost that does not depend on instance identity:
 //! the lowering reads only *shape* facts (kernel kinds, port geometry,
 //! trigger structure, costs), never node names or per-tenant state. A
@@ -30,7 +30,7 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// A shape-keyed cache of lowered direct-threaded programs.
+/// A shape-keyed cache of lowered mask-planner programs.
 #[derive(Default)]
 pub struct ProgramCache {
     programs: HashMap<u64, Arc<ThreadedProgram>>,

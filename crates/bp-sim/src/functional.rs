@@ -102,7 +102,7 @@ mod tests {
         v: f64,
     }
     impl KernelBehavior for TestSource {
-        fn fire(&mut self, _m: &str, _d: &FireData<'_>, out: &mut Emitter<'_>) {
+        fn fire(&mut self, _m: usize, _d: &FireData<'_>, out: &mut Emitter<'_>) {
             out.window("out", Window::scalar(self.v));
             self.v += 1.0;
             self.x += 1;
@@ -141,7 +141,7 @@ mod tests {
     /// Doubles each sample; passes tokens through automatically.
     struct Doubler;
     impl KernelBehavior for Doubler {
-        fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
+        fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
             out.window("out", Window::scalar(d.window("in").as_scalar() * 2.0));
         }
     }
@@ -164,7 +164,7 @@ mod tests {
     /// Collects all received items into a shared store.
     struct Collector(Arc<Mutex<Vec<Item>>>);
     impl KernelBehavior for Collector {
-        fn fire(&mut self, _m: &str, d: &FireData<'_>, _o: &mut Emitter<'_>) {
+        fn fire(&mut self, _m: usize, d: &FireData<'_>, _o: &mut Emitter<'_>) {
             self.0.lock().unwrap().push(d.item("in").clone());
         }
     }
@@ -232,7 +232,7 @@ mod tests {
     /// Subtract-style kernel consuming two inputs; tokens must synchronize.
     struct Sub;
     impl KernelBehavior for Sub {
-        fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
+        fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
             let a = d.window("in0").as_scalar();
             let b = d.window("in1").as_scalar();
             out.window("out", Window::scalar(a - b));

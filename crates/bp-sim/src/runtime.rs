@@ -2,8 +2,11 @@
 //! automatic control-token forwarding (§II-C of the paper).
 //!
 //! Both the untimed functional executor and the timing-accurate simulator
-//! drive the same [`Program`] structure, so functional results are identical
-//! between the two by construction.
+//! drive the same [`Program`] structure and fire every node through the
+//! same routine, [`RtNode::fire`], into the kernel's index-dispatched
+//! [`KernelBehavior::fire`] — so functional results are identical between
+//! the two by construction, and the timed engine's two backends differ in
+//! how they plan alone.
 //!
 //! No name is resolved here: every method's trigger inputs, outputs and cost
 //! come index-resolved from the spec's own [`MethodTable`]
@@ -27,8 +30,9 @@ use std::sync::Arc;
 /// method's trigger group (§II-C). Actions are plain indices into the node's
 /// method table, so planning allocates nothing and actions are freely
 /// copyable. The interpreter and the lowered planner
-/// ([`bp_codegen::ThreadedNode::plan`]) answer with the same type, which is
-/// what lets one scheduler drive either.
+/// ([`bp_codegen::ThreadedNode::plan`]) answer with the same type, and
+/// [`RtNode::fire`] takes it from either, which is what lets one scheduler
+/// drive both.
 pub type Action = bp_codegen::PlannedAction;
 
 /// Rows of varying length in one allocation: row `r` is
@@ -168,7 +172,7 @@ impl RtNode {
                 continue; // source method; fired externally
             }
             let all = cm.triggers.iter().all(|&(p, on)| self.matches(p, on));
-            if all && self.behavior.ready(&self.spec.methods[mi].name) {
+            if all && self.behavior.ready(mi) {
                 return Some(Action::Fire { method: mi });
             }
         }
@@ -213,61 +217,50 @@ impl RtNode {
         None
     }
 
-    /// Execute an action, returning the emitted `(output port, item)` pairs.
-    pub fn execute(&mut self, action: Action) -> Vec<(usize, Item)> {
-        self.execute_with_cost(action).0
-    }
-
-    /// Execute an action, returning the emitted items plus the behavior's
-    /// reported actual cycle count (for data-dependent-cost kernels; `None`
-    /// means the declared method cost applies). The returned vector is the
-    /// node's recycled emit buffer — hand it back via
-    /// [`recycle_out_buf`](Self::recycle_out_buf) after routing.
-    pub fn execute_with_cost(&mut self, action: Action) -> (Vec<(usize, Item)>, Option<u64>) {
+    /// Fire a planned action: pop the fired method's trigger inputs (or
+    /// the forwarded token from every input of the group), run the
+    /// behavior, and return the emitted `(output port, item)` pairs, the
+    /// data words read from the popped items, and the behavior's reported
+    /// actual cycle count (for data-dependent-cost kernels; `None` means
+    /// the declared method cost applies). The emitted vector is the node's
+    /// recycled emit buffer — hand it back via
+    /// [`recycle_out_buf`](Self::recycle_out_buf) after routing. Both
+    /// timed backends and the functional executor fire through this one
+    /// routine; they differ only in how they plan.
+    #[inline]
+    pub fn fire(&mut self, action: Action) -> (Vec<(usize, Item)>, u64, Option<u64>) {
         self.firings += 1;
+        let mut out = std::mem::take(&mut self.out_buf);
         match action {
             Action::Fire { method } => {
                 let mut consumed = std::mem::take(&mut self.consumed_buf);
-                let out_storage = std::mem::take(&mut self.out_buf);
-                consumed.clear();
-                {
-                    let RtNode {
-                        methods, queues, ..
-                    } = self;
-                    for &(p, _) in methods.method(method).triggers {
-                        consumed
-                            .push((p, queues[p].pop_front().expect("planned input disappeared")));
-                    }
+                let mut read_words = 0;
+                for &(p, _) in self.methods.triggers(method) {
+                    let it = self.queues[p]
+                        .pop_front()
+                        .expect("planned input disappeared");
+                    read_words += it.words();
+                    consumed.push((p, it));
                 }
-                let RtNode {
-                    ref spec,
-                    ref mut behavior,
-                    ..
-                } = *self;
-                let mname: &str = &spec.methods[method].name;
-                let data = FireData::new(spec, &consumed);
-                let mut out = Emitter::with_buffer(spec, out_storage);
-                behavior.fire(mname, &data, &mut out);
-                let parts = out.into_parts();
+                let data = FireData::new(&self.spec, &consumed);
+                let mut emitter = Emitter::with_buffer(&self.spec, out);
+                self.behavior.fire(method, &data, &mut emitter);
+                let (emitted, actual) = emitter.into_parts();
                 consumed.clear();
                 self.consumed_buf = consumed;
-                parts
+                (emitted, read_words, actual)
             }
             Action::Forward { token, method } => {
-                {
-                    let RtNode {
-                        methods, queues, ..
-                    } = self;
-                    for &(p, _) in methods.method(method).triggers {
-                        let it = queues[p].pop_front().expect("planned token disappeared");
-                        debug_assert!(matches!(it, Item::Control(t) if t == token));
-                    }
+                let m = self.methods.method(method);
+                for &(p, _) in m.triggers {
+                    let popped = self.queues[p]
+                        .pop_front()
+                        .expect("planned token disappeared");
+                    debug_assert!(matches!(popped, Item::Control(t) if t == token));
                 }
-                let mut out = std::mem::take(&mut self.out_buf);
                 out.clear();
-                let outputs = self.methods.method(method).outputs;
-                out.extend(outputs.iter().map(|&o| (o, Item::Control(token))));
-                (out, None)
+                out.extend(m.outputs.iter().map(|&o| (o, Item::Control(token))));
+                (out, 0, None)
             }
         }
     }
@@ -276,85 +269,10 @@ impl RtNode {
     /// items in the node's recycled emit buffer.
     pub fn fire_untriggered(&mut self, method: usize) -> Vec<(usize, Item)> {
         self.firings += 1;
-        let out_storage = std::mem::take(&mut self.out_buf);
-        let RtNode {
-            ref spec,
-            ref mut behavior,
-            ..
-        } = *self;
-        let mname: &str = &spec.methods[method].name;
-        let consumed: [(usize, Item); 0] = [];
-        let data = FireData::new(spec, &consumed);
-        let mut out = Emitter::with_buffer(spec, out_storage);
-        behavior.fire(mname, &data, &mut out);
+        let data = FireData::new(&self.spec, &[]);
+        let mut out = Emitter::with_buffer(&self.spec, std::mem::take(&mut self.out_buf));
+        self.behavior.fire(method, &data, &mut out);
         out.into_items()
-    }
-
-    /// [`fire_untriggered`](Self::fire_untriggered) through the behavior's
-    /// index-dispatched fast path (compiled backend), falling back to the
-    /// name dispatch when the kernel has none.
-    pub(crate) fn fire_untriggered_fast(&mut self, method: usize) -> Vec<(usize, Item)> {
-        self.firings += 1;
-        let out_storage = std::mem::take(&mut self.out_buf);
-        let RtNode {
-            ref spec,
-            ref mut behavior,
-            ..
-        } = *self;
-        let consumed: [(usize, Item); 0] = [];
-        let data = FireData::new(spec, &consumed);
-        let mut out = Emitter::with_buffer(spec, out_storage);
-        if !behavior.fire_fast(method, &data, &mut out) {
-            behavior.fire(&spec.methods[method].name, &data, &mut out);
-        }
-        out.into_items()
-    }
-
-    /// Run a direct-threaded fire routine (compiled backend) against this
-    /// node's queues, behavior, and recycled buffers. The returned vector
-    /// is the node's emit buffer — hand it back via
-    /// [`recycle_out_buf`](Self::recycle_out_buf) after routing, exactly
-    /// like [`execute_with_cost`](Self::execute_with_cost).
-    pub(crate) fn fire_threaded(
-        &mut self,
-        fire: &bp_codegen::FireFn,
-    ) -> (Vec<(usize, Item)>, bp_codegen::FireResult) {
-        self.firings += 1;
-        let mut consumed = std::mem::take(&mut self.consumed_buf);
-        let mut emitted = std::mem::take(&mut self.out_buf);
-        let res = fire(&mut bp_codegen::FireArgs {
-            spec: &self.spec,
-            queues: &mut self.queues,
-            behavior: self.behavior.as_mut(),
-            consumed: &mut consumed,
-            emitted: &mut emitted,
-        });
-        self.consumed_buf = consumed;
-        (emitted, res)
-    }
-
-    /// Direct-threaded token forward (compiled backend): pop the trigger
-    /// group's tokens and emit the token on every output — the lowered
-    /// equivalent of [`Action::Forward`] under
-    /// [`execute_with_cost`](Self::execute_with_cost).
-    pub(crate) fn forward_threaded(
-        &mut self,
-        method: usize,
-        token: ControlToken,
-    ) -> Vec<(usize, Item)> {
-        self.firings += 1;
-        let m = self.methods.method(method);
-        for &(p, _) in m.triggers {
-            let popped = self.queues[p]
-                .pop_front()
-                .expect("planned token disappeared");
-            debug_assert!(matches!(popped, Item::Control(t) if t == token));
-            drop(popped);
-        }
-        let mut out = std::mem::take(&mut self.out_buf);
-        out.clear();
-        out.extend(m.outputs.iter().map(|&o| (o, Item::Control(token))));
-        out
     }
 
     /// Return a drained emit buffer to this node for reuse by its next
@@ -552,7 +470,7 @@ impl Program {
         let Some(action) = self.nodes[node].plan() else {
             return false;
         };
-        let emitted = self.nodes[node].execute(action);
+        let (emitted, _, _) = self.nodes[node].fire(action);
         self.route(node, emitted);
         true
     }

@@ -34,7 +34,7 @@
 //! call; [`crate::step::SteppableSim`] drains it a bounded number of events
 //! at a time. The loop is written once, over routing/space/credit/cost
 //! tables resolved at build time and generic over the one thing the
-//! [`Backend`]s differ in: planning and firing a kernel.
+//! [`Backend`]s differ in: planning a kernel's next action.
 
 use crate::deadlock::{CapacityBump, DeadlockHop, DeadlockReport, SimOutcome};
 use crate::events::{BucketQueue, EventQueue};
@@ -69,7 +69,7 @@ fn band1_ord(stream: u64, seq: u32) -> u64 {
 }
 
 /// Execution backend for the timed engine: how a kernel's next action is
-/// planned and fired. Everything else — the event loop, routing, dispatch,
+/// planned. Everything else — the event loop, firing, routing, dispatch,
 /// space, credits, cost — is one scheduler over tables built from the
 /// instantiated nodes, so both backends run the same schedule and must
 /// produce bitwise-identical [`SimReport`]s and traces; the interpreter is
@@ -81,12 +81,11 @@ pub enum Backend {
     /// (so debug runs exercise the oracle).
     #[default]
     Auto,
-    /// `RtNode::plan`'s linear trigger scan and `execute_with_cost`'s
-    /// name-keyed dispatch.
+    /// `RtNode::plan`'s linear trigger scan.
     Interpreted,
-    /// Mask-based readiness planning and arity-specialized fire routines
-    /// lowered by [`bp_codegen::lower_graph`]. Construction fails if the graph cannot be lowered (a kernel with
-    /// more than 64 input ports).
+    /// Mask-based readiness planning lowered by
+    /// [`bp_codegen::lower_graph`]. Construction fails if the graph cannot
+    /// be lowered (a kernel with more than 64 input ports).
     Compiled,
 }
 
@@ -125,15 +124,15 @@ pub struct SimConfig {
     /// they cannot change the schedule, the [`SimReport`], or its
     /// fingerprint.
     pub metrics: Option<MetricsPolicy>,
-    /// Pre-lowered direct-threaded program to instantiate instead of
+    /// Pre-lowered mask-planner program to instantiate instead of
     /// lowering the graph at build time (`None`, the default, lowers
     /// fresh). The program must come from [`bp_codegen::lower_graph`] on a
     /// graph with the same [`bp_codegen::shape_key`] as the one being
     /// simulated — the lowering reads only shape facts, so any same-shape
-    /// program is interchangeable. Only the plan and fire closures come
-    /// from it; every table comes from the instantiated nodes, and a
-    /// program that disagrees with them on what a method pops, emits or
-    /// costs is rejected at construction. This is how a fleet host shares
+    /// program is interchangeable. Only the planner's masks come from it;
+    /// every table comes from the instantiated nodes, and a program that
+    /// disagrees with them on what a method pops, emits or costs is
+    /// rejected at construction. This is how a fleet host shares
     /// one lowering across many tenant instances; ignored when the
     /// resolved backend is interpreted.
     pub lowered: Option<Arc<bp_codegen::ThreadedProgram>>,
@@ -413,7 +412,7 @@ pub(crate) struct Shared {
     /// a method index ([`method_slot`](Self::method_slot)) indexes the
     /// per-method tables here and the engine's read/write-cost memo cache.
     method_base: Vec<u32>,
-    /// The direct-threaded program [`Threaded`] plans and fires through;
+    /// The lowered program [`Threaded`] plans through;
     /// `None` runs [`Interp`]. `Arc`-shared so a fleet host can instantiate
     /// many same-shape simulators from one lowering.
     lowered: Option<Arc<bp_codegen::ThreadedProgram>>,
@@ -568,10 +567,10 @@ pub(crate) fn build_shared(
         upstream.push_row(producers.iter().copied());
     }
     let node_roles: Vec<NodeRole> = nodes.iter().map(|rt| rt.spec.role).collect();
-    // Lower to the direct-threaded backend when requested (or in release
-    // builds under `Auto`). Only planning and firing come from the program
-    // (DESIGN.md §13); every table below is built from the instantiated
-    // nodes, whichever backend drives them.
+    // Lower to the mask planner when requested (or in release builds
+    // under `Auto`). Only planning comes from the program (DESIGN.md §13);
+    // every table below is built from the instantiated nodes, whichever
+    // backend drives them.
     let want_compiled = match config.backend {
         Backend::Interpreted => false,
         Backend::Compiled => true,
@@ -677,8 +676,8 @@ pub(crate) fn build_shared(
 
 /// Reject a pre-lowered program that was not lowered from a graph shaped
 /// like the one `nodes` instantiates: the engine takes routing, space,
-/// credit and cost tables from the nodes and only planning and firing from
-/// the program, so the two must agree on everything a firing pops, emits
+/// credit and cost tables from the nodes and only planning from the
+/// program, so the two must agree on everything a firing pops, emits
 /// and costs. O(methods), once per instantiation.
 fn check_lowered(program: &bp_codegen::ThreadedProgram, nodes: &[RtNode]) -> Result<()> {
     let mismatch = |what: String| {
@@ -717,15 +716,11 @@ fn check_lowered(program: &bp_codegen::ThreadedProgram, nodes: &[RtNode]) -> Res
     Ok(())
 }
 
-/// What a firing hands back: the emitted items (in the node's recycled
-/// emit buffer), the words read from the consumed inputs, and the
-/// behavior's reported cycle count if it reported one.
-type Fired = (Vec<(usize, Item)>, u64, Option<u64>);
-
 /// The only thing the backends differ in: how a node's next action is
-/// planned and how it is fired. The scheduler — loop, routing, dispatch,
-/// space, credits, cost — is generic over this and otherwise identical, so
-/// the interpreter is the oracle for exactly what `bp-codegen` lowers.
+/// planned. The scheduler — loop, firing ([`RtNode::fire`]), routing,
+/// dispatch, space, credits, cost — is generic over this and otherwise
+/// identical, so the interpreter is the oracle for exactly what
+/// `bp-codegen` lowers.
 trait Exec: Copy {
     /// Whether the engine maintains [`Engine::head_data`] and
     /// `head_ctrl`. The interpreter also runs the graphs the mask planner
@@ -736,17 +731,10 @@ trait Exec: Copy {
     /// Decide `rt`'s next action from its queue heads, or `None` if it
     /// cannot progress.
     fn plan(self, node: usize, rt: &RtNode, head_data: u64, head_ctrl: u64) -> Option<Action>;
-
-    /// Execute a planned action.
-    fn fire(self, node: usize, rt: &mut RtNode, action: Action) -> Fired;
-
-    /// Fire a trigger-less (source) method.
-    fn fire_untriggered(self, rt: &mut RtNode, method: usize) -> Vec<(usize, Item)>;
 }
 
-/// `bp-codegen`'s direct-threaded routines: a mask test instead of the
-/// trigger scan, an arity-specialized closure and index dispatch instead
-/// of name dispatch.
+/// `bp-codegen`'s mask planner: a readiness mask test instead of the
+/// trigger scan.
 #[derive(Clone, Copy)]
 struct Threaded<'p>(&'p bp_codegen::ThreadedProgram);
 
@@ -757,29 +745,9 @@ impl Exec for Threaded<'_> {
     fn plan(self, node: usize, rt: &RtNode, head_data: u64, head_ctrl: u64) -> Option<Action> {
         self.0.nodes[node].plan(head_data, head_ctrl, &rt.queues, rt.behavior.as_ref())
     }
-
-    #[inline]
-    fn fire(self, node: usize, rt: &mut RtNode, action: Action) -> Fired {
-        match action {
-            Action::Fire { method } => {
-                let (emitted, res) = rt.fire_threaded(&self.0.nodes[node].methods[method].fire);
-                (emitted, res.read_words, res.actual_cycles)
-            }
-            Action::Forward { token, method } => {
-                let emitted = rt.forward_threaded(method, token);
-                (emitted, 0, None)
-            }
-        }
-    }
-
-    #[inline]
-    fn fire_untriggered(self, rt: &mut RtNode, method: usize) -> Vec<(usize, Item)> {
-        rt.fire_untriggered_fast(method)
-    }
 }
 
-/// The interpreter: [`RtNode::plan`]'s linear trigger scan and
-/// [`RtNode::execute_with_cost`]'s name dispatch.
+/// The interpreter: [`RtNode::plan`]'s linear trigger scan.
 #[derive(Clone, Copy)]
 struct Interp;
 
@@ -788,26 +756,6 @@ impl Exec for Interp {
 
     fn plan(self, _node: usize, rt: &RtNode, _head_data: u64, _head_ctrl: u64) -> Option<Action> {
         rt.plan()
-    }
-
-    fn fire(self, _node: usize, rt: &mut RtNode, action: Action) -> Fired {
-        // Read words come from the items about to be consumed.
-        let read_words: u64 = match action {
-            Action::Fire { method } => rt
-                .methods
-                .method(method)
-                .triggers
-                .iter()
-                .map(|&(p, _)| rt.queues[p].front().map_or(0, |i| i.words()))
-                .sum(),
-            Action::Forward { .. } => 0,
-        };
-        let (emitted, actual) = rt.execute_with_cost(action);
-        (emitted, read_words, actual)
-    }
-
-    fn fire_untriggered(self, rt: &mut RtNode, method: usize) -> Vec<(usize, Item)> {
-        rt.fire_untriggered(method)
     }
 }
 
@@ -1183,7 +1131,7 @@ impl Engine {
         if JRN {
             self.record_untriggered_begin(s.node, s.method);
         }
-        let emitted = x.fire_untriggered(&mut self.nodes[s.node], s.method);
+        let emitted = self.nodes[s.node].fire_untriggered(s.method);
         let mut touched = std::mem::take(&mut self.touched_buf);
         touched.clear();
         self.route::<X, OBS, JRN>(sh, s.node, emitted, &mut touched);
@@ -1621,8 +1569,8 @@ impl Engine {
     /// they still cannot fire). A dirty node that plans `None` is cleaned;
     /// one that is only blocked on downstream space stays dirty, because
     /// space freeing re-triggers a dispatch of this PE. The round-robin
-    /// pointer advances exactly as in an exhaustive scan. Planning and
-    /// firing are the backend's ([`Exec`]); the space/credit/cost lookups
+    /// pointer advances exactly as in an exhaustive scan. Planning is the
+    /// backend's ([`Exec`]); the space/credit/cost lookups
     /// hit the precomputed tables.
     fn try_start<X: Exec, const OBS: bool, const JRN: bool>(
         &mut self,
@@ -1664,7 +1612,7 @@ impl Engine {
                 self.space_waiting[node] = true;
                 continue;
             }
-            let (emitted, read_words, actual) = x.fire(node, &mut self.nodes[node], action);
+            let (emitted, read_words, actual) = self.nodes[node].fire(action);
             let (declared, declared_s) = match action {
                 Action::Fire { .. } => {
                     (self.nodes[node].methods.cost_cycles(mi), sh.run_s(node, mi))

@@ -78,7 +78,7 @@ fn lying_source(dim: Dim2, declared_rate: f64) -> KernelDef {
         y: u32,
     }
     impl KernelBehavior for S {
-        fn fire(&mut self, _m: &str, _d: &FireData<'_>, out: &mut Emitter<'_>) {
+        fn fire(&mut self, _m: usize, _d: &FireData<'_>, out: &mut Emitter<'_>) {
             out.window("out", Window::scalar(1.0));
             out.token("out", ControlToken::Custom(3));
             self.x += 1;

@@ -6,7 +6,7 @@ use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::token::{ControlToken, CustomTokenDecl, TokenKind};
 use bp_core::{Dim2, GraphBuilder, Window};
-use bp_sim::{FunctionalExecutor, Program};
+use bp_sim::{FunctionalExecutor, Program, SimConfig, TimedSimulator};
 use std::sync::{Arc, Mutex};
 
 /// Source emitting pixels 0..n-1 with a custom token after every third
@@ -19,7 +19,7 @@ fn flagging_source(dim: Dim2) -> KernelDef {
         v: f64,
     }
     impl KernelBehavior for S {
-        fn fire(&mut self, _m: &str, _d: &FireData<'_>, out: &mut Emitter<'_>) {
+        fn fire(&mut self, _m: usize, _d: &FireData<'_>, out: &mut Emitter<'_>) {
             out.window("out", Window::scalar(self.v));
             self.v += 1.0;
             if (self.v as u64).is_multiple_of(3) {
@@ -65,12 +65,12 @@ fn counting_kernel(counter: Arc<Mutex<u32>>) -> KernelDef {
     struct C {
         counter: Arc<Mutex<u32>>,
     }
+    // Spec order: 0 = pass, 1 = onFlag.
     impl KernelBehavior for C {
-        fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
+        fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
             match method {
-                "pass" => out.window("out", Window::scalar(d.window("in").as_scalar())),
-                "onFlag" => *self.counter.lock().unwrap() += 1,
-                other => panic!("no method {other}"),
+                0 => out.window("out", Window::scalar(d.window("in").as_scalar())),
+                _ => *self.counter.lock().unwrap() += 1,
             }
         }
     }
@@ -249,4 +249,42 @@ fn program_firing_counts_are_tracked() {
     // 16 data + 4 EOL + 2 EOF forwards.
     assert_eq!(prog.nodes[sc_idx].firings, 22);
     assert!(prog.find("nonexistent").is_none());
+}
+
+/// A kernel emitting on output 1 of a one-output spec is stopped at the
+/// emission, naming kernel and port — in release builds too, where the
+/// item would otherwise be routed along the next node's route row.
+#[test]
+#[should_panic(expected = "kernel misrouting has no output 1")]
+fn emitting_on_a_missing_output_panics_naming_kernel_and_port() {
+    struct Misroute;
+    impl KernelBehavior for Misroute {
+        fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
+            out.window_at(1, d.window_at(0).clone());
+        }
+    }
+    let spec = KernelSpec::new("misrouting")
+        .input(InputSpec::stream("in"))
+        .output(OutputSpec::stream("out"))
+        .method(MethodSpec::on_data(
+            "run",
+            "in",
+            vec!["out".into()],
+            MethodCost::new(1, 0),
+        ));
+    let dim = Dim2::new(2, 1);
+    let mut b = GraphBuilder::new();
+    let src = b.add_source("Input", bp_kernels::pattern_source(dim), dim, 10.0);
+    let bad = b.add("Bad", KernelDef::new(spec, || Misroute));
+    let pass = b.add("Pass", bp_kernels::scale(1.0, 0.0));
+    let (sdef, _h) = bp_kernels::sink();
+    let snk = b.add("Out", sdef);
+    b.connect(src, "out", bad, "in");
+    b.connect(bad, "out", pass, "in");
+    b.connect(pass, "out", snk, "in");
+    let g = b.build().unwrap();
+    let mapping = bp_core::Mapping::one_to_one(g.node_count());
+    let _ = TimedSimulator::new(&g, &mapping, SimConfig::new(1))
+        .unwrap()
+        .run();
 }

@@ -13,7 +13,7 @@ use bp_sim::{FunctionalExecutor, SimConfig, TimedSimulator};
 fn costly_passthrough(cycles: u64) -> KernelDef {
     struct Pass;
     impl KernelBehavior for Pass {
-        fn fire(&mut self, _m: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
+        fn fire(&mut self, _m: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
             out.window("out", bp_core::Window::scalar(d.window("in").as_scalar()));
         }
     }

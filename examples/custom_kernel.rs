@@ -9,6 +9,12 @@
 //! halves its gain whenever that token arrives — control and data
 //! processing stay separate methods but communicate through kernel state.
 //!
+//! Methods are declared by name in the spec and dispatched by *index*: a
+//! behavior's `fire` (and `ready`, when overridden) receives the method's
+//! position in registration order, which each kernel below names with
+//! `const`s beside its spec. Ports may still be addressed by name
+//! (`d.window("in")`, `out.window("out", …)`).
+//!
 //! Run with: `cargo run --example custom_kernel`
 
 use block_parallel::prelude::*;
@@ -20,6 +26,10 @@ use bp_core::{Emitter, FireData};
 /// Token id for the over-exposure flag.
 const OVEREXPOSED: u16 = 1;
 
+// `mean_detector`'s methods, in registration order.
+const PASS: usize = 0;
+const END_FRAME: usize = 1;
+
 struct MeanDetector {
     threshold: f64,
     sum: f64,
@@ -27,15 +37,15 @@ struct MeanDetector {
 }
 
 impl KernelBehavior for MeanDetector {
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
-            "pass" => {
+            PASS => {
                 let v = d.window("in").as_scalar();
                 self.sum += v;
                 self.count += 1;
                 out.window("out", Window::scalar(v));
             }
-            "endFrame" => {
+            END_FRAME => {
                 let mean = if self.count > 0 {
                     self.sum / self.count as f64
                 } else {
@@ -49,7 +59,7 @@ impl KernelBehavior for MeanDetector {
                 self.sum = 0.0;
                 self.count = 0;
             }
-            other => panic!("mean detector has no method '{other}'"),
+            other => unreachable!("mean detector has no method {other}"),
         }
     }
 }
@@ -87,23 +97,27 @@ fn mean_detector(threshold: f64, frame_rate_hz: f64) -> KernelDef {
     })
 }
 
+// `adaptive_gain`'s methods, in registration order.
+const APPLY: usize = 0;
+const ON_OVEREXPOSED: usize = 1;
+
 struct AdaptiveGain {
     gain: f64,
     adjustments: u32,
 }
 
 impl KernelBehavior for AdaptiveGain {
-    fn fire(&mut self, method: &str, d: &FireData<'_>, out: &mut Emitter<'_>) {
+    fn fire(&mut self, method: usize, d: &FireData<'_>, out: &mut Emitter<'_>) {
         match method {
-            "apply" => {
+            APPLY => {
                 let v = d.window("in").as_scalar();
                 out.window("out", Window::scalar(v * self.gain));
             }
-            "onOverexposed" => {
+            ON_OVEREXPOSED => {
                 self.gain *= 0.5;
                 self.adjustments += 1;
             }
-            other => panic!("adaptive gain has no method '{other}'"),
+            other => unreachable!("adaptive gain has no method {other}"),
         }
     }
 }

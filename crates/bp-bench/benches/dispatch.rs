@@ -4,7 +4,8 @@
 //!
 //! Planning is what the two backends differ in, so it is timed per
 //! backend — the interpreter's trigger scan (`RtNode::plan`) against the
-//! compiled readiness mask test (`ThreadedNode::plan`):
+//! compiled readiness mask test (`RtNode::plan_masked`), both over the
+//! spec's one method table:
 //! - `plan-hit-1` / `plan-hit-2`: a unary scalar kernel and a binary one
 //!   (the join shape) whose trigger queues hold a window, so the plan
 //!   succeeds;
@@ -17,9 +18,9 @@
 
 use bp_bench::criterion_group;
 use bp_bench::microbench::{black_box, Criterion, Throughput};
-use bp_codegen::{lower_graph, ThreadedProgram};
 use bp_core::{Dim2, GraphBuilder, Item, Window};
 use bp_kernels as k;
+use bp_sim::runtime::head_masks;
 use bp_sim::{Action, Program};
 
 /// Firings (or plans) timed per sample.
@@ -28,7 +29,7 @@ const FIRINGS: u64 = 50_000;
 /// A minimal graph holding the benchmarked kernels: a unary `scale` and a
 /// binary `add` over 1x1 scalar windows (kernel work is a few flops, so
 /// dispatch overhead dominates the measurement by construction).
-fn build() -> (Program, ThreadedProgram, usize, usize) {
+fn build() -> (Program, usize, usize) {
     let dim = Dim2::new(1, 1);
     let mut b = GraphBuilder::new();
     let src = b.add_source("Input", k::pattern_source(dim), dim, 50.0);
@@ -42,13 +43,12 @@ fn build() -> (Program, ThreadedProgram, usize, usize) {
     b.connect(ad, "out", snk, "in");
     let graph = b.build().expect("dispatch bench graph is well-formed");
     let program = Program::instantiate(&graph).expect("instantiate");
-    let threaded = lower_graph(&graph).expect("lower");
     let node = |name: &str| {
         let found = program.nodes.iter().position(|n| &*n.name == name);
         found.expect("benchmarked node")
     };
     let (scale_idx, add_idx) = (node("Scale"), node("Add"));
-    (program, threaded, scale_idx, add_idx)
+    (program, scale_idx, add_idx)
 }
 
 fn scalar_item() -> Item {
@@ -76,7 +76,7 @@ fn bench_dispatch(c: &mut Criterion) {
 
     let item = scalar_item();
     for arity in [1usize, 2] {
-        let (mut program, threaded, scale_idx, add_idx) = build();
+        let (mut program, scale_idx, add_idx) = build();
         let node = if arity == 1 { scale_idx } else { add_idx };
         for p in 0..arity {
             program.nodes[node].queues[p].push_back(item.clone());
@@ -91,16 +91,15 @@ fn bench_dispatch(c: &mut Criterion) {
         });
         // Every trigger queue just became nonempty with a window, so the
         // engine's incrementally known `head_data` is the arity mask.
-        let (tn, head_data) = (&threaded.nodes[node], (1u64 << arity) - 1);
+        let head_data = (1u64 << arity) - 1;
         group.bench_function(format!("compiled-plan-hit-{arity}"), |b| {
             b.iter(|| {
                 for _ in 0..FIRINGS {
-                    let plan = tn.plan(head_data, 0, &n.queues, n.behavior.as_ref());
-                    black_box(plan.is_some());
+                    black_box(n.plan_masked(head_data, 0).is_some());
                 }
             });
         });
-        let (mut program, _, _, _) = build();
+        let (mut program, _, _) = build();
         group.bench_function(format!("fire-{arity}"), |b| {
             b.iter(|| {
                 for _ in 0..FIRINGS {
@@ -113,9 +112,9 @@ fn bench_dispatch(c: &mut Criterion) {
     // Planning miss: `in0` holds a window, `in1` is empty, so the binary
     // method cannot fire and forwarding finds nothing — the plan returns
     // `None` every time.
-    let (mut program, threaded, _, add_idx) = build();
+    let (mut program, _, add_idx) = build();
     program.nodes[add_idx].queues[0].push_back(item.clone());
-    let (n, tn) = (&program.nodes[add_idx], &threaded.nodes[add_idx]);
+    let n = &program.nodes[add_idx];
     group.bench_function("interpreted-plan-miss", |b| {
         b.iter(|| {
             for _ in 0..FIRINGS {
@@ -126,7 +125,7 @@ fn bench_dispatch(c: &mut Criterion) {
     group.bench_function("compiled-plan-miss", |b| {
         b.iter(|| {
             for _ in 0..FIRINGS {
-                black_box(tn.plan(0b01, 0, &n.queues, n.behavior.as_ref()).is_none());
+                black_box(n.plan_masked(0b01, 0).is_none());
             }
         });
     });
@@ -136,7 +135,7 @@ fn bench_dispatch(c: &mut Criterion) {
 /// The two planners must agree on every shape timed above before either
 /// is timed.
 fn assert_planners_agree() {
-    let (mut program, threaded, scale_idx, add_idx) = build();
+    let (mut program, scale_idx, add_idx) = build();
     let item = scalar_item();
     for (node, queued) in [(scale_idx, 1usize), (add_idx, 2), (add_idx, 1)] {
         let n = &mut program.nodes[node];
@@ -144,9 +143,12 @@ fn assert_planners_agree() {
         for p in 0..queued {
             n.queues[p].push_back(item.clone());
         }
-        let (data, ctrl) = bp_codegen::head_masks(&n.queues);
-        let masked = threaded.nodes[node].plan(data, ctrl, &n.queues, n.behavior.as_ref());
-        assert_eq!(n.plan(), masked, "planners disagree on node {node}");
+        let (data, ctrl) = head_masks(&n.queues);
+        assert_eq!(
+            n.plan(),
+            n.plan_masked(data, ctrl),
+            "planners disagree on node {node}"
+        );
     }
 }
 

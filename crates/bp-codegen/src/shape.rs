@@ -1,24 +1,17 @@
-//! Canonical app-shape hashing for compiled-graph sharing.
+//! Canonical app-shape hashing.
 //!
-//! Two graphs with the same [`shape_key`] lower to interchangeable
-//! [`crate::ThreadedProgram`]s: the lowering consumes only the structural
-//! facts hashed here (kernel specs, port geometry, method triggers and
-//! costs, channel topology, source pacing), never node *names* or behavior
-//! state. A fleet host can therefore lower each distinct shape once and
-//! share the program — `Arc`-cloned, read-only — across every tenant whose
-//! graph hashes to the same key, while per-tenant behavior state stays
-//! private to each instance.
+//! Two graphs with the same [`shape_key`] are the same application under
+//! different instance labels: the key hashes only structural facts
+//! (kernel specs, port geometry, method triggers and costs, channel
+//! topology, source pacing), never node *names* or behavior state. The
+//! fleet host groups tenants by it — tenant tapes carry it, the fleet
+//! digest hashes it, and the host counts repeated shapes.
 //!
-//! The key deliberately covers more than the lowering strictly reads
-//! (source rates, dep edges): anything that changes the *simulation* —
-//! e.g. a per-tenant window-size or rate re-tune, the Parameterized
-//! Dataflow contract — must produce a distinct key, so a cache hit
-//! guarantees not just a compatible program but an identical schedule
-//! given identical mapping and config. Hash collisions across genuinely
-//! different shapes are the usual 64-bit-FNV caveat; the serving cache
-//! tolerates them only as a shared program for a graph it would also have
-//! lowered identically, and the differential suite pins the observable
-//! contract.
+//! The key deliberately covers everything that changes the *simulation*:
+//! a per-tenant window-size or rate re-tune — the Parameterized Dataflow
+//! contract — produces a distinct key, so two tenants sharing a key run
+//! identical schedules given identical mapping and config. Hash collisions
+//! across genuinely different shapes are the usual 64-bit-FNV caveat.
 
 use bp_core::{AppGraph, ShapeTransform, TokenKind, TriggerOn};
 
@@ -102,8 +95,7 @@ fn hash_shape_transform(h: &mut Fnv, s: &ShapeTransform) {
 }
 
 /// The canonical shape key of an application graph: a 64-bit FNV-1a hash
-/// over every structural fact the lowering and the timed schedule depend
-/// on, *excluding* node instance names (two tenants running the same
+/// over every structural fact the timed schedule depends on, *excluding* node instance names (two tenants running the same
 /// pipeline under different labels share a key) and behavior state.
 ///
 /// Covered, in fixed order: per node — kernel kind, role, parallelism,

@@ -100,18 +100,6 @@ pub struct Compiled {
     pub report: CompileReport,
 }
 
-impl Compiled {
-    /// Lower the compiled graph into a mask-planner program: per node
-    /// method, its trigger conditions folded into bitmasks over the input
-    /// ports (DESIGN.md §13). This is the same
-    /// lowering the timed simulators perform when the compiled backend
-    /// (`bp_sim::Backend::Compiled`) is selected; it is exposed here so
-    /// clients can lower once and inspect or reuse the threaded form.
-    pub fn lower_to_threaded(&self) -> Result<bp_codegen::ThreadedProgram> {
-        bp_codegen::lower_graph(&self.graph)
-    }
-}
-
 /// Reports from each pass plus final statistics.
 #[derive(Clone, Debug)]
 pub struct CompileReport {

@@ -50,7 +50,9 @@ pub use kernel::{
     Parallelism, ShapeTransform,
 };
 pub use machine::{CommModel, CommProfile, MachineSpec, Mapping};
-pub use method::{MethodCost, MethodSpec, MethodTable, ResolvedMethod, Trigger, TriggerOn};
+pub use method::{
+    MethodCost, MethodRow, MethodSpec, MethodTable, ResolvedMethod, Trigger, TriggerOn,
+};
 pub use port::{InputSpec, OutputSpec};
 pub use qos::{MetricsPolicy, QosSpec};
 pub use rng::Rng64;

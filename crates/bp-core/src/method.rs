@@ -192,14 +192,25 @@ pub(crate) struct UnknownPort {
     pub(crate) output: bool,
 }
 
+/// One method of a [`MethodTable`] as the mask planner reads it: its
+/// trigger conditions folded into bitmasks over the input ports, beside
+/// the offsets that locate its slices in the table's arrays.
 #[derive(Clone, Copy, Debug, PartialEq)]
-struct MethodRow {
+pub struct MethodRow {
     /// End offsets into the table's `triggers` / `outputs` / `handled`
     /// arrays; a row starts where the previous one ends.
     triggers_end: u32,
     outputs_end: u32,
     handled_end: u32,
-    is_data: bool,
+    /// Bit `p` set when port `p` is one of the method's trigger inputs
+    /// (ports below 64 only; see [`MethodTable::fits_masks`]). Zero for a
+    /// source method.
+    pub trigger_mask: u64,
+    /// Bit `p` set when port `p` has a [`TriggerOn::Data`] trigger.
+    pub data_mask: u64,
+    /// True for data methods (every trigger fires on data); a triggered
+    /// method that is not one has at least one token trigger.
+    pub is_data: bool,
     cost_cycles: u64,
 }
 
@@ -209,7 +220,7 @@ struct MethodRow {
 /// [`KernelSpec::method_table`](crate::kernel::KernelSpec::method_table) and
 /// shared by every node, replica and simulator instance holding that spec.
 /// Stored as one row per method over three flat arrays.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MethodTable {
     rows: Box<[MethodRow]>,
     triggers: Box<[(usize, TriggerOn)]>,
@@ -217,6 +228,8 @@ pub struct MethodTable {
     handled: Box<[TokenKind]>,
     /// See [`trigger_conflict`](Self::trigger_conflict).
     conflict: Option<(u32, u32, u32)>,
+    /// See [`fits_masks`](Self::fits_masks).
+    fits_masks: bool,
 }
 
 impl MethodTable {
@@ -268,6 +281,19 @@ impl MethodTable {
         self.rows[mi].cost_cycles
     }
 
+    /// Every method's row — trigger masks and data flag — in registration
+    /// order: what the mask planner walks.
+    #[inline]
+    pub fn rows(&self) -> &[MethodRow] {
+        &self.rows
+    }
+
+    /// True when the kernel has at most 64 input ports, so every trigger
+    /// port has a bit in the rows' masks and the mask planner can plan it.
+    pub fn fits_masks(&self) -> bool {
+        self.fits_masks
+    }
+
     /// The first two methods that trigger on the same arrival at the same
     /// input, which §II-B forbids, as `(earlier method, later method, input
     /// port)` — `None` for a well-formed kernel.
@@ -297,9 +323,16 @@ impl MethodTable {
         let mut rows = Vec::with_capacity(methods.len());
         let mut triggers = Vec::with_capacity(methods.iter().map(|m| m.triggers.len()).sum());
         let mut outputs = Vec::with_capacity(methods.iter().map(|m| m.outputs.len()).sum());
+        // Ports past the mask width get no bit; `fits_masks` says so.
+        let bit = |port: usize| 1u64.checked_shl(port as u32).unwrap_or(0);
         for (mi, m) in methods.iter().enumerate() {
+            let (mut trigger_mask, mut data_mask) = (0, 0);
             for (ti, t) in m.triggers.iter().enumerate() {
                 let port = input_index(&t.input).ok_or(unknown(mi, ti, false))?;
+                trigger_mask |= bit(port);
+                if t.on == TriggerOn::Data {
+                    data_mask |= bit(port);
+                }
                 triggers.push((port, t.on));
             }
             for (oi, o) in m.outputs.iter().enumerate() {
@@ -309,6 +342,8 @@ impl MethodTable {
                 triggers_end: triggers.len() as u32,
                 outputs_end: outputs.len() as u32,
                 handled_end: 0,
+                trigger_mask,
+                data_mask,
                 is_data: m.is_data_method(),
                 cost_cycles: m.cost.cycles,
             });
@@ -357,6 +392,7 @@ impl MethodTable {
         let conflict = repeated.map(|(a, b, port)| (a as u32, b as u32, port as u32));
         Ok(MethodTable {
             conflict,
+            fits_masks: num_inputs <= u64::BITS as usize,
             rows: rows.into(),
             triggers: triggers.into(),
             outputs: outputs.into(),

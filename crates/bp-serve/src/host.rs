@@ -15,20 +15,20 @@
 //! identical to a solo run of the same spec (the serving contract; see
 //! DESIGN.md §16).
 //!
-//! ## Shared lowering
+//! ## Shapes
 //!
-//! Tenant instantiation routes through the shape-keyed [`ProgramCache`]:
-//! the first tenant of a shape pays the `bp-codegen` lowering, every
-//! subsequent same-shape tenant reuses the `Arc`ed program and pays only
-//! its own state allocation.
+//! Every tenant instantiates from its own graph: the compiled backend's
+//! mask planner reads the method table each spec already holds, so there
+//! is no per-shape program to share. The host computes each tenant's
+//! [`bp_codegen::shape_key`] once, at admission; the tenant's tape and
+//! the fleet digest carry it.
 
 use crate::admission::{AdmissionPolicy, AdmissionReport, AdmissionVerdict};
-use crate::cache::{CacheStats, ProgramCache};
 use crate::tenant::{Tenant, TenantReport, TenantSpec};
 use bp_core::Result;
 use bp_metrics::{FleetAggregate, FleetTape, MetricsTape, TenantTape};
-use bp_sim::{Backend, SimReport, SteppableSim, TimedSimulator};
-use std::collections::VecDeque;
+use bp_sim::{SimReport, SteppableSim, TimedSimulator};
+use std::collections::{HashSet, VecDeque};
 
 pub use crate::admission::AdmissionConfig;
 
@@ -81,6 +81,18 @@ impl FleetConfig {
     }
 }
 
+/// How many admitted tenants repeated a shape key the host had already
+/// admitted (`hits`) and how many were its first sight (`misses`). Kept only
+/// because the frozen benchmark package reads these two counts; nothing
+/// is cached any more.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Tenants whose shape key an earlier tenant had.
+    pub hits: u64,
+    /// Tenants that were the first of their shape key.
+    pub misses: u64,
+}
+
 /// The finished fleet run: per-tenant reports in tenant-id order plus
 /// the admission outcome and host accounting.
 #[derive(Clone, Debug)]
@@ -93,7 +105,8 @@ pub struct FleetReport {
     pub rounds: u64,
     /// Worker threads used.
     pub workers: usize,
-    /// Program-cache counters at the end of the run.
+    /// Shape-key repeats and first sights over the host's admitted
+    /// tenants, at the end of the run.
     pub cache: CacheStats,
 }
 
@@ -134,7 +147,9 @@ impl FleetReport {
 /// The multi-tenant serving host. Enqueue specs, then [`run`](Self::run).
 pub struct FleetHost {
     config: FleetConfig,
-    cache: ProgramCache,
+    /// Every shape key admitted so far, and how often one repeated.
+    shapes: HashSet<u64>,
+    shape_counts: CacheStats,
     pending: Vec<TenantSpec>,
 }
 
@@ -143,7 +158,8 @@ impl FleetHost {
     pub fn new(config: FleetConfig) -> Self {
         Self {
             config,
-            cache: ProgramCache::new(),
+            shapes: HashSet::new(),
+            shape_counts: CacheStats::default(),
             pending: Vec::new(),
         }
     }
@@ -154,20 +170,10 @@ impl FleetHost {
         self.pending.push(spec);
     }
 
-    /// Program-cache counters (hits/misses so far).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Distinct shapes lowered so far.
-    pub fn cached_shapes(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Run every enqueued offer through admission and co-scheduling to
     /// completion. Errors propagate from tenant instantiation (e.g. a
-    /// graph the compiled backend cannot lower) and from settling (a
-    /// capacity deadlock diagnosis).
+    /// kernel too wide for the compiled backend's mask planner) and from
+    /// settling (a capacity deadlock diagnosis).
     pub fn run(&mut self) -> Result<FleetReport> {
         let mut offers = std::mem::take(&mut self.pending);
         offers.sort_by_key(|s| s.arrival_round); // stable: enqueue order within a round
@@ -252,23 +258,18 @@ impl FleetHost {
             admission,
             rounds: round,
             workers: self.config.workers,
-            cache: self.cache.stats(),
+            cache: self.shape_counts,
         })
     }
 
     fn instantiate(&mut self, spec: TenantSpec, round: u64, next_id: &mut u32) -> Result<Tenant> {
-        let mut config = effective_config(&spec);
-        let shape_key = match self.cache.get_or_lower(&spec.graph) {
-            Ok((key, program)) => {
-                config.lowered = Some(program);
-                key
-            }
-            // A graph the lowering rejects can still serve interpreted;
-            // only a backend that *requires* the compiled form fails.
-            Err(e) if config.backend == Backend::Compiled => return Err(e),
-            Err(_) => bp_codegen::shape_key(&spec.graph),
-        };
-        let sim = SteppableSim::new(&spec.graph, &spec.mapping, config)?;
+        let sim = SteppableSim::new(&spec.graph, &spec.mapping, effective_config(&spec))?;
+        let shape_key = bp_codegen::shape_key(&spec.graph);
+        if self.shapes.insert(shape_key) {
+            self.shape_counts.misses += 1;
+        } else {
+            self.shape_counts.hits += 1;
+        }
         let id = *next_id;
         *next_id += 1;
         Ok(Tenant {
@@ -284,12 +285,10 @@ impl FleetHost {
 }
 
 /// The effective per-tenant simulation config: the spec's config with
-/// any shared lowering cleared and the spec's QoS contracts folded into
-/// the metrics policy (attaching QoS enables metrics, since verdicts
-/// ride the tape).
+/// the spec's QoS contracts folded into the metrics policy (attaching QoS
+/// enables metrics, since verdicts ride the tape).
 fn effective_config(spec: &TenantSpec) -> bp_sim::SimConfig {
     let mut config = spec.config.clone();
-    config.lowered = None;
     if !spec.qos.is_empty() {
         let policy = config.metrics.take().unwrap_or_default();
         config.metrics = Some(policy.with_contracts(spec.qos.clone()));
@@ -298,8 +297,7 @@ fn effective_config(spec: &TenantSpec) -> bp_sim::SimConfig {
 }
 
 /// Run one spec solo — uninterrupted, on its own `TimedSimulator`, with
-/// the identical effective config the host would use (minus the shared
-/// lowering, which is results-neutral by the same-shape contract). This
+/// the identical effective config the host would use. This
 /// is the oracle side of the serving differential: co-scheduling must
 /// reproduce this report fingerprint and tape digest bit for bit.
 pub fn solo(spec: &TenantSpec) -> Result<(SimReport, Option<MetricsTape>)> {
@@ -467,14 +465,20 @@ mod tests {
 
     #[test]
     fn same_shape_tenants_share_one_lowering() {
+        let specs = [spec("a", 16, 1), spec("b", 16, 1), spec("c", 32, 1)];
         let mut host = FleetHost::new(FleetConfig::new());
-        host.enqueue(spec("a", 16, 1));
-        host.enqueue(spec("b", 16, 1));
-        host.enqueue(spec("c", 32, 1)); // different shape
-        host.run().unwrap();
-        let stats = host.cache_stats();
-        assert_eq!(stats.misses, 2, "two distinct shapes lower twice");
-        assert_eq!(stats.hits, 1, "the same-shape tenant reuses the program");
-        assert_eq!(host.cached_shapes(), 2);
+        for s in &specs {
+            host.enqueue(s.clone());
+        }
+        let report = host.run().unwrap();
+        let keys: Vec<u64> = report.tenants.iter().map(|t| t.shape_key).collect();
+        assert_eq!(keys[0], keys[1], "names do not split a shape");
+        assert_ne!(keys[0], keys[2], "a wider frame is a different shape");
+        assert_eq!(keys[0], bp_codegen::shape_key(&specs[0].graph));
+        let counts = CacheStats { hits: 1, misses: 2 };
+        assert_eq!(report.cache, counts, "one repeat, two first sights");
+        // Same shape, same frames: the two tenants run identically.
+        let fingerprint = |i: usize| report.tenants[i].report.fingerprint();
+        assert_eq!(fingerprint(0), fingerprint(1));
     }
 }

@@ -12,9 +12,6 @@
 //!
 //! Structure:
 //!
-//! - [`cache`]: the shape-keyed shared-lowering cache — one
-//!   `bp-codegen` program per distinct app shape, `Arc`-shared across
-//!   same-shape tenants;
 //! - [`tenant`]: tenant specs (graph + mapping + config + QoS + rate
 //!   limit) and per-tenant reports;
 //! - [`admission`]: slot limits, shed/defer backpressure, and the
@@ -27,7 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod cache;
 pub mod host;
 pub mod loadgen;
 pub mod tenant;
@@ -35,7 +31,6 @@ pub mod tenant;
 pub use admission::{
     AdmissionConfig, AdmissionEvent, AdmissionPolicy, AdmissionReport, AdmissionVerdict,
 };
-pub use cache::{CacheStats, ProgramCache};
-pub use host::{solo, FleetConfig, FleetHost, FleetReport};
+pub use host::{solo, CacheStats, FleetConfig, FleetHost, FleetReport};
 pub use loadgen::{generate, Arrival, LoadPlan, TenantMix};
 pub use tenant::{TenantReport, TenantSpec};

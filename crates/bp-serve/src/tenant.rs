@@ -18,9 +18,8 @@ pub struct TenantSpec {
     pub graph: bp_core::graph::AppGraph,
     /// Kernel-to-PE mapping for the graph.
     pub mapping: Mapping,
-    /// Simulation configuration (frames, backend, comm model, batching,
-    /// metrics policy). The host fills [`bp_sim::SimConfig::lowered`]
-    /// from the shared program cache; any value set here is overwritten.
+    /// Simulation configuration (frames, backend, comm model, metrics
+    /// policy).
     pub config: SimConfig,
     /// Declared per-tenant real-time contracts. When the spec carries a
     /// metrics policy the host folds these into it so the tenant's tape

@@ -5,11 +5,18 @@
 //! drive the same [`Program`] structure and fire every node through the
 //! same routine, [`RtNode::fire`], into the kernel's index-dispatched
 //! [`KernelBehavior::fire`] — so functional results are identical between
-//! the two by construction, and the timed engine's two backends differ in
-//! how they plan alone.
+//! the two by construction.
 //!
-//! No name is resolved here: every method's trigger inputs, outputs and cost
-//! come index-resolved from the spec's own [`MethodTable`]
+//! A node plans its next action in one of two ways over the one table it
+//! holds: [`RtNode::plan`], a linear scan of every method's triggers, and
+//! [`RtNode::plan_masked`], which first tests the trigger / data masks
+//! of each [`MethodRow`](bp_core::MethodRow) against the node's
+//! queue-head masks ([`head_masks`]). The timed engine's two backends
+//! differ in this choice alone, and the scan is the oracle for the masked
+//! planner (DESIGN.md §13).
+//!
+//! No name is resolved here: every method's trigger inputs, outputs, masks
+//! and cost come index-resolved from the spec's own [`MethodTable`]
 //! ([`KernelSpec::method_table`](bp_core::KernelSpec::method_table), built
 //! once per spec and shared by every node holding it), so the per-firing hot
 //! path — planning, consuming, firing, routing — touches no strings and, in
@@ -29,11 +36,46 @@ use std::sync::Arc;
 /// its matched triggers, or pass an unhandled control token through a data
 /// method's trigger group (§II-C). Actions are plain indices into the node's
 /// method table, so planning allocates nothing and actions are freely
-/// copyable. The interpreter and the lowered planner
-/// ([`bp_codegen::ThreadedNode::plan`]) answer with the same type, and
-/// [`RtNode::fire`] takes it from either, which is what lets one scheduler
-/// drive both.
-pub type Action = bp_codegen::PlannedAction;
+/// copyable. Both planners answer with it, and [`RtNode::fire`] takes it
+/// from either, which is what lets one scheduler drive both.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Action {
+    /// Fire method `method` on its matched triggers.
+    Fire {
+        /// Method index in the node's [`MethodTable`].
+        method: usize,
+    },
+    /// Forward `token` through data method `method`'s trigger group.
+    Forward {
+        /// The control token at the head of every trigger input.
+        token: ControlToken,
+        /// Method index whose trigger group forwards the token.
+        method: usize,
+    },
+}
+
+/// Widest kernel the mask planner plans: one bit per input port of a
+/// `u64` head mask. A table past it says so
+/// ([`MethodTable::fits_masks`]) and runs on the scan planner only.
+pub const MAX_PORTS: usize = 64;
+
+/// Compute the head-state masks for a node's queues from scratch:
+/// `(data, ctrl)` where bit `p` of `data` is set when `queues[p]` has a
+/// window at its head and bit `p` of `ctrl` when it has a control token.
+/// The timed engine maintains these incrementally; this is the oracle used
+/// to check them under debug assertions. At most [`MAX_PORTS`] queues.
+pub fn head_masks(queues: &[VecDeque<Item>]) -> (u64, u64) {
+    let mut data = 0u64;
+    let mut ctrl = 0u64;
+    for (p, q) in queues.iter().enumerate() {
+        match q.front() {
+            Some(Item::Window(_)) => data |= 1 << p,
+            Some(Item::Control(_)) => ctrl |= 1 << p,
+            None => {}
+        }
+    }
+    (data, ctrl)
+}
 
 /// Rows of varying length in one allocation: row `r` is
 /// `data[starts[r]..starts[r + 1]]`. The shape of every per-node,
@@ -176,45 +218,74 @@ impl RtNode {
                 return Some(Action::Fire { method: mi });
             }
         }
-        // Token forwarding over data-method trigger groups.
-        for (mi, cm) in self.methods.iter().enumerate() {
-            if !cm.is_data {
+        (self.methods.rows().iter().enumerate())
+            .filter(|(_, row)| row.is_data)
+            .find_map(|(mi, _)| self.forward(mi))
+    }
+
+    /// [`plan`](Self::plan) with each method's trigger scan replaced by a
+    /// test of its [`MethodRow`](bp_core::MethodRow) masks against the
+    /// node's head masks (`head_data` / `head_ctrl`, as [`head_masks`]
+    /// computes them), so an all-data method plans with one AND and one
+    /// compare. Token triggers and forwarding still read the queue fronts,
+    /// since token *identity* decides them, but only after the masks have
+    /// matched. Returns exactly what [`plan`](Self::plan) returns; the
+    /// table must [fit the masks](MethodTable::fits_masks).
+    #[inline]
+    pub fn plan_masked(&self, head_data: u64, head_ctrl: u64) -> Option<Action> {
+        let rows = self.methods.rows();
+        for (mi, row) in rows.iter().enumerate() {
+            if row.trigger_mask == 0 {
+                continue; // source method; fired externally
+            }
+            // Every data trigger needs a window at its head.
+            if head_data & row.data_mask != row.data_mask {
                 continue;
             }
-            let mut token: Option<ControlToken> = None;
-            let mut all_tokens = true;
-            for &(i, _) in cm.triggers {
-                match self.queues[i].front() {
-                    Some(Item::Control(t)) => match token {
-                        None => token = Some(*t),
-                        Some(prev) if prev == *t => {}
-                        Some(_) => {
-                            all_tokens = false;
-                            break;
-                        }
-                    },
-                    _ => {
-                        all_tokens = false;
-                        break;
-                    }
+            // Token triggers additionally need the right token *kind*.
+            if !row.is_data {
+                let ok = self.methods.triggers(mi).iter().all(|&(p, on)| match on {
+                    TriggerOn::Data => true,
+                    TriggerOn::Token(_) => self.matches(p, on),
+                });
+                if !ok {
+                    continue;
                 }
             }
-            let Some(tok) = token else { continue };
-            if !all_tokens {
-                continue;
+            if self.behavior.ready(mi) {
+                return Some(Action::Fire { method: mi });
             }
-            // Suppress forwarding when any method handles this token on any
-            // input of the group (it will fire via the rules above once its
-            // own triggers align).
-            if cm.handled_tokens.contains(&tok.kind()) {
-                continue;
-            }
-            return Some(Action::Forward {
-                token: tok,
-                method: mi,
-            });
         }
-        None
+        // Forwarding needs a control token at every trigger head.
+        (rows.iter().enumerate())
+            .filter(|(_, row)| row.is_data && head_ctrl & row.trigger_mask == row.trigger_mask)
+            .find_map(|(mi, _)| self.forward(mi))
+    }
+
+    /// Token forwarding through data method `mi`'s trigger group, shared by
+    /// both planners: when every trigger input holds the *same* token (full
+    /// equality, not just kind) at its head, forward it — unless some
+    /// method handles that kind on one of those inputs, which will fire
+    /// through its own triggers once they align.
+    #[inline]
+    fn forward(&self, mi: usize) -> Option<Action> {
+        let cm = self.methods.method(mi);
+        debug_assert!(cm.is_data, "only data methods forward");
+        let mut token: Option<ControlToken> = None;
+        for &(i, _) in cm.triggers {
+            match self.queues[i].front() {
+                Some(Item::Control(t)) if token.is_none_or(|prev| prev == *t) => token = Some(*t),
+                _ => return None,
+            }
+        }
+        let tok = token?;
+        if cm.handled_tokens.contains(&tok.kind()) {
+            return None;
+        }
+        Some(Action::Forward {
+            token: tok,
+            method: mi,
+        })
     }
 
     /// Fire a planned action: pop the fired method's trigger inputs (or
@@ -578,12 +649,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn spec_owned_tables_equal_name_based_resolution() {
+    /// The eleven apps, compiled at a rate that replicates (so split /
+    /// join / replicate plumbing of several widths is in the graphs).
+    fn compiled_apps() -> Vec<AppGraph> {
         use bp_apps::{apps, SLOW, SMALL};
-        // The eleven apps, at a rate that replicates (so split / join /
-        // replicate plumbing of several widths is in the graphs).
-        for app in [
+        [
             apps::fig1b(SMALL, 200.0),
             apps::bayer(SMALL, 200.0),
             apps::histogram_app(SMALL, 200.0, 32),
@@ -595,28 +665,170 @@ mod tests {
             apps::analytics(SMALL, SLOW),
             apps::stereo_diff(SMALL, 200.0),
             apps::camera_bank(3, SMALL, SLOW),
-        ] {
+        ]
+        .iter()
+        .map(|app| {
             let c = bp_compiler::compile(&app.graph, &Default::default()).expect("compile");
-            assert_tables_equal_name_resolution(&c.graph);
-        }
-        // A join wider than the mask planner: 65 take methods and two
-        // 65-trigger token synchronizers.
-        const K: usize = 65;
-        let dim = Dim2::new(K as u32, 2);
+            c.graph
+        })
+        .collect()
+    }
+
+    /// A source feeding `k` lanes through a `k`-way split into a `k`-way
+    /// join and a sink.
+    fn wide_join_graph(k: usize) -> AppGraph {
+        let dim = Dim2::new(k as u32, 2);
         let mut b = bp_core::GraphBuilder::new();
         let src = b.add_source("In", bp_kernels::pattern_source(dim), dim, 10.0);
-        let split = b.add("Split", bp_kernels::split_rr(K, Dim2::ONE));
-        let join = b.add("Join", bp_kernels::join_rr(K, Dim2::ONE));
+        let split = b.add("Split", bp_kernels::split_rr(k, Dim2::ONE));
+        let join = b.add("Join", bp_kernels::join_rr(k, Dim2::ONE));
         let (sdef, _sink) = bp_kernels::sink();
         let snk = b.add("Out", sdef);
         b.connect(src, "out", split, "in");
-        for i in 0..K {
+        for i in 0..k {
             let lane = b.add(format!("Lane{i}"), bp_kernels::scale(2.0, 0.0));
             b.connect(split, &format!("out{i}"), lane, "in");
             b.connect(lane, "out", join, &format!("in{i}"));
         }
         b.connect(join, "out", snk, "in");
-        assert_tables_equal_name_resolution(&b.build().expect("wide join graph"));
+        b.build().expect("wide join graph")
+    }
+
+    #[test]
+    fn spec_owned_tables_equal_name_based_resolution() {
+        for graph in compiled_apps() {
+            assert_tables_equal_name_resolution(&graph);
+        }
+        // A join wider than the mask planner: 65 take methods and two
+        // 65-trigger token synchronizers.
+        assert_tables_equal_name_resolution(&wide_join_graph(65));
+    }
+
+    /// The node of `graph` whose kernel is `kind`, instantiated.
+    fn node_of(graph: &AppGraph, kind: &str) -> RtNode {
+        let nodes = Program::instantiate(graph).expect("instantiate").nodes;
+        let found = nodes.into_iter().find(|n| n.spec.kind == kind);
+        found.expect("a node of that kind")
+    }
+
+    /// The masked planner's answer for `rt`'s current queues.
+    fn plan_masked(rt: &RtNode) -> Option<Action> {
+        let (data, ctrl) = head_masks(&rt.queues);
+        rt.plan_masked(data, ctrl)
+    }
+
+    #[test]
+    fn masks_mirror_queue_fronts() {
+        let mut queues = vec![VecDeque::new(), VecDeque::new(), VecDeque::new()];
+        queues[0].push_back(Item::Window(bp_core::Window::zeros(Dim2::new(2, 2))));
+        queues[2].push_back(Item::Control(ControlToken::EndOfFrame));
+        assert_eq!(head_masks(&queues), (0b001, 0b100));
+        queues[0].clear();
+        assert_eq!(head_masks(&queues), (0b000, 0b100));
+    }
+
+    #[test]
+    fn forwards_unhandled_tokens_and_suppresses_handled() {
+        let both = |rt: &RtNode| (rt.plan(), plan_masked(rt));
+        // `scale` handles no token: an end of frame at its head forwards
+        // through its one data method, and a window fires it.
+        let mut scale = node_of(&wide_join_graph(1), "scale");
+        scale.queues[0].push_back(Item::Control(ControlToken::EndOfFrame));
+        let forward = Some(Action::Forward {
+            token: ControlToken::EndOfFrame,
+            method: 0,
+        });
+        assert_eq!(both(&scale), (forward, forward));
+        scale.queues[0].clear();
+        scale.queues[0].push_back(Item::Window(bp_core::Window::scalar(1.0)));
+        let fire = Some(Action::Fire { method: 0 });
+        assert_eq!(both(&scale), (fire, fire));
+        scale.queues[0].clear();
+        assert_eq!(both(&scale), (None, None));
+        // `histogram` handles end of frame and end of line on `in`: neither
+        // is ever forwarded, while a token it does not handle is.
+        let app = bp_apps::apps::histogram_app(Dim2::new(20, 12), 50.0, 32);
+        let c = bp_compiler::compile(&app.graph, &Default::default()).expect("compile");
+        let mut hist = node_of(&c.graph, "histogram");
+        for token in [ControlToken::EndOfFrame, ControlToken::EndOfLine] {
+            hist.queues[0].clear();
+            hist.queues[0].push_back(Item::Control(token));
+            let (plan, masked) = both(&hist);
+            assert!(!matches!(plan, Some(Action::Forward { .. })), "{token:?}");
+            assert_eq!(plan, masked, "{token:?}");
+        }
+        hist.queues[0].clear();
+        hist.queues[0].push_back(Item::Control(ControlToken::Custom(7)));
+        let forward = Some(Action::Forward {
+            token: ControlToken::Custom(7),
+            method: 0,
+        });
+        assert_eq!(both(&hist), (forward, forward));
+    }
+
+    /// The masked planner against its oracle, the scan, on every method
+    /// table of the eleven compiled apps: `Rng64`-seeded head states —
+    /// each queue empty, holding a window, or holding one of the token
+    /// kinds, independently or mostly alike so that multi-input methods
+    /// fire and multi-input groups forward.
+    #[test]
+    fn masked_plan_equals_the_scan_on_every_app_table() {
+        let mut rng = bp_core::Rng64::seed_from_u64(0x6d61_736b);
+        let tokens = [
+            ControlToken::EndOfLine,
+            ControlToken::EndOfFrame,
+            ControlToken::Custom(0),
+            ControlToken::Custom(1),
+        ];
+        let head = |rng: &mut bp_core::Rng64| match rng.gen_index(2 + tokens.len()) {
+            0 => None,
+            1 => Some(Item::Window(bp_core::Window::scalar(1.0))),
+            t => Some(Item::Control(tokens[t - 2])),
+        };
+        let (mut fired, mut forwarded, mut idle) = (0, 0, 0);
+        for graph in compiled_apps() {
+            for mut rt in Program::instantiate(&graph).expect("instantiate").nodes {
+                assert!(rt.methods.fits_masks(), "'{}' is too wide", rt.name);
+                for _ in 0..64 {
+                    let alike = rng.gen_bool().then(|| head(&mut rng));
+                    for q in &mut rt.queues {
+                        q.clear();
+                        let item = match &alike {
+                            Some(item) if rng.gen_index(8) > 0 => item.clone(),
+                            _ => head(&mut rng),
+                        };
+                        q.extend(item);
+                    }
+                    let plan = rt.plan();
+                    assert_eq!(plan, plan_masked(&rt), "node '{}'", rt.name);
+                    match plan {
+                        Some(Action::Fire { .. }) => fired += 1,
+                        Some(Action::Forward { .. }) => forwarded += 1,
+                        None => idle += 1,
+                    }
+                }
+            }
+        }
+        let outcomes = format!("{fired} fired, {forwarded} forwarded, {idle} idle");
+        assert!(fired > 0 && forwarded > 0 && idle > 0, "{outcomes}");
+    }
+
+    /// Past 64 inputs the table still builds — the ports above the mask
+    /// width get no bit, where a plain shift would overflow under debug
+    /// assertions — and says it does not fit; at 64 every port has its bit.
+    #[test]
+    fn tables_past_the_mask_width_build_and_say_so() {
+        let wide = bp_kernels::join_rr(MAX_PORTS + 1, Dim2::ONE);
+        let table = wide.spec.method_table().expect("65-input table");
+        assert!(!table.fits_masks());
+        let masks: Vec<u64> = table.rows().iter().map(|r| r.trigger_mask).collect();
+        assert!(masks.contains(&(1 << 63)), "port 63 keeps its bit");
+        assert!(masks.contains(&0), "port 64's take method has none");
+        let join = bp_kernels::join_rr(MAX_PORTS, Dim2::ONE);
+        let table = join.spec.method_table().expect("64-input table");
+        assert!(table.fits_masks());
+        let masks = table.rows().iter().map(|r| r.trigger_mask);
+        assert_eq!(masks.fold(0, |all, m| all | m), u64::MAX);
     }
 
     #[test]

@@ -38,7 +38,9 @@
 
 use crate::deadlock::{CapacityBump, DeadlockHop, DeadlockReport, SimOutcome};
 use crate::events::{BucketQueue, EventQueue};
-use crate::runtime::{slot_bases, stuck_report, Action, Program, ProgramTables, Rows, RtNode};
+use crate::runtime::{
+    slot_bases, stuck_report, Action, Program, ProgramTables, Rows, RtNode, MAX_PORTS,
+};
 use crate::stats::{PeStats, RealTimeVerdict, SimReport};
 use crate::trace::{StallCause, Trace, TraceEvent, TraceMeta, TraceOptions, TraceRecorder};
 use bp_core::capacity::{derive_channel_capacities, ChannelCapacities};
@@ -72,20 +74,20 @@ fn band1_ord(stream: u64, seq: u32) -> u64 {
 /// planned. Everything else — the event loop, firing, routing, dispatch,
 /// space, credits, cost — is one scheduler over tables built from the
 /// instantiated nodes, so both backends run the same schedule and must
-/// produce bitwise-identical [`SimReport`]s and traces; the interpreter is
-/// the oracle for exactly what `bp-codegen` lowers (DESIGN.md §13).
+/// produce bitwise-identical [`SimReport`]s and traces; the scan planner
+/// is the oracle for the masked one (DESIGN.md §13).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
-    /// Pick automatically: compiled in release builds (interpreted if the
-    /// graph cannot be lowered), interpreted when debug assertions are on
-    /// (so debug runs exercise the oracle).
+    /// Pick automatically: compiled in release builds (interpreted if a
+    /// kernel has more than [`MAX_PORTS`] inputs), interpreted when debug
+    /// assertions are on (so debug runs exercise the oracle).
     #[default]
     Auto,
-    /// `RtNode::plan`'s linear trigger scan.
+    /// [`RtNode::plan`]'s linear trigger scan.
     Interpreted,
-    /// Mask-based readiness planning lowered by
-    /// [`bp_codegen::lower_graph`]. Construction fails if the graph cannot
-    /// be lowered (a kernel with more than 64 input ports).
+    /// [`RtNode::plan_masked`]'s readiness mask test over the spec's
+    /// method table. Construction fails when a kernel has more than
+    /// [`MAX_PORTS`] input ports.
     Compiled,
 }
 
@@ -100,16 +102,14 @@ pub struct SimConfig {
     /// delivers cross-PE pushes in the same cycle (the paper's §IV-D
     /// simplification) and reproduces every pre-model result bit for bit.
     pub comm: CommModel,
-    /// Uniform capacity of each input queue in items.
-    /// [`with_channel_capacity`](Self::with_channel_capacity) pins every
-    /// channel to one explicit value, overriding both the derivation and
-    /// any per-channel plan in [`capacities`](Self::capacities).
-    pub channel_capacity: Option<usize>,
-    /// Per-channel capacity plan (e.g. from the compiler's buffering pass).
-    /// `None` (the default) derives one from the graph being simulated —
-    /// the widest-row default of [`derive_channel_capacity`] plus
+    /// Per-channel capacity plan (e.g. from the compiler's buffering pass,
+    /// or one pinned value for every channel from
+    /// [`with_channel_capacity`](Self::with_channel_capacity)). `None` (the
+    /// default) derives one from the graph being simulated — the
+    /// widest-row default of [`derive_channel_capacity`] plus
     /// feedback-aware back-edge overrides
-    /// ([`bp_core::capacity::derive_channel_capacities`]).
+    /// ([`bp_core::capacity::derive_channel_capacities`]). Every capacity
+    /// must be at least 1: construction rejects a plan holding a 0.
     pub capacities: Option<ChannelCapacities>,
     /// Frames to push through every application input.
     pub frames: u32,
@@ -124,18 +124,6 @@ pub struct SimConfig {
     /// they cannot change the schedule, the [`SimReport`], or its
     /// fingerprint.
     pub metrics: Option<MetricsPolicy>,
-    /// Pre-lowered mask-planner program to instantiate instead of
-    /// lowering the graph at build time (`None`, the default, lowers
-    /// fresh). The program must come from [`bp_codegen::lower_graph`] on a
-    /// graph with the same [`bp_codegen::shape_key`] as the one being
-    /// simulated — the lowering reads only shape facts, so any same-shape
-    /// program is interchangeable. Only the planner's masks come from it;
-    /// every table comes from the instantiated nodes, and a program that
-    /// disagrees with them on what a method pops, emits or costs is
-    /// rejected at construction. This is how a fleet host shares
-    /// one lowering across many tenant instances; ignored when the
-    /// resolved backend is interpreted.
-    pub lowered: Option<Arc<bp_codegen::ThreadedProgram>>,
 }
 
 impl SimConfig {
@@ -147,12 +135,10 @@ impl SimConfig {
             machine: MachineSpec::default_eval(),
             backend: Backend::Auto,
             comm: CommModel::zero(),
-            channel_capacity: None,
             capacities: None,
             frames,
             trace: None,
             metrics: None,
-            lowered: None,
         }
     }
 
@@ -175,19 +161,21 @@ impl SimConfig {
     }
 
     /// Pin one explicit capacity for *every* queue instead of deriving a
-    /// plan from the graph. This disables the feedback-aware back-edge
-    /// sizing, so a feedback loop whose primed population exceeds what the
-    /// pinned value can hold will capacity-deadlock (and be diagnosed by a
+    /// plan from the graph: sets [`capacities`](Self::capacities) to
+    /// [`ChannelCapacities::uniform`]`(items)`, replacing any plan an
+    /// earlier builder call set (the last call wins). This disables the
+    /// feedback-aware back-edge sizing, so a feedback loop whose primed
+    /// population exceeds what the pinned value can hold will
+    /// capacity-deadlock (and be diagnosed by a
     /// [`crate::deadlock::DeadlockReport`]).
-    pub fn with_channel_capacity(mut self, items: usize) -> Self {
-        self.channel_capacity = Some(items);
-        self
+    pub fn with_channel_capacity(self, items: usize) -> Self {
+        self.with_channel_capacities(ChannelCapacities::uniform(items))
     }
 
     /// Use an explicit per-channel capacity plan (keyed by the graph's
-    /// [`bp_core::ChannelId`]s). Ignored when
-    /// [`with_channel_capacity`](Self::with_channel_capacity) pinned a
-    /// uniform value.
+    /// [`bp_core::ChannelId`]s), replacing any plan an earlier builder call
+    /// set, [`with_channel_capacity`](Self::with_channel_capacity)'s
+    /// included.
     pub fn with_channel_capacities(mut self, plan: ChannelCapacities) -> Self {
         self.capacities = Some(plan);
         self
@@ -208,10 +196,11 @@ impl SimConfig {
         self
     }
 
-    /// Reuse a pre-lowered program (see [`SimConfig::lowered`] for the
-    /// same-shape contract) instead of lowering the graph at build time.
-    pub fn with_lowered(mut self, program: Arc<bp_codegen::ThreadedProgram>) -> Self {
-        self.lowered = Some(program);
+    /// Does nothing: the masked planner reads the method table every
+    /// node already holds, so there is no program to hand in. Kept only
+    /// because the frozen benchmark package still calls it; the next
+    /// benchmark-only change removes both.
+    pub fn with_lowered(self, _program: Arc<bp_codegen::ThreadedProgram>) -> Self {
         self
     }
 }
@@ -412,10 +401,9 @@ pub(crate) struct Shared {
     /// a method index ([`method_slot`](Self::method_slot)) indexes the
     /// per-method tables here and the engine's read/write-cost memo cache.
     method_base: Vec<u32>,
-    /// The lowered program [`Threaded`] plans through;
-    /// `None` runs [`Interp`]. `Arc`-shared so a fleet host can instantiate
-    /// many same-shape simulators from one lowering.
-    lowered: Option<Arc<bp_codegen::ThreadedProgram>>,
+    /// The resolved planner choice: `true` runs [`Masked`], `false`
+    /// [`Interp`].
+    masked: bool,
 }
 
 impl Shared {
@@ -507,13 +495,11 @@ pub(crate) fn build_shared(
             graph.node_count()
         )));
     }
-    // Resolve the capacity plan: an explicit uniform pin wins, then an
-    // explicit per-channel plan, then the feedback-aware derivation.
-    let plan = match (config.channel_capacity, config.capacities) {
-        (Some(uniform), _) => ChannelCapacities::uniform(uniform),
-        (None, Some(plan)) => plan,
-        (None, None) => derive_channel_capacities(graph),
-    };
+    // An explicit plan (uniform or per channel) wins over the
+    // feedback-aware derivation.
+    let plan = config
+        .capacities
+        .unwrap_or_else(|| derive_channel_capacities(graph));
     let program = Program::instantiate(graph)?;
     let (nodes, tables) = program.split();
     let n = nodes.len();
@@ -535,6 +521,17 @@ pub(crate) fn build_shared(
         let (src_port, dst_port) = (c.src.port, c.dst.port);
         let chan = channels.len() as u32;
         let cap = plan.capacity(cid);
+        if cap == 0 {
+            // A queue that holds nothing can never take the item a firing
+            // emits into it: the run would wedge on its first push.
+            return Err(BpError::Simulation(format!(
+                "channel {}.{} -> {}.{} has capacity 0; every channel must hold at least one item",
+                nodes[src].name,
+                nodes[src].spec.outputs[src_port].name,
+                nodes[dst].name,
+                nodes[dst].spec.inputs[dst_port].name,
+            )));
+        }
         channels.push(ChannelRt {
             src,
             src_port,
@@ -567,30 +564,23 @@ pub(crate) fn build_shared(
         upstream.push_row(producers.iter().copied());
     }
     let node_roles: Vec<NodeRole> = nodes.iter().map(|rt| rt.spec.role).collect();
-    // Lower to the mask planner when requested (or in release builds
-    // under `Auto`). Only planning comes from the program (DESIGN.md §13);
-    // every table below is built from the instantiated nodes, whichever
-    // backend drives them.
-    let want_compiled = match config.backend {
-        Backend::Interpreted => false,
-        Backend::Compiled => true,
-        Backend::Auto => !cfg!(debug_assertions),
-    };
-    let lowered = if !want_compiled {
-        None
-    } else if let Some(program) = config.lowered {
-        // A pre-lowered program (fleet cache hit) skips the lowering; the
-        // caller's same-shape promise is checked, not trusted.
-        check_lowered(&program, &nodes)?;
-        Some(program)
-    } else {
-        match bp_codegen::lower_graph(graph) {
-            Ok(p) => Some(Arc::new(p)),
-            // `Auto` falls back to the interpreter on an unlowerable
-            // graph; an explicit request surfaces the error.
-            Err(e) if config.backend == Backend::Compiled => return Err(e),
-            Err(_) => None,
+    // Plan by masks when requested (or in release builds under `Auto`),
+    // which every kernel's table must fit. Only planning differs between
+    // the backends (DESIGN.md §13); every table below is built from the
+    // instantiated nodes, whichever planner drives them.
+    let too_wide = nodes.iter().find(|rt| !rt.methods.fits_masks());
+    let masked = match (config.backend, too_wide) {
+        (Backend::Interpreted, _) => false,
+        (Backend::Compiled, Some(rt)) => {
+            return Err(BpError::Validation(format!(
+                "kernel '{}' has {} input ports; the mask planner supports at most {MAX_PORTS}",
+                rt.spec.kind,
+                rt.spec.inputs.len(),
+            )))
         }
+        (Backend::Compiled, None) => true,
+        // `Auto` falls back to the interpreter on a too-wide kernel.
+        (Backend::Auto, too_wide) => !cfg!(debug_assertions) && too_wide.is_none(),
     };
     let dests = tables.routes.rows().map(|&(dn, dp)| RouteDest {
         dn: dn as u32,
@@ -669,81 +659,38 @@ pub(crate) fn build_shared(
         credit_chans,
         forward_run_s: 1.0 / clock,
         method_base,
-        lowered,
+        masked,
     };
     Ok((nodes, shared))
-}
-
-/// Reject a pre-lowered program that was not lowered from a graph shaped
-/// like the one `nodes` instantiates: the engine takes routing, space,
-/// credit and cost tables from the nodes and only planning from the
-/// program, so the two must agree on everything a firing pops, emits
-/// and costs. O(methods), once per instantiation.
-fn check_lowered(program: &bp_codegen::ThreadedProgram, nodes: &[RtNode]) -> Result<()> {
-    let mismatch = |what: String| {
-        let msg = format!("pre-lowered program does not match {what}");
-        Err(BpError::Simulation(msg))
-    };
-    if program.nodes.len() != nodes.len() {
-        let (lowered, n) = (program.nodes.len(), nodes.len());
-        return mismatch(format!(
-            "the graph: {lowered} nodes lowered, {n} instantiated"
-        ));
-    }
-    for (tn, rt) in program.nodes.iter().zip(nodes) {
-        // Lowered from this very spec (the usual case outside a fleet
-        // cache): there is one table, nothing to compare.
-        if Arc::ptr_eq(tn.table(), &rt.methods) {
-            continue;
-        }
-        let name = &rt.name;
-        if tn.inputs != rt.queues.len() || tn.methods.len() != rt.methods.len() {
-            return mismatch(format!("node '{name}': the port or method count differs"));
-        }
-        for (mi, (tm, cm)) in tn.table().iter().zip(rt.methods.iter()).enumerate() {
-            let (popped, pops) = (tm.triggers.iter(), cm.triggers.iter());
-            let same = popped.map(|t| t.0).eq(pops.map(|t| t.0))
-                && tm.outputs == cm.outputs
-                && tm.cost_cycles == cm.cost_cycles;
-            if !same {
-                let method = &rt.spec.methods[mi].name;
-                return mismatch(format!(
-                    "node '{name}': method '{method}' differs in triggers, outputs or cost"
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// The only thing the backends differ in: how a node's next action is
 /// planned. The scheduler — loop, firing ([`RtNode::fire`]), routing,
 /// dispatch, space, credits, cost — is generic over this and otherwise
-/// identical, so the interpreter is the oracle for exactly what
-/// `bp-codegen` lowers.
+/// identical, so the scan planner is the oracle for the masked one.
 trait Exec: Copy {
     /// Whether the engine maintains [`Engine::head_data`] and
     /// `head_ctrl`. The interpreter also runs the graphs the mask planner
-    /// cannot hold — a kernel with more than 64 inputs, where
+    /// cannot hold — a kernel with more than [`MAX_PORTS`] inputs, where
     /// `1u64 << port` is not defined — so it must not touch them.
     const HEAD_MASKS: bool;
 
     /// Decide `rt`'s next action from its queue heads, or `None` if it
     /// cannot progress.
-    fn plan(self, node: usize, rt: &RtNode, head_data: u64, head_ctrl: u64) -> Option<Action>;
+    fn plan(self, rt: &RtNode, head_data: u64, head_ctrl: u64) -> Option<Action>;
 }
 
-/// `bp-codegen`'s mask planner: a readiness mask test instead of the
-/// trigger scan.
+/// The compiled backend: [`RtNode::plan_masked`]'s readiness mask test
+/// instead of the trigger scan.
 #[derive(Clone, Copy)]
-struct Threaded<'p>(&'p bp_codegen::ThreadedProgram);
+struct Masked;
 
-impl Exec for Threaded<'_> {
+impl Exec for Masked {
     const HEAD_MASKS: bool = true;
 
     #[inline]
-    fn plan(self, node: usize, rt: &RtNode, head_data: u64, head_ctrl: u64) -> Option<Action> {
-        self.0.nodes[node].plan(head_data, head_ctrl, &rt.queues, rt.behavior.as_ref())
+    fn plan(self, rt: &RtNode, head_data: u64, head_ctrl: u64) -> Option<Action> {
+        rt.plan_masked(head_data, head_ctrl)
     }
 }
 
@@ -754,7 +701,7 @@ struct Interp;
 impl Exec for Interp {
     const HEAD_MASKS: bool = false;
 
-    fn plan(self, _node: usize, rt: &RtNode, _head_data: u64, _head_ctrl: u64) -> Option<Action> {
+    fn plan(self, rt: &RtNode, _head_data: u64, _head_ctrl: u64) -> Option<Action> {
         rt.plan()
     }
 }
@@ -816,8 +763,9 @@ pub(crate) struct Engine {
     pe_stall: Vec<Option<StallCause>>,
     /// [`Exec::HEAD_MASKS`] backends only: bit `p` set when the node's
     /// input queue `p` currently has a window at its head. Maintained
-    /// incrementally at every queue mutation; [`bp_codegen::head_masks`]
-    /// is the oracle (checked before every plan under debug assertions).
+    /// incrementally at every queue mutation;
+    /// [`head_masks`](crate::runtime::head_masks) is the oracle (checked
+    /// before every plan under debug assertions).
     head_data: Vec<u64>,
     /// As [`head_data`](Self::head_data), for control tokens.
     head_ctrl: Vec<u64>,
@@ -957,9 +905,10 @@ impl Engine {
     /// — everything that happens before the first event pop.
     pub(crate) fn init(&mut self) {
         let shared = Arc::clone(&self.shared);
-        match shared.lowered.as_deref() {
-            Some(program) => self.init_on(Threaded(program), &shared),
-            None => self.init_on(Interp, &shared),
+        if shared.masked {
+            self.init_on(Masked, &shared)
+        } else {
+            self.init_on(Interp, &shared)
         }
     }
 
@@ -991,16 +940,16 @@ impl Engine {
     /// the event an unbounded call would have handled next.
     pub(crate) fn run(&mut self, budget: usize) -> usize {
         let shared = Arc::clone(&self.shared);
-        let Some(program) = shared.lowered.as_deref() else {
+        if !shared.masked {
             // The oracle has one instantiation: every `OBS` / `JRN` site
             // also tests its recorder, so this one is right for any set.
             return self.run_on::<_, true, true>(Interp, &shared, budget);
-        };
+        }
         // Monomorphize the loop on which observers are attached. A
         // metrics-only run takes `<true, false>`, so it pays the metrics
         // hooks and nothing of the heavier trace machinery — which is what
         // keeps always-on metrics inside their ≤5% budget (DESIGN.md §15).
-        let x = Threaded(program);
+        let x = Masked;
         if self.trace.is_some() {
             self.run_on::<_, true, true>(x, &shared, budget)
         } else if self.metrics.is_some() {
@@ -1317,13 +1266,13 @@ impl Engine {
         #[cfg(debug_assertions)]
         if X::HEAD_MASKS {
             debug_assert_eq!(
-                bp_codegen::head_masks(&self.nodes[node].queues),
+                crate::runtime::head_masks(&self.nodes[node].queues),
                 (self.head_data[node], self.head_ctrl[node]),
                 "stale head masks for node {node}"
             );
         }
         let (data, ctrl) = (self.head_data[node], self.head_ctrl[node]);
-        x.plan(node, &self.nodes[node], data, ctrl)
+        x.plan(&self.nodes[node], data, ctrl)
     }
 
     /// Attribute why `pe` failed to start a firing just now, from pure
@@ -2105,7 +2054,7 @@ mod tests {
 
     /// Every field of [`SimConfig`] is a run configuration someone must
     /// test and measure; DESIGN.md's "Mode audit (PR 16)" table has a row
-    /// for each axis these nine span. A tenth does not arrive without
+    /// for each axis these seven span. An eighth does not arrive without
     /// editing this pattern — and that table.
     #[test]
     fn sim_config_has_exactly_the_audited_fields() {
@@ -2113,19 +2062,17 @@ mod tests {
             machine,
             backend,
             comm,
-            channel_capacity,
             capacities,
             frames,
             trace,
             metrics,
-            lowered,
         } = SimConfig::new(1);
         assert_eq!(machine, MachineSpec::default_eval());
         assert_eq!(backend, Backend::Auto);
         assert!(comm.is_zero());
-        assert!(channel_capacity.is_none() && capacities.is_none());
+        assert!(capacities.is_none());
         assert_eq!(frames, 1);
-        assert!(trace.is_none() && metrics.is_none() && lowered.is_none());
+        assert!(trace.is_none() && metrics.is_none());
     }
 
     /// The tables every event reads equal the per-event lookups they
@@ -2281,7 +2228,10 @@ mod tests {
     fn explicit_capacity_overrides_derivation() {
         let g = chain_graph(bp_kernels::scale(2.0, 0.0));
         let cfg = SimConfig::new(1).with_channel_capacity(16);
-        assert_eq!(cfg.channel_capacity, Some(16));
+        assert_eq!(
+            cfg.capacities,
+            Some(bp_core::ChannelCapacities::uniform(16))
+        );
         // The uniform pin is what the simulator resolves, not the derived
         // plan.
         let mapping = Mapping::one_to_one(g.node_count());
@@ -2306,5 +2256,43 @@ mod tests {
         let (_, shared) = build_shared(&g, &mapping, cfg).unwrap();
         assert_eq!(shared.channels[0].cap, 96);
         assert!(shared.channels[1..].iter().all(|c| c.cap == 64));
+        // One capacity knob: the last builder call wins, either way round.
+        let pinned = SimConfig::new(1)
+            .with_channel_capacities(bp_core::ChannelCapacities::uniform(64))
+            .with_channel_capacity(8);
+        let (_, shared) = build_shared(&g, &mapping, pinned).unwrap();
+        assert!(shared.channels.iter().all(|c| c.cap == 8));
+        let plan = bp_core::ChannelCapacities::uniform(64).with_override(first_cid, 96);
+        let planned = SimConfig::new(1)
+            .with_channel_capacity(8)
+            .with_channel_capacities(plan);
+        let (_, shared) = build_shared(&g, &mapping, planned).unwrap();
+        assert_eq!(shared.channels[0].cap, 96);
+    }
+
+    /// A queue that holds nothing can never take an item: a plan giving
+    /// any channel capacity 0 — by its default or by an override — is a
+    /// typed error naming that channel, not a run that wedges on its first
+    /// push.
+    #[test]
+    fn zero_capacity_is_a_typed_error_naming_the_channel() {
+        let g = chain_graph(bp_kernels::scale(2.0, 0.0));
+        let mapping = Mapping::one_to_one(g.node_count());
+        let err = |cfg: SimConfig| match build_shared(&g, &mapping, cfg) {
+            Err(BpError::Simulation(msg)) => msg,
+            Err(e) => panic!("expected a simulation error, got {e}"),
+            Ok(_) => panic!("a zero capacity was accepted"),
+        };
+        let (first, second) = (
+            "channel Input.out -> K.in has capacity 0; every channel must hold at least one item",
+            "channel K.out -> Out.in has capacity 0; every channel must hold at least one item",
+        );
+        assert_eq!(err(SimConfig::new(1).with_channel_capacity(0)), first);
+        let second_cid = g.channels().nth(1).unwrap().0;
+        let plan = bp_core::ChannelCapacities::uniform(64).with_override(second_cid, 0);
+        let cfg = SimConfig::new(1).with_channel_capacities(plan);
+        assert_eq!(err(cfg), second);
+        // One item is enough to build.
+        assert!(build_shared(&g, &mapping, SimConfig::new(1).with_channel_capacity(1)).is_ok());
     }
 }

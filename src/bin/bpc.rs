@@ -60,11 +60,12 @@ fn usage() -> ! {
          \x20  --comm-model  inter-PE communication delay (latencies in PE cycles):\n\
          \x20                zero (default) | uniform:LAT[:PER_WORD]\n\
          \x20                | grid:BASE:PER_HOP[:PER_WORD]\n\
-         \x20  --backend     execution backend: auto (default; compiled in\n\
-         \x20                release builds) | interpreted | compiled\n\
-         \x20                (direct-threaded; results are bitwise identical)\n\
-         \x20  --capacity N  pin every channel to N items, disabling the\n\
-         \x20                feedback-aware capacity derivation\n\
+         \x20  --backend     kernel planner: auto (default; compiled in\n\
+         \x20                release builds) | interpreted (trigger scan)\n\
+         \x20                | compiled (readiness masks); results are\n\
+         \x20                bitwise identical\n\
+         \x20  --capacity N  pin every channel to N items (N >= 1), disabling\n\
+         \x20                the feedback-aware capacity derivation\n\
          \x20  --explain-deadlock  on a capacity deadlock, print the structured\n\
          \x20                diagnosis (wait-for cycle, occupancies, minimal\n\
          \x20                capacity bump) and exit 0; exit 1 if no deadlock"
@@ -153,7 +154,12 @@ fn parse_args() -> Args {
                 }
             }
             "--capacity" => {
-                args.capacity = Some(value("--capacity").parse().unwrap_or_else(|_| usage()))
+                let n: usize = value("--capacity").parse().unwrap_or_else(|_| usage());
+                if n == 0 {
+                    eprintln!("--capacity must be at least 1");
+                    usage()
+                }
+                args.capacity = Some(n);
             }
             "--explain-deadlock" => args.explain_deadlock = true,
             "--quiet" => args.quiet = true,
@@ -565,7 +571,7 @@ fn serve_main() -> ExitCode {
         adm.digest()
     );
     println!(
-        "lowering cache: {} hit(s), {} miss(es)",
+        "shapes: {} repeat(s), {} distinct",
         report.cache.hits, report.cache.misses
     );
     let events = report.total_events();

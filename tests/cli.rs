@@ -66,19 +66,29 @@ fn zero_workers_or_budget_are_usage_errors() {
     }
 }
 
+/// A channel must hold at least one item: `--capacity 0` is a usage error
+/// naming the flag, like `--workers 0`, not a "capacity deadlock" into
+/// queues that hold nothing.
+#[test]
+fn zero_capacity_is_a_usage_error() {
+    let out = bpc(&["--app", "fig1b", "--frames", "1", "--capacity", "0"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    let first = err.lines().next().unwrap_or_default();
+    assert!(
+        first.contains("--capacity"),
+        "does not name the flag: {err}"
+    );
+    assert!(!err.contains("items queued"), "{err}");
+    assert!(!err.contains("panicked at"), "{err}");
+}
+
 /// A capacity deadlock reaches the user as one `simulation error:` line:
-/// the prefix is the error's own, not repeated by `bpc`.
+/// the prefix is the error's own, not repeated by `bpc`. (The feedback
+/// loop of `iir` wedges when every channel is pinned to 64 items.)
 #[test]
 fn simulation_errors_carry_one_prefix() {
-    let out = bpc(&[
-        "--app",
-        "fig1b",
-        "--capacity",
-        "0",
-        "--frames",
-        "1",
-        "--quiet",
-    ]);
+    let out = bpc(&["--app", "iir", "--capacity", "64", "--quiet"]);
     let err = stderr(&out);
     assert_eq!(out.status.code(), Some(1), "{err}");
     assert!(err.contains("capacity deadlock"), "{err}");

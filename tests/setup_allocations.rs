@@ -1,12 +1,12 @@
 //! A gate on the set-up path that does not depend on this host's clock:
-//! heap allocations made by build → compile → check → lower → instantiate,
+//! heap allocations made by build → compile → check → instantiate,
 //! counted by this binary's own global allocator on the measuring thread.
 //!
 //! Three graphs: the paper's running example where it replicates
 //! (`fig1b` 40×24 at 200 Hz, greedy mapping), two cameras one kernel per PE
 //! (`camera_bank(2)`, same frame and rate, one-to-one), and a hand-built
 //! 64-way `split_rr` → 64 × `scale` → `join_rr(64)` chain — the widest join
-//! the mask planner lowers, where per-node name resolution was cubic in the
+//! the mask planner plans, where per-node name resolution was cubic in the
 //! width.
 //!
 //! Recorded on the parent commit (aa33000, before specs were shared and
@@ -37,7 +37,6 @@ use bp_core::{AppGraph, Dim2, GraphBuilder};
 use bp_sim::{SimConfig, TimedSimulator, TraceOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
 
 thread_local! {
     /// Allocations made by this thread (`const`-initialised and without a
@@ -90,9 +89,10 @@ fn wide_chain() -> AppGraph {
     b.build().expect("the wide chain validates")
 }
 
-/// One design point, graph to instantiated simulator — the five calls the
-/// repo benchmark's `explore_static` makes. Returns `(allocations, output
-/// nodes)`.
+/// One design point, graph to instantiated simulator — the calls the
+/// repo benchmark's `explore_static` makes (its remaining `lower_graph`
+/// call only reads the tables instantiation resolves anyway). Returns
+/// `(allocations, output nodes)`.
 fn set_up(build: impl Fn() -> AppGraph, mapping: MappingKind) -> (u64, usize) {
     let opts = CompileOptions {
         mapping,
@@ -107,10 +107,7 @@ fn set_up(build: impl Fn() -> AppGraph, mapping: MappingKind) -> (u64, usize) {
         &opts.machine,
         &compiled.mapping,
     );
-    let program = bp_codegen::lower_graph(&compiled.graph).expect("lower");
-    let config = SimConfig::new(1)
-        .with_machine(opts.machine)
-        .with_lowered(Arc::new(program));
+    let config = SimConfig::new(1).with_machine(opts.machine);
     let sim = TimedSimulator::new(&compiled.graph, &compiled.mapping, config).expect("instantiate");
     let allocations = ALLOCATIONS.with(Cell::get) - before;
     drop((sim, check));

@@ -13,41 +13,7 @@
 //! identical schedules given identical mapping and config. Hash collisions
 //! across genuinely different shapes are the usual 64-bit-FNV caveat.
 
-use bp_core::{AppGraph, ShapeTransform, TokenKind, TriggerOn};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
-
-/// Incremental FNV-1a over length-separated primitive streams — the same
-/// construction `SimReport::fingerprint` and `MetricsTape::digest` use, so
-/// keys are stable across platforms and runs.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Strings hash length-first so concatenations cannot collide.
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for b in s.bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-}
+use bp_core::{AppGraph, Fnv, ShapeTransform, TokenKind, TriggerOn};
 
 fn hash_token_kind(h: &mut Fnv, k: TokenKind) {
     match k {
@@ -190,7 +156,7 @@ pub fn shape_key(graph: &AppGraph) -> u64 {
         h.u64(s.frame.h as u64);
         h.f64(s.rate_hz);
     }
-    h.0
+    h.finish()
 }
 
 #[cfg(test)]

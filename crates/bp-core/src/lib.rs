@@ -24,6 +24,7 @@
 
 pub mod capacity;
 pub mod error;
+pub mod fnv;
 pub mod geometry;
 pub mod graph;
 pub mod item;
@@ -39,6 +40,7 @@ pub use capacity::{
     derive_channel_capacities, derive_default_capacity, feedback_loops, ChannelCapacities, LoopInfo,
 };
 pub use error::{BpError, Result};
+pub use fnv::Fnv;
 pub use geometry::{Dim2, Offset2, Step2};
 pub use graph::{
     AppGraph, Channel, ChannelId, ChannelMap, DepEdge, GraphBuilder, Node, NodeId, PortRef,

@@ -17,7 +17,8 @@
 //!
 //! [`bp-serve`]: https://docs.rs/bp-serve
 
-use crate::tape::{Fnv, MetricsTape};
+use crate::tape::MetricsTape;
+use bp_core::Fnv;
 
 /// One tenant's metrics tape, namespaced by its fleet identity.
 #[derive(Clone, Debug, PartialEq)]

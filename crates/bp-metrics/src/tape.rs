@@ -6,7 +6,7 @@
 
 use crate::histogram::LogHistogram;
 use crate::recorder::MetricsRecorder;
-use bp_core::QosSpec;
+use bp_core::{Fnv, QosSpec};
 
 /// One periodic snapshot covering simulated time `[index·Δ, t_end)`.
 #[derive(Clone, Debug, PartialEq)]
@@ -553,37 +553,6 @@ fn jf(v: f64) -> String {
         format!("{v}")
     } else {
         "null".to_string()
-    }
-}
-
-/// FNV-1a, the same construction `SimReport::fingerprint` uses. Shared
-/// with the fleet-merge module so tenant-scoped digests stay in the same
-/// hash family.
-pub(crate) struct Fnv(pub(crate) u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-    pub(crate) fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-    pub(crate) fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    /// Strings hash length-first so concatenations cannot collide.
-    pub(crate) fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for b in s.bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
     }
 }
 

@@ -16,6 +16,8 @@
 //! slot frees, so its FNV digest is a replay fingerprint: same specs,
 //! same seed, same digest.
 
+use bp_core::Fnv;
+
 /// Backpressure policy when every active slot is taken.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AdmissionPolicy {
@@ -154,25 +156,15 @@ impl AdmissionReport {
     /// FNV-1a digest of the full log (rounds, offer ordinals, names,
     /// verdicts) — the replay fingerprint for the admission layer.
     pub fn digest(&self) -> u64 {
-        fn mix(h: &mut u64, x: u64) {
-            for b in x.to_le_bytes() {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        mix(&mut h, self.log.len() as u64);
+        let mut h = Fnv::new();
+        h.u64(self.log.len() as u64);
         for e in &self.log {
-            mix(&mut h, e.round);
-            mix(&mut h, e.offer as u64);
-            mix(&mut h, e.name.len() as u64);
-            for b in e.name.bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-            mix(&mut h, e.verdict.code());
+            h.u64(e.round);
+            h.u64(e.offer as u64);
+            h.str(&e.name);
+            h.u64(e.verdict.code());
         }
-        h
+        h.finish()
     }
 }
 

@@ -11,7 +11,7 @@
 //! [`SimReport`](crate::stats::SimReport) equality on successful runs.
 
 use crate::stats::SimReport;
-use bp_core::{BpError, Result};
+use bp_core::{BpError, Fnv, Result};
 use std::fmt::Write as _;
 
 /// One hop of the wait-for cycle: a blocked producer's first full output
@@ -129,47 +129,29 @@ impl DeadlockReport {
     /// are bitwise identical (every variable-length field folds its length
     /// in first).
     pub fn fingerprint(&self) -> u64 {
-        struct Fnv(u64);
-        impl Fnv {
-            fn byte(&mut self, b: u8) {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x100000001b3);
-            }
-            fn word(&mut self, v: u64) {
-                for b in v.to_le_bytes() {
-                    self.byte(b);
-                }
-            }
-            fn text(&mut self, s: &str) {
-                self.word(s.len() as u64);
-                for b in s.bytes() {
-                    self.byte(b);
-                }
-            }
-        }
-        let mut h = Fnv(0xcbf29ce484222325);
-        h.word(self.queued_items as u64);
-        h.word(self.blocked_cycle as u64);
-        h.word(self.cycle.len() as u64);
+        let mut h = Fnv::new();
+        h.u64(self.queued_items as u64);
+        h.u64(self.blocked_cycle as u64);
+        h.u64(self.cycle.len() as u64);
         for hop in &self.cycle {
-            h.text(&hop.src);
-            h.text(&hop.src_port);
-            h.text(&hop.dst);
-            h.text(&hop.dst_port);
-            h.word(hop.occupancy as u64);
-            h.word(hop.capacity as u64);
+            h.str(&hop.src);
+            h.str(&hop.src_port);
+            h.str(&hop.dst);
+            h.str(&hop.dst_port);
+            h.u64(hop.occupancy as u64);
+            h.u64(hop.capacity as u64);
         }
         match &self.min_capacity_bump {
-            None => h.word(0),
+            None => h.u64(0),
             Some(b) => {
-                h.word(1);
-                h.text(&b.channel);
-                h.word(b.current as u64);
-                h.word(b.required as u64);
+                h.u64(1);
+                h.str(&b.channel);
+                h.u64(b.current as u64);
+                h.u64(b.required as u64);
             }
         }
-        h.text(&self.stuck);
-        h.0
+        h.str(&self.stuck);
+        h.finish()
     }
 }
 

@@ -19,8 +19,8 @@
 //!   [`DeadlockReport`] the timed engine assembles when a simulation
 //!   wedges, and the [`SimOutcome`] returned by its `run_outcome` entry
 //!   points.
-//! - [`events`]: the pending-event queues (calendar queue + binary-heap
-//!   reference) the timed engine schedules on.
+//! - [`events`]: the pending-event queue the timed engine schedules on, a
+//!   binary heap keyed on `(time bits, ordinal)`.
 //! - [`stats`]: per-PE utilization (run/read/write breakdown), throughput
 //!   measurement, and real-time verdicts.
 //! - [`parallel`]: a host-side batch runner for simulation sweeps (each
@@ -50,7 +50,7 @@ pub use bp_core::{CommModel, CommProfile, MetricsPolicy, QosSpec};
 pub use bp_metrics::{MetricsFinal, MetricsSnapshot, MetricsTape, QosReport};
 pub use chrome::{chrome_trace_json, validate_json};
 pub use deadlock::{CapacityBump, DeadlockHop, DeadlockReport, SimOutcome};
-pub use events::{BucketQueue, Event, EventQueue, HeapQueue};
+pub use events::{BucketQueue, Event, EventQueue};
 pub use functional::FunctionalExecutor;
 pub use parallel::{run_batch, run_batch_with_workers};
 pub use runtime::{Action, Program, RtNode, SourceRt};

@@ -1,6 +1,8 @@
 //! Simulation statistics: per-PE utilization broken down into run/read/write
 //! time (as in the paper's Fig. 13) and real-time verdicts.
 
+use bp_core::Fnv;
+
 /// Busy-time accounting for one processing element, in seconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PeStats {
@@ -115,68 +117,50 @@ impl SimReport {
     /// fleet host all guarantee against a plain run, checked in tests and
     /// by the benchmark.
     pub fn fingerprint(&self) -> u64 {
-        struct Fnv(u64);
-        impl Fnv {
-            fn byte(&mut self, b: u8) {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x100000001b3);
-            }
-            fn word(&mut self, v: u64) {
-                for b in v.to_le_bytes() {
-                    self.byte(b);
-                }
-            }
-            fn float(&mut self, v: f64) {
-                self.word(v.to_bits());
-            }
-        }
-        let mut h = Fnv(0xcbf29ce484222325);
+        let mut h = Fnv::new();
         // Every variable-length field folds its length in first, so data
         // sliding across the boundary of two adjacent vectors (or two
         // adjacent strings) can never collide.
-        h.word(self.pe_stats.len() as u64);
+        h.u64(self.pe_stats.len() as u64);
         for p in &self.pe_stats {
-            h.float(p.run);
-            h.float(p.read);
-            h.float(p.write);
+            h.f64(p.run);
+            h.f64(p.read);
+            h.f64(p.write);
         }
-        h.word(self.node_firings.len() as u64);
+        h.u64(self.node_firings.len() as u64);
         for &f in &self.node_firings {
-            h.word(f);
+            h.u64(f);
         }
-        h.word(self.node_busy.len() as u64);
+        h.u64(self.node_busy.len() as u64);
         for &b in &self.node_busy {
-            h.float(b);
+            h.f64(b);
         }
-        h.float(self.sim_time);
-        h.word(self.frames_completed as u64);
-        h.word(self.residual_items);
-        h.word(self.budget_overruns.len() as u64);
+        h.f64(self.sim_time);
+        h.u64(self.frames_completed as u64);
+        h.u64(self.residual_items);
+        h.u64(self.budget_overruns.len() as u64);
         for &b in &self.budget_overruns {
-            h.word(b);
+            h.u64(b);
         }
-        h.word(self.node_max_queue.len() as u64);
+        h.u64(self.node_max_queue.len() as u64);
         for &q in &self.node_max_queue {
-            h.word(q as u64);
+            h.u64(q as u64);
         }
-        h.word(self.frame_latencies.len() as u64);
+        h.u64(self.frame_latencies.len() as u64);
         for &l in &self.frame_latencies {
-            h.float(l);
+            h.f64(l);
         }
-        h.word(self.token_rate_violations.len() as u64);
+        h.u64(self.token_rate_violations.len() as u64);
         for (name, obs, decl) in &self.token_rate_violations {
-            h.word(name.len() as u64);
-            for b in name.bytes() {
-                h.byte(b);
-            }
-            h.float(*obs);
-            h.float(*decl);
+            h.str(name);
+            h.f64(*obs);
+            h.f64(*decl);
         }
-        h.word(self.verdict.met as u64);
-        h.word(self.verdict.violations);
-        h.float(self.verdict.required_rate_hz);
-        h.float(self.verdict.achieved_rate_hz);
-        h.0
+        h.u64(self.verdict.met as u64);
+        h.u64(self.verdict.violations);
+        h.f64(self.verdict.required_rate_hz);
+        h.f64(self.verdict.achieved_rate_hz);
+        h.finish()
     }
 }
 

@@ -9,7 +9,7 @@
 //! engine reproduces the paper's zero-delay network bit for bit, while a
 //! nonzero model turns each cross-PE channel push into a *delayed arrival
 //! event* (base latency + per-hop distance + per-word serialization)
-//! scheduled through the ordinary calendar queue. Delayed channels use
+//! scheduled through the ordinary event queue. Delayed channels use
 //! sender-side credit flow control: capacity is checked against a local
 //! credit counter instead of the receiver's queue, and consuming a delayed
 //! item schedules a credit-return event after the same latency — so no
@@ -37,7 +37,7 @@
 //! [`Backend`]s differ in: planning a kernel's next action.
 
 use crate::deadlock::{CapacityBump, DeadlockHop, DeadlockReport, SimOutcome};
-use crate::events::{BucketQueue, EventQueue};
+use crate::events::EventQueue;
 use crate::runtime::{
     slot_bases, stuck_report, Action, Program, ProgramTables, Rows, RtNode, MAX_PORTS,
 };
@@ -481,6 +481,32 @@ struct ResolvedMetrics {
     contracts: bp_core::QosSpec,
 }
 
+/// Refuse timing inputs that would schedule an infinite or NaN event time:
+/// a firing lasts its cycles plus word costs over the PE clock, and a
+/// delayed channel adds the communication model's terms.
+fn check_timing(machine: &MachineSpec, comm: &CommModel) -> Result<()> {
+    let clock = machine.pe_clock_hz;
+    if !(clock.is_finite() && clock > 0.0) {
+        return Err(BpError::Simulation(format!(
+            "machine pe_clock_hz is {clock}; it must be finite and positive"
+        )));
+    }
+    for (what, v) in [
+        ("machine read_cost_per_word", machine.read_cost_per_word),
+        ("machine write_cost_per_word", machine.write_cost_per_word),
+        ("comm base_latency_s", comm.base_latency_s),
+        ("comm per_hop_s", comm.per_hop_s),
+        ("comm per_word_s", comm.per_word_s),
+    ] {
+        if !(v.is_finite() && v >= 0.0) {
+            return Err(BpError::Simulation(format!(
+                "{what} is {v}; it must be finite and non-negative"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Instantiate `graph` under `mapping` and resolve `config` into the node
 /// instances plus the read-only [`Shared`] tables the engine runs over.
 pub(crate) fn build_shared(
@@ -495,6 +521,7 @@ pub(crate) fn build_shared(
             graph.node_count()
         )));
     }
+    check_timing(&config.machine, &config.comm)?;
     // An explicit plan (uniform or per channel) wins over the
     // feedback-aware derivation.
     let plan = config
@@ -635,6 +662,15 @@ pub(crate) fn build_shared(
         window: p.window.unwrap_or(5),
         contracts: p.contracts,
     });
+    if let Some(m) = &metrics {
+        if !(m.interval_s.is_finite() && m.interval_s > 0.0) || m.window == 0 {
+            return Err(BpError::Simulation(format!(
+                "metrics interval {} s over a window of {}: the interval must be finite and \
+                 positive and the window at least 1",
+                m.interval_s, m.window
+            )));
+        }
+    }
     let shared = Shared {
         tables,
         upstream,
@@ -721,7 +757,7 @@ pub(crate) struct Engine {
     dirty: Vec<bool>,
     /// Number of dirty residents per PE; zero means the PE has no work.
     dirty_count: Vec<usize>,
-    events: BucketQueue<EventKind>,
+    events: EventQueue<EventKind>,
     now: f64,
     stats: Vec<PeStats>,
     node_busy: Vec<f64>,
@@ -802,15 +838,12 @@ impl Engine {
         let n = nodes.len();
         let num_pes = shared.residents.len();
         let num_chans = shared.channels.len();
-        // One PE cycle per bucket: firing durations are cycle counts plus
-        // fractional word costs, so event times cluster at this scale.
-        let quantum = 1.0 / shared.machine.pe_clock_hz;
         Self {
             rr: vec![0; num_pes],
             pe_inflight: (0..num_pes).map(|_| None).collect(),
             dirty: vec![false; n],
             dirty_count: vec![0; num_pes],
-            events: BucketQueue::new(quantum),
+            events: EventQueue::default(),
             now: 0.0,
             stats: vec![PeStats::default(); num_pes],
             node_busy: vec![0.0; n],
@@ -2294,5 +2327,74 @@ mod tests {
         assert_eq!(err(cfg), second);
         // One item is enough to build.
         assert!(build_shared(&g, &mapping, SimConfig::new(1).with_channel_capacity(1)).is_ok());
+    }
+
+    /// Every event time is built from the PE clock, the word costs, the
+    /// comm model's terms and (for metrics) the snapshot interval. One that
+    /// is infinite, NaN or out of range is a typed error naming the input,
+    /// not a run to a +inf verdict, a panic in the metrics recorder, or a
+    /// NaN event time.
+    #[test]
+    fn non_finite_timing_inputs_are_typed_errors() {
+        let g = chain_graph(bp_kernels::scale(2.0, 0.0));
+        let mapping = Mapping::one_to_one(g.node_count());
+        let err = |cfg: SimConfig| match TimedSimulator::new(&g, &mapping, cfg) {
+            Err(BpError::Simulation(msg)) => msg,
+            Err(e) => panic!("expected a simulation error, got {e}"),
+            Ok(_) => panic!("a non-finite timing input was accepted"),
+        };
+        let machine = |f: fn(&mut MachineSpec)| {
+            let mut m = MachineSpec::default_eval();
+            f(&mut m);
+            SimConfig::new(1).with_machine(m)
+        };
+        let cases = [
+            (machine(|m| m.pe_clock_hz = 0.0), "machine pe_clock_hz is 0"),
+            (machine(|m| m.pe_clock_hz = f64::NAN), "pe_clock_hz is NaN"),
+            (
+                machine(|m| m.read_cost_per_word = -1.0),
+                "read_cost_per_word",
+            ),
+            (
+                machine(|m| m.write_cost_per_word = f64::INFINITY),
+                "write_cost",
+            ),
+            (
+                SimConfig::new(1).with_comm(CommModel::uniform(f64::INFINITY, 0.0)),
+                "comm base_latency_s is inf",
+            ),
+            (
+                SimConfig::new(1).with_comm(CommModel::grid(0.0, -1e-6, 0.0)),
+                "comm per_hop_s",
+            ),
+            (
+                SimConfig::new(1).with_comm(CommModel::uniform(0.0, f64::NAN)),
+                "comm per_word_s",
+            ),
+            (
+                SimConfig::new(1).with_metrics(MetricsPolicy::new().with_interval_s(f64::INFINITY)),
+                "metrics interval inf s",
+            ),
+            (
+                SimConfig::new(1).with_metrics(MetricsPolicy {
+                    window: Some(0),
+                    ..MetricsPolicy::new()
+                }),
+                "over a window of 0",
+            ),
+        ];
+        for (cfg, want) in cases {
+            let msg = err(cfg);
+            assert!(msg.contains(want), "{msg:?} does not contain {want:?}");
+        }
+        // The same inputs in range still build and run.
+        let ok = SimConfig::new(1)
+            .with_comm(CommModel::uniform(1e-6, 0.0))
+            .with_metrics(MetricsPolicy::new().with_interval_s(1e-3));
+        let report = TimedSimulator::new(&g, &mapping, ok)
+            .unwrap()
+            .run()
+            .unwrap();
+        assert!(report.sim_time.is_finite() && report.frames_completed == 1);
     }
 }

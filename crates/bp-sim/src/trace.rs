@@ -19,6 +19,7 @@
 
 use crate::runtime::RtNode;
 use bp_core::token::ControlToken;
+use bp_core::Fnv;
 use std::collections::VecDeque;
 
 /// Why a PE is not executing a firing.
@@ -180,17 +181,17 @@ impl TraceEvent {
                 cycles,
             } => {
                 h.byte(0);
-                h.word(t.to_bits());
-                h.word(node as u64);
-                h.word(method as u64);
-                h.word(pe as u64);
-                h.word(cycles);
+                h.u64(t.to_bits());
+                h.u64(node as u64);
+                h.u64(method as u64);
+                h.u64(pe as u64);
+                h.u64(cycles);
             }
             TraceEvent::FiringEnd { t, node, pe } => {
                 h.byte(1);
-                h.word(t.to_bits());
-                h.word(node as u64);
-                h.word(pe as u64);
+                h.u64(t.to_bits());
+                h.u64(node as u64);
+                h.u64(pe as u64);
             }
             TraceEvent::QueueDepth {
                 t,
@@ -199,10 +200,10 @@ impl TraceEvent {
                 depth,
             } => {
                 h.byte(2);
-                h.word(t.to_bits());
-                h.word(node as u64);
-                h.word(port as u64);
-                h.word(depth as u64);
+                h.u64(t.to_bits());
+                h.u64(node as u64);
+                h.u64(port as u64);
+                h.u64(depth as u64);
             }
             TraceEvent::Token {
                 t,
@@ -211,22 +212,22 @@ impl TraceEvent {
                 token,
             } => {
                 h.byte(3);
-                h.word(t.to_bits());
-                h.word(node as u64);
-                h.word(port as u64);
+                h.u64(t.to_bits());
+                h.u64(node as u64);
+                h.u64(port as u64);
                 match token {
                     ControlToken::EndOfLine => h.byte(0),
                     ControlToken::EndOfFrame => h.byte(1),
                     ControlToken::Custom(id) => {
                         h.byte(2);
-                        h.word(id as u64);
+                        h.u64(id as u64);
                     }
                 }
             }
             TraceEvent::Stall { t, pe, cause } => {
                 h.byte(4);
-                h.word(t.to_bits());
-                h.word(pe as u64);
+                h.u64(t.to_bits());
+                h.u64(pe as u64);
                 h.byte(cause.tag());
             }
             TraceEvent::CommSend {
@@ -236,33 +237,16 @@ impl TraceEvent {
                 arrival,
             } => {
                 h.byte(5);
-                h.word(t.to_bits());
-                h.word(chan as u64);
-                h.word(words as u64);
-                h.word(arrival.to_bits());
+                h.u64(t.to_bits());
+                h.u64(chan as u64);
+                h.u64(words as u64);
+                h.u64(arrival.to_bits());
             }
             TraceEvent::CommArrival { t, chan } => {
                 h.byte(6);
-                h.word(t.to_bits());
-                h.word(chan as u64);
+                h.u64(t.to_bits());
+                h.u64(chan as u64);
             }
-        }
-    }
-}
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x100000001b3);
-    }
-    fn word(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
         }
     }
 }
@@ -435,11 +419,11 @@ impl Trace {
     /// digest equal iff they are bitwise identical.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
-        h.word(self.events.len() as u64);
+        h.u64(self.events.len() as u64);
         for e in &self.events {
             e.fold(&mut h);
         }
-        h.0
+        h.finish()
     }
 
     /// Total traced events attributed to each node (firings, queue

@@ -182,11 +182,12 @@ fn parse_args() -> Args {
 
 /// Parse a `--comm-model` spec into a [`CommModel`]. Latencies are given
 /// in PE cycles (the natural unit next to kernel cycle budgets) and
-/// converted to seconds at the machine's PE clock.
+/// converted to seconds at the machine's PE clock; each must come out
+/// finite and non-negative.
 fn parse_comm_model(spec: &str, pe_clock_hz: f64) -> Option<CommModel> {
     let cyc = |s: &str| -> Option<f64> {
-        let v: f64 = s.parse().ok()?;
-        (v >= 0.0).then_some(v / pe_clock_hz)
+        let secs = s.parse::<f64>().ok()? / pe_clock_hz;
+        (secs.is_finite() && secs >= 0.0).then_some(secs)
     };
     let mut parts = spec.split(':');
     let kind = parts.next()?;
@@ -237,6 +238,10 @@ fn main() -> ExitCode {
         mapping: args.mapping,
         ..Default::default()
     };
+    let Some(comm) = parse_comm_model(&args.comm, opts.machine.pe_clock_hz) else {
+        eprintln!("bad --comm-model '{}'", args.comm);
+        return ExitCode::from(2);
+    };
     let compiled = match compile(&app.graph, &opts) {
         Ok(c) => c,
         Err(e) => {
@@ -257,10 +262,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let Some(comm) = parse_comm_model(&args.comm, opts.machine.pe_clock_hz) else {
-        eprintln!("bad --comm-model '{}'", args.comm);
-        return ExitCode::from(2);
-    };
     if !args.quiet && !comm.is_zero() {
         println!(
             "comm model: {} (base {:.0} cycles, per-hop {:.0}, per-word {:.0})",

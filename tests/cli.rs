@@ -83,6 +83,21 @@ fn zero_capacity_is_a_usage_error() {
     assert!(!err.contains("panicked at"), "{err}");
 }
 
+/// A communication delay must be a finite number of cycles: `inf` or `nan`
+/// is a usage error naming the flag, not a run whose simulated time is
+/// +inf and whose verdict reads "achieved 0.0 Hz".
+#[test]
+fn non_finite_comm_model_is_a_usage_error() {
+    for spec in ["uniform:inf", "uniform:0:inf", "grid:1:nan", "grid:-1:2"] {
+        let out = bpc(&["--app", "fig1b", "--frames", "1", "--comm-model", spec]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{spec}: {err}");
+        assert!(err.contains("--comm-model"), "{spec}: {err}");
+        assert!(!err.contains("panicked at"), "{spec}: {err}");
+        assert!(out.stdout.is_empty(), "{spec} ran before refusing the flag");
+    }
+}
+
 /// A capacity deadlock reaches the user as one `simulation error:` line:
 /// the prefix is the error's own, not repeated by `bpc`. (The feedback
 /// loop of `iir` wedges when every channel is pinned to 64 items.)

@@ -2,10 +2,10 @@
 //! firing a kernel, isolated from the event queue, routing, and time
 //! accounting (DESIGN.md §13).
 //!
-//! Planning is what the two backends differ in, so it is timed per
-//! backend — the interpreter's trigger scan (`RtNode::plan`) against the
-//! compiled readiness mask test (`RtNode::plan_masked`), both over the
-//! spec's one method table:
+//! The engine plans a kernel one of two ways, so each is timed — the
+//! trigger scan (`RtNode::plan`, for kernels too wide for the masks)
+//! against the readiness mask test (`RtNode::plan_masked`, every other
+//! kernel), both over the spec's one method table:
 //! - `plan-hit-1` / `plan-hit-2`: a unary scalar kernel and a binary one
 //!   (the join shape) whose trigger queues hold a window, so the plan
 //!   succeeds;

@@ -7,12 +7,12 @@
 //! fleet digest and its shape counts on it (DESIGN.md §16).
 //!
 //! Planning needs nothing from this crate: the mask planner the timed
-//! engine's compiled backend runs (`bp_sim::RtNode::plan_masked`) reads
-//! the trigger / data masks every spec's
-//! [`MethodTable`](bp_core::MethodTable) already holds
-//! (DESIGN.md §13). [`lower_graph`] and [`ThreadedProgram`] remain only
-//! because the frozen benchmark package still calls them; they check what
-//! the engine would refuse and hand back a program nothing reads.
+//! engine runs for every kernel that fits it (`bp_sim::RtNode::plan_masked`)
+//! reads the trigger / data masks every spec's
+//! [`MethodTable`](bp_core::MethodTable) already holds (DESIGN.md §13).
+//! [`lower_graph`] and [`ThreadedProgram`] remain only because the frozen
+//! benchmark package still calls them; they refuse a kernel the mask
+//! planner cannot hold and hand back a program nothing reads.
 
 #![warn(missing_docs)]
 
@@ -31,7 +31,7 @@ pub struct ThreadedProgram {
     pub nodes: usize,
 }
 
-/// Check every node of `graph` the way the compiled backend would: its
+/// Check every node of `graph` for the mask planner: its
 /// method table resolves (a method naming a port its kernel lacks — a
 /// graph that was never validated — is an error naming the node), and its
 /// kernel has at most 64 input ports

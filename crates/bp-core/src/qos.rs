@@ -75,7 +75,7 @@ impl QosSpec {
 /// Policy for always-on runtime metrics collection.
 ///
 /// Passed to `SimConfig::with_metrics`; when present, the engine keeps a
-/// streaming [`bp-metrics`] recorder alive during the run (per-PE
+/// streaming `bp-metrics` recorder alive during the run (per-PE
 /// utilization intervals, firing-latency histograms, channel high-water
 /// marks and stall counters, event-queue depth) and evaluates the
 /// [`QosSpec`] contracts, exporting the result as a deterministic

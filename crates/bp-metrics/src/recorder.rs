@@ -242,7 +242,7 @@ impl MetricsRecorder {
         }
     }
 
-    /// Flush every pending [`HotCell`] run into its node's histogram and
+    /// Flush every pending `HotCell` run into its node's histogram and
     /// rebuild the derived aggregates (`agg_hist`, `node_firings`) from
     /// the sealed per-node histograms. Must be called before any of those
     /// are read (tape assembly does); idempotent.

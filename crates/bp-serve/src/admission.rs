@@ -56,9 +56,9 @@ impl AdmissionConfig {
         Self::default()
     }
 
-    /// At most `max_active` co-resident tenants.
+    /// At most `max_active` co-resident tenants. Zero slots would admit
+    /// nothing: [`crate::FleetHost::run`] refuses them.
     pub fn with_max_active(mut self, max_active: usize) -> Self {
-        assert!(max_active >= 1, "need at least one active slot");
         self.max_active = max_active;
         self
     }

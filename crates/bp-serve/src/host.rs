@@ -17,15 +17,15 @@
 //!
 //! ## Shapes
 //!
-//! Every tenant instantiates from its own graph: the compiled backend's
-//! mask planner reads the method table each spec already holds, so there
-//! is no per-shape program to share. The host computes each tenant's
+//! Every tenant instantiates from its own graph: the engine plans from the
+//! method table each spec already holds, so there is no per-shape program
+//! to share. The host computes each tenant's
 //! [`bp_codegen::shape_key`] once, at admission; the tenant's tape and
 //! the fleet digest carry it.
 
 use crate::admission::{AdmissionPolicy, AdmissionReport, AdmissionVerdict};
 use crate::tenant::{Tenant, TenantReport, TenantSpec};
-use bp_core::Result;
+use bp_core::{BpError, Result};
 use bp_metrics::{FleetAggregate, FleetTape, MetricsTape, TenantTape};
 use bp_sim::{SimReport, SteppableSim, TimedSimulator};
 use std::collections::{HashSet, VecDeque};
@@ -60,9 +60,9 @@ impl FleetConfig {
         Self::default()
     }
 
-    /// Set the default per-round event budget.
+    /// Set the default per-round event budget. A budget of 0 would never
+    /// settle a tenant: [`FleetHost::run`] refuses it.
     pub fn with_round_budget(mut self, events: usize) -> Self {
-        assert!(events >= 1, "round budget must be at least 1");
         self.round_budget = events;
         self
     }
@@ -171,10 +171,12 @@ impl FleetHost {
     }
 
     /// Run every enqueued offer through admission and co-scheduling to
-    /// completion. Errors propagate from tenant instantiation (e.g. a
-    /// kernel too wide for the compiled backend's mask planner) and from
-    /// settling (a capacity deadlock diagnosis).
+    /// completion. A round budget, tenant budget or slot count of 0, under
+    /// which the host could never finish, is refused before round 0.
+    /// Other errors propagate from tenant instantiation (e.g. zero frames)
+    /// and from settling (a capacity deadlock diagnosis).
     pub fn run(&mut self) -> Result<FleetReport> {
+        self.check()?;
         let mut offers = std::mem::take(&mut self.pending);
         offers.sort_by_key(|s| s.arrival_round); // stable: enqueue order within a round
         let mut offers = offers.into_iter().peekable();
@@ -260,6 +262,24 @@ impl FleetHost {
             workers: self.config.workers,
             cache: self.shape_counts,
         })
+    }
+
+    /// The values the round loop needs nonzero to make progress: a step
+    /// of 0 events never settles a tenant, and with no slot a deferred
+    /// offer never finds one.
+    fn check(&self) -> Result<()> {
+        let zero_budget = self.pending.iter().find(|s| s.events_per_round == Some(0));
+        let what = if self.config.round_budget == 0 {
+            "fleet round_budget".to_string()
+        } else if self.config.admission.max_active == 0 {
+            "fleet admission max_active".to_string()
+        } else if let Some(spec) = zero_budget {
+            format!("tenant '{}' events_per_round", spec.name)
+        } else {
+            return Ok(());
+        };
+        let msg = format!("{what} is 0; it must be at least 1");
+        Err(BpError::Simulation(msg))
     }
 
     fn instantiate(&mut self, spec: TenantSpec, round: u64, next_id: &mut u32) -> Result<Tenant> {
@@ -461,6 +481,32 @@ mod tests {
             solo_report.fingerprint(),
             "promotion must not perturb the tenant's simulation"
         );
+    }
+
+    /// Each value the round loop needs nonzero to finish is refused before
+    /// round 0 with a typed error naming it (and the tenant, for a
+    /// tenant's own budget).
+    #[test]
+    fn zero_budgets_and_slots_are_typed_errors() {
+        let ok = FleetConfig::new();
+        let mut defer = ok;
+        defer.admission.max_active = 0;
+        let mut shed = defer;
+        shed.admission.policy = AdmissionPolicy::Shed;
+        let cases = [
+            (ok.with_round_budget(0), 1, "fleet round_budget"),
+            (ok, 0, "tenant 'b' events_per_round"),
+            (defer, 1, "fleet admission max_active"),
+            (shed, 1, "fleet admission max_active"),
+        ];
+        for (config, events, want) in cases {
+            let mut host = FleetHost::new(config);
+            host.enqueue(spec("a", 16, 1));
+            host.enqueue(spec("b", 16, 1).with_events_per_round(events));
+            let err = host.run().err().map(|e| e.to_string());
+            let want = format!("simulation error: {want} is 0; it must be at least 1");
+            assert_eq!(err, Some(want));
+        }
     }
 
     #[test]

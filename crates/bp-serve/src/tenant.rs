@@ -66,9 +66,10 @@ impl TenantSpec {
         self
     }
 
-    /// Cap the tenant's per-round event budget (its rate limit).
+    /// Cap the tenant's per-round event budget (its rate limit). A budget
+    /// of 0 would never settle the tenant: [`crate::FleetHost::run`]
+    /// refuses it.
     pub fn with_events_per_round(mut self, events: usize) -> Self {
-        assert!(events >= 1, "per-round budget must be at least 1");
         self.events_per_round = Some(events);
         self
     }

@@ -6,9 +6,9 @@
 //! from the settled program state: the wait-for cycle of filled channels
 //! with per-channel occupancy, the minimal single-channel capacity bump
 //! that would unblock a producer, and the classic stuck-node dump. The
-//! report is `PartialEq` and fingerprintable, so cross-backend bitwise
-//! identity is assertable exactly like
-//! [`SimReport`](crate::stats::SimReport) equality on successful runs.
+//! report is `PartialEq` and fingerprintable, so cross-planner bitwise
+//! identity is assertable exactly like [`SimReport`] equality on
+//! successful runs.
 
 use crate::stats::SimReport;
 use bp_core::{BpError, Fnv, Result};

@@ -11,9 +11,9 @@
 //! holds: [`RtNode::plan`], a linear scan of every method's triggers, and
 //! [`RtNode::plan_masked`], which first tests the trigger / data masks
 //! of each [`MethodRow`](bp_core::MethodRow) against the node's
-//! queue-head masks ([`head_masks`]). The timed engine's two backends
-//! differ in this choice alone, and the scan is the oracle for the masked
-//! planner (DESIGN.md §13).
+//! queue-head masks ([`head_masks`]). The timed engine plans each node by
+//! masks when its table fits them and by the scan otherwise, and the scan
+//! is the oracle for the masked planner (DESIGN.md §13).
 //!
 //! No name is resolved here: every method's trigger inputs, outputs, masks
 //! and cost come index-resolved from the spec's own [`MethodTable`]
@@ -63,11 +63,12 @@ pub const MAX_PORTS: usize = 64;
 /// `(data, ctrl)` where bit `p` of `data` is set when `queues[p]` has a
 /// window at its head and bit `p` of `ctrl` when it has a control token.
 /// The timed engine maintains these incrementally; this is the oracle used
-/// to check them under debug assertions. At most [`MAX_PORTS`] queues.
+/// to check them under debug assertions. Ports past [`MAX_PORTS`] get no
+/// bit, as in the method table's masks.
 pub fn head_masks(queues: &[VecDeque<Item>]) -> (u64, u64) {
     let mut data = 0u64;
     let mut ctrl = 0u64;
-    for (p, q) in queues.iter().enumerate() {
+    for (p, q) in queues.iter().take(MAX_PORTS).enumerate() {
         match q.front() {
             Some(Item::Window(_)) => data |= 1 << p,
             Some(Item::Control(_)) => ctrl |= 1 << p,
@@ -295,9 +296,9 @@ impl RtNode {
     /// actual cycle count (for data-dependent-cost kernels; `None` means
     /// the declared method cost applies). The emitted vector is the node's
     /// recycled emit buffer — hand it back via
-    /// [`recycle_out_buf`](Self::recycle_out_buf) after routing. Both
-    /// timed backends and the functional executor fire through this one
-    /// routine; they differ only in how they plan.
+    /// [`recycle_out_buf`](Self::recycle_out_buf) after routing. The
+    /// timed engine and the functional executor fire through this one
+    /// routine, whichever planner produced the action.
     #[inline]
     pub fn fire(&mut self, action: Action) -> (Vec<(usize, Item)>, u64, Option<u64>) {
         self.firings += 1;

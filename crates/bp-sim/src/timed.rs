@@ -29,17 +29,20 @@
 //! schedule — and therefore every simulation result — is bit-identical to
 //! the exhaustive version.
 //!
-//! The engine itself is [`Engine`]: one discrete-event loop that owns its
-//! nodes, queues and recorders outright. [`TimedSimulator`] drains it in one
+//! The engine itself is one discrete-event loop that owns its nodes,
+//! queues and recorders outright. [`TimedSimulator`] drains it in one
 //! call; [`crate::step::SteppableSim`] drains it a bounded number of events
 //! at a time. The loop is written once, over routing/space/credit/cost
-//! tables resolved at build time and generic over the one thing the
-//! [`Backend`]s differ in: planning a kernel's next action.
+//! tables resolved at build time, and plans every kernel at one site: by
+//! the readiness masks when the kernel's table fits them, by the trigger
+//! scan when it does not (or when [`Backend::Interpreted`] asks for the
+//! scan everywhere). Under debug assertions every masked plan is checked
+//! against the scan.
 
 use crate::deadlock::{CapacityBump, DeadlockHop, DeadlockReport, SimOutcome};
 use crate::events::EventQueue;
 use crate::runtime::{
-    slot_bases, stuck_report, Action, Program, ProgramTables, Rows, RtNode, MAX_PORTS,
+    head_masks, slot_bases, stuck_report, Action, Program, ProgramTables, Rows, RtNode, MAX_PORTS,
 };
 use crate::stats::{PeStats, RealTimeVerdict, SimReport};
 use crate::trace::{StallCause, Trace, TraceEvent, TraceMeta, TraceOptions, TraceRecorder};
@@ -70,25 +73,22 @@ fn band1_ord(stream: u64, seq: u32) -> u64 {
     BAND1 | (stream << 32) | seq as u64
 }
 
-/// Execution backend for the timed engine: how a kernel's next action is
-/// planned. Everything else — the event loop, firing, routing, dispatch,
-/// space, credits, cost — is one scheduler over tables built from the
-/// instantiated nodes, so both backends run the same schedule and must
-/// produce bitwise-identical [`SimReport`]s and traces; the scan planner
-/// is the oracle for the masked one (DESIGN.md §13).
+/// How the timed engine plans a kernel's next action. Everything else —
+/// the event loop, firing, routing, dispatch, space, credits, cost — is one
+/// scheduler over tables built from the instantiated nodes, and both
+/// planners answer every plan identically, so both values produce
+/// bitwise-identical [`SimReport`]s and traces (DESIGN.md §13).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
-    /// Pick automatically: compiled in release builds (interpreted if a
-    /// kernel has more than [`MAX_PORTS`] inputs), interpreted when debug
-    /// assertions are on (so debug runs exercise the oracle).
+    /// [`RtNode::plan_masked`]'s readiness mask test for every kernel
+    /// whose table fits the masks, [`RtNode::plan`]'s trigger scan for a
+    /// kernel wider than [`MAX_PORTS`] inputs. Under debug assertions
+    /// every masked plan is checked against the scan.
     #[default]
     Auto,
-    /// [`RtNode::plan`]'s linear trigger scan.
+    /// [`RtNode::plan`]'s linear trigger scan for every kernel: the oracle
+    /// the mask planner is held to.
     Interpreted,
-    /// [`RtNode::plan_masked`]'s readiness mask test over the spec's
-    /// method table. Construction fails when a kernel has more than
-    /// [`MAX_PORTS`] input ports.
-    Compiled,
 }
 
 /// Timed simulation parameters.
@@ -96,7 +96,7 @@ pub enum Backend {
 pub struct SimConfig {
     /// Target machine.
     pub machine: MachineSpec,
-    /// Execution backend (default [`Backend::Auto`]).
+    /// Planner choice (default [`Backend::Auto`]).
     pub backend: Backend,
     /// Inter-PE communication delay model. The default, [`CommModel::zero`],
     /// delivers cross-PE pushes in the same cycle (the paper's §IV-D
@@ -142,7 +142,7 @@ impl SimConfig {
         }
     }
 
-    /// Select the execution backend (default [`Backend::Auto`]).
+    /// Select the planner (default [`Backend::Auto`]).
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -401,9 +401,10 @@ pub(crate) struct Shared {
     /// a method index ([`method_slot`](Self::method_slot)) indexes the
     /// per-method tables here and the engine's read/write-cost memo cache.
     method_base: Vec<u32>,
-    /// The resolved planner choice: `true` runs [`Masked`], `false`
-    /// [`Interp`].
-    masked: bool,
+    /// Per node: `true` plans by [`RtNode::plan_masked`], `false` by
+    /// [`RtNode::plan`] (a kernel wider than [`MAX_PORTS`] inputs, or
+    /// every kernel under [`Backend::Interpreted`]).
+    masked: Vec<bool>,
 }
 
 impl Shared {
@@ -521,6 +522,13 @@ pub(crate) fn build_shared(
             graph.node_count()
         )));
     }
+    if config.frames == 0 {
+        // No frame would complete, yet no frame would miss either: a
+        // zero-frame run verifies nothing, so it must not read as met.
+        return Err(BpError::Simulation(
+            "frames is 0; a run must push at least one frame".to_string(),
+        ));
+    }
     check_timing(&config.machine, &config.comm)?;
     // An explicit plan (uniform or per channel) wins over the
     // feedback-aware derivation.
@@ -591,24 +599,12 @@ pub(crate) fn build_shared(
         upstream.push_row(producers.iter().copied());
     }
     let node_roles: Vec<NodeRole> = nodes.iter().map(|rt| rt.spec.role).collect();
-    // Plan by masks when requested (or in release builds under `Auto`),
-    // which every kernel's table must fit. Only planning differs between
-    // the backends (DESIGN.md §13); every table below is built from the
-    // instantiated nodes, whichever planner drives them.
-    let too_wide = nodes.iter().find(|rt| !rt.methods.fits_masks());
-    let masked = match (config.backend, too_wide) {
-        (Backend::Interpreted, _) => false,
-        (Backend::Compiled, Some(rt)) => {
-            return Err(BpError::Validation(format!(
-                "kernel '{}' has {} input ports; the mask planner supports at most {MAX_PORTS}",
-                rt.spec.kind,
-                rt.spec.inputs.len(),
-            )))
-        }
-        (Backend::Compiled, None) => true,
-        // `Auto` falls back to the interpreter on a too-wide kernel.
-        (Backend::Auto, too_wide) => !cfg!(debug_assertions) && too_wide.is_none(),
-    };
+    // Each node plans by masks when its table fits them, by the scan when
+    // it does not; `Interpreted` scans every node. Only planning differs
+    // (DESIGN.md §13): every table below serves both planners.
+    let masked = (nodes.iter())
+        .map(|rt| config.backend == Backend::Auto && rt.methods.fits_masks())
+        .collect();
     let dests = tables.routes.rows().map(|&(dn, dp)| RouteDest {
         dn: dn as u32,
         dp: dp as u32,
@@ -700,48 +696,6 @@ pub(crate) fn build_shared(
     Ok((nodes, shared))
 }
 
-/// The only thing the backends differ in: how a node's next action is
-/// planned. The scheduler — loop, firing ([`RtNode::fire`]), routing,
-/// dispatch, space, credits, cost — is generic over this and otherwise
-/// identical, so the scan planner is the oracle for the masked one.
-trait Exec: Copy {
-    /// Whether the engine maintains [`Engine::head_data`] and
-    /// `head_ctrl`. The interpreter also runs the graphs the mask planner
-    /// cannot hold — a kernel with more than [`MAX_PORTS`] inputs, where
-    /// `1u64 << port` is not defined — so it must not touch them.
-    const HEAD_MASKS: bool;
-
-    /// Decide `rt`'s next action from its queue heads, or `None` if it
-    /// cannot progress.
-    fn plan(self, rt: &RtNode, head_data: u64, head_ctrl: u64) -> Option<Action>;
-}
-
-/// The compiled backend: [`RtNode::plan_masked`]'s readiness mask test
-/// instead of the trigger scan.
-#[derive(Clone, Copy)]
-struct Masked;
-
-impl Exec for Masked {
-    const HEAD_MASKS: bool = true;
-
-    #[inline]
-    fn plan(self, rt: &RtNode, head_data: u64, head_ctrl: u64) -> Option<Action> {
-        rt.plan_masked(head_data, head_ctrl)
-    }
-}
-
-/// The interpreter: [`RtNode::plan`]'s linear trigger scan.
-#[derive(Clone, Copy)]
-struct Interp;
-
-impl Exec for Interp {
-    const HEAD_MASKS: bool = false;
-
-    fn plan(self, rt: &RtNode, _head_data: u64, _head_ctrl: u64) -> Option<Action> {
-        rt.plan()
-    }
-}
-
 /// The discrete-event engine: every PE, node, queue and recorder of one
 /// simulation, owned outright. It holds its read-only tables by `Arc` so a
 /// handler can read them while mutating the engine, and so it is a plain
@@ -797,11 +751,10 @@ pub(crate) struct Engine {
     /// Last recorded stall cause per PE (`None` = running); transitions
     /// are traced only on change. Unused when tracing is off.
     pe_stall: Vec<Option<StallCause>>,
-    /// [`Exec::HEAD_MASKS`] backends only: bit `p` set when the node's
-    /// input queue `p` currently has a window at its head. Maintained
-    /// incrementally at every queue mutation;
-    /// [`head_masks`](crate::runtime::head_masks) is the oracle (checked
-    /// before every plan under debug assertions).
+    /// Bit `p` set when the node's input queue `p` (`p <` [`MAX_PORTS`])
+    /// currently has a window at its head. Maintained incrementally at
+    /// every queue mutation, on every node; [`head_masks`] is the oracle
+    /// (checked before every masked plan under debug assertions).
     head_data: Vec<u64>,
     /// As [`head_data`](Self::head_data), for control tokens.
     head_ctrl: Vec<u64>,
@@ -938,14 +891,7 @@ impl Engine {
     /// — everything that happens before the first event pop.
     pub(crate) fn init(&mut self) {
         let shared = Arc::clone(&self.shared);
-        if shared.masked {
-            self.init_on(Masked, &shared)
-        } else {
-            self.init_on(Interp, &shared)
-        }
-    }
-
-    fn init_on<X: Exec>(&mut self, x: X, sh: &Shared) {
+        let sh = &*shared;
         // Constants fire at t = 0, before any source sample.
         for &(node, method) in &sh.tables.consts {
             self.record_untriggered_begin(node, method);
@@ -955,9 +901,9 @@ impl Engine {
             self.mark_dirty(node);
             let mut touched = std::mem::take(&mut self.touched_buf);
             touched.clear();
-            self.route::<X, true, true>(sh, node, emitted, &mut touched);
+            self.route::<true, true>(sh, node, emitted, &mut touched);
             self.record_untriggered_end(node);
-            self.dispatch_wave::<X, true, true>(x, sh, &mut touched);
+            self.dispatch_wave::<true, true>(sh, &mut touched);
             self.touched_buf = touched;
         }
         for source in 0..sh.tables.sources.len() {
@@ -973,37 +919,26 @@ impl Engine {
     /// the event an unbounded call would have handled next.
     pub(crate) fn run(&mut self, budget: usize) -> usize {
         let shared = Arc::clone(&self.shared);
-        if !shared.masked {
-            // The oracle has one instantiation: every `OBS` / `JRN` site
-            // also tests its recorder, so this one is right for any set.
-            return self.run_on::<_, true, true>(Interp, &shared, budget);
-        }
         // Monomorphize the loop on which observers are attached. A
         // metrics-only run takes `<true, false>`, so it pays the metrics
         // hooks and nothing of the heavier trace machinery — which is what
         // keeps always-on metrics inside their ≤5% budget (DESIGN.md §15).
-        let x = Masked;
         if self.trace.is_some() {
-            self.run_on::<_, true, true>(x, &shared, budget)
+            self.run_on::<true, true>(&shared, budget)
         } else if self.metrics.is_some() {
-            self.run_on::<_, true, false>(x, &shared, budget)
+            self.run_on::<true, false>(&shared, budget)
         } else {
-            self.run_on::<_, false, false>(x, &shared, budget)
+            self.run_on::<false, false>(&shared, budget)
         }
     }
 
-    /// The event loop, generic over the backend and monomorphized over
-    /// observer presence. `OBS` gates the metrics hooks; `JRN` gates the
-    /// trace machinery (trace records and exhaustive wakes) — it means
-    /// "tracing attached". `JRN` implies `OBS` at every call site. All
+    /// The event loop, monomorphized over observer presence. `OBS` gates
+    /// the metrics hooks; `JRN` gates the trace machinery (trace records
+    /// and exhaustive wakes) — it means "tracing attached". `JRN` implies
+    /// `OBS` at every call site. All
     /// instantiations process events identically; the flags only gate code
     /// that is dynamically dead in the configuration selecting them.
-    fn run_on<X: Exec, const OBS: bool, const JRN: bool>(
-        &mut self,
-        x: X,
-        sh: &Shared,
-        budget: usize,
-    ) -> usize {
+    fn run_on<const OBS: bool, const JRN: bool>(&mut self, sh: &Shared, budget: usize) -> usize {
         let mut done = 0;
         while done < budget {
             let Some(ev) = self.events.pop() else { break };
@@ -1015,13 +950,13 @@ impl Engine {
             }
             match ev.payload {
                 EventKind::SourceEmit { source } => {
-                    self.handle_source_emit::<X, OBS, JRN>(x, sh, source);
+                    self.handle_source_emit::<OBS, JRN>(sh, source);
                 }
                 EventKind::PeDone { pe } => {
-                    self.handle_pe_done::<X, OBS, JRN>(x, sh, pe);
+                    self.handle_pe_done::<OBS, JRN>(sh, pe);
                 }
-                EventKind::ChannelArrival { chan } => self.handle_channel_arrival(x, sh, chan),
-                EventKind::CreditReturn { chan } => self.handle_credit_return(x, sh, chan),
+                EventKind::ChannelArrival { chan } => self.handle_channel_arrival(sh, chan),
+                EventKind::CreditReturn { chan } => self.handle_credit_return(sh, chan),
             }
             done += 1;
         }
@@ -1084,12 +1019,7 @@ impl Engine {
         }
     }
 
-    fn handle_source_emit<X: Exec, const OBS: bool, const JRN: bool>(
-        &mut self,
-        x: X,
-        sh: &Shared,
-        source: usize,
-    ) {
+    fn handle_source_emit<const OBS: bool, const JRN: bool>(&mut self, sh: &Shared, source: usize) {
         let s = self.shared.tables.sources[source];
         if source == 0 && self.source_progress[source].is_multiple_of(s.frame.area()) {
             self.frame_start_times.push(self.now);
@@ -1116,11 +1046,11 @@ impl Engine {
         let emitted = self.nodes[s.node].fire_untriggered(s.method);
         let mut touched = std::mem::take(&mut self.touched_buf);
         touched.clear();
-        self.route::<X, OBS, JRN>(sh, s.node, emitted, &mut touched);
+        self.route::<OBS, JRN>(sh, s.node, emitted, &mut touched);
         if JRN {
             self.record_untriggered_end(s.node);
         }
-        self.dispatch_wave::<X, OBS, JRN>(x, sh, &mut touched);
+        self.dispatch_wave::<OBS, JRN>(sh, &mut touched);
         self.touched_buf = touched;
 
         self.source_progress[source] += 1;
@@ -1134,12 +1064,7 @@ impl Engine {
 
     /// The own-PE push is unconditional (bypassing the wave mask): the PE
     /// just came free, whatever routing touched.
-    fn handle_pe_done<X: Exec, const OBS: bool, const JRN: bool>(
-        &mut self,
-        x: X,
-        sh: &Shared,
-        pe: usize,
-    ) {
+    fn handle_pe_done<const OBS: bool, const JRN: bool>(&mut self, sh: &Shared, pe: usize) {
         let inflight = self.pe_inflight[pe]
             .take()
             .expect("PeDone without inflight");
@@ -1168,9 +1093,9 @@ impl Engine {
         }
         let mut touched = std::mem::take(&mut self.touched_buf);
         touched.clear();
-        self.route::<X, OBS, JRN>(sh, inflight.node, inflight.emitted, &mut touched);
+        self.route::<OBS, JRN>(sh, inflight.node, inflight.emitted, &mut touched);
         touched.push(pe);
-        self.dispatch_wave::<X, OBS, JRN>(x, sh, &mut touched);
+        self.dispatch_wave::<OBS, JRN>(sh, &mut touched);
         self.touched_buf = touched;
     }
 
@@ -1178,18 +1103,21 @@ impl Engine {
     /// The comm handlers are not monomorphized over observers: every `OBS`
     /// / `JRN` site also tests its recorder, so `<true, true>` fits any set.
     #[inline]
-    fn dispatch_pe<X: Exec>(&mut self, x: X, sh: &Shared, pe: usize) {
+    fn dispatch_pe(&mut self, sh: &Shared, pe: usize) {
         let mut wave = std::mem::take(&mut self.wave_buf);
         wave.clear();
         wave.push(pe);
-        self.dispatch_wave::<X, true, true>(x, sh, &mut wave);
+        self.dispatch_wave::<true, true>(sh, &mut wave);
         self.wave_buf = wave;
     }
 
     /// Recompute the head-mask bit of one input port after its queue head
-    /// changed (a firing popped it). [`Exec::HEAD_MASKS`] backends only.
+    /// changed (a firing popped it). Ports past [`MAX_PORTS`] have no bit.
     #[inline]
     fn refresh_head(&mut self, node: usize, port: usize) {
+        if port >= MAX_PORTS {
+            return;
+        }
         let bit = 1u64 << port;
         self.head_data[node] &= !bit;
         self.head_ctrl[node] &= !bit;
@@ -1229,7 +1157,7 @@ impl Engine {
 
     /// An in-flight item lands: pop it off the wire into the destination
     /// queue, then dispatch the destination PE.
-    fn handle_channel_arrival<X: Exec>(&mut self, x: X, sh: &Shared, chan: u32) {
+    fn handle_channel_arrival(&mut self, sh: &Shared, chan: u32) {
         let c = self.shared.channels[chan as usize];
         let item = self.wire[chan as usize]
             .pop_front()
@@ -1249,7 +1177,7 @@ impl Engine {
             queue.push_back(item);
             queue.len()
         };
-        if X::HEAD_MASKS && depth == 1 {
+        if depth == 1 && dp < MAX_PORTS {
             // The item became the queue head; update the planning mask.
             let bit = 1u64 << dp;
             if tok.is_none() {
@@ -1282,45 +1210,59 @@ impl Engine {
             }
         }
         self.mark_dirty(dn);
-        self.dispatch_pe(x, sh, self.shared.pe_of_node[dn]);
+        self.dispatch_pe(sh, self.shared.pe_of_node[dn]);
     }
 
     /// A credit comes home: the channel's producer may have been blocked on
     /// it (it stayed dirty when declined for space), so dispatch its PE.
-    fn handle_credit_return<X: Exec>(&mut self, x: X, sh: &Shared, chan: u32) {
+    fn handle_credit_return(&mut self, sh: &Shared, chan: u32) {
         self.credits[chan as usize] += 1;
         let src = self.shared.channels[chan as usize].src;
-        self.dispatch_pe(x, sh, self.shared.pe_of_node[src]);
+        self.dispatch_pe(sh, self.shared.pe_of_node[src]);
     }
 
-    /// `node`'s next action as the run's backend plans it.
+    /// `node`'s next action: the engine's one planning site. A node whose
+    /// table fits the masks plans by [`RtNode::plan_masked`] (unless the
+    /// run asked for [`Backend::Interpreted`]), any other by
+    /// [`RtNode::plan`]'s scan. Under debug assertions a masked plan is
+    /// checked twice first: the incremental head masks against
+    /// [`head_masks`], and the plan itself against the scan's.
     #[inline]
-    fn plan<X: Exec>(&self, x: X, node: usize) -> Option<Action> {
-        #[cfg(debug_assertions)]
-        if X::HEAD_MASKS {
-            debug_assert_eq!(
-                crate::runtime::head_masks(&self.nodes[node].queues),
-                (self.head_data[node], self.head_ctrl[node]),
-                "stale head masks for node {node}"
-            );
+    fn plan(&self, node: usize) -> Option<Action> {
+        let rt = &self.nodes[node];
+        if !self.shared.masked[node] {
+            return rt.plan();
         }
         let (data, ctrl) = (self.head_data[node], self.head_ctrl[node]);
-        x.plan(&self.nodes[node], data, ctrl)
+        debug_assert_eq!(
+            head_masks(&rt.queues),
+            (data, ctrl),
+            "stale head masks for node {node} ('{}')",
+            rt.name
+        );
+        let planned = rt.plan_masked(data, ctrl);
+        debug_assert_eq!(
+            planned,
+            rt.plan(),
+            "masked plan of node {node} ('{}') differs from the scan",
+            rt.name
+        );
+        planned
     }
 
     /// Attribute why `pe` failed to start a firing just now, from pure
-    /// reads of its residents' state, planned by the run's backend. Any
-    /// resident with a fireable plan must have been blocked by `space_ok`
-    /// (that is the only way `try_start` declines a plan), so back-pressure
-    /// wins the attribution; otherwise queued-but-untriggerable inputs mean
-    /// the PE is starved, and an empty PE is idle.
-    fn stall_cause<X: Exec>(&self, x: X, pe: usize) -> StallCause {
+    /// reads of its residents' state. Any resident with a fireable plan
+    /// must have been blocked by `space_ok` (that is the only way
+    /// `try_start` declines a plan), so back-pressure wins the
+    /// attribution; otherwise queued-but-untriggerable inputs mean the PE
+    /// is starved, and an empty PE is idle.
+    fn stall_cause(&self, pe: usize) -> StallCause {
         let mut has_items = false;
         for &node in &self.shared.residents[pe] {
             if self.shared.node_roles[node] == NodeRole::Source {
                 continue;
             }
-            if self.plan(x, node).is_some() {
+            if self.plan(node).is_some() {
                 return StallCause::OutputBlocked;
             }
             has_items = has_items || self.nodes[node].queued_items() > 0;
@@ -1334,8 +1276,8 @@ impl Engine {
 
     /// Record a stall transition for `pe` if its attributed cause changed
     /// since the last record. Only called when tracing is enabled.
-    fn record_stall<X: Exec>(&mut self, x: X, pe: usize) {
-        let cause = self.stall_cause(x, pe);
+    fn record_stall(&mut self, pe: usize) {
+        let cause = self.stall_cause(pe);
         if self.pe_stall[pe] != Some(cause) {
             self.pe_stall[pe] = Some(cause);
             let t = self.now;
@@ -1367,7 +1309,7 @@ impl Engine {
     /// destination of a fan-out receives the item by move. A destination
     /// behind a delayed channel receives nothing now — the item goes onto
     /// the wire and lands at its [`EventKind::ChannelArrival`].
-    fn route<X: Exec, const OBS: bool, const JRN: bool>(
+    fn route<const OBS: bool, const JRN: bool>(
         &mut self,
         sh: &Shared,
         from: usize,
@@ -1409,7 +1351,7 @@ impl Engine {
                     queue.push_back(it);
                     queue.len()
                 };
-                if X::HEAD_MASKS && depth == 1 {
+                if depth == 1 && dp < MAX_PORTS {
                     let bit = 1u64 << dp;
                     if tok.is_none() {
                         self.head_data[dn] |= bit;
@@ -1463,9 +1405,8 @@ impl Engine {
     /// Attempt to start work on each PE in the (borrowed, caller-recycled)
     /// worklist; starting a firing frees upstream queue space, so upstream
     /// PEs are re-attempted transitively.
-    fn dispatch_wave<X: Exec, const OBS: bool, const JRN: bool>(
+    fn dispatch_wave<const OBS: bool, const JRN: bool>(
         &mut self,
-        x: X,
         sh: &Shared,
         worklist: &mut Vec<usize>,
     ) {
@@ -1485,7 +1426,7 @@ impl Engine {
             if self.pe_inflight[pe].is_some() {
                 continue;
             }
-            if let Some(node) = self.try_start::<X, OBS, JRN>(x, sh, pe) {
+            if let Some(node) = self.try_start::<OBS, JRN>(sh, pe) {
                 for &up in sh.upstream(node) {
                     if exhaustive || self.space_waiting[up] {
                         let up_pe = self.shared.pe_of_node[up];
@@ -1499,7 +1440,7 @@ impl Engine {
                     }
                 }
             } else if JRN && self.trace.is_some() {
-                self.record_stall(x, pe);
+                self.record_stall(pe);
             }
         }
     }
@@ -1551,12 +1492,11 @@ impl Engine {
     /// they still cannot fire). A dirty node that plans `None` is cleaned;
     /// one that is only blocked on downstream space stays dirty, because
     /// space freeing re-triggers a dispatch of this PE. The round-robin
-    /// pointer advances exactly as in an exhaustive scan. Planning is the
-    /// backend's ([`Exec`]); the space/credit/cost lookups
-    /// hit the precomputed tables.
-    fn try_start<X: Exec, const OBS: bool, const JRN: bool>(
+    /// pointer advances exactly as in an exhaustive scan. Planning goes
+    /// through [`plan`](Self::plan); the space/credit/cost lookups hit the
+    /// precomputed tables.
+    fn try_start<const OBS: bool, const JRN: bool>(
         &mut self,
-        x: X,
         sh: &Shared,
         pe: usize,
     ) -> Option<usize> {
@@ -1577,7 +1517,7 @@ impl Engine {
             if !self.dirty[node] {
                 continue;
             }
-            let Some(action) = self.plan(x, node) else {
+            let Some(action) = self.plan(node) else {
                 self.clear_dirty(node);
                 continue;
             };
@@ -1611,10 +1551,8 @@ impl Engine {
                 cycles as f64 / self.shared.machine.pe_clock_hz
             };
             let trigger_ports = sh.trigger_ports(node, mi);
-            if X::HEAD_MASKS {
-                for &p in trigger_ports {
-                    self.refresh_head(node, p);
-                }
+            for &p in trigger_ports {
+                self.refresh_head(node, p);
             }
             // Firing consumed inputs and may have changed private state;
             // the node must be re-planned before it can be skipped again.
@@ -2329,11 +2267,40 @@ mod tests {
         assert!(build_shared(&g, &mapping, SimConfig::new(1).with_channel_capacity(1)).is_ok());
     }
 
+    /// The planner is chosen per node from its table: under `Auto` only a
+    /// kernel wider than the masks is scanned, under `Interpreted` every
+    /// kernel is.
+    #[test]
+    fn only_the_wide_kernel_is_scanned() {
+        const K: usize = MAX_PORTS + 1;
+        let dim = Dim2::new(K as u32, 2);
+        let mut b = GraphBuilder::new();
+        let src = b.add_source("In", bp_kernels::pattern_source(dim), dim, 50.0);
+        let split = b.add("Split", bp_kernels::split_rr(K, Dim2::ONE));
+        let join = b.add("Join", bp_kernels::join_rr(K, Dim2::ONE));
+        let (sdef, _) = bp_kernels::sink();
+        let snk = b.add("Out", sdef);
+        b.connect(src, "out", split, "in");
+        for i in 0..K {
+            b.connect(split, &format!("out{i}"), join, &format!("in{i}"));
+        }
+        b.connect(join, "out", snk, "in");
+        let g = b.build().unwrap();
+        let mapping = Mapping::one_to_one(g.node_count());
+        let masked = |backend| {
+            let config = SimConfig::new(1).with_backend(backend);
+            build_shared(&g, &mapping, config).unwrap().1.masked
+        };
+        assert_eq!(masked(Backend::Auto), [true, true, false, true]);
+        assert_eq!(masked(Backend::Interpreted), [false; 4]);
+    }
+
     /// Every event time is built from the PE clock, the word costs, the
     /// comm model's terms and (for metrics) the snapshot interval. One that
     /// is infinite, NaN or out of range is a typed error naming the input,
     /// not a run to a +inf verdict, a panic in the metrics recorder, or a
-    /// NaN event time.
+    /// NaN event time. So is a run of no frames, which verifies nothing yet
+    /// would report the real-time constraint met at 0 Hz.
     #[test]
     fn non_finite_timing_inputs_are_typed_errors() {
         let g = chain_graph(bp_kernels::scale(2.0, 0.0));
@@ -2341,7 +2308,7 @@ mod tests {
         let err = |cfg: SimConfig| match TimedSimulator::new(&g, &mapping, cfg) {
             Err(BpError::Simulation(msg)) => msg,
             Err(e) => panic!("expected a simulation error, got {e}"),
-            Ok(_) => panic!("a non-finite timing input was accepted"),
+            Ok(_) => panic!("an out-of-range input was accepted"),
         };
         let machine = |f: fn(&mut MachineSpec)| {
             let mut m = MachineSpec::default_eval();
@@ -2349,6 +2316,10 @@ mod tests {
             SimConfig::new(1).with_machine(m)
         };
         let cases = [
+            (
+                SimConfig::new(0),
+                "frames is 0; a run must push at least one frame",
+            ),
             (machine(|m| m.pe_clock_hz = 0.0), "machine pe_clock_hz is 0"),
             (machine(|m| m.pe_clock_hz = f64::NAN), "pe_clock_hz is NaN"),
             (

@@ -1,6 +1,6 @@
 //! Deterministic event tracing for the timed simulator.
 //!
-//! A [`TraceRecorder`] rides inside the engine (`timed::Engine`) and
+//! A `TraceRecorder` rides inside the engine (`timed::Engine`) and
 //! captures the per-event dynamics the aggregate [`crate::SimReport`]
 //! throws away: firing begin/end per PE, queue-depth changes per channel,
 //! control-token arrivals, and PE stall transitions with cause attribution

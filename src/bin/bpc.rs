@@ -35,7 +35,6 @@ struct Args {
     metrics: Option<Option<String>>,
     snapshot_every: Option<u32>,
     comm: String,
-    backend: Backend,
     capacity: Option<usize>,
     explain_deadlock: bool,
     quiet: bool,
@@ -47,7 +46,6 @@ fn usage() -> ! {
          \x20          [--width N] [--height N] [--rate HZ] [--frames N]\n\
          \x20          [--policy trim|pad-zero|pad-mirror] [--mapping greedy|packed|one-to-one]\n\
          \x20          [--dot FILE] [--trace FILE] [--comm-model SPEC]\n\
-         \x20          [--backend auto|interpreted|compiled]\n\
          \x20          [--metrics[=FILE]] [--snapshot-every N]\n\
          \x20          [--capacity N] [--explain-deadlock] [--quiet]\n\
          \x20  --trace FILE  record a deterministic event trace and write it as\n\
@@ -60,10 +58,6 @@ fn usage() -> ! {
          \x20  --comm-model  inter-PE communication delay (latencies in PE cycles):\n\
          \x20                zero (default) | uniform:LAT[:PER_WORD]\n\
          \x20                | grid:BASE:PER_HOP[:PER_WORD]\n\
-         \x20  --backend     kernel planner: auto (default; compiled in\n\
-         \x20                release builds) | interpreted (trigger scan)\n\
-         \x20                | compiled (readiness masks); results are\n\
-         \x20                bitwise identical\n\
          \x20  --capacity N  pin every channel to N items (N >= 1), disabling\n\
          \x20                the feedback-aware capacity derivation\n\
          \x20  --explain-deadlock  on a capacity deadlock, print the structured\n\
@@ -87,7 +81,6 @@ fn parse_args() -> Args {
         metrics: None,
         snapshot_every: None,
         comm: "zero".to_string(),
-        backend: Backend::Auto,
         capacity: None,
         explain_deadlock: false,
         quiet: false,
@@ -105,7 +98,7 @@ fn parse_args() -> Args {
             "--width" => args.width = value("--width").parse().unwrap_or_else(|_| usage()),
             "--height" => args.height = value("--height").parse().unwrap_or_else(|_| usage()),
             "--rate" => args.rate = value("--rate").parse().unwrap_or_else(|_| usage()),
-            "--frames" => args.frames = value("--frames").parse().unwrap_or_else(|_| usage()),
+            "--frames" => args.frames = at_least_one(&flag, value(&flag), usage),
             "--policy" => {
                 args.policy = match value("--policy").as_str() {
                     "trim" => AlignPolicy::Trim,
@@ -132,35 +125,10 @@ fn parse_args() -> Args {
             "--trace" => args.trace = Some(value("--trace")),
             "--metrics" => args.metrics = Some(None),
             "--snapshot-every" => {
-                let n: u32 = value("--snapshot-every")
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-                if n == 0 {
-                    eprintln!("--snapshot-every must be at least 1");
-                    usage()
-                }
-                args.snapshot_every = Some(n);
+                args.snapshot_every = Some(at_least_one(&flag, value(&flag), usage))
             }
             "--comm-model" => args.comm = value("--comm-model"),
-            "--backend" => {
-                args.backend = match value("--backend").as_str() {
-                    "auto" => Backend::Auto,
-                    "interpreted" => Backend::Interpreted,
-                    "compiled" => Backend::Compiled,
-                    other => {
-                        eprintln!("unknown backend '{other}'");
-                        usage()
-                    }
-                }
-            }
-            "--capacity" => {
-                let n: usize = value("--capacity").parse().unwrap_or_else(|_| usage());
-                if n == 0 {
-                    eprintln!("--capacity must be at least 1");
-                    usage()
-                }
-                args.capacity = Some(n);
-            }
+            "--capacity" => args.capacity = Some(at_least_one(&flag, value(&flag), usage)),
             "--explain-deadlock" => args.explain_deadlock = true,
             "--quiet" => args.quiet = true,
             "--help" | "-h" => usage(),
@@ -178,6 +146,21 @@ fn parse_args() -> Args {
         usage();
     }
     args
+}
+
+/// Parse the value `v` of count flag `flag`, which must be at least 1:
+/// anything else is a usage error (`usage` prints its text and exits 2).
+fn at_least_one<T: std::str::FromStr + PartialEq + From<u8>>(
+    flag: &str,
+    v: String,
+    usage: fn() -> !,
+) -> T {
+    let n = v.parse().unwrap_or_else(|_| usage());
+    if n == T::from(0) {
+        eprintln!("{flag} must be at least 1");
+        usage()
+    }
+    n
 }
 
 /// Parse a `--comm-model` spec into a [`CommModel`]. Latencies are given
@@ -273,8 +256,7 @@ fn main() -> ExitCode {
     }
     let mut config = SimConfig::new(args.frames)
         .with_machine(opts.machine)
-        .with_comm(comm)
-        .with_backend(args.backend);
+        .with_comm(comm);
     if let Some(cap) = args.capacity {
         config = config.with_channel_capacity(cap);
     }
@@ -397,7 +379,7 @@ fn serve_usage() -> ! {
          \x20  --workers N    worker threads stepping tenants each round;\n\
          \x20                 per-tenant results are identical at any count\n\
          \x20  --budget E     per-tenant event budget per round (default 256)\n\
-         \x20  --max-active N admission slot limit (default unbounded)\n\
+         \x20  --max-active N admission slot limit, at least 1 (default unbounded)\n\
          \x20  --policy       backpressure when slots are full: defer (queue,\n\
          \x20                 default) or shed (reject)\n\
          \x20  --arrival      offer arrival process (default upfront)\n\
@@ -447,28 +429,10 @@ fn serve_main() -> ExitCode {
                 })
             }
             "--seed" => seed = value("--seed").parse().unwrap_or_else(|_| serve_usage()),
-            "--frames" => frames = value("--frames").parse().unwrap_or_else(|_| serve_usage()),
-            "--workers" => {
-                workers = value("--workers").parse().unwrap_or_else(|_| serve_usage());
-                if workers == 0 {
-                    eprintln!("--workers must be at least 1");
-                    serve_usage()
-                }
-            }
-            "--budget" => {
-                budget = value("--budget").parse().unwrap_or_else(|_| serve_usage());
-                if budget == 0 {
-                    eprintln!("--budget must be at least 1");
-                    serve_usage()
-                }
-            }
-            "--max-active" => {
-                max_active = Some(
-                    value("--max-active")
-                        .parse()
-                        .unwrap_or_else(|_| serve_usage()),
-                )
-            }
+            "--frames" => frames = at_least_one(&flag, value(&flag), serve_usage),
+            "--workers" => workers = at_least_one(&flag, value(&flag), serve_usage),
+            "--budget" => budget = at_least_one(&flag, value(&flag), serve_usage),
+            "--max-active" => max_active = Some(at_least_one(&flag, value(&flag), serve_usage)),
             "--policy" => {
                 policy = match value("--policy").as_str() {
                     "shed" => AdmissionPolicy::Shed,

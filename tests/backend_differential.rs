@@ -1,12 +1,13 @@
-//! Fingerprint-differential suite pinning the compiled (direct-threaded)
-//! backend to the interpreted oracle (DESIGN.md §13).
+//! Fingerprint-differential suite pinning the default planner choice
+//! (`Backend::Auto`: readiness masks wherever a kernel fits them) to the
+//! scan everywhere (`Backend::Interpreted`, the oracle; DESIGN.md §13).
 //!
-//! For every example application × comm model, the interpreted backend is
-//! the reference; the compiled backend must reproduce its
-//! `SimReport::fingerprint()` and sink item streams bit for bit. Traces and structured
+//! For every example application × comm model, the scan is the reference;
+//! `Auto` must reproduce its `SimReport::fingerprint()` and sink item
+//! streams bit for bit. Traces and structured
 //! `Deadlocked(DeadlockReport)` outcomes are held to the same standard:
-//! the backend switch may change *how fast* the simulator runs, never what
-//! it computes, when, or how it diagnoses a wedge.
+//! the planner may change *how fast* the simulator runs, never what it
+//! computes, when, or how it diagnoses a wedge.
 
 use bp_apps::{apps, App, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
@@ -81,20 +82,19 @@ fn run(
     (out, items)
 }
 
-/// The tentpole guarantee: for every app × comm model, the compiled
-/// backend's report fingerprint and sink items equal the interpreted
-/// oracle's.
+/// For every app × comm model, the masked planner's report fingerprint
+/// and sink items equal the scan's.
 #[test]
 fn compiled_matches_interpreted_everywhere() {
     for &name in EXAMPLE_APPS {
         for (mname, comm) in models() {
             let (oracle, oracle_items) = run(name, &comm, Backend::Interpreted);
-            let (got, got_items) = run(name, &comm, Backend::Compiled);
+            let (got, got_items) = run(name, &comm, Backend::Auto);
             match (&oracle, &got) {
                 (Ok(o), Ok(c)) => assert_eq!(
                     o.fingerprint(),
                     c.fingerprint(),
-                    "{name} under {mname}: compiled fingerprint diverged"
+                    "{name} under {mname}: masked fingerprint diverged"
                 ),
                 (Err(oe), Err(ce)) => assert_eq!(
                     oe.to_string(),
@@ -102,7 +102,7 @@ fn compiled_matches_interpreted_everywhere() {
                     "{name} under {mname}: error diverged"
                 ),
                 _ => panic!(
-                    "{name} under {mname}: outcomes diverged: oracle={oracle:?} compiled={got:?}"
+                    "{name} under {mname}: outcomes diverged: oracle={oracle:?} masked={got:?}"
                 ),
             }
             assert_eq!(
@@ -113,7 +113,7 @@ fn compiled_matches_interpreted_everywhere() {
     }
 }
 
-/// Trace equality: the compiled backend records the identical event
+/// Trace equality: the masked planner records the identical event
 /// stream — firings, queue depths, tokens, comm events, and stall
 /// attributions — not just the same aggregate report.
 #[test]
@@ -132,7 +132,7 @@ fn compiled_traces_are_bitwise_identical() {
                 (report.fingerprint(), trace.expect("trace recorded"))
             };
             let (ofp, otrace) = trace_of(Backend::Interpreted);
-            let (cfp, ctrace) = trace_of(Backend::Compiled);
+            let (cfp, ctrace) = trace_of(Backend::Auto);
             assert_eq!(ofp, cfp, "{name} under {mname}: fingerprint diverged");
             assert_eq!(
                 otrace.dropped, ctrace.dropped,
@@ -148,8 +148,8 @@ fn compiled_traces_are_bitwise_identical() {
 
 /// Structured deadlock outcomes survive the backend switch: pinning
 /// `temporal_iir`'s capacities to a uniform 64 (disabling the
-/// feedback-aware back-edge sizing) wedges the loop, and the compiled
-/// backend must assemble the identical `DeadlockReport` — wait-for cycle,
+/// feedback-aware back-edge sizing) wedges the loop, and the masked
+/// planner must assemble the identical `DeadlockReport` — wait-for cycle,
 /// occupancies, and capacity-bump suggestion included.
 #[test]
 fn compiled_deadlock_reports_are_identical() {
@@ -165,26 +165,23 @@ fn compiled_deadlock_reports_are_identical() {
     let SimOutcome::Deadlocked(oracle) = outcome_of(Backend::Interpreted) else {
         panic!("temporal_iir must capacity-deadlock when pinned to 64");
     };
-    let SimOutcome::Deadlocked(got) = outcome_of(Backend::Compiled) else {
-        panic!("compiled backend did not deadlock");
+    let SimOutcome::Deadlocked(got) = outcome_of(Backend::Auto) else {
+        panic!("the masked planner did not deadlock");
     };
-    assert_eq!(
-        oracle, got,
-        "DeadlockReport diverged on the compiled backend"
-    );
+    assert_eq!(oracle, got, "DeadlockReport diverged on the masked planner");
 }
 
 /// Feedback capacities: with the derived (feedback-aware) plan,
-/// `temporal_iir` completes identically on both backends — the primed
-/// loop population, credit flow, and startup const firings all lower
-/// correctly.
+/// `temporal_iir` completes identically on both planners — the primed
+/// loop population, credit flow, and startup const firings all plan
+/// identically.
 #[test]
 fn compiled_feedback_capacities_complete_identically() {
     for (mname, comm) in models() {
         let (oracle, oracle_items) = run("temporal_iir", &comm, Backend::Interpreted);
-        let (got, got_items) = run("temporal_iir", &comm, Backend::Compiled);
+        let (got, got_items) = run("temporal_iir", &comm, Backend::Auto);
         let o = oracle.expect("temporal_iir completes under derived capacities");
-        let c = got.expect("compiled temporal_iir completes");
+        let c = got.expect("masked temporal_iir completes");
         assert_eq!(
             o.fingerprint(),
             c.fingerprint(),

@@ -4,7 +4,7 @@
 //! each other*; the values below were recorded once, from
 //! `Backend::Interpreted`, at the commit before the interpreter's
 //! hand-written scheduler was merged into the table-driven one (DESIGN.md
-//! §13). Every backend must keep reproducing them — run in one call, and
+//! §13). Both planner choices must keep reproducing them — run in one call, and
 //! stepped a few events at a time as the fleet host runs it — so the
 //! merged scheduler is held to what the separate one computed rather than
 //! to itself. A change to simulation semantics,
@@ -182,7 +182,7 @@ fn every_backend_and_engine_reproduces_the_interpreters_record() {
         let app = build_example(name);
         let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
         for (comm, want) in models().iter().zip(want) {
-            for backend in [Backend::Interpreted, Backend::Compiled] {
+            for backend in [Backend::Interpreted, Backend::Auto] {
                 for stepped in [false, true] {
                     let got = observe(&compiled.graph, &compiled.mapping, comm, backend, stepped);
                     assert_eq!(
@@ -218,29 +218,20 @@ fn wide_join_graph() -> AppGraph {
     b.build().expect("wide-join graph validates")
 }
 
-/// A kernel with more than 64 inputs cannot be lowered: asking for the
-/// compiled backend is a typed error, while `Auto` falls back to the
-/// interpreter and reproduces its recorded fingerprints — also under a
-/// delayed model, where every arrival at the join's 65th port passes
-/// through the channel-arrival handler (a head-mask shift by 64 there
-/// would panic under debug assertions).
+/// A kernel with more than 64 inputs does not fit the masks: under `Auto`
+/// the join alone plans by the scan while its 65 producers and the split
+/// plan by masks, and the run reproduces the interpreter's recorded
+/// fingerprints — also under a delayed model, where every arrival at the
+/// join's 65th port passes through the channel-arrival handler (a
+/// head-mask shift by 64 there would panic under debug assertions).
 #[test]
-fn wide_join_runs_on_the_interpreter_only() {
+fn wide_join_scans_only_the_wide_kernel() {
     const WIDE_GOLDEN: [(u64, u64); 2] = [
         (0xded1750c004f1973, 0xb6a3a187d6824248),
         (0x1a96a15be93e4c0c, 0x0471ea5aa78a0df7),
     ];
     let g = wide_join_graph();
     let mapping = Mapping::one_to_one(g.node_count());
-    let err = TimedSimulator::new(
-        &g,
-        &mapping,
-        SimConfig::new(FRAMES).with_backend(Backend::Compiled),
-    )
-    .err()
-    .expect("a 65-input join must not lower")
-    .to_string();
-    assert!(err.contains("at most 64"), "unexpected error: {err}");
     for (comm, want) in models().iter().zip(WIDE_GOLDEN) {
         for backend in [Backend::Interpreted, Backend::Auto] {
             for stepped in [false, true] {

@@ -37,6 +37,7 @@ fn retired_mode_flags_are_unknown() {
         &["--pin-workers"],
         &["--batch", "16"],
         &["--threads", "2"],
+        &["--backend", "interpreted"],
     ] {
         let mut args = vec!["--app", "fig1b"];
         args.extend_from_slice(flags);
@@ -47,13 +48,15 @@ fn retired_mode_flags_are_unknown() {
     }
 }
 
-/// A fleet needs a worker and a positive round budget; zero is a usage
-/// error naming the flag, not an assertion failure inside the host.
+/// A fleet needs a worker, a positive round budget and an admission
+/// slot; zero is a usage error naming the flag, not an assertion failure
+/// inside the host.
 #[test]
 fn zero_workers_or_budget_are_usage_errors() {
     for flags in [
         &["serve", "--workers", "0"][..],
         &["serve", "--budget", "0", "--tenants", "2"],
+        &["serve", "--max-active", "0", "--tenants", "2"],
     ] {
         let out = bpc(flags);
         let err = stderr(&out);
@@ -63,6 +66,23 @@ fn zero_workers_or_budget_are_usage_errors() {
             "{flags:?} does not name the flag: {err}"
         );
         assert!(!err.contains("panicked at"), "{flags:?}: {err}");
+    }
+}
+
+/// A run of no frames verifies nothing: `--frames 0` is a usage error
+/// naming the flag, for an application and for a fleet, not a run that
+/// reports the real-time constraint met at 0 Hz.
+#[test]
+fn zero_frames_is_a_usage_error() {
+    for flags in [
+        &["--app", "fig1b", "--frames", "0"][..],
+        &["serve", "--tenants", "2", "--frames", "0"],
+    ] {
+        let out = bpc(flags);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {err}");
+        assert!(err.starts_with("--frames must be"), "{flags:?}: {err}");
+        assert!(out.stdout.is_empty(), "{flags:?} ran first: {err}");
     }
 }
 

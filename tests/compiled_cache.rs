@@ -82,7 +82,7 @@ fn window_retune_gets_a_new_key_without_perturbing_the_other_tenant() {
     assert_ne!(shape_key(&a.graph), shape_key(&b.graph));
 }
 
-/// Nothing is handed to the engine any more: the compiled backend plans
+/// Nothing is handed to the engine any more: the mask planner plans
 /// from the method table every node holds, so `SimConfig::with_lowered` —
 /// kept for the frozen benchmark package — ignores its program, even one
 /// lowered from a different graph with the same node count.
@@ -118,7 +118,7 @@ fn with_lowered_of_a_foreign_program_changes_nothing() {
         let sim = TimedSimulator::new(&chain, &mapping, config).expect("instantiate");
         sim.run().expect("run").fingerprint()
     };
-    let config = SimConfig::new(1).with_backend(Backend::Compiled);
+    let config = SimConfig::new(1).with_backend(Backend::Auto);
     let foreign = std::sync::Arc::new(bp_codegen::lower_graph(&fork).expect("lower"));
     assert_eq!(run(config.clone().with_lowered(foreign)), run(config));
 }
@@ -170,7 +170,7 @@ fn lowering_an_unvalidated_graph_is_a_typed_error_not_a_panic() {
             Some(of_node.clone())
         );
         let mapping = Mapping::one_to_one(graph.node_count());
-        for backend in [Backend::Interpreted, Backend::Compiled] {
+        for backend in [Backend::Interpreted, Backend::Auto] {
             let config = SimConfig::new(1).with_backend(backend);
             let built = TimedSimulator::new(&graph, &mapping, config);
             assert_eq!(built.err(), Some(of_node.clone()), "{backend:?}");

@@ -2,7 +2,8 @@
 //!
 //! The metrics tape is a first-class deterministic artifact: for a given
 //! app and communication model, its digest must be identical across the
-//! interpreted and compiled backends and from run to run. And collection
+//! scan (`Backend::Interpreted`) and the default masked planning
+//! (`Backend::Auto`) and from run to run. And collection
 //! must be *inert*: a
 //! metrics-on run's [`bp_sim::SimReport`] fingerprint equals the
 //! metrics-off run's, so the golden digests pinned by `determinism.rs`
@@ -81,7 +82,7 @@ fn run_tape(name: &str, comm: &CommModel, backend: Backend) -> (u64, String) {
 }
 
 /// Tape digests — and the rendered JSONL tapes themselves — are bitwise
-/// identical across a second interpreted run and a compiled run, for every
+/// identical across a second interpreted run and an `Auto` run, for every
 /// example app under all three communication models.
 #[test]
 fn tape_is_identical_across_backends() {
@@ -91,7 +92,7 @@ fn tape_is_identical_across_backends() {
             let (want_digest, want_jsonl) = run_tape(name, &comm, Backend::Interpreted);
             for (bname, backend) in [
                 ("interpreted", Backend::Interpreted),
-                ("compiled", Backend::Compiled),
+                ("auto", Backend::Auto),
             ] {
                 let (digest, jsonl) = run_tape(name, &comm, backend);
                 assert_eq!(
@@ -118,7 +119,7 @@ fn metrics_are_inert_on_both_backends() {
         ..Default::default()
     };
     for &name in EXAMPLE_APPS {
-        for backend in [Backend::Interpreted, Backend::Compiled] {
+        for backend in [Backend::Interpreted, Backend::Auto] {
             let base = SimConfig::new(FRAMES)
                 .with_machine(machine)
                 .with_backend(backend);

@@ -27,9 +27,9 @@ fn models() -> Vec<(&'static str, CommModel)> {
     ]
 }
 
-/// A deliberately heterogeneous tenant set: mixed app shapes and explicit
-/// backends on both sides of the oracle divide, all under the same comm
-/// model.
+/// A deliberately heterogeneous tenant set: mixed app shapes and both
+/// planner choices (the scan oracle and `Auto`'s masks), all under the
+/// same comm model.
 fn mixed_specs(comm: &CommModel) -> Vec<TenantSpec> {
     let build =
         |app: &bp_apps::App| compile(&app.graph, &CompileOptions::default()).expect("compile");
@@ -50,7 +50,7 @@ fn mixed_specs(comm: &CommModel) -> Vec<TenantSpec> {
     ));
     let c = build(&apps::fig1b(dim, 30.0));
     specs.push(
-        TenantSpec::new("fig1b-compiled", c.graph, c.mapping, cfg(Backend::Compiled))
+        TenantSpec::new("fig1b-auto", c.graph, c.mapping, cfg(Backend::Auto))
             .with_qos(QosSpec::for_frame_rate(30.0)),
     );
     let c = build(&apps::camera_bank(2, dim, 25.0));
@@ -62,10 +62,10 @@ fn mixed_specs(comm: &CommModel) -> Vec<TenantSpec> {
     ));
     let c = build(&apps::temporal_iir(dim, 50.0));
     specs.push(TenantSpec::new(
-        "iir-compiled",
+        "iir-auto",
         c.graph,
         c.mapping,
-        cfg(Backend::Compiled),
+        cfg(Backend::Auto),
     ));
     let c = build(&apps::multi_conv(dim, 25.0, 3));
     specs.push(

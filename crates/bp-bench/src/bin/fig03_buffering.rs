@@ -20,7 +20,7 @@ fn main() {
     let mut t = Table::new(&["kernel", "kind", "conversion", "storage", "for input"]);
     for b in &buffer_report.inserted {
         t.row(&[
-            b.name.clone(),
+            b.name.to_string(),
             "buffer".into(),
             format!(
                 "({}x{})[1,1] -> ({}x{})[{},{}] {}",
@@ -33,13 +33,13 @@ fn main() {
                 b.annotation()
             ),
             format!("{} words", b.storage_words),
-            b.name.clone(),
+            b.name.to_string(),
         ]);
     }
     for a in &align_report.inserted {
         t.row(&[
-            a.name.clone(),
-            a.kind.clone(),
+            a.name.to_string(),
+            a.kind.to_string(),
             format!(
                 "margins l{} r{} t{} b{}",
                 a.margins.0, a.margins.1, a.margins.2, a.margins.3

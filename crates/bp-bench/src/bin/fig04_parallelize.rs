@@ -21,7 +21,7 @@ fn main() {
             continue;
         }
         t.row(&[
-            p.name.clone(),
+            p.name.to_string(),
             format!("{:.2}", p.utilization),
             format!("x{}", p.granted),
             format!("{:?}", p.reason),

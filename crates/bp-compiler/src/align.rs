@@ -9,9 +9,10 @@ use crate::dataflow::{analyze_with, Strictness};
 use crate::inset::{analyze_insets, regions_for};
 use bp_core::graph::{AppGraph, NodeId};
 use bp_core::kernel::NodeRole;
-use bp_core::{BpError, Dim2, Result};
+use bp_core::{BpError, Dim2, Name, Result};
 use bp_kernels::inset::Margins;
 use bp_kernels::pad::PadMode;
+use std::sync::Arc;
 
 /// Alignment policy chosen by the programmer (§III-C).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -27,14 +28,14 @@ pub enum AlignPolicy {
 /// One inserted adjustment kernel.
 #[derive(Clone, Debug)]
 pub struct InsertedAdjust {
-    /// Name of the inserted node.
-    pub name: String,
+    /// Name of the inserted node (shared with the node).
+    pub name: Arc<str>,
     /// `"inset"`, `"pad_zero"` or `"pad_mirror"`.
-    pub kind: String,
+    pub kind: Name,
     /// Margins in samples (left, right, top, bottom).
     pub margins: (u32, u32, u32, u32),
     /// The consumer `(node name, input name)` this adjustment aligns.
-    pub for_input: (String, String),
+    pub for_input: (Arc<str>, Name),
 }
 
 /// Report of the alignment pass.
@@ -155,11 +156,11 @@ fn insert_trim(
     let (cid, _ch) = graph
         .channel_into(node, port)
         .ok_or_else(|| BpError::Transform("misaligned input has no channel".into()))?;
-    let consumer = graph.node(node).name.to_string();
+    let consumer = Arc::clone(&graph.node(node).name);
     let input_name = graph.node(node).spec().inputs[port].name.clone();
-    let name = format!("Inset({consumer}.{input_name})");
+    let name: Arc<str> = format!("Inset({consumer}.{input_name})").into();
     let def = bp_kernels::inset(margins, data);
-    graph.splice(cid, name.clone(), def, 0, 0);
+    graph.splice(cid, Arc::clone(&name), def, 0, 0);
     report.inserted.push(InsertedAdjust {
         name,
         kind: "inset".into(),
@@ -184,7 +185,7 @@ fn insert_pad_upstream(
         .channel_into(node, port)
         .ok_or_else(|| BpError::Transform("misaligned input has no channel".into()))?;
     let producer = ch.src.node;
-    let pspec = std::sync::Arc::clone(&graph.node(producer).def.spec);
+    let pspec = Arc::clone(&graph.node(producer).def.spec);
     if pspec.role != NodeRole::User {
         return Err(BpError::Transform(format!(
             "cannot pad upstream of '{}': producer '{}' is not a windowed kernel; \
@@ -226,12 +227,11 @@ fn insert_pad_upstream(
         .get(&wcid)
         .map(|c| c.shape)
         .ok_or_else(|| BpError::Transform("no shape for pad insertion point".into()))?;
-    let pname = graph.node(producer).name.clone();
-    let name = format!("Pad({pname}.in)");
+    let name: Arc<str> = format!("Pad({}.in)", graph.node(producer).name).into();
     let def = bp_kernels::pad(margins, mode, data);
     let kind = def.spec.kind.clone();
-    graph.splice(wcid, name.clone(), def, 0, 0);
-    let consumer = graph.node(node).name.to_string();
+    graph.splice(wcid, Arc::clone(&name), def, 0, 0);
+    let consumer = Arc::clone(&graph.node(node).name);
     let input_name = graph.node(node).spec().inputs[port].name.clone();
     report.inserted.push(InsertedAdjust {
         name,
@@ -280,7 +280,7 @@ mod tests {
         let adj = &report.inserted[0];
         assert_eq!(adj.kind, "inset");
         assert_eq!(adj.margins, (1, 1, 1, 1));
-        assert_eq!(adj.for_input.0, "Subtract");
+        assert_eq!(&*adj.for_input.0, "Subtract");
         // Strict analysis now succeeds with 16x8 at the subtract.
         let df = analyze(&g).unwrap();
         let sub = g.find_node("Subtract").unwrap();

@@ -9,12 +9,13 @@ use bp_core::capacity::{derive_channel_capacities, feedback_loops, ChannelCapaci
 use bp_core::graph::AppGraph;
 use bp_core::kernel::NodeRole;
 use bp_core::{BpError, Dim2, Result, Step2};
+use std::sync::Arc;
 
 /// One inserted buffer.
 #[derive(Clone, Debug)]
 pub struct InsertedBuffer {
-    /// Node name, e.g. `"Buffer(Median.in)"`.
-    pub name: String,
+    /// Node name, e.g. `"Buffer(Median.in)"` (shared with the node).
+    pub name: Arc<str>,
     /// Producer grain entering the buffer.
     pub producer: Dim2,
     /// Window emitted to the consumer.
@@ -138,12 +139,10 @@ pub fn insert_buffers(graph: &mut AppGraph) -> Result<BufferingReport> {
         let window = din.size;
         let step = din.step;
         let data = info.shape;
-        let consumer = dst_node.name.clone();
-        let input_name = din.name.clone();
+        let name: Arc<str> = format!("Buffer({}.{})", dst_node.name, din.name).into();
         let def = bp_kernels::buffer(producer, window, step, data);
         let storage = def.spec.state_words;
-        let name = format!("Buffer({consumer}.{input_name})");
-        graph.splice(cid, name.clone(), def, 0, 0);
+        graph.splice(cid, Arc::clone(&name), def, 0, 0);
         report.inserted.push(InsertedBuffer {
             name,
             producer,

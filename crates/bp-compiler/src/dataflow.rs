@@ -379,7 +379,7 @@ fn try_analyze_node(
         NodeRole::Split => {
             let in_info = inputs[0].unwrap();
             let k = spec.outputs.len() as f64;
-            match spec.kind.as_str() {
+            match &*spec.kind {
                 "split_cols" => {
                     // Pixel-routed by column range; approximate each branch
                     // by its width share (overlap makes the total slightly

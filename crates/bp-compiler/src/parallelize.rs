@@ -32,8 +32,8 @@ pub enum ReplicaReason {
 /// Per-node parallelization decision.
 #[derive(Clone, Debug)]
 pub struct NodePlan {
-    /// Node name before transformation.
-    pub name: String,
+    /// Node name before transformation (shared with the node).
+    pub name: Arc<str>,
     /// Replicas demanded by resources alone.
     pub desired: u32,
     /// Replicas actually instantiated.
@@ -69,7 +69,7 @@ impl ParallelizeReport {
 
     /// The plan for a node by (pre-transformation) name.
     pub fn plan_for(&self, name: &str) -> Option<&NodePlan> {
-        self.plans.iter().find(|p| p.name == name)
+        self.plans.iter().find(|p| &*p.name == name)
     }
 }
 
@@ -168,7 +168,7 @@ pub fn parallelize(graph: &mut AppGraph, machine: &MachineSpec) -> Result<Parall
         let id = NodeId(idx);
         let k = desired[idx];
         report.plans.push(NodePlan {
-            name: graph.node(id).name.to_string(),
+            name: Arc::clone(&graph.node(id).name),
             desired: desired[idx],
             granted: k,
             reason: reasons[idx],

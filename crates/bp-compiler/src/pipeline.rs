@@ -233,10 +233,16 @@ pub fn to_dot(graph: &AppGraph) -> String {
             NodeRole::Replicate => "triangle",
             _ => "box",
         };
-        s.push_str(&format!(
-            "  n{} [label=\"{}\", shape={}];\n",
-            id.0, node.name, shape
-        ));
+        s.push_str(&format!("  n{} [label=\"", id.0));
+        // A quoted DOT string ends at an unescaped `"`, and a `\` escapes
+        // the character after it.
+        for c in node.name.chars() {
+            if matches!(c, '"' | '\\') {
+                s.push('\\');
+            }
+            s.push(c);
+        }
+        s.push_str(&format!("\", shape={shape}];\n"));
     }
     for (_, ch) in graph.channels() {
         let style = if graph.node(ch.dst.node).spec().inputs[ch.dst.port].replicated {
@@ -312,6 +318,48 @@ mod tests {
         assert!(dot.contains("parallelogram"));
         let summary = summarize(&c);
         assert!(summary.contains("mapping:"));
+    }
+
+    /// The labels of `dot`, unescaped, in node order. Panics unless each
+    /// is a well-formed quoted string followed by the node's shape.
+    fn dot_labels(dot: &str) -> Vec<String> {
+        let labels = dot.split("[label=\"").skip(1).map(|rest| {
+            let mut label = String::new();
+            let mut chars = rest.chars();
+            loop {
+                match chars.next() {
+                    Some('\\') => label.push(chars.next().expect("the file ends after an escape")),
+                    Some('"') => break,
+                    Some(c) => label.push(c),
+                    None => panic!("unterminated label in {dot}"),
+                }
+            }
+            let after = chars.as_str();
+            assert!(after.starts_with(", shape="), "label ends early: {after}");
+            label
+        });
+        labels.collect()
+    }
+
+    #[test]
+    fn dot_labels_escape_quotes_and_backslashes() {
+        let dim = Dim2::new(4, 2);
+        let names = ["Cam \"left\"", "Out\\", "Plain"];
+        let mut b = GraphBuilder::new();
+        let src = b.add_source(names[0], k::pattern_source(dim), dim, 10.0);
+        let snk = b.add(names[1], k::sink().0);
+        let mid = b.add(names[2], k::scale(1.0, 0.0));
+        b.connect(src, "out", mid, "in");
+        b.connect(mid, "out", snk, "in");
+        let dot = to_dot(&b.build().unwrap());
+        assert!(dot.contains("label=\"Cam \\\"left\\\"\""), "{dot}");
+        assert!(dot.contains("label=\"Out\\\\\""), "{dot}");
+        assert_eq!(dot_labels(&dot), names);
+        // Names without either character are written as they are.
+        let (g, _h) = fig1b(Dim2::new(20, 12), 50.0);
+        let plain = to_dot(&g);
+        let written: Vec<String> = g.nodes().map(|(_, n)| n.name.to_string()).collect();
+        assert_eq!(dot_labels(&plain), written);
     }
 
     #[test]

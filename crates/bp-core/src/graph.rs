@@ -83,8 +83,8 @@ impl Node {
     }
 
     /// The spec's index-resolved methods
-    /// ([`KernelSpec::method_table`]); an unknown port name is reported
-    /// against this node.
+    /// ([`KernelSpec::method_table`]); an unknown or repeated name is
+    /// reported against this node.
     pub fn method_table(&self) -> Result<&Arc<MethodTable>> {
         self.def
             .spec
@@ -1053,6 +1053,22 @@ mod tests {
         assert_eq!(into_mid.src.node, g.find_node("Input").unwrap());
         let (_, into_k) = g.channel_into(k, 0).unwrap();
         assert_eq!(into_k.src.node, mid);
+    }
+
+    #[test]
+    fn a_repeated_output_name_fails_validation() {
+        // Two outputs named `out`: the second would silently get nothing.
+        let twin = passthrough_def().map_spec(|s| s.outputs.push(OutputSpec::stream("out")));
+        let mut b = GraphBuilder::new();
+        let src = b.add_source("Input", source_def(), Dim2::new(4, 2), 10.0);
+        let k = b.add("K", twin);
+        let out = b.add("Out", sink_def());
+        b.connect(src, "out", k, "in");
+        b.connect(k, "out", out, "in");
+        assert_eq!(
+            b.build().unwrap_err(),
+            BpError::Validation("node 'K' has two outputs named 'out'".into())
+        );
     }
 
     #[test]

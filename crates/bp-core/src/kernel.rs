@@ -9,8 +9,8 @@
 use crate::error::{BpError, Result};
 use crate::geometry::Dim2;
 use crate::item::{Item, Window};
-use crate::method::{MethodSpec, MethodTable, UnknownPort};
-use crate::port::{InputSpec, OutputSpec};
+use crate::method::{BadName, MethodSpec, MethodTable, NameList};
+use crate::port::{InputSpec, Name, OutputSpec};
 use crate::token::{ControlToken, CustomTokenDecl};
 use std::sync::{Arc, OnceLock};
 
@@ -140,7 +140,7 @@ pub enum Parallelism {
 #[derive(Clone, Debug)]
 pub struct KernelSpec {
     /// Kernel type name (e.g. `"conv2d"`), for reports and diagnostics.
-    pub kind: String,
+    pub kind: Name,
     /// Structural role of the node.
     pub role: NodeRole,
     /// Parameterized inputs.
@@ -171,7 +171,7 @@ pub struct KernelSpec {
 /// cloning is how a shared spec gets edited (see [`KernelDef::map_spec`]),
 /// and the edit must not inherit a table resolved from the old fields.
 #[derive(Default)]
-struct ResolvedCache(OnceLock<std::result::Result<Arc<MethodTable>, UnknownPort>>);
+struct ResolvedCache(OnceLock<std::result::Result<Arc<MethodTable>, BadName>>);
 
 impl Clone for ResolvedCache {
     fn clone(&self) -> Self {
@@ -191,7 +191,7 @@ impl std::fmt::Debug for ResolvedCache {
 
 impl KernelSpec {
     /// A new user kernel spec with the given type name.
-    pub fn new(kind: impl Into<String>) -> Self {
+    pub fn new(kind: impl Into<Name>) -> Self {
         Self {
             kind: kind.into(),
             role: NodeRole::User,
@@ -290,9 +290,11 @@ impl KernelSpec {
     /// The methods with every port name resolved to an index: the one place
     /// names become indices for execution and analysis. Resolved in a single
     /// pass on first use and kept with the spec, so every node, replica and
-    /// simulator sharing this spec shares one table. A method that triggers
-    /// on an unknown input or writes an unknown output is a
-    /// [`BpError::Validation`] naming kernel, method and port.
+    /// simulator sharing this spec shares one table. Two inputs, two
+    /// outputs or two methods of one name are a [`BpError::Validation`]
+    /// naming kernel, list and name; a method that triggers on an unknown
+    /// input or writes an unknown output is one naming kernel, method and
+    /// port.
     ///
     /// A spec is immutable once shared (it lives behind the `Arc` of a
     /// [`KernelDef`]); to change one, edit a clone — which starts
@@ -308,28 +310,38 @@ impl KernelSpec {
         owner: std::fmt::Arguments<'_>,
     ) -> Result<&Arc<MethodTable>> {
         let resolved = self.resolved.0.get_or_init(|| {
-            MethodTable::resolve(
-                &self.methods,
-                self.inputs.len(),
-                |name| self.input_index(name),
-                |name| self.output_index(name),
-            )
-            .map(Arc::new)
+            MethodTable::resolve(&self.methods, &self.inputs, &self.outputs).map(Arc::new)
         });
         resolved.as_ref().map_err(|e| {
-            let m = &self.methods[e.method as usize];
-            BpError::Validation(if e.output {
-                let port = &m.outputs[e.index as usize];
-                format!(
-                    "method '{}' of {owner} writes unknown output '{port}'",
-                    m.name
-                )
-            } else {
-                let port = &m.triggers[e.index as usize].input;
-                format!(
-                    "method '{}' of {owner} triggers on unknown input '{port}'",
-                    m.name
-                )
+            BpError::Validation(match *e {
+                BadName::Repeated { list, index } => {
+                    let (list, name) = match list {
+                        NameList::Input => ("inputs", &self.inputs[index as usize].name),
+                        NameList::Output => ("outputs", &self.outputs[index as usize].name),
+                        NameList::Method => ("methods", &self.methods[index as usize].name),
+                    };
+                    format!("{owner} has two {list} named '{name}'")
+                }
+                BadName::Unknown {
+                    method,
+                    index,
+                    output,
+                } => {
+                    let m = &self.methods[method as usize];
+                    if output {
+                        let port = &m.outputs[index as usize];
+                        format!(
+                            "method '{}' of {owner} writes unknown output '{port}'",
+                            m.name
+                        )
+                    } else {
+                        let port = &m.triggers[index as usize].input;
+                        format!(
+                            "method '{}' of {owner} triggers on unknown input '{port}'",
+                            m.name
+                        )
+                    }
+                }
             })
         })
     }
@@ -744,6 +756,39 @@ mod tests {
                 "method 'run' of kernel 'pass' writes unknown output 'gone'".into()
             )
         );
+    }
+
+    #[test]
+    fn repeated_names_are_validation_errors_naming_kernel_list_and_name() {
+        let run = |name: &'static str, input: &'static str| {
+            MethodSpec::on_data(name, input, vec!["out".into()], MethodCost::default())
+        };
+        let inputs = KernelSpec::new("pair")
+            .input(InputSpec::stream("in"))
+            .input(InputSpec::stream("in"))
+            .output(OutputSpec::stream("out"))
+            .method(run("run", "in"));
+        let outputs = KernelSpec::new("pair")
+            .input(InputSpec::stream("in"))
+            .output(OutputSpec::stream("out"))
+            .output(OutputSpec::stream("out"))
+            .method(run("run", "in"));
+        let methods = KernelSpec::new("pair")
+            .input(InputSpec::stream("a"))
+            .input(InputSpec::stream("b"))
+            .output(OutputSpec::stream("out"))
+            .method(run("run", "a"))
+            .method(run("run", "b"));
+        for (spec, list, name) in [
+            (inputs, "inputs", "in"),
+            (outputs, "outputs", "out"),
+            (methods, "methods", "run"),
+        ] {
+            assert_eq!(
+                spec.method_table().unwrap_err(),
+                BpError::Validation(format!("kernel 'pair' has two {list} named '{name}'"))
+            );
+        }
     }
 
     #[test]

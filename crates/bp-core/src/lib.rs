@@ -55,7 +55,7 @@ pub use machine::{CommModel, CommProfile, MachineSpec, Mapping};
 pub use method::{
     MethodCost, MethodRow, MethodSpec, MethodTable, ResolvedMethod, Trigger, TriggerOn,
 };
-pub use port::{InputSpec, OutputSpec};
+pub use port::{InputSpec, Name, OutputSpec};
 pub use qos::{MetricsPolicy, QosSpec};
 pub use rng::Rng64;
 pub use token::{ControlToken, CustomTokenDecl, TokenKind};

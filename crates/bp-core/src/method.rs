@@ -6,6 +6,7 @@
 //! that `runConvolve` reads). Each method declares the cycles and memory it
 //! consumes per invocation so the compiler can size the parallelization.
 
+use crate::port::{InputSpec, Name, OutputSpec};
 use crate::token::TokenKind;
 
 /// What arrival on an input fires a trigger: a data window or a specific
@@ -22,7 +23,7 @@ pub enum TriggerOn {
 #[derive(Clone, Debug, PartialEq)]
 pub struct Trigger {
     /// Input port name.
-    pub input: String,
+    pub input: Name,
     /// What must arrive on that input.
     pub on: TriggerOn,
 }
@@ -51,14 +52,15 @@ impl MethodCost {
 /// and its per-invocation cost.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MethodSpec {
-    /// Method name, unique within the kernel.
-    pub name: String,
+    /// Method name, unique within the kernel (resolving the method table
+    /// checks it).
+    pub name: Name,
     /// Inputs that must *all* have the required arrival at their queue head
     /// for the method to fire. Empty for source methods, which are fired by
     /// the scheduler according to the application input rate.
     pub triggers: Vec<Trigger>,
     /// Output ports this method may write.
-    pub outputs: Vec<String>,
+    pub outputs: Vec<Name>,
     /// Per-invocation resource cost.
     pub cost: MethodCost,
     /// For control-token handlers: the statically bounded maximum invocation
@@ -70,9 +72,9 @@ pub struct MethodSpec {
 impl MethodSpec {
     /// A method triggered by data on a single input.
     pub fn on_data(
-        name: impl Into<String>,
-        input: impl Into<String>,
-        outputs: Vec<String>,
+        name: impl Into<Name>,
+        input: impl Into<Name>,
+        outputs: Vec<Name>,
         cost: MethodCost,
     ) -> Self {
         Self {
@@ -89,10 +91,10 @@ impl MethodSpec {
 
     /// A method triggered by a control token on a single input.
     pub fn on_token(
-        name: impl Into<String>,
-        input: impl Into<String>,
+        name: impl Into<Name>,
+        input: impl Into<Name>,
         token: TokenKind,
-        outputs: Vec<String>,
+        outputs: Vec<Name>,
         cost: MethodCost,
     ) -> Self {
         Self {
@@ -110,9 +112,9 @@ impl MethodSpec {
     /// A method triggered by data arriving on *all* of the given inputs
     /// (e.g. the subtract kernel's two operands).
     pub fn on_all_data(
-        name: impl Into<String>,
-        inputs: &[&str],
-        outputs: Vec<String>,
+        name: impl Into<Name>,
+        inputs: &[&'static str],
+        outputs: Vec<Name>,
         cost: MethodCost,
     ) -> Self {
         Self {
@@ -120,7 +122,7 @@ impl MethodSpec {
             triggers: inputs
                 .iter()
                 .map(|i| Trigger {
-                    input: (*i).to_string(),
+                    input: Name::Borrowed(*i),
                     on: TriggerOn::Data,
                 })
                 .collect(),
@@ -131,7 +133,7 @@ impl MethodSpec {
     }
 
     /// A source method with no triggers, fired by the scheduler.
-    pub fn source(name: impl Into<String>, outputs: Vec<String>, cost: MethodCost) -> Self {
+    pub fn source(name: impl Into<Name>, outputs: Vec<Name>, cost: MethodCost) -> Self {
         Self {
             name: name.into(),
             triggers: Vec::new(),
@@ -154,7 +156,7 @@ impl MethodSpec {
 
     /// The input names participating in this method's trigger set.
     pub fn trigger_inputs(&self) -> impl Iterator<Item = &str> {
-        self.triggers.iter().map(|t| t.input.as_str())
+        self.triggers.iter().map(|t| &*t.input)
     }
 
     /// True when the method fires on data (not tokens) for every trigger.
@@ -181,15 +183,43 @@ pub struct ResolvedMethod<'a> {
     pub is_data: bool,
 }
 
-/// Where a method names a port its kernel does not have.
+/// The first name of a spec that does not resolve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct UnknownPort {
-    /// Index of the method.
-    pub(crate) method: u32,
-    /// Position among the method's triggers, or among its outputs.
-    pub(crate) index: u32,
-    /// Whether it is an output the method writes (else a trigger input).
-    pub(crate) output: bool,
+pub(crate) enum BadName {
+    /// A method names a port its kernel does not have.
+    Unknown {
+        /// Index of the method.
+        method: u32,
+        /// Position among the method's triggers, or among its outputs.
+        index: u32,
+        /// Whether it is an output the method writes (else a trigger input).
+        output: bool,
+    },
+    /// An entry of one of the spec's lists has the name of an earlier one.
+    Repeated {
+        /// The list.
+        list: NameList,
+        /// Position of the later entry.
+        index: u32,
+    },
+}
+
+/// One of a spec's named lists.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum NameList {
+    /// [`KernelSpec::inputs`](crate::kernel::KernelSpec::inputs).
+    Input,
+    /// [`KernelSpec::outputs`](crate::kernel::KernelSpec::outputs).
+    Output,
+    /// [`KernelSpec::methods`](crate::kernel::KernelSpec::methods).
+    Method,
+}
+
+/// Position of the first entry of `list` whose name an earlier one has.
+/// Quadratic in the length, but in string compares of short names, once
+/// per spec and allocation-free.
+fn first_repeat<T>(list: &[T], name: impl Fn(&T) -> &str) -> Option<usize> {
+    (1..list.len()).find(|&i| list[..i].iter().any(|e| name(e) == name(&list[i])))
 }
 
 /// One method of a [`MethodTable`] as the mask planner reads it: its
@@ -307,40 +337,56 @@ impl MethodTable {
         (0..self.rows.len()).map(|mi| self.method(mi))
     }
 
-    /// Resolve `methods` against port-name lookups in a single pass; `Err`
-    /// is the first name a lookup does not know.
+    /// Resolve `methods` against the kernel's ports in a single pass;
+    /// `Err` is the first repeated name in `inputs`, `outputs` or
+    /// `methods`, else the first port name a method uses that the kernel
+    /// does not have.
     pub(crate) fn resolve(
         methods: &[MethodSpec],
-        num_inputs: usize,
-        input_index: impl Fn(&str) -> Option<usize>,
-        output_index: impl Fn(&str) -> Option<usize>,
-    ) -> std::result::Result<Self, UnknownPort> {
-        let unknown = |method: usize, index: usize, output: bool| UnknownPort {
+        inputs: &[InputSpec],
+        outputs: &[OutputSpec],
+    ) -> std::result::Result<Self, BadName> {
+        let unique = |list: NameList, index: Option<usize>| match index {
+            Some(index) => Err(BadName::Repeated {
+                list,
+                index: index as u32,
+            }),
+            None => Ok(()),
+        };
+        unique(NameList::Input, first_repeat(inputs, |i| &i.name))?;
+        unique(NameList::Output, first_repeat(outputs, |o| &o.name))?;
+        unique(NameList::Method, first_repeat(methods, |m| &m.name))?;
+        let unknown = |method: usize, index: usize, output: bool| BadName::Unknown {
             method: method as u32,
             index: index as u32,
             output,
         };
+        let num_inputs = inputs.len();
         let mut rows = Vec::with_capacity(methods.len());
         let mut triggers = Vec::with_capacity(methods.iter().map(|m| m.triggers.len()).sum());
-        let mut outputs = Vec::with_capacity(methods.iter().map(|m| m.outputs.len()).sum());
+        let mut output_ports = Vec::with_capacity(methods.iter().map(|m| m.outputs.len()).sum());
         // Ports past the mask width get no bit; `fits_masks` says so.
         let bit = |port: usize| 1u64.checked_shl(port as u32).unwrap_or(0);
         for (mi, m) in methods.iter().enumerate() {
             let (mut trigger_mask, mut data_mask) = (0, 0);
             for (ti, t) in m.triggers.iter().enumerate() {
-                let port = input_index(&t.input).ok_or(unknown(mi, ti, false))?;
+                let port = inputs
+                    .iter()
+                    .position(|i| i.name == t.input)
+                    .ok_or(unknown(mi, ti, false))?;
                 trigger_mask |= bit(port);
                 if t.on == TriggerOn::Data {
                     data_mask |= bit(port);
                 }
                 triggers.push((port, t.on));
             }
-            for (oi, o) in m.outputs.iter().enumerate() {
-                outputs.push(output_index(o).ok_or(unknown(mi, oi, true))?);
+            for (oi, name) in m.outputs.iter().enumerate() {
+                let port = outputs.iter().position(|o| o.name == *name);
+                output_ports.push(port.ok_or(unknown(mi, oi, true))?);
             }
             rows.push(MethodRow {
                 triggers_end: triggers.len() as u32,
-                outputs_end: outputs.len() as u32,
+                outputs_end: output_ports.len() as u32,
                 handled_end: 0,
                 trigger_mask,
                 data_mask,
@@ -351,14 +397,18 @@ impl MethodTable {
         // Handled tokens: for each method, the kinds of the kernel's token
         // triggers that sit on one of its trigger inputs, in spec order —
         // integer compares against a per-port membership flag.
-        let token_trigger = |&(port, on): &(usize, TriggerOn)| match on {
-            TriggerOn::Token(kind) => Some((port, kind)),
-            TriggerOn::Data => None,
+        let token_triggers = || {
+            triggers.iter().filter_map(|&(port, on)| match on {
+                TriggerOn::Token(kind) => Some((port, kind)),
+                TriggerOn::Data => None,
+            })
         };
-        let token_triggers: Vec<(usize, TokenKind)> =
-            triggers.iter().filter_map(token_trigger).collect();
         let mut handled = Vec::new();
-        if !token_triggers.is_empty() {
+        if token_triggers().next().is_some() {
+            // Sized for the two automatic tokens on every method: exact for
+            // the buffers, splits, joins, insets and pads the compiler
+            // inserts.
+            handled.reserve_exact(2 * rows.len());
             let mut in_group = vec![false; num_inputs];
             let mut start = 0;
             for row in &mut rows {
@@ -368,7 +418,7 @@ impl MethodTable {
                     in_group[p] = true;
                 }
                 let first = handled.len();
-                for &(p, kind) in &token_triggers {
+                for (p, kind) in token_triggers() {
                     if in_group[p] && !handled[first..].contains(&kind) {
                         handled.push(kind);
                     }
@@ -395,7 +445,7 @@ impl MethodTable {
             fits_masks: num_inputs <= u64::BITS as usize,
             rows: rows.into(),
             triggers: triggers.into(),
-            outputs: outputs.into(),
+            outputs: output_ports.into(),
             handled: handled.into(),
         })
     }

@@ -1,6 +1,14 @@
 //! Kernel input/output parameterization (§II-A).
 
 use crate::geometry::{Dim2, Offset2, Step2};
+use std::borrow::Cow;
+
+/// A spec name — of a port, a method, a kernel kind. A string literal is
+/// borrowed (`"in".into()` copies nothing) and a `String` built at run time,
+/// e.g. by `format!`, is moved in; a borrowed `&str` that is not `'static`
+/// needs `.to_owned()`. Names are compared, hashed and printed as their
+/// bytes alone, so which of the two a name is never shows.
+pub type Name = Cow<'static, str>;
 
 /// Parameterization of a kernel input: window size, step, offset from the
 /// window origin to the produced output, and whether the input is
@@ -9,8 +17,9 @@ use crate::geometry::{Dim2, Offset2, Step2};
 /// paper's figures).
 #[derive(Clone, Debug, PartialEq)]
 pub struct InputSpec {
-    /// Port name, unique within the kernel.
-    pub name: String,
+    /// Port name, unique within the kernel (resolving the method table
+    /// checks it).
+    pub name: Name,
     /// Window size consumed per iteration.
     pub size: Dim2,
     /// Window advance per iteration.
@@ -25,7 +34,7 @@ pub struct InputSpec {
 
 impl InputSpec {
     /// A windowed data input with the centered offset (`floor(size/2)`).
-    pub fn windowed(name: impl Into<String>, size: Dim2, step: Step2) -> Self {
+    pub fn windowed(name: impl Into<Name>, size: Dim2, step: Step2) -> Self {
         Self {
             name: name.into(),
             size,
@@ -37,7 +46,7 @@ impl InputSpec {
 
     /// A 1×1 streaming input with zero offset — the shape of raw pixel
     /// streams and most point-wise kernels.
-    pub fn stream(name: impl Into<String>) -> Self {
+    pub fn stream(name: impl Into<Name>) -> Self {
         Self {
             name: name.into(),
             size: Dim2::ONE,
@@ -49,7 +58,7 @@ impl InputSpec {
 
     /// A block input that consumes its whole window with no reuse
     /// (step == size), e.g. coefficient loads or histogram merges.
-    pub fn block(name: impl Into<String>, size: Dim2) -> Self {
+    pub fn block(name: impl Into<Name>, size: Dim2) -> Self {
         Self {
             name: name.into(),
             size,
@@ -86,8 +95,9 @@ impl InputSpec {
 /// Parameterization of a kernel output: the block it produces per iteration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct OutputSpec {
-    /// Port name, unique within the kernel.
-    pub name: String,
+    /// Port name, unique within the kernel (resolving the method table
+    /// checks it).
+    pub name: Name,
     /// Block size produced per iteration.
     pub size: Dim2,
     /// Output step; equals `size` for the common case of abutting blocks.
@@ -96,7 +106,7 @@ pub struct OutputSpec {
 
 impl OutputSpec {
     /// An output producing abutting `size` blocks (step == size).
-    pub fn block(name: impl Into<String>, size: Dim2) -> Self {
+    pub fn block(name: impl Into<Name>, size: Dim2) -> Self {
         Self {
             name: name.into(),
             size,
@@ -105,7 +115,7 @@ impl OutputSpec {
     }
 
     /// A 1×1 streaming output.
-    pub fn stream(name: impl Into<String>) -> Self {
+    pub fn stream(name: impl Into<Name>) -> Self {
         Self::block(name, Dim2::ONE)
     }
 }

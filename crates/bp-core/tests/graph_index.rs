@@ -11,8 +11,8 @@
 
 use bp_core::{
     AppGraph, BpError, Channel, ChannelId, Dim2, Emitter, FireData, InputSpec, KernelBehavior,
-    KernelDef, KernelSpec, MethodCost, MethodSpec, NodeId, NodeRole, OutputSpec, PortRef, Result,
-    Rng64, SourceInfo,
+    KernelDef, KernelSpec, MethodCost, MethodSpec, Name, NodeId, NodeRole, OutputSpec, PortRef,
+    Result, Rng64, SourceInfo,
 };
 
 struct Nop;
@@ -23,7 +23,7 @@ impl KernelBehavior for Nop {
 /// A kernel of the given role with `ins` inputs and `outs` outputs, one data
 /// method per input writing every output (a source method when `ins == 0`).
 fn def(role: NodeRole, ins: usize, outs: usize) -> KernelDef {
-    let outputs: Vec<String> = (0..outs).map(|o| format!("out{o}")).collect();
+    let outputs: Vec<Name> = (0..outs).map(|o| format!("out{o}").into()).collect();
     let mut spec = KernelSpec::new("k").with_role(role);
     for o in &outputs {
         spec = spec.output(OutputSpec::stream(o.clone()));

@@ -6,7 +6,7 @@ use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::Window;
 
-fn binary_spec(kind: &str, cycles: u64) -> KernelSpec {
+fn binary_spec(kind: &'static str, cycles: u64) -> KernelSpec {
     KernelSpec::new(kind)
         .input(InputSpec::stream("in0"))
         .input(InputSpec::stream("in1"))
@@ -50,7 +50,7 @@ pub fn absdiff() -> KernelDef {
     })
 }
 
-fn unary_spec(kind: &str, cycles: u64) -> KernelSpec {
+fn unary_spec(kind: &'static str, cycles: u64) -> KernelSpec {
     KernelSpec::new(kind)
         .input(InputSpec::stream("in"))
         .output(OutputSpec::stream("out"))

@@ -196,37 +196,36 @@ impl KernelBehavior for BufferBehavior {
 /// storage is sized as a double buffer of the larger grain.
 pub fn buffer(producer: Dim2, window: Dim2, step: Step2, data: Dim2) -> KernelDef {
     let storage = buffer_storage_words(producer, window, data.w);
-    let spec = KernelSpec::new("buffer")
+    let mut spec = KernelSpec::new("buffer")
         .with_role(NodeRole::Buffer)
         .with_parallelism(Parallelism::ColumnSplit)
         .with_shape(ShapeTransform::Fixed { data })
-        .input(InputSpec::block("in", producer))
-        .output(OutputSpec {
-            name: "out".into(),
-            size: window,
-            step,
-        })
-        .method(MethodSpec::on_data(
-            "push",
-            "in",
-            vec!["out".into()],
-            MethodCost::new(5, 0),
-        ))
-        .method(MethodSpec::on_token(
+        .with_state_words(storage);
+    // Each list is built at its final length, so `KernelDef::new`'s trim
+    // has no slack to give back.
+    spec.inputs = vec![InputSpec::block("in", producer)];
+    spec.outputs = vec![OutputSpec {
+        name: "out".into(),
+        size: window,
+        step,
+    }];
+    spec.methods = vec![
+        MethodSpec::on_data("push", "in", vec!["out".into()], MethodCost::new(5, 0)),
+        MethodSpec::on_token(
             "eol",
             "in",
             TokenKind::EndOfLine,
             vec!["out".into()],
             MethodCost::new(1, 0),
-        ))
-        .method(MethodSpec::on_token(
+        ),
+        MethodSpec::on_token(
             "eof",
             "in",
             TokenKind::EndOfFrame,
             vec!["out".into()],
             MethodCost::new(1, 0),
-        ))
-        .with_state_words(storage);
+        ),
+    ];
     KernelDef::new(spec, move || {
         BufferBehavior::new(data.w, producer, window, step)
     })

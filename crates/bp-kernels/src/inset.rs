@@ -88,36 +88,35 @@ pub fn inset(margins: Margins, data: Dim2) -> KernelDef {
         margins.left + margins.right < data.w && margins.top + margins.bottom < data.h,
         "inset margins must leave a non-empty interior"
     );
-    let spec = KernelSpec::new("inset")
+    let mut spec = KernelSpec::new("inset")
         .with_role(NodeRole::Inset)
         .with_shape(ShapeTransform::Crop {
             left: margins.left,
             right: margins.right,
             top: margins.top,
             bottom: margins.bottom,
-        })
-        .input(InputSpec::stream("in"))
-        .output(OutputSpec::stream("out"))
-        .method(MethodSpec::on_data(
-            "filter",
-            "in",
-            vec!["out".into()],
-            MethodCost::new(2, 0),
-        ))
-        .method(MethodSpec::on_token(
+        });
+    // Each list is built at its final length, so `KernelDef::new`'s trim
+    // has no slack to give back.
+    spec.inputs = vec![InputSpec::stream("in")];
+    spec.outputs = vec![OutputSpec::stream("out")];
+    spec.methods = vec![
+        MethodSpec::on_data("filter", "in", vec!["out".into()], MethodCost::new(2, 0)),
+        MethodSpec::on_token(
             "eol",
             "in",
             TokenKind::EndOfLine,
             vec!["out".into()],
             MethodCost::new(1, 0),
-        ))
-        .method(MethodSpec::on_token(
+        ),
+        MethodSpec::on_token(
             "eof",
             "in",
             TokenKind::EndOfFrame,
             vec!["out".into()],
             MethodCost::new(1, 0),
-        ));
+        ),
+    ];
     KernelDef::new(spec, move || InsetBehavior {
         m: margins,
         data,

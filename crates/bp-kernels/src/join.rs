@@ -12,53 +12,50 @@ use bp_core::kernel::{
 use bp_core::method::{MethodCost, MethodSpec, Trigger, TriggerOn};
 use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::token::{ControlToken, TokenKind};
-use bp_core::Dim2;
+use bp_core::{Dim2, Name};
 
-fn in_names(k: usize) -> Vec<String> {
-    (0..k).map(|i| format!("in{i}")).collect()
-}
+use crate::numbered;
 
-fn join_spec(kind: &str, k: usize, grain: Dim2) -> KernelSpec {
-    let ins = in_names(k);
+fn join_spec(kind: &'static str, k: usize, grain: Dim2) -> KernelSpec {
+    let ins: Vec<Name> = (0..k).map(numbered::input).collect();
     let mut spec = KernelSpec::new(kind)
         .with_role(NodeRole::Join)
         .with_parallelism(Parallelism::Serial)
-        .with_shape(ShapeTransform::Transparent)
-        .output(OutputSpec::block("out", grain));
-    for i in &ins {
-        spec = spec.input(InputSpec::block(i.clone(), grain));
-    }
-    for (idx, i) in ins.iter().enumerate() {
-        spec = spec.method(MethodSpec::on_data(
-            format!("take{idx}"),
+        .with_shape(ShapeTransform::Transparent);
+    // Each list is built at its final length, so `KernelDef::new`'s trim
+    // has no slack to give back.
+    spec.outputs = vec![OutputSpec::block("out", grain)];
+    spec.inputs = ins
+        .iter()
+        .map(|i| InputSpec::block(i.clone(), grain))
+        .collect();
+    // Token synchronizers: fire when the token heads every input.
+    let sync = |name: &'static str, token: TokenKind| MethodSpec {
+        name: name.into(),
+        triggers: ins
+            .iter()
+            .map(|i| Trigger {
+                input: i.clone(),
+                on: TriggerOn::Token(token),
+            })
+            .collect(),
+        outputs: vec!["out".into()],
+        cost: MethodCost::new(1, 0),
+        max_rate_hz: None,
+    };
+    let mut methods = Vec::with_capacity(k + 2);
+    methods.extend(ins.iter().enumerate().map(|(idx, i)| {
+        MethodSpec::on_data(
+            numbered::take(idx),
             i.clone(),
             vec!["out".into()],
             MethodCost::new(2, 0),
-        ));
-    }
-    // Token synchronizers: fire when the token heads every input.
-    let all = |on: TriggerOn| -> Vec<Trigger> {
-        ins.iter()
-            .map(|i| Trigger {
-                input: i.clone(),
-                on,
-            })
-            .collect()
-    };
-    spec.method(MethodSpec {
-        name: "syncEol".into(),
-        triggers: all(TriggerOn::Token(TokenKind::EndOfLine)),
-        outputs: vec!["out".into()],
-        cost: MethodCost::new(1, 0),
-        max_rate_hz: None,
-    })
-    .method(MethodSpec {
-        name: "syncEof".into(),
-        triggers: all(TriggerOn::Token(TokenKind::EndOfFrame)),
-        outputs: vec!["out".into()],
-        cost: MethodCost::new(1, 0),
-        max_rate_hz: None,
-    })
+        )
+    }));
+    methods.push(sync("syncEol", TokenKind::EndOfLine));
+    methods.push(sync("syncEof", TokenKind::EndOfFrame));
+    spec.methods = methods;
+    spec
 }
 
 struct JoinRrBehavior {

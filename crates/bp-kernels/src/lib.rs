@@ -95,6 +95,7 @@ pub mod inset;
 pub mod join;
 pub mod median;
 pub mod morphology;
+mod numbered;
 pub mod pad;
 pub mod replicate;
 pub mod sink;
@@ -122,3 +123,54 @@ pub use source::{const_source, frame_source, pattern_source, PixelGen};
 pub use split::{plan_column_ranges, split_columns, split_rr, ColumnRange};
 pub use upsample::{upsample, UpsampleMode};
 pub use variable::{motion_search, SEARCH_BASE_CYCLES, SEARCH_POSITION_CYCLES};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bp_core::{Dim2, KernelDef, Step2};
+
+    /// Every kernel of the library, the plumbing at widths on both sides
+    /// of the name table, resolves: no repeated name, no unknown port.
+    #[test]
+    fn every_library_kernel_resolves() {
+        let d = Dim2::new(8, 4);
+        let mut defs: Vec<KernelDef> = vec![
+            subtract(),
+            add(),
+            absdiff(),
+            scale(2.0, 1.0),
+            threshold(0.5),
+            bayer_demosaic(),
+            buffer(Dim2::ONE, Dim2::new(3, 3), Step2::ONE, d),
+            conv2d(5, 5),
+            feedback_frame(d, 0.0),
+            sobel(),
+            downsample(2, 2),
+            fir(9),
+            decimate(2),
+            histogram(16),
+            histogram_merge(16),
+            inset(Margins::uniform(1), d),
+            median(3, 3),
+            erode(3, 3),
+            dilate(3, 3),
+            pad(Margins::uniform(1), PadMode::Mirror, d),
+            sink().0,
+            pattern_source(d),
+            const_source("coeff", box_coefficients(3, 3)),
+            split_columns(plan_column_ranges(8, 3, 1, 2)),
+            join_columns(vec![3, 3], Dim2::ONE, Dim2::new(6, 4)),
+            upsample(2, 2, UpsampleMode::ZeroStuff),
+            motion_search(1.0, 9),
+        ];
+        for k in [1, 2, 64, 65] {
+            let g = Dim2::ONE;
+            defs.extend([split_rr(k, g), join_rr(k, g), replicate(k, g)]);
+        }
+        for def in defs {
+            if let Err(e) = def.spec.method_table() {
+                panic!("{}: {e}", def.spec.kind);
+            }
+        }
+    }
+}

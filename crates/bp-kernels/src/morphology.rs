@@ -28,7 +28,7 @@ impl KernelBehavior for MorphBehavior {
     }
 }
 
-fn morph_spec(kind: &str, w: u32, h: u32) -> KernelSpec {
+fn morph_spec(kind: &'static str, w: u32, h: u32) -> KernelSpec {
     let size = Dim2::new(w, h);
     let wh = (w * h) as u64;
     KernelSpec::new(kind)

@@ -181,7 +181,7 @@ pub fn pad(margins: Margins, mode: PadMode, data: Dim2) -> KernelDef {
         PadMode::Zero => "pad_zero",
         PadMode::Mirror => "pad_mirror",
     };
-    let spec = KernelSpec::new(kind)
+    let mut spec = KernelSpec::new(kind)
         .with_role(NodeRole::Pad)
         .with_shape(ShapeTransform::Pad {
             left: margins.left,
@@ -189,32 +189,31 @@ pub fn pad(margins: Margins, mode: PadMode, data: Dim2) -> KernelDef {
             top: margins.top,
             bottom: margins.bottom,
         })
-        .input(InputSpec::stream("in"))
-        .output(OutputSpec::stream("out"))
-        .method(MethodSpec::on_data(
-            "push",
-            "in",
-            vec!["out".into()],
-            MethodCost::new(2, 0),
-        ))
-        .method(MethodSpec::on_token(
+        .with_state_words(match mode {
+            PadMode::Zero => 4,
+            PadMode::Mirror => (margins.top.max(margins.bottom).max(1) as u64 + 1) * data.w as u64,
+        });
+    // Each list is built at its final length, so `KernelDef::new`'s trim
+    // has no slack to give back.
+    spec.inputs = vec![InputSpec::stream("in")];
+    spec.outputs = vec![OutputSpec::stream("out")];
+    spec.methods = vec![
+        MethodSpec::on_data("push", "in", vec!["out".into()], MethodCost::new(2, 0)),
+        MethodSpec::on_token(
             "eol",
             "in",
             TokenKind::EndOfLine,
             vec!["out".into()],
             MethodCost::new(2, 0),
-        ))
-        .method(MethodSpec::on_token(
+        ),
+        MethodSpec::on_token(
             "eof",
             "in",
             TokenKind::EndOfFrame,
             vec!["out".into()],
             MethodCost::new(2, 0),
-        ))
-        .with_state_words(match mode {
-            PadMode::Zero => 4,
-            PadMode::Mirror => (margins.top.max(margins.bottom).max(1) as u64 + 1) * data.w as u64,
-        });
+        ),
+    ];
     KernelDef::new(spec, move || PadBehavior {
         m: margins,
         mode,

@@ -7,7 +7,9 @@ use bp_core::kernel::{
 };
 use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
-use bp_core::Dim2;
+use bp_core::{Dim2, Name};
+
+use crate::numbered;
 
 struct ReplicateBehavior {
     k: usize,
@@ -28,21 +30,24 @@ impl KernelBehavior for ReplicateBehavior {
 /// the runtime's pass-through rule, so token streams replicate too.
 pub fn replicate(k: usize, grain: Dim2) -> KernelDef {
     assert!(k >= 1);
-    let outs: Vec<String> = (0..k).map(|i| format!("out{i}")).collect();
+    let outs: Vec<Name> = (0..k).map(numbered::output).collect();
     let mut spec = KernelSpec::new("replicate")
         .with_role(NodeRole::Replicate)
         .with_parallelism(Parallelism::Serial)
-        .with_shape(ShapeTransform::Transparent)
-        .input(InputSpec::block("in", grain));
-    for o in &outs {
-        spec = spec.output(OutputSpec::block(o.clone(), grain));
-    }
-    let spec = spec.method(MethodSpec::on_data(
+        .with_shape(ShapeTransform::Transparent);
+    // Each list is built at its final length, so `KernelDef::new`'s trim
+    // has no slack to give back.
+    spec.inputs = vec![InputSpec::block("in", grain)];
+    spec.outputs = outs
+        .iter()
+        .map(|o| OutputSpec::block(o.clone(), grain))
+        .collect();
+    spec.methods = vec![MethodSpec::on_data(
         "copy",
         "in",
         outs,
         MethodCost::new(1, 0),
-    ));
+    )];
     KernelDef::new(spec, move || ReplicateBehavior { k })
 }
 

@@ -83,7 +83,7 @@ impl KernelBehavior for ConstSourceBehavior {
 /// startup — used for convolution coefficients and histogram bin bounds.
 /// The paper draws these as separate kernels ("5x5 Coeff", "Hist Bins")
 /// whose outputs are replicated, not split, under parallelization.
-pub fn const_source(kind: &str, window: Window) -> KernelDef {
+pub fn const_source(kind: &'static str, window: Window) -> KernelDef {
     let dim = window.dim();
     let spec = KernelSpec::new(kind)
         .with_role(NodeRole::Const)

@@ -14,42 +14,41 @@ use bp_core::kernel::{
 use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::token::{ControlToken, TokenKind};
-use bp_core::Dim2;
+use bp_core::{Dim2, Name};
 
-fn out_names(k: usize) -> Vec<String> {
-    (0..k).map(|i| format!("out{i}")).collect()
-}
+use crate::numbered;
 
-fn split_spec(kind: &str, k: usize, grain: Dim2) -> KernelSpec {
-    let outs = out_names(k);
+fn split_spec(kind: &'static str, k: usize, grain: Dim2) -> KernelSpec {
+    let outs: Vec<Name> = (0..k).map(numbered::output).collect();
     let mut spec = KernelSpec::new(kind)
         .with_role(NodeRole::Split)
         .with_parallelism(Parallelism::Serial)
-        .with_shape(ShapeTransform::Transparent)
-        .input(InputSpec::block("in", grain));
-    for o in &outs {
-        spec = spec.output(OutputSpec::block(o.clone(), grain));
-    }
-    spec.method(MethodSpec::on_data(
-        "dispatch",
-        "in",
-        outs.clone(),
-        MethodCost::new(2, 0),
-    ))
-    .method(MethodSpec::on_token(
-        "eol",
-        "in",
-        TokenKind::EndOfLine,
-        outs.clone(),
-        MethodCost::new(1, 0),
-    ))
-    .method(MethodSpec::on_token(
-        "eof",
-        "in",
-        TokenKind::EndOfFrame,
-        outs,
-        MethodCost::new(1, 0),
-    ))
+        .with_shape(ShapeTransform::Transparent);
+    // Each list is built at its final length, so `KernelDef::new`'s trim
+    // has no slack to give back.
+    spec.inputs = vec![InputSpec::block("in", grain)];
+    spec.outputs = outs
+        .iter()
+        .map(|o| OutputSpec::block(o.clone(), grain))
+        .collect();
+    spec.methods = vec![
+        MethodSpec::on_data("dispatch", "in", outs.clone(), MethodCost::new(2, 0)),
+        MethodSpec::on_token(
+            "eol",
+            "in",
+            TokenKind::EndOfLine,
+            outs.clone(),
+            MethodCost::new(1, 0),
+        ),
+        MethodSpec::on_token(
+            "eof",
+            "in",
+            TokenKind::EndOfFrame,
+            outs,
+            MethodCost::new(1, 0),
+        ),
+    ];
+    spec
 }
 
 struct SplitRrBehavior {

@@ -1712,9 +1712,9 @@ fn channel_hop(shared: &Shared, nodes: &[RtNode], credits: &[i64], ci: usize) ->
     };
     DeadlockHop {
         src: nodes[c.src].name.to_string(),
-        src_port: nodes[c.src].spec.outputs[c.src_port].name.clone(),
+        src_port: nodes[c.src].spec.outputs[c.src_port].name.to_string(),
         dst: nodes[c.dst].name.to_string(),
-        dst_port: nodes[c.dst].spec.inputs[c.dst_port].name.clone(),
+        dst_port: nodes[c.dst].spec.inputs[c.dst_port].name.to_string(),
         occupancy,
         capacity,
     }

@@ -366,11 +366,11 @@ impl TraceMeta {
             node_names: nodes.iter().map(|n| n.name.to_string()).collect(),
             input_ports: nodes
                 .iter()
-                .map(|n| n.spec.inputs.iter().map(|i| i.name.clone()).collect())
+                .map(|n| n.spec.inputs.iter().map(|i| i.name.to_string()).collect())
                 .collect(),
             methods: nodes
                 .iter()
-                .map(|n| n.spec.methods.iter().map(|m| m.name.clone()).collect())
+                .map(|n| n.spec.methods.iter().map(|m| m.name.to_string()).collect())
                 .collect(),
             pe_of_node: pe_of_node.to_vec(),
             num_pes,

@@ -15,6 +15,11 @@
 //! `const`s beside its spec. Ports may still be addressed by name
 //! (`d.window("in")`, `out.window("out", …)`).
 //!
+//! Port, method and kind names are `bp_core::Name`s (`Cow<'static, str>`):
+//! the string literals below are borrowed, not copied; a `String` built at
+//! run time (`format!("in{i}")`) is moved in; and a borrowed `&str` that is
+//! not `'static` needs `.to_owned()`.
+//!
 //! Run with: `cargo run --example custom_kernel`
 
 use block_parallel::prelude::*;

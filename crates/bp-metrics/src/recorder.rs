@@ -1,8 +1,8 @@
 //! The streaming metrics recorder.
 //!
 //! One `MetricsRecorder` lives inside a timed simulation; the engine calls
-//! the hook methods from its event loop (under the `OBS` monomorphization,
-//! so all of this compiles out when metrics are off). Counters are
+//! the hook methods from its event loop, each behind a test for the
+//! recorder, so a run without metrics records nothing. Counters are
 //! bucketed into fixed simulated-time intervals: every count is attributed
 //! to the interval of the simulated time at which the triggering event was
 //! processed (or, for event pushes, created) — a pure function of `t`,

@@ -9,11 +9,11 @@
 //! active tenant by its per-round event budget — in tenant-id order on
 //! one worker, or partitioned into contiguous tenant ranges across
 //! worker threads. Because every tenant is a fully self-contained
-//! simulation ([`bp_sim::SteppableSim`]) and budgets are fixed at the
-//! boundary, the worker count cannot affect any tenant's event sequence:
-//! per-tenant results are bitwise identical across worker counts *and*
-//! identical to a solo run of the same spec (the serving contract; see
-//! DESIGN.md §16).
+//! simulation (a stepped [`bp_sim::TimedSimulator`]) and budgets are
+//! fixed at the boundary, the worker count cannot affect any tenant's
+//! event sequence: per-tenant results are bitwise identical across
+//! worker counts *and* identical to a solo run of the same spec (the
+//! serving contract; see DESIGN.md §16).
 //!
 //! ## Shapes
 //!
@@ -27,7 +27,7 @@ use crate::admission::{AdmissionPolicy, AdmissionReport, AdmissionVerdict};
 use crate::tenant::{Tenant, TenantReport, TenantSpec};
 use bp_core::{BpError, Result};
 use bp_metrics::{FleetAggregate, FleetTape, MetricsTape, TenantTape};
-use bp_sim::{SimReport, SteppableSim, TimedSimulator};
+use bp_sim::{SimReport, TimedSimulator};
 use std::collections::{HashSet, VecDeque};
 
 pub use crate::admission::AdmissionConfig;
@@ -67,9 +67,9 @@ impl FleetConfig {
         self
     }
 
-    /// Set the worker-thread count.
+    /// Set the worker-thread count. With no worker nothing steps a
+    /// tenant: [`FleetHost::run`] refuses 0.
     pub fn with_workers(mut self, workers: usize) -> Self {
-        assert!(workers >= 1, "need at least one worker");
         self.workers = workers;
         self
     }
@@ -171,8 +171,9 @@ impl FleetHost {
     }
 
     /// Run every enqueued offer through admission and co-scheduling to
-    /// completion. A round budget, tenant budget or slot count of 0, under
-    /// which the host could never finish, is refused before round 0.
+    /// completion. A round budget, worker count, tenant budget or slot
+    /// count of 0, under which the host could never finish, is refused
+    /// before round 0.
     /// Other errors propagate from tenant instantiation (e.g. zero frames)
     /// and from settling (a capacity deadlock diagnosis).
     pub fn run(&mut self) -> Result<FleetReport> {
@@ -265,12 +266,14 @@ impl FleetHost {
     }
 
     /// The values the round loop needs nonzero to make progress: a step
-    /// of 0 events never settles a tenant, and with no slot a deferred
-    /// offer never finds one.
+    /// of 0 events never settles a tenant, no worker steps one, and with
+    /// no slot a deferred offer never finds one.
     fn check(&self) -> Result<()> {
         let zero_budget = self.pending.iter().find(|s| s.events_per_round == Some(0));
         let what = if self.config.round_budget == 0 {
             "fleet round_budget".to_string()
+        } else if self.config.workers == 0 {
+            "fleet workers".to_string()
         } else if self.config.admission.max_active == 0 {
             "fleet admission max_active".to_string()
         } else if let Some(spec) = zero_budget {
@@ -283,7 +286,7 @@ impl FleetHost {
     }
 
     fn instantiate(&mut self, spec: TenantSpec, round: u64, next_id: &mut u32) -> Result<Tenant> {
-        let sim = SteppableSim::new(&spec.graph, &spec.mapping, effective_config(&spec))?;
+        let sim = TimedSimulator::new(&spec.graph, &spec.mapping, effective_config(&spec))?;
         let shape_key = bp_codegen::shape_key(&spec.graph);
         if self.shapes.insert(shape_key) {
             self.shape_counts.misses += 1;
@@ -322,7 +325,9 @@ fn effective_config(spec: &TenantSpec) -> bp_sim::SimConfig {
 /// reproduce this report fingerprint and tape digest bit for bit.
 pub fn solo(spec: &TenantSpec) -> Result<(SimReport, Option<MetricsTape>)> {
     let config = effective_config(spec);
-    TimedSimulator::new(&spec.graph, &spec.mapping, config)?.run_with_metrics()
+    let (report, _, tape) =
+        TimedSimulator::new(&spec.graph, &spec.mapping, config)?.run_with_artifacts()?;
+    Ok((report, tape))
 }
 
 fn step_round(active: &mut [Tenant], default_budget: usize, workers: usize) {
@@ -493,8 +498,11 @@ mod tests {
         defer.admission.max_active = 0;
         let mut shed = defer;
         shed.admission.policy = AdmissionPolicy::Shed;
+        let no_workers = FleetConfig { workers: 0, ..ok };
         let cases = [
             (ok.with_round_budget(0), 1, "fleet round_budget"),
+            (ok.with_workers(0), 1, "fleet workers"),
+            (no_workers, 1, "fleet workers"),
             (ok, 0, "tenant 'b' events_per_round"),
             (defer, 1, "fleet admission max_active"),
             (shed, 1, "fleet admission max_active"),

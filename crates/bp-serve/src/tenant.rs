@@ -3,7 +3,7 @@
 use bp_core::machine::Mapping;
 use bp_core::QosSpec;
 use bp_metrics::MetricsTape;
-use bp_sim::{SimConfig, SimReport, SteppableSim};
+use bp_sim::{SimConfig, SimReport, TimedSimulator};
 
 /// Everything needed to instantiate one tenant: a *compiled* application
 /// graph (the output of `bp_compiler::compile`), its PE mapping, and the
@@ -81,7 +81,7 @@ pub(crate) struct Tenant {
     pub(crate) id: u32,
     pub(crate) name: String,
     pub(crate) shape_key: u64,
-    pub(crate) sim: SteppableSim,
+    pub(crate) sim: TimedSimulator,
     pub(crate) events_per_round: Option<usize>,
     pub(crate) admitted_round: u64,
     pub(crate) rounds_stepped: u64,

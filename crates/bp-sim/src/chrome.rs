@@ -819,9 +819,9 @@ mod tests {
             crate::TraceOptions::with_capacity,
         );
         let config = crate::SimConfig::new(2).with_comm(model).with_trace(trace);
-        let (_, trace) = crate::TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
+        let (_, trace, _) = crate::TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
             .expect("instantiate")
-            .run_with_trace()
+            .run_with_artifacts()
             .expect("run");
         chrome_trace_json(&trace.expect("tracing is on"))
     }

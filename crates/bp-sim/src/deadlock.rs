@@ -157,7 +157,7 @@ impl DeadlockReport {
 
 /// How a timed simulation settled: a completed [`SimReport`], or a capacity
 /// deadlock with its structured diagnosis. Returned by
-/// `TimedSimulator::run_outcome` and `SteppableSim::finish`; the plain
+/// `TimedSimulator::run_outcome` and `TimedSimulator::finish`; the plain
 /// `run` APIs convert a deadlock into a simulation error carrying
 /// [`DeadlockReport::render`].
 #[derive(Debug)]

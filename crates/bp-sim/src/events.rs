@@ -82,11 +82,6 @@ impl<P> EventQueue<P> {
         self.heap.pop().map(|e| e.0)
     }
 
-    /// Time of the event [`pop`](Self::pop) would return.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.0.t)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -126,7 +121,7 @@ mod tests {
     use bp_core::Rng64;
 
     /// The queue beside a model it must agree with: every pop is the
-    /// model's minimum `(t bits, ordinal)`, and `peek_time` names it first.
+    /// model's minimum `(t bits, ordinal)`.
     #[derive(Default)]
     struct Checked {
         q: EventQueue<u32>,
@@ -150,7 +145,6 @@ mod tests {
         fn pop(&mut self) -> Option<(u64, u64, u32)> {
             let min = (0..self.model.len()).min_by_key(|&i| self.model[i]);
             let want = min.map(|i| self.model.swap_remove(i));
-            assert_eq!(self.q.peek_time().map(f64::to_bits), want.map(|w| w.0));
             let got = self.q.pop().map(|e| (e.t.to_bits(), e.seq, e.payload));
             assert_eq!((got, self.q.len()), (want, self.model.len()));
             got

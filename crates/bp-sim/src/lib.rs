@@ -11,14 +11,14 @@
 //!   channel capacity, per-PE time multiplexing and scheduling, plus a
 //!   configurable inter-PE communication delay model
 //!   ([`bp_core::CommModel`]; the zero default matches the paper's
-//!   no-delay simplification bit for bit).
-//! - [`step`]: the same engine advanced a bounded number of events per
-//!   call, bitwise identical to a one-shot run — what the fleet host
+//!   no-delay simplification bit for bit). One type, [`TimedSimulator`],
+//!   runs a simulation in one call or steps it a bounded number of events
+//!   per call, bitwise identical to a one-shot run — what the fleet host
 //!   co-schedules tenants on.
 //! - [`deadlock`]: structured capacity-deadlock diagnostics — the
 //!   [`DeadlockReport`] the timed engine assembles when a simulation
-//!   wedges, and the [`SimOutcome`] returned by its `run_outcome` entry
-//!   points.
+//!   wedges, and the [`SimOutcome`] returned by `run_outcome` and
+//!   `finish`.
 //! - [`events`]: the pending-event queue the timed engine schedules on, a
 //!   binary heap keyed on `(time bits, ordinal)`.
 //! - [`stats`]: per-PE utilization (run/read/write breakdown), throughput
@@ -41,7 +41,6 @@ pub mod functional;
 pub mod parallel;
 pub mod runtime;
 pub mod stats;
-pub mod step;
 pub mod timed;
 mod timed_parallel;
 pub mod trace;
@@ -55,8 +54,7 @@ pub use functional::FunctionalExecutor;
 pub use parallel::{run_batch, run_batch_with_workers};
 pub use runtime::{Action, Program, RtNode, SourceRt};
 pub use stats::{PeStats, RealTimeVerdict, SimReport};
-pub use step::SteppableSim;
-pub use timed::{derive_channel_capacity, Backend, SimConfig, TimedSimulator};
+pub use timed::{derive_channel_capacity, Backend, SimConfig, SteppableSim, TimedSimulator};
 pub use timed_parallel::{ParallelRunStats, ParallelTimedSimulator};
 pub use trace::{
     ChannelHighWater, StallCause, Trace, TraceChannel, TraceEvent, TraceMeta, TraceOptions,

@@ -30,14 +30,14 @@
 //! the exhaustive version.
 //!
 //! The engine itself is one discrete-event loop that owns its nodes,
-//! queues and recorders outright. [`TimedSimulator`] drains it in one
-//! call; [`crate::step::SteppableSim`] drains it a bounded number of events
-//! at a time. The loop is written once, over routing/space/credit/cost
-//! tables resolved at build time, and plans every kernel at one site: by
-//! the readiness masks when the kernel's table fits them, by the trigger
-//! scan when it does not (or when [`Backend::Interpreted`] asks for the
-//! scan everywhere). Under debug assertions every masked plan is checked
-//! against the scan.
+//! queues and recorders outright; its trace and metrics hooks each test
+//! their own recorder. [`TimedSimulator`] drains it in one call or a
+//! bounded number of events at a time. The loop is written once, over
+//! routing/space/credit/cost tables resolved at build time, and plans
+//! every kernel at one site: by the readiness masks when the kernel's
+//! table fits them, by the trigger scan when it does not (or when
+//! [`Backend::Interpreted`] asks for the scan everywhere). Under debug
+//! assertions every masked plan is checked against the scan.
 
 use crate::deadlock::{CapacityBump, DeadlockHop, DeadlockReport, SimOutcome};
 use crate::events::EventQueue;
@@ -118,9 +118,9 @@ pub struct SimConfig {
     /// change the schedule, the [`SimReport`], or its fingerprint — see
     /// [`crate::trace`].
     pub trace: Option<TraceOptions>,
-    /// Always-on runtime metrics (`None`, the default, compiles the
-    /// collection out of the hot loops entirely via the same `OBS`
-    /// monomorphization tracing uses). Metrics are *inert* like tracing:
+    /// Always-on runtime metrics (`None`, the default, records nothing and
+    /// adds no per-event work beyond a branch per hook). Metrics are
+    /// *inert* like tracing:
     /// they cannot change the schedule, the [`SimReport`], or its
     /// fingerprint.
     pub metrics: Option<MetricsPolicy>,
@@ -182,7 +182,8 @@ impl SimConfig {
     }
 
     /// Enable deterministic event tracing; retrieve the [`Trace`] via
-    /// [`TimedSimulator::run_with_trace`].
+    /// [`TimedSimulator::run_with_artifacts`] or
+    /// [`TimedSimulator::finish`].
     pub fn with_trace(mut self, options: TraceOptions) -> Self {
         self.trace = Some(options);
         self
@@ -190,7 +191,8 @@ impl SimConfig {
 
     /// Enable always-on runtime metrics under `policy`; retrieve the
     /// [`bp_metrics::MetricsTape`] via
-    /// [`TimedSimulator::run_with_metrics`].
+    /// [`TimedSimulator::run_with_artifacts`] or
+    /// [`TimedSimulator::finish_report`].
     pub fn with_metrics(mut self, policy: MetricsPolicy) -> Self {
         self.metrics = Some(policy);
         self
@@ -376,8 +378,7 @@ pub(crate) struct Shared {
     required_rate_hz: f64,
     num_sinks: usize,
     trace: Option<TraceOptions>,
-    /// Resolved metrics policy (`None` = metrics off, hot loops run the
-    /// unobserved `OBS = false` specialization).
+    /// Resolved metrics policy (`None` = metrics off).
     metrics: Option<ResolvedMetrics>,
     /// Per output-port slot ([`Routes::slot`](crate::runtime::Routes::slot))
     /// — fused destination records in route order.
@@ -527,6 +528,11 @@ pub(crate) fn build_shared(
         // zero-frame run verifies nothing, so it must not read as met.
         return Err(BpError::Simulation(
             "frames is 0; a run must push at least one frame".to_string(),
+        ));
+    }
+    if config.trace.is_some_and(|t| t.capacity == 0) {
+        return Err(BpError::Simulation(
+            "trace capacity is 0; the ring must hold at least one event".to_string(),
         ));
     }
     check_timing(&config.machine, &config.comm)?;
@@ -785,48 +791,43 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    /// An engine over freshly instantiated nodes and their tables, before
-    /// any constant has fired or any source has been seeded.
-    pub(crate) fn new(nodes: Vec<RtNode>, shared: Shared) -> Self {
-        let n = nodes.len();
-        let num_pes = shared.residents.len();
-        let num_chans = shared.channels.len();
+    /// An engine over freshly instantiated nodes and their tables. It
+    /// allocates nothing: the run state is sized by [`init`](Self::init),
+    /// so a simulator that is built and never run costs only its build.
+    pub(crate) fn new(nodes: Vec<RtNode>, shared: Arc<Shared>) -> Self {
         Self {
-            rr: vec![0; num_pes],
-            pe_inflight: (0..num_pes).map(|_| None).collect(),
-            dirty: vec![false; n],
-            dirty_count: vec![0; num_pes],
+            shared,
+            nodes,
+            rr: Vec::new(),
+            pe_inflight: Vec::new(),
+            dirty: Vec::new(),
+            dirty_count: Vec::new(),
             events: EventQueue::default(),
             now: 0.0,
-            stats: vec![PeStats::default(); num_pes],
-            node_busy: vec![0.0; n],
+            stats: Vec::new(),
+            node_busy: Vec::new(),
             violations: 0,
             sink_eof_times: Vec::new(),
             frame_start_times: Vec::new(),
-            custom_token_emissions: vec![0; n],
-            source_progress: vec![0; shared.tables.sources.len()],
-            budget_overruns: vec![0; n],
-            node_max_queue: vec![0; n],
-            credits: shared.channels.iter().map(|c| c.cap as i64).collect(),
-            busy_until: vec![0.0; num_chans],
-            wire: (0..num_chans).map(|_| VecDeque::new()).collect(),
-            send_seq: vec![0; num_chans],
-            credit_seq: vec![0; num_chans],
-            trace: shared.trace.map(TraceRecorder::new),
-            metrics: shared
-                .metrics
-                .as_ref()
-                .map(|m| MetricsRecorder::new(m.interval_s, m.window, num_pes, n, num_chans)),
-            pe_stall: vec![None; num_pes],
-            head_data: vec![0; n],
-            head_ctrl: vec![0; n],
+            custom_token_emissions: Vec::new(),
+            source_progress: Vec::new(),
+            budget_overruns: Vec::new(),
+            node_max_queue: Vec::new(),
+            credits: Vec::new(),
+            busy_until: Vec::new(),
+            wire: Vec::new(),
+            send_seq: Vec::new(),
+            credit_seq: Vec::new(),
+            trace: None,
+            metrics: None,
+            pe_stall: Vec::new(),
+            head_data: Vec::new(),
+            head_ctrl: Vec::new(),
             touched_buf: Vec::new(),
             wave_buf: Vec::new(),
-            wave_mask: vec![0; num_pes.div_ceil(64)],
-            rw_memo: vec![RwMemo::default(); shared.num_method_slots()],
-            space_waiting: vec![false; n],
-            shared: Arc::new(shared),
-            nodes,
+            wave_mask: Vec::new(),
+            rw_memo: Vec::new(),
+            space_waiting: Vec::new(),
         }
     }
 
@@ -856,10 +857,8 @@ impl Engine {
 
     /// Push a band-0 event (source emission / PE completion).
     #[inline]
-    fn push_event<const OBS: bool>(&mut self, t: f64, kind: EventKind) {
-        if OBS {
-            self.note_push();
-        }
+    fn push_event(&mut self, t: f64, kind: EventKind) {
+        self.note_push();
         self.events.push(t, kind);
     }
 
@@ -887,11 +886,39 @@ impl Engine {
         }
     }
 
-    /// Fire the startup constants (in program order) and seed the sources
-    /// — everything that happens before the first event pop.
+    /// Allocate the run state, then fire the startup constants (in program
+    /// order) and seed the sources — everything that happens before the
+    /// first event pop.
     pub(crate) fn init(&mut self) {
         let shared = Arc::clone(&self.shared);
         let sh = &*shared;
+        let n = self.nodes.len();
+        let num_pes = sh.residents.len();
+        let num_chans = sh.channels.len();
+        self.rr = vec![0; num_pes];
+        self.pe_inflight = (0..num_pes).map(|_| None).collect();
+        self.dirty = vec![false; n];
+        self.dirty_count = vec![0; num_pes];
+        self.stats = vec![PeStats::default(); num_pes];
+        self.node_busy = vec![0.0; n];
+        self.custom_token_emissions = vec![0; n];
+        self.source_progress = vec![0; sh.tables.sources.len()];
+        self.budget_overruns = vec![0; n];
+        self.node_max_queue = vec![0; n];
+        self.credits = sh.channels.iter().map(|c| c.cap as i64).collect();
+        self.busy_until = vec![0.0; num_chans];
+        self.wire = (0..num_chans).map(|_| VecDeque::new()).collect();
+        self.send_seq = vec![0; num_chans];
+        self.credit_seq = vec![0; num_chans];
+        self.trace = sh.trace.map(TraceRecorder::new);
+        self.metrics = (sh.metrics.as_ref())
+            .map(|m| MetricsRecorder::new(m.interval_s, m.window, num_pes, n, num_chans));
+        self.pe_stall = vec![None; num_pes];
+        self.head_data = vec![0; n];
+        self.head_ctrl = vec![0; n];
+        self.wave_mask = vec![0; num_pes.div_ceil(64)];
+        self.rw_memo = vec![RwMemo::default(); sh.num_method_slots()];
+        self.space_waiting = vec![false; n];
         // Constants fire at t = 0, before any source sample.
         for &(node, method) in &sh.tables.consts {
             self.record_untriggered_begin(node, method);
@@ -901,78 +928,42 @@ impl Engine {
             self.mark_dirty(node);
             let mut touched = std::mem::take(&mut self.touched_buf);
             touched.clear();
-            self.route::<true, true>(sh, node, emitted, &mut touched);
+            self.route(sh, node, emitted, &mut touched);
             self.record_untriggered_end(node);
-            self.dispatch_wave::<true, true>(sh, &mut touched);
+            self.dispatch_wave(sh, &mut touched);
             self.touched_buf = touched;
         }
         for source in 0..sh.tables.sources.len() {
-            self.push_event::<true>(0.0, EventKind::SourceEmit { source });
+            self.push_event(0.0, EventKind::SourceEmit { source });
         }
     }
 
-    /// Process pending events in `(t, ord)` order until `budget` events
-    /// have been handled or the queue drains; returns the number processed.
-    /// [`TimedSimulator`] calls this once with an open budget, the fleet
-    /// host's stepping (DESIGN.md §16) once per step. Chunking the drain
-    /// cannot change any result: every iteration pops and handles exactly
-    /// the event an unbounded call would have handled next.
+    /// The event loop: process pending events in `(t, ord)` order until
+    /// `budget` events have been handled or the queue drains; returns the
+    /// number processed. A one-shot run is one call with an open budget,
+    /// the fleet host's stepping (DESIGN.md §16) one call per step.
+    /// Chunking the drain cannot change any result: every iteration pops
+    /// and handles exactly the event an unbounded call would have handled
+    /// next. Every observer hook tests its own recorder.
     pub(crate) fn run(&mut self, budget: usize) -> usize {
         let shared = Arc::clone(&self.shared);
-        // Monomorphize the loop on which observers are attached. A
-        // metrics-only run takes `<true, false>`, so it pays the metrics
-        // hooks and nothing of the heavier trace machinery — which is what
-        // keeps always-on metrics inside their ≤5% budget (DESIGN.md §15).
-        if self.trace.is_some() {
-            self.run_on::<true, true>(&shared, budget)
-        } else if self.metrics.is_some() {
-            self.run_on::<true, false>(&shared, budget)
-        } else {
-            self.run_on::<false, false>(&shared, budget)
-        }
-    }
-
-    /// The event loop, monomorphized over observer presence. `OBS` gates
-    /// the metrics hooks; `JRN` gates the trace machinery (trace records
-    /// and exhaustive wakes) — it means "tracing attached". `JRN` implies
-    /// `OBS` at every call site. All
-    /// instantiations process events identically; the flags only gate code
-    /// that is dynamically dead in the configuration selecting them.
-    fn run_on<const OBS: bool, const JRN: bool>(&mut self, sh: &Shared, budget: usize) -> usize {
+        let sh = &*shared;
         let mut done = 0;
         while done < budget {
             let Some(ev) = self.events.pop() else { break };
             self.now = ev.t;
-            if OBS {
-                if let Some(m) = self.metrics.as_mut() {
-                    m.event_popped(ev.t);
-                }
+            if let Some(m) = self.metrics.as_mut() {
+                m.event_popped(ev.t);
             }
             match ev.payload {
-                EventKind::SourceEmit { source } => {
-                    self.handle_source_emit::<OBS, JRN>(sh, source);
-                }
-                EventKind::PeDone { pe } => {
-                    self.handle_pe_done::<OBS, JRN>(sh, pe);
-                }
+                EventKind::SourceEmit { source } => self.handle_source_emit(sh, source),
+                EventKind::PeDone { pe } => self.handle_pe_done(sh, pe),
                 EventKind::ChannelArrival { chan } => self.handle_channel_arrival(sh, chan),
                 EventKind::CreditReturn { chan } => self.handle_credit_return(sh, chan),
             }
             done += 1;
         }
         done
-    }
-
-    /// The current virtual time (timestamp of the last processed event;
-    /// `0.0` before any event).
-    pub(crate) fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Timestamp of the earliest pending event (`+inf` when idle), without
-    /// processing it.
-    pub(crate) fn next_pending(&self) -> f64 {
-        self.events.peek_time().unwrap_or(f64::INFINITY)
     }
 
     /// True when no event is pending.
@@ -984,25 +975,23 @@ impl Engine {
     /// charges it no PE time, so it is recorded as a begin/end pair at the
     /// current instant, bracketing its routing effects.
     fn record_untriggered_begin(&mut self, node: usize, method: usize) {
-        let (t, pe) = (self.now, self.shared.pe_of_node[node] as u32);
         if let Some(trace) = self.trace.as_mut() {
             trace.record(TraceEvent::FiringBegin {
-                t,
+                t: self.now,
                 node: node as u32,
                 method: method as u32,
-                pe,
+                pe: self.shared.pe_of_node[node] as u32,
                 cycles: 0,
             });
         }
     }
 
     fn record_untriggered_end(&mut self, node: usize) {
-        let (t, pe) = (self.now, self.shared.pe_of_node[node] as u32);
         if let Some(trace) = self.trace.as_mut() {
             trace.record(TraceEvent::FiringEnd {
-                t,
+                t: self.now,
                 node: node as u32,
-                pe,
+                pe: self.shared.pe_of_node[node] as u32,
             });
         }
     }
@@ -1019,7 +1008,7 @@ impl Engine {
         }
     }
 
-    fn handle_source_emit<const OBS: bool, const JRN: bool>(&mut self, sh: &Shared, source: usize) {
+    fn handle_source_emit(&mut self, sh: &Shared, source: usize) {
         let s = self.shared.tables.sources[source];
         if source == 0 && self.source_progress[source].is_multiple_of(s.frame.area()) {
             self.frame_start_times.push(self.now);
@@ -1040,17 +1029,13 @@ impl Engine {
         if full {
             self.record_input_overrun();
         }
-        if JRN {
-            self.record_untriggered_begin(s.node, s.method);
-        }
+        self.record_untriggered_begin(s.node, s.method);
         let emitted = self.nodes[s.node].fire_untriggered(s.method);
         let mut touched = std::mem::take(&mut self.touched_buf);
         touched.clear();
-        self.route::<OBS, JRN>(sh, s.node, emitted, &mut touched);
-        if JRN {
-            self.record_untriggered_end(s.node);
-        }
-        self.dispatch_wave::<OBS, JRN>(sh, &mut touched);
+        self.route(sh, s.node, emitted, &mut touched);
+        self.record_untriggered_end(s.node);
+        self.dispatch_wave(sh, &mut touched);
         self.touched_buf = touched;
 
         self.source_progress[source] += 1;
@@ -1058,13 +1043,13 @@ impl Engine {
         if self.source_progress[source] < total {
             let period = 1.0 / (s.rate_hz * s.frame.area() as f64);
             let t_next = self.source_progress[source] as f64 * period;
-            self.push_event::<OBS>(t_next, EventKind::SourceEmit { source });
+            self.push_event(t_next, EventKind::SourceEmit { source });
         }
     }
 
     /// The own-PE push is unconditional (bypassing the wave mask): the PE
     /// just came free, whatever routing touched.
-    fn handle_pe_done<const OBS: bool, const JRN: bool>(&mut self, sh: &Shared, pe: usize) {
+    fn handle_pe_done(&mut self, sh: &Shared, pe: usize) {
         let inflight = self.pe_inflight[pe]
             .take()
             .expect("PeDone without inflight");
@@ -1072,42 +1057,36 @@ impl Engine {
         self.stats[pe].read += inflight.read_s;
         self.stats[pe].write += inflight.write_s;
         self.node_busy[inflight.node] += inflight.run_s + inflight.read_s + inflight.write_s;
-        if OBS {
-            if let Some(m) = self.metrics.as_mut() {
-                m.firing_complete(
-                    self.now,
-                    pe,
-                    inflight.node,
-                    inflight.run_s + inflight.read_s + inflight.write_s,
-                );
-            }
+        if let Some(m) = self.metrics.as_mut() {
+            m.firing_complete(
+                self.now,
+                pe,
+                inflight.node,
+                inflight.run_s + inflight.read_s + inflight.write_s,
+            );
         }
-        if JRN {
-            if let Some(trace) = self.trace.as_mut() {
-                trace.record(TraceEvent::FiringEnd {
-                    t: self.now,
-                    node: inflight.node as u32,
-                    pe: pe as u32,
-                });
-            }
+        if let Some(trace) = self.trace.as_mut() {
+            trace.record(TraceEvent::FiringEnd {
+                t: self.now,
+                node: inflight.node as u32,
+                pe: pe as u32,
+            });
         }
         let mut touched = std::mem::take(&mut self.touched_buf);
         touched.clear();
-        self.route::<OBS, JRN>(sh, inflight.node, inflight.emitted, &mut touched);
+        self.route(sh, inflight.node, inflight.emitted, &mut touched);
         touched.push(pe);
-        self.dispatch_wave::<OBS, JRN>(sh, &mut touched);
+        self.dispatch_wave(sh, &mut touched);
         self.touched_buf = touched;
     }
 
     /// Dispatch a single-PE wave (arrival/credit events), allocation-free.
-    /// The comm handlers are not monomorphized over observers: every `OBS`
-    /// / `JRN` site also tests its recorder, so `<true, true>` fits any set.
     #[inline]
     fn dispatch_pe(&mut self, sh: &Shared, pe: usize) {
         let mut wave = std::mem::take(&mut self.wave_buf);
         wave.clear();
         wave.push(pe);
-        self.dispatch_wave::<true, true>(sh, &mut wave);
+        self.dispatch_wave(sh, &mut wave);
         self.wave_buf = wave;
     }
 
@@ -1309,7 +1288,7 @@ impl Engine {
     /// destination of a fan-out receives the item by move. A destination
     /// behind a delayed channel receives nothing now — the item goes onto
     /// the wire and lands at its [`EventKind::ChannelArrival`].
-    fn route<const OBS: bool, const JRN: bool>(
+    fn route(
         &mut self,
         sh: &Shared,
         from: usize,
@@ -1362,29 +1341,25 @@ impl Engine {
                 if depth > self.node_max_queue[dn] {
                     self.node_max_queue[dn] = depth;
                 }
-                if OBS {
+                if let Some(m) = self.metrics.as_mut() {
                     if let Some(chan) = sh.chan_into(dn, dp) {
-                        if let Some(m) = self.metrics.as_mut() {
-                            m.chan_depth(chan as usize, depth);
-                        }
+                        m.chan_depth(chan as usize, depth);
                     }
                 }
-                if JRN {
-                    if let Some(trace) = self.trace.as_mut() {
-                        trace.record(TraceEvent::QueueDepth {
+                if let Some(trace) = self.trace.as_mut() {
+                    trace.record(TraceEvent::QueueDepth {
+                        t: self.now,
+                        node: dn as u32,
+                        port: dp as u32,
+                        depth: depth as u32,
+                    });
+                    if let Some(token) = tok {
+                        trace.record(TraceEvent::Token {
                             t: self.now,
                             node: dn as u32,
                             port: dp as u32,
-                            depth: depth as u32,
+                            token,
                         });
-                        if let Some(token) = tok {
-                            trace.record(TraceEvent::Token {
-                                t: self.now,
-                                node: dn as u32,
-                                port: dp as u32,
-                                token,
-                            });
-                        }
                     }
                 }
                 self.mark_dirty(dn);
@@ -1405,11 +1380,7 @@ impl Engine {
     /// Attempt to start work on each PE in the (borrowed, caller-recycled)
     /// worklist; starting a firing frees upstream queue space, so upstream
     /// PEs are re-attempted transitively.
-    fn dispatch_wave<const OBS: bool, const JRN: bool>(
-        &mut self,
-        sh: &Shared,
-        worklist: &mut Vec<usize>,
-    ) {
+    fn dispatch_wave(&mut self, sh: &Shared, worklist: &mut Vec<usize>) {
         // An upstream wake's only new information is the space a firing's
         // consumption freed, so the untraced dispatcher wakes only
         // `space_waiting` producers (see the field's invariant). A *trace*
@@ -1420,13 +1391,13 @@ impl Engine {
         // such node is already `space_waiting` (marked by the scan that
         // first stalled it), so the filtered dispatcher re-scans exactly
         // the nodes whose stalls the exhaustive one would count.
-        let exhaustive = JRN && self.trace.is_some();
+        let exhaustive = self.trace.is_some();
         while let Some(pe) = worklist.pop() {
             self.wave_clear(pe);
             if self.pe_inflight[pe].is_some() {
                 continue;
             }
-            if let Some(node) = self.try_start::<OBS, JRN>(sh, pe) {
+            if let Some(node) = self.try_start(sh, pe) {
                 for &up in sh.upstream(node) {
                     if exhaustive || self.space_waiting[up] {
                         let up_pe = self.shared.pe_of_node[up];
@@ -1439,7 +1410,7 @@ impl Engine {
                         }
                     }
                 }
-            } else if JRN && self.trace.is_some() {
+            } else if self.trace.is_some() {
                 self.record_stall(pe);
             }
         }
@@ -1495,11 +1466,7 @@ impl Engine {
     /// pointer advances exactly as in an exhaustive scan. Planning goes
     /// through [`plan`](Self::plan); the space/credit/cost lookups hit the
     /// precomputed tables.
-    fn try_start<const OBS: bool, const JRN: bool>(
-        &mut self,
-        sh: &Shared,
-        pe: usize,
-    ) -> Option<usize> {
+    fn try_start(&mut self, sh: &Shared, pe: usize) -> Option<usize> {
         if self.dirty_count[pe] == 0 {
             return None;
         }
@@ -1528,9 +1495,7 @@ impl Engine {
                 // Plannable but space-blocked: only downstream consumption
                 // can unblock it, so flag it for the consumers' upstream
                 // wakes (the node stays dirty).
-                if OBS {
-                    self.note_stall(chan);
-                }
+                self.note_stall(chan);
                 self.space_waiting[node] = true;
                 continue;
             }
@@ -1565,10 +1530,8 @@ impl Engine {
             // exception (§VII) recorded per node.
             if cycles > declared {
                 self.budget_overruns[node] += 1;
-                if OBS {
-                    if let Some(m) = self.metrics.as_mut() {
-                        m.budget_overrun(self.now);
-                    }
+                if let Some(m) = self.metrics.as_mut() {
+                    m.budget_overrun(self.now);
                 }
             }
             let write_words: u64 = emitted.iter().map(|(_, i)| i.words()).sum();
@@ -1604,31 +1567,29 @@ impl Engine {
             });
             self.rr[pe] = idx;
             self.space_waiting[node] = false;
-            if JRN {
+            if let Some(trace) = self.trace.as_mut() {
                 self.pe_stall[pe] = None;
-                if let Some(trace) = self.trace.as_mut() {
-                    let t = self.now;
-                    trace.record(TraceEvent::FiringBegin {
+                let t = self.now;
+                trace.record(TraceEvent::FiringBegin {
+                    t,
+                    node: node as u32,
+                    method: mi as u32,
+                    pe: pe as u32,
+                    cycles,
+                });
+                // The firing consumed one item from each trigger port.
+                let queues = &self.nodes[node].queues;
+                for &port in trigger_ports {
+                    trace.record(TraceEvent::QueueDepth {
                         t,
                         node: node as u32,
-                        method: mi as u32,
-                        pe: pe as u32,
-                        cycles,
+                        port: port as u32,
+                        depth: queues[port].len() as u32,
                     });
-                    // The firing consumed one item from each trigger port.
-                    let queues = &self.nodes[node].queues;
-                    for &port in trigger_ports {
-                        trace.record(TraceEvent::QueueDepth {
-                            t,
-                            node: node as u32,
-                            port: port as u32,
-                            depth: queues[port].len() as u32,
-                        });
-                    }
                 }
             }
             let t_done = self.now + dt;
-            self.push_event::<OBS>(t_done, EventKind::PeDone { pe });
+            self.push_event(t_done, EventKind::PeDone { pe });
             return Some(node);
         }
         None
@@ -1822,22 +1783,25 @@ impl Engine {
         } = self;
         let (shared, nodes) = (&*shared, &nodes[..]);
         // One frame completes when all sinks have seen its end-of-frame:
-        // group the EOF arrivals per frame. The tape takes its completion
-        // times and end-to-end latencies (completed frames only) from the same
-        // grouping the report does, so the two agree on every engine.
-        let sinks = shared.num_sinks;
+        // group the EOF arrivals per frame, the last EOF of a group being
+        // the frame's completion. Only whole groups count, so a frame some
+        // sink has not finished has neither a completion nor a latency
+        // (first sample injection -> completion). The tape and the report
+        // take both from this one grouping.
         let completions: Vec<f64> = sink_eof_times
-            .chunks_exact(sinks)
+            .chunks_exact(shared.num_sinks)
             .map(|c| c.iter().cloned().fold(0.0f64, f64::max))
+            .collect();
+        let frame_latencies: Vec<f64> = (completions.iter())
+            .zip(&frame_start_times)
+            .map(|(c, s)| c - s)
             .collect();
         // (A recorder exists only when a metrics policy was resolved.)
         let tape = metrics
             .zip(shared.metrics.as_ref())
             .map(|(mut rec, policy)| {
-                let starts = frame_start_times.iter();
-                let latencies: Vec<f64> =
-                    completions.iter().zip(starts).map(|(c, s)| c - s).collect();
-                MetricsTape::assemble(&mut rec, &policy.contracts, &completions, &latencies, now)
+                let contracts = &policy.contracts;
+                MetricsTape::assemble(&mut rec, contracts, &completions, &frame_latencies, now)
             });
         // Everything settled. If any node still has a fireable plan, the
         // only thing that can have stopped it is downstream capacity — with
@@ -1879,7 +1843,7 @@ impl Engine {
         }
         let residual: u64 = nodes.iter().map(|n| n.queued_items() as u64).sum();
 
-        let frames_completed = (sink_eof_times.len() / sinks) as u32;
+        let frames_completed = completions.len() as u32;
         // Rate the completions.
         let achieved = if completions.len() >= 2 && *completions.last().unwrap() > completions[0] {
             (completions.len() - 1) as f64 / (completions.last().unwrap() - completions[0])
@@ -1889,13 +1853,6 @@ impl Engine {
             0.0
         };
         let met = violations == 0 && frames_completed >= shared.frames;
-        // Per-frame latency: first sample injection -> sink end-of-frame.
-        // With several sinks, take the last EOF of each frame.
-        let frame_latencies: Vec<f64> = sink_eof_times
-            .chunks(sinks)
-            .zip(frame_start_times.iter())
-            .map(|(eofs, start)| eofs.iter().cloned().fold(0.0f64, f64::max) - start)
-            .collect();
         // §II-C: verify every kernel stayed within its declared custom-token
         // rate bounds over the simulated interval.
         let mut token_rate_violations = Vec::new();
@@ -1936,17 +1893,84 @@ impl Engine {
 }
 
 /// The timing-accurate simulator. Construct with a graph, a kernel-to-PE
-/// mapping, and a configuration, then [`run`](Self::run).
+/// mapping, and a configuration, then either [`run`](Self::run) it in one
+/// call or advance it a bounded number of events at a time with
+/// [`step`](Self::step) and settle it with [`finish`](Self::finish).
+///
+/// Stepping is *chunk-invariant*: every `step` pops and handles exactly
+/// the events an unbounded run would have handled next, in the same
+/// `(t, ord)` order, with the same per-event code — a one-shot run is one
+/// step with an open budget. The simulator owns everything it runs over
+/// (event queue, clock, nodes, recorders), so interleaving other
+/// simulations between two steps, or moving it to another thread, cannot
+/// perturb it: the settled [`SimReport`] fingerprint and [`MetricsTape`]
+/// digest are bitwise those of an uninterrupted run, whatever the step
+/// sizes. The fleet host co-schedules its tenants this way (DESIGN.md §16).
 pub struct TimedSimulator {
-    nodes: Vec<RtNode>,
-    shared: Shared,
+    engine: Engine,
+    started: bool,
+    processed: u64,
 }
 
+/// The name the frozen benchmark package imports for the stepping entry
+/// point; it is [`TimedSimulator`] and goes with the next benchmark-only
+/// change.
+pub type SteppableSim = TimedSimulator;
+
 impl TimedSimulator {
-    /// Instantiate the graph under the given mapping.
+    /// Instantiate the graph under the given mapping. No constant fires
+    /// and no event is processed until the first [`step`](Self::step) (or
+    /// a run), and the run state is not allocated until then either.
     pub fn new(graph: &AppGraph, mapping: &Mapping, config: SimConfig) -> Result<Self> {
         let (nodes, shared) = build_shared(graph, mapping, config)?;
-        Ok(Self { nodes, shared })
+        Ok(Self {
+            engine: Engine::new(nodes, Arc::new(shared)),
+            started: false,
+            processed: 0,
+        })
+    }
+
+    /// Advance the simulation by at most `max_events` events and return
+    /// how many were processed. The first call additionally fires the
+    /// startup constants and seeds the sources (outside the budget: they
+    /// precede the first pop). A short count means the simulation
+    /// settled: the queue drained before the budget did.
+    pub fn step(&mut self, max_events: usize) -> usize {
+        self.start();
+        let done = self.engine.run(max_events);
+        self.processed += done as u64;
+        done
+    }
+
+    /// True when the simulation has settled: it was started and no pending
+    /// event remains. Further [`step`](Self::step) calls process nothing.
+    pub fn is_done(&self) -> bool {
+        self.started && self.engine.is_idle()
+    }
+
+    /// Total events processed across all [`step`](Self::step) calls.
+    pub fn events_processed(&self) -> u64 {
+        self.processed
+    }
+
+    /// Settle the simulation as it stands into its outcome, the recorded
+    /// [`Trace`] (when [`SimConfig::trace`] was set) and the metrics tape
+    /// (when a metrics policy was set). After [`is_done`](Self::is_done)
+    /// this is the full run's result; finishing early reports the
+    /// simulation as it stands (typically a capacity-deadlock diagnosis or
+    /// an incomplete frame count). A simulator never stepped is started
+    /// first, so its constants and seeds are in what it reports.
+    pub fn finish(mut self) -> (SimOutcome, Option<Trace>, Option<MetricsTape>) {
+        self.start();
+        self.engine.finish()
+    }
+
+    /// [`finish`](Self::finish) without the trace, unwrapped to a
+    /// completed [`SimReport`] (a capacity deadlock becomes a simulation
+    /// error carrying the rendered diagnosis).
+    pub fn finish_report(self) -> Result<(SimReport, Option<MetricsTape>)> {
+        let (outcome, _, tape) = self.finish();
+        Ok((outcome.into_report()?, tape))
     }
 
     /// Run the simulation to completion and report. A capacity deadlock
@@ -1954,55 +1978,33 @@ impl TimedSimulator {
     /// [`DeadlockReport`]; use [`run_outcome`](Self::run_outcome) to get
     /// the structured diagnosis instead.
     pub fn run(self) -> Result<SimReport> {
-        self.run_with_trace().map(|(report, _)| report)
+        self.run_with_artifacts().map(|(report, _, _)| report)
     }
 
     /// Run the simulation and report how it settled: completed, or
     /// capacity-deadlocked with a structured [`DeadlockReport`].
-    pub fn run_outcome(self) -> SimOutcome {
-        self.run_outcome_with_trace().0
-    }
-
-    /// Run the simulation and also return the recorded [`Trace`] when
-    /// [`SimConfig::trace`] was set (`None` otherwise). The report is
-    /// bit-identical to [`run`](Self::run)'s — tracing is inert.
-    pub fn run_with_trace(self) -> Result<(SimReport, Option<Trace>)> {
-        let (outcome, trace) = self.run_outcome_with_trace();
-        Ok((outcome.into_report()?, trace))
-    }
-
-    /// Run the simulation and also return the assembled [`MetricsTape`]
-    /// when [`SimConfig::with_metrics`] was set (`None` otherwise). The
-    /// report is bit-identical to [`run`](Self::run)'s — metrics
-    /// collection, like tracing, is inert.
-    pub fn run_with_metrics(self) -> Result<(SimReport, Option<MetricsTape>)> {
-        let (outcome, _, tape) = self.run_outcome_with_artifacts();
-        Ok((outcome.into_report()?, tape))
+    pub fn run_outcome(mut self) -> SimOutcome {
+        self.step(usize::MAX);
+        self.finish().0
     }
 
     /// Run the simulation and return every observation artifact at once:
     /// the report, the trace (when tracing), and the metrics tape (when a
-    /// metrics policy was set).
-    pub fn run_with_artifacts(self) -> Result<(SimReport, Option<Trace>, Option<MetricsTape>)> {
-        let (outcome, trace, tape) = self.run_outcome_with_artifacts();
+    /// metrics policy was set). Both are inert: the report is bit-identical
+    /// to [`run`](Self::run)'s.
+    pub fn run_with_artifacts(mut self) -> Result<(SimReport, Option<Trace>, Option<MetricsTape>)> {
+        self.step(usize::MAX);
+        let (outcome, trace, tape) = self.finish();
         Ok((outcome.into_report()?, trace, tape))
     }
 
-    /// [`run_outcome`](Self::run_outcome), plus the recorded [`Trace`]
-    /// when tracing was enabled (recorded up to the point of settlement,
-    /// deadlocked or not).
-    pub fn run_outcome_with_trace(self) -> (SimOutcome, Option<Trace>) {
-        let (outcome, trace, _) = self.run_outcome_with_artifacts();
-        (outcome, trace)
-    }
-
-    /// The full artifact set from one run: outcome, trace (when tracing),
-    /// and metrics tape (when a metrics policy was set).
-    fn run_outcome_with_artifacts(self) -> (SimOutcome, Option<Trace>, Option<MetricsTape>) {
-        let mut sim = Engine::new(self.nodes, self.shared);
-        sim.init();
-        sim.run(usize::MAX);
-        sim.finish()
+    /// Allocate the run state, fire the constants and seed the sources,
+    /// once.
+    fn start(&mut self) {
+        if !self.started {
+            self.started = true;
+            self.engine.init();
+        }
     }
 }
 
@@ -2021,6 +2023,113 @@ mod tests {
         b.connect(src, "out", k, "in");
         b.connect(k, "out", snk, "in");
         b.build().unwrap()
+    }
+
+    /// Stepping in any chunk size reproduces the one-shot run bit for bit.
+    #[test]
+    fn stepped_run_matches_one_shot() {
+        let g = chain_graph(bp_kernels::scale(2.0, 0.0));
+        let mapping = Mapping::one_to_one(g.node_count());
+        let config = SimConfig::new(2);
+        let want = TimedSimulator::new(&g, &mapping, config.clone())
+            .unwrap()
+            .run()
+            .unwrap()
+            .fingerprint();
+        for budget in [1usize, 3, 7, 1024] {
+            let mut sim = TimedSimulator::new(&g, &mapping, config.clone()).unwrap();
+            while !sim.is_done() {
+                sim.step(budget);
+            }
+            let (report, _) = sim.finish_report().unwrap();
+            assert_eq!(report.fingerprint(), want, "budget {budget} diverged");
+        }
+    }
+
+    /// A simulator stepped on one thread, moved, and finished on another —
+    /// what the fleet host does between rounds. `Send` is derived from the
+    /// fields, not asserted by hand.
+    #[test]
+    fn stepping_survives_a_thread_hop() {
+        fn assert_send<T: Send>() {}
+        assert_send::<TimedSimulator>();
+        let g = chain_graph(bp_kernels::scale(2.0, 0.0));
+        let mapping = Mapping::one_to_one(g.node_count());
+        let want = TimedSimulator::new(&g, &mapping, SimConfig::new(2))
+            .unwrap()
+            .run()
+            .unwrap()
+            .fingerprint();
+        let mut sim = TimedSimulator::new(&g, &mapping, SimConfig::new(2)).unwrap();
+        sim.step(9);
+        let report = std::thread::spawn(move || {
+            while !sim.is_done() {
+                sim.step(13);
+            }
+            sim.finish_report().unwrap().0
+        })
+        .join()
+        .expect("stepping thread panicked");
+        assert_eq!(report.fingerprint(), want);
+    }
+
+    /// The simulator stays valid when moved between steps.
+    #[test]
+    fn stepping_survives_moves() {
+        let g = chain_graph(bp_kernels::scale(2.0, 0.0));
+        let mapping = Mapping::one_to_one(g.node_count());
+        let want = TimedSimulator::new(&g, &mapping, SimConfig::new(1))
+            .unwrap()
+            .run()
+            .unwrap()
+            .fingerprint();
+        let mut sim = TimedSimulator::new(&g, &mapping, SimConfig::new(1)).unwrap();
+        sim.step(5);
+        let mut moved = Box::new(sim);
+        moved.step(5);
+        let mut back = *moved;
+        while !back.is_done() {
+            back.step(11);
+        }
+        let (report, _) = back.finish_report().unwrap();
+        assert_eq!(report.fingerprint(), want);
+    }
+
+    /// A report carries a latency only for a frame every sink finished. Two
+    /// sinks at different depths finish each frame at different events, so
+    /// stopping after every possible number of events also stops between
+    /// them: each settled report must hold as many frame latencies as
+    /// completed frames, with the comm model off and on.
+    #[test]
+    fn a_frame_some_sink_has_not_finished_has_no_latency() {
+        let dim = Dim2::new(8, 6);
+        let mut b = GraphBuilder::new();
+        let src = b.add_source("In", bp_kernels::pattern_source(dim), dim, 50.0);
+        let k1 = b.add("K1", bp_kernels::scale(2.0, 0.0));
+        let k2 = b.add("K2", bp_kernels::scale(2.0, 0.0));
+        let k3 = b.add("K3", bp_kernels::scale(2.0, 0.0));
+        let out1 = b.add("Out1", bp_kernels::sink().0);
+        let out2 = b.add("Out2", bp_kernels::sink().0);
+        b.connect(src, "out", k1, "in");
+        b.connect(k1, "out", out1, "in");
+        b.connect(src, "out", k2, "in");
+        b.connect(k2, "out", k3, "in");
+        b.connect(k3, "out", out2, "in");
+        let g = b.build().unwrap();
+        let mapping = Mapping::one_to_one(g.node_count());
+        for comm in [CommModel::zero(), CommModel::uniform(1e-3, 0.0)] {
+            let config = SimConfig::new(2).with_comm(comm);
+            let mut full = TimedSimulator::new(&g, &mapping, config.clone()).unwrap();
+            let total = full.step(usize::MAX);
+            for k in 0..=total {
+                let mut sim = TimedSimulator::new(&g, &mapping, config.clone()).unwrap();
+                sim.step(k);
+                if let SimOutcome::Completed(report) = sim.finish().0 {
+                    let frames = report.frames_completed as usize;
+                    assert_eq!(report.frame_latencies.len(), frames, "after {k} events");
+                }
+            }
+        }
     }
 
     /// Every field of [`SimConfig`] is a run configuration someone must
@@ -2300,7 +2409,8 @@ mod tests {
     /// is infinite, NaN or out of range is a typed error naming the input,
     /// not a run to a +inf verdict, a panic in the metrics recorder, or a
     /// NaN event time. So is a run of no frames, which verifies nothing yet
-    /// would report the real-time constraint met at 0 Hz.
+    /// would report the real-time constraint met at 0 Hz, and a trace ring
+    /// of no events, however it was spelled.
     #[test]
     fn non_finite_timing_inputs_are_typed_errors() {
         let g = chain_graph(bp_kernels::scale(2.0, 0.0));
@@ -2341,6 +2451,14 @@ mod tests {
             (
                 SimConfig::new(1).with_comm(CommModel::uniform(0.0, f64::NAN)),
                 "comm per_word_s",
+            ),
+            (
+                SimConfig::new(1).with_trace(TraceOptions::with_capacity(0)),
+                "trace capacity is 0; the ring must hold at least one event",
+            ),
+            (
+                SimConfig::new(1).with_trace(TraceOptions { capacity: 0 }),
+                "trace capacity is 0",
             ),
             (
                 SimConfig::new(1).with_metrics(MetricsPolicy::new().with_interval_s(f64::INFINITY)),

@@ -26,9 +26,10 @@ impl ParallelTimedSimulator {
         TimedSimulator::new(graph, mapping, config).map(Self)
     }
 
-    /// [`TimedSimulator::run_with_trace`], plus one-shard stats.
+    /// [`TimedSimulator::run_with_artifacts`] without the tape, plus
+    /// one-shard stats.
     pub fn run_with_stats(self) -> Result<(SimReport, Option<Trace>, ParallelRunStats)> {
-        let (report, trace) = self.0.run_with_trace()?;
+        let (report, trace, _) = self.0.run_with_artifacts()?;
         let stats = ParallelRunStats {
             shards: 1,
             windows: 0,

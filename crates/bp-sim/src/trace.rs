@@ -256,7 +256,7 @@ impl TraceEvent {
 pub struct TraceOptions {
     /// Ring capacity in events. When the recorder fills, the oldest events
     /// are dropped (counted in [`Trace::dropped`]); a trace with
-    /// `dropped == 0` is complete.
+    /// `dropped == 0` is complete. Must be at least 1.
     pub capacity: usize,
 }
 
@@ -271,9 +271,9 @@ impl Default for TraceOptions {
 }
 
 impl TraceOptions {
-    /// A ring bounded at `capacity` events.
+    /// A ring bounded at `capacity` events. A ring of 0 events records
+    /// nothing, so [`crate::TimedSimulator::new`] refuses it.
     pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "trace capacity must be positive");
         Self { capacity }
     }
 }
@@ -289,7 +289,7 @@ pub(crate) struct TraceRecorder {
 impl TraceRecorder {
     pub(crate) fn new(opts: TraceOptions) -> Self {
         Self {
-            capacity: opts.capacity.max(1),
+            capacity: opts.capacity,
             // The whole default ring is reserved up front: a 32 MiB request
             // is always its own mapping, resident only where written and
             // unmapped on drop. Growing by doubling instead left the ring's

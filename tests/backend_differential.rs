@@ -124,10 +124,10 @@ fn compiled_traces_are_bitwise_identical() {
                 let app = build_example(name);
                 let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
                 let config = config_with(&comm, backend).with_trace(TraceOptions::default());
-                let (report, trace) =
+                let (report, trace, _) =
                     TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
                         .expect("instantiate")
-                        .run_with_trace()
+                        .run_with_artifacts()
                         .expect("runs");
                 (report.fingerprint(), trace.expect("trace recorded"))
             };

@@ -14,7 +14,7 @@
 use bp_apps::{apps, App, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
 use bp_core::{AppGraph, CommModel, Dim2, GraphBuilder, Mapping, MetricsPolicy};
-use bp_sim::{Backend, SimConfig, SimReport, SteppableSim, TimedSimulator};
+use bp_sim::{Backend, SimConfig, SimReport, TimedSimulator};
 
 const FRAMES: u32 = 2;
 /// Events per step of the stepped runs: small and prime, so step
@@ -70,10 +70,11 @@ fn observe(
         if metrics {
             config = config.with_metrics(MetricsPolicy::new());
         }
+        let mut sim = TimedSimulator::new(graph, mapping, config)?;
         if !stepped {
-            return TimedSimulator::new(graph, mapping, config)?.run_with_metrics();
+            let (report, _, tape) = sim.run_with_artifacts()?;
+            return Ok((report, tape));
         }
-        let mut sim = SteppableSim::new(graph, mapping, config)?;
         while !sim.is_done() {
             sim.step(STEP);
         }

@@ -15,14 +15,14 @@
 //! - **Causality**: no message arrives before it was sent, and never
 //!   sooner than the model's per-channel minimum latency.
 //! - **Engine equivalence**: the engine stepped a few events at a time
-//!   (`SteppableSim`, what the fleet host runs) reproduces the one-shot
+//!   (`TimedSimulator::step`, what the fleet host runs) reproduces the one-shot
 //!   run's fingerprint (or the identical error) for the same graph and
 //!   model.
 
 use bp_compiler::{compile, CompileOptions, MappingKind};
 use bp_core::{CommModel, Dim2, GraphBuilder, NodeId, Rng64};
 use bp_kernels as k;
-use bp_sim::{SimConfig, SimReport, SteppableSim, TimedSimulator, Trace, TraceEvent, TraceOptions};
+use bp_sim::{SimConfig, SimReport, TimedSimulator, Trace, TraceEvent, TraceOptions};
 
 const FRAMES: u32 = 2;
 const CASES: u64 = 12;
@@ -217,7 +217,8 @@ fn random_dags_preserve_fifo_conservation_and_engine_equivalence() {
         let seq: bp_core::Result<(SimReport, Option<Trace>)> =
             TimedSimulator::new(&compiled.graph, &compiled.mapping, config.clone())
                 .expect("instantiate")
-                .run_with_trace();
+                .run_with_artifacts()
+                .map(|(report, trace, _)| (report, trace));
 
         match &seq {
             Ok((_, trace)) => {
@@ -239,7 +240,7 @@ fn random_dags_preserve_fifo_conservation_and_engine_equivalence() {
         }
 
         for budget in [1usize, 7] {
-            let mut sim = SteppableSim::new(&compiled.graph, &compiled.mapping, config.clone())
+            let mut sim = TimedSimulator::new(&compiled.graph, &compiled.mapping, config.clone())
                 .expect("instantiate");
             while !sim.is_done() {
                 sim.step(budget);
@@ -287,9 +288,9 @@ fn profiled_model_is_conservative_for_random_dags() {
             .with_machine(opts.machine)
             .with_comm(model.clone())
             .with_trace(TraceOptions::default());
-        let Ok((_, trace)) = TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
+        let Ok((_, trace, _)) = TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
             .expect("instantiate")
-            .run_with_trace()
+            .run_with_artifacts()
         else {
             continue; // deadlocked case: covered by the equivalence test
         };

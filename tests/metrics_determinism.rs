@@ -73,9 +73,9 @@ fn run_tape(name: &str, comm: &CommModel, backend: Backend) -> (u64, String) {
         .with_comm(comm.clone())
         .with_backend(backend)
         .with_metrics(MetricsPolicy::new());
-    let (_, tape) = TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
+    let (_, _, tape) = TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
         .expect("instantiate")
-        .run_with_metrics()
+        .run_with_artifacts()
         .expect("run");
     let tape = tape.expect("metrics policy set but no tape");
     (tape.digest(), tape.to_jsonl())

@@ -202,7 +202,7 @@ fn run_allocations(compiled: &Compiled, frames: u32, traced: bool) -> u64 {
     }
     let before = ALLOCATIONS.with(Cell::get);
     let sim = TimedSimulator::new(&compiled.graph, &compiled.mapping, config).expect("instantiate");
-    let outcome = sim.run_with_trace().expect("run");
+    let outcome = sim.run_with_artifacts().expect("run");
     let allocations = ALLOCATIONS.with(Cell::get) - before;
     drop(outcome);
     allocations

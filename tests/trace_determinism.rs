@@ -58,7 +58,8 @@ fn run_config(name: &str, config: SimConfig) -> bp_core::Result<(SimReport, Opti
     let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
     TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
         .expect("instantiate")
-        .run_with_trace()
+        .run_with_artifacts()
+        .map(|(report, trace, _)| (report, trace))
 }
 
 fn run_sequential(name: &str, trace: bool) -> bp_core::Result<(SimReport, Option<Trace>)> {
@@ -265,9 +266,9 @@ fn bounded_ring_truncates_without_perturbing_results() {
     let app = build_example("fig1b");
     let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
     let config = SimConfig::new(FRAMES).with_trace(TraceOptions::with_capacity(64));
-    let (report, trace) = TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
+    let (report, trace, _) = TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
         .expect("instantiate")
-        .run_with_trace()
+        .run_with_artifacts()
         .expect("run");
     let trace = trace.expect("tracing enabled");
     assert_eq!(trace.events.len(), 64, "ring should be at capacity");

@@ -102,7 +102,7 @@ pub fn shape_key(graph: &AppGraph) -> u64 {
         for m in &spec.methods {
             h.str(&m.name);
             h.u64(m.triggers.len() as u64);
-            for t in &m.triggers {
+            for t in m.triggers.iter() {
                 h.str(&t.input);
                 match t.on {
                     TriggerOn::Data => h.u64(1),
@@ -113,7 +113,7 @@ pub fn shape_key(graph: &AppGraph) -> u64 {
                 }
             }
             h.u64(m.outputs.len() as u64);
-            for o in &m.outputs {
+            for o in m.outputs.iter() {
                 h.str(o);
             }
             h.u64(m.cost.cycles);

@@ -5,7 +5,7 @@
 //! result — but the margins and insertion points are computed by the
 //! compiler from the inset analysis (Fig. 8).
 
-use crate::dataflow::{analyze_with, Strictness};
+use crate::dataflow::{analyze_with, Dataflow, Strictness};
 use crate::inset::{analyze_insets, regions_for};
 use bp_core::graph::{AppGraph, NodeId};
 use bp_core::kernel::NodeRole;
@@ -65,11 +65,21 @@ fn to_margin(v: f64, what: &str) -> Result<u32> {
 /// data, inserting trim or pad kernels per the policy. Returns what was
 /// inserted.
 pub fn align(graph: &mut AppGraph, policy: AlignPolicy) -> Result<AlignReport> {
+    align_analyzed(graph, policy).map(|(report, _)| report)
+}
+
+/// [`align`], also returning the data-flow analysis of the aligned graph.
+/// A lenient analysis that finds no misalignment is the strict one: the
+/// two modes differ only where inputs disagree.
+pub(crate) fn align_analyzed(
+    graph: &mut AppGraph,
+    policy: AlignPolicy,
+) -> Result<(AlignReport, Dataflow)> {
     let mut report = AlignReport::default();
     for _round in 0..8 {
         let df = analyze_with(graph, Strictness::Lenient)?;
         if df.misalignments.is_empty() {
-            return Ok(report);
+            return Ok((report, df));
         }
         let insets = analyze_insets(graph)?;
         // Fix the first misalignment, then re-analyze (fixes can interact).
@@ -140,8 +150,8 @@ pub fn align(graph: &mut AppGraph, policy: AlignPolicy) -> Result<AlignReport> {
         }
     }
     // Final consistency check.
-    analyze_with(graph, Strictness::Strict)?;
-    Ok(report)
+    let df = analyze_with(graph, Strictness::Strict)?;
+    Ok((report, df))
 }
 
 /// Insert an inset kernel on the channel feeding `(node, port)`.

@@ -4,7 +4,7 @@
 //! feedback-aware channel-capacity derivation (§III-D) that sizes loop
 //! back edges so every primed feedback cycle can drain.
 
-use crate::dataflow::analyze;
+use crate::dataflow::{analyze, Dataflow};
 use bp_core::capacity::{derive_channel_capacities, feedback_loops, ChannelCapacities};
 use bp_core::graph::AppGraph;
 use bp_core::kernel::NodeRole;
@@ -112,6 +112,16 @@ pub fn derive_capacities(graph: &AppGraph) -> CapacityReport {
 /// alignment (§III-C) and before parallelization (§IV).
 pub fn insert_buffers(graph: &mut AppGraph) -> Result<BufferingReport> {
     let df = analyze(graph)?;
+    insert_buffers_analyzed(graph, df).map(|(report, _)| report)
+}
+
+/// [`insert_buffers`] on a graph whose data-flow analysis `df` is at hand,
+/// also returning the analysis of the buffered graph — `df` itself when
+/// no buffer went in.
+pub(crate) fn insert_buffers_analyzed(
+    graph: &mut AppGraph,
+    df: Dataflow,
+) -> Result<(BufferingReport, Dataflow)> {
     let mut report = BufferingReport::default();
 
     let channels: Vec<_> = graph.channels().collect();
@@ -153,8 +163,12 @@ pub fn insert_buffers(graph: &mut AppGraph) -> Result<BufferingReport> {
         });
     }
     // The transformed graph must still analyze cleanly.
-    analyze(graph)?;
-    Ok(report)
+    let df = if report.inserted.is_empty() {
+        df
+    } else {
+        analyze(graph)?
+    };
+    Ok((report, df))
 }
 
 #[cfg(test)]

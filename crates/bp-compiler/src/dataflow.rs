@@ -53,8 +53,6 @@ impl ChannelInfo {
 pub struct NodeAnalysis {
     /// Iteration grid of the node's primary windowed data method, if any.
     pub iterations: Option<Dim2>,
-    /// Invocations per second of each method (indexed like the spec).
-    pub method_rate_hz: Vec<f64>,
     /// Total compute demand (method cycles only).
     pub compute_cycles_per_sec: f64,
     /// Words read from inputs per second.
@@ -106,9 +104,23 @@ pub struct Dataflow {
     pub nodes: Vec<NodeAnalysis>,
     /// Misalignments found (lenient mode only).
     pub misalignments: Vec<Misalignment>,
+    /// Every node's method rates, flat: node `i`'s are
+    /// `method_rates[method_base[i]..method_base[i + 1]]`.
+    method_rates: Vec<f64>,
+    method_base: Vec<u32>,
 }
 
 impl Dataflow {
+    /// Invocations per second of each method of `node` (indexed like its
+    /// spec's methods).
+    pub fn method_rate_hz(&self, node: NodeId) -> &[f64] {
+        &self.method_rates[self.method_range(node)]
+    }
+
+    fn method_range(&self, node: NodeId) -> std::ops::Range<usize> {
+        self.method_base[node.0] as usize..self.method_base[node.0 + 1] as usize
+    }
+
     /// The info on the single channel feeding `(node, input port)`.
     pub fn input_info(&self, graph: &AppGraph, node: NodeId, port: usize) -> Option<ChannelInfo> {
         let (cid, _) = graph.channel_into(node, port)?;
@@ -134,10 +146,17 @@ pub fn analyze(graph: &AppGraph) -> Result<Dataflow> {
 /// Run the analysis with the given strictness.
 pub fn analyze_with(graph: &AppGraph, mode: Strictness) -> Result<Dataflow> {
     let n = graph.node_count();
+    let mut method_base = Vec::with_capacity(n + 1);
+    method_base.push(0u32);
+    for (_, node) in graph.nodes() {
+        method_base.push(method_base[method_base.len() - 1] + node.spec().methods.len() as u32);
+    }
     let mut df = Dataflow {
         channels: ChannelMap::for_graph(graph),
         nodes: vec![NodeAnalysis::default(); n],
         misalignments: Vec::new(),
+        method_rates: vec![0.0; method_base[n] as usize],
+        method_base,
     };
     let mut scratch = Scratch::default();
 
@@ -218,12 +237,12 @@ fn force_feedback(
                     // Leave the node analysis rates to a later visit; the
                     // pass below recomputes them when the in-channel is
                     // known. For now approximate with the mirrored info.
-                    let mut na = NodeAnalysis {
-                        method_rate_hz: vec![0.0; node.spec().methods.len()],
-                        ..Default::default()
-                    };
+                    let mut na = NodeAnalysis::default();
+                    let range = df.method_range(*id);
+                    let rates = &mut df.method_rates[range];
+                    rates.fill(0.0);
                     if let Some(mi) = node.spec().methods.iter().position(|m| m.is_data_method()) {
-                        na.method_rate_hz[mi] = info.items_per_sec;
+                        rates[mi] = info.items_per_sec;
                         na.compute_cycles_per_sec =
                             info.items_per_sec * node.spec().methods[mi].cost.cycles as f64;
                         na.read_words_per_sec = info.words_per_sec();
@@ -247,6 +266,8 @@ struct Scratch {
     fed: Vec<bool>,
     /// What the node puts on the channels out of each output port.
     out_info: Vec<Option<ChannelInfo>>,
+    /// Invocations per second of each of the node's methods.
+    rates: Vec<f64>,
     windowed: WindowedScratch,
 }
 
@@ -275,6 +296,7 @@ fn try_analyze_node(
         inputs,
         fed,
         out_info,
+        rates,
         windowed,
     } = scratch;
 
@@ -296,13 +318,9 @@ fn try_analyze_node(
         return Ok(false);
     }
 
-    let mut na = NodeAnalysis {
-        iterations: None,
-        method_rate_hz: vec![0.0; spec.methods.len()],
-        compute_cycles_per_sec: 0.0,
-        read_words_per_sec: 0.0,
-        write_words_per_sec: 0.0,
-    };
+    let mut na = NodeAnalysis::default();
+    rates.clear();
+    rates.resize(spec.methods.len(), 0.0);
 
     // Per-port output info to install on out channels.
     out_info.clear();
@@ -326,7 +344,7 @@ fn try_analyze_node(
                 *oi = Some(ci);
             }
             if let Some(mi) = spec.methods.iter().position(|m| m.is_source()) {
-                na.method_rate_hz[mi] = ci.items_per_sec;
+                rates[mi] = ci.items_per_sec;
                 na.compute_cycles_per_sec = ci.items_per_sec * spec.methods[mi].cost.cycles as f64;
                 na.write_words_per_sec = ci.items_per_sec;
             }
@@ -374,7 +392,7 @@ fn try_analyze_node(
                 rows_per_sec: iters.h as f64 * in_info.datasets_per_sec(),
                 eof_per_sec: in_info.eof_per_sec,
             });
-            rate_methods(spec, table, inputs, &mut na);
+            rate_methods(spec, table, inputs, rates);
         }
         NodeRole::Split => {
             let in_info = inputs[0].unwrap();
@@ -402,7 +420,7 @@ fn try_analyze_node(
                     }
                 }
             }
-            rate_methods(spec, table, inputs, &mut na);
+            rate_methods(spec, table, inputs, rates);
         }
         NodeRole::Join => {
             let total: f64 = inputs.iter().map(|i| i.unwrap().items_per_sec).sum();
@@ -418,23 +436,23 @@ fn try_analyze_node(
                 items_per_sec: total,
                 ..first
             });
-            rate_methods(spec, table, inputs, &mut na);
+            rate_methods(spec, table, inputs, rates);
         }
         NodeRole::Replicate => {
             let in_info = inputs[0].unwrap();
             for oi in out_info.iter_mut() {
                 *oi = Some(in_info);
             }
-            rate_methods(spec, table, inputs, &mut na);
+            rate_methods(spec, table, inputs, rates);
         }
         NodeRole::Feedback => {
             // Pass-through; shape mirrors the input.
             let in_info = inputs[0].unwrap();
             out_info[0] = Some(in_info);
-            rate_methods(spec, table, inputs, &mut na);
+            rate_methods(spec, table, inputs, rates);
         }
         NodeRole::Sink => {
-            rate_methods(spec, table, inputs, &mut na);
+            rate_methods(spec, table, inputs, rates);
         }
         NodeRole::Inset | NodeRole::Pad | NodeRole::User => {
             analyze_windowed(
@@ -444,6 +462,7 @@ fn try_analyze_node(
                 table,
                 inputs,
                 &mut na,
+                rates,
                 out_info,
                 windowed,
                 mode,
@@ -458,13 +477,13 @@ fn try_analyze_node(
         for (mi, m) in table.iter().enumerate() {
             let ports = m.triggers.iter();
             let words: u64 = ports.map(|&(p, _)| spec.inputs[p].size.area()).sum();
-            na.read_words_per_sec += na.method_rate_hz[mi] * words as f64;
+            na.read_words_per_sec += rates[mi] * words as f64;
         }
         na.compute_cycles_per_sec = spec
             .methods
             .iter()
             .enumerate()
-            .map(|(mi, m)| na.method_rate_hz[mi] * m.cost.cycles as f64)
+            .map(|(mi, m)| rates[mi] * m.cost.cycles as f64)
             .sum();
         // Writes follow the out-channel item rates (exact for buffers too).
         na.write_words_per_sec = out_info.iter().flatten().map(|ci| ci.words_per_sec()).sum();
@@ -477,6 +496,8 @@ fn try_analyze_node(
         }
     }
     df.nodes[id.0] = na;
+    let range = df.method_range(id);
+    df.method_rates[range].copy_from_slice(rates);
     Ok(true)
 }
 
@@ -486,14 +507,14 @@ fn rate_methods(
     spec: &bp_core::KernelSpec,
     table: &MethodTable,
     inputs: &[Option<ChannelInfo>],
-    na: &mut NodeAnalysis,
+    rates: &mut [f64],
 ) {
     for (mi, m) in table.iter().enumerate() {
         let Some(&(pi, on)) = m.triggers.first() else {
             continue;
         };
         let Some(info) = inputs[pi] else { continue };
-        na.method_rate_hz[mi] = match on {
+        rates[mi] = match on {
             TriggerOn::Data => info.items_per_sec,
             TriggerOn::Token(kind) => token_rate(&info, kind, &spec.methods[mi]),
         };
@@ -511,6 +532,7 @@ fn analyze_windowed(
     table: &MethodTable,
     inputs: &[Option<ChannelInfo>],
     na: &mut NodeAnalysis,
+    rates: &mut [f64],
     out_info: &mut [Option<ChannelInfo>],
     scratch: &mut WindowedScratch,
     mode: Strictness,
@@ -538,7 +560,7 @@ fn analyze_windowed(
             let info = inputs[pi].unwrap();
             if inp.replicated {
                 // Coefficient-style: does not constrain iteration space.
-                na.method_rate_hz[mi] = na.method_rate_hz[mi].max(info.items_per_sec);
+                rates[mi] = rates[mi].max(info.items_per_sec);
                 continue;
             }
             let it = iterations(info.shape, inp.size, inp.step).ok_or_else(|| {
@@ -606,7 +628,7 @@ fn analyze_windowed(
         } else {
             0.0
         };
-        na.method_rate_hz[mi] = rate;
+        rates[mi] = rate;
         if na.iterations.is_none() || it.area() > na.iterations.unwrap().area() {
             na.iterations = Some(it);
         }
@@ -656,7 +678,7 @@ fn analyze_windowed(
             unreachable!()
         };
         let rate = token_rate(&info, kind, &spec.methods[mi]);
-        na.method_rate_hz[mi] = rate;
+        rates[mi] = rate;
         for &oi in m.outputs {
             if data_owned[oi] {
                 continue;
@@ -720,7 +742,7 @@ mod tests {
         assert_eq!(df.nodes[buf.0].iterations, Some(Dim2::new(96, 96)));
         // Conv fires 96*96*50 times per second.
         let run_idx = g.node(conv).spec().method_index("runConvolve").unwrap();
-        let rate = df.nodes[conv.0].method_rate_hz[run_idx];
+        let rate = df.method_rate_hz(conv)[run_idx];
         assert!((rate - 96.0 * 96.0 * 50.0).abs() < 1e-6);
         // Output shape is 96x96 at 50 Hz.
         let (ocid, _) = g.out_channels(conv)[0];
@@ -806,18 +828,18 @@ mod tests {
         let spec = g.node(hist).spec().clone();
         let count_i = spec.method_index("count").unwrap();
         let finish_i = spec.method_index("finishCount").unwrap();
-        let na = &df.nodes[hist.0];
-        assert!((na.method_rate_hz[count_i] - 16.0 * 8.0 * 30.0).abs() < 1e-6);
-        assert!((na.method_rate_hz[finish_i] - 30.0).abs() < 1e-9);
+        let rates = df.method_rate_hz(hist);
+        assert!((rates[count_i] - 16.0 * 8.0 * 30.0).abs() < 1e-6);
+        assert!((rates[finish_i] - 30.0).abs() < 1e-9);
         // Histogram output: one 32x1 block per frame.
         let (ocid, _) = g.out_channels(hist)[0];
         let info = df.channels[&ocid];
         assert_eq!(info.shape, Dim2::new(32, 1));
         assert!((info.items_per_sec - 30.0).abs() < 1e-9);
         // Merge accumulates once per frame.
-        let mna = &df.nodes[merge.0];
+        let merge_rates = df.method_rate_hz(merge);
         let acc_i = g.node(merge).spec().method_index("accumulate").unwrap();
-        assert!((mna.method_rate_hz[acc_i] - 30.0).abs() < 1e-9);
+        assert!((merge_rates[acc_i] - 30.0).abs() < 1e-9);
     }
 
     #[test]

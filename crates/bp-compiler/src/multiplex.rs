@@ -5,7 +5,7 @@
 //! the running example).
 
 use crate::dataflow::Dataflow;
-use bp_core::graph::{AppGraph, NodeId};
+use bp_core::graph::{AppGraph, Channel, ChannelId, NodeId};
 use bp_core::kernel::NodeRole;
 use bp_core::machine::{MachineSpec, Mapping};
 
@@ -52,7 +52,7 @@ fn fed_from_source(graph: &AppGraph, id: NodeId, depth: usize) -> bool {
     if depth == 0 {
         return false;
     }
-    for (_, ch) in graph.in_channels(id) {
+    for (_, ch) in graph.channels_into(id) {
         let up = ch.src.node;
         let role = graph.node(up).spec().role;
         match role {
@@ -82,9 +82,12 @@ pub fn map_greedy(graph: &AppGraph, df: &Dataflow, machine: &MachineSpec) -> Map
         .topo_order()
         .unwrap_or_else(|_| (0..n).map(NodeId).collect());
     let mut assign: Vec<Option<usize>> = vec![None; n];
-    let mut pe_util: Vec<f64> = Vec::new();
-    let mut pe_mem: Vec<u64> = Vec::new();
-    let mut pe_pinned: Vec<bool> = Vec::new();
+    let mut pe_util: Vec<f64> = Vec::with_capacity(n);
+    let mut pe_mem: Vec<u64> = Vec::with_capacity(n);
+    let mut pe_pinned: Vec<bool> = Vec::with_capacity(n);
+    // Per-node working storage, reused from node to node.
+    let mut adjacent: Vec<(ChannelId, Channel)> = Vec::new();
+    let mut candidates: Vec<usize> = Vec::new();
 
     for id in order {
         let i = id.0;
@@ -97,15 +100,23 @@ pub fn map_greedy(graph: &AppGraph, df: &Dataflow, machine: &MachineSpec) -> Map
         }
         // Candidate PEs: those of already-assigned graph neighbors, most
         // utilized first (pack tightly), excluding pinned PEs.
-        let mut candidates: Vec<usize> = Vec::new();
-        for (_, ch) in graph.in_channels(id) {
+        // Neighbors in input-port order, then output-port order: candidate
+        // ties keep this order through the stable sort below.
+        candidates.clear();
+        adjacent.clear();
+        adjacent.extend(graph.channels_into(id));
+        adjacent.sort_by_key(|(_, c)| c.dst.port);
+        for (_, ch) in &adjacent {
             if let Some(pe) = assign[ch.src.node.0] {
                 if !candidates.contains(&pe) {
                     candidates.push(pe);
                 }
             }
         }
-        for (_, ch) in graph.out_channels(id) {
+        adjacent.clear();
+        adjacent.extend(graph.channels_out_of(id));
+        adjacent.sort_by_key(|(_, c)| c.src.port);
+        for (_, ch) in &adjacent {
             if let Some(pe) = assign[ch.dst.node.0] {
                 if !candidates.contains(&pe) {
                     candidates.push(pe);
@@ -118,7 +129,7 @@ pub fn map_greedy(graph: &AppGraph, df: &Dataflow, machine: &MachineSpec) -> Map
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         let mut placed = false;
-        for pe in candidates {
+        for &pe in &candidates {
             if pe_pinned[pe] {
                 continue;
             }

@@ -5,7 +5,7 @@
 //! column-wise with halo replication (§IV-C, Fig. 10).
 
 use crate::dataflow::{analyze, Dataflow};
-use bp_core::graph::{AppGraph, NodeId, PortRef};
+use bp_core::graph::{AppGraph, Channel, ChannelId, NodeId, PortRef};
 use bp_core::kernel::{NodeRole, Parallelism};
 use bp_core::machine::MachineSpec;
 use bp_core::{BpError, Dim2, Result};
@@ -77,6 +77,15 @@ impl ParallelizeReport {
 /// Requires a buffered, aligned graph (run §III passes first).
 pub fn parallelize(graph: &mut AppGraph, machine: &MachineSpec) -> Result<ParallelizeReport> {
     let df = analyze(graph)?;
+    parallelize_analyzed(graph, machine, &df)
+}
+
+/// [`parallelize`] on a graph whose data-flow analysis `df` is at hand.
+pub(crate) fn parallelize_analyzed(
+    graph: &mut AppGraph,
+    machine: &MachineSpec,
+    df: &Dataflow,
+) -> Result<ParallelizeReport> {
     let mut report = ParallelizeReport::default();
 
     // Desired replica counts.
@@ -162,8 +171,24 @@ pub fn parallelize(graph: &mut AppGraph, machine: &MachineSpec) -> Result<Parall
         }
     }
 
+    // Room for everything the transform adds: per replicated node, its
+    // k - 1 replicas, a distributor per input and a join per output, and
+    // k channels on each of those; per column-split buffer at most k - 1
+    // parts, a split and a join, and 2k channels.
+    let (mut more_nodes, mut more_channels) = (0, 0);
+    for (id, node) in graph.nodes() {
+        let (k, spec) = (desired[id.0] as usize, node.spec());
+        if k > 1 {
+            let ports = spec.inputs.len() + spec.outputs.len();
+            more_nodes += k - 1 + ports.max(2);
+            more_channels += k * ports.max(2);
+        }
+    }
+    graph.reserve(more_nodes, more_channels);
+
     // Transform. Node ids are stable (nodes are only added), so we iterate
     // over the original id range.
+    let mut scratch = Scratch::default();
     for idx in 0..n {
         let id = NodeId(idx);
         let k = desired[idx];
@@ -179,10 +204,10 @@ pub fn parallelize(graph: &mut AppGraph, machine: &MachineSpec) -> Result<Parall
         }
         match graph.node(id).spec().parallelism {
             Parallelism::DataParallel => {
-                replicate_data_parallel(graph, &df, id, k, &mut report)?;
+                replicate_data_parallel(graph, df, id, k, &mut report, &mut scratch)?;
             }
             Parallelism::ColumnSplit => {
-                split_buffer_columns(graph, &df, id, k, &mut report)?;
+                split_buffer_columns(graph, df, id, k, &mut report, &mut scratch)?;
             }
             Parallelism::Serial => unreachable!("serial kernels keep k = 1"),
         }
@@ -190,6 +215,34 @@ pub fn parallelize(graph: &mut AppGraph, machine: &MachineSpec) -> Result<Parall
 
     graph.validate()?;
     Ok(report)
+}
+
+/// The transform's working storage, reused from node to node: names are
+/// formatted into one buffer and each copied once into its `Arc<str>`.
+#[derive(Default)]
+struct Scratch {
+    name: String,
+    channels: Vec<(ChannelId, Channel)>,
+}
+
+impl Scratch {
+    fn name(&mut self, args: std::fmt::Arguments<'_>) -> Arc<str> {
+        use std::fmt::Write;
+        self.name.clear();
+        self.name
+            .write_fmt(args)
+            .expect("formatting into a String cannot fail");
+        Arc::from(self.name.as_str())
+    }
+
+    /// The channels leaving `(node, port)`, in channel order.
+    fn channels_from(&mut self, graph: &AppGraph, node: NodeId, port: usize) {
+        self.channels.clear();
+        let from_port = graph
+            .channels_out_of(node)
+            .filter(|(_, c)| c.src.port == port);
+        self.channels.extend(from_port);
+    }
 }
 
 /// Replicate a data-parallel kernel behind round-robin split/join kernels
@@ -200,6 +253,7 @@ fn replicate_data_parallel(
     id: NodeId,
     k: u32,
     report: &mut ParallelizeReport,
+    scratch: &mut Scratch,
 ) -> Result<()> {
     let base_name = graph.node(id).name.clone();
     // Replicas share the original's spec (and everything resolved from it).
@@ -207,12 +261,13 @@ fn replicate_data_parallel(
     let spec = Arc::clone(&def.spec);
 
     // Create replicas 1..k; the original node becomes replica 0.
-    graph.node_mut(id).name = format!("{base_name}_0").into();
-    let mut replicas = vec![id];
+    graph.node_mut(id).name = scratch.name(format_args!("{base_name}_0"));
+    let first = graph.node_count();
     for r in 1..k {
-        let nid = graph.add_node(format!("{base_name}_{r}"), def.clone());
-        replicas.push(nid);
+        let name = scratch.name(format_args!("{base_name}_{r}"));
+        graph.add_node(name, def.clone());
     }
+    let replicas = std::iter::once(id).chain((first..graph.node_count()).map(NodeId));
 
     // Inputs: split or replicate.
     for (port, input) in spec.inputs.iter().enumerate() {
@@ -231,13 +286,13 @@ fn replicate_data_parallel(
             report.replicates_inserted += 1;
             (
                 bp_kernels::replicate(k as usize, grain),
-                format!("Replicate({base_name}.{})", input.name),
+                scratch.name(format_args!("Replicate({base_name}.{})", input.name)),
             )
         } else {
             report.splits_inserted += 1;
             (
                 bp_kernels::split_rr(k as usize, grain),
-                format!("Split({base_name}.{})", input.name),
+                scratch.name(format_args!("Split({base_name}.{})", input.name)),
             )
         };
         let dist = graph.add_node(label, node_def);
@@ -253,30 +308,30 @@ fn replicate_data_parallel(
             },
         );
         // ...and fan out to the replicas.
-        for (r, rep) in replicas.iter().enumerate() {
+        for (r, rep) in replicas.clone().enumerate() {
             graph.add_channel(
                 PortRef {
                     node: dist,
                     port: r,
                 },
-                PortRef { node: *rep, port },
+                PortRef { node: rep, port },
             );
         }
     }
 
     // Outputs: join back in order.
     for (port, output) in spec.outputs.iter().enumerate() {
-        let out_channels = graph.channels_from(id, port);
-        if out_channels.is_empty() {
+        scratch.channels_from(graph, id, port);
+        if scratch.channels.is_empty() {
             continue;
         }
         report.joins_inserted += 1;
         let join = graph.add_node(
-            format!("Join({base_name}.{})", output.name),
+            scratch.name(format_args!("Join({base_name}.{})", output.name)),
             bp_kernels::join_rr(k as usize, output.size),
         );
         // Original consumers now read from the join.
-        for (cid, ch) in out_channels {
+        for &(cid, ch) in &scratch.channels {
             graph.set_channel(
                 cid,
                 bp_core::Channel {
@@ -289,9 +344,9 @@ fn replicate_data_parallel(
             );
         }
         // Replicas feed the join.
-        for (r, rep) in replicas.iter().enumerate() {
+        for (r, rep) in replicas.clone().enumerate() {
             graph.add_channel(
-                PortRef { node: *rep, port },
+                PortRef { node: rep, port },
                 PortRef {
                     node: join,
                     port: r,
@@ -311,6 +366,7 @@ fn split_buffer_columns(
     id: NodeId,
     k: u32,
     report: &mut ParallelizeReport,
+    scratch: &mut Scratch,
 ) -> Result<()> {
     let base_name = graph.node(id).name.clone();
     let spec = Arc::clone(&graph.node(id).def.spec);
@@ -345,7 +401,7 @@ fn split_buffer_columns(
     // Split FSM in front.
     report.splits_inserted += 1;
     let split = graph.add_node(
-        format!("Split({base_name})"),
+        scratch.name(format_args!("Split({base_name})")),
         bp_kernels::split_columns(ranges.clone()),
     );
     graph.set_channel(
@@ -364,12 +420,13 @@ fn split_buffer_columns(
     for (i, r) in ranges.iter().enumerate() {
         let part_data = Dim2::new(r.width(), data.h);
         let def = bp_kernels::buffer(producer, out.size, out.step, part_data);
+        let name = scratch.name(format_args!("{base_name}_{i}"));
         if i == 0 {
-            graph.node_mut(id).name = format!("{base_name}_0").into();
+            graph.node_mut(id).name = name;
             graph.node_mut(id).def = def;
             parts.push(id);
         } else {
-            parts.push(graph.add_node(format!("{base_name}_{i}"), def));
+            parts.push(graph.add_node(name, def));
         }
     }
     for (i, part) in parts.iter().enumerate() {
@@ -388,10 +445,11 @@ fn split_buffer_columns(
     // Column-group join behind.
     report.joins_inserted += 1;
     let join = graph.add_node(
-        format!("Join({base_name})"),
+        scratch.name(format_args!("Join({base_name})")),
         bp_kernels::join_columns(counts, out.size, data),
     );
-    for (cid, ch) in graph.channels_from(id, 0) {
+    scratch.channels_from(graph, id, 0);
+    for &(cid, ch) in &scratch.channels {
         // Skip the channels we just added from split to part 0.
         if ch.dst.node == id || parts.contains(&ch.dst.node) {
             continue;

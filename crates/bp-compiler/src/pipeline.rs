@@ -4,12 +4,14 @@
 //! with real-time input rates and an alignment policy; the compiler handles
 //! buffering, data sizing, parallelization and processor mapping.
 
-use crate::align::{align, AlignPolicy, AlignReport};
-use crate::buffering::{derive_capacities, insert_buffers, BufferingReport, CapacityReport};
+use crate::align::{align_analyzed, AlignPolicy, AlignReport};
+use crate::buffering::{
+    derive_capacities, insert_buffers_analyzed, BufferingReport, CapacityReport,
+};
 use crate::dataflow::{analyze, Dataflow};
 use crate::fuse::{fuse_pipelines, FuseReport};
 use crate::multiplex::{map, MappingKind};
-use crate::parallelize::{parallelize, ParallelizeReport};
+use crate::parallelize::{parallelize_analyzed, ParallelizeReport};
 use bp_core::graph::AppGraph;
 use bp_core::kernel::NodeRole;
 use bp_core::machine::{MachineSpec, Mapping};
@@ -129,9 +131,11 @@ pub fn compile(graph: &AppGraph, opts: &CompileOptions) -> Result<Compiled> {
     let mut g = graph.clone();
     g.validate()?;
 
-    let align_report = align(&mut g, opts.align)?;
-    let buffering_report = insert_buffers(&mut g)?;
-    let parallelize_report = parallelize(&mut g, &opts.machine)?;
+    // Each pass hands the next the analysis of the graph it leaves, so no
+    // revision of the graph is analyzed twice.
+    let (align_report, df) = align_analyzed(&mut g, opts.align)?;
+    let (buffering_report, df) = insert_buffers_analyzed(&mut g, df)?;
+    let parallelize_report = parallelize_analyzed(&mut g, &opts.machine, &df)?;
     let fuse_report = if opts.fuse {
         fuse_pipelines(&mut g)?
     } else {

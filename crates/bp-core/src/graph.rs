@@ -195,6 +195,15 @@ impl ChannelLists {
         }
     }
 
+    /// Room for the lists of `nodes` nodes over `channels` channel slots
+    /// in all.
+    fn reserve(&mut self, nodes: usize, channels: usize) {
+        self.ends
+            .reserve_exact(nodes.saturating_sub(self.ends.len()));
+        self.next
+            .reserve_exact(channels.saturating_sub(self.next.len()));
+    }
+
     /// Take channel `cid` off `node`'s list.
     fn remove(&mut self, node: usize, cid: usize) {
         let id = cid as u32;
@@ -269,6 +278,17 @@ impl AppGraph {
             def,
         });
         id
+    }
+
+    /// Reserve room for `nodes` more nodes and `channels` more channels,
+    /// index included, so a pass that knows how much it will add grows
+    /// each array once.
+    pub fn reserve(&mut self, nodes: usize, channels: usize) {
+        self.nodes.reserve_exact(nodes);
+        self.channels.reserve_exact(channels);
+        let (nodes, channels) = (self.nodes.len() + nodes, self.channels.len() + channels);
+        self.ins.reserve(nodes, channels);
+        self.outs.reserve(nodes, channels);
     }
 
     /// Register a source node's real-time input specification.
@@ -489,8 +509,8 @@ impl AppGraph {
         }
         // Kahn's algorithm; `order` doubles as the queue. Successors are
         // visited in channel order, which is the order of the out-lists.
-        let mut order: Vec<NodeId> = (0..n).filter(|&i| indeg[i] == 0).map(NodeId).collect();
-        order.reserve_exact(n - order.len());
+        let mut order = Vec::with_capacity(n);
+        order.extend((0..n).filter(|&i| indeg[i] == 0).map(NodeId));
         let mut head = 0;
         while head < order.len() {
             let u = order[head];
@@ -527,8 +547,8 @@ impl AppGraph {
         let mut index = vec![UNSEEN; n];
         let mut lowlink = vec![0usize; n];
         let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut call: Vec<(usize, u32)> = Vec::new();
+        let mut stack: Vec<usize> = Vec::with_capacity(n);
+        let mut call: Vec<(usize, u32)> = Vec::with_capacity(n);
         let mut next_index = 0usize;
         let mut comps: Vec<Vec<NodeId>> = Vec::new();
         for root in 0..n {
@@ -617,6 +637,7 @@ impl AppGraph {
     /// - method port references resolve,
     /// - source nodes have no inputs and a registered frame with both
     ///   dimensions nonzero arriving at a finite, positive rate,
+    /// - every registered input specification names a source node,
     /// - the graph is acyclic up to feedback kernels.
     pub fn validate(&self) -> Result<()> {
         for (_, ch) in self.channels() {
@@ -692,6 +713,28 @@ impl AppGraph {
                         node.name, info.frame
                     )));
                 }
+            }
+        }
+
+        // An input specification on anything but a source would set a rate
+        // no node paces, and the real-time verdict would check against it.
+        for info in &self.sources {
+            match self.nodes.get(info.node.0) {
+                None => {
+                    return Err(BpError::Validation(format!(
+                        "an application input names node {:?}, which does not exist",
+                        info.node
+                    )))
+                }
+                Some(node) if node.spec().role != NodeRole::Source => {
+                    return Err(BpError::Validation(format!(
+                        "node '{}' is registered as an application input but is a {:?} \
+                         kernel, not a source",
+                        node.name,
+                        node.spec().role
+                    )))
+                }
+                Some(_) => {}
             }
         }
 
@@ -791,6 +834,8 @@ impl GraphBuilder {
     }
 
     /// Add an application input: a source node with its frame size and rate.
+    /// `def` must be a [`NodeRole::Source`] kernel; [`build`](Self::build)
+    /// refuses any other role.
     pub fn add_source(
         &mut self,
         name: impl Into<Arc<str>>,
@@ -798,11 +843,6 @@ impl GraphBuilder {
         frame: Dim2,
         rate_hz: f64,
     ) -> NodeId {
-        debug_assert_eq!(
-            def.spec.role,
-            NodeRole::Source,
-            "add_source requires a Source kernel"
-        );
         let id = self.graph.add_node(name, def);
         self.graph.set_source_info(SourceInfo {
             node: id,
@@ -978,6 +1018,32 @@ mod tests {
         let err = with_source(Dim2::new(0, 12), 10.0).unwrap_err();
         assert!(matches!(err, BpError::Validation(_)), "{err}");
         assert!(err.to_string().contains("empty frame"), "{err}");
+    }
+
+    /// An input specification names the node the scheduler paces; on a
+    /// node that is not a source nothing paces it, yet the real-time
+    /// verdict would be checked against its rate.
+    #[test]
+    fn an_input_registered_on_a_non_source_fails_validation() {
+        let mut b = GraphBuilder::new();
+        let s = b.add_source("Input", source_def(), Dim2::new(4, 4), 10.0);
+        let k = b.add_source("K", passthrough_def(), Dim2::new(4, 4), 1000.0);
+        let t = b.add("Out", sink_def());
+        b.connect(s, "out", k, "in");
+        b.connect(k, "out", t, "in");
+        let err = b.build().unwrap_err();
+        assert!(matches!(err, BpError::Validation(_)), "{err}");
+        assert!(err.to_string().contains("node 'K'"), "{err}");
+        assert!(err.to_string().contains("not a source"), "{err}");
+        // One naming no node at all.
+        let mut g = small_pipeline().build().expect("valid graph");
+        g.set_source_info(SourceInfo {
+            node: NodeId(7),
+            frame: Dim2::new(4, 4),
+            rate_hz: 10.0,
+        });
+        let err = g.validate().unwrap_err();
+        assert!(err.to_string().contains("NodeId(7)"), "{err}");
     }
 
     #[test]

@@ -215,19 +215,19 @@ impl KernelSpec {
 
     /// Add an input.
     pub fn input(mut self, i: InputSpec) -> Self {
-        self.inputs.push(i);
+        push_exact(&mut self.inputs, i);
         self
     }
 
     /// Add an output.
     pub fn output(mut self, o: OutputSpec) -> Self {
-        self.outputs.push(o);
+        push_exact(&mut self.outputs, o);
         self
     }
 
     /// Register a method.
     pub fn method(mut self, m: MethodSpec) -> Self {
-        self.methods.push(m);
+        push_exact(&mut self.methods, m);
         self
     }
 
@@ -373,6 +373,16 @@ impl KernelSpec {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// Push onto one of a spec's lists, growing it by exactly one entry. A
+/// builder adds a handful of ports and methods and a definition keeps the
+/// list for good, so amortized growth would only leave slack for
+/// [`KernelDef::new`] to give back in a second allocation; grown exactly,
+/// a list of one — most of them — is one allocation and has none.
+fn push_exact<T>(list: &mut Vec<T>, item: T) {
+    list.reserve_exact(1);
+    list.push(item);
 }
 
 /// Items consumed by one method firing, keyed by input port index.

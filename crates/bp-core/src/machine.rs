@@ -264,15 +264,6 @@ impl Mapping {
             num_pes: next,
         }
     }
-
-    /// Nodes resident on each PE.
-    pub fn residents(&self) -> Vec<Vec<usize>> {
-        let mut v = vec![Vec::new(); self.num_pes];
-        for (node, &pe) in self.pe_of_node.iter().enumerate() {
-            v[pe].push(node);
-        }
-        v
-    }
 }
 
 #[cfg(test)]
@@ -291,10 +282,6 @@ mod tests {
         let m = Mapping::from_assignment(vec![5, 5, 9, 2]);
         assert_eq!(m.num_pes, 3);
         assert_eq!(m.pe_of_node, vec![0, 0, 1, 2]);
-        let r = m.residents();
-        assert_eq!(r[0], vec![0, 1]);
-        assert_eq!(r[1], vec![2]);
-        assert_eq!(r[2], vec![3]);
     }
 
     #[test]

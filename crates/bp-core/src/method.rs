@@ -8,6 +8,7 @@
 
 use crate::port::{InputSpec, Name, OutputSpec};
 use crate::token::TokenKind;
+use std::borrow::Cow;
 
 /// What arrival on an input fires a trigger: a data window or a specific
 /// control token.
@@ -50,6 +51,11 @@ impl MethodCost {
 
 /// A registered kernel method: its trigger set, the outputs it may write,
 /// and its per-invocation cost.
+///
+/// The two lists are `Cow`s, like the names in them: a `Vec` (`vec![…]`
+/// converts through `Into`) or a `'static` slice, which is how the
+/// compiler's plumbing kernels declare their one-entry lists without
+/// allocating them per method.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MethodSpec {
     /// Method name, unique within the kernel (resolving the method table
@@ -58,9 +64,9 @@ pub struct MethodSpec {
     /// Inputs that must *all* have the required arrival at their queue head
     /// for the method to fire. Empty for source methods, which are fired by
     /// the scheduler according to the application input rate.
-    pub triggers: Vec<Trigger>,
+    pub triggers: Cow<'static, [Trigger]>,
     /// Output ports this method may write.
-    pub outputs: Vec<Name>,
+    pub outputs: Cow<'static, [Name]>,
     /// Per-invocation resource cost.
     pub cost: MethodCost,
     /// For control-token handlers: the statically bounded maximum invocation
@@ -70,23 +76,36 @@ pub struct MethodSpec {
 }
 
 impl MethodSpec {
-    /// A method triggered by data on a single input.
-    pub fn on_data(
+    /// A method with the given trigger set and outputs: what the other
+    /// constructors build, for lists that are already at hand (a `'static`
+    /// table, or a `Vec`).
+    pub fn new(
         name: impl Into<Name>,
-        input: impl Into<Name>,
-        outputs: Vec<Name>,
+        triggers: impl Into<Cow<'static, [Trigger]>>,
+        outputs: impl Into<Cow<'static, [Name]>>,
         cost: MethodCost,
     ) -> Self {
         Self {
             name: name.into(),
-            triggers: vec![Trigger {
-                input: input.into(),
-                on: TriggerOn::Data,
-            }],
-            outputs,
+            triggers: triggers.into(),
+            outputs: outputs.into(),
             cost,
             max_rate_hz: None,
         }
+    }
+
+    /// A method triggered by data on a single input.
+    pub fn on_data(
+        name: impl Into<Name>,
+        input: impl Into<Name>,
+        outputs: impl Into<Cow<'static, [Name]>>,
+        cost: MethodCost,
+    ) -> Self {
+        let trigger = Trigger {
+            input: input.into(),
+            on: TriggerOn::Data,
+        };
+        Self::new(name, vec![trigger], outputs, cost)
     }
 
     /// A method triggered by a control token on a single input.
@@ -94,19 +113,14 @@ impl MethodSpec {
         name: impl Into<Name>,
         input: impl Into<Name>,
         token: TokenKind,
-        outputs: Vec<Name>,
+        outputs: impl Into<Cow<'static, [Name]>>,
         cost: MethodCost,
     ) -> Self {
-        Self {
-            name: name.into(),
-            triggers: vec![Trigger {
-                input: input.into(),
-                on: TriggerOn::Token(token),
-            }],
-            outputs,
-            cost,
-            max_rate_hz: None,
-        }
+        let trigger = Trigger {
+            input: input.into(),
+            on: TriggerOn::Token(token),
+        };
+        Self::new(name, vec![trigger], outputs, cost)
     }
 
     /// A method triggered by data arriving on *all* of the given inputs
@@ -114,33 +128,23 @@ impl MethodSpec {
     pub fn on_all_data(
         name: impl Into<Name>,
         inputs: &[&'static str],
-        outputs: Vec<Name>,
+        outputs: impl Into<Cow<'static, [Name]>>,
         cost: MethodCost,
     ) -> Self {
-        Self {
-            name: name.into(),
-            triggers: inputs
-                .iter()
-                .map(|i| Trigger {
-                    input: Name::Borrowed(*i),
-                    on: TriggerOn::Data,
-                })
-                .collect(),
-            outputs,
-            cost,
-            max_rate_hz: None,
-        }
+        let triggers = inputs.iter().map(|i| Trigger {
+            input: Name::Borrowed(i),
+            on: TriggerOn::Data,
+        });
+        Self::new(name, triggers.collect::<Vec<_>>(), outputs, cost)
     }
 
     /// A source method with no triggers, fired by the scheduler.
-    pub fn source(name: impl Into<Name>, outputs: Vec<Name>, cost: MethodCost) -> Self {
-        Self {
-            name: name.into(),
-            triggers: Vec::new(),
-            outputs,
-            cost,
-            max_rate_hz: None,
-        }
+    pub fn source(
+        name: impl Into<Name>,
+        outputs: impl Into<Cow<'static, [Name]>>,
+        cost: MethodCost,
+    ) -> Self {
+        Self::new(name, &[][..], outputs, cost)
     }
 
     /// Set the declared maximum invocation rate.
@@ -225,7 +229,7 @@ fn first_repeat<T>(list: &[T], name: impl Fn(&T) -> &str) -> Option<usize> {
 /// One method of a [`MethodTable`] as the mask planner reads it: its
 /// trigger conditions folded into bitmasks over the input ports, beside
 /// the offsets that locate its slices in the table's arrays.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct MethodRow {
     /// End offsets into the table's `triggers` / `outputs` / `handled`
     /// arrays; a row starts where the previous one ends.
@@ -244,18 +248,87 @@ pub struct MethodRow {
     cost_cycles: u64,
 }
 
+/// One of a [`MethodTable`]'s arrays: held inline up to `N` entries, so the
+/// table of an ordinary kernel lives in the one allocation of the `Arc`
+/// that shares it, and on the heap past that (a wide split, join or
+/// replicate). Filled by [`push`](Self::push), never shrunk.
+#[derive(Clone, Debug)]
+enum Slots<T: Copy, const N: usize> {
+    Inline { len: u8, items: [T; N] },
+    Heap(Vec<T>),
+}
+
+impl<T: Copy, const N: usize> Slots<T, N> {
+    /// Empty, with room for `capacity` entries (`fill` pads the inline
+    /// array and is never read).
+    fn new(capacity: usize, fill: T) -> Self {
+        if capacity <= N {
+            Slots::Inline {
+                len: 0,
+                items: [fill; N],
+            }
+        } else {
+            Slots::Heap(Vec::with_capacity(capacity))
+        }
+    }
+
+    fn push(&mut self, item: T) {
+        match self {
+            Slots::Inline { len, items } if (*len as usize) < N => {
+                items[*len as usize] = item;
+                *len += 1;
+            }
+            Slots::Inline { items, .. } => {
+                let mut spilled = Vec::with_capacity(2 * N);
+                spilled.extend_from_slice(items);
+                spilled.push(item);
+                *self = Slots::Heap(spilled);
+            }
+            Slots::Heap(items) => items.push(item),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[T] {
+        match self {
+            Slots::Inline { len, items } => &items[..*len as usize],
+            Slots::Heap(items) => items,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [T] {
+        match self {
+            Slots::Inline { len, items } => &mut items[..*len as usize],
+            Slots::Heap(items) => items,
+        }
+    }
+}
+
+impl<T: Copy + PartialEq, const N: usize> PartialEq for Slots<T, N> {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
 /// The index-resolved methods of one kernel spec, in registration order:
 /// what the executors plan and fire from, and what the analyses read
 /// instead of looking port names up again. Built once per spec by
 /// [`KernelSpec::method_table`](crate::kernel::KernelSpec::method_table) and
 /// shared by every node, replica and simulator instance holding that spec.
-/// Stored as one row per method over three flat arrays.
+/// Stored as one row per method over three flat arrays; a kernel of up to
+/// four methods, four trigger and four output entries and eight handled
+/// tokens holds all four arrays inline, so resolving its table allocates
+/// once, for the `Arc`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MethodTable {
-    rows: Box<[MethodRow]>,
-    triggers: Box<[(usize, TriggerOn)]>,
-    outputs: Box<[usize]>,
-    handled: Box<[TokenKind]>,
+    rows: Slots<MethodRow, 4>,
+    triggers: Slots<(usize, TriggerOn), 4>,
+    outputs: Slots<usize, 4>,
+    handled: Slots<TokenKind, 8>,
     /// See [`trigger_conflict`](Self::trigger_conflict).
     conflict: Option<(u32, u32, u32)>,
     /// See [`fits_masks`](Self::fits_masks).
@@ -270,24 +343,25 @@ impl MethodTable {
 
     /// True for a kernel without methods.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows.len() == 0
     }
 
     /// The method with spec index `mi`. Panics when out of range.
     #[inline]
     pub fn method(&self, mi: usize) -> ResolvedMethod<'_> {
-        let row = self.rows[mi];
+        let rows = self.rows.as_slice();
+        let row = rows[mi];
         let (t0, o0, h0) = match mi.checked_sub(1) {
             Some(prev) => {
-                let p = self.rows[prev];
+                let p = rows[prev];
                 (p.triggers_end, p.outputs_end, p.handled_end)
             }
             None => (0, 0, 0),
         };
         ResolvedMethod {
-            triggers: &self.triggers[t0 as usize..row.triggers_end as usize],
-            outputs: &self.outputs[o0 as usize..row.outputs_end as usize],
-            handled_tokens: &self.handled[h0 as usize..row.handled_end as usize],
+            triggers: &self.triggers.as_slice()[t0 as usize..row.triggers_end as usize],
+            outputs: &self.outputs.as_slice()[o0 as usize..row.outputs_end as usize],
+            handled_tokens: &self.handled.as_slice()[h0 as usize..row.handled_end as usize],
             cost_cycles: row.cost_cycles,
             is_data: row.is_data,
         }
@@ -298,24 +372,25 @@ impl MethodTable {
     /// for the per-firing pop loop.
     #[inline]
     pub fn triggers(&self, mi: usize) -> &[(usize, TriggerOn)] {
+        let rows = self.rows.as_slice();
         let t0 = match mi.checked_sub(1) {
-            Some(prev) => self.rows[prev].triggers_end,
+            Some(prev) => rows[prev].triggers_end,
             None => 0,
         };
-        &self.triggers[t0 as usize..self.rows[mi].triggers_end as usize]
+        &self.triggers.as_slice()[t0 as usize..rows[mi].triggers_end as usize]
     }
 
     /// Declared cycle cost of the method with spec index `mi`.
     #[inline]
     pub fn cost_cycles(&self, mi: usize) -> u64 {
-        self.rows[mi].cost_cycles
+        self.rows.as_slice()[mi].cost_cycles
     }
 
     /// Every method's row — trigger masks and data flag — in registration
     /// order: what the mask planner walks.
     #[inline]
     pub fn rows(&self) -> &[MethodRow] {
-        &self.rows
+        self.rows.as_slice()
     }
 
     /// True when the kernel has at most 64 input ports, so every trigger
@@ -362,10 +437,12 @@ impl MethodTable {
             output,
         };
         let num_inputs = inputs.len();
-        let mut rows = Vec::with_capacity(methods.len());
-        let mut triggers = Vec::with_capacity(methods.iter().map(|m| m.triggers.len()).sum());
-        let mut output_ports = Vec::with_capacity(methods.iter().map(|m| m.outputs.len()).sum());
-        // Ports past the mask width get no bit; `fits_masks` says so.
+        let mut rows = Slots::new(methods.len(), MethodRow::default());
+        let num_triggers = methods.iter().map(|m| m.triggers.len()).sum();
+        let mut triggers = Slots::new(num_triggers, (0, TriggerOn::Data));
+        let num_outputs = methods.iter().map(|m| m.outputs.len()).sum();
+        let mut output_ports = Slots::new(num_outputs, 0);
+        // Ports past the mask width get no bit, and `fits_masks` says so.
         let bit = |port: usize| 1u64.checked_shl(port as u32).unwrap_or(0);
         for (mi, m) in methods.iter().enumerate() {
             let (mut trigger_mask, mut data_mask) = (0, 0);
@@ -394,37 +471,37 @@ impl MethodTable {
                 cost_cycles: m.cost.cycles,
             });
         }
+        let triggers_all = triggers.as_slice();
         // Handled tokens: for each method, the kinds of the kernel's token
         // triggers that sit on one of its trigger inputs, in spec order —
-        // integer compares against a per-port membership flag.
+        // a mask test per token trigger (a scan of the method's triggers
+        // for a port past the mask width).
         let token_triggers = || {
-            triggers.iter().filter_map(|&(port, on)| match on {
+            triggers_all.iter().filter_map(|&(port, on)| match on {
                 TriggerOn::Token(kind) => Some((port, kind)),
                 TriggerOn::Data => None,
             })
         };
-        let mut handled = Vec::new();
-        if token_triggers().next().is_some() {
-            // Sized for the two automatic tokens on every method: exact for
-            // the buffers, splits, joins, insets and pads the compiler
-            // inserts.
-            handled.reserve_exact(2 * rows.len());
-            let mut in_group = vec![false; num_inputs];
+        // Sized for the two automatic tokens on every method: exact for
+        // the buffers, splits, joins, insets and pads the compiler
+        // inserts.
+        let any_tokens = token_triggers().next().is_some();
+        let capacity = if any_tokens { 2 * rows.len() } else { 0 };
+        let mut handled = Slots::new(capacity, TokenKind::EndOfLine);
+        if any_tokens {
             let mut start = 0;
-            for row in &mut rows {
-                let ports = &triggers[start..row.triggers_end as usize];
+            for row in rows.as_mut_slice() {
+                let ports = &triggers_all[start..row.triggers_end as usize];
                 start = row.triggers_end as usize;
-                for &(p, _) in ports {
-                    in_group[p] = true;
-                }
+                let in_group = |p: usize| match bit(p) {
+                    0 => ports.iter().any(|&(q, _)| q == p),
+                    b => row.trigger_mask & b != 0,
+                };
                 let first = handled.len();
                 for (p, kind) in token_triggers() {
-                    if in_group[p] && !handled[first..].contains(&kind) {
+                    if in_group(p) && !handled.as_slice()[first..].contains(&kind) {
                         handled.push(kind);
                     }
-                }
-                for &(p, _) in ports {
-                    in_group[p] = false;
                 }
                 row.handled_end = handled.len() as u32;
             }
@@ -432,21 +509,26 @@ impl MethodTable {
         // Trigger disjointness: the first trigger equal to an earlier one.
         // Quadratic in the trigger count, but in integer compares, once
         // per spec, and allocation-free.
-        let method_of = |ti: usize| rows.iter().position(|r| ti < r.triggers_end as usize);
-        let repeated = (1..triggers.len()).find_map(|later| {
-            let earlier = triggers[..later]
+        let rows_all = rows.as_slice();
+        let method_of = |ti: usize| rows_all.iter().position(|r| ti < r.triggers_end as usize);
+        let repeated = (1..triggers_all.len()).find_map(|later| {
+            let earlier = triggers_all[..later]
                 .iter()
-                .position(|t| *t == triggers[later])?;
-            Some((method_of(earlier)?, method_of(later)?, triggers[later].0))
+                .position(|t| *t == triggers_all[later])?;
+            Some((
+                method_of(earlier)?,
+                method_of(later)?,
+                triggers_all[later].0,
+            ))
         });
         let conflict = repeated.map(|(a, b, port)| (a as u32, b as u32, port as u32));
         Ok(MethodTable {
             conflict,
             fits_masks: num_inputs <= u64::BITS as usize,
-            rows: rows.into(),
-            triggers: triggers.into(),
-            outputs: output_ports.into(),
-            handled: handled.into(),
+            rows,
+            triggers,
+            outputs: output_ports,
+            handled,
         })
     }
 }

@@ -8,12 +8,12 @@
 //! larger of its input and output grains across the full data width, as the
 //! paper prescribes.
 
+use crate::numbered;
 use bp_core::kernel::{
     Emitter, FireData, KernelBehavior, KernelDef, KernelSpec, NodeRole, Parallelism, ShapeTransform,
 };
-use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
-use bp_core::token::{ControlToken, TokenKind};
+use bp_core::token::ControlToken;
 use bp_core::{Dim2, Step2, Window};
 use std::collections::VecDeque;
 
@@ -201,31 +201,14 @@ pub fn buffer(producer: Dim2, window: Dim2, step: Step2, data: Dim2) -> KernelDe
         .with_parallelism(Parallelism::ColumnSplit)
         .with_shape(ShapeTransform::Fixed { data })
         .with_state_words(storage);
-    // Each list is built at its final length, so `KernelDef::new`'s trim
-    // has no slack to give back.
+    // Each list is built at its final length, in one allocation.
     spec.inputs = vec![InputSpec::block("in", producer)];
     spec.outputs = vec![OutputSpec {
         name: "out".into(),
         size: window,
         step,
     }];
-    spec.methods = vec![
-        MethodSpec::on_data("push", "in", vec!["out".into()], MethodCost::new(5, 0)),
-        MethodSpec::on_token(
-            "eol",
-            "in",
-            TokenKind::EndOfLine,
-            vec!["out".into()],
-            MethodCost::new(1, 0),
-        ),
-        MethodSpec::on_token(
-            "eof",
-            "in",
-            TokenKind::EndOfFrame,
-            vec!["out".into()],
-            MethodCost::new(1, 0),
-        ),
-    ];
+    spec.methods = numbered::stream_methods(("push", 5), 1, numbered::out());
     KernelDef::new(spec, move || {
         BufferBehavior::new(data.w, producer, window, step)
     })

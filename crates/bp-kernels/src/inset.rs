@@ -2,12 +2,12 @@
 //! figures): discards margin rows/columns so that differently-haloed
 //! results align before a multi-input kernel.
 
+use crate::numbered;
 use bp_core::kernel::{
     Emitter, FireData, KernelBehavior, KernelDef, KernelSpec, NodeRole, ShapeTransform,
 };
-use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
-use bp_core::token::{ControlToken, TokenKind};
+use bp_core::token::ControlToken;
 use bp_core::{Dim2, Window};
 
 /// Margins removed by an inset kernel, in samples per edge.
@@ -96,27 +96,10 @@ pub fn inset(margins: Margins, data: Dim2) -> KernelDef {
             top: margins.top,
             bottom: margins.bottom,
         });
-    // Each list is built at its final length, so `KernelDef::new`'s trim
-    // has no slack to give back.
+    // Each list is built at its final length, in one allocation.
     spec.inputs = vec![InputSpec::stream("in")];
     spec.outputs = vec![OutputSpec::stream("out")];
-    spec.methods = vec![
-        MethodSpec::on_data("filter", "in", vec!["out".into()], MethodCost::new(2, 0)),
-        MethodSpec::on_token(
-            "eol",
-            "in",
-            TokenKind::EndOfLine,
-            vec!["out".into()],
-            MethodCost::new(1, 0),
-        ),
-        MethodSpec::on_token(
-            "eof",
-            "in",
-            TokenKind::EndOfFrame,
-            vec!["out".into()],
-            MethodCost::new(1, 0),
-        ),
-    ];
+    spec.methods = numbered::stream_methods(("filter", 2), 1, numbered::out());
     KernelDef::new(spec, move || InsetBehavior {
         m: margins,
         data,

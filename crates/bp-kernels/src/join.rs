@@ -9,46 +9,35 @@
 use bp_core::kernel::{
     Emitter, FireData, KernelBehavior, KernelDef, KernelSpec, NodeRole, Parallelism, ShapeTransform,
 };
-use bp_core::method::{MethodCost, MethodSpec, Trigger, TriggerOn};
+use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::token::{ControlToken, TokenKind};
-use bp_core::{Dim2, Name};
+use bp_core::Dim2;
 
 use crate::numbered;
 
 fn join_spec(kind: &'static str, k: usize, grain: Dim2) -> KernelSpec {
-    let ins: Vec<Name> = (0..k).map(numbered::input).collect();
     let mut spec = KernelSpec::new(kind)
         .with_role(NodeRole::Join)
         .with_parallelism(Parallelism::Serial)
         .with_shape(ShapeTransform::Transparent);
-    // Each list is built at its final length, so `KernelDef::new`'s trim
-    // has no slack to give back.
+    // Each list is built at its final length, in one allocation.
     spec.outputs = vec![OutputSpec::block("out", grain)];
-    spec.inputs = ins
-        .iter()
-        .map(|i| InputSpec::block(i.clone(), grain))
+    spec.inputs = (0..k)
+        .map(|i| InputSpec::block(numbered::input(i), grain))
         .collect();
     // Token synchronizers: fire when the token heads every input.
-    let sync = |name: &'static str, token: TokenKind| MethodSpec {
-        name: name.into(),
-        triggers: ins
-            .iter()
-            .map(|i| Trigger {
-                input: i.clone(),
-                on: TriggerOn::Token(token),
-            })
-            .collect(),
-        outputs: vec!["out".into()],
-        cost: MethodCost::new(1, 0),
-        max_rate_hz: None,
+    let sync = |name: &'static str, token: TokenKind| {
+        let triggers = numbered::token_triggers(k, token);
+        MethodSpec::new(name, triggers, numbered::out(), MethodCost::new(1, 0))
     };
     let mut methods = Vec::with_capacity(k + 2);
-    methods.extend(ins.iter().enumerate().map(|(idx, i)| {
-        MethodSpec::on_data(
-            numbered::take(idx),
-            i.clone(),
-            vec!["out".into()],
+    methods.extend((0..k).map(|i| {
+        let trigger = numbered::data_trigger(i);
+        MethodSpec::new(
+            numbered::take(i),
+            trigger,
+            numbered::out(),
             MethodCost::new(2, 0),
         )
     }));
@@ -160,6 +149,7 @@ pub fn join_columns(counts: Vec<u32>, grain: Dim2, data: Dim2) -> KernelDef {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bp_core::method::TriggerOn;
     use bp_core::{Item, Window};
     use std::collections::VecDeque;
 

@@ -4,12 +4,12 @@
 //! result); the mechanics are the compiler's.
 
 use crate::inset::Margins;
+use crate::numbered;
 use bp_core::kernel::{
     Emitter, FireData, KernelBehavior, KernelDef, KernelSpec, NodeRole, ShapeTransform,
 };
-use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
-use bp_core::token::{ControlToken, TokenKind};
+use bp_core::token::ControlToken;
 use bp_core::{Dim2, Window};
 use std::collections::VecDeque;
 
@@ -193,27 +193,10 @@ pub fn pad(margins: Margins, mode: PadMode, data: Dim2) -> KernelDef {
             PadMode::Zero => 4,
             PadMode::Mirror => (margins.top.max(margins.bottom).max(1) as u64 + 1) * data.w as u64,
         });
-    // Each list is built at its final length, so `KernelDef::new`'s trim
-    // has no slack to give back.
+    // Each list is built at its final length, in one allocation.
     spec.inputs = vec![InputSpec::stream("in")];
     spec.outputs = vec![OutputSpec::stream("out")];
-    spec.methods = vec![
-        MethodSpec::on_data("push", "in", vec!["out".into()], MethodCost::new(2, 0)),
-        MethodSpec::on_token(
-            "eol",
-            "in",
-            TokenKind::EndOfLine,
-            vec!["out".into()],
-            MethodCost::new(2, 0),
-        ),
-        MethodSpec::on_token(
-            "eof",
-            "in",
-            TokenKind::EndOfFrame,
-            vec!["out".into()],
-            MethodCost::new(2, 0),
-        ),
-    ];
+    spec.methods = numbered::stream_methods(("push", 2), 2, numbered::out());
     KernelDef::new(spec, move || PadBehavior {
         m: margins,
         mode,

@@ -7,7 +7,7 @@ use bp_core::kernel::{
 };
 use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
-use bp_core::{Dim2, Name};
+use bp_core::Dim2;
 
 use crate::numbered;
 
@@ -30,21 +30,20 @@ impl KernelBehavior for ReplicateBehavior {
 /// the runtime's pass-through rule, so token streams replicate too.
 pub fn replicate(k: usize, grain: Dim2) -> KernelDef {
     assert!(k >= 1);
-    let outs: Vec<Name> = (0..k).map(numbered::output).collect();
+    let outs = numbered::outputs(k);
     let mut spec = KernelSpec::new("replicate")
         .with_role(NodeRole::Replicate)
         .with_parallelism(Parallelism::Serial)
         .with_shape(ShapeTransform::Transparent);
-    // Each list is built at its final length, so `KernelDef::new`'s trim
-    // has no slack to give back.
+    // Each list is built at its final length, in one allocation.
     spec.inputs = vec![InputSpec::block("in", grain)];
     spec.outputs = outs
         .iter()
         .map(|o| OutputSpec::block(o.clone(), grain))
         .collect();
-    spec.methods = vec![MethodSpec::on_data(
+    spec.methods = vec![MethodSpec::new(
         "copy",
-        "in",
+        numbered::data_trigger_on_in(),
         outs,
         MethodCost::new(1, 0),
     )];

@@ -11,43 +11,25 @@
 use bp_core::kernel::{
     Emitter, FireData, KernelBehavior, KernelDef, KernelSpec, NodeRole, Parallelism, ShapeTransform,
 };
-use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
-use bp_core::token::{ControlToken, TokenKind};
-use bp_core::{Dim2, Name};
+use bp_core::token::ControlToken;
+use bp_core::Dim2;
 
 use crate::numbered;
 
 fn split_spec(kind: &'static str, k: usize, grain: Dim2) -> KernelSpec {
-    let outs: Vec<Name> = (0..k).map(numbered::output).collect();
+    let outs = numbered::outputs(k);
     let mut spec = KernelSpec::new(kind)
         .with_role(NodeRole::Split)
         .with_parallelism(Parallelism::Serial)
         .with_shape(ShapeTransform::Transparent);
-    // Each list is built at its final length, so `KernelDef::new`'s trim
-    // has no slack to give back.
+    // Each list is built at its final length, in one allocation.
     spec.inputs = vec![InputSpec::block("in", grain)];
     spec.outputs = outs
         .iter()
         .map(|o| OutputSpec::block(o.clone(), grain))
         .collect();
-    spec.methods = vec![
-        MethodSpec::on_data("dispatch", "in", outs.clone(), MethodCost::new(2, 0)),
-        MethodSpec::on_token(
-            "eol",
-            "in",
-            TokenKind::EndOfLine,
-            outs.clone(),
-            MethodCost::new(1, 0),
-        ),
-        MethodSpec::on_token(
-            "eof",
-            "in",
-            TokenKind::EndOfFrame,
-            outs,
-            MethodCost::new(1, 0),
-        ),
-    ];
+    spec.methods = numbered::stream_methods(("dispatch", 2), 1, outs);
     spec
 }
 

@@ -128,6 +128,11 @@ impl<T> Rows<T> {
         Self { starts, data }
     }
 
+    /// Number of rows.
+    pub fn num_rows(&self) -> usize {
+        self.starts.len() - 1
+    }
+
     /// Row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> &[T] {
@@ -154,6 +159,18 @@ pub(crate) fn slot_bases(counts: impl Iterator<Item = usize>) -> Vec<u32> {
     bases
 }
 
+/// A graph node resolved for instantiation: the node — name, spec and
+/// behavior factory, shared with the graph — and its spec's method table.
+/// What a simulator keeps from being built until its first step, when
+/// [`RtNode::new`] gives each one its behavior and its queues.
+#[derive(Clone)]
+pub struct ResolvedNode {
+    /// The graph node.
+    pub node: bp_core::Node,
+    /// Its spec's index-resolved methods.
+    pub methods: Arc<MethodTable>,
+}
+
 /// A kernel instance at run time: spec, private behavior state, and one FIFO
 /// queue per input port.
 pub struct RtNode {
@@ -176,19 +193,20 @@ pub struct RtNode {
 }
 
 impl RtNode {
-    fn new(node: &bp_core::Node) -> Result<Self> {
-        let methods = Arc::clone(node.method_table()?);
+    /// A fresh instance of `resolved`: a new behavior and empty queues.
+    pub fn new(resolved: &ResolvedNode) -> Self {
+        let node = &resolved.node;
         let spec = Arc::clone(&node.def.spec);
-        Ok(Self {
+        Self {
             name: Arc::clone(&node.name),
             queues: vec![VecDeque::new(); spec.inputs.len()],
             spec,
-            methods,
+            methods: Arc::clone(&resolved.methods),
             behavior: (node.def.factory)(),
             firings: 0,
             consumed_buf: Vec::new(),
             out_buf: Vec::new(),
-        })
+        }
     }
 
     #[inline]
@@ -443,15 +461,19 @@ pub struct Program {
     pub consts: Vec<(usize, usize)>,
 }
 
-impl Program {
-    /// Instantiate a validated graph: create behaviors, take each node's
-    /// method table from its spec, and build routing tables. Specs, names
-    /// and method tables are shared with the graph, not copied.
-    pub fn instantiate(graph: &AppGraph) -> Result<Self> {
+impl ProgramTables {
+    /// Validate `graph` and resolve it for instantiation: every node with
+    /// its method table, and the routing and pacing tables. Creates no
+    /// behavior and no queue.
+    pub fn of(graph: &AppGraph) -> Result<(Vec<ResolvedNode>, Self)> {
         graph.validate()?;
         let nodes = graph
             .nodes()
-            .map(|(_, n)| RtNode::new(n))
+            .map(|(_, n)| {
+                let methods = Arc::clone(n.method_table()?);
+                let node = n.clone();
+                Ok(ResolvedNode { node, methods })
+            })
             .collect::<Result<Vec<_>>>()?;
         let routes = Routes::of(graph);
         let mut sources = Vec::new();
@@ -493,24 +515,27 @@ impl Program {
                 _ => {}
             }
         }
-        Ok(Self {
-            nodes,
+        let tables = Self {
             routes,
             sources,
             consts,
-        })
+        };
+        Ok((nodes, tables))
     }
+}
 
-    /// Split into mutable node instances and shared read-only tables.
-    pub fn split(self) -> (Vec<RtNode>, ProgramTables) {
-        (
-            self.nodes,
-            ProgramTables {
-                routes: self.routes,
-                sources: self.sources,
-                consts: self.consts,
-            },
-        )
+impl Program {
+    /// Instantiate a validated graph: create behaviors, take each node's
+    /// method table from its spec, and build routing tables. Specs, names
+    /// and method tables are shared with the graph, not copied.
+    pub fn instantiate(graph: &AppGraph) -> Result<Self> {
+        let (nodes, tables) = ProgramTables::of(graph)?;
+        Ok(Self {
+            nodes: nodes.iter().map(RtNode::new).collect(),
+            routes: tables.routes,
+            sources: tables.sources,
+            consts: tables.consts,
+        })
     }
 
     /// Deliver emitted items to the successor queues (fan-out clones share
@@ -612,7 +637,7 @@ mod tests {
             let outputs = m.outputs.iter().filter_map(|o| spec.output_index(o));
             let ins: Vec<usize> = triggers.iter().map(|&(p, _)| p).collect();
             let mut handled_tokens = Vec::new();
-            for t in spec.methods.iter().flat_map(|h| &h.triggers) {
+            for t in spec.methods.iter().flat_map(|h| h.triggers.iter()) {
                 if let TriggerOn::Token(kind) = t.on {
                     if ins.contains(&port(t)) && !handled_tokens.contains(&kind) {
                         handled_tokens.push(kind);

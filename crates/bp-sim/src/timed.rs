@@ -42,7 +42,8 @@
 use crate::deadlock::{CapacityBump, DeadlockHop, DeadlockReport, SimOutcome};
 use crate::events::EventQueue;
 use crate::runtime::{
-    head_masks, slot_bases, stuck_report, Action, Program, ProgramTables, Rows, RtNode, MAX_PORTS,
+    head_masks, slot_bases, stuck_report, Action, ProgramTables, ResolvedNode, Rows, RtNode,
+    MAX_PORTS,
 };
 use crate::stats::{PeStats, RealTimeVerdict, SimReport};
 use crate::trace::{StallCause, Trace, TraceEvent, TraceMeta, TraceOptions, TraceRecorder};
@@ -343,12 +344,15 @@ impl Default for RwMemo {
     }
 }
 
-/// Everything the event loop reads but never writes: routing/pacing
-/// tables, the mapping, and resolved configuration. The
+/// Everything the event loop reads but never writes: the resolved graph
+/// nodes the engine instantiates when it starts, routing/pacing tables,
+/// the mapping, and resolved configuration. The
 /// per-port and per-method tables are flat — one row (or entry) per *slot*,
 /// a node's first slot plus the port or method index — and read through
 /// the accessors below.
 pub(crate) struct Shared {
+    /// The graph's nodes with their method tables, in node order.
+    nodes: Vec<ResolvedNode>,
     tables: ProgramTables,
     /// Distinct upstream producer nodes per node (for dispatch waves).
     /// Covers *direct* channels only: a delayed channel's producer is
@@ -371,7 +375,8 @@ pub(crate) struct Shared {
     /// comm-model branch so the zero model costs one load per routing fan-out.
     any_delayed: bool,
     pe_of_node: Vec<usize>,
-    residents: Vec<Vec<usize>>,
+    /// Nodes resident on each PE, ascending: one row per PE.
+    residents: Rows<usize>,
     node_roles: Vec<NodeRole>,
     machine: MachineSpec,
     frames: u32,
@@ -509,18 +514,31 @@ fn check_timing(machine: &MachineSpec, comm: &CommModel) -> Result<()> {
     Ok(())
 }
 
-/// Instantiate `graph` under `mapping` and resolve `config` into the node
-/// instances plus the read-only [`Shared`] tables the engine runs over.
+/// Resolve `graph` under `mapping` and `config` into the read-only
+/// [`Shared`] tables the engine runs over, the graph's nodes included. No
+/// node is instantiated: [`Engine::init`] does that.
 pub(crate) fn build_shared(
     graph: &AppGraph,
     mapping: &Mapping,
     config: SimConfig,
-) -> Result<(Vec<RtNode>, Shared)> {
+) -> Result<Shared> {
     if mapping.pe_of_node.len() != graph.node_count() {
         return Err(BpError::Simulation(format!(
             "mapping covers {} nodes but graph has {}",
             mapping.pe_of_node.len(),
             graph.node_count()
+        )));
+    }
+    let off_machine = mapping
+        .pe_of_node
+        .iter()
+        .position(|&pe| pe >= mapping.num_pes);
+    if let Some(node) = off_machine {
+        return Err(BpError::Simulation(format!(
+            "mapping puts node '{}' on PE {}, but it has {} PEs",
+            graph.node(NodeId(node)).name,
+            mapping.pe_of_node[node],
+            mapping.num_pes
         )));
     }
     if config.frames == 0 {
@@ -541,12 +559,12 @@ pub(crate) fn build_shared(
     let plan = config
         .capacities
         .unwrap_or_else(|| derive_channel_capacities(graph));
-    let program = Program::instantiate(graph)?;
-    let (nodes, tables) = program.split();
+    let (nodes, tables) = ProgramTables::of(graph)?;
     let n = nodes.len();
+    let spec = |node: usize| nodes[node].node.spec();
     // Resolve every channel's communication parameters once. Same-PE
     // channels are local memory (latency 0) regardless of the model.
-    let in_base = slot_bases(nodes.iter().map(|rt| rt.queues.len()));
+    let in_base = slot_bases((0..n).map(|node| spec(node).inputs.len()));
     let in_slot = |node: usize, port: usize| in_base[node] as usize + port;
     let mut channels = Vec::with_capacity(graph.channel_count());
     let mut chan_into: Vec<Option<u32>> = vec![None; in_base[n] as usize];
@@ -567,10 +585,10 @@ pub(crate) fn build_shared(
             // emits into it: the run would wedge on its first push.
             return Err(BpError::Simulation(format!(
                 "channel {}.{} -> {}.{} has capacity 0; every channel must hold at least one item",
-                nodes[src].name,
-                nodes[src].spec.outputs[src_port].name,
-                nodes[dst].name,
-                nodes[dst].spec.inputs[dst_port].name,
+                nodes[src].node.name,
+                spec(src).outputs[src_port].name,
+                nodes[dst].node.name,
+                spec(dst).inputs[dst_port].name,
             )));
         }
         channels.push(ChannelRt {
@@ -604,12 +622,12 @@ pub(crate) fn build_shared(
         }
         upstream.push_row(producers.iter().copied());
     }
-    let node_roles: Vec<NodeRole> = nodes.iter().map(|rt| rt.spec.role).collect();
+    let node_roles: Vec<NodeRole> = (0..n).map(|node| spec(node).role).collect();
     // Each node plans by masks when its table fits them, by the scan when
     // it does not; `Interpreted` scans every node. Only planning differs
     // (DESIGN.md §13): every table below serves both planners.
     let masked = (nodes.iter())
-        .map(|rt| config.backend == Backend::Auto && rt.methods.fits_masks())
+        .map(|rn| config.backend == Backend::Auto && rn.methods.fits_masks())
         .collect();
     let dests = tables.routes.rows().map(|&(dn, dp)| RouteDest {
         dn: dn as u32,
@@ -619,15 +637,15 @@ pub(crate) fn build_shared(
     });
     // One row (or entry) per method of every node, in node then method
     // order, from the method table each node shares with its spec.
-    let method_base = slot_bases(nodes.iter().map(|rt| rt.methods.len()));
+    let method_base = slot_bases(nodes.iter().map(|rn| rn.methods.len()));
     let num_method_slots = method_base[n] as usize;
     let clock = config.machine.pe_clock_hz;
     let mut space = Rows::with_capacity(num_method_slots);
     let mut run_s = Vec::with_capacity(num_method_slots);
     let mut trigger_ports = Rows::with_capacity(num_method_slots);
     let mut credit_chans = Rows::with_capacity(num_method_slots);
-    for (node, rt) in nodes.iter().enumerate() {
-        for m in rt.methods.iter() {
+    for (node, rn) in nodes.iter().enumerate() {
+        for m in rn.methods.iter() {
             let routes = m.outputs.iter();
             let routes = routes.flat_map(|&port| tables.routes.from(node, port));
             space.push_row(routes.map(|&(dn, dp)| match delayed_chan(dn, dp) {
@@ -673,7 +691,11 @@ pub(crate) fn build_shared(
             )));
         }
     }
-    let shared = Shared {
+    let residents = Rows::bucketed(mapping.num_pes, || {
+        (mapping.pe_of_node.iter().enumerate()).map(|(node, &pe)| (pe, node))
+    });
+    Ok(Shared {
+        nodes,
         tables,
         upstream,
         channels,
@@ -682,7 +704,7 @@ pub(crate) fn build_shared(
         cap_into,
         any_delayed,
         pe_of_node: mapping.pe_of_node.clone(),
-        residents: mapping.residents(),
+        residents,
         node_roles,
         machine: config.machine,
         frames: config.frames,
@@ -698,8 +720,7 @@ pub(crate) fn build_shared(
         forward_run_s: 1.0 / clock,
         method_base,
         masked,
-    };
-    Ok((nodes, shared))
+    })
 }
 
 /// The discrete-event engine: every PE, node, queue and recorder of one
@@ -791,13 +812,13 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    /// An engine over freshly instantiated nodes and their tables. It
-    /// allocates nothing: the run state is sized by [`init`](Self::init),
-    /// so a simulator that is built and never run costs only its build.
-    pub(crate) fn new(nodes: Vec<RtNode>, shared: Arc<Shared>) -> Self {
+    /// An engine over its tables. It allocates nothing: the nodes and the
+    /// run state are created by [`init`](Self::init), so a simulator that
+    /// is built and never run costs only its build.
+    pub(crate) fn new(shared: Arc<Shared>) -> Self {
         Self {
             shared,
-            nodes,
+            nodes: Vec::new(),
             rr: Vec::new(),
             pe_inflight: Vec::new(),
             dirty: Vec::new(),
@@ -886,14 +907,15 @@ impl Engine {
         }
     }
 
-    /// Allocate the run state, then fire the startup constants (in program
-    /// order) and seed the sources — everything that happens before the
-    /// first event pop.
+    /// Instantiate the nodes and allocate the run state, then fire the
+    /// startup constants (in program order) and seed the sources —
+    /// everything that happens before the first event pop.
     pub(crate) fn init(&mut self) {
         let shared = Arc::clone(&self.shared);
         let sh = &*shared;
+        self.nodes = sh.nodes.iter().map(RtNode::new).collect();
         let n = self.nodes.len();
-        let num_pes = sh.residents.len();
+        let num_pes = sh.residents.num_rows();
         let num_chans = sh.channels.len();
         self.rr = vec![0; num_pes];
         self.pe_inflight = (0..num_pes).map(|_| None).collect();
@@ -1237,7 +1259,7 @@ impl Engine {
     /// is starved, and an empty PE is idle.
     fn stall_cause(&self, pe: usize) -> StallCause {
         let mut has_items = false;
-        for &node in &self.shared.residents[pe] {
+        for &node in self.shared.residents.row(pe) {
             if self.shared.node_roles[node] == NodeRole::Source {
                 continue;
             }
@@ -1470,7 +1492,7 @@ impl Engine {
         if self.dirty_count[pe] == 0 {
             return None;
         }
-        let len = self.shared.residents[pe].len();
+        let len = self.shared.residents.row(pe).len();
         // Round-robin over the residents starting at `rr[pe]`, with the
         // wraparound as a compare instead of a modulo.
         let mut idx = self.rr[pe];
@@ -1480,7 +1502,7 @@ impl Engine {
             if idx == len {
                 idx = 0;
             }
-            let node = self.shared.residents[pe][cur];
+            let node = self.shared.residents.row(pe)[cur];
             if !self.dirty[node] {
                 continue;
             }
@@ -1749,7 +1771,7 @@ impl Engine {
                 meta: TraceMeta::from_parts(
                     &self.nodes,
                     &sh.pe_of_node,
-                    sh.residents.len(),
+                    sh.residents.num_rows(),
                     sh.machine.pe_clock_hz,
                     &sh.channels,
                 ),
@@ -1922,9 +1944,9 @@ impl TimedSimulator {
     /// and no event is processed until the first [`step`](Self::step) (or
     /// a run), and the run state is not allocated until then either.
     pub fn new(graph: &AppGraph, mapping: &Mapping, config: SimConfig) -> Result<Self> {
-        let (nodes, shared) = build_shared(graph, mapping, config)?;
+        let shared = build_shared(graph, mapping, config)?;
         Ok(Self {
-            engine: Engine::new(nodes, Arc::new(shared)),
+            engine: Engine::new(Arc::new(shared)),
             started: false,
             processed: 0,
         })
@@ -2189,18 +2211,20 @@ mod tests {
         {
             let c = bp_compiler::compile(&app.graph, &Default::default()).expect("compile");
             let config = SimConfig::new(1).with_comm(comm.clone());
-            let (nodes, sh) = build_shared(&c.graph, &c.mapping, config).unwrap();
+            let sh = build_shared(&c.graph, &c.mapping, config).unwrap();
+            let nodes = &sh.nodes;
             // The nested tables, from the graph's channels alone.
             let default_cap = derive_channel_capacities(&c.graph).default;
             let mut routes: Vec<Vec<Vec<(usize, usize)>>> = nodes
                 .iter()
-                .map(|rt| vec![Vec::new(); rt.spec.outputs.len()])
+                .map(|rn| vec![Vec::new(); rn.node.spec().outputs.len()])
                 .collect();
+            let inputs = |rn: &ResolvedNode| rn.node.spec().inputs.len();
             let mut chan_into: Vec<Vec<Option<u32>>> =
-                nodes.iter().map(|rt| vec![None; rt.queues.len()]).collect();
+                nodes.iter().map(|rn| vec![None; inputs(rn)]).collect();
             let mut cap_into: Vec<Vec<usize>> = nodes
                 .iter()
-                .map(|rt| vec![default_cap; rt.queues.len()])
+                .map(|rn| vec![default_cap; inputs(rn)])
                 .collect();
             let mut upstream: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
             for (ci, (_, ch)) in c.graph.channels().enumerate() {
@@ -2218,9 +2242,9 @@ mod tests {
                 chan_into[dn][dp].filter(|&c| sh.channels[c as usize].latency_s > 0.0)
             };
             let mut slot = 0;
-            for (node, rt) in nodes.iter().enumerate() {
+            for (node, rn) in nodes.iter().enumerate() {
                 assert_eq!(sh.upstream(node), upstream[node]);
-                for port in 0..rt.queues.len() {
+                for port in 0..inputs(rn) {
                     assert_eq!(sh.chan_into(node, port), chan_into[node][port]);
                     assert_eq!(sh.cap_into(node, port), cap_into[node][port]);
                 }
@@ -2241,7 +2265,7 @@ mod tests {
                     (c.dst == node && c.latency_s > 0.0).then_some((c.dst_port, ci as u32))
                 };
                 let delayed_in: Vec<_> = sh.channels.iter().enumerate().filter_map(into).collect();
-                for (m, cm) in rt.methods.iter().enumerate() {
+                for (m, cm) in rn.methods.iter().enumerate() {
                     assert_eq!(sh.method_slot(node, m), slot);
                     slot += 1;
                     // `downstream_space`: outputs × routes, in scan order.
@@ -2272,6 +2296,15 @@ mod tests {
                 }
             }
             assert_eq!(sh.num_method_slots(), slot);
+            // Each PE's residents, ascending.
+            let mut residents = vec![Vec::new(); c.mapping.num_pes];
+            for (node, &pe) in c.mapping.pe_of_node.iter().enumerate() {
+                residents[pe].push(node);
+            }
+            assert_eq!(sh.residents.num_rows(), residents.len());
+            for (pe, want) in residents.iter().enumerate() {
+                assert_eq!(sh.residents.row(pe), want);
+            }
         }
     }
 
@@ -2315,9 +2348,9 @@ mod tests {
         // The uniform pin is what the simulator resolves, not the derived
         // plan.
         let mapping = Mapping::one_to_one(g.node_count());
-        let (_, shared) = build_shared(&g, &mapping, cfg).unwrap();
+        let shared = build_shared(&g, &mapping, cfg).unwrap();
         assert!(shared.channels.iter().all(|c| c.cap == 16));
-        let (_, shared) = build_shared(&g, &mapping, SimConfig::new(1)).unwrap();
+        let shared = build_shared(&g, &mapping, SimConfig::new(1)).unwrap();
         assert!(shared.channels.iter().all(|c| c.cap == 64));
         // cap_into mirrors the per-channel resolution at the consumer side.
         for c in &shared.channels {
@@ -2333,20 +2366,20 @@ mod tests {
         let plan = bp_core::ChannelCapacities::uniform(64).with_override(first_cid, 96);
         let cfg = SimConfig::new(1).with_channel_capacities(plan);
         let mapping = Mapping::one_to_one(g.node_count());
-        let (_, shared) = build_shared(&g, &mapping, cfg).unwrap();
+        let shared = build_shared(&g, &mapping, cfg).unwrap();
         assert_eq!(shared.channels[0].cap, 96);
         assert!(shared.channels[1..].iter().all(|c| c.cap == 64));
         // One capacity knob: the last builder call wins, either way round.
         let pinned = SimConfig::new(1)
             .with_channel_capacities(bp_core::ChannelCapacities::uniform(64))
             .with_channel_capacity(8);
-        let (_, shared) = build_shared(&g, &mapping, pinned).unwrap();
+        let shared = build_shared(&g, &mapping, pinned).unwrap();
         assert!(shared.channels.iter().all(|c| c.cap == 8));
         let plan = bp_core::ChannelCapacities::uniform(64).with_override(first_cid, 96);
         let planned = SimConfig::new(1)
             .with_channel_capacity(8)
             .with_channel_capacities(plan);
-        let (_, shared) = build_shared(&g, &mapping, planned).unwrap();
+        let shared = build_shared(&g, &mapping, planned).unwrap();
         assert_eq!(shared.channels[0].cap, 96);
     }
 
@@ -2398,10 +2431,29 @@ mod tests {
         let mapping = Mapping::one_to_one(g.node_count());
         let masked = |backend| {
             let config = SimConfig::new(1).with_backend(backend);
-            build_shared(&g, &mapping, config).unwrap().1.masked
+            build_shared(&g, &mapping, config).unwrap().masked
         };
         assert_eq!(masked(Backend::Auto), [true, true, false, true]);
         assert_eq!(masked(Backend::Interpreted), [false; 4]);
+    }
+
+    /// `Mapping`'s fields are public, so a mapping may name a PE past its
+    /// own count: a typed error naming the node and the PE, not an index
+    /// out of bounds while laying out the residents.
+    #[test]
+    fn a_mapping_onto_a_missing_pe_is_a_typed_error() {
+        let g = chain_graph(bp_kernels::scale(2.0, 0.0));
+        let mapping = Mapping {
+            pe_of_node: vec![0, 3, 1],
+            num_pes: 2,
+        };
+        match TimedSimulator::new(&g, &mapping, SimConfig::new(1)) {
+            Err(BpError::Simulation(msg)) => {
+                assert_eq!(msg, "mapping puts node 'K' on PE 3, but it has 2 PEs");
+            }
+            Err(e) => panic!("expected a simulation error, got {e}"),
+            Ok(_) => panic!("a mapping onto a missing PE was accepted"),
+        }
     }
 
     /// Every event time is built from the PE clock, the word costs, the

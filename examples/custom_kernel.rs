@@ -18,7 +18,9 @@
 //! Port, method and kind names are `bp_core::Name`s (`Cow<'static, str>`):
 //! the string literals below are borrowed, not copied; a `String` built at
 //! run time (`format!("in{i}")`) is moved in; and a borrowed `&str` that is
-//! not `'static` needs `.to_owned()`.
+//! not `'static` needs `.to_owned()`. A method's output (and trigger) list
+//! is a `Cow` too: `vec![…]` converts into it, and a `'static` slice such
+//! as `OUT` below is borrowed instead of allocated per method.
 //!
 //! Run with: `cargo run --example custom_kernel`
 
@@ -26,7 +28,7 @@ use block_parallel::prelude::*;
 use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::token::CustomTokenDecl;
-use bp_core::{Emitter, FireData};
+use bp_core::{Emitter, FireData, Name};
 
 /// Token id for the over-exposure flag.
 const OVEREXPOSED: u16 = 1;
@@ -69,6 +71,9 @@ impl KernelBehavior for MeanDetector {
     }
 }
 
+/// The one output both of the detector's methods write, borrowed by each.
+static OUT: [Name; 1] = [Name::Borrowed("out")];
+
 fn mean_detector(threshold: f64, frame_rate_hz: f64) -> KernelDef {
     let spec = KernelSpec::new("mean_detector")
         .with_parallelism(Parallelism::Serial) // cross-frame accumulator
@@ -77,14 +82,14 @@ fn mean_detector(threshold: f64, frame_rate_hz: f64) -> KernelDef {
         .method(MethodSpec::on_data(
             "pass",
             "in",
-            vec!["out".into()],
+            &OUT[..],
             MethodCost::new(3, 2),
         ))
         .method(MethodSpec::on_token(
             "endFrame",
             "in",
             TokenKind::EndOfFrame,
-            vec!["out".into()],
+            &OUT[..],
             MethodCost::new(8, 2),
         ))
         // Declare the custom token and its statically bounded rate so the

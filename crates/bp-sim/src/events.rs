@@ -1,12 +1,28 @@
 //! The timed engine's pending-event queue. The §IV-D simulator is a
 //! discrete-event loop that only asks for the pending event with the
-//! smallest `(t, ord)`: [`EventQueue`] is a binary heap keyed on that, the
-//! time by its bits. For the finite, non-negative times the engine
+//! smallest `(t, ord)`: [`EventQueue`] keeps every event in that one order,
+//! the time by its bits. For the finite, non-negative times the engine
 //! schedules (`build_shared` refuses inputs that would make one infinite or
 //! NaN) bit order is numeric order, and an integer compare is cheaper.
+//!
+//! Two structures hold the order. Counter-keyed events (source emissions,
+//! PE completions) go to a binary heap. Events under a caller's ordinal —
+//! the delay model's channel arrivals and credit returns, each scheduled at
+//! `now + latency` — are created almost in key order, so they go to a
+//! sorted lane, appended at its back or placed a few entries before it,
+//! and only a key that belongs further back goes to the heap. The next
+//! event is the lesser of the lane's front and the heap's top.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
+
+/// How many entries before the lane's back [`EventQueue::push_ord`] may
+/// place a key; one that sorts further back goes to the heap. Comm events
+/// created at one instant are keyed by channel, not by creation order, so
+/// a few land a place or two early; a model whose latency depends on hops
+/// or message size lands most keys further back, and should pay no more
+/// than a few compares before the heap.
+const TAIL: usize = 16;
 
 /// One pending event: a timestamp, the ordinal that breaks ties on it, and
 /// an engine-defined payload.
@@ -21,14 +37,19 @@ pub struct Event<P> {
     pub payload: P,
 }
 
-/// A heap slot; `(time bits, ordinal)` reversed, so the max-heap pops the least.
+/// The one order of both structures: `(time bits, ordinal)` as one u128,
+/// so a compare is branch-free where the heap picks a child.
+#[inline]
+fn key<P>(e: &Event<P>) -> u128 {
+    (u128::from(e.t.to_bits()) << 64) | u128::from(e.seq)
+}
+
+/// A heap slot; [`key`] reversed, so the max-heap pops the least.
 struct Entry<P>(Event<P>);
 
 impl<P> Ord for Entry<P> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // One u128 compare, branch-free where the heap picks a child.
-        let key = |e: &Self| (u128::from(e.0.t.to_bits()) << 64) | u128::from(e.0.seq);
-        key(other).cmp(&key(self))
+        key(&other.0).cmp(&key(&self.0))
     }
 }
 impl<P> PartialOrd for Entry<P> {
@@ -46,14 +67,35 @@ impl<P> Eq for Entry<P> {}
 /// Min-queue of [`Event`]s: ascending time, ties by ascending ordinal.
 pub struct EventQueue<P> {
     heap: BinaryHeap<Entry<P>>,
+    /// [`push_ord`](Self::push_ord)'s events, ascending by [`key`].
+    lane: VecDeque<Event<P>>,
     seq: u64,
+    /// [`push_ord`](Self::push_ord) calls that went to the lane and to the
+    /// heap.
+    #[cfg(test)]
+    routed: [u64; 2],
 }
 
 impl<P> Default for EventQueue<P> {
     fn default() -> Self {
-        let heap = BinaryHeap::new();
-        Self { heap, seq: 0 }
+        Self {
+            heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
+            seq: 0,
+            #[cfg(test)]
+            routed: [0; 2],
+        }
     }
+}
+
+/// An event at `t`, which must be finite and non-negative.
+#[inline]
+fn event<P>(t: f64, seq: u64, payload: P) -> Event<P> {
+    debug_assert!(
+        t.is_finite() && t.is_sign_positive(),
+        "event time {t} is not finite and non-negative"
+    );
+    Event { t, seq, payload }
 }
 
 impl<P> EventQueue<P> {
@@ -61,7 +103,7 @@ impl<P> EventQueue<P> {
     /// later. `t` must be finite and non-negative.
     pub fn push(&mut self, t: f64, payload: P) {
         self.seq += 1;
-        self.push_ord(t, self.seq, payload);
+        self.heap.push(Entry(event(t, self.seq, payload)));
     }
 
     /// Insert an event under a caller-assigned ordinal `seq` instead of the
@@ -69,27 +111,71 @@ impl<P> EventQueue<P> {
     /// channel arrivals and credit returns this way, by
     /// `(1 << 63) | stream | sequence`: after every counter-keyed event at
     /// the same time, and a function of the channel's own history only.
+    /// Such keys arrive almost sorted, so the event joins the lane when its
+    /// key sorts within [`TAIL`] entries of the back, and the heap
+    /// otherwise.
     pub fn push_ord(&mut self, t: f64, seq: u64, payload: P) {
+        let e = event(t, seq, payload);
+        let k = key(&e);
+        let len = self.lane.len();
+        // Entry `i` may precede the new key.
+        let before = |i: usize| key(&self.lane[i]) <= k;
+        // The key fits when the entry TAIL + 1 places back precedes it.
+        let fits = len <= TAIL || before(len - 1 - TAIL);
+        #[cfg(test)]
+        {
+            self.routed[usize::from(!fits)] += 1;
+        }
+        if !fits {
+            self.heap.push(Entry(e));
+            return;
+        }
+        let mut at = len;
+        while at > 0 && !before(at - 1) {
+            at -= 1;
+        }
+        if at == len {
+            self.lane.push_back(e);
+        } else {
+            self.lane.insert(at, e);
+        }
         debug_assert!(
-            t.is_finite() && t.is_sign_positive(),
-            "event time {t} is not finite and non-negative"
+            self.lane.get(at + 1).is_none_or(|next| k <= key(next))
+                && (at == 0 || key(&self.lane[at - 1]) <= k),
+            "lane out of order at {at} of {}",
+            self.lane.len()
         );
-        self.heap.push(Entry(Event { t, seq, payload }));
     }
 
-    /// Remove and return the earliest event (smallest `(t, seq)`).
+    /// Remove and return the earliest event (smallest `(t, seq)`): the
+    /// lane's front or the heap's top, whichever is less.
     pub fn pop(&mut self) -> Option<Event<P>> {
-        self.heap.pop().map(|e| e.0)
+        let from_lane = match (self.lane.front(), self.heap.peek()) {
+            (Some(l), Some(h)) => key(l) < key(&h.0),
+            (lane, _) => lane.is_some(),
+        };
+        if from_lane {
+            self.lane.pop_front()
+        } else {
+            self.heap.pop().map(|e| e.0)
+        }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.lane.len() + self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.lane.is_empty() && self.heap.is_empty()
+    }
+
+    /// [`push_ord`](Self::push_ord) calls so far that went to the lane and
+    /// to the heap.
+    #[cfg(test)]
+    pub(crate) fn routed(&self) -> [u64; 2] {
+        self.routed
     }
 }
 
@@ -182,6 +268,43 @@ mod tests {
             }
             while c.pop().is_some() {}
         }
+    }
+
+    /// Where `push_ord` puts a key: sorted keys are appended to the lane,
+    /// keys up to [`TAIL`] entries early are placed within it, and a key
+    /// further back goes to the heap — and every pop is still the model's
+    /// minimum.
+    #[test]
+    fn the_lane_takes_keys_near_its_back() {
+        let band1 = |stream: u64, seq: u64| 1 << 63 | stream << 32 | seq;
+        let routed = |c: &Checked| c.q.routed();
+        // Sorted keys: ascending times, then ascending ordinals at one time.
+        let mut c = Checked::default();
+        for i in 0..100u32 {
+            c.push(1e-6 * f64::from(i / 4), Some(band1(u64::from(i % 4), 0)));
+        }
+        assert_eq!(routed(&c), [100, 0]);
+        assert_eq!((c.q.lane.len(), c.q.heap.len()), (100, 0));
+        while c.pop().is_some() {}
+        // Equal times, descending ordinals: the `i`-th key sorts `i` places
+        // before the back, so keys 1..=TAIL are placed within the tail and
+        // the next one goes to the heap.
+        let mut c = Checked::default();
+        for stream in (0..=TAIL as u64 + 1).rev() {
+            c.push(3e-6, Some(band1(stream, 0)));
+        }
+        assert_eq!(routed(&c), [TAIL as u64 + 1, 1]);
+        assert_eq!((c.q.lane.len(), c.q.heap.len()), (TAIL + 1, 1));
+        // Counter-keyed events never take the lane, even in order.
+        c.push(3e-6, None);
+        c.push(4e-6, None);
+        assert_eq!((c.q.lane.len(), c.q.heap.len()), (TAIL + 1, 3));
+        // Pops interleave the two structures in key order.
+        c.pop();
+        c.push(3e-6, Some(band1(TAIL as u64 + 2, 0)));
+        assert_eq!(routed(&c), [TAIL as u64 + 2, 1]);
+        while c.pop().is_some() {}
+        assert!(c.q.is_empty());
     }
 
     #[cfg(debug_assertions)]

@@ -74,6 +74,11 @@ fn band1_ord(stream: u64, seq: u32) -> u64 {
     BAND1 | (stream << 32) | seq as u64
 }
 
+/// Free items a firing needs on every output channel before it starts: the
+/// room for its worst-case emissions. A channel that holds fewer can never
+/// carry a kernel's output, so `build_shared` refuses it.
+const HEADROOM: usize = 2;
+
 /// How the timed engine plans a kernel's next action. Everything else —
 /// the event loop, firing, routing, dispatch, space, credits, cost — is one
 /// scheduler over tables built from the instantiated nodes, and both
@@ -110,7 +115,8 @@ pub struct SimConfig {
     /// widest-row default of [`derive_channel_capacity`] plus
     /// feedback-aware back-edge overrides
     /// ([`bp_core::capacity::derive_channel_capacities`]). Every capacity
-    /// must be at least 1: construction rejects a plan holding a 0.
+    /// must be at least 2, the room a firing needs on each output:
+    /// construction rejects a plan holding a 0 or a 1.
     pub capacities: Option<ChannelCapacities>,
     /// Frames to push through every application input.
     pub frames: u32,
@@ -580,11 +586,12 @@ pub(crate) fn build_shared(
         let (src_port, dst_port) = (c.src.port, c.dst.port);
         let chan = channels.len() as u32;
         let cap = plan.capacity(cid);
-        if cap == 0 {
-            // A queue that holds nothing can never take the item a firing
-            // emits into it: the run would wedge on its first push.
+        if cap < HEADROOM {
+            // A firing starts only with HEADROOM free items on each output,
+            // so a smaller queue blocks its producer from the first firing.
             return Err(BpError::Simulation(format!(
-                "channel {}.{} -> {}.{} has capacity 0; every channel must hold at least one item",
+                "channel {}.{} -> {}.{} has capacity {cap}; every channel must hold at least \
+                 {HEADROOM} items, the room a firing needs on each output",
                 nodes[src].node.name,
                 spec(src).outputs[src_port].name,
                 nodes[dst].node.name,
@@ -1102,9 +1109,15 @@ impl Engine {
         self.touched_buf = touched;
     }
 
-    /// Dispatch a single-PE wave (arrival/credit events), allocation-free.
+    /// Dispatch a single-PE wave (arrival/credit events), allocation-free,
+    /// when `pe` is idle. A busy PE is skipped as `route` skips it: the
+    /// wave's first pop would drop it unplanned, and `handle_pe_done`
+    /// dispatches it when it comes free.
     #[inline]
-    fn dispatch_pe(&mut self, sh: &Shared, pe: usize) {
+    fn dispatch_idle_pe(&mut self, sh: &Shared, pe: usize) {
+        if self.pe_inflight[pe].is_some() {
+            return;
+        }
         let mut wave = std::mem::take(&mut self.wave_buf);
         wave.clear();
         wave.push(pe);
@@ -1211,7 +1224,7 @@ impl Engine {
             }
         }
         self.mark_dirty(dn);
-        self.dispatch_pe(sh, self.shared.pe_of_node[dn]);
+        self.dispatch_idle_pe(sh, self.shared.pe_of_node[dn]);
     }
 
     /// A credit comes home: the channel's producer may have been blocked on
@@ -1219,7 +1232,7 @@ impl Engine {
     fn handle_credit_return(&mut self, sh: &Shared, chan: u32) {
         self.credits[chan as usize] += 1;
         let src = self.shared.channels[chan as usize].src;
-        self.dispatch_pe(sh, self.shared.pe_of_node[src]);
+        self.dispatch_idle_pe(sh, self.shared.pe_of_node[src]);
     }
 
     /// `node`'s next action: the engine's one planning site. A node whose
@@ -1439,7 +1452,7 @@ impl Engine {
     }
 
     /// `Ok` when every destination queue of the method's outputs has room
-    /// for this firing's worst-case emissions (2 items of slack); `Err`
+    /// for this firing's worst-case emissions ([`HEADROOM`] items); `Err`
     /// identifies the first check that declined (the channel feeding the
     /// full queue, or `u32::MAX` for a channel-less queue) so the caller
     /// can attribute the stall. Delayed channels are judged by the
@@ -1449,12 +1462,12 @@ impl Engine {
         for c in checks {
             match *c {
                 SpaceCheck::Credit { chan } => {
-                    if self.credits[chan as usize] < 2 {
+                    if self.credits[chan as usize] < HEADROOM as i64 {
                         return Err(chan);
                     }
                 }
                 SpaceCheck::Queue { dn, dp, cap, chan } => {
-                    if self.nodes[dn as usize].queues[dp as usize].len() + 2 > cap as usize {
+                    if self.nodes[dn as usize].queues[dp as usize].len() + HEADROOM > cap as usize {
                         return Err(chan);
                     }
                 }
@@ -1644,10 +1657,12 @@ fn deadlock_wait_cycle(
             Action::Fire { method } | Action::Forward { method, .. } => method,
         };
         let full = |check: &SpaceCheck| match *check {
-            SpaceCheck::Credit { chan } => (credits[chan as usize] < 2).then_some(chan),
+            SpaceCheck::Credit { chan } => {
+                (credits[chan as usize] < HEADROOM as i64).then_some(chan)
+            }
             SpaceCheck::Queue { dn, dp, cap, chan } => {
                 let depth = nodes[dn as usize].queues[dp as usize].len();
-                (depth + 2 > cap as usize).then_some(chan)
+                (depth + HEADROOM > cap as usize).then_some(chan)
             }
         };
         shared
@@ -1842,13 +1857,13 @@ impl Engine {
                 ),
             };
             // The full hop whose producer the smallest single-channel capacity
-            // increase would unblock: minimize `occupancy + 2 - capacity` over
+            // increase would unblock: minimize `occupancy + HEADROOM - capacity` over
             // hops that are actually blocking (ties break to the earliest hop
             // in walk order, deterministic on both backends).
             let min_capacity_bump = cycle
                 .iter()
-                .filter(|h| h.occupancy + 2 > h.capacity)
-                .min_by_key(|h| h.occupancy + 2 - h.capacity)
+                .filter(|h| h.occupancy + HEADROOM > h.capacity)
+                .min_by_key(|h| h.occupancy + HEADROOM - h.capacity)
                 .map(|h| CapacityBump {
                     channel: format!("{}.{} -> {}.{}", h.src, h.src_port, h.dst, h.dst_port),
                     current: h.capacity,
@@ -2383,10 +2398,11 @@ mod tests {
         assert_eq!(shared.channels[0].cap, 96);
     }
 
-    /// A queue that holds nothing can never take an item: a plan giving
-    /// any channel capacity 0 — by its default or by an override — is a
+    /// A firing starts only with 2 free items on each output, so a queue
+    /// that holds fewer can never carry a kernel's output: a plan giving any
+    /// channel capacity 0 or 1 — by its default or by an override — is a
     /// typed error naming that channel, not a run that wedges on its first
-    /// push.
+    /// firing.
     #[test]
     fn zero_capacity_is_a_typed_error_naming_the_channel() {
         let g = chain_graph(bp_kernels::scale(2.0, 0.0));
@@ -2394,19 +2410,50 @@ mod tests {
         let err = |cfg: SimConfig| match build_shared(&g, &mapping, cfg) {
             Err(BpError::Simulation(msg)) => msg,
             Err(e) => panic!("expected a simulation error, got {e}"),
-            Ok(_) => panic!("a zero capacity was accepted"),
+            Ok(_) => panic!("a capacity below 2 was accepted"),
         };
-        let (first, second) = (
-            "channel Input.out -> K.in has capacity 0; every channel must hold at least one item",
-            "channel K.out -> Out.in has capacity 0; every channel must hold at least one item",
-        );
-        assert_eq!(err(SimConfig::new(1).with_channel_capacity(0)), first);
+        let refusal = |chan: &str, cap: usize| {
+            format!(
+                "channel {chan} has capacity {cap}; every channel must hold at least 2 items, \
+                 the room a firing needs on each output"
+            )
+        };
         let second_cid = g.channels().nth(1).unwrap().0;
-        let plan = bp_core::ChannelCapacities::uniform(64).with_override(second_cid, 0);
-        let cfg = SimConfig::new(1).with_channel_capacities(plan);
-        assert_eq!(err(cfg), second);
-        // One item is enough to build.
-        assert!(build_shared(&g, &mapping, SimConfig::new(1).with_channel_capacity(1)).is_ok());
+        for cap in [0, 1] {
+            let cfg = SimConfig::new(1).with_channel_capacity(cap);
+            assert_eq!(err(cfg), refusal("Input.out -> K.in", cap));
+            let plan = bp_core::ChannelCapacities::uniform(64).with_override(second_cid, cap);
+            let cfg = SimConfig::new(1).with_channel_capacities(plan);
+            assert_eq!(err(cfg), refusal("K.out -> Out.in", cap));
+        }
+        // Two items are enough to run.
+        let cfg = SimConfig::new(1).with_channel_capacity(2);
+        assert!(TimedSimulator::new(&g, &mapping, cfg)
+            .unwrap()
+            .run()
+            .is_ok());
+    }
+
+    /// Under a uniform delay every arrival and credit return is scheduled
+    /// at `now + latency`, so the event queue's lane, not its heap, takes
+    /// them: on fig1b under `uniform:64`, at least 99 % of them.
+    #[test]
+    fn uniform_delay_sends_comm_events_to_the_lane() {
+        use bp_apps::{apps, SLOW, SMALL};
+        let app = apps::fig1b(SMALL, SLOW);
+        let c = bp_compiler::compile(&app.graph, &Default::default()).expect("compile");
+        let clock = MachineSpec::default().pe_clock_hz;
+        let config = SimConfig::new(2).with_comm(CommModel::uniform(64.0 / clock, 0.0));
+        let mut sim = TimedSimulator::new(&c.graph, &c.mapping, config).unwrap();
+        sim.step(usize::MAX);
+        assert!(sim.is_done());
+        let [lane, heap] = sim.engine.events.routed();
+        assert!(lane > 1000, "only {lane} comm events");
+        assert!(
+            lane >= 99 * (lane + heap) / 100,
+            "{heap} of {} comm events went to the heap",
+            lane + heap
+        );
     }
 
     /// The planner is chosen per node from its table: under `Auto` only a

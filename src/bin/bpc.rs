@@ -58,7 +58,7 @@ fn usage() -> ! {
          \x20  --comm-model  inter-PE communication delay (latencies in PE cycles):\n\
          \x20                zero (default) | uniform:LAT[:PER_WORD]\n\
          \x20                | grid:BASE:PER_HOP[:PER_WORD]\n\
-         \x20  --capacity N  pin every channel to N items (N >= 1), disabling\n\
+         \x20  --capacity N  pin every channel to N items (N >= 2), disabling\n\
          \x20                the feedback-aware capacity derivation\n\
          \x20  --explain-deadlock  on a capacity deadlock, print the structured\n\
          \x20                diagnosis (wait-for cycle, occupancies, minimal\n\

@@ -103,6 +103,35 @@ fn zero_capacity_is_a_usage_error() {
     assert!(!err.contains("panicked at"), "{err}");
 }
 
+/// A firing needs 2 free items on each output, so a 1-item channel can
+/// never carry a kernel's output: `--capacity 1` is refused before the run
+/// with a simulation error naming a channel, not run into a "capacity
+/// deadlock" whose dump lists no node.
+#[test]
+fn capacity_one_is_refused_before_the_run() {
+    let out = bpc(&["--app", "fig1b", "--frames", "1", "--capacity", "1"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.starts_with("simulation error: channel "),
+        "does not name a channel: {err}"
+    );
+    assert!(err.contains("has capacity 1;"), "{err}");
+    assert!(err.contains("at least 2 items"), "{err}");
+    assert!(!err.contains("deadlock"), "{err}");
+    assert!(!err.contains("panicked at"), "{err}");
+    // Two items run to a verdict (a missed one: the queues are too short
+    // for the rate).
+    let out = bpc(&["--app", "fig1b", "--frames", "1", "--capacity", "2"]);
+    let verdict = String::from_utf8_lossy(&out.stdout);
+    assert!(verdict.contains("real-time MISSED"), "{}", stderr(&out));
+    assert!(
+        !stderr(&out).contains("simulation error"),
+        "{}",
+        stderr(&out)
+    );
+}
+
 /// A communication delay must be a finite number of cycles: `inf` or `nan`
 /// is a usage error naming the flag, not a run whose simulated time is
 /// +inf and whose verdict reads "achieved 0.0 Hz".

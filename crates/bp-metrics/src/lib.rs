@@ -5,8 +5,9 @@
 //! [`bp_core::QosSpec`] — lives in `bp-core` so graph code can declare
 //! contracts without pulling in the machinery):
 //!
-//! - [`LogHistogram`]: fixed-size, log-bucketed (HDR-style), mergeable
-//!   latency histograms over integer nanoseconds;
+//! - [`LogHistogram`]: log-bucketed (HDR-style), mergeable latency
+//!   histograms over integer nanoseconds that hold only the window of
+//!   buckets they have recorded into;
 //! - [`MetricsRecorder`]: the streaming recorder the engine drives from
 //!   its event loop — per-PE busy intervals, per-node
 //!   firing latency, per-channel high-water marks and stall counters,

@@ -11,7 +11,8 @@
 //!
 //! Steady-state recording is allocation-free: the only allocations happen
 //! when simulated time first crosses into a new interval (amortized one
-//! `IntervalAcc` per interval).
+//! `IntervalAcc` per interval) and when a node's firing latency first lands
+//! in a bucket outside its histogram's window (a few times per node).
 
 use crate::histogram::LogHistogram;
 
@@ -56,8 +57,9 @@ impl IntervalAcc {
 /// One pending run of equal firing-latency values for one node, not yet
 /// flushed into that node's [`LogHistogram`]. Per-node firing costs are
 /// near-constant, so the common case is a long run of one value; caching
-/// it here keeps the hot path inside one compact array (the node's 4 KiB
-/// bucket array is only touched when the value changes or at [`seal`]).
+/// it here keeps the hot path inside one compact array (the node's
+/// histogram, a separate heap window of buckets, is only touched when the
+/// value changes or at [`seal`]).
 /// Flushing via [`LogHistogram::record_n`] is bitwise identical to
 /// recording each value directly — counts are additive — so the cache
 /// changes nothing observable.

@@ -1867,7 +1867,7 @@ impl Engine {
                 .map(|h| CapacityBump {
                     channel: format!("{}.{} -> {}.{}", h.src, h.src_port, h.dst, h.dst_port),
                     current: h.capacity,
-                    required: h.occupancy + 2,
+                    required: h.occupancy + HEADROOM,
                 });
             let report = DeadlockReport {
                 queued_items: queued,

@@ -45,10 +45,23 @@
 //! allocations at 2 frames and 56 794 at 4 — one per firing; with the
 //! depths written straight into the ring it is the recorder's fixed set-up
 //! (366) at both.
+//!
+//! A third gate holds what metrics cost in peak live heap (bytes this
+//! thread allocated and has not freed, at their highest), instantiate
+//! through run: `camera_bank(8)` 40×24 at 200 Hz, one-to-one (384 nodes),
+//! 2 frames, with `MetricsPolicy::new()` and without. It must stay at or
+//! below 256 KiB:
+//!
+//! | tree                                         | metered   | unmetered | metrics   |
+//! |----------------------------------------------|-----------|-----------|-----------|
+//! | ccb29d6, a dense 496-cell histogram per node | 2 367 KiB | 842 KiB   | 1 524 KiB |
+//! | histograms holding only their bucket window  | 992 KiB   | 842 KiB   | 150 KiB   |
+//!
+//! (the same in debug and release builds).
 
 use bp_apps::apps;
 use bp_compiler::{check_compiled, compile, CompileOptions, Compiled, MappingKind};
-use bp_core::{AppGraph, Dim2, GraphBuilder, KernelDef};
+use bp_core::{AppGraph, Dim2, GraphBuilder, KernelDef, MetricsPolicy};
 use bp_sim::{SimConfig, TimedSimulator, TraceOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -58,27 +71,44 @@ thread_local! {
     /// destructor, so touching it from inside the allocator allocates
     /// nothing itself).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not yet freed (signed: a block
+    /// freed here may have been allocated on another thread).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` reached since it was last reset.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Move this thread's live byte count by `delta`, raising the peak.
+fn track(delta: i64) {
+    let live = LIVE.with(|l| {
+        l.set(l.get() + delta);
+        l.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(live)));
 }
 
 struct Counting;
 
 // SAFETY: every method hands its arguments to `System` unchanged, so the
 // caller's `GlobalAlloc` obligations are exactly `System`'s; the only
-// addition is a thread-local counter increment, which neither allocates nor
-// unwinds. (This is the one place the repository's tests need `unsafe`: a
+// additions are thread-local counter updates, which neither allocate nor
+// unwind. (This is the one place the repository's tests need `unsafe`: a
 // counting allocator cannot be written without implementing the trait.)
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        track(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        track(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -277,4 +307,46 @@ fn tracing_allocates_nothing_per_firing() {
     let (two, four) = (extra(2), extra(4));
     println!("tracing's extra allocations: {two} at 2 frames, {four} at 4");
     assert_eq!(two, four, "tracing allocates per firing or per event");
+}
+
+/// Peak live heap, in bytes above what was live before, of instantiating
+/// `compiled` and running it for `frames` frames, metered or not.
+fn run_peak_heap(compiled: &Compiled, frames: u32, metered: bool) -> i64 {
+    let mut config = SimConfig::new(frames);
+    if metered {
+        config = config.with_metrics(MetricsPolicy::new());
+    }
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(base));
+    let sim = TimedSimulator::new(&compiled.graph, &compiled.mapping, config).expect("instantiate");
+    let outcome = sim.run_with_artifacts().expect("run");
+    let peak = PEAK.with(Cell::get) - base;
+    drop(outcome);
+    peak
+}
+
+#[test]
+fn metrics_add_at_most_256_kib_of_peak_heap() {
+    let app = apps::camera_bank(8, Dim2::new(40, 24), 200.0);
+    let opts = CompileOptions {
+        mapping: MappingKind::OneToOne,
+        ..CompileOptions::default()
+    };
+    let compiled = compile(&app.graph, &opts).expect("compile");
+    let metered = run_peak_heap(&compiled, 2, true);
+    let plain = run_peak_heap(&compiled, 2, false);
+    let extra = metered - plain;
+    println!(
+        "camera_bank(8): peak heap {} KiB metered, {} KiB unmetered, metrics {} KiB \
+         for {} nodes",
+        metered / 1024,
+        plain / 1024,
+        extra / 1024,
+        compiled.graph.node_count()
+    );
+    assert!(
+        extra <= 256 * 1024,
+        "metrics add {} KiB of peak heap on camera_bank(8), more than 256 KiB",
+        extra / 1024
+    );
 }

@@ -33,7 +33,8 @@
 //! `stream_observed` graph (25–28 ms for its 283 235 events on a 2.1 GHz
 //! Xeon, the page faults of filling the fresh 31.6 MB buffer included),
 //! and the document is the only thing the export allocates beyond the
-//! name tables.
+//! name tables. The events come decoded from the trace log, about 6 ns
+//! each of that.
 //!
 //! [`validate_json`] then checks that document in about 30 ms, 1 ns per
 //! byte, where the recursive descent it replaced — which stays in this
@@ -182,11 +183,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
          {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
          \"args\":{\"name\":\"channels\"}}",
     );
-    if trace
-        .events
-        .iter()
-        .any(|e| matches!(e, TraceEvent::CommSend { .. }))
-    {
+    if trace.events.comm_sends() > 0 {
         out.push_str(
             ",\n    {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\
              \"args\":{\"name\":\"network\"}}",
@@ -205,7 +202,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
     let mut in_flight = vec![0i64; meta.channels.len()];
     for e in &trace.events {
         out.push_str(",\n    {\"name\":\"");
-        match *e {
+        match e {
             TraceEvent::FiringBegin {
                 t,
                 node,

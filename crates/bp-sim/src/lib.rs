@@ -57,5 +57,6 @@ pub use stats::{PeStats, RealTimeVerdict, SimReport};
 pub use timed::{derive_channel_capacity, Backend, SimConfig, SteppableSim, TimedSimulator};
 pub use timed_parallel::{ParallelRunStats, ParallelTimedSimulator};
 pub use trace::{
-    ChannelHighWater, StallCause, Trace, TraceChannel, TraceEvent, TraceMeta, TraceOptions,
+    ChannelHighWater, StallCause, Trace, TraceChannel, TraceEvent, TraceLog, TraceMeta,
+    TraceOptions,
 };

@@ -582,34 +582,54 @@ impl Program {
         self.nodes.iter().position(|n| &*n.name == name)
     }
 
-    /// Describe stuck state for deadlock diagnostics: nodes with queued
-    /// input that cannot fire.
+    /// Describe stuck state for deadlock diagnostics: every node with
+    /// queued input (see [`stuck_report`]).
     pub fn stuck_report(&self) -> String {
         stuck_report(&self.nodes)
     }
 }
 
 /// Describe stuck state for deadlock diagnostics over a bare node slice
-/// (the timed simulators hold nodes outside a [`Program`]).
+/// (the timed simulators hold nodes outside a [`Program`]): every node
+/// with queued input and its queue heads. Called once nothing is left to
+/// happen, so a node that cannot plan is waiting for input, and a node
+/// whose plan is fireable is waiting for output space — it is listed as
+/// fireable, with the method it would run.
 pub fn stuck_report(nodes: &[RtNode]) -> String {
     let mut s = String::new();
     for n in nodes {
-        if n.queued_items() > 0 && n.plan().is_none() {
-            let heads: Vec<String> = n
-                .queues
-                .iter()
-                .enumerate()
-                .map(|(i, q)| {
-                    let head = match q.front() {
-                        None => "-".to_string(),
-                        Some(Item::Window(w)) => format!("W{}", w.dim()),
-                        Some(Item::Control(t)) => t.to_string(),
-                    };
-                    format!("{}:{} (depth {})", n.spec.inputs[i].name, head, q.len())
-                })
-                .collect();
-            s.push_str(&format!("  node '{}': {}\n", n.name, heads.join(", ")));
+        if n.queued_items() == 0 {
+            continue;
         }
+        let heads: Vec<String> = n
+            .queues
+            .iter()
+            .enumerate()
+            .map(|(i, q)| {
+                let head = match q.front() {
+                    None => "-".to_string(),
+                    Some(Item::Window(w)) => format!("W{}", w.dim()),
+                    Some(Item::Control(t)) => t.to_string(),
+                };
+                format!("{}:{} (depth {})", n.spec.inputs[i].name, head, q.len())
+            })
+            .collect();
+        let plan = match n.plan() {
+            None => String::new(),
+            Some(Action::Fire { method }) => format!(
+                "fireable '{}', waiting for output space; ",
+                n.spec.methods[method].name
+            ),
+            Some(Action::Forward { token, method }) => format!(
+                "fireable '{}' forwarding {token}, waiting for output space; ",
+                n.spec.methods[method].name
+            ),
+        };
+        s.push_str(&format!(
+            "  node '{}': {plan}{}\n",
+            n.name,
+            heads.join(", ")
+        ));
     }
     s
 }
@@ -790,6 +810,31 @@ mod tests {
             method: 0,
         });
         assert_eq!(both(&hist), (forward, forward));
+    }
+
+    /// A deadlock whose blocked nodes all hold a fireable plan — waiting
+    /// for output space, not input — still names them, with the method
+    /// they would run, beside their queue heads.
+    #[test]
+    fn stuck_report_lists_fireable_nodes_waiting_for_space() {
+        let mut scale = node_of(&wide_join_graph(1), "scale");
+        assert_eq!(stuck_report(std::slice::from_ref(&scale)), "");
+        scale.queues[0].push_back(Item::Window(bp_core::Window::scalar(1.0)));
+        let method = &scale.spec.methods[0].name;
+        assert_eq!(
+            stuck_report(std::slice::from_ref(&scale)),
+            format!(
+                "  node '{}': fireable '{method}', waiting for output space; in:W(1x1) (depth 1)\n",
+                scale.name
+            )
+        );
+        scale.queues[0].clear();
+        scale.queues[0].push_back(Item::Control(ControlToken::EndOfFrame));
+        let report = stuck_report(std::slice::from_ref(&scale));
+        assert!(
+            report.contains(&format!("fireable '{method}' forwarding EOF")),
+            "{report}"
+        );
     }
 
     /// The masked planner against its oracle, the scan, on every method

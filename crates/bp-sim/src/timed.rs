@@ -1777,7 +1777,7 @@ impl Engine {
     /// outcome, the trace (when tracing) and the metrics tape (when a
     /// metrics policy was set).
     pub(crate) fn finish(mut self) -> (SimOutcome, Option<Trace>, Option<MetricsTape>) {
-        // The engine records in event-pop order, so its ring is already
+        // The engine records in event-pop order, so its log is already
         // the trace.
         let trace = self.trace.take().map(|rec| {
             let (events, dropped) = rec.into_events();

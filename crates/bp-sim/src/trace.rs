@@ -8,8 +8,15 @@
 //! simulation — every recorded value is computed from state the engine
 //! already produced — so enabling tracing cannot change a single bit of
 //! the `SimReport` (pinned by `tests/trace_determinism.rs`). The engine
-//! records in event-pop order, so its ring *is* the trace; a ring that
+//! records in event-pop order, so its log *is* the trace; a log that
 //! fills drops its oldest events and counts them in [`Trace::dropped`].
+//!
+//! The log ([`TraceLog`]) holds the events encoded, about 5.4 bytes each
+//! where a [`TraceEvent`] takes 32: one tag byte (variant, "same time as
+//! the previous record", and the stall cause or token kind), the time's
+//! raw bits only when they changed — every event popped at one instant
+//! shares it — and LEB128 varints for the indices and counts. Consumers
+//! iterate it and get the decoded events back bit for bit.
 //!
 //! On top of the raw stream, [`Trace`] derives per-node event counts,
 //! per-channel occupancy high-water marks, sliding-window PE utilization
@@ -21,6 +28,7 @@ use crate::runtime::RtNode;
 use bp_core::token::ControlToken;
 use bp_core::Fnv;
 use std::collections::VecDeque;
+use std::fmt;
 
 /// Why a PE is not executing a firing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -254,7 +262,7 @@ impl TraceEvent {
 /// Tracing configuration carried inside [`crate::SimConfig`].
 #[derive(Clone, Copy, Debug)]
 pub struct TraceOptions {
-    /// Ring capacity in events. When the recorder fills, the oldest events
+    /// Log capacity in events. When the recorder fills, the oldest events
     /// are dropped (counted in [`Trace::dropped`]); a trace with
     /// `dropped == 0` is complete. Must be at least 1.
     pub capacity: usize,
@@ -262,27 +270,454 @@ pub struct TraceOptions {
 
 impl Default for TraceOptions {
     fn default() -> Self {
-        // 2^20 events of `size_of::<TraceEvent>()` = 32 bytes each: a
-        // 32 MiB ring, far beyond any bundled app's run, so default traces
-        // never wrap. The cap is a memory safety valve for long custom
-        // simulations.
+        // 2^20 events, far beyond any bundled app's run, so default traces
+        // never wrap: a 34 MiB reservation at the longest record's 34
+        // bytes, resident only where written (about 5.4 bytes per event).
+        // The cap is a memory safety valve for long custom simulations.
         Self { capacity: 1 << 20 }
     }
 }
 
 impl TraceOptions {
-    /// A ring bounded at `capacity` events. A ring of 0 events records
+    /// A log bounded at `capacity` events. A log of 0 events records
     /// nothing, so [`crate::TimedSimulator::new`] refuses it.
     pub fn with_capacity(capacity: usize) -> Self {
         Self { capacity }
     }
 }
 
-/// Bounded event ring: the newest `capacity` events, in recording order.
+/// Longest encoded record: `FiringBegin`'s tag byte, time bits, three
+/// `u32` varints of up to 5 bytes and a `u64` varint of up to 10.
+const MAX_RECORD: usize = 1 + 8 + 3 * 5 + 10;
+
+// A record's tag byte: the variant in bits 0–2 (numbered as in
+// `TraceEvent::fold`), `SAME_TIME` in bit 3, and the stall cause or token
+// kind in bits 4–5.
+const KIND: u8 = 0b111;
+const SAME_TIME: u8 = 1 << 3;
+const SUB_SHIFT: u32 = 4;
+const FIRING_BEGIN: u8 = 0;
+const FIRING_END: u8 = 1;
+const QUEUE_DEPTH: u8 = 2;
+const TOKEN: u8 = 3;
+const STALL: u8 = 4;
+const COMM_SEND: u8 = 5;
+const COMM_ARRIVAL: u8 = 6;
+
+/// One record being encoded, on the stack.
+struct Writer {
+    buf: [u8; MAX_RECORD],
+    n: usize,
+}
+
+impl Writer {
+    #[inline]
+    fn byte(&mut self, b: u8) {
+        self.buf[self.n] = b;
+        self.n += 1;
+    }
+
+    #[inline]
+    fn raw(&mut self, bits: u64) {
+        self.buf[self.n..self.n + 8].copy_from_slice(&bits.to_le_bytes());
+        self.n += 8;
+    }
+
+    /// LEB128: seven bits a byte, low first, the high bit set on all but
+    /// the last.
+    #[inline]
+    fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.byte(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.byte(v as u8);
+    }
+}
+
+/// Decodes records from `bytes[pos..]`; `prev` is the time bits a
+/// `SAME_TIME` record takes.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    prev: u64,
+}
+
+impl Reader<'_> {
+    #[inline]
+    fn byte(&mut self) -> u8 {
+        let b = self.bytes[self.pos];
+        self.pos += 1;
+        b
+    }
+
+    #[inline]
+    fn raw(&mut self) -> u64 {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(&self.bytes[self.pos..self.pos + 8]);
+        self.pos += 8;
+        u64::from_le_bytes(b)
+    }
+
+    #[inline]
+    fn varint(&mut self) -> u64 {
+        let mut b = self.byte();
+        let mut v = u64::from(b & 0x7f);
+        let mut shift = 0;
+        while b >= 0x80 {
+            b = self.byte();
+            shift += 7;
+            v |= u64::from(b & 0x7f) << shift;
+        }
+        v
+    }
+
+    #[inline]
+    fn u32(&mut self) -> u32 {
+        self.varint() as u32
+    }
+
+    #[inline]
+    fn event(&mut self) -> TraceEvent {
+        let tag = self.byte();
+        if tag & SAME_TIME == 0 {
+            self.prev = self.raw();
+        }
+        let t = f64::from_bits(self.prev);
+        let sub = tag >> SUB_SHIFT;
+        // Struct fields are evaluated in the order written, which is the
+        // order they were encoded in.
+        match tag & KIND {
+            FIRING_BEGIN => TraceEvent::FiringBegin {
+                t,
+                node: self.u32(),
+                method: self.u32(),
+                pe: self.u32(),
+                cycles: self.varint(),
+            },
+            FIRING_END => TraceEvent::FiringEnd {
+                t,
+                node: self.u32(),
+                pe: self.u32(),
+            },
+            QUEUE_DEPTH => TraceEvent::QueueDepth {
+                t,
+                node: self.u32(),
+                port: self.u32(),
+                depth: self.u32(),
+            },
+            TOKEN => TraceEvent::Token {
+                t,
+                node: self.u32(),
+                port: self.u32(),
+                token: match sub {
+                    0 => ControlToken::EndOfLine,
+                    1 => ControlToken::EndOfFrame,
+                    _ => ControlToken::Custom(self.varint() as u16),
+                },
+            },
+            STALL => TraceEvent::Stall {
+                t,
+                pe: self.u32(),
+                cause: match sub {
+                    0 => StallCause::Idle,
+                    1 => StallCause::InputStarved,
+                    _ => StallCause::OutputBlocked,
+                },
+            },
+            COMM_SEND => TraceEvent::CommSend {
+                t,
+                chan: self.u32(),
+                words: self.u32(),
+                arrival: f64::from_bits(self.raw()),
+            },
+            kind => {
+                debug_assert_eq!(kind, COMM_ARRIVAL, "trace record tag {tag:#04x}");
+                TraceEvent::CommArrival {
+                    t,
+                    chan: self.u32(),
+                }
+            }
+        }
+    }
+}
+
+/// The FNV-1a fold of one event: equal exactly when the events are equal
+/// bit for bit (up to hash collisions), where `==` on the `f64` fields is
+/// not.
+fn event_bits(e: &TraceEvent) -> u64 {
+    let mut h = Fnv::new();
+    e.fold(&mut h);
+    h.finish()
+}
+
+/// A trace's events, encoded in recording order (see the module docs for
+/// the record format). Iterating decodes them: [`TraceLog::iter`] yields
+/// the [`TraceEvent`]s that were recorded, bit for bit.
+///
+/// The log is append-only; dropping its oldest event (a bounded recorder
+/// that filled) moves a start offset past that record and keeps the
+/// time the new oldest record decodes against as the log's anchor.
+#[derive(Clone, Default)]
+pub struct TraceLog {
+    bytes: Vec<u8>,
+    /// Offset of the oldest retained record in `bytes`.
+    head: usize,
+    /// Retained events.
+    len: usize,
+    /// Time bits the oldest retained record decodes against: its own.
+    anchor: u64,
+    /// Time bits of the newest record (the anchor when the log is empty),
+    /// against which the next record is encoded.
+    last: u64,
+    /// Retained `CommSend` records.
+    comm_sends: usize,
+}
+
+impl TraceLog {
+    /// Retained events.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no event is retained.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The retained events, decoded, oldest first.
+    pub fn iter(&self) -> Events<'_> {
+        Events {
+            r: Reader {
+                bytes: &self.bytes[self.head..],
+                pos: 0,
+                prev: self.anchor,
+            },
+            left: self.len,
+        }
+    }
+
+    /// Bytes the retained events take encoded.
+    pub fn byte_len(&self) -> usize {
+        self.bytes.len() - self.head
+    }
+
+    /// Retained [`TraceEvent::CommSend`] events: nonzero only on a run
+    /// with a delayed channel.
+    pub(crate) fn comm_sends(&self) -> usize {
+        self.comm_sends
+    }
+
+    /// Time of the newest event, if any.
+    pub(crate) fn last_t(&self) -> Option<f64> {
+        (self.len > 0).then(|| f64::from_bits(self.last))
+    }
+
+    /// Append one event.
+    pub(crate) fn push(&mut self, ev: TraceEvent) {
+        let t = ev.t().to_bits();
+        let same = t == self.last;
+        let mut w = Writer {
+            buf: [0; MAX_RECORD],
+            n: 1,
+        };
+        if !same {
+            w.raw(t);
+        }
+        let tag = match ev {
+            TraceEvent::FiringBegin {
+                node,
+                method,
+                pe,
+                cycles,
+                ..
+            } => {
+                w.varint(node.into());
+                w.varint(method.into());
+                w.varint(pe.into());
+                w.varint(cycles);
+                FIRING_BEGIN
+            }
+            TraceEvent::FiringEnd { node, pe, .. } => {
+                w.varint(node.into());
+                w.varint(pe.into());
+                FIRING_END
+            }
+            TraceEvent::QueueDepth {
+                node, port, depth, ..
+            } => {
+                w.varint(node.into());
+                w.varint(port.into());
+                w.varint(depth.into());
+                QUEUE_DEPTH
+            }
+            TraceEvent::Token {
+                node, port, token, ..
+            } => {
+                w.varint(node.into());
+                w.varint(port.into());
+                TOKEN
+                    | match token {
+                        ControlToken::EndOfLine => 0,
+                        ControlToken::EndOfFrame => 1 << SUB_SHIFT,
+                        ControlToken::Custom(id) => {
+                            w.varint(id.into());
+                            2 << SUB_SHIFT
+                        }
+                    }
+            }
+            TraceEvent::Stall { pe, cause, .. } => {
+                w.varint(pe.into());
+                STALL | cause.tag() << SUB_SHIFT
+            }
+            TraceEvent::CommSend {
+                chan,
+                words,
+                arrival,
+                ..
+            } => {
+                w.varint(chan.into());
+                w.varint(words.into());
+                w.raw(arrival.to_bits());
+                self.comm_sends += 1;
+                COMM_SEND
+            }
+            TraceEvent::CommArrival { chan, .. } => {
+                w.varint(chan.into());
+                COMM_ARRIVAL
+            }
+        };
+        w.buf[0] = tag | if same { SAME_TIME } else { 0 };
+        let record = &w.buf[..w.n];
+        if self.bytes.capacity() - self.bytes.len() < record.len() && self.head > 0 {
+            // Reclaim the dropped records' bytes in place: a bounded
+            // recorder's reservation holds its capacity in longest records,
+            // so this always makes room without reallocating.
+            self.bytes.drain(..self.head);
+            self.head = 0;
+        }
+        let at = self.bytes.len();
+        self.bytes.extend_from_slice(record);
+        debug_assert!(
+            {
+                let mut r = Reader {
+                    bytes: &self.bytes,
+                    pos: at,
+                    prev: self.last,
+                };
+                event_bits(&r.event()) == event_bits(&ev) && r.pos == self.bytes.len()
+            },
+            "trace record {record:02x?} does not decode to {ev:?}"
+        );
+        self.last = t;
+        self.len += 1;
+    }
+
+    /// Drop the oldest event, moving the anchor to the time of the one
+    /// after it.
+    pub(crate) fn drop_oldest(&mut self) {
+        debug_assert!(self.len > 0, "drop from an empty trace log");
+        let mut r = Reader {
+            bytes: &self.bytes,
+            pos: self.head,
+            prev: self.anchor,
+        };
+        if let TraceEvent::CommSend { .. } = r.event() {
+            self.comm_sends -= 1;
+        }
+        // The next record shares the dropped one's time unless it stores
+        // its own.
+        let (pos, dropped_t) = (r.pos, r.prev);
+        self.head = pos;
+        self.len -= 1;
+        self.anchor = dropped_t;
+        if self.len == 0 {
+            debug_assert_eq!(pos, self.bytes.len(), "records past the trace log's count");
+            debug_assert_eq!(
+                self.anchor, self.last,
+                "an empty trace log encodes against its anchor"
+            );
+            self.bytes.clear();
+            self.head = 0;
+        } else if self.bytes[pos] & SAME_TIME == 0 {
+            self.anchor = Reader {
+                bytes: &self.bytes,
+                pos: pos + 1,
+                prev: 0,
+            }
+            .raw();
+        }
+        debug_assert!(
+            self.iter()
+                .next()
+                .is_none_or(|e| e.t().to_bits() == self.anchor),
+            "trace log anchor is not its oldest record's time"
+        );
+    }
+}
+
+/// Iterator over a [`TraceLog`]'s events, decoded, oldest first.
+pub struct Events<'a> {
+    r: Reader<'a>,
+    left: usize,
+}
+
+impl Iterator for Events<'_> {
+    type Item = TraceEvent;
+
+    #[inline]
+    fn next(&mut self) -> Option<TraceEvent> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        Some(self.r.event())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Events<'_> {}
+
+impl<'a> IntoIterator for &'a TraceLog {
+    type Item = TraceEvent;
+    type IntoIter = Events<'a>;
+
+    fn into_iter(self) -> Events<'a> {
+        self.iter()
+    }
+}
+
+impl FromIterator<TraceEvent> for TraceLog {
+    fn from_iter<I: IntoIterator<Item = TraceEvent>>(events: I) -> Self {
+        let mut log = TraceLog::default();
+        for e in events {
+            log.push(e);
+        }
+        log
+    }
+}
+
+/// Equal when the decoded event streams are (`TraceEvent`'s `==`).
+impl PartialEq for TraceLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for TraceLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Bounded event log: the newest `capacity` events, in recording order.
 pub(crate) struct TraceRecorder {
     capacity: usize,
-    events: VecDeque<TraceEvent>,
-    /// Oldest events discarded after the ring filled.
+    log: TraceLog,
+    /// Oldest events discarded after the log filled.
     dropped: u64,
 }
 
@@ -290,30 +725,34 @@ impl TraceRecorder {
     pub(crate) fn new(opts: TraceOptions) -> Self {
         Self {
             capacity: opts.capacity,
-            // The whole default ring is reserved up front: a 32 MiB request
-            // is always its own mapping, resident only where written and
-            // unmapped on drop. Growing by doubling instead left the ring's
-            // 8 MiB predecessors on the heap or not depending on allocator
+            // Reserved once, at the longest record, so a log bounded at
+            // 2^20 events or fewer never reallocates: a 34 MiB request is
+            // always its own mapping, resident only where written and
+            // unmapped on drop. Growing by doubling instead left the old
+            // ring's predecessors on the heap or not depending on allocator
             // history, which moved a traced run's peak RSS by 15 %.
-            events: VecDeque::with_capacity(opts.capacity.min(1 << 20)),
+            log: TraceLog {
+                bytes: Vec::with_capacity(opts.capacity.min(1 << 20) * MAX_RECORD),
+                ..TraceLog::default()
+            },
             dropped: 0,
         }
     }
 
-    /// Append one event, dropping the oldest if the ring is full.
+    /// Append one event, dropping the oldest if the log is full.
+    #[inline]
     pub(crate) fn record(&mut self, ev: TraceEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
+        if self.log.len == self.capacity {
+            self.log.drop_oldest();
             self.dropped += 1;
         }
-        self.events.push_back(ev);
+        self.log.push(ev);
     }
 
-    /// The whole ring in recording order, and the drop count. The ring's
-    /// own allocation becomes the trace — rotated in place if it wrapped —
-    /// not a second copy of it.
-    pub(crate) fn into_events(self) -> (Vec<TraceEvent>, u64) {
-        (Vec::from(self.events), self.dropped)
+    /// The log and the drop count. The log's own allocation becomes the
+    /// trace, not a copy of it.
+    pub(crate) fn into_events(self) -> (TraceLog, u64) {
+        (self.log, self.dropped)
     }
 }
 
@@ -407,9 +846,9 @@ pub struct ChannelHighWater {
 pub struct Trace {
     /// Index-to-name resolution tables.
     pub meta: TraceMeta,
-    /// Events in event-pop order: the newest ones, if the ring filled.
-    pub events: Vec<TraceEvent>,
-    /// Oldest events discarded because the ring filled. The retained
+    /// Events in event-pop order: the newest ones, if the log filled.
+    pub events: TraceLog,
+    /// Oldest events discarded because the log filled. The retained
     /// stream is still deterministic.
     pub dropped: u64,
 }
@@ -455,7 +894,7 @@ impl Trace {
                 node,
                 port,
                 depth,
-            } = *e
+            } = e
             {
                 let slot = &mut best[node as usize][port as usize];
                 match slot {
@@ -487,7 +926,7 @@ impl Trace {
     /// *timeline* that `SimReport`'s whole-run averages flatten.
     pub fn pe_utilization(&self, window_s: f64) -> Vec<Vec<f64>> {
         assert!(window_s > 0.0, "window must be positive");
-        let end = self.events.last().map_or(0.0, |e| e.t());
+        let end = self.events.last_t().unwrap_or(0.0);
         let windows = (end / window_s).floor() as usize + 1;
         let mut util = vec![vec![0.0f64; windows]; self.meta.num_pes];
         // Begin/end pairs nest only for the zero-duration source/const
@@ -495,7 +934,7 @@ impl Trace {
         // PE, so a per-PE stack pairs them correctly.
         let mut open: Vec<Vec<f64>> = vec![Vec::new(); self.meta.num_pes];
         for e in &self.events {
-            match *e {
+            match e {
                 TraceEvent::FiringBegin { t, pe, .. } => open[pe as usize].push(t),
                 TraceEvent::FiringEnd { t, pe, .. } => {
                     if let Some(t0) = open[pe as usize].pop() {
@@ -558,7 +997,7 @@ impl Trace {
             .map(|p| p.iter().map(|_| VecDeque::new()).collect())
             .collect();
         for e in &self.events {
-            match *e {
+            match e {
                 TraceEvent::CommSend { t, chan, .. } => {
                     let c = &self.meta.channels[chan as usize];
                     let (n, p) = (c.dst_node as usize, c.dst_port as usize);
@@ -606,7 +1045,7 @@ impl Trace {
         let mut cur = vec![0i64; self.meta.channels.len()];
         let mut peak = vec![0u32; self.meta.channels.len()];
         for e in &self.events {
-            match *e {
+            match e {
                 TraceEvent::CommSend { chan, .. } => {
                     let c = chan as usize;
                     cur[c] += 1;
@@ -664,11 +1103,38 @@ mod tests {
         }
     }
 
-    /// The default ring's documented footprint (`TraceOptions::default`)
-    /// is this size times 2^20.
+    fn log<const N: usize>(events: [TraceEvent; N]) -> TraceLog {
+        events.into_iter().collect()
+    }
+
+    /// What each event took in the ring the log replaced, and what the
+    /// bytes-per-event gate in `tests/setup_allocations.rs` compares with.
     #[test]
     fn trace_event_is_32_bytes() {
         assert_eq!(std::mem::size_of::<TraceEvent>(), 32);
+    }
+
+    /// The longest record, `MAX_RECORD` bytes.
+    fn longest(t: f64) -> TraceEvent {
+        TraceEvent::FiringBegin {
+            t,
+            node: u32::MAX,
+            method: u32::MAX,
+            pe: u32::MAX,
+            cycles: u64::MAX,
+        }
+    }
+
+    #[test]
+    fn records_at_one_instant_omit_the_time() {
+        let mut l = log([fb(1.0, 3, 0, 200)]);
+        // Tag, time bits, node, method, pe, and two bytes of cycles.
+        assert_eq!(l.byte_len(), 1 + 8 + 3 + 2);
+        l.push(fe(1.0, 3, 0));
+        assert_eq!(l.byte_len(), 14 + 3);
+        l.push(longest(2.0));
+        assert_eq!(l.byte_len(), 17 + MAX_RECORD);
+        assert_eq!(l, log([fb(1.0, 3, 0, 200), fe(1.0, 3, 0), longest(2.0)]));
     }
 
     #[test]
@@ -680,31 +1146,201 @@ mod tests {
         assert_eq!(r.dropped, 1);
         let (events, dropped) = r.into_events();
         assert_eq!(dropped, 1);
-        assert_eq!(events, vec![fb(1.0, 1, 0, 1), fb(2.0, 2, 0, 1)]);
+        assert_eq!(events, log([fb(1.0, 1, 0, 1), fb(2.0, 2, 0, 1)]));
     }
 
     #[test]
-    fn default_ring_never_reallocates() {
+    fn reserved_log_never_reallocates() {
+        // The default log holds 2^20 longest records unmoved ...
         let mut r = TraceRecorder::new(TraceOptions::default());
-        let reserved = r.events.capacity();
+        let reserved = r.log.bytes.capacity();
         for i in 0..300_000 {
-            r.record(fe(i as f64, 0, 0));
+            r.record(longest((i + 1) as f64));
         }
-        assert_eq!(r.events.capacity(), reserved);
+        assert_eq!(r.log.bytes.capacity(), reserved);
+        assert_eq!(r.log.byte_len(), 300_000 * MAX_RECORD);
         assert_eq!(r.dropped, 0);
+        // ... and a bounded log that wraps reclaims its dropped records'
+        // bytes in place.
+        let mut r = TraceRecorder::new(TraceOptions::with_capacity(100));
+        let reserved = r.log.bytes.capacity();
+        for i in 0..5_000 {
+            r.record(longest((i + 1) as f64));
+        }
+        assert_eq!(r.log.bytes.capacity(), reserved);
+        assert_eq!((r.log.len(), r.dropped), (100, 4_900));
+        assert_eq!(r.log.iter().next(), Some(longest(4_901.0)));
+    }
+
+    /// The `VecDeque` ring the log replaced, kept as its oracle: the
+    /// newest `capacity` events, the oldest dropped and counted.
+    struct Ring {
+        capacity: usize,
+        events: VecDeque<TraceEvent>,
+        dropped: u64,
+    }
+
+    impl Ring {
+        fn record(&mut self, ev: TraceEvent) {
+            if self.events.len() == self.capacity {
+                self.events.pop_front();
+                self.dropped += 1;
+            }
+            self.events.push_back(ev);
+        }
+
+        /// `Trace::digest` as it was over the ring's events.
+        fn digest(&self) -> u64 {
+            let mut h = Fnv::new();
+            h.u64(self.events.len() as u64);
+            for e in &self.events {
+                e.fold(&mut h);
+            }
+            h.finish()
+        }
+    }
+
+    /// A random event of any of the seven variants. Indices and counts
+    /// sit on the varint edges (0, the last one-byte and first two-byte
+    /// values, the type's maximum) or are drawn at random; the time
+    /// repeats, steps by one ulp, jumps, flips to a signed zero or takes
+    /// arbitrary bits, NaNs included.
+    fn random_event(rng: &mut bp_core::Rng64, t: &mut f64) -> TraceEvent {
+        let u32v = |rng: &mut bp_core::Rng64| match rng.gen_index(6) {
+            0 => 0,
+            1 => 127,
+            2 => 128,
+            3 => u32::MAX,
+            4 => rng.gen_range_u32(0, 64),
+            _ => rng.next_u64() as u32,
+        };
+        *t = match rng.gen_index(10) {
+            0..=4 => *t,
+            5 => f64::from_bits(t.to_bits().wrapping_add(1)),
+            6 => *t + rng.gen_f64(),
+            7 => 0.0,
+            8 => -0.0,
+            _ => f64::from_bits(rng.next_u64()),
+        };
+        let t = *t;
+        match rng.gen_index(7) {
+            0 => TraceEvent::FiringBegin {
+                t,
+                node: u32v(rng),
+                method: u32v(rng),
+                pe: u32v(rng),
+                cycles: match rng.gen_index(4) {
+                    0 => 0,
+                    1 => u64::MAX,
+                    2 => rng.gen_range_u32(0, 300).into(),
+                    _ => rng.next_u64(),
+                },
+            },
+            1 => TraceEvent::FiringEnd {
+                t,
+                node: u32v(rng),
+                pe: u32v(rng),
+            },
+            2 => TraceEvent::QueueDepth {
+                t,
+                node: u32v(rng),
+                port: u32v(rng),
+                depth: u32v(rng),
+            },
+            3 => TraceEvent::Token {
+                t,
+                node: u32v(rng),
+                port: u32v(rng),
+                token: match rng.gen_index(5) {
+                    0 => ControlToken::EndOfLine,
+                    1 => ControlToken::EndOfFrame,
+                    2 => ControlToken::Custom(0),
+                    3 => ControlToken::Custom(u16::MAX),
+                    _ => ControlToken::Custom(rng.next_u64() as u16),
+                },
+            },
+            4 => TraceEvent::Stall {
+                t,
+                pe: u32v(rng),
+                cause: [
+                    StallCause::Idle,
+                    StallCause::InputStarved,
+                    StallCause::OutputBlocked,
+                ][rng.gen_index(3)],
+            },
+            5 => TraceEvent::CommSend {
+                t,
+                chan: u32v(rng),
+                words: u32v(rng),
+                arrival: match rng.gen_index(3) {
+                    0 => t,
+                    1 => t + rng.gen_f64(),
+                    _ => f64::from_bits(rng.next_u64()),
+                },
+            },
+            _ => TraceEvent::CommArrival { t, chan: u32v(rng) },
+        }
+    }
+
+    /// The log against the ring it replaced, on seeded streams of every
+    /// variant: after every event, the same length, drop count, events
+    /// (bit for bit) and digest, through wraps and drops at every
+    /// capacity. With debug assertions on, every record is also decoded
+    /// as it is written and every anchor checked as it moves.
+    #[test]
+    fn log_matches_the_ring_it_replaced() {
+        for seed in 0..32u64 {
+            for capacity in [1, 2, 3, 64, usize::MAX] {
+                let mut rng = bp_core::Rng64::seed_from_u64(0x7ace_0000 + seed);
+                let mut log = TraceRecorder::new(TraceOptions::with_capacity(capacity));
+                let mut ring = Ring {
+                    capacity,
+                    events: VecDeque::new(),
+                    dropped: 0,
+                };
+                let mut t = 0.0;
+                for step in 0..200 {
+                    let ev = random_event(&mut rng, &mut t);
+                    log.record(ev);
+                    ring.record(ev);
+                    let at = format!("seed {seed}, capacity {capacity}, step {step}: {ev:?}");
+                    assert_eq!(log.log.len(), ring.events.len(), "{at}");
+                    assert_eq!(log.dropped, ring.dropped, "{at}");
+                    assert_eq!(log.log.iter().len(), ring.events.len(), "{at}");
+                    assert!(
+                        log.log
+                            .iter()
+                            .map(|e| event_bits(&e))
+                            .eq(ring.events.iter().map(event_bits)),
+                        "{at}"
+                    );
+                    let comm_sends = ring
+                        .events
+                        .iter()
+                        .filter(|e| matches!(e, TraceEvent::CommSend { .. }));
+                    assert_eq!(log.log.comm_sends(), comm_sends.count(), "{at}");
+                    let trace = Trace {
+                        meta: meta(1, 1),
+                        events: log.log.clone(),
+                        dropped: log.dropped,
+                    };
+                    assert_eq!(trace.digest(), ring.digest(), "{at}");
+                }
+            }
+        }
     }
 
     #[test]
     fn digest_detects_any_change() {
         let t = Trace {
             meta: meta(2, 1),
-            events: vec![fb(0.0, 0, 0, 5), fe(5e-6, 0, 0)],
+            events: log([fb(0.0, 0, 0, 5), fe(5e-6, 0, 0)]),
             dropped: 0,
         };
         let mut t2 = t.clone();
         let d = t.digest();
         assert_eq!(d, t2.digest());
-        t2.events[0] = fb(0.0, 0, 0, 6);
+        t2.events = log([fb(0.0, 0, 0, 6), fe(5e-6, 0, 0)]);
         assert_ne!(d, t2.digest());
     }
 
@@ -712,7 +1348,7 @@ mod tests {
     fn node_event_counts_attribute_per_node() {
         let t = Trace {
             meta: meta(3, 1),
-            events: vec![
+            events: log([
                 fb(0.0, 0, 0, 1),
                 fe(1e-6, 0, 0),
                 TraceEvent::QueueDepth {
@@ -726,7 +1362,7 @@ mod tests {
                     pe: 0,
                     cause: StallCause::Idle,
                 },
-            ],
+            ]),
             dropped: 0,
         };
         assert_eq!(t.node_event_counts(), vec![2, 1, 0]);
@@ -743,7 +1379,7 @@ mod tests {
         };
         let t = Trace {
             meta: meta(2, 1),
-            events: vec![q(1.0, 1), q(2.0, 3), q(3.0, 3), q(4.0, 2)],
+            events: log([q(1.0, 1), q(2.0, 3), q(3.0, 3), q(4.0, 2)]),
             dropped: 0,
         };
         let hw = t.channel_high_water();
@@ -779,7 +1415,7 @@ mod tests {
         };
         let t = Trace {
             meta: m,
-            events: vec![q(1.0, 1), q(2.0, 2), q(3.0, 1), q(5.0, 0)],
+            events: log([q(1.0, 1), q(2.0, 2), q(3.0, 1), q(5.0, 0)]),
             dropped: 0,
         };
         let p = t.comm_profile();
@@ -815,7 +1451,7 @@ mod tests {
         };
         let t = Trace {
             meta: m,
-            events: vec![
+            events: log([
                 TraceEvent::CommSend {
                     t: 1.0,
                     chan: 0,
@@ -825,7 +1461,7 @@ mod tests {
                 q(2.0, 1),
                 TraceEvent::CommArrival { t: 2.0, chan: 0 },
                 q(3.0, 0),
-            ],
+            ]),
             dropped: 0,
         };
         let p = t.comm_profile();
@@ -852,13 +1488,13 @@ mod tests {
         let arr = |t: f64| TraceEvent::CommArrival { t, chan: 0 };
         let t = Trace {
             meta: m,
-            events: vec![
+            events: log([
                 send(0.0, 1.0),
                 send(0.5, 1.5),
                 arr(1.0),
                 send(1.2, 2.2),
                 arr(1.5),
-            ],
+            ]),
             dropped: 0,
         };
         assert_eq!(t.comm_in_flight_peak(), vec![2]);
@@ -869,7 +1505,7 @@ mod tests {
         // One firing spanning [0.5, 2.5) over 1-second windows on PE 0.
         let t = Trace {
             meta: meta(1, 2),
-            events: vec![fb(0.5, 0, 0, 1), fe(2.5, 0, 0)],
+            events: log([fb(0.5, 0, 0, 1), fe(2.5, 0, 0)]),
             dropped: 0,
         };
         let u = t.pe_utilization(1.0);

@@ -120,7 +120,7 @@ fn view(trace: &Trace) -> TraceView {
         arrivals: vec![Vec::new(); chans],
     };
     for ev in &trace.events {
-        match *ev {
+        match ev {
             TraceEvent::CommSend {
                 t, chan, arrival, ..
             } => {

@@ -46,6 +46,13 @@
 //! depths written straight into the ring it is the recorder's fixed set-up
 //! (366) at both.
 //!
+//! Beside it, a gate on what the trace holds, in bytes rather than
+//! allocations: `fig1b` 40×24 at 200 Hz, greedy, 4 frames, traced — the
+//! benchmark's `stream_observed` run, 283 235 events. Held as
+//! `TraceEvent`s (99bd3e0) they took 32 bytes each, 9 063 520 in all; the
+//! encoded log takes 1 484 990, 5.24 bytes per event. It must stay at or
+//! below 8 per event, and the event count must repeat exactly.
+//!
 //! A third gate holds what metrics cost in peak live heap (bytes this
 //! thread allocated and has not freed, at their highest), instantiate
 //! through run: `camera_bank(8)` 40×24 at 200 Hz, one-to-one (384 nodes),
@@ -307,6 +314,26 @@ fn tracing_allocates_nothing_per_firing() {
     let (two, four) = (extra(2), extra(4));
     println!("tracing's extra allocations: {two} at 2 frames, {four} at 4");
     assert_eq!(two, four, "tracing allocates per firing or per event");
+}
+
+#[test]
+fn the_trace_log_holds_at_most_8_bytes_per_event() {
+    let app = apps::fig1b(Dim2::new(40, 24), 200.0);
+    let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
+    let config = SimConfig::new(4).with_trace(TraceOptions::default());
+    let sim = TimedSimulator::new(&compiled.graph, &compiled.mapping, config).expect("instantiate");
+    let (_, trace, _) = sim.run_with_artifacts().expect("run");
+    let trace = trace.expect("tracing was on");
+    let (events, bytes) = (trace.events.len(), trace.events.byte_len());
+    println!(
+        "fig1b, 4 frames: {events} events in {bytes} bytes, {:.2} bytes per event",
+        bytes as f64 / events as f64
+    );
+    assert_eq!((events, trace.dropped), (283_235, 0));
+    assert!(
+        bytes <= 8 * events,
+        "the trace log takes {bytes} bytes for {events} events, more than 8 per event"
+    );
 }
 
 /// Peak live heap, in bytes above what was live before, of instantiating

@@ -169,7 +169,7 @@ fn hostile_names_export_as_valid_json() {
                 latency_s: 1e-6,
             }],
         },
-        events: vec![
+        events: [
             TraceEvent::FiringBegin {
                 t: 1e-6,
                 node: 0,
@@ -206,7 +206,9 @@ fn hostile_names_export_as_valid_json() {
                 port: 0,
                 token: ControlToken::Custom(7),
             },
-        ],
+        ]
+        .into_iter()
+        .collect(),
         dropped: 0,
     };
     let json = chrome_trace_json(&trace);

@@ -1,16 +1,13 @@
-//! # bp-bench — harnesses regenerating the paper's figures
+//! # bp-bench — binaries regenerating the paper's figures
 //!
 //! One binary per evaluation figure (`fig03` … `fig13`, see DESIGN.md §4)
-//! plus Criterion micro-benchmarks for the compiler passes, the simulators
-//! and the kernel library. This library crate holds the shared plumbing:
-//! compiling an application, running the timed simulation, and rendering
-//! the small ASCII tables/bars the binaries print. Performance claims are
-//! judged by the `benchmark/` package (`BENCHMARK.json`), not by these
-//! harnesses.
+//! plus the mapping, placement and machine-sweep ablations. This library
+//! crate holds their shared plumbing: compiling an application, running the
+//! timed simulation, and rendering the small ASCII tables and bars the
+//! binaries print. Performance claims are judged by the `benchmark/`
+//! package (`BENCHMARK.json`), not by these binaries.
 
 #![warn(missing_docs)]
-
-pub mod microbench;
 
 use bp_apps::App;
 use bp_compiler::{compile, CompileOptions, Compiled};

@@ -483,7 +483,7 @@ fn split_buffer_columns(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bp_core::kernel::NodeRole;
+    use crate::pipeline::GraphCensus;
     use bp_core::{GraphBuilder, Step2};
     use bp_kernels as k;
 
@@ -663,10 +663,10 @@ mod tests {
         // Small/fast: conv x3 and its split/join/replicate set.
         let mut g = conv_pipeline(200.0);
         parallelize(&mut g, &machine()).unwrap();
-        let census = g.role_census();
-        assert_eq!(census.get(&NodeRole::Split).copied().unwrap_or(0), 1);
-        assert_eq!(census.get(&NodeRole::Join).copied().unwrap_or(0), 1);
-        assert_eq!(census.get(&NodeRole::Replicate).copied().unwrap_or(0), 1);
-        assert_eq!(census.get(&NodeRole::User).copied().unwrap_or(0), 3);
+        let census = GraphCensus::of(&g);
+        assert_eq!(census.role("Split"), 1);
+        assert_eq!(census.role("Join"), 1);
+        assert_eq!(census.role("Replicate"), 1);
+        assert_eq!(census.role("User"), 3);
     }
 }

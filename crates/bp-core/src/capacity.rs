@@ -103,7 +103,10 @@ pub struct LoopInfo {
 
 /// The widest-input-row default capacity (the historical flat rule): the
 /// widest input-window row any kernel consumes, rounded up to a power of
-/// two, with a floor of 64 items.
+/// two, with a floor of 64 items. That is enough slack that within-frame
+/// burstiness — a windowed kernel receives its row of windows faster than
+/// it drains them, catching up during the halo rows — does not register as
+/// a missed deadline, while sustained overload still does.
 pub fn derive_default_capacity(graph: &AppGraph) -> usize {
     let widest = graph
         .nodes()

@@ -13,7 +13,6 @@ use crate::error::{BpError, Result};
 use crate::geometry::Dim2;
 use crate::kernel::{KernelDef, KernelSpec, NodeRole};
 use crate::method::MethodTable;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Identifier of a node in the application graph.
@@ -805,15 +804,6 @@ impl AppGraph {
         debug_assert!(self.indexes((0..self.nodes.len()).map(NodeId)));
         remap
     }
-
-    /// Count of nodes per role, for reports.
-    pub fn role_census(&self) -> HashMap<NodeRole, usize> {
-        let mut m = HashMap::new();
-        for (_, n) in self.nodes() {
-            *m.entry(n.spec().role).or_insert(0) += 1;
-        }
-        m
-    }
 }
 
 /// Convenience builder offering name-based connection of kernels.
@@ -1210,8 +1200,8 @@ mod tests {
         assert_eq!(g.channels_from(s, 0).len(), 2);
         assert_eq!(g.out_channels(s).len(), 2);
         assert_eq!(g.in_channels(k1).len(), 1);
-        let census = g.role_census();
-        assert_eq!(census[&NodeRole::Sink], 2);
-        assert_eq!(census[&NodeRole::User], 2);
+        let count = |role| g.nodes().filter(|(_, n)| n.spec().role == role).count();
+        assert_eq!(count(NodeRole::Sink), 2);
+        assert_eq!(count(NodeRole::User), 2);
     }
 }

@@ -112,7 +112,7 @@ impl<P> EventQueue<P> {
     /// `(1 << 63) | stream | sequence`: after every counter-keyed event at
     /// the same time, and a function of the channel's own history only.
     /// Such keys arrive almost sorted, so the event joins the lane when its
-    /// key sorts within [`TAIL`] entries of the back, and the heap
+    /// key sorts within the last 16 entries of the lane, and the heap
     /// otherwise.
     pub fn push_ord(&mut self, t: f64, seq: u64, payload: P) {
         let e = event(t, seq, payload);

@@ -35,12 +35,12 @@ impl FunctionalExecutor {
     /// Run `frames` frames through every application input and drain to
     /// quiescence. Constants fire once before the first frame.
     pub fn run_frames(&mut self, frames: u32) -> Result<()> {
-        let consts = self.program.consts.clone();
+        let consts = self.program.tables.consts.clone();
         for (node, method) in consts {
             self.program.fire_source_method(node, method);
         }
         self.drain()?;
-        let sources = self.program.sources.clone();
+        let sources = self.program.tables.sources.clone();
         for _ in 0..frames {
             for s in &sources {
                 let pixels = s.frame.area();

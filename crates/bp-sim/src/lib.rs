@@ -54,7 +54,7 @@ pub use functional::FunctionalExecutor;
 pub use parallel::{run_batch, run_batch_with_workers};
 pub use runtime::{Action, Program, RtNode, SourceRt};
 pub use stats::{PeStats, RealTimeVerdict, SimReport};
-pub use timed::{derive_channel_capacity, Backend, SimConfig, SteppableSim, TimedSimulator};
+pub use timed::{Backend, SimConfig, SteppableSim, TimedSimulator};
 pub use timed_parallel::{ParallelRunStats, ParallelTimedSimulator};
 pub use trace::{
     ChannelHighWater, StallCause, Trace, TraceChannel, TraceEvent, TraceLog, TraceMeta,

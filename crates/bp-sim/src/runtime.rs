@@ -436,9 +436,9 @@ impl Routes {
 }
 
 /// The read-only half of an instantiated program: routing tables and
-/// source/const pacing info. Splitting this from the mutable node instances
-/// (see [`Program::split`]) lets the timed engine read the tables while it
-/// mutates the [`RtNode`]s.
+/// source/const pacing info. Keeping it apart from the mutable node
+/// instances (a [`Program`] holds both side by side) lets the timed engine
+/// read the tables while it mutates the [`RtNode`]s.
 pub struct ProgramTables {
     /// `(node, out_port)` → destinations `(node, in_port)`.
     pub routes: Routes,
@@ -453,12 +453,8 @@ pub struct ProgramTables {
 pub struct Program {
     /// Node instances, indexed like the graph's nodes.
     pub nodes: Vec<RtNode>,
-    /// `(node, out_port)` → destinations `(node, in_port)`.
-    pub routes: Routes,
-    /// Application inputs (role `Source`), paced per their rate.
-    pub sources: Vec<SourceRt>,
-    /// Constant providers (role `Const`), fired once at startup.
-    pub consts: Vec<(usize, usize)>,
+    /// Routing and pacing tables.
+    pub tables: ProgramTables,
 }
 
 impl ProgramTables {
@@ -530,19 +526,15 @@ impl Program {
     /// and method tables are shared with the graph, not copied.
     pub fn instantiate(graph: &AppGraph) -> Result<Self> {
         let (nodes, tables) = ProgramTables::of(graph)?;
-        Ok(Self {
-            nodes: nodes.iter().map(RtNode::new).collect(),
-            routes: tables.routes,
-            sources: tables.sources,
-            consts: tables.consts,
-        })
+        let nodes = nodes.iter().map(RtNode::new).collect();
+        Ok(Self { nodes, tables })
     }
 
     /// Deliver emitted items to the successor queues (fan-out clones share
     /// window storage). The drained buffer is recycled to the firing node.
     pub fn route(&mut self, from: usize, mut emitted: Vec<(usize, Item)>) {
         for (port, item) in emitted.drain(..) {
-            match *self.routes.from(from, port) {
+            match *self.tables.routes.from(from, port) {
                 [] => {} // unconnected output: items are dropped
                 [(dn, dp)] => self.nodes[dn].queues[dp].push_back(item),
                 ref dests => {

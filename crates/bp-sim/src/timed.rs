@@ -112,7 +112,8 @@ pub struct SimConfig {
     /// or one pinned value for every channel from
     /// [`with_channel_capacity`](Self::with_channel_capacity)). `None` (the
     /// default) derives one from the graph being simulated — the
-    /// widest-row default of [`derive_channel_capacity`] plus
+    /// widest-row default of
+    /// [`derive_default_capacity`](bp_core::capacity::derive_default_capacity) plus
     /// feedback-aware back-edge overrides
     /// ([`bp_core::capacity::derive_channel_capacities`]). Every capacity
     /// must be at least 2, the room a firing needs on each output:
@@ -136,7 +137,7 @@ pub struct SimConfig {
 impl SimConfig {
     /// Default configuration on the evaluation machine, with the channel
     /// capacity derived per graph (a window-row of slack; see
-    /// [`derive_channel_capacity`]).
+    /// [`bp_core::capacity::derive_default_capacity`]).
     pub fn new(frames: u32) -> Self {
         Self {
             machine: MachineSpec::default_eval(),
@@ -212,24 +213,6 @@ impl SimConfig {
     pub fn with_lowered(self, _program: Arc<bp_codegen::ThreadedProgram>) -> Self {
         self
     }
-}
-
-/// Derive the per-queue capacity for a graph: enough slack that within-frame
-/// burstiness — a windowed kernel receives its row of windows faster than it
-/// drains them, catching up during the halo rows — does not register as a
-/// missed deadline, while sustained overload still does.
-///
-/// The slack needed scales with the widest input window row any kernel
-/// consumes, so the capacity is that width rounded up to a power of two,
-/// with a floor of 64 items (the pre-derivation default; every bundled
-/// application's windows are narrower, so they are unaffected).
-///
-/// This is the *default* every channel gets; feedback back edges are
-/// additionally grown to hold their loop's primed population — see
-/// [`bp_core::capacity::derive_channel_capacities`], which the simulator
-/// applies when no explicit capacity is configured.
-pub fn derive_channel_capacity(graph: &AppGraph) -> usize {
-    bp_core::capacity::derive_default_capacity(graph)
 }
 
 /// What a pending simulator event does when it fires.
@@ -2048,6 +2031,7 @@ impl TimedSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bp_core::capacity::derive_default_capacity;
     use bp_core::{Dim2, GraphBuilder};
 
     fn chain_graph(kernel: bp_core::KernelDef) -> AppGraph {
@@ -2328,7 +2312,7 @@ mod tests {
         // Every input window in this graph is narrower than 64, so the
         // derived capacity is the 64-item floor (the historical default).
         let g = chain_graph(bp_kernels::median(5, 5));
-        assert_eq!(derive_channel_capacity(&g), 64);
+        assert_eq!(derive_default_capacity(&g), 64);
     }
 
     #[test]
@@ -2349,7 +2333,7 @@ mod tests {
         b.connect(taps, "out", fir, "taps");
         b.connect(fir, "out", snk, "in");
         let g = b.build().unwrap();
-        assert_eq!(derive_channel_capacity(&g), 128);
+        assert_eq!(derive_default_capacity(&g), 128);
     }
 
     #[test]

@@ -186,7 +186,7 @@ fn ready_gate_defers_until_state_is_loaded() {
         "conv must not fire without coefficients"
     );
     // Fire the coefficient provider; now the conv can fire.
-    let consts = prog.consts.clone();
+    let consts = prog.tables.consts.clone();
     for (node, method) in consts {
         prog.fire_source_method(node, method);
     }

@@ -2,7 +2,8 @@
 //! the functional executor, overload detection, utilization accounting, and
 //! multiplexed scheduling.
 
-use bp_core::kernel::{Emitter, FireData, KernelBehavior, KernelDef, KernelSpec, NodeRole};
+use bp_compiler::pipeline::GraphCensus;
+use bp_core::kernel::{Emitter, FireData, KernelBehavior, KernelDef, KernelSpec};
 use bp_core::method::{MethodCost, MethodSpec};
 use bp_core::port::{InputSpec, OutputSpec};
 use bp_core::{Dim2, GraphBuilder, MachineSpec, Mapping};
@@ -174,9 +175,9 @@ fn sink_roles_collect_frame_completions() {
     let dim = Dim2::new(4, 4);
     let (g, h) = pipeline(5, dim, 25.0);
     // Confirm role bookkeeping: one source, one sink.
-    let census = g.role_census();
-    assert_eq!(census[&NodeRole::Source], 1);
-    assert_eq!(census[&NodeRole::Sink], 1);
+    let census = GraphCensus::of(&g);
+    assert_eq!(census.role("Source"), 1);
+    assert_eq!(census.role("Sink"), 1);
     let mapping = Mapping::one_to_one(g.node_count());
     let report = TimedSimulator::new(&g, &mapping, SimConfig::new(5))
         .unwrap()

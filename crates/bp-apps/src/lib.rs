@@ -18,4 +18,6 @@ pub use apps::{
     parallel_buffer_test, stereo_diff, temporal_iir, App,
 };
 pub use noise::NoisePlan;
-pub use presets::{fig11_points, fig13_suite, BenchmarkCase, ScalePoint, BIG, FAST, SLOW, SMALL};
+pub use presets::{
+    examples, fig11_points, fig13_suite, BenchmarkCase, ScalePoint, BIG, FAST, SLOW, SMALL,
+};

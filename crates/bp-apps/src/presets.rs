@@ -64,6 +64,30 @@ pub struct BenchmarkCase {
     pub build: fn() -> App,
 }
 
+/// An example application's name and its builder.
+pub type Example = (&'static str, fn() -> App);
+
+/// The eleven example applications, by name, at the reference
+/// configuration the golden suites pin: SMALL/SLOW, except where an app
+/// needs a shape of its own.
+pub fn examples() -> [Example; 11] {
+    [
+        ("fig1b", || apps::fig1b(SMALL, SLOW)),
+        ("bayer", || apps::bayer(SMALL, SLOW)),
+        ("histogram", || apps::histogram_app(SMALL, SLOW, 32)),
+        ("parallel_buffer", || {
+            apps::parallel_buffer_test(Dim2::new(64, 12), 10.0)
+        }),
+        ("multi_conv", || apps::multi_conv(SMALL, SLOW, 3)),
+        ("temporal_iir", || apps::temporal_iir(SMALL, SLOW)),
+        ("fir_radio", || apps::fir_radio(72, 100.0)),
+        ("edge_detect", || apps::edge_detect(SMALL, SLOW, 0.5)),
+        ("analytics", || apps::analytics(SMALL, SLOW)),
+        ("stereo_diff", || apps::stereo_diff(SMALL, SLOW)),
+        ("camera_bank", || apps::camera_bank(3, SMALL, SLOW)),
+    ]
+}
+
 /// The eleven benchmarks of Fig. 13, in the paper's order:
 /// 1 & 1F: Bayer demosaicing at baseline and faster input rates;
 /// 2 & 2F: image histogram at baseline and faster rates;

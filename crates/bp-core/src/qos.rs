@@ -86,9 +86,6 @@ pub struct MetricsPolicy {
     /// application's frame period (`1 / required_rate_hz`), falling back
     /// to 1 ms when no rate is declared.
     pub interval_s: Option<f64>,
-    /// Sliding-window length for per-PE utilization, in snapshot
-    /// intervals. `None` defaults to 5.
-    pub window: Option<usize>,
     /// Declared real-time contracts to monitor.
     pub contracts: QosSpec,
 }
@@ -99,17 +96,11 @@ impl MetricsPolicy {
         Self::default()
     }
 
-    /// Set an explicit snapshot interval in simulated seconds.
+    /// Set an explicit snapshot interval in simulated seconds. A value
+    /// that is not finite and positive is refused by the simulator as a
+    /// typed error.
     pub fn with_interval_s(mut self, s: f64) -> Self {
-        assert!(s > 0.0, "metrics interval must be positive");
         self.interval_s = Some(s);
-        self
-    }
-
-    /// Set the sliding-window length (in intervals) for PE utilization.
-    pub fn with_window(mut self, intervals: usize) -> Self {
-        assert!(intervals > 0, "metrics window must be positive");
-        self.window = Some(intervals);
         self
     }
 
@@ -142,10 +133,8 @@ mod tests {
     fn policy_builders_compose() {
         let p = MetricsPolicy::new()
             .with_interval_s(0.25)
-            .with_window(3)
             .with_contracts(QosSpec::none().with_min_sink_rate_hz(24.0));
         assert_eq!(p.interval_s, Some(0.25));
-        assert_eq!(p.window, Some(3));
         assert_eq!(p.contracts.min_sink_rate_hz, Some(24.0));
     }
 }

@@ -166,7 +166,7 @@ mod tests {
     use bp_core::QosSpec;
 
     fn sample_tape(busy: f64) -> MetricsTape {
-        let mut rec = MetricsRecorder::new(1e-3, 4, 1, 1, 0);
+        let mut rec = MetricsRecorder::new(1e-3, 1, 1, 0);
         rec.firing_complete(busy, 0, 0, busy);
         MetricsTape::assemble(&mut rec, &QosSpec::none(), &[busy], &[busy / 2.0], busy)
     }

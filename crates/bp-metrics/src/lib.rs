@@ -39,4 +39,5 @@ pub use histogram::{LogHistogram, NUM_BUCKETS};
 pub use recorder::{IntervalAcc, MetricsRecorder};
 pub use tape::{
     ChannelMetrics, MetricsFinal, MetricsSnapshot, MetricsTape, NodeMetrics, QosReport,
+    UTILIZATION_WINDOW,
 };

@@ -75,7 +75,6 @@ struct HotCell {
 #[derive(Clone, Debug)]
 pub struct MetricsRecorder {
     interval_s: f64,
-    window: usize,
     num_pes: usize,
     cur: usize,
     cur_end_t: f64,
@@ -94,20 +93,11 @@ pub struct MetricsRecorder {
 impl MetricsRecorder {
     /// A fresh recorder for a machine with `num_pes` PEs, a graph with
     /// `num_nodes` nodes and `num_chans` channels, bucketing at
-    /// `interval_s` simulated seconds with a `window`-interval sliding
-    /// utilization window.
-    pub fn new(
-        interval_s: f64,
-        window: usize,
-        num_pes: usize,
-        num_nodes: usize,
-        num_chans: usize,
-    ) -> Self {
+    /// `interval_s` simulated seconds.
+    pub fn new(interval_s: f64, num_pes: usize, num_nodes: usize, num_chans: usize) -> Self {
         assert!(interval_s > 0.0 && interval_s.is_finite());
-        assert!(window > 0);
         Self {
             interval_s,
-            window,
             num_pes,
             cur: 0,
             cur_end_t: interval_s,
@@ -127,11 +117,6 @@ impl MetricsRecorder {
     /// Snapshot interval in simulated seconds.
     pub fn interval_s(&self) -> f64 {
         self.interval_s
-    }
-
-    /// Sliding utilization window, in intervals.
-    pub fn window(&self) -> usize {
-        self.window
     }
 
     /// Number of PEs tracked.
@@ -314,7 +299,7 @@ mod tests {
     use super::*;
 
     fn rec() -> MetricsRecorder {
-        MetricsRecorder::new(1.0, 2, 2, 3, 2)
+        MetricsRecorder::new(1.0, 2, 3, 2)
     }
 
     #[test]

@@ -8,6 +8,9 @@ use crate::histogram::LogHistogram;
 use crate::recorder::MetricsRecorder;
 use bp_core::{Fnv, QosSpec};
 
+/// Length of the sliding per-PE utilization window, in snapshot intervals.
+pub const UTILIZATION_WINDOW: usize = 5;
+
 /// One periodic snapshot covering simulated time `[index·Δ, t_end)`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricsSnapshot {
@@ -23,7 +26,8 @@ pub struct MetricsSnapshot {
     pub queue_depth: u64,
     /// Firings completed during this interval.
     pub firings: u64,
-    /// Per-PE utilization over the sliding window ending at this interval.
+    /// Per-PE utilization over the last [`UTILIZATION_WINDOW`] intervals
+    /// (fewer at the start of the run), ending at this one.
     pub pe_util: Vec<f64>,
     /// Frames completed (all sinks EOF) by `t_end`, cumulative.
     pub frames_completed: u32,
@@ -214,7 +218,6 @@ impl MetricsTape {
         rec.seal();
         let rec = &*rec;
         let dt = rec.interval_s();
-        let window = rec.window();
         let ivs = rec.intervals();
         let mut snapshots = Vec::with_capacity(ivs.len());
         let (mut pushed, mut popped, mut overruns, mut budget, mut stalls) = (0u64, 0, 0, 0, 0);
@@ -225,7 +228,7 @@ impl MetricsTape {
             budget += iv.budget_overruns;
             stalls += iv.stalls;
             let t_end = (k + 1) as f64 * dt;
-            let lo = (k + 1).saturating_sub(window);
+            let lo = (k + 1).saturating_sub(UTILIZATION_WINDOW);
             let span = (k + 1 - lo) as f64 * dt;
             let pe_util = (0..rec.num_pes())
                 .map(|pe| {
@@ -561,7 +564,7 @@ mod tests {
     use super::*;
 
     fn sample_tape() -> MetricsTape {
-        let mut r = MetricsRecorder::new(0.5, 2, 2, 2, 1);
+        let mut r = MetricsRecorder::new(0.5, 2, 2, 1);
         r.event_pushed(0.0);
         r.event_popped(0.1);
         r.firing_complete(0.1, 0, 0, 0.05);
@@ -619,7 +622,7 @@ mod tests {
 
     #[test]
     fn sink_rate_contract_counts_slow_gaps() {
-        let mut r = MetricsRecorder::new(1.0, 1, 1, 1, 1);
+        let mut r = MetricsRecorder::new(1.0, 1, 1, 1);
         let contracts = QosSpec::none().with_min_sink_rate_hz(2.0);
         // Gaps: 0.4 (ok), 0.8 (slow).
         let t = MetricsTape::assemble(&mut r, &contracts, &[0.5, 0.9, 1.7], &[0.1, 0.1, 0.1], 2.0);

@@ -341,19 +341,14 @@ fn step_round(active: &mut [Tenant], default_budget: usize, workers: usize) {
             step_one(t, default_budget);
         }
     } else {
-        // Contiguous tenant ranges, one per worker. Tenants own all of
+        // Contiguous tenant ranges, one job per worker. Tenants own all of
         // their state, so the partition (and the thread count) cannot
         // affect any tenant's event sequence.
         let chunk = active.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            for part in active.chunks_mut(chunk) {
-                s.spawn(move || {
-                    for t in part {
-                        step_one(t, default_budget);
-                    }
-                });
-            }
-        });
+        let jobs: Vec<_> = (active.chunks_mut(chunk))
+            .map(|part| move || part.iter_mut().for_each(|t| step_one(t, default_budget)))
+            .collect();
+        bp_sim::run_batch_with_workers(jobs, workers);
     }
 }
 

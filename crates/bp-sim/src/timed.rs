@@ -473,7 +473,6 @@ impl Shared {
 #[derive(Clone, Debug)]
 struct ResolvedMetrics {
     interval_s: f64,
-    window: usize,
     contracts: bp_core::QosSpec,
 }
 
@@ -669,15 +668,13 @@ pub(crate) fn build_shared(
         } else {
             1e-3
         }),
-        window: p.window.unwrap_or(5),
         contracts: p.contracts,
     });
     if let Some(m) = &metrics {
-        if !(m.interval_s.is_finite() && m.interval_s > 0.0) || m.window == 0 {
+        if !(m.interval_s.is_finite() && m.interval_s > 0.0) {
             return Err(BpError::Simulation(format!(
-                "metrics interval {} s over a window of {}: the interval must be finite and \
-                 positive and the window at least 1",
-                m.interval_s, m.window
+                "metrics interval {} s: the interval must be finite and positive",
+                m.interval_s
             )));
         }
     }
@@ -924,7 +921,7 @@ impl Engine {
         self.credit_seq = vec![0; num_chans];
         self.trace = sh.trace.map(TraceRecorder::new);
         self.metrics = (sh.metrics.as_ref())
-            .map(|m| MetricsRecorder::new(m.interval_s, m.window, num_pes, n, num_chans));
+            .map(|m| MetricsRecorder::new(m.interval_s, num_pes, n, num_chans));
         self.pe_stall = vec![None; num_pes];
         self.head_data = vec![0; n];
         self.head_ctrl = vec![0; n];
@@ -2548,11 +2545,12 @@ mod tests {
                 "metrics interval inf s",
             ),
             (
-                SimConfig::new(1).with_metrics(MetricsPolicy {
-                    window: Some(0),
-                    ..MetricsPolicy::new()
-                }),
-                "over a window of 0",
+                SimConfig::new(1).with_metrics(MetricsPolicy::new().with_interval_s(0.0)),
+                "metrics interval 0 s",
+            ),
+            (
+                SimConfig::new(1).with_metrics(MetricsPolicy::new().with_interval_s(f64::NAN)),
+                "metrics interval NaN s",
             ),
         ];
         for (cfg, want) in cases {

@@ -1,54 +1,52 @@
-//! The interpreted engine's results, frozen as data.
+//! The interpreted engine's results, frozen as data: the one sweep over
+//! the eleven example applications ([`examples`]).
 //!
-//! `backend_differential` and `metrics_determinism` compare backends *with
-//! each other*; the values below were recorded once, from
-//! `Backend::Interpreted`, at the commit before the interpreter's
-//! hand-written scheduler was merged into the table-driven one (DESIGN.md
-//! §13). Both planner choices must keep reproducing them — run in one call, and
-//! stepped a few events at a time as the fleet host runs it — so the
-//! merged scheduler is held to what the separate one computed rather than
-//! to itself. The grid-model column was recorded the same way, from the
-//! binary-heap event queue, at the commit before communication events
-//! moved to the queue's sorted lane (DESIGN.md §9), so the lane's tail
-//! insertion and its fallback to the heap are held to the heap's order
-//! rather than to themselves. A change to simulation semantics,
-//! to `SimReport::fingerprint` or to `MetricsTape::digest` must update
-//! the tables deliberately.
+//! Every run is observed as a triple — report fingerprint, metrics tape
+//! digest, digest of every sink's items — from a metrics-off and a
+//! metrics-on run that must agree, so equal triples mean equal reports,
+//! equal tapes (hence equal JSONL) and equal outputs. The values below were
+//! recorded once, from `Backend::Interpreted` run in one call, at the
+//! commit before the interpreter's hand-written scheduler was merged into
+//! the table-driven one (DESIGN.md §13); the sink digests were recorded the
+//! same way later, from the same engine. Both planner choices must keep
+//! reproducing them — run in one call, and stepped a few events at a time
+//! as the fleet host runs it — so the merged scheduler is held to what the
+//! separate one computed rather than to itself. The grid-model column was
+//! recorded the same way, from the binary-heap event queue, at the commit
+//! before communication events moved to the queue's sorted lane (DESIGN.md
+//! §9), so the lane's tail insertion and its fallback to the heap are held
+//! to the heap's order rather than to themselves. Comm models off the
+//! record are held to agreement between the four runs. A change to
+//! simulation semantics, to `SimReport::fingerprint` or to
+//! `MetricsTape::digest` must update the tables deliberately.
 
-use bp_apps::{apps, App, SLOW, SMALL};
+use bp_apps::{examples, App};
 use bp_compiler::{compile, CompileOptions};
-use bp_core::{AppGraph, CommModel, Dim2, GraphBuilder, Mapping, MetricsPolicy};
-use bp_sim::{Backend, SimConfig, SimReport, TimedSimulator};
+use bp_core::{AppGraph, CommModel, Dim2, Fnv, GraphBuilder, Item, Mapping, MetricsPolicy};
+use bp_kernels::SinkHandle;
+use bp_sim::{Backend, SimConfig, TimedSimulator};
 
 const FRAMES: u32 = 2;
 /// Events per step of the stepped runs: small and prime, so step
 /// boundaries land everywhere in the schedule.
 const STEP: usize = 97;
 
-fn build_example(name: &str) -> App {
-    match name {
-        "fig1b" => apps::fig1b(SMALL, SLOW),
-        "bayer" => apps::bayer(SMALL, SLOW),
-        "histogram" => apps::histogram_app(SMALL, SLOW, 32),
-        "parallel_buffer" => apps::parallel_buffer_test(Dim2::new(64, 12), 10.0),
-        "multi_conv" => apps::multi_conv(SMALL, SLOW, 3),
-        "temporal_iir" => apps::temporal_iir(SMALL, SLOW),
-        "fir_radio" => apps::fir_radio(72, 100.0),
-        "edge_detect" => apps::edge_detect(SMALL, SLOW, 0.5),
-        "analytics" => apps::analytics(SMALL, SLOW),
-        "stereo_diff" => apps::stereo_diff(SMALL, SLOW),
-        "camera_bank" => apps::camera_bank(3, SMALL, SLOW),
-        _ => unreachable!("unknown app {name}"),
-    }
-}
+/// The four runs of one configuration: both planners, in one call and
+/// stepped.
+const RUNS: [(Backend, bool); 4] = [
+    (Backend::Interpreted, false),
+    (Backend::Interpreted, true),
+    (Backend::Auto, false),
+    (Backend::Auto, true),
+];
 
 /// `CommModel::zero()` and `uniform:64` (64 PE cycles, no per-word term —
 /// what `bpc --comm-model uniform:64` builds), the two models of
-/// `trace_determinism`'s Chrome-export goldens, and `comm_delay`'s grid
-/// model. Under the first two, channel arrivals and credit returns are
-/// created almost in key order; under the grid their times depend on hops
-/// and message size, so they are created out of order and the event queue
-/// must sort them itself.
+/// `trace_determinism`'s Chrome-export goldens, and a grid model. Under the
+/// first two, channel arrivals and credit returns are created almost in
+/// key order; under the grid their times depend on hops and message size,
+/// so they are created out of order and the event queue must sort them
+/// itself.
 fn models() -> [CommModel; 3] {
     let clock = CompileOptions::default().machine.pe_clock_hz;
     [
@@ -58,59 +56,85 @@ fn models() -> [CommModel; 3] {
     ]
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x100000001b3)
-    })
+/// FNV-1a over every sink's item stream, each sink length-first: windows
+/// by the bits of their samples, tokens by kind.
+fn sink_digest(sinks: &[(String, SinkHandle)]) -> u64 {
+    let mut h = Fnv::new();
+    for (_, sink) in sinks {
+        let items = sink.items();
+        h.u64(items.len() as u64);
+        for item in &items {
+            match item {
+                Item::Window(w) => w.samples().iter().for_each(|&s| h.f64(s)),
+                Item::Control(token) => h.str(&token.to_string()),
+            }
+        }
+    }
+    h.finish()
 }
 
-/// `(report fingerprint, metrics tape digest)` of one configuration, from
-/// a metrics-off and a metrics-on run that must agree on the report, each
-/// run in one call or (`stepped`) [`STEP`] events at a time. A run that
-/// ends in an error reads `(FNV-1a of the message, 0)`.
+/// `(report fingerprint, metrics tape digest, sink digest)` of one
+/// configuration, from a metrics-off and a metrics-on run that must agree
+/// on the report and the sinks, each run in one call or (`stepped`)
+/// [`STEP`] events at a time. A run that ends in an error reads
+/// `(FNV-1a of the message, 0, sink digest)`.
 fn observe(
     graph: &AppGraph,
     mapping: &Mapping,
+    sinks: &[(String, SinkHandle)],
     comm: &CommModel,
-    backend: Backend,
-    stepped: bool,
-) -> (u64, u64) {
-    let run = |metrics: bool| -> bp_core::Result<(SimReport, Option<bp_sim::MetricsTape>)> {
+    (backend, stepped): (Backend, bool),
+) -> (u64, u64, u64) {
+    let run = |metrics: bool| {
         let mut config = SimConfig::new(FRAMES)
             .with_comm(comm.clone())
             .with_backend(backend);
         if metrics {
             config = config.with_metrics(MetricsPolicy::new());
         }
-        let mut sim = TimedSimulator::new(graph, mapping, config)?;
-        if !stepped {
-            let (report, _, tape) = sim.run_with_artifacts()?;
-            return Ok((report, tape));
-        }
-        while !sim.is_done() {
-            sim.step(STEP);
-        }
-        sim.finish_report()
+        sinks.iter().for_each(|(_, sink)| sink.clear());
+        let outcome = TimedSimulator::new(graph, mapping, config).and_then(|mut sim| {
+            if !stepped {
+                return sim
+                    .run_with_artifacts()
+                    .map(|(report, _, tape)| (report, tape));
+            }
+            while !sim.is_done() {
+                sim.step(STEP);
+            }
+            sim.finish_report()
+        });
+        (outcome, sink_digest(sinks))
     };
-    match (run(false), run(true)) {
+    let ((plain, items), (metered, metered_items)) = (run(false), run(true));
+    assert_eq!(items, metered_items, "metrics changed the sinks' items");
+    match (plain, metered) {
         (Ok((plain, None)), Ok((metered, Some(tape)))) => {
             assert_eq!(plain.fingerprint(), metered.fingerprint());
-            (plain.fingerprint(), tape.digest())
+            (plain.fingerprint(), tape.digest(), items)
         }
         (Err(plain), Err(metered)) => {
             assert_eq!(plain.to_string(), metered.to_string());
-            (fnv1a(plain.to_string().as_bytes()), 0)
+            let mut h = Fnv::new();
+            plain.to_string().bytes().for_each(|b| h.byte(b));
+            (h.finish(), 0, items)
         }
         (plain, metered) => panic!("metrics changed the outcome: {plain:?} vs {metered:?}"),
     }
 }
 
-/// Per app, `(fingerprint, tape digest)` under [`models`]`()[0]`, `[1]` and `[2]`
-/// at the reference configuration (SMALL/SLOW, 2 frames, default machine
-/// and compile options).
-const GOLDEN: &[(&str, [(u64, u64); 3])] = &[
+/// `(report fingerprint, metrics tape digest)` of one app under one model.
+type Cell = (u64, u64);
+
+/// Per app of [`examples`], its sink digest and its `(fingerprint, tape
+/// digest)` under [`models`]`()[0]`, `[1]` and `[2]`, at the reference
+/// configuration (2 frames, default machine and compile options). The sink
+/// digest is one per app: a comm model moves *when* items arrive, never
+/// which.
+const GOLDEN: &[(&str, u64, [Cell; 3])] = &[
     (
         "fig1b",
+        0xc0008003f6a738c4,
         [
             (0x3fd7b8fa22f4f7fe, 0x663b5532dceb7c8b),
             (0x5fa58bddb10ac478, 0xe42935e8a956f584),
@@ -119,6 +143,7 @@ const GOLDEN: &[(&str, [(u64, u64); 3])] = &[
     ),
     (
         "bayer",
+        0xef497e6db5f6b9c0,
         [
             (0xf47942be663aff6f, 0x2d75fd30608ade28),
             (0xc24c0933b61b7787, 0xbd4c7d8dd085f92a),
@@ -127,6 +152,7 @@ const GOLDEN: &[(&str, [(u64, u64); 3])] = &[
     ),
     (
         "histogram",
+        0xdb276ef728e4445b,
         [
             (0x6de4b18d4a6c824c, 0x73ce5b3cfe63390c),
             (0x8d0bb5bec193b7eb, 0x00ad9c32b6729d84),
@@ -135,6 +161,7 @@ const GOLDEN: &[(&str, [(u64, u64); 3])] = &[
     ),
     (
         "parallel_buffer",
+        0xac3a637596e3443c,
         [
             (0x7f5498ce4ad6047a, 0x4cdfb2e0e02d756f),
             (0x95e7c9c856b582af, 0x0c8564e009a3c6e6),
@@ -143,6 +170,7 @@ const GOLDEN: &[(&str, [(u64, u64); 3])] = &[
     ),
     (
         "multi_conv",
+        0xbcb6c8cda3ac69e8,
         [
             (0x38e227c6d8ac07d7, 0x773a7e4247944f24),
             (0x54c469ebf2c81355, 0x777d43bf8fa4abba),
@@ -151,6 +179,7 @@ const GOLDEN: &[(&str, [(u64, u64); 3])] = &[
     ),
     (
         "temporal_iir",
+        0x9bb8073e1a4e93f0,
         [
             (0x7b866d603065851d, 0x776cc324acbf6a45),
             (0xcf5627e5adb883bd, 0x1900c2a973325775),
@@ -159,6 +188,7 @@ const GOLDEN: &[(&str, [(u64, u64); 3])] = &[
     ),
     (
         "fir_radio",
+        0x0b99831ad0115ffd,
         [
             (0x909bd8088ab023ee, 0x6085ce4b30ccdc0c),
             (0x8f9db31949dd4e00, 0x22ec73a596dea03e),
@@ -167,6 +197,7 @@ const GOLDEN: &[(&str, [(u64, u64); 3])] = &[
     ),
     (
         "edge_detect",
+        0x7f6c5a3ea9eac25e,
         [
             (0x5d384e84264b7f0a, 0x8945a1a77cd1b1f2),
             (0xa1c0baab9d82250d, 0x182b6496e363c573),
@@ -175,6 +206,7 @@ const GOLDEN: &[(&str, [(u64, u64); 3])] = &[
     ),
     (
         "analytics",
+        0x3d466ecb11849800,
         [
             (0x4b67e197bf53050a, 0xd0b6a478ccd69ea9),
             (0x48f51e92e185925e, 0xae8aa400db7ab17a),
@@ -183,6 +215,7 @@ const GOLDEN: &[(&str, [(u64, u64); 3])] = &[
     ),
     (
         "stereo_diff",
+        0xda42fc0522d1868f,
         [
             (0x877614c8d5407a5d, 0x3eb9ebd08150c43b),
             (0x3a6d482d73dd353c, 0xddfdd972c2ba2cb0),
@@ -191,6 +224,7 @@ const GOLDEN: &[(&str, [(u64, u64); 3])] = &[
     ),
     (
         "camera_bank",
+        0xcd7717374a4da880,
         [
             (0xc1ebec8b2e8339a4, 0xa0ff6eb926bec4b1),
             (0xd33d32acd79509fa, 0xc0ea0cc1af17c106),
@@ -202,20 +236,48 @@ const GOLDEN: &[(&str, [(u64, u64); 3])] = &[
 #[test]
 fn every_backend_and_engine_reproduces_the_interpreters_record() {
     assert_eq!(GOLDEN.len(), 11, "one row per example app");
-    for &(name, want) in GOLDEN {
-        let app = build_example(name);
+    for ((name, build), &(row, sinks, cells)) in examples().into_iter().zip(GOLDEN) {
+        assert_eq!(name, row, "the record follows examples()' order");
+        let app = build();
         let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
-        for (comm, want) in models().iter().zip(want) {
-            for backend in [Backend::Interpreted, Backend::Auto] {
-                for stepped in [false, true] {
-                    let got = observe(&compiled.graph, &compiled.mapping, comm, backend, stepped);
-                    assert_eq!(
-                        got, want,
-                        "{name} under {comm:?} on {backend:?}, stepped {stepped}: drifted from \
-                         the record (got ({:#018x}, {:#018x}))",
-                        got.0, got.1
-                    );
-                }
+        for (comm, (fingerprint, tape)) in models().iter().zip(cells) {
+            for run in RUNS {
+                let got = observe(&compiled.graph, &compiled.mapping, &app.sinks, comm, run);
+                assert_eq!(
+                    got,
+                    (fingerprint, tape, sinks),
+                    "{name} under {comm:?}, {run:?} (planner, stepped): drifted from the \
+                     record (got ({:#018x}, {:#018x}, {:#018x}))",
+                    got.0,
+                    got.1,
+                    got.2
+                );
+            }
+        }
+    }
+}
+
+/// Comm models off the record — a 64 ns + 1 ns/word uniform latency, and
+/// uniform and grid latencies in PE cycles at the default 1 MHz clock,
+/// long enough to stretch every schedule: for each app, the four [`RUNS`]
+/// give the same triple, and the sinks' items are the record's.
+#[test]
+fn the_four_runs_agree_under_models_off_the_record() {
+    let cycle = 1.0 / CompileOptions::default().machine.pe_clock_hz;
+    let models = [
+        CommModel::uniform(64e-9, 1e-9),
+        CommModel::uniform(64.0 * cycle, cycle),
+        CommModel::grid(32.0 * cycle, 16.0 * cycle, cycle),
+    ];
+    for ((name, build), &(_, sinks, _)) in examples().into_iter().zip(GOLDEN) {
+        let app = build();
+        let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
+        for comm in &models {
+            let observe = |run| observe(&compiled.graph, &compiled.mapping, &app.sinks, comm, run);
+            let want = observe(RUNS[0]);
+            assert_eq!(want.2, sinks, "{name} under {comm:?}: sink items drifted");
+            for run in &RUNS[1..] {
+                assert_eq!(observe(*run), want, "{name} under {comm:?}, {run:?}");
             }
         }
     }
@@ -223,14 +285,14 @@ fn every_backend_and_engine_reproduces_the_interpreters_record() {
 
 /// `In → split_rr(65) → 65 × scale → join_rr(65) → Out`, one kernel per
 /// PE: the join has one input port more than the mask planner's 64.
-fn wide_join_graph() -> AppGraph {
+fn wide_join_app() -> App {
     const K: usize = 65;
     let (dim, grain) = (Dim2::new(13, 10), Dim2::new(1, 1));
     let mut b = GraphBuilder::new();
     let src = b.add_source("In", bp_kernels::pattern_source(dim), dim, 50.0);
     let split = b.add("Split", bp_kernels::split_rr(K, grain));
     let join = b.add("Join", bp_kernels::join_rr(K, grain));
-    let (sdef, _) = bp_kernels::sink();
+    let (sdef, handle) = bp_kernels::sink();
     let snk = b.add("Out", sdef);
     b.connect(src, "out", split, "in");
     for i in 0..K {
@@ -239,7 +301,11 @@ fn wide_join_graph() -> AppGraph {
         b.connect(s, "out", join, &format!("in{i}"));
     }
     b.connect(join, "out", snk, "in");
-    b.build().expect("wide-join graph validates")
+    App {
+        graph: b.build().expect("wide-join graph validates"),
+        sinks: vec![("Out".into(), handle)],
+        input: src,
+    }
 }
 
 /// A kernel with more than 64 inputs does not fit the masks: under `Auto`
@@ -255,19 +321,21 @@ fn wide_join_scans_only_the_wide_kernel() {
         (0x1a96a15be93e4c0c, 0x0471ea5aa78a0df7),
         (0x544b1c48669d0664, 0x63949d1c002e04fa),
     ];
-    let g = wide_join_graph();
-    let mapping = Mapping::one_to_one(g.node_count());
-    for (comm, want) in models().iter().zip(WIDE_GOLDEN) {
-        for backend in [Backend::Interpreted, Backend::Auto] {
-            for stepped in [false, true] {
-                let got = observe(&g, &mapping, comm, backend, stepped);
-                assert_eq!(
-                    got, want,
-                    "wide join under {comm:?} on {backend:?}, stepped {stepped}: drifted \
-                     from the record (got ({:#018x}, {:#018x}))",
-                    got.0, got.1
-                );
-            }
+    const WIDE_SINKS: u64 = 0xa6e307a3318f6e09;
+    let app = wide_join_app();
+    let mapping = Mapping::one_to_one(app.graph.node_count());
+    for (comm, (fingerprint, tape)) in models().iter().zip(WIDE_GOLDEN) {
+        for run in RUNS {
+            let got = observe(&app.graph, &mapping, &app.sinks, comm, run);
+            assert_eq!(
+                got,
+                (fingerprint, tape, WIDE_SINKS),
+                "wide join under {comm:?}, {run:?} (planner, stepped): drifted from the \
+                 record (got ({:#018x}, {:#018x}, {:#018x}))",
+                got.0,
+                got.1,
+                got.2
+            );
         }
     }
 }

@@ -7,9 +7,9 @@
 //! simulator reproduce the exact same item stream (windows *and* control
 //! tokens), and that the timed schedule itself is stable.
 
-use bp_apps::{apps, App, SLOW, SMALL};
+use bp_apps::{apps, examples, App, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
-use bp_core::{Dim2, Item, MachineSpec};
+use bp_core::{Fnv, Item, MachineSpec};
 use bp_sim::{FunctionalExecutor, SimConfig, TimedSimulator};
 
 const FRAMES: u32 = 2;
@@ -17,14 +17,9 @@ const FRAMES: u32 = 2;
 /// FNV-1a over the raw bit patterns of the samples: any single-bit change
 /// anywhere in the output stream changes the digest.
 fn digest(samples: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for s in samples {
-        for b in s.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+    let mut h = Fnv::new();
+    samples.iter().for_each(|&s| h.f64(s));
+    h.finish()
 }
 
 /// Compile and run `app` functionally; return the first sink's item stream.
@@ -67,12 +62,13 @@ const GOLDEN: &[(&str, u64, usize, usize)] = &[
     ("edge_detect", 0x5a178332b5193325, 256, 18),
 ];
 
+/// The example app `name` at its reference configuration.
 fn build(name: &str) -> App {
-    match name {
-        "fig1b" => apps::fig1b(SMALL, SLOW),
-        "edge_detect" => apps::edge_detect(SMALL, SLOW, 0.5),
-        _ => unreachable!(),
-    }
+    let (_, build) = examples()
+        .into_iter()
+        .find(|&(n, _)| n == name)
+        .expect("an example app");
+    build()
 }
 
 #[test]
@@ -114,75 +110,38 @@ fn timed_matches_functional_bitwise() {
     }
 }
 
-/// Every example application, by name; each build yields fresh sink handles.
-const EXAMPLE_APPS: &[&str] = &[
-    "fig1b",
-    "bayer",
-    "histogram",
-    "parallel_buffer",
-    "multi_conv",
-    "temporal_iir",
-    "fir_radio",
-    "edge_detect",
-    "analytics",
-    "stereo_diff",
-    "camera_bank",
-];
-
-fn build_example(name: &str) -> App {
-    match name {
-        "fig1b" => apps::fig1b(SMALL, SLOW),
-        "bayer" => apps::bayer(SMALL, SLOW),
-        "histogram" => apps::histogram_app(SMALL, SLOW, 32),
-        "parallel_buffer" => apps::parallel_buffer_test(Dim2::new(64, 12), 10.0),
-        "multi_conv" => apps::multi_conv(SMALL, SLOW, 3),
-        "temporal_iir" => apps::temporal_iir(SMALL, SLOW),
-        "fir_radio" => apps::fir_radio(72, 100.0),
-        "edge_detect" => apps::edge_detect(SMALL, SLOW, 0.5),
-        "analytics" => apps::analytics(SMALL, SLOW),
-        "stereo_diff" => apps::stereo_diff(SMALL, SLOW),
-        "camera_bank" => apps::camera_bank(3, SMALL, SLOW),
-        _ => unreachable!("unknown app {name}"),
-    }
-}
-
 /// A second instantiation of the same compiled app reproduces the first
 /// timed run bit for bit — every report field (times, rates, latencies,
 /// firing counts, queue depths) and every sink item — for every example
-/// app, on more than one machine spec.
+/// app on the tight-memory machine (192-word PEs). The default machine is
+/// `backend_golden`'s record.
 #[test]
 fn timed_runs_reproduce_bitwise_on_every_app() {
-    let machines = [
-        ("default_eval", MachineSpec::default_eval()),
-        ("tight_memory", MachineSpec::tight_memory()),
-    ];
-    for &name in EXAMPLE_APPS {
-        for (mname, machine) in machines {
-            let opts = CompileOptions {
-                machine,
-                ..Default::default()
-            };
-            let config = SimConfig::new(FRAMES).with_machine(machine);
-            let run = || {
-                let app = build_example(name);
-                let compiled = compile(&app.graph, &opts).expect("compile");
-                let report =
-                    TimedSimulator::new(&compiled.graph, &compiled.mapping, config.clone())
-                        .expect("instantiate")
-                        .run()
-                        .expect("run");
-                let items: Vec<Vec<Item>> = app.sinks.iter().map(|(_, h)| h.items()).collect();
-                (report, items)
-            };
-            let (a, a_items) = run();
-            let (b, b_items) = run();
-            assert_eq!(
-                a.fingerprint(),
-                b.fingerprint(),
-                "{name} on {mname}: SimReport diverged"
-            );
-            assert_eq!(a_items, b_items, "{name} on {mname}: sink items diverged");
-        }
+    let machine = MachineSpec::tight_memory();
+    let opts = CompileOptions {
+        machine,
+        ..Default::default()
+    };
+    let config = SimConfig::new(FRAMES).with_machine(machine);
+    for (name, build) in examples() {
+        let run = || {
+            let app = build();
+            let compiled = compile(&app.graph, &opts).expect("compile");
+            let report = TimedSimulator::new(&compiled.graph, &compiled.mapping, config.clone())
+                .expect("instantiate")
+                .run()
+                .expect("run");
+            let items: Vec<Vec<Item>> = app.sinks.iter().map(|(_, h)| h.items()).collect();
+            (report, items)
+        };
+        let (a, a_items) = run();
+        let (b, b_items) = run();
+        assert_eq!(
+            a.fingerprint(),
+            b.fingerprint(),
+            "{name}: SimReport diverged"
+        );
+        assert_eq!(a_items, b_items, "{name}: sink items diverged");
     }
 }
 

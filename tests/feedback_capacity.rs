@@ -8,16 +8,17 @@
 //! 2. **The old deadlock is still reproducible, and structured**: pinning
 //!    a uniform 64-item capacity (which disables the derivation)
 //!    reproduces the classic wait-for cycle, now surfaced as a
-//!    `DeadlockReport` naming the loop channels.
+//!    `DeadlockReport` naming the loop channels — the same on both
+//!    planners, with and without communication delay.
 //! 3. **Acyclic apps are untouched**: the derived plan for every acyclic
 //!    example application has zero overrides and the historical
 //!    widest-row default, so the golden digests in `tests/determinism.rs`
 //!    cannot have moved.
 
-use bp_apps::{apps, App, BIG, FAST, SLOW, SMALL};
+use bp_apps::{apps, examples, BIG, FAST, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
 use bp_core::{CommModel, Dim2};
-use bp_sim::{SimConfig, SimOutcome, TimedSimulator};
+use bp_sim::{Backend, SimConfig, SimOutcome, TimedSimulator};
 
 const FRAMES: u32 = 2;
 
@@ -63,48 +64,68 @@ fn temporal_iir_completes_at_every_preset_point() {
 
 /// Guarantee 2: the historical deadlock still exists behind the explicit
 /// uniform pin, as a structured report — wait-for cycle naming all three
-/// loop channels, full occupancies, and the minimal capacity bump.
+/// loop channels, full occupancies, and the minimal capacity bump — that
+/// both planners assemble identically, under direct delivery and under a
+/// uniform delay (where sender-side credit accounting replaces direct
+/// queue inspection). The rendered `run()` error names the cycle too.
 #[test]
 fn pinned_capacity_reproduces_the_classic_deadlock_identically() {
-    let app = apps::temporal_iir(SMALL, SLOW);
-    let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
-    let config = SimConfig::new(FRAMES).with_channel_capacity(64);
-    let outcome = TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
-        .expect("instantiate")
-        .run_outcome();
-    let SimOutcome::Deadlocked(seq) = outcome else {
-        panic!("expected a capacity deadlock under the 64-item pin");
-    };
-    assert!(
-        seq.blocked_cycle,
-        "the 64-item pin must produce a wait-for cycle, got: {}",
-        seq.render()
-    );
-    let names: Vec<String> = seq
-        .cycle
-        .iter()
-        .map(|h| format!("{}.{} -> {}.{}", h.src, h.src_port, h.dst, h.dst_port))
-        .collect();
-    for channel in [
+    const LOOP: [&str; 3] = [
         "Mix.out -> Half.in",
         "Half.out -> FrameDelay.in",
         "FrameDelay.out -> Mix.in1",
-    ] {
+    ];
+    let app = apps::temporal_iir(SMALL, SLOW);
+    let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
+    for comm in [CommModel::zero(), CommModel::uniform(64e-9, 1e-9)] {
+        let sim = |backend: Backend| {
+            let config = SimConfig::new(FRAMES)
+                .with_comm(comm.clone())
+                .with_backend(backend)
+                .with_channel_capacity(64);
+            TimedSimulator::new(&compiled.graph, &compiled.mapping, config).expect("instantiate")
+        };
+        let [SimOutcome::Deadlocked(seq), SimOutcome::Deadlocked(masked)] =
+            [Backend::Interpreted, Backend::Auto].map(|b| sim(b).run_outcome())
+        else {
+            panic!("expected a capacity deadlock under the 64-item pin and {comm:?}");
+        };
+        assert_eq!(seq, masked, "DeadlockReport diverged between planners");
         assert!(
-            names.iter().any(|n| n == channel),
-            "wait-for cycle missing channel '{channel}': {names:?}"
+            seq.blocked_cycle,
+            "the 64-item pin must produce a wait-for cycle, got: {}",
+            seq.render()
         );
+        let names: Vec<String> = seq
+            .cycle
+            .iter()
+            .map(|h| format!("{}.{} -> {}.{}", h.src, h.src_port, h.dst, h.dst_port))
+            .collect();
+        for channel in LOOP {
+            assert!(
+                names.iter().any(|n| n == channel),
+                "wait-for cycle missing channel '{channel}': {names:?}"
+            );
+        }
+        assert!(
+            seq.cycle.iter().all(|h| h.is_full()),
+            "every wait-for-cycle hop must block its producer: {}",
+            seq.render()
+        );
+        let bump = seq
+            .min_capacity_bump
+            .as_ref()
+            .expect("a full cycle admits a minimal capacity bump");
+        assert!(bump.required > bump.current, "nonsensical bump: {bump:?}");
+        let err = sim(Backend::Auto)
+            .run()
+            .expect_err("the pinned loop deadlocks")
+            .to_string();
+        assert!(err.contains("wait-for cycle:"), "lost the cycle: {err}");
+        for channel in LOOP {
+            assert!(err.contains(channel), "error missing '{channel}': {err}");
+        }
     }
-    assert!(
-        seq.cycle.iter().all(|h| h.is_full()),
-        "every wait-for-cycle hop must block its producer: {}",
-        seq.render()
-    );
-    let bump = seq
-        .min_capacity_bump
-        .as_ref()
-        .expect("a full cycle admits a minimal capacity bump");
-    assert!(bump.required > bump.current, "nonsensical bump: {bump:?}");
 }
 
 /// Guarantee 3: the derivation is invisible to acyclic graphs. Every
@@ -113,22 +134,7 @@ fn pinned_capacity_reproduces_the_classic_deadlock_identically() {
 /// simulation resolves is unchanged from the pre-derivation seed.
 #[test]
 fn acyclic_apps_keep_the_widest_row_plan() {
-    type Builder = fn() -> App;
-    let builders: &[(&str, Builder)] = &[
-        ("fig1b", || apps::fig1b(SMALL, SLOW)),
-        ("bayer", || apps::bayer(SMALL, SLOW)),
-        ("histogram", || apps::histogram_app(SMALL, SLOW, 32)),
-        ("parallel_buffer", || {
-            apps::parallel_buffer_test(Dim2::new(64, 12), 10.0)
-        }),
-        ("multi_conv", || apps::multi_conv(SMALL, SLOW, 3)),
-        ("fir_radio", || apps::fir_radio(72, 100.0)),
-        ("edge_detect", || apps::edge_detect(SMALL, SLOW, 0.5)),
-        ("analytics", || apps::analytics(SMALL, SLOW)),
-        ("stereo_diff", || apps::stereo_diff(SMALL, SLOW)),
-        ("camera_bank", || apps::camera_bank(3, SMALL, SLOW)),
-    ];
-    for (name, build) in builders {
+    for (name, build) in examples().into_iter().filter(|&(n, _)| n != "temporal_iir") {
         let app = build();
         let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
         let report = &compiled.report.capacities;

@@ -1,6 +1,6 @@
 //! Determinism and inertness tests for the tracing subsystem.
 //!
-//! Two guarantees are pinned here, across every example application:
+//! Three guarantees are pinned here, across the example applications:
 //!
 //! 1. **Tracing is inert**: enabling it changes nothing about the
 //!    simulation — the `SimReport` fingerprint with tracing on equals the
@@ -9,52 +9,31 @@
 //!    capacity.
 //! 2. **The trace is pinned**: the Chrome export of every app's trace
 //!    reproduces recorded byte digests under two comm models.
+//! 3. **The planner is invisible in the trace**: the mask planner
+//!    (`Backend::Auto`) records the scan's (`Backend::Interpreted`) event
+//!    stream exactly.
 
-use bp_apps::{apps, App, SLOW, SMALL};
+use bp_apps::{examples, App};
 use bp_compiler::{compile, CompileOptions};
-use bp_core::{CommModel, ControlToken, Dim2};
+use bp_core::{CommModel, ControlToken, Fnv};
 use bp_sim::{
-    chrome_trace_json, validate_json, SimConfig, SimReport, StallCause, TimedSimulator, Trace,
-    TraceChannel, TraceEvent, TraceMeta, TraceOptions,
+    chrome_trace_json, validate_json, Backend, SimConfig, SimReport, StallCause, TimedSimulator,
+    Trace, TraceChannel, TraceEvent, TraceMeta, TraceOptions,
 };
 
 const FRAMES: u32 = 2;
 
-/// Every example application, by name (kept in sync with
-/// `tests/determinism.rs`).
-const EXAMPLE_APPS: &[&str] = &[
-    "fig1b",
-    "bayer",
-    "histogram",
-    "parallel_buffer",
-    "multi_conv",
-    "temporal_iir",
-    "fir_radio",
-    "edge_detect",
-    "analytics",
-    "stereo_diff",
-    "camera_bank",
-];
-
-fn build_example(name: &str) -> App {
-    match name {
-        "fig1b" => apps::fig1b(SMALL, SLOW),
-        "bayer" => apps::bayer(SMALL, SLOW),
-        "histogram" => apps::histogram_app(SMALL, SLOW, 32),
-        "parallel_buffer" => apps::parallel_buffer_test(Dim2::new(64, 12), 10.0),
-        "multi_conv" => apps::multi_conv(SMALL, SLOW, 3),
-        "temporal_iir" => apps::temporal_iir(SMALL, SLOW),
-        "fir_radio" => apps::fir_radio(72, 100.0),
-        "edge_detect" => apps::edge_detect(SMALL, SLOW, 0.5),
-        "analytics" => apps::analytics(SMALL, SLOW),
-        "stereo_diff" => apps::stereo_diff(SMALL, SLOW),
-        "camera_bank" => apps::camera_bank(3, SMALL, SLOW),
-        _ => unreachable!("unknown app {name}"),
-    }
+/// The example app `name` at its reference configuration.
+fn build(name: &str) -> App {
+    let (_, build) = examples()
+        .into_iter()
+        .find(|&(n, _)| n == name)
+        .expect("an example app");
+    build()
 }
 
 fn run_config(name: &str, config: SimConfig) -> bp_core::Result<(SimReport, Option<Trace>)> {
-    let app = build_example(name);
+    let app = build(name);
     let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
     TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
         .expect("instantiate")
@@ -75,7 +54,7 @@ fn run_sequential(name: &str, trace: bool) -> bp_core::Result<(SimReport, Option
 /// tracing disabled (and errors, if any, are identical).
 #[test]
 fn tracing_is_inert_on_every_app() {
-    for &name in EXAMPLE_APPS {
+    for (name, _) in examples() {
         let plain = run_sequential(name, false);
         let traced = run_sequential(name, true);
         match (&plain, &traced) {
@@ -97,36 +76,6 @@ fn tracing_is_inert_on_every_app() {
             ),
             _ => panic!("{name}: tracing changed the outcome: {plain:?} vs {traced:?}"),
         }
-    }
-}
-
-/// The upgraded capacity-deadlock diagnostic names the feedback channel
-/// cycle that filled. The deadlock is now only reachable by pinning every
-/// channel to the historical uniform 64 (the default feedback-aware
-/// derivation sizes the back edge so the loop drains).
-#[test]
-fn deadlock_error_names_the_feedback_cycle() {
-    let app = build_example("temporal_iir");
-    let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
-    let config = SimConfig::new(FRAMES).with_channel_capacity(64);
-    let seq_err = TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
-        .expect("instantiate")
-        .run()
-        .expect_err("temporal_iir capacity-deadlocks at SMALL/SLOW when pinned to 64")
-        .to_string();
-    assert!(
-        seq_err.contains("wait-for cycle:"),
-        "deadlock error lost the cycle diagnostic: {seq_err}"
-    );
-    for channel in [
-        "Mix.out -> Half.in",
-        "Half.out -> FrameDelay.in",
-        "FrameDelay.out -> Mix.in1",
-    ] {
-        assert!(
-            seq_err.contains(channel),
-            "cycle diagnostic missing channel '{channel}': {seq_err}"
-        );
     }
 }
 
@@ -265,13 +214,8 @@ fn derived_metrics_are_consistent() {
 /// and the report is untouched.
 #[test]
 fn bounded_ring_truncates_without_perturbing_results() {
-    let app = build_example("fig1b");
-    let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
     let config = SimConfig::new(FRAMES).with_trace(TraceOptions::with_capacity(64));
-    let (report, trace, _) = TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
-        .expect("instantiate")
-        .run_with_artifacts()
-        .expect("run");
+    let (report, trace) = run_config("fig1b", config).expect("run");
     let trace = trace.expect("tracing enabled");
     assert_eq!(trace.events.len(), 64, "ring should be at capacity");
     assert!(
@@ -284,34 +228,6 @@ fn bounded_ring_truncates_without_perturbing_results() {
         report.fingerprint(),
         "ring truncation perturbed the simulation"
     );
-}
-
-/// Golden report fingerprints at the reference test configuration
-/// (SMALL/SLOW, 2 frames, default machine). Recorded after the
-/// length-separated fingerprint fix; any change to simulation semantics
-/// or to the fingerprint encoding must update these deliberately.
-#[test]
-fn report_fingerprints_match_golden() {
-    const GOLDEN: &[(&str, u64)] = &[
-        ("fig1b", 0x3fd7b8fa22f4f7fe),
-        ("edge_detect", 0x5d384e84264b7f0a),
-    ];
-    for &(name, want) in GOLDEN {
-        let (report, _) = run_sequential(name, false).expect("runs");
-        assert_eq!(
-            report.fingerprint(),
-            want,
-            "{name}: report fingerprint drifted (got {:#018x})",
-            report.fingerprint()
-        );
-    }
-}
-
-/// FNV-1a over a document's bytes.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x100000001b3)
-    })
 }
 
 /// `(length, FNV-1a)` of `chrome_trace_json` for every example app at the
@@ -371,7 +287,7 @@ const CHROME_GOLDEN: &[(&str, [(usize, u64); 2])] = &[
 fn chrome_export_matches_golden_bytes() {
     let clock = CompileOptions::default().machine.pe_clock_hz;
     let models = [CommModel::zero(), CommModel::uniform(64.0 / clock, 0.0)];
-    assert_eq!(CHROME_GOLDEN.len(), EXAMPLE_APPS.len());
+    assert_eq!(CHROME_GOLDEN.len(), examples().len());
     for &(name, want) in CHROME_GOLDEN {
         for (comm, want) in models.iter().zip(want) {
             let config = SimConfig::new(FRAMES)
@@ -379,11 +295,49 @@ fn chrome_export_matches_golden_bytes() {
                 .with_trace(TraceOptions::default());
             let (_, trace) = run_config(name, config).expect("run");
             let json = chrome_trace_json(&trace.expect("tracing enabled"));
-            let (len, hash) = (json.len(), fnv1a(json.as_bytes()));
+            let mut hash = Fnv::new();
+            json.bytes().for_each(|b| hash.byte(b));
+            let (len, hash) = (json.len(), hash.finish());
             assert_eq!(
                 (len, hash),
                 want,
                 "{name} under {comm:?}: exported bytes drifted (got ({len}, {hash:#018x}))"
+            );
+        }
+    }
+}
+
+/// Trace equality: the mask planner records the identical event stream —
+/// firings, queue depths, tokens, comm events, and stall attributions —
+/// not just the same aggregate report, under direct delivery, a uniform
+/// delay and a grid.
+#[test]
+fn compiled_traces_are_bitwise_identical() {
+    let models = [
+        CommModel::zero(),
+        CommModel::uniform(64e-9, 1e-9),
+        CommModel::grid(32e-9, 8e-9, 1e-9),
+    ];
+    for name in ["fig1b", "temporal_iir", "camera_bank"] {
+        for comm in &models {
+            let trace_of = |backend: Backend| {
+                let config = SimConfig::new(FRAMES)
+                    .with_comm(comm.clone())
+                    .with_backend(backend)
+                    .with_trace(TraceOptions::default());
+                let (report, trace) = run_config(name, config).expect("runs");
+                (report.fingerprint(), trace.expect("trace recorded"))
+            };
+            let (ofp, otrace) = trace_of(Backend::Interpreted);
+            let (cfp, ctrace) = trace_of(Backend::Auto);
+            assert_eq!(ofp, cfp, "{name} under {comm:?}: fingerprint diverged");
+            assert_eq!(
+                otrace.dropped, ctrace.dropped,
+                "{name} under {comm:?}: trace drop counts diverged"
+            );
+            assert_eq!(
+                otrace.events, ctrace.events,
+                "{name} under {comm:?}: trace event streams diverged"
             );
         }
     }

@@ -5,7 +5,8 @@
 //! model's distance term matters, without changing what is computed.
 //! That every model reproduces bit for bit on every example app, and that
 //! the zero model reproduces the pre-model goldens, is `backend_golden`'s
-//! record; the deadlock diagnostic under delay is `feedback_capacity`'s.
+//! record. **The deadlock diagnostic survives delay**: the rendered
+//! wait-for cycle still names the feedback channels.
 
 use bp_apps::{apps, SLOW, SMALL};
 use bp_compiler::{compile, CompileOptions};
@@ -88,4 +89,36 @@ fn grid_model_distance_term_is_honored() {
         run(&flat),
         "per-hop latencies collapsed to uniform — grid distance ignored"
     );
+}
+
+/// With feedback-aware capacity derivation, `temporal_iir` only
+/// deadlocks when an explicit uniform capacity pin disables the loop
+/// sizing. Under that pin and a nonzero model, the wait-for-cycle
+/// diagnostic must still name the feedback channels (sender-side credit
+/// accounting replaces direct queue inspection for delayed channels).
+#[test]
+fn deadlock_diagnostic_is_stable_under_delay() {
+    let comm = CommModel::uniform(64e-9, 1e-9);
+    let app = apps::temporal_iir(SMALL, SLOW);
+    let compiled = compile(&app.graph, &CompileOptions::default()).expect("compile");
+    let config = config_with(&comm).with_channel_capacity(64);
+    let err = TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
+        .expect("instantiate")
+        .run()
+        .expect_err("temporal_iir deadlocks at SMALL/SLOW when pinned to 64")
+        .to_string();
+    assert!(
+        err.contains("wait-for cycle:"),
+        "deadlock error lost the cycle diagnostic under delay: {err}"
+    );
+    for channel in [
+        "Mix.out -> Half.in",
+        "Half.out -> FrameDelay.in",
+        "FrameDelay.out -> Mix.in1",
+    ] {
+        assert!(
+            err.contains(channel),
+            "cycle diagnostic missing channel '{channel}': {err}"
+        );
+    }
 }

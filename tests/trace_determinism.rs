@@ -79,6 +79,39 @@ fn tracing_is_inert_on_every_app() {
     }
 }
 
+/// The capacity-deadlock error names the feedback channel cycle that
+/// filled, and tracing does not change it. The deadlock is only reachable
+/// by pinning every channel to the historical uniform 64 (the default
+/// feedback-aware derivation sizes the back edge so the loop drains).
+#[test]
+fn deadlock_error_names_the_feedback_cycle() {
+    let error_of = |trace: bool| {
+        let mut config = SimConfig::new(FRAMES).with_channel_capacity(64);
+        if trace {
+            config = config.with_trace(TraceOptions::default());
+        }
+        run_config("temporal_iir", config)
+            .expect_err("temporal_iir capacity-deadlocks at SMALL/SLOW when pinned to 64")
+            .to_string()
+    };
+    let err = error_of(false);
+    assert_eq!(err, error_of(true), "tracing changed the deadlock error");
+    assert!(
+        err.contains("wait-for cycle:"),
+        "deadlock error lost the cycle diagnostic: {err}"
+    );
+    for channel in [
+        "Mix.out -> Half.in",
+        "Half.out -> FrameDelay.in",
+        "FrameDelay.out -> Mix.in1",
+    ] {
+        assert!(
+            err.contains(channel),
+            "cycle diagnostic missing channel '{channel}': {err}"
+        );
+    }
+}
+
 /// The Chrome exporter produces well-formed JSON (checked by the in-tree
 /// validator) with one duration pair per traced firing.
 #[test]

@@ -7,9 +7,10 @@
 //! The exporter emits the subset of the Trace Event Format that Perfetto
 //! (`https://ui.perfetto.dev`) and `chrome://tracing` render natively:
 //!
-//! - PE lanes as *duration* events (`"B"`/`"E"`): one track per PE under
-//!   the `PEs` process, one slice per firing, with method name and charged
-//!   cycles in `args`;
+//! - PE lanes as *complete* events (`"X"`: the begin's stamp as `ts` and
+//!   the firing's length as `dur`): one track per PE under the `PEs`
+//!   process, one slice per firing, with method name and charged cycles
+//!   in `args`;
 //! - channel occupancy as *counter* events (`"C"`) under the `channels`
 //!   process, one counter per `Node.port` input queue;
 //! - in-flight items on delayed channels (nonzero comm model) as counter
@@ -22,6 +23,16 @@
 //! Timestamps are microseconds of simulated time (the format's native
 //! unit), written with fixed precision so output is deterministic.
 //!
+//! A firing is written where its end is in the log, as one entry where a
+//! `"B"`/`"E"` pair repeated name, category, pid and tid; its `dur` is the
+//! difference of the two stamps in integer picoseconds, so `ts + dur` is
+//! the end's stamp digit for digit. The document is therefore not sorted
+//! by `ts`, which the format does not ask for: Perfetto and
+//! `chrome://tracing` sort on load. A firing the log cannot close stays a
+//! duration event — an end whose begin a full ring dropped is an `"E"`, a
+//! begin still open when the log ends is a `"B"` after the last entry —
+//! and so does a pair with a stamp outside `millionths`' range.
+//!
 //! The exporter is one pass over the events that appends into a single
 //! pre-sized `String` — no serializer dependency and no per-event
 //! allocation. Node, `node.port`, method and `src -> dst.port` names are
@@ -29,18 +40,18 @@
 //! of `push_str`s of constant text and table entries, integers pushed two
 //! digits at a time, and the timestamp rendered by an exact fixed-point
 //! formatter (`push_fixed6`) — `core::fmt` is off the per-event path.
-//! That is about 90 ns and 112 bytes per event on the benchmark's
-//! `stream_observed` graph (25–28 ms for its 283 235 events on a 2.1 GHz
-//! Xeon, the page faults of filling the fresh 31.6 MB buffer included),
-//! and the document is the only thing the export allocates beyond the
-//! name tables. The events come decoded from the trace log, about 6 ns
-//! each of that.
+//! That is about 88 ns and 92 bytes per event on the benchmark's
+//! `stream_observed` graph (24–26 ms for its 283 235 events on a 2.1 GHz
+//! Xeon, the 6 345 page faults of filling the fresh 26.0 MB buffer
+//! included), and the document is the only thing the export allocates
+//! beyond the name tables and the open firings. The events come decoded
+//! from the trace log, about 6 ns each of that.
 //!
-//! [`validate_json`] then checks that document in about 30 ms, 1 ns per
-//! byte, where the recursive descent it replaced — which stays in this
-//! module's tests as its differential oracle — took about 53 ms.
+//! [`validate_json`] then checks that document in about 24 ms, under 1 ns
+//! per byte, where the recursive descent it replaced — which stays in
+//! this module's tests as its differential oracle — took about 1.7 ns.
 
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{OpenFirings, Trace, TraceEvent};
 use std::fmt::Write as _;
 
 /// Escape a string for inclusion in a JSON string literal.
@@ -93,25 +104,26 @@ fn push_i64(out: &mut String, n: i64) {
     push_u64(out, n.unsigned_abs());
 }
 
-/// Append `v` with six decimals — byte for byte what
-/// `write!(out, "{v:.6}")` appends (pinned by a differential test), which
-/// for a timestamp in microseconds is picosecond resolution, far below one
-/// PE cycle on any plausible clock.
+/// `v * 10^6` rounded to an integer exactly as `write!(out, "{v:.6}")`
+/// rounds its sixth decimal — for a timestamp in microseconds, integer
+/// picoseconds — or `None` outside the range computed here.
 ///
 /// A finite `v` in `[2^-11, 2^40)` is `mant * 2^-shift` exactly, with a
 /// 53-bit `mant` and `shift` in `13..=63`, so `v * 10^6` is the 73-bit
 /// product `mant * 10^6` shifted right, and the remainder rounds it half to
-/// even as `core::fmt` does. Everything else — zero, negatives, subnormals,
-/// NaN, infinities, and magnitudes whose scaled value would not fit a
-/// `u64` — takes the `write!` path.
-fn push_fixed6(out: &mut String, v: f64) {
+/// even as `core::fmt` does; `+0.0` is zero. Everything else — negatives,
+/// `-0.0`, subnormals, NaN, infinities, and magnitudes whose scaled value
+/// would not fit a `u64` — is `None`.
+fn millionths(v: f64) -> Option<u64> {
     let bits = v.to_bits();
+    if bits == 0 {
+        return Some(0);
+    }
     // Sign and exponent together: a set sign bit lands outside the range
-    // below like every other fallback class.
+    // below like every other declined class.
     let shift = 1075 - (bits >> 52) as i32;
     if !(13..=63).contains(&shift) {
-        let _ = write!(out, "{v:.6}");
-        return;
+        return None;
     }
     let mant = (bits & ((1 << 52) - 1)) | (1 << 52);
     let scaled = mant as u128 * 1_000_000;
@@ -121,12 +133,68 @@ fn push_fixed6(out: &mut String, v: f64) {
     if rem > half || (rem == half && n & 1 == 1) {
         n += 1;
     }
+    Some(n)
+}
+
+/// Append `n` millionths as a decimal with six places.
+fn push_millionths(out: &mut String, n: u64) {
     push_u64(out, n / 1_000_000);
     out.push('.');
     let frac = n % 1_000_000;
     push_pair(out, frac / 10_000);
     push_pair(out, frac / 100 % 100);
     push_pair(out, frac % 100);
+}
+
+/// Append `v` with six decimals — byte for byte what
+/// `write!(out, "{v:.6}")` appends (pinned by a differential test), which
+/// for a timestamp in microseconds is picosecond resolution, far below one
+/// PE cycle on any plausible clock. Only what [`millionths`] declines
+/// takes the `write!` path.
+fn push_fixed6(out: &mut String, v: f64) {
+    match millionths(v) {
+        Some(n) => push_millionths(out, n),
+        None => {
+            let _ = write!(out, "{v:.6}");
+        }
+    }
+}
+
+/// Start the next entry of the `traceEvents` array, up to the opening
+/// quote of its name; the first entry is written whole with the header.
+fn push_entry(out: &mut String) {
+    out.push_str(",\n{\"name\":\"");
+}
+
+/// The tail every firing entry shares: its PE lane and its args.
+fn push_firing_lane(out: &mut String, pe: u32, method: &str, cycles: u64) {
+    out.push_str(",\"pid\":0,\"tid\":");
+    push_u64(out, pe as u64);
+    out.push_str(",\"args\":{\"method\":\"");
+    out.push_str(method);
+    out.push_str("\",\"cycles\":");
+    push_u64(out, cycles);
+    out.push_str("}}");
+}
+
+/// A firing's begin as a `"B"` entry.
+fn push_begin(out: &mut String, node: &str, method: &str, t: f64, pe: u32, cycles: u64) {
+    push_entry(out);
+    out.push_str(node);
+    out.push_str("\",\"cat\":\"firing\",\"ph\":\"B\",\"ts\":");
+    push_fixed6(out, t * 1e6);
+    push_firing_lane(out, pe, method, cycles);
+}
+
+/// A firing's end as an `"E"` entry.
+fn push_end(out: &mut String, node: &str, t: f64, pe: u32) {
+    push_entry(out);
+    out.push_str(node);
+    out.push_str("\",\"cat\":\"firing\",\"ph\":\"E\",\"ts\":");
+    push_fixed6(out, t * 1e6);
+    out.push_str(",\"pid\":0,\"tid\":");
+    push_u64(out, pe as u64);
+    out.push('}');
 }
 
 /// Render `trace` as a Chrome trace-event JSON document.
@@ -169,8 +237,8 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
         }
     }
 
-    // An event is ~112 bytes with the bundled apps' names; a longer
-    // document just grows the buffer.
+    // A record is ~92 bytes of document with the bundled apps' names; a
+    // longer document just grows the buffer.
     let mut out = String::with_capacity(128 * trace.events.len() + 128 * meta.num_pes + 512);
     out.push_str("{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n");
 
@@ -178,30 +246,35 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
     // channel counters live under process 1. Every entry after the first
     // is preceded by its separator, so no entry needs to know if it is last.
     out.push_str(
-        "    {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-         \"args\":{\"name\":\"PEs\"}},\n    \
+        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
+         \"args\":{\"name\":\"PEs\"}},\n\
          {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
          \"args\":{\"name\":\"channels\"}}",
     );
     if trace.events.comm_sends() > 0 {
         out.push_str(
-            ",\n    {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\
+            ",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\
              \"args\":{\"name\":\"network\"}}",
         );
     }
     for (pe, list) in residents.iter().enumerate() {
         let _ = write!(
             out,
-            ",\n    {{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{pe},\
+            ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{pe},\
              \"args\":{{\"name\":\"PE {pe} [{list}]\"}}}}"
         );
     }
 
+    // A firing is written at its end, as one complete event ("X") that
+    // carries its begin's stamp and its duration; the begin waits on its
+    // PE's stack until then. A pair stays a "B" and an "E" when either
+    // stamp is outside `millionths`' range, an end's begin was dropped,
+    // or a begin is still open when the log ends.
+    let mut firings = OpenFirings::new(meta.num_pes);
     // Per-channel in-flight occupancy, stepped while scanning (the event
     // stream is in global time order).
-    let mut in_flight = vec![0i64; meta.channels.len()];
+    let mut in_flight = trace.in_flight_at_start();
     for e in &trace.events {
-        out.push_str(",\n    {\"name\":\"");
         match e {
             TraceEvent::FiringBegin {
                 t,
@@ -209,25 +282,31 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
                 method,
                 pe,
                 cycles,
-            } => {
-                out.push_str(&nodes[node as usize]);
-                out.push_str("\",\"cat\":\"firing\",\"ph\":\"B\",\"ts\":");
-                push_fixed6(&mut out, t * 1e6);
-                out.push_str(",\"pid\":0,\"tid\":");
-                push_u64(&mut out, pe as u64);
-                out.push_str(",\"args\":{\"method\":\"");
-                out.push_str(&methods[node as usize][method as usize]);
-                out.push_str("\",\"cycles\":");
-                push_u64(&mut out, cycles);
-                out.push_str("}}");
-            }
+            } => firings.begin(pe, (t, node, method, cycles)),
             TraceEvent::FiringEnd { t, node, pe } => {
-                out.push_str(&nodes[node as usize]);
-                out.push_str("\",\"cat\":\"firing\",\"ph\":\"E\",\"ts\":");
-                push_fixed6(&mut out, t * 1e6);
-                out.push_str(",\"pid\":0,\"tid\":");
-                push_u64(&mut out, pe as u64);
-                out.push('}');
+                let Some((t0, begun, method, cycles)) = firings.end(pe) else {
+                    push_end(&mut out, &nodes[node as usize], t, pe);
+                    continue;
+                };
+                let (name, method) = (
+                    &nodes[begun as usize],
+                    &methods[begun as usize][method as usize],
+                );
+                match (millionths(t0 * 1e6), millionths(t * 1e6)) {
+                    (Some(ts), Some(te)) if begun == node && te >= ts => {
+                        push_entry(&mut out);
+                        out.push_str(name);
+                        out.push_str("\",\"cat\":\"firing\",\"ph\":\"X\",\"ts\":");
+                        push_millionths(&mut out, ts);
+                        out.push_str(",\"dur\":");
+                        push_millionths(&mut out, te - ts);
+                        push_firing_lane(&mut out, pe, method, cycles);
+                    }
+                    _ => {
+                        push_begin(&mut out, name, method, t0, pe, cycles);
+                        push_end(&mut out, &nodes[node as usize], t, pe);
+                    }
+                }
             }
             TraceEvent::QueueDepth {
                 t,
@@ -235,6 +314,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
                 port,
                 depth,
             } => {
+                push_entry(&mut out);
                 out.push_str(&ports[node as usize][port as usize]);
                 out.push_str("\",\"cat\":\"queue\",\"ph\":\"C\",\"ts\":");
                 push_fixed6(&mut out, t * 1e6);
@@ -250,6 +330,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
             } => {
                 // `ControlToken` displays as `EOL`, `EOF` or `CTL(<id>)`:
                 // nothing a JSON string needs escaped.
+                push_entry(&mut out);
                 let _ = write!(out, "{token}");
                 out.push_str("\",\"cat\":\"token\",\"ph\":\"i\",\"ts\":");
                 push_fixed6(&mut out, t * 1e6);
@@ -260,6 +341,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
                 out.push_str("\"}}");
             }
             TraceEvent::Stall { t, pe, cause } => {
+                push_entry(&mut out);
                 out.push_str("stall:");
                 out.push_str(cause.name());
                 out.push_str("\",\"cat\":\"stall\",\"ph\":\"i\",\"ts\":");
@@ -270,6 +352,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
             }
             TraceEvent::CommSend { t, chan, words, .. } => {
                 in_flight[chan as usize] += 1;
+                push_entry(&mut out);
                 out.push_str(&wires[chan as usize]);
                 out.push_str("\",\"cat\":\"network\",\"ph\":\"C\",\"ts\":");
                 push_fixed6(&mut out, t * 1e6);
@@ -281,6 +364,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
             }
             TraceEvent::CommArrival { t, chan } => {
                 in_flight[chan as usize] -= 1;
+                push_entry(&mut out);
                 out.push_str(&wires[chan as usize]);
                 out.push_str("\",\"cat\":\"network\",\"ph\":\"C\",\"ts\":");
                 push_fixed6(&mut out, t * 1e6);
@@ -289,6 +373,10 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
                 out.push_str("}}");
             }
         }
+    }
+    for (pe, (t, node, method, cycles)) in firings.into_open() {
+        let method = &methods[node as usize][method as usize];
+        push_begin(&mut out, &nodes[node as usize], method, t, pe, cycles);
     }
 
     let _ = writeln!(
@@ -318,9 +406,9 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
 /// time: SWAR masks flag the quotes, backslashes and control bytes of
 /// eight bytes at once, and only a byte that needs a closer look is read
 /// on its own. Nothing is allocated unless there is an error to report.
-/// On the benchmark's `stream_observed` export (31.6 MB, 283 235 events)
-/// that is about 1 ns per byte on a 2.1 GHz Xeon, 0.56× the time of the
-/// recursive descent it replaced.
+/// On the benchmark's `stream_observed` export (26.0 MB, 283 235 events)
+/// that is 24–25 ms, about 0.94 ns per byte on a 2.1 GHz Xeon, 0.56× the
+/// time of the recursive descent it replaced.
 pub fn validate_json(src: &str) -> std::result::Result<(), String> {
     validate(src.as_bytes()).map_err(|(what, at)| format!("{what} at byte {at}"))
 }
@@ -984,6 +1072,7 @@ mod tests {
     /// Every class the fast path declines, and both edges of its range.
     #[test]
     fn fixed6_falls_back_outside_its_range() {
+        assert_eq!((millionths(0.0), millionths(-0.0)), (Some(0), None));
         let two = |e: i32| 2f64.powi(e);
         for t in [-1e-3, 0.0, -0.0, 1e-30, 1e9, f64::NAN, f64::INFINITY] {
             let v = t * 1e6;
@@ -1000,6 +1089,118 @@ mod tests {
         ] {
             assert_eq!(fixed6(v), format!("{v:.6}"), "v = {v:e}");
         }
+    }
+
+    /// Nodes `src` and `conv` on one PE, method `run` each.
+    fn one_pe_trace(events: &[TraceEvent], dropped: u64) -> Trace {
+        Trace {
+            meta: crate::TraceMeta {
+                node_names: vec!["src".into(), "conv".into()],
+                input_ports: vec![vec![], vec![]],
+                methods: vec![vec!["run".into()]; 2],
+                pe_of_node: vec![0, 0],
+                num_pes: 1,
+                pe_clock_hz: 1e9,
+                channels: vec![],
+            },
+            events: events.iter().copied().collect(),
+            dropped,
+        }
+    }
+
+    fn begin(t: f64, node: u32, cycles: u64) -> TraceEvent {
+        TraceEvent::FiringBegin {
+            t,
+            node,
+            method: 0,
+            pe: 0,
+            cycles,
+        }
+    }
+
+    fn end(t: f64, node: u32) -> TraceEvent {
+        TraceEvent::FiringEnd { t, node, pe: 0 }
+    }
+
+    /// The export's firing entries, in document order.
+    fn firing_entries(trace: &Trace) -> Vec<String> {
+        let json = chrome_trace_json(trace);
+        validate_json(&json).expect("well-formed");
+        json.lines()
+            .filter(|l| l.contains(r#""cat":"firing""#))
+            .map(|l| l.trim_end_matches(',').to_string())
+            .collect()
+    }
+
+    /// A zero-duration source firing recorded inside a real firing on the
+    /// same PE pairs with its own end, so it is written first, at its end,
+    /// and its host at the host's end.
+    #[test]
+    fn nested_zero_duration_firing_is_its_own_complete_event() {
+        let trace = one_pe_trace(
+            &[
+                begin(1e-6, 1, 2000),
+                begin(1.5e-6, 0, 0),
+                end(1.5e-6, 0),
+                end(3e-6, 1),
+            ],
+            0,
+        );
+        assert_eq!(
+            firing_entries(&trace),
+            [
+                r#"{"name":"src","cat":"firing","ph":"X","ts":1.500000,"dur":0.000000,"pid":0,"tid":0,"args":{"method":"run","cycles":0}}"#,
+                r#"{"name":"conv","cat":"firing","ph":"X","ts":1.000000,"dur":2.000000,"pid":0,"tid":0,"args":{"method":"run","cycles":2000}}"#,
+            ]
+        );
+    }
+
+    /// A pair with a stamp `millionths` declines — here a negative zero
+    /// and a time past 2^40 us — is written as its `B` and `E`, both at
+    /// the end's place in the log.
+    #[test]
+    fn pairs_outside_the_fast_range_stay_begin_and_end() {
+        let trace = one_pe_trace(
+            &[
+                begin(-0.0, 0, 5),
+                end(1e-6, 0),
+                begin(1.0, 1, 7),
+                end(2e6, 1),
+            ],
+            0,
+        );
+        assert_eq!(
+            firing_entries(&trace),
+            [
+                r#"{"name":"src","cat":"firing","ph":"B","ts":-0.000000,"pid":0,"tid":0,"args":{"method":"run","cycles":5}}"#,
+                r#"{"name":"src","cat":"firing","ph":"E","ts":1.000000,"pid":0,"tid":0}"#,
+                r#"{"name":"conv","cat":"firing","ph":"B","ts":1000000.000000,"pid":0,"tid":0,"args":{"method":"run","cycles":7}}"#,
+                r#"{"name":"conv","cat":"firing","ph":"E","ts":2000000000000.000000,"pid":0,"tid":0}"#,
+            ]
+        );
+    }
+
+    /// An end whose begin the ring dropped is written as an `E` where it
+    /// is; a begin still open when the log ends, as a `B` after the log.
+    #[test]
+    fn unpaired_firings_stay_begin_or_end() {
+        let trace = one_pe_trace(
+            &[
+                end(1e-6, 1),
+                begin(2e-6, 0, 3),
+                end(3e-6, 0),
+                begin(4e-6, 1, 9),
+            ],
+            1,
+        );
+        assert_eq!(
+            firing_entries(&trace),
+            [
+                r#"{"name":"conv","cat":"firing","ph":"E","ts":1.000000,"pid":0,"tid":0}"#,
+                r#"{"name":"src","cat":"firing","ph":"X","ts":2.000000,"dur":1.000000,"pid":0,"tid":0,"args":{"method":"run","cycles":3}}"#,
+                r#"{"name":"conv","cat":"firing","ph":"B","ts":4.000000,"pid":0,"tid":0,"args":{"method":"run","cycles":9}}"#,
+            ]
+        );
     }
 
     #[test]

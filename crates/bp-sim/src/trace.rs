@@ -841,6 +841,40 @@ pub struct ChannelHighWater {
     pub t: f64,
 }
 
+/// Pairs each [`TraceEvent::FiringEnd`] with its
+/// [`TraceEvent::FiringBegin`]: what a caller keeps of a begin (`B`) is
+/// held until its end pops it. Begin/end pairs nest only for the
+/// zero-duration source/const firings recorded while a real firing is in
+/// flight on the same PE, so a per-PE stack pairs them correctly; an end
+/// whose begin the log dropped pairs with nothing.
+pub(crate) struct OpenFirings<B> {
+    open: Vec<Vec<B>>,
+}
+
+impl<B> OpenFirings<B> {
+    pub(crate) fn new(num_pes: usize) -> Self {
+        Self {
+            open: (0..num_pes).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    pub(crate) fn begin(&mut self, pe: u32, b: B) {
+        self.open[pe as usize].push(b);
+    }
+
+    /// The innermost open begin on `pe`, now closed.
+    pub(crate) fn end(&mut self, pe: u32) -> Option<B> {
+        self.open[pe as usize].pop()
+    }
+
+    /// The begins never closed, by PE and then in log order.
+    pub(crate) fn into_open(self) -> impl Iterator<Item = (u32, B)> {
+        (0u32..)
+            .zip(self.open)
+            .flat_map(|(pe, open)| open.into_iter().map(move |b| (pe, b)))
+    }
+}
+
 /// A complete deterministic trace of one timed simulation.
 #[derive(Clone, Debug)]
 pub struct Trace {
@@ -929,15 +963,12 @@ impl Trace {
         let end = self.events.last_t().unwrap_or(0.0);
         let windows = (end / window_s).floor() as usize + 1;
         let mut util = vec![vec![0.0f64; windows]; self.meta.num_pes];
-        // Begin/end pairs nest only for the zero-duration source/const
-        // firings recorded while a real firing is in flight on the same
-        // PE, so a per-PE stack pairs them correctly.
-        let mut open: Vec<Vec<f64>> = vec![Vec::new(); self.meta.num_pes];
+        let mut open = OpenFirings::new(self.meta.num_pes);
         for e in &self.events {
             match e {
-                TraceEvent::FiringBegin { t, pe, .. } => open[pe as usize].push(t),
+                TraceEvent::FiringBegin { t, pe, .. } => open.begin(pe, t),
                 TraceEvent::FiringEnd { t, pe, .. } => {
-                    if let Some(t0) = open[pe as usize].pop() {
+                    if let Some(t0) = open.end(pe) {
                         let (mut w, last) = ((t0 / window_s) as usize, (t / window_s) as usize);
                         while w <= last.min(windows - 1) {
                             let lo = t0.max(w as f64 * window_s);
@@ -1037,13 +1068,40 @@ impl Trace {
         profile
     }
 
+    /// Items in flight on each channel when the log starts, indexed like
+    /// [`TraceMeta::channels`]: none for a complete log. A truncated log
+    /// may hold arrivals whose sends were dropped; each channel then
+    /// starts at its deficit, the most arrivals any prefix of the log
+    /// holds beyond its sends. That is never negative, and exact once the
+    /// channel drains within the log.
+    pub(crate) fn in_flight_at_start(&self) -> Vec<i64> {
+        let mut start = vec![0i64; self.meta.channels.len()];
+        if self.dropped == 0 {
+            return start;
+        }
+        let mut excess = start.clone();
+        for e in &self.events {
+            match e {
+                TraceEvent::CommSend { chan, .. } => excess[chan as usize] -= 1,
+                TraceEvent::CommArrival { chan, .. } => {
+                    let c = chan as usize;
+                    excess[c] += 1;
+                    start[c] = start[c].max(excess[c]);
+                }
+                _ => {}
+            }
+        }
+        start
+    }
+
     /// Maximum number of simultaneously in-flight items per channel,
     /// derived from [`TraceEvent::CommSend`]/[`TraceEvent::CommArrival`]
-    /// pairs (all zeros under the zero model, which has no flight time).
-    /// Indexed like [`TraceMeta::channels`].
+    /// pairs (all zeros under the zero model, which has no flight time)
+    /// on top of what was in flight when the log starts. Indexed like
+    /// [`TraceMeta::channels`].
     pub fn comm_in_flight_peak(&self) -> Vec<u32> {
-        let mut cur = vec![0i64; self.meta.channels.len()];
-        let mut peak = vec![0u32; self.meta.channels.len()];
+        let mut cur = self.in_flight_at_start();
+        let mut peak: Vec<u32> = cur.iter().map(|&c| c as u32).collect();
         for e in &self.events {
             match e {
                 TraceEvent::CommSend { chan, .. } => {
@@ -1497,6 +1555,37 @@ mod tests {
             ]),
             dropped: 0,
         };
+        assert_eq!(t.comm_in_flight_peak(), vec![2]);
+    }
+
+    /// Two arrivals whose sends the ring dropped: the channel starts with
+    /// both in flight, and the peak counts them.
+    #[test]
+    fn comm_in_flight_peak_starts_a_truncated_log_at_its_deficit() {
+        let mut m = meta(2, 2);
+        m.channels = vec![TraceChannel {
+            src_node: 0,
+            src_port: 0,
+            dst_node: 1,
+            dst_port: 0,
+            latency_s: 1.0,
+        }];
+        let arr = |t: f64| TraceEvent::CommArrival { t, chan: 0 };
+        let t = Trace {
+            meta: m,
+            events: log([
+                arr(1.0),
+                arr(1.5),
+                TraceEvent::CommSend {
+                    t: 1.6,
+                    chan: 0,
+                    words: 4,
+                    arrival: 2.6,
+                },
+            ]),
+            dropped: 2,
+        };
+        assert_eq!(t.in_flight_at_start(), vec![2]);
         assert_eq!(t.comm_in_flight_peak(), vec![2]);
     }
 

@@ -120,12 +120,6 @@ impl Dataflow {
     fn method_range(&self, node: NodeId) -> std::ops::Range<usize> {
         self.method_base[node.0] as usize..self.method_base[node.0 + 1] as usize
     }
-
-    /// The info on the single channel feeding `(node, input port)`.
-    pub fn input_info(&self, graph: &AppGraph, node: NodeId, port: usize) -> Option<ChannelInfo> {
-        let (cid, _) = graph.channel_into(node, port)?;
-        self.channels.get(&cid).copied()
-    }
 }
 
 fn token_rate(info: &ChannelInfo, kind: TokenKind, method: &MethodSpec) -> f64 {

@@ -250,14 +250,6 @@ impl Item {
         }
     }
 
-    /// Take the window, if data.
-    pub fn into_window(self) -> Option<Window> {
-        match self {
-            Item::Window(w) => Some(w),
-            Item::Control(_) => None,
-        }
-    }
-
     /// Borrow the token, if control.
     pub fn control(&self) -> Option<ControlToken> {
         match self {
@@ -324,7 +316,6 @@ mod tests {
         assert_eq!(t.words(), 0);
         assert_eq!(t.control(), Some(ControlToken::EndOfFrame));
         assert!(w.window().is_some());
-        assert!(w.into_window().is_some());
     }
 
     #[test]

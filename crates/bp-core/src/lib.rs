@@ -51,7 +51,7 @@ pub use kernel::{
     BehaviorFactory, Emitter, FireData, KernelBehavior, KernelDef, KernelSpec, NodeRole,
     Parallelism, ShapeTransform,
 };
-pub use machine::{CommModel, CommProfile, MachineSpec, Mapping};
+pub use machine::{CommModel, MachineSpec, Mapping};
 pub use method::{
     MethodCost, MethodRow, MethodSpec, MethodTable, ResolvedMethod, Trigger, TriggerOn,
 };

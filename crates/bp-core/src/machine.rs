@@ -176,53 +176,6 @@ impl CommModel {
         let lat = self.base_latency_s + self.per_hop_s * self.hops(src_pe, dst_pe, num_pes) as f64;
         lat.max(0.0)
     }
-
-    /// Calibrate a distance-independent model from traced channel-dwell
-    /// statistics ([`CommProfile`]): the base latency is the *minimum*
-    /// observed push-to-consume dwell — the fastest hand-off the traced
-    /// run achieved, so the calibrated model never claims a link faster
-    /// than anything actually measured. An empty profile yields
-    /// [`CommModel::zero`].
-    pub fn from_profile(profile: &CommProfile) -> Self {
-        if profile.samples == 0 {
-            return Self::zero();
-        }
-        Self::uniform(profile.min_dwell_s.max(0.0), 0.0)
-    }
-}
-
-/// Aggregate push-to-consume dwell statistics for inter-PE channels,
-/// collected from a deterministic trace (`Trace::comm_profile` in bp-sim)
-/// and folded into measured latency constants by
-/// [`CommModel::from_profile`].
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct CommProfile {
-    /// Number of matched push/consume pairs.
-    pub samples: u64,
-    /// Smallest observed dwell in seconds.
-    pub min_dwell_s: f64,
-    /// Sum of observed dwells in seconds (for the mean).
-    pub sum_dwell_s: f64,
-}
-
-impl CommProfile {
-    /// Fold one observed dwell into the aggregate.
-    pub fn push(&mut self, dwell_s: f64) {
-        if self.samples == 0 || dwell_s < self.min_dwell_s {
-            self.min_dwell_s = dwell_s;
-        }
-        self.samples += 1;
-        self.sum_dwell_s += dwell_s;
-    }
-
-    /// Mean dwell over all samples (0 when empty).
-    pub fn mean_dwell_s(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            self.sum_dwell_s / self.samples as f64
-        }
-    }
 }
 
 /// Assignment of graph nodes to processing elements.
@@ -315,22 +268,6 @@ mod tests {
         // Explicit coordinates override the derived mesh.
         let m = m.with_coords(vec![(0, 0), (7, 0)]);
         assert_eq!(m.hops(0, 1, 2), 7);
-    }
-
-    #[test]
-    fn profile_calibration_uses_min_dwell() {
-        let mut p = CommProfile::default();
-        assert_eq!(CommModel::from_profile(&p), CommModel::zero());
-        p.push(4e-6);
-        p.push(2e-6);
-        p.push(6e-6);
-        assert_eq!(p.samples, 3);
-        assert_eq!(p.min_dwell_s, 2e-6);
-        assert!((p.mean_dwell_s() - 4e-6).abs() < 1e-18);
-        let m = CommModel::from_profile(&p);
-        assert_eq!(m.base_latency_s, 2e-6);
-        assert_eq!(m.per_hop_s, 0.0);
-        assert_eq!(m.per_word_s, 0.0);
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! The host holds at most `max_active` live tenants. An offer that finds
 //! a free slot is **admitted** (instantiated immediately). When slots
 //! are full the configured [`AdmissionPolicy`] decides: `Shed` rejects
-//! the offer outright; `Defer` parks it in a bounded FIFO queue and
-//! **promotes** it when a slot frees at a later round boundary — an
-//! offer that finds the queue full is shed even under `Defer`.
+//! the offer outright; `Defer` parks it in a FIFO queue and **promotes**
+//! it when a slot frees at a later round boundary.
 //!
 //! Every offer receives exactly one terminal verdict at offer time —
 //! admitted, deferred, or shed — so the conservation invariant
@@ -23,8 +22,7 @@ use bp_core::Fnv;
 pub enum AdmissionPolicy {
     /// Reject the offer.
     Shed,
-    /// Queue the offer (FIFO) and admit it when a slot frees; shed only
-    /// when the queue itself is full.
+    /// Queue the offer (FIFO) and admit it when a slot frees; never shed.
     #[default]
     Defer,
 }
@@ -34,8 +32,6 @@ pub enum AdmissionPolicy {
 pub struct AdmissionConfig {
     /// Maximum co-resident (admitted, unfinished) tenants.
     pub max_active: usize,
-    /// Capacity of the defer queue (ignored under [`AdmissionPolicy::Shed`]).
-    pub queue_capacity: usize,
     /// Policy when active slots are exhausted.
     pub policy: AdmissionPolicy,
 }
@@ -44,7 +40,6 @@ impl Default for AdmissionConfig {
     fn default() -> Self {
         Self {
             max_active: usize::MAX,
-            queue_capacity: usize::MAX,
             policy: AdmissionPolicy::Defer,
         }
     }
@@ -63,12 +58,6 @@ impl AdmissionConfig {
         self
     }
 
-    /// Bound the defer queue.
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
-        self
-    }
-
     /// Set the backpressure policy.
     pub fn with_policy(mut self, policy: AdmissionPolicy) -> Self {
         self.policy = policy;
@@ -83,7 +72,7 @@ pub enum AdmissionVerdict {
     Admitted,
     /// Parked in the defer queue.
     Deferred,
-    /// Rejected (slots full and policy is `Shed`, or defer queue full).
+    /// Rejected (slots full and policy is `Shed`).
     Shed,
     /// A previously deferred offer took a freed slot.
     Promoted,

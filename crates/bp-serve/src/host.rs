@@ -6,7 +6,7 @@
 //! one thread and in deterministic order, (1) processes offers whose
 //! arrival round is due, (2) promotes deferred offers into freed slots,
 //! and (3) retires tenants that settled last round. It then steps every
-//! active tenant by its per-round event budget — in tenant-id order on
+//! active tenant by the per-round event budget — in tenant-id order on
 //! one worker, or partitioned into contiguous tenant ranges across
 //! worker threads. Because every tenant is a fully self-contained
 //! simulation (a stepped [`bp_sim::TimedSimulator`]) and budgets are
@@ -35,8 +35,7 @@ pub use crate::admission::AdmissionConfig;
 /// Fleet-host configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FleetConfig {
-    /// Default per-tenant event budget per round (tenants may lower it
-    /// via [`TenantSpec::with_events_per_round`]).
+    /// Events each active tenant is stepped by per round.
     pub round_budget: usize,
     /// Worker threads stepping tenants each round (1 = sequential).
     pub workers: usize,
@@ -60,7 +59,7 @@ impl FleetConfig {
         Self::default()
     }
 
-    /// Set the default per-round event budget. A budget of 0 would never
+    /// Set the per-round event budget. A budget of 0 would never
     /// settle a tenant: [`FleetHost::run`] refuses it.
     pub fn with_round_budget(mut self, events: usize) -> Self {
         self.round_budget = events;
@@ -171,9 +170,8 @@ impl FleetHost {
     }
 
     /// Run every enqueued offer through admission and co-scheduling to
-    /// completion. A round budget, worker count, tenant budget or slot
-    /// count of 0, under which the host could never finish, is refused
-    /// before round 0.
+    /// completion. A round budget, worker count or slot count of 0, under
+    /// which the host could never finish, is refused before round 0.
     /// Other errors propagate from tenant instantiation (e.g. zero frames)
     /// and from settling (a capacity deadlock diagnosis).
     pub fn run(&mut self) -> Result<FleetReport> {
@@ -206,17 +204,8 @@ impl FleetHost {
                             admission.record(round, ord, &spec.name, AdmissionVerdict::Shed);
                         }
                         AdmissionPolicy::Defer => {
-                            if deferred.len() < self.config.admission.queue_capacity {
-                                admission.record(
-                                    round,
-                                    ord,
-                                    &spec.name,
-                                    AdmissionVerdict::Deferred,
-                                );
-                                deferred.push_back((ord, spec));
-                            } else {
-                                admission.record(round, ord, &spec.name, AdmissionVerdict::Shed);
-                            }
+                            admission.record(round, ord, &spec.name, AdmissionVerdict::Deferred);
+                            deferred.push_back((ord, spec));
                         }
                     }
                 }
@@ -239,7 +228,7 @@ impl FleetHost {
                 continue;
             }
 
-            // 3. Step every active tenant by its round budget.
+            // 3. Step every active tenant by the round budget.
             step_round(&mut active, self.config.round_budget, self.config.workers);
             round += 1;
 
@@ -269,15 +258,12 @@ impl FleetHost {
     /// of 0 events never settles a tenant, no worker steps one, and with
     /// no slot a deferred offer never finds one.
     fn check(&self) -> Result<()> {
-        let zero_budget = self.pending.iter().find(|s| s.events_per_round == Some(0));
         let what = if self.config.round_budget == 0 {
-            "fleet round_budget".to_string()
+            "fleet round_budget"
         } else if self.config.workers == 0 {
-            "fleet workers".to_string()
+            "fleet workers"
         } else if self.config.admission.max_active == 0 {
-            "fleet admission max_active".to_string()
-        } else if let Some(spec) = zero_budget {
-            format!("tenant '{}' events_per_round", spec.name)
+            "fleet admission max_active"
         } else {
             return Ok(());
         };
@@ -300,7 +286,6 @@ impl FleetHost {
             name: spec.name,
             shape_key,
             sim,
-            events_per_round: spec.events_per_round,
             admitted_round: round,
             rounds_stepped: 0,
         })
@@ -330,15 +315,14 @@ pub fn solo(spec: &TenantSpec) -> Result<(SimReport, Option<MetricsTape>)> {
     Ok((report, tape))
 }
 
-fn step_round(active: &mut [Tenant], default_budget: usize, workers: usize) {
-    fn step_one(t: &mut Tenant, default_budget: usize) {
-        let budget = t.events_per_round.unwrap_or(default_budget);
+fn step_round(active: &mut [Tenant], budget: usize, workers: usize) {
+    fn step_one(t: &mut Tenant, budget: usize) {
         t.sim.step(budget);
         t.rounds_stepped += 1;
     }
     if workers <= 1 || active.len() <= 1 {
         for t in active.iter_mut() {
-            step_one(t, default_budget);
+            step_one(t, budget);
         }
     } else {
         // Contiguous tenant ranges, one job per worker. Tenants own all of
@@ -346,7 +330,7 @@ fn step_round(active: &mut [Tenant], default_budget: usize, workers: usize) {
         // affect any tenant's event sequence.
         let chunk = active.len().div_ceil(workers);
         let jobs: Vec<_> = (active.chunks_mut(chunk))
-            .map(|part| move || part.iter_mut().for_each(|t| step_one(t, default_budget)))
+            .map(|part| move || part.iter_mut().for_each(|t| step_one(t, budget)))
             .collect();
         bp_sim::run_batch_with_workers(jobs, workers);
     }
@@ -484,8 +468,7 @@ mod tests {
     }
 
     /// Each value the round loop needs nonzero to finish is refused before
-    /// round 0 with a typed error naming it (and the tenant, for a
-    /// tenant's own budget).
+    /// round 0 with a typed error naming it.
     #[test]
     fn zero_budgets_and_slots_are_typed_errors() {
         let ok = FleetConfig::new();
@@ -495,17 +478,16 @@ mod tests {
         shed.admission.policy = AdmissionPolicy::Shed;
         let no_workers = FleetConfig { workers: 0, ..ok };
         let cases = [
-            (ok.with_round_budget(0), 1, "fleet round_budget"),
-            (ok.with_workers(0), 1, "fleet workers"),
-            (no_workers, 1, "fleet workers"),
-            (ok, 0, "tenant 'b' events_per_round"),
-            (defer, 1, "fleet admission max_active"),
-            (shed, 1, "fleet admission max_active"),
+            (ok.with_round_budget(0), "fleet round_budget"),
+            (ok.with_workers(0), "fleet workers"),
+            (no_workers, "fleet workers"),
+            (defer, "fleet admission max_active"),
+            (shed, "fleet admission max_active"),
         ];
-        for (config, events, want) in cases {
+        for (config, want) in cases {
             let mut host = FleetHost::new(config);
             host.enqueue(spec("a", 16, 1));
-            host.enqueue(spec("b", 16, 1).with_events_per_round(events));
+            host.enqueue(spec("b", 16, 1));
             let err = host.run().err().map(|e| e.to_string());
             let want = format!("simulation error: {want} is 0; it must be at least 1");
             assert_eq!(err, Some(want));

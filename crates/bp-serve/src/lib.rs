@@ -12,8 +12,8 @@
 //!
 //! Structure:
 //!
-//! - [`tenant`]: tenant specs (graph + mapping + config + QoS + rate
-//!   limit) and per-tenant reports;
+//! - [`tenant`]: tenant specs (graph + mapping + config + QoS + arrival
+//!   round) and per-tenant reports;
 //! - [`admission`]: slot limits, shed/defer backpressure, and the
 //!   digest-carrying admission log;
 //! - [`host`]: the round-based co-scheduler itself, plus the

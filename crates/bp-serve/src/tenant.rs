@@ -28,15 +28,10 @@ pub struct TenantSpec {
     /// Fleet round at which the tenant arrives (0 = before the first
     /// round). Offers are processed at round boundaries in arrival order.
     pub arrival_round: u64,
-    /// Per-round event budget override; `None` uses the fleet default.
-    /// This is the tenant's rate limit: a smaller budget caps the share
-    /// of host throughput the tenant can consume each round.
-    pub events_per_round: Option<usize>,
 }
 
 impl TenantSpec {
-    /// A spec with default QoS (none), immediate arrival, and the fleet
-    /// default rate limit.
+    /// A spec with default QoS (none) and immediate arrival.
     pub fn new(
         name: impl Into<String>,
         graph: bp_core::graph::AppGraph,
@@ -50,7 +45,6 @@ impl TenantSpec {
             config,
             qos: QosSpec::none(),
             arrival_round: 0,
-            events_per_round: None,
         }
     }
 
@@ -65,14 +59,6 @@ impl TenantSpec {
         self.arrival_round = round;
         self
     }
-
-    /// Cap the tenant's per-round event budget (its rate limit). A budget
-    /// of 0 would never settle the tenant: [`crate::FleetHost::run`]
-    /// refuses it.
-    pub fn with_events_per_round(mut self, events: usize) -> Self {
-        self.events_per_round = Some(events);
-        self
-    }
 }
 
 /// An admitted tenant's live state inside the host.
@@ -82,7 +68,6 @@ pub(crate) struct Tenant {
     pub(crate) name: String,
     pub(crate) shape_key: u64,
     pub(crate) sim: TimedSimulator,
-    pub(crate) events_per_round: Option<usize>,
     pub(crate) admitted_round: u64,
     pub(crate) rounds_stepped: u64,
 }

@@ -51,7 +51,7 @@
 //! per byte, where the recursive descent it replaced — which stays in
 //! this module's tests as its differential oracle — took about 1.7 ns.
 
-use crate::trace::{OpenFirings, Trace, TraceEvent};
+use crate::trace::{Trace, TraceEvent};
 use std::fmt::Write as _;
 
 /// Escape a string for inclusion in a JSON string literal.
@@ -267,10 +267,13 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
 
     // A firing is written at its end, as one complete event ("X") that
     // carries its begin's stamp and its duration; the begin waits on its
-    // PE's stack until then. A pair stays a "B" and an "E" when either
-    // stamp is outside `millionths`' range, an end's begin was dropped,
-    // or a begin is still open when the log ends.
-    let mut firings = OpenFirings::new(meta.num_pes);
+    // PE's stack until then. Begin/end pairs nest only for the
+    // zero-duration source/const firings recorded while a real firing is
+    // in flight on the same PE, so a per-PE stack pairs them correctly. A
+    // pair stays a "B" and an "E" when either stamp is outside
+    // `millionths`' range, an end's begin was dropped, or a begin is
+    // still open when the log ends.
+    let mut firings: Vec<Vec<(f64, u32, u32, u64)>> = vec![Vec::new(); meta.num_pes];
     // Per-channel in-flight occupancy, stepped while scanning (the event
     // stream is in global time order).
     let mut in_flight = trace.in_flight_at_start();
@@ -282,9 +285,9 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
                 method,
                 pe,
                 cycles,
-            } => firings.begin(pe, (t, node, method, cycles)),
+            } => firings[pe as usize].push((t, node, method, cycles)),
             TraceEvent::FiringEnd { t, node, pe } => {
-                let Some((t0, begun, method, cycles)) = firings.end(pe) else {
+                let Some((t0, begun, method, cycles)) = firings[pe as usize].pop() else {
                     push_end(&mut out, &nodes[node as usize], t, pe);
                     continue;
                 };
@@ -374,9 +377,11 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
             }
         }
     }
-    for (pe, (t, node, method, cycles)) in firings.into_open() {
-        let method = &methods[node as usize][method as usize];
-        push_begin(&mut out, &nodes[node as usize], method, t, pe, cycles);
+    for (pe, open) in (0u32..).zip(firings) {
+        for (t, node, method, cycles) in open {
+            let method = &methods[node as usize][method as usize];
+            push_begin(&mut out, &nodes[node as usize], method, t, pe, cycles);
+        }
     }
 
     let _ = writeln!(

@@ -186,11 +186,6 @@ impl SimOutcome {
             SimOutcome::Deadlocked(d) => Some(d),
         }
     }
-
-    /// True when the run drained cleanly.
-    pub fn is_completed(&self) -> bool {
-        matches!(self, SimOutcome::Completed(_))
-    }
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ pub mod timed;
 mod timed_parallel;
 pub mod trace;
 
-pub use bp_core::{CommModel, CommProfile, MetricsPolicy, QosSpec};
+pub use bp_core::{CommModel, MetricsPolicy, QosSpec};
 pub use bp_metrics::{MetricsFinal, MetricsSnapshot, MetricsTape, QosReport};
 pub use chrome::{chrome_trace_json, validate_json};
 pub use deadlock::{CapacityBump, DeadlockHop, DeadlockReport, SimOutcome};

@@ -18,16 +18,14 @@
 //! shares it — and LEB128 varints for the indices and counts. Consumers
 //! iterate it and get the decoded events back bit for bit.
 //!
-//! On top of the raw stream, [`Trace`] derives per-node event counts,
-//! per-channel occupancy high-water marks, sliding-window PE utilization
-//! and the channel-dwell profile a [`bp_core::CommModel`] is calibrated
-//! from. The [`crate::chrome`] module exports the stream as Chrome
-//! trace-event JSON loadable in Perfetto.
+//! On top of the raw stream, [`Trace`] derives per-channel occupancy
+//! high-water marks, stall counts by cause and the peak number of items
+//! in flight on each delayed channel. The [`crate::chrome`] module exports
+//! the stream as Chrome trace-event JSON loadable in Perfetto.
 
 use crate::runtime::RtNode;
 use bp_core::token::ControlToken;
 use bp_core::Fnv;
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Why a PE is not executing a firing.
@@ -161,19 +159,6 @@ impl TraceEvent {
             | TraceEvent::Stall { t, .. }
             | TraceEvent::CommSend { t, .. }
             | TraceEvent::CommArrival { t, .. } => t,
-        }
-    }
-
-    /// Node the event is attributed to, if any (stalls attribute to a PE).
-    pub fn node(&self) -> Option<u32> {
-        match *self {
-            TraceEvent::FiringBegin { node, .. }
-            | TraceEvent::FiringEnd { node, .. }
-            | TraceEvent::QueueDepth { node, .. }
-            | TraceEvent::Token { node, .. } => Some(node),
-            TraceEvent::Stall { .. }
-            | TraceEvent::CommSend { .. }
-            | TraceEvent::CommArrival { .. } => None,
         }
     }
 
@@ -508,11 +493,6 @@ impl TraceLog {
         self.comm_sends
     }
 
-    /// Time of the newest event, if any.
-    pub(crate) fn last_t(&self) -> Option<f64> {
-        (self.len > 0).then(|| f64::from_bits(self.last))
-    }
-
     /// Append one event.
     pub(crate) fn push(&mut self, ev: TraceEvent) {
         let t = ev.t().to_bits();
@@ -841,40 +821,6 @@ pub struct ChannelHighWater {
     pub t: f64,
 }
 
-/// Pairs each [`TraceEvent::FiringEnd`] with its
-/// [`TraceEvent::FiringBegin`]: what a caller keeps of a begin (`B`) is
-/// held until its end pops it. Begin/end pairs nest only for the
-/// zero-duration source/const firings recorded while a real firing is in
-/// flight on the same PE, so a per-PE stack pairs them correctly; an end
-/// whose begin the log dropped pairs with nothing.
-pub(crate) struct OpenFirings<B> {
-    open: Vec<Vec<B>>,
-}
-
-impl<B> OpenFirings<B> {
-    pub(crate) fn new(num_pes: usize) -> Self {
-        Self {
-            open: (0..num_pes).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    pub(crate) fn begin(&mut self, pe: u32, b: B) {
-        self.open[pe as usize].push(b);
-    }
-
-    /// The innermost open begin on `pe`, now closed.
-    pub(crate) fn end(&mut self, pe: u32) -> Option<B> {
-        self.open[pe as usize].pop()
-    }
-
-    /// The begins never closed, by PE and then in log order.
-    pub(crate) fn into_open(self) -> impl Iterator<Item = (u32, B)> {
-        (0u32..)
-            .zip(self.open)
-            .flat_map(|(pe, open)| open.into_iter().map(move |b| (pe, b)))
-    }
-}
-
 /// A complete deterministic trace of one timed simulation.
 #[derive(Clone, Debug)]
 pub struct Trace {
@@ -897,18 +843,6 @@ impl Trace {
             e.fold(&mut h);
         }
         h.finish()
-    }
-
-    /// Total traced events attributed to each node (firings, queue
-    /// movement, token arrivals): where a run's simulation work went.
-    pub fn node_event_counts(&self) -> Vec<u64> {
-        let mut counts = vec![0u64; self.meta.node_names.len()];
-        for e in &self.events {
-            if let Some(n) = e.node() {
-                counts[n as usize] += 1;
-            }
-        }
-        counts
     }
 
     /// Per-channel occupancy high-water marks, ordered by `(node, port)`.
@@ -951,121 +885,6 @@ impl Trace {
             }
         }
         out
-    }
-
-    /// Busy fraction of each PE over consecutive windows of `window_s`
-    /// simulated seconds: `result[pe][w]` covers
-    /// `[w * window_s, (w + 1) * window_s)`. Derived from firing
-    /// begin/end pairs, so it resolves the within-run utilization
-    /// *timeline* that `SimReport`'s whole-run averages flatten.
-    pub fn pe_utilization(&self, window_s: f64) -> Vec<Vec<f64>> {
-        assert!(window_s > 0.0, "window must be positive");
-        let end = self.events.last_t().unwrap_or(0.0);
-        let windows = (end / window_s).floor() as usize + 1;
-        let mut util = vec![vec![0.0f64; windows]; self.meta.num_pes];
-        let mut open = OpenFirings::new(self.meta.num_pes);
-        for e in &self.events {
-            match e {
-                TraceEvent::FiringBegin { t, pe, .. } => open.begin(pe, t),
-                TraceEvent::FiringEnd { t, pe, .. } => {
-                    if let Some(t0) = open.end(pe) {
-                        let (mut w, last) = ((t0 / window_s) as usize, (t / window_s) as usize);
-                        while w <= last.min(windows - 1) {
-                            let lo = t0.max(w as f64 * window_s);
-                            let hi = t.min((w + 1) as f64 * window_s);
-                            util[pe as usize][w] += (hi - lo).max(0.0);
-                            w += 1;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        for row in &mut util {
-            for v in row.iter_mut() {
-                *v /= window_s;
-            }
-        }
-        util
-    }
-
-    /// Per-channel send/consume dwell statistics for cross-PE channels,
-    /// the input to [`bp_core::CommModel::from_profile`] (ROADMAP:
-    /// calibrate a delay model from traces). Each item's dwell is the time
-    /// from its hand-off on the producer to its consumption, FIFO-matched
-    /// per destination port. For delayed channels the hand-off is the
-    /// [`TraceEvent::CommSend`] departure — so the dwell *includes* wire
-    /// time and the calibrated base latency never undercuts the true
-    /// model; for direct channels it is the enqueue seen in the
-    /// [`TraceEvent::QueueDepth`] stream — measurable under the zero
-    /// model too, which is what makes calibration from an undelayed
-    /// baseline trace possible.
-    pub fn comm_profile(&self) -> bp_core::CommProfile {
-        let mut profile = bp_core::CommProfile::default();
-        let mut cross: Vec<Vec<bool>> = self
-            .meta
-            .input_ports
-            .iter()
-            .map(|ports| vec![false; ports.len()])
-            .collect();
-        // Ports fed by a delayed channel take their enqueue times from the
-        // CommSend stream instead (each input port has exactly one
-        // in-channel, so the (node, port) key is unambiguous).
-        let mut delayed = cross.clone();
-        for c in &self.meta.channels {
-            if self.meta.pe_of_node[c.src_node as usize]
-                != self.meta.pe_of_node[c.dst_node as usize]
-            {
-                cross[c.dst_node as usize][c.dst_port as usize] = true;
-                if c.latency_s > 0.0 {
-                    delayed[c.dst_node as usize][c.dst_port as usize] = true;
-                }
-            }
-        }
-        let mut prev: Vec<Vec<u32>> = cross.iter().map(|p| vec![0; p.len()]).collect();
-        let mut pending: Vec<Vec<VecDeque<f64>>> = cross
-            .iter()
-            .map(|p| p.iter().map(|_| VecDeque::new()).collect())
-            .collect();
-        for e in &self.events {
-            match e {
-                TraceEvent::CommSend { t, chan, .. } => {
-                    let c = &self.meta.channels[chan as usize];
-                    let (n, p) = (c.dst_node as usize, c.dst_port as usize);
-                    if cross[n][p] {
-                        pending[n][p].push_back(t);
-                    }
-                }
-                TraceEvent::QueueDepth {
-                    t,
-                    node,
-                    port,
-                    depth,
-                } => {
-                    let (n, p) = (node as usize, port as usize);
-                    if !cross[n][p] {
-                        continue;
-                    }
-                    let old = prev[n][p];
-                    if depth > old {
-                        if !delayed[n][p] {
-                            for _ in 0..depth - old {
-                                pending[n][p].push_back(t);
-                            }
-                        }
-                    } else {
-                        for _ in 0..old - depth {
-                            if let Some(t0) = pending[n][p].pop_front() {
-                                profile.push(t - t0);
-                            }
-                        }
-                    }
-                    prev[n][p] = depth;
-                }
-                _ => {}
-            }
-        }
-        profile
     }
 
     /// Items in flight on each channel when the log starts, indexed like
@@ -1135,6 +954,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     fn fb(t: f64, node: u32, pe: u32, cycles: u64) -> TraceEvent {
         TraceEvent::FiringBegin {
@@ -1403,28 +1223,27 @@ mod tests {
     }
 
     #[test]
-    fn node_event_counts_attribute_per_node() {
+    fn stall_counts_tally_stalls_by_cause() {
+        let stall = |t: f64, pe: u32, cause| TraceEvent::Stall { t, pe, cause };
         let t = Trace {
-            meta: meta(3, 1),
+            meta: meta(3, 2),
             events: log([
                 fb(0.0, 0, 0, 1),
                 fe(1e-6, 0, 0),
-                TraceEvent::QueueDepth {
-                    t: 1e-6,
-                    node: 1,
-                    port: 0,
-                    depth: 1,
-                },
-                TraceEvent::Stall {
-                    t: 1e-6,
-                    pe: 0,
-                    cause: StallCause::Idle,
-                },
+                stall(1e-6, 0, StallCause::Idle),
+                stall(1e-6, 1, StallCause::OutputBlocked),
+                stall(2e-6, 0, StallCause::OutputBlocked),
             ]),
             dropped: 0,
         };
-        assert_eq!(t.node_event_counts(), vec![2, 1, 0]);
-        assert_eq!(t.stall_counts()[0].1, 1);
+        assert_eq!(
+            t.stall_counts(),
+            [
+                (StallCause::Idle, 1),
+                (StallCause::InputStarved, 0),
+                (StallCause::OutputBlocked, 2),
+            ]
+        );
     }
 
     #[test]
@@ -1451,80 +1270,6 @@ mod tests {
                 t: 2.0,
             }
         );
-    }
-
-    #[test]
-    fn comm_profile_fifo_matches_cross_pe_dwell() {
-        // Two nodes on different PEs connected by one channel; items queue
-        // at t=1,2 and are consumed at t=3,5 → dwells 2 and 3.
-        let mut m = meta(2, 2);
-        m.channels = vec![TraceChannel {
-            src_node: 0,
-            src_port: 0,
-            dst_node: 1,
-            dst_port: 0,
-            latency_s: 0.0,
-        }];
-        let q = |t: f64, depth: u32| TraceEvent::QueueDepth {
-            t,
-            node: 1,
-            port: 0,
-            depth,
-        };
-        let t = Trace {
-            meta: m,
-            events: log([q(1.0, 1), q(2.0, 2), q(3.0, 1), q(5.0, 0)]),
-            dropped: 0,
-        };
-        let p = t.comm_profile();
-        assert_eq!(p.samples, 2);
-        assert_eq!(p.min_dwell_s, 2.0);
-        assert_eq!(p.mean_dwell_s(), 2.5);
-        // Same-PE traffic is excluded: with both nodes on PE 0 the profile
-        // is empty.
-        let mut t2 = t.clone();
-        t2.meta.pe_of_node = vec![0, 0];
-        assert_eq!(t2.comm_profile().samples, 0);
-    }
-
-    #[test]
-    fn comm_profile_counts_wire_time_for_delayed_channels() {
-        // One delayed channel (latency 1): the item departs at t=1,
-        // arrives (enqueues) at t=2, is consumed at t=3. The dwell must be
-        // measured from departure — 2.0, not the 1.0 of queue time alone —
-        // so a model calibrated from the profile never undercuts the wire.
-        let mut m = meta(2, 2);
-        m.channels = vec![TraceChannel {
-            src_node: 0,
-            src_port: 0,
-            dst_node: 1,
-            dst_port: 0,
-            latency_s: 1.0,
-        }];
-        let q = |t: f64, depth: u32| TraceEvent::QueueDepth {
-            t,
-            node: 1,
-            port: 0,
-            depth,
-        };
-        let t = Trace {
-            meta: m,
-            events: log([
-                TraceEvent::CommSend {
-                    t: 1.0,
-                    chan: 0,
-                    words: 1,
-                    arrival: 2.0,
-                },
-                q(2.0, 1),
-                TraceEvent::CommArrival { t: 2.0, chan: 0 },
-                q(3.0, 0),
-            ]),
-            dropped: 0,
-        };
-        let p = t.comm_profile();
-        assert_eq!(p.samples, 1);
-        assert_eq!(p.min_dwell_s, 2.0);
     }
 
     #[test]
@@ -1587,22 +1332,5 @@ mod tests {
         };
         assert_eq!(t.in_flight_at_start(), vec![2]);
         assert_eq!(t.comm_in_flight_peak(), vec![2]);
-    }
-
-    #[test]
-    fn pe_utilization_windows_split_firings() {
-        // One firing spanning [0.5, 2.5) over 1-second windows on PE 0.
-        let t = Trace {
-            meta: meta(1, 2),
-            events: log([fb(0.5, 0, 0, 1), fe(2.5, 0, 0)]),
-            dropped: 0,
-        };
-        let u = t.pe_utilization(1.0);
-        assert_eq!(u.len(), 2);
-        assert_eq!(u[0].len(), 3);
-        assert!((u[0][0] - 0.5).abs() < 1e-12);
-        assert!((u[0][1] - 1.0).abs() < 1e-12);
-        assert!((u[0][2] - 0.5).abs() < 1e-12);
-        assert!(u[1].iter().all(|&v| v == 0.0));
     }
 }

@@ -46,9 +46,8 @@ pub mod prelude {
         analyze, compile, summarize, to_dot, AlignPolicy, CompileOptions, MappingKind,
     };
     pub use bp_core::{
-        AppGraph, CommModel, CommProfile, ControlToken, Dim2, GraphBuilder, Item, KernelBehavior,
-        KernelDef, KernelSpec, MachineSpec, Mapping, NodeRole, Offset2, Parallelism, Step2,
-        TokenKind, Window,
+        AppGraph, CommModel, ControlToken, Dim2, GraphBuilder, Item, KernelBehavior, KernelDef,
+        KernelSpec, MachineSpec, Mapping, NodeRole, Offset2, Parallelism, Step2, TokenKind, Window,
     };
     pub use bp_kernels::{
         absdiff, add, bayer_demosaic, box_coefficients, buffer, const_source, conv2d, downsample,

@@ -266,51 +266,3 @@ fn random_dags_preserve_fifo_conservation_and_engine_equivalence() {
          widen the model distribution"
     );
 }
-
-/// Dwell statistics fold back into a calibrated model: for any traced run
-/// with delayed traffic, `CommModel::from_profile` yields a base latency
-/// no larger than any observed dwell (never faster than measured) and the
-/// profile's mean lies between its min and the max dwell.
-#[test]
-fn profiled_model_is_conservative_for_random_dags() {
-    let mut checked = 0u32;
-    for case in 0..CASES {
-        let mut rng = Rng64::seed_from_u64(0xfeed_0000 + case);
-        let graph = random_graph(&mut rng);
-        // Always delayed here: profiling a zero model is vacuous.
-        let model = CommModel::uniform(rng.gen_range_f64(10.0, 200.0) * 1e-9, 0.0);
-        let opts = CompileOptions {
-            mapping: MappingKind::OneToOne,
-            ..Default::default()
-        };
-        let compiled = compile(&graph, &opts).expect("compile");
-        let config = SimConfig::new(FRAMES)
-            .with_machine(opts.machine)
-            .with_comm(model.clone())
-            .with_trace(TraceOptions::default());
-        let Ok((_, trace, _)) = TimedSimulator::new(&compiled.graph, &compiled.mapping, config)
-            .expect("instantiate")
-            .run_with_artifacts()
-        else {
-            continue; // deadlocked case: covered by the equivalence test
-        };
-        let trace = trace.expect("tracing enabled");
-        let profile = trace.comm_profile();
-        if profile.samples == 0 {
-            continue;
-        }
-        let calibrated = CommModel::from_profile(&profile);
-        assert!(
-            calibrated.base_latency_s >= model.base_latency_s - 1e-15,
-            "case {case}: calibrated base {} under true latency {}",
-            calibrated.base_latency_s,
-            model.base_latency_s
-        );
-        assert!(
-            profile.mean_dwell_s() >= profile.min_dwell_s - 1e-15,
-            "case {case}: profile mean under its min"
-        );
-        checked += 1;
-    }
-    assert!(checked >= 3, "only {checked} cases produced dwell samples");
-}

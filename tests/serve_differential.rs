@@ -68,15 +68,12 @@ fn mixed_specs(comm: &CommModel) -> Vec<TenantSpec> {
         cfg(Backend::Auto),
     ));
     let c = build(&apps::multi_conv(dim, 25.0, 3));
-    specs.push(
-        TenantSpec::new(
-            "conv-interp-limited",
-            c.graph,
-            c.mapping,
-            cfg(Backend::Interpreted),
-        )
-        .with_events_per_round(17), // a tighter rate limit than the fleet default
-    );
+    specs.push(TenantSpec::new(
+        "conv-interp",
+        c.graph,
+        c.mapping,
+        cfg(Backend::Interpreted),
+    ));
     specs
 }
 

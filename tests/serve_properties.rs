@@ -9,7 +9,7 @@
 //!   forever behind a finite fleet.
 //! - **Conservation**: every offer receives exactly one terminal
 //!   verdict, so `admitted + deferred + shed == offered` in all
-//!   configurations (including full defer queues and shed policy).
+//!   configurations, shed and promoted offers included.
 //! - **Deterministic replay**: the entire run is a pure function of the
 //!   plan — same seed ⇒ same admission-log digest and same fleet digest.
 
@@ -48,7 +48,6 @@ fn run_seeded(seed: u64) -> (FleetReport, usize) {
     };
     let admission = AdmissionConfig::unbounded()
         .with_max_active(1 + rng.gen_index(tenants))
-        .with_queue_capacity(rng.gen_index(4))
         .with_policy(policy);
     let mut host = FleetHost::new(
         FleetConfig::new()
@@ -64,11 +63,16 @@ fn run_seeded(seed: u64) -> (FleetReport, usize) {
 
 /// Conservation: in every randomized configuration each offer gets
 /// exactly one terminal verdict, and exactly the non-shed offers finish.
+/// The sweep must shed (only `AdmissionPolicy::Shed` does) and promote
+/// somewhere, so conservation is shown across both.
 #[test]
 fn admission_conserves_offers_under_random_configs() {
+    let (mut shed, mut promoted) = (0u64, 0u64);
     for seed in 0..24u64 {
         let (report, tenants) = run_seeded(seed);
         let adm = &report.admission;
+        shed += adm.shed;
+        promoted += adm.promoted;
         assert_eq!(adm.offered as usize, tenants, "seed {seed}");
         assert!(
             adm.conserves(),
@@ -84,6 +88,8 @@ fn admission_conserves_offers_under_random_configs() {
             "seed {seed}: every non-shed offer must finish"
         );
     }
+    assert!(shed > 0, "no seed shed an offer");
+    assert!(promoted > 0, "no seed promoted a deferred offer");
 }
 
 /// No starvation: under the defer policy with an unbounded queue, every

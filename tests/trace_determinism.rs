@@ -278,22 +278,15 @@ fn hostile_names_export_as_valid_json() {
     assert_eq!(count(ESCAPED.into()), 14);
 }
 
-/// Derived metrics are self-consistent: every traced event is attributed,
-/// utilization stays within [0, 1], and high-water marks agree with the
-/// report's per-node queue maxima.
+/// The trace's per-channel high-water marks never exceed the report's
+/// per-node queue maxima.
 #[test]
-fn derived_metrics_are_consistent() {
+fn channel_high_water_stays_within_node_max_queue() {
     let (report, trace) = run_sequential("fig1b", true).expect("fig1b runs");
     let trace = trace.expect("tracing enabled");
-    let counts = trace.node_event_counts();
-    assert_eq!(counts.len(), trace.meta.node_names.len());
-    assert!(counts.iter().sum::<u64>() > 0);
-    for row in trace.pe_utilization(0.005) {
-        for u in row {
-            assert!((0.0..=1.0 + 1e-9).contains(&u), "utilization out of range");
-        }
-    }
-    for hw in trace.channel_high_water() {
+    let high_water = trace.channel_high_water();
+    assert!(!high_water.is_empty());
+    for hw in high_water {
         assert!(
             (hw.depth as usize) <= report.node_max_queue[hw.node],
             "trace high-water exceeds the report's max queue depth"
